@@ -32,7 +32,7 @@ from typing import Dict, Tuple
 
 from repro.crypto.keccak import keccak256
 from repro.discovery import distance as dist
-from repro.discovery.enode import ENode, _cached_id_hash as cached_id_hash
+from repro.discovery.enode import ENode, cached_id_hash
 from repro.discovery.routing import RoutingTable
 from repro.resilience.breaker import subnet_of
 

@@ -20,7 +20,7 @@ from typing import Iterable, Union
 from repro.chain.chain import BLOCK_INTERVAL
 from repro.chain.genesis import MAINNET_GENESIS_HASH, custom_genesis
 from repro.chain.header import EMPTY_TRIE_ROOT, EMPTY_UNCLES_HASH, BlockHeader
-from repro.crypto.keccak import keccak256, keccak256_batch
+from repro.crypto.keccak import KeccakMemo, keccak256
 from repro.errors import ChainError
 from repro.ethproto.forks import DAO_FORK_BLOCK, DAO_FORK_EXTRA_DATA
 
@@ -35,44 +35,43 @@ MAINNET_TD_APRIL_2018 = 3_907_000_000_000_000_000_000
 MAINNET_LAUNCH_TIMESTAMP = 1_438_269_988
 
 
-# Module-level so `at_height` views (which share the chain seed) reuse the
-# same memo instead of re-hashing per clone; every STATUS exchange asks for
-# the best hash, making this the hottest keccak call site.  A plain dict
-# rather than lru_cache so `warm_synthetic_hashes` can pre-seed it in bulk.
-_HASH_MEMO: dict = {}
-
-#: hard bound on the memo; a multi-week 100k run cannot grow it unboundedly
+#: hard bound on the hash memo; a multi-week 100k run cannot grow it unboundedly
 _HASH_MEMO_MAX = 1 << 20
 
+# ``(chain seed, height) -> H(height)``.  Module-level so `at_height` views
+# (which share the chain seed) reuse one memo instead of re-hashing per
+# clone; every STATUS exchange asks for the best hash, making this the
+# hottest keccak call site.
+_HASH_MEMO = KeccakMemo(
+    _HASH_MEMO_MAX, lambda key: key[0] + key[1].to_bytes(8, "big")
+)
 
-def _synthetic_hash(seed: bytes, number: int) -> bytes:
-    key = (seed, number)
-    value = _HASH_MEMO.get(key)
-    if value is None:
-        if len(_HASH_MEMO) >= _HASH_MEMO_MAX:
-            _HASH_MEMO.clear()
-        value = _HASH_MEMO[key] = keccak256(seed + number.to_bytes(8, "big"))
-    return value
+# ``(chain name, genesis hash) -> chain seed``: lets a world warm the seeds
+# of all its follower chains in one batch before constructing them.
+_SEED_MEMO = KeccakMemo(
+    1 << 16, lambda key: b"chain:" + key[0].encode("utf-8") + key[1]
+)
+
+#: ``warm_chain_seeds((name, genesis_hash), ...)`` — pre-hash chain seeds
+warm_chain_seeds = _SEED_MEMO.warm
+
+
+def warm_synthetic_pairs(pairs: Iterable[tuple[bytes, int]]) -> int:
+    """Bulk-fill the hash memo for ``(chain seed, height)`` pairs.
+
+    One vectorised keccak pass over the not-yet-cached pairs of any number
+    of chains, so a simulation that knows which best-hashes its population
+    will advertise (every node's ``head - lag``) pays ~10us per hash up
+    front instead of ~200us per miss on the dial path.  Returns the number
+    of hashes computed; values are identical to the lazy path
+    byte-for-byte.  Heights <= 0 are skipped (genesis hashes are pinned).
+    """
+    return _HASH_MEMO.warm(pair for pair in pairs if pair[1] > 0)
 
 
 def warm_synthetic_hashes(seed: bytes, numbers: Iterable[int]) -> int:
-    """Bulk-fill the hash memo for ``numbers`` on chain ``seed``.
-
-    One vectorised keccak pass over the not-yet-cached heights, so a
-    simulation that knows which best-hashes its population will advertise
-    (every node's ``head - lag``) pays ~10us per hash up front instead of
-    ~200us per miss on the dial path.  Returns the number of hashes
-    computed; values are identical to the lazy path byte-for-byte.
-    """
-    missing = sorted(
-        {n for n in numbers if n > 0 and (seed, n) not in _HASH_MEMO}
-    )
-    if not missing:
-        return 0
-    payloads = [seed + n.to_bytes(8, "big") for n in missing]
-    for number, digest in zip(missing, keccak256_batch(payloads)):
-        _HASH_MEMO[(seed, number)] = digest
-    return len(missing)
+    """:func:`warm_synthetic_pairs` for heights ``numbers`` of one chain."""
+    return warm_synthetic_pairs((seed, number) for number in numbers)
 
 
 class SyntheticChain:
@@ -100,7 +99,7 @@ class SyntheticChain:
                 else custom_genesis(name).hash()
             )
         self.genesis_hash = genesis_hash
-        self._seed = keccak256(b"chain:" + name.encode("utf-8") + genesis_hash)
+        self._seed = _SEED_MEMO[name, genesis_hash]
         if td_per_block is None:
             td_per_block = max(
                 MAINNET_TD_APRIL_2018 // max(MAINNET_HEIGHT_APRIL_2018, 1), 1
@@ -115,7 +114,7 @@ class SyntheticChain:
             raise ChainError(f"negative block number {number}")
         if number == 0:
             return self.genesis_hash
-        return _synthetic_hash(self._seed, number)
+        return _HASH_MEMO[self._seed, number]
 
     @property
     def best_hash(self) -> bytes:

@@ -13,6 +13,7 @@ RLPx depends on Keccak-256 in four places: the discovery distance metric
 from __future__ import annotations
 
 import struct
+from typing import Callable, Iterable
 
 _MASK = (1 << 64) - 1
 
@@ -194,33 +195,92 @@ def keccak256(data: bytes) -> bytes:
     return Keccak256(data).digest()
 
 
-def keccak256_batch(payloads: list[bytes]) -> list[bytes]:
-    """Keccak-256 over many short messages in one vectorised permutation.
+#: Below this many same-block-count messages the vectorised pass loses to
+#: scalar hashing: numpy's fixed cost per permutation call (a few ms) only
+#: amortises past ~16 states.  Measured, and a property of the two code
+#: paths rather than of any workload — hence a constant, not an option.
+_BATCH_CROSSOVER = 16
 
-    Amortises the pure-python round loop across the whole batch via the
-    numpy-backed :func:`keccak_f1600_batch` — the bulk memo warm-up path
-    (synthetic-chain hashes).  Falls back to per-message :func:`keccak256`
-    when numpy is unavailable or any payload spans more than one block;
-    results are byte-identical either way.
+
+def keccak256_batch(payloads: list[bytes]) -> list[bytes]:
+    """Keccak-256 over many messages in a few vectorised permutations.
+
+    Messages are grouped by rate-block count and each group is absorbed
+    block by block through the numpy-backed :func:`keccak_f1600_batch`,
+    amortising the pure-python round loop across the group — the bulk
+    path for world builds and memo warm-ups (node IDs, genesis headers,
+    synthetic-chain hashes).  Groups smaller than the crossover, and every
+    group when numpy is unavailable, go through per-message
+    :func:`keccak256`; results are byte-identical either way.
     """
     payloads = list(payloads)
-    if not payloads:
-        return []
-    if not _HAVE_BATCH or any(len(p) >= 136 for p in payloads):
-        return [keccak256(p) for p in payloads]
+    digests: list = [None] * len(payloads)
+    groups: dict[int, list[int]] = {}
+    for index, payload in enumerate(payloads):
+        groups.setdefault(len(payload) // 136 + 1, []).append(index)
+    for blocks, indices in groups.items():
+        if not _HAVE_BATCH or len(indices) < _BATCH_CROSSOVER:
+            for index in indices:
+                digests[index] = keccak256(payloads[index])
+            continue
+        group = _absorb_batch([payloads[index] for index in indices], blocks)
+        for index, digest in zip(indices, group):
+            digests[index] = digest
+    return digests
+
+
+def _absorb_batch(payloads: list[bytes], blocks: int) -> list[bytes]:
+    """Digests of ``payloads``, every one exactly ``blocks`` rate blocks."""
     import numpy as np
 
     count = len(payloads)
-    blocks = b"".join(p + _PAD_136[len(p)] for p in payloads)
-    lanes = np.frombuffer(blocks, dtype="<u8").reshape(count, 17)
-    state = [lanes[:, i].astype(np.uint64, copy=True) for i in range(17)]
-    state += [np.zeros(count, dtype=np.uint64) for _ in range(8)]
+    padded = b"".join(p + _PAD_136[len(p) % 136] for p in payloads)
+    # one contiguous row per input lane: lane i of block b is row 17*b + i
+    lanes = np.ascontiguousarray(
+        np.frombuffer(padded, dtype="<u8").reshape(count, 17 * blocks).T
+    )
+    state = list(lanes[:17]) + [np.zeros(count, dtype=np.uint64)] * 8
     state = keccak_f1600_batch(state)
-    out = np.empty((count, 4), dtype="<u8")
-    for i in range(4):
-        out[:, i] = state[i]
-    raw = out.tobytes()
-    return [raw[i * 32 : (i + 1) * 32] for i in range(count)]
+    for block in range(1, blocks):
+        rows = lanes[17 * block : 17 * block + 17]
+        state[:17] = [lane ^ row for lane, row in zip(state, rows)]
+        state = keccak_f1600_batch(state)
+    raw = np.stack(state[:4], axis=1).astype("<u8", copy=False).tobytes()
+    return [raw[i : i + 32] for i in range(0, 32 * count, 32)]
+
+
+class KeccakMemo(dict):
+    """A bounded ``key -> keccak256(payload(key))`` memo, warmable in bulk.
+
+    A ``dict`` subclass so that a hit through ``memo[key]`` (or a bound
+    ``memo.__getitem__``) never leaves C; only a miss reaches
+    :meth:`__missing__`, which hashes, stores and returns.  :meth:`warm`
+    fills many keys through :func:`keccak256_batch`.  ``limit`` is a hard
+    cap on both paths: an insert that would exceed it empties the memo
+    first — entries are pure functions of their key, so eviction only
+    ever costs a recompute.
+    """
+
+    def __init__(self, limit: int, payload: Callable = lambda key: key) -> None:
+        super().__init__()
+        self.limit = limit
+        self._payload = payload
+
+    def __missing__(self, key) -> bytes:
+        if len(self) >= self.limit:
+            self.clear()
+        digest = self[key] = keccak256(self._payload(key))
+        return digest
+
+    def warm(self, keys: Iterable) -> int:
+        """Hash every not-yet-cached key in one batch; returns how many."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self]
+        del missing[self.limit :]  # the rest stay lazy: the cap is hard
+        if len(self) + len(missing) > self.limit:
+            self.clear()
+        payload = self._payload
+        self.update(zip(missing, keccak256_batch([payload(key) for key in missing])))
+        return len(missing)
 
 
 def keccak512(data: bytes) -> bytes:

@@ -13,22 +13,28 @@ from dataclasses import dataclass
 from functools import lru_cache
 from urllib.parse import urlparse, parse_qs
 
-from repro.crypto.keccak import keccak256
+from repro.crypto.keccak import KeccakMemo
 from repro.errors import DiscoveryError
 
 _NODE_ID_RE = re.compile(r"^[0-9a-fA-F]{128}$")
 
 
-@lru_cache(maxsize=262_144)
-def _cached_id_hash(node_id: bytes) -> bytes:
-    """Keccak of a node ID, cached — hot in routing tables and simulations."""
-    return keccak256(node_id)
+_ID_HASH_MEMO = KeccakMemo(limit=262_144)
+
+#: ``cached_id_hash(node_id)`` — keccak of a node ID, memoised: hot in
+#: routing tables and simulations.  The memo's own ``__getitem__``, so a
+#: hit costs one C-level dict lookup.
+cached_id_hash = _ID_HASH_MEMO.__getitem__
+
+#: ``warm_id_hashes(node_ids)`` — hash a whole population's IDs into the
+#: memo in one vectorised pass (a world build knows them all up front).
+warm_id_hashes = _ID_HASH_MEMO.warm
 
 
 @lru_cache(maxsize=262_144)
 def cached_id_hash_int(node_id: bytes) -> int:
     """The DHT address of a node ID as an integer, for XOR-distance keys."""
-    return int.from_bytes(_cached_id_hash(node_id), "big")
+    return int.from_bytes(cached_id_hash(node_id), "big")
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class ENode:
     @property
     def id_hash(self) -> bytes:
         """Keccak-256 of the node ID — the DHT address of this node."""
-        return _cached_id_hash(self.node_id)
+        return cached_id_hash(self.node_id)
 
     @property
     def udp_address(self) -> tuple[str, int]:

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from repro.discovery.admission import TableAdmission
 from repro.discovery.enode import (
     ENode,
-    _cached_id_hash as cached_id_hash,
+    cached_id_hash,
     cached_id_hash_int,
 )
 from repro.discovery.routing import RoutingTable

@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.chain.synthetic import SyntheticChain
 from repro.devp2p.messages import DisconnectReason
-from repro.discovery.enode import _cached_id_hash
+from repro.discovery.enode import cached_id_hash
 from repro.discovery.distance import parity_log_distance
 from repro.ethproto.forks import BYZANTIUM_BLOCK, DAO_FORK_BLOCK
 from repro.simnet.clock import SECONDS_PER_DAY
@@ -121,10 +121,10 @@ class SimNode:
     ) -> None:
         self.spec = spec
         self.builder = builder
-        # shared with the scanner's address-book cache: hashing here (at
-        # world build, off the crawl's measured path) means every later
-        # cached_id_hash/cached_id_hash_int call on this ID is a hit
-        self.id_hash = _cached_id_hash(spec.node_id)
+        # shared with the scanner's address-book cache, and a hit already
+        # when the world warmed its population's IDs in bulk: every later
+        # cached_id_hash/cached_id_hash_int call on this ID hits too
+        self.id_hash = cached_id_hash(spec.node_id)
         self.id_hash_int = int.from_bytes(self.id_hash, "big")
         self._rng = random.Random(rng.getrandbits(64))
         self.occupancy = self._draw_occupancy()

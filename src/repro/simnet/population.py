@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.chain.genesis import MAINNET_GENESIS_HASH, custom_genesis
+from repro.chain.genesis import MAINNET_GENESIS_HASH, custom_genesis_hashes
 from repro.simnet.geo import GeoModel, Location
 from repro.simnet.releases import (
     MEASUREMENT_DAYS,
@@ -202,8 +202,18 @@ class PopulationConfig:
     foreign_scanner_count: int = 4
 
 
-def _pick_weighted(rng: random.Random, table: list[tuple]) -> tuple:
-    roll = rng.random() * sum(row[1] for row in table)
+def _total_weight(table: list[tuple]) -> float:
+    return sum(row[1] for row in table)
+
+
+#: each mix table's total weight, summed once rather than on every pick
+_SERVICE_TOTAL = _total_weight(SERVICE_MIX)
+_NETWORK_TOTAL = _total_weight(NETWORK_MIX)
+_CLIENT_TOTAL = _total_weight(CLIENT_MIX)
+
+
+def _pick_weighted(rng: random.Random, table: list[tuple], total: float) -> tuple:
+    roll = rng.random() * total
     cumulative = 0.0
     for row in table:
         cumulative += row[1]
@@ -221,7 +231,7 @@ class PopulationBuilder:
         self.geo = GeoModel(random.Random(config.seed + 1))
         self.geth_versions = default_geth_model()
         self.parity_versions = default_parity_model()
-        self._custom_network_pool: list[tuple[int, bytes]] = []
+        self._custom_network_pool: list[tuple[int, str]] = []
         self._single_peer_counter = 0
         self._client_string_cache: dict[tuple, str] = {}
 
@@ -261,30 +271,33 @@ class PopulationBuilder:
             "phase": rng.random(),
         }
 
-    def _custom_network(self) -> tuple[int, bytes]:
+    def _custom_network(self) -> tuple[int, str]:
         """A network from the shared custom-chain pool (Zipf-ish reuse).
 
-        Multiple genesis hashes per network id reproduce the paper's
+        Multiple genesis names per network id reproduce the paper's
         18,829 hashes over 4,076 ids.
         """
         rng = self.rng
         if self._custom_network_pool and rng.random() < 0.75:
             network_id, genesis = rng.choice(self._custom_network_pool)
             if rng.random() < 0.25:  # same id, different genesis
-                genesis = custom_genesis(
-                    f"custom-{network_id}-{rng.randrange(1 << 20)}"
-                ).hash()
+                genesis = f"custom-{network_id}-{rng.randrange(1 << 20)}"
                 self._custom_network_pool.append((network_id, genesis))
             return network_id, genesis
         network_id = rng.randrange(100, 1 << 28)
-        genesis = custom_genesis(f"custom-{network_id}").hash()
+        genesis = f"custom-{network_id}"
         self._custom_network_pool.append((network_id, genesis))
         return network_id, genesis
 
     def _network_fields(self) -> dict:
-        """network/genesis/DAO/freshness for an eth node."""
+        """network/genesis/DAO/freshness for an eth node.
+
+        A non-Mainnet ``genesis_hash`` comes back as the genesis *name*
+        (a ``str``): no hash feeds an RNG draw, so hashing is deferred to
+        the end of :func:`generate_population`, once per distinct name.
+        """
         rng = self.rng
-        name, _, network_id = _pick_weighted(rng, NETWORK_MIX)
+        name, _, network_id = _pick_weighted(rng, NETWORK_MIX, _NETWORK_TOTAL)
         fields: dict = {"network_name": name, "supports_dao": True}
         if name == "mainnet":
             fields.update(network_id=1, genesis_hash=MAINNET_GENESIS_HASH)
@@ -306,7 +319,7 @@ class PopulationBuilder:
                 # which is what pollutes Ethernodes' Mainnet page (§5.3)
                 network_id=1 if rng.random() < 0.55
                 else rng.randrange(1 << 16, 1 << 30),
-                genesis_hash=custom_genesis(unique).hash(),
+                genesis_hash=unique,
                 supports_dao=False,
             )
         elif name == "custom":
@@ -319,7 +332,7 @@ class PopulationBuilder:
         else:  # named altcoins / testnets
             fields.update(
                 network_id=network_id,
-                genesis_hash=custom_genesis(name).hash(),
+                genesis_hash=name,
                 supports_dao=False,
             )
         # freshness applies to the node's own chain view
@@ -339,7 +352,7 @@ class PopulationBuilder:
         """client family/string, peer limit, bucket metric."""
         rng = self.rng
         if service == "eth":
-            family = _pick_weighted(rng, CLIENT_MIX)[0]
+            family = _pick_weighted(rng, CLIENT_MIX, _CLIENT_TOTAL)[0]
         elif service in ("pip",):
             family = "parity"
         elif service in ("les", "bzz", "shh"):
@@ -419,7 +432,7 @@ class PopulationBuilder:
 
     def build_node(self) -> NodeSpec:
         rng = self.rng
-        service = _pick_weighted(rng, SERVICE_MIX)[0]
+        service = _pick_weighted(rng, SERVICE_MIX, _SERVICE_TOTAL)[0]
         capabilities = list(
             SERVICE_CAPABILITIES.get(service, SERVICE_CAPABILITIES["unknown"])
         )
@@ -502,4 +515,10 @@ def generate_population(
         scanner.version_behaviour = None
         scanner.client_family = "geth"
         nodes.append(scanner)
+    # build_node left every non-Mainnet genesis as its chain name: hash
+    # all distinct names in two batched keccak passes
+    named = [spec for spec in nodes if isinstance(spec.genesis_hash, str)]
+    hashes = custom_genesis_hashes(spec.genesis_hash for spec in named)
+    for spec in named:
+        spec.genesis_hash = hashes[spec.genesis_hash]
     return nodes, builder.build_abusive_ips(), builder

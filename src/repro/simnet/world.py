@@ -32,8 +32,10 @@ except ImportError:  # pragma: no cover - numpy is present in dev installs
 from repro.chain.synthetic import (
     MAINNET_HEIGHT_APRIL_2018,
     SyntheticChain,
+    warm_chain_seeds,
+    warm_synthetic_pairs,
 )
-from repro.discovery.enode import _cached_id_hash
+from repro.discovery.enode import cached_id_hash, warm_id_hashes
 from repro.ethproto.forks import BYZANTIUM_BLOCK
 from repro.simnet.clock import (
     SECONDS_PER_DAY,
@@ -216,6 +218,9 @@ class SimWorld:
         specs, abusive_specs, builder = generate_population(self.config.population)
         self.builder: PopulationBuilder = builder
         self.geo: GeoModel = builder.geo
+        # one vectorised keccak pass over every node ID: each SimNode's
+        # id_hash below is then a memo hit
+        warm_id_hashes(spec.node_id for spec in specs)
         self.nodes: dict[bytes, SimNode] = {
             spec.node_id: SimNode(spec, builder, self.rng) for spec in specs
         }
@@ -230,12 +235,13 @@ class SimWorld:
         self._online_index = _OnlineIndex()
         # every best-hash a node can advertise is `chain head - lag` for a
         # lag fixed at build time, so the hash set is knowable in advance:
-        # group the lags per effective genesis and bulk-warm the synthetic
-        # hash memo (one vectorised keccak pass) instead of paying a
-        # ~200us scalar miss per distinct height on the dial path
+        # group the lags per effective genesis, then open every follower
+        # chain and bulk-warm the synthetic hash memo for all of them at
+        # once instead of paying a ~200us scalar miss per chain seed and
+        # per distinct height on the dial path
         self._lags_by_genesis: dict[bytes, set[int]] = {}
         self._stuck_genesis: set[bytes] = set()
-        for spec in (node.spec for node in self.nodes.values()):
+        for spec in specs:
             genesis = spec.genesis_hash or self.mainnet.genesis_hash
             if spec.freshness == "stuck-byzantium":
                 self._stuck_genesis.add(genesis)
@@ -243,12 +249,7 @@ class SimWorld:
                 self._lags_by_genesis.setdefault(genesis, {0}).add(
                     spec.lag_blocks
                 )
-        self._warm_best_hashes(self.mainnet)
-        # materialise every follower chain now, while the build is untimed:
-        # each construction keccaks its seed, and chain_for would otherwise
-        # do that lazily inside the first dial to each distinct genesis
-        for node in self.nodes.values():
-            self.chain_for(node.spec)
+        self._warm_advertised([self.mainnet, *self._open_chains(specs)])
         self._assign_neighbors(initial=True)
         self._schedule_background()
 
@@ -275,34 +276,53 @@ class SimWorld:
         """The synthetic chain matching a node's genesis (created lazily)."""
         genesis = spec.genesis_hash or self.mainnet.genesis_hash
         chain = self._chains.get(genesis)
-        if chain is None:
-            chain = SyntheticChain(
+        if chain is None:  # adversary-injected and late nodes
+            (chain,) = self._open_chains([spec])
+            self._warm_advertised([chain])
+        return chain
+
+    def _open_chains(self, specs: list[NodeSpec]) -> list[SyntheticChain]:
+        """Create and return the follower chain of every genesis in
+        ``specs`` not seen yet (the first spec naming a genesis defines
+        its chain), hashing all their ``chain:`` seeds in one batch."""
+        founders: dict[bytes, NodeSpec] = {}
+        for spec in specs:
+            genesis = spec.genesis_hash or self.mainnet.genesis_hash
+            if genesis not in self._chains:
+                founders.setdefault(genesis, spec)
+        warm_chain_seeds(
+            (spec.network_name or "custom", genesis)
+            for genesis, spec in founders.items()
+        )
+        height = max(1000, self.mainnet.height // 50)
+        for genesis, spec in founders.items():
+            self._chains[genesis] = SyntheticChain(
                 name=spec.network_name or "custom",
                 genesis_hash=genesis,
-                height=max(1000, self.mainnet.height // 50),
+                height=height,
                 supports_dao_fork=spec.supports_dao,
                 network_id=spec.network_id or 0,
             )
-            self._chains[genesis] = chain
-            self._warm_best_hashes(chain)
-        return chain
+        return [self._chains[genesis] for genesis in founders]
 
-    def _warm_best_hashes(self, chain: SyntheticChain) -> None:
-        """Bulk-hash every best-hash ``chain``'s followers can advertise.
+    def _warm_advertised(self, chains: list[SyntheticChain]) -> None:
+        """Bulk-hash every best-hash the followers of ``chains`` can
+        advertise right now, from the lag sets fixed at build time.
 
-        Drawn from the per-genesis lag sets fixed at build time; one
-        vectorised keccak pass per call (build, lazy chain creation, and
-        each hourly Mainnet growth tick).  Pure pre-computation: no RNG,
-        values identical to the lazy per-miss path.
+        One vectorised keccak pass however many chains (the build's whole
+        set, one lazily opened chain, Mainnet at each hourly growth tick).
+        Pure pre-computation: no RNG, values identical to the lazy
+        per-miss path.
         """
-        heights = {
-            chain.height - lag
-            for lag in self._lags_by_genesis.get(chain.genesis_hash, {0})
-        }
-        if chain.genesis_hash in self._stuck_genesis:
-            heights.add(BYZANTIUM_BLOCK + 1)
-        heights.add(chain.height)
-        chain.warm_heights(heights)
+        pairs = []
+        for chain in chains:
+            genesis, seed, head = chain.genesis_hash, chain._seed, chain.height
+            pairs += [
+                (seed, head - lag) for lag in self._lags_by_genesis.get(genesis, {0})
+            ]
+            if genesis in self._stuck_genesis:
+                pairs.append((seed, BYZANTIUM_BLOCK + 1))
+        warm_synthetic_pairs(pairs)
 
     def _height_for(self, node: SimNode) -> int:
         """The head height of the network this node follows."""
@@ -315,7 +335,7 @@ class SimWorld:
     def _schedule_background(self) -> None:
         def grow_chain() -> None:
             self.mainnet.advance(int(SECONDS_PER_HOUR * BLOCKS_PER_SECOND))
-            self._warm_best_hashes(self.mainnet)
+            self._warm_advertised([self.mainnet])
 
         self.clock.schedule_every(SECONDS_PER_HOUR, grow_chain, label="world.grow_chain")
         refresh_interval = self.config.neighbor_refresh_hours * SECONDS_PER_HOUR
@@ -411,7 +431,7 @@ class SimWorld:
             return None
         if not node.spec.is_online(self.day):
             return None
-        target_hash = _cached_id_hash(target) if len(target) == 64 else target
+        target_hash = cached_id_hash(target) if len(target) == 64 else target
         answers = node.find_node(target_hash, count=16)
         return [self.node_address(neighbor) for neighbor in answers]
 

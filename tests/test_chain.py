@@ -10,7 +10,12 @@ from repro.chain.difficulty import (
     MIN_DIFFICULTY,
     calc_difficulty,
 )
-from repro.chain.genesis import MAINNET_GENESIS_HASH, custom_genesis, mainnet_genesis
+from repro.chain.genesis import (
+    MAINNET_GENESIS_HASH,
+    custom_genesis,
+    custom_genesis_hashes,
+    mainnet_genesis,
+)
 from repro.chain.header import BlockHeader
 from repro.chain.synthetic import SyntheticChain
 from repro.errors import ChainError, InvalidHeader
@@ -33,6 +38,19 @@ class TestGenesis:
 
     def test_custom_genesis_deterministic(self):
         assert custom_genesis("expanse").hash() == custom_genesis("expanse").hash()
+
+    @pytest.mark.parametrize("tail", [0, 40])  # under / over the batch crossover
+    def test_custom_genesis_hashes_match_per_name_path(self, tail):
+        names = ["ropsten", "musicoin", "single-1", "single-1402", "custom-4076"]
+        names += ["custom-4076-18829", "x" * 33, "ropsten"]  # >32 B name, a repeat
+        names += [f"custom-{index}" for index in range(100, 100 + tail)]
+        hashes = custom_genesis_hashes(iter(names))
+        assert list(hashes) == list(dict.fromkeys(names))
+        for name in names:
+            assert hashes[name] == custom_genesis(name).hash()
+
+    def test_custom_genesis_hashes_empty(self):
+        assert custom_genesis_hashes([]) == {}
 
 
 class TestDifficulty:
@@ -241,6 +259,23 @@ class TestSyntheticChain:
         chain = SyntheticChain("mainnet", height=1000)
         assert chain.warm_heights([500, 501]) == 2
         assert chain.warm_heights([500, 501]) == 0
+
+    def test_warm_honours_the_memo_bound(self, monkeypatch):
+        # the bulk path used to ignore the bound, leaving the next scalar
+        # miss to enforce it by clearing the freshly-warmed entries too
+        from repro.chain.synthetic import _HASH_MEMO, _HASH_MEMO_MAX
+
+        assert _HASH_MEMO.limit == _HASH_MEMO_MAX
+        monkeypatch.setattr(_HASH_MEMO, "limit", 64)
+        _HASH_MEMO.clear()
+        chain = SyntheticChain("mainnet", height=10_000)
+        chain.warm_heights(range(1, 61))
+        fresh = range(5000, 5020)
+        assert chain.warm_heights(fresh) == 20  # 60 + 20 > 64: evict first
+        assert len(_HASH_MEMO) <= 64
+        assert all((chain._seed, n) in _HASH_MEMO for n in fresh)
+        chain.block_hash(9_999)  # a scalar miss right after keeps them
+        assert all((chain._seed, n) in _HASH_MEMO for n in fresh)
 
     def test_at_height_view(self):
         chain = SyntheticChain("mainnet", height=1000)

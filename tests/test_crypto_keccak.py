@@ -1,12 +1,16 @@
 """Known-answer and property tests for Keccak-256."""
 
 import hashlib
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.crypto.keccak as keccak_mod
 from repro.crypto.keccak import (
     Keccak256,
+    KeccakMemo,
     KeccakSponge,
     keccak256,
     keccak256_batch,
@@ -119,8 +123,6 @@ def test_batch_falls_back_on_multiblock_payloads():
 
 
 def test_batch_falls_back_without_numpy(monkeypatch):
-    import repro.crypto.keccak as keccak_mod
-
     monkeypatch.setattr(keccak_mod, "_HAVE_BATCH", False)
     payloads = [b"", b"abc", b"z" * 135]
     assert keccak_mod.keccak256_batch(payloads) == [keccak256(p) for p in payloads]
@@ -128,3 +130,75 @@ def test_batch_falls_back_without_numpy(monkeypatch):
 
 def test_batch_empty():
     assert keccak256_batch([]) == []
+
+
+#: the last single-block length, the first two-block one, and the same
+#: pair one block up: where the pad byte and the block count change
+_BLOCK_BOUNDARIES = (135, 136, 271, 272)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.binary(max_size=700), max_size=12),
+    # copies of each boundary length: groups on both sides of the crossover
+    st.sampled_from([1, 15, 16, 17, 40]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=1 << 32),
+)
+def test_batch_equals_scalar_across_block_counts(extra, copies, have_numpy, seed):
+    rng = random.Random(seed)
+    assert 15 < keccak_mod._BATCH_CROSSOVER < 40
+    payloads = extra + [
+        rng.randbytes(length) for length in _BLOCK_BOUNDARIES for _ in range(copies)
+    ]
+    rng.shuffle(payloads)
+    vectorised = have_numpy and keccak_mod._HAVE_BATCH
+    with mock.patch.object(keccak_mod, "_HAVE_BATCH", vectorised):
+        assert keccak256_batch(payloads) == [keccak256(p) for p in payloads]
+
+
+def test_batch_vectorises_multiblock_groups():
+    # four-block messages (genesis headers) above the crossover take the
+    # numpy path, a small group beside them the scalar one
+    if not keccak_mod._HAVE_BATCH:
+        pytest.skip("numpy unavailable")
+    payloads = [bytes([i]) * 540 for i in range(20)] + [b"solo" * 50]
+    with mock.patch.object(
+        keccak_mod, "_absorb_batch", wraps=keccak_mod._absorb_batch
+    ) as absorb:
+        assert keccak256_batch(payloads) == [keccak256(p) for p in payloads]
+    assert [call.args[1] for call in absorb.call_args_list] == [4]
+
+
+class TestKeccakMemo:
+    def test_miss_hashes_and_hit_is_cached(self):
+        memo = KeccakMemo(limit=8)
+        assert memo[b"abc"] == keccak256(b"abc")
+        assert dict(memo) == {b"abc": keccak256(b"abc")}
+        assert memo.__getitem__(b"abc") is memo[b"abc"]
+
+    def test_payload_function_maps_keys(self):
+        memo = KeccakMemo(8, lambda key: key[0] + bytes([key[1]]))
+        assert memo[b"k", 7] == keccak256(b"k\x07")
+        assert memo.warm([(b"k", 7), (b"k", 8)]) == 1
+        assert memo[b"k", 8] == keccak256(b"k\x08")
+
+    def test_warm_matches_lazy_and_skips_cached(self):
+        keys = [bytes([i]) * 64 for i in range(40)]
+        memo = KeccakMemo(limit=100)
+        assert memo.warm(keys + keys[:5]) == 40
+        assert memo.warm(keys) == 0
+        assert all(memo[key] == keccak256(key) for key in keys)
+
+    def test_limit_is_hard_on_both_paths(self):
+        memo = KeccakMemo(limit=10)
+        memo.warm(bytes([i]) for i in range(8))
+        fresh = [bytes([100 + i]) for i in range(5)]
+        assert memo.warm(fresh) == 5  # 8 + 5 > 10: evict, then insert
+        assert len(memo) <= 10 and all(key in memo for key in fresh)
+        for i in range(30):
+            memo[bytes([200, i])]
+            assert len(memo) <= 10
+        # a single warm larger than the cap keeps only what fits
+        assert memo.warm(bytes([i, i]) for i in range(25)) == 10
+        assert len(memo) == 10

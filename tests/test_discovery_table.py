@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keccak import keccak256
 from repro.discovery.distance import geth_log_distance, parity_log_distance
-from repro.discovery.enode import ENode, parse_enode_url
+from repro.discovery.enode import (
+    ENode,
+    cached_id_hash,
+    cached_id_hash_int,
+    parse_enode_url,
+    warm_id_hashes,
+)
 from repro.discovery.kbucket import KBucket
 from repro.discovery.routing import RoutingTable
 from repro.errors import DiscoveryError
@@ -67,6 +73,16 @@ class TestENode:
     def test_id_hash(self):
         node = make_node(3)
         assert node.id_hash == keccak256(node.node_id)
+
+    def test_warmed_id_hashes_match_lazy_ones(self):
+        ids = [bytes([0xA0, i]) * 32 for i in range(40)]
+        assert warm_id_hashes(ids) == 40
+        assert warm_id_hashes(ids) == 0
+        for node_id in ids:
+            assert cached_id_hash(node_id) == keccak256(node_id)
+            assert cached_id_hash_int(node_id) == int.from_bytes(
+                keccak256(node_id), "big"
+            )
 
     def test_ipv6(self):
         node = ENode(b"\x01" * 64, "::1", 30303, 30303)

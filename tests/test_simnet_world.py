@@ -4,6 +4,10 @@ import random
 
 import pytest
 
+from repro.chain.genesis import custom_genesis
+from repro.chain.synthetic import _HASH_MEMO, _SEED_MEMO
+from repro.crypto.keccak import keccak256
+from repro.discovery.enode import _ID_HASH_MEMO, cached_id_hash
 from repro.simnet.clock import SECONDS_PER_DAY
 from repro.simnet.geo import (
     AS_DISTRIBUTION,
@@ -11,7 +15,7 @@ from repro.simnet.geo import (
     GeoModel,
 )
 from repro.simnet.node import DialOutcome
-from repro.simnet.population import PopulationConfig
+from repro.simnet.population import PopulationBuilder, PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 
 
@@ -230,3 +234,68 @@ class TestWorldDynamics:
         assert truth
         for node in truth[:20]:
             assert node.spec.is_mainnet
+
+
+class TestBuildTimeHashing:
+    """The build hashes in bulk; every value must equal the scalar one."""
+
+    CONFIG = PopulationConfig(total_nodes=300, measurement_days=1.0, seed=2018)
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        return SimWorld(WorldConfig(population=self.CONFIG, seed=7))
+
+    def test_genesis_hashes_resolved_from_names(self, built):
+        # replay the builder: before resolution a non-Mainnet genesis is
+        # still the chain *name*, drawn from the same RNG sequence
+        builder = PopulationBuilder(self.CONFIG)
+        specs = [node.spec for node in built.nodes.values()]
+        named = 0
+        for spec in specs:
+            raw = builder.build_node().genesis_hash
+            assert not isinstance(spec.genesis_hash, str)
+            if isinstance(raw, str):
+                named += 1
+                assert spec.genesis_hash == custom_genesis(raw).hash()
+            else:
+                assert spec.genesis_hash == raw
+        assert named > 50
+
+    def test_node_id_hashes(self, built):
+        for node in built.nodes.values():
+            assert node.id_hash == keccak256(node.spec.node_id)
+            assert cached_id_hash(node.spec.node_id) == node.id_hash
+
+    def test_chain_seeds_and_warmed_best_hashes(self, built):
+        chains = {chain._seed: chain for chain in built._chains.values()}
+        assert len(chains) > 30
+        for seed, chain in chains.items():
+            assert seed == keccak256(
+                b"chain:" + chain.name.encode("utf-8") + chain.genesis_hash
+            )
+        warmed = {key for key in _HASH_MEMO if key[0] in chains}
+        for seed, height in warmed:
+            assert _HASH_MEMO[seed, height] == keccak256(
+                seed + height.to_bytes(8, "big")
+            )
+        # ... and the warm covered every best-hash a node can advertise
+        for node in built.nodes.values():
+            if node.spec.service == "eth" and node.spec.freshness != "stuck-byzantium":
+                chain = built.chain_for(node.spec)
+                best = chain.height - node.spec.lag_blocks
+                assert best <= 0 or (chain._seed, best) in warmed
+
+    def test_scalar_fallback_builds_the_same_world(self, built, monkeypatch):
+        # numpy is optional: without it every batched call site must
+        # produce the same bytes through scalar keccak256
+        monkeypatch.setattr("repro.crypto.keccak._HAVE_BATCH", False)
+        for memo in (_HASH_MEMO, _SEED_MEMO, _ID_HASH_MEMO):
+            memo.clear()  # pure caches: force every hash to be recomputed
+        small = PopulationConfig(total_nodes=60, measurement_days=1.0, seed=2018)
+        scalar = SimWorld(WorldConfig(population=small, seed=7))
+        pairs = list(zip(scalar.nodes.values(), built.nodes.values()))[:60]
+        for node, twin in pairs:
+            assert node.spec == twin.spec and node.id_hash == twin.id_hash
+            chain, other = scalar.chain_for(node.spec), built.chain_for(twin.spec)
+            assert chain._seed == other._seed
+            assert chain.block_hash(1000) == other.block_hash(1000)
