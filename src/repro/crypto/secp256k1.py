@@ -7,10 +7,22 @@ shared secrets via ECDH — all implemented here over plain Python integers.
 Curve: ``y^2 = x^3 + 7`` over GF(p), p = 2^256 - 2^32 - 977.
 Point arithmetic uses Jacobian projective coordinates; signing uses the
 deterministic nonce construction of RFC 6979 (HMAC-SHA256), as Geth does.
+
+Scalar multiplication is table-driven: a fixed-base comb for ``k*G``, width-5
+wNAF for ``k*P``, and the two chained for the ``a*P + b*G`` of verify and
+recover.  It is deliberately simple rather than constant-time -- table
+indices, wNAF digits and branch counts all depend on the scalar: the threat
+model of a measurement reproduction is correctness, not side channels, and
+tests validate it against published vectors, a naive double-and-add oracle
+and the ``cryptography`` package.  The comb table for ``G`` (64 windows x 15
+affine points, about 0.2 MB) is built on first use, not at import; that
+costs roughly 17 ms once per process, paid by the first sign, recover,
+verify or key derivation.
 """
 
 from __future__ import annotations
 
+import functools
 import hmac
 import hashlib
 from typing import NamedTuple
@@ -48,6 +60,8 @@ def is_on_curve(point: AffinePoint) -> bool:
     if point.is_infinity:
         return True
     x, y = point.x, point.y
+    if not (0 <= x < P and 0 <= y < P):
+        return False
     return (y * y - x * x * x - B) % P == 0
 
 
@@ -57,6 +71,7 @@ def is_on_curve(point: AffinePoint) -> bool:
 # modular inverse per addition, which dominates pure-Python cost.
 
 _Jacobian = tuple[int, int, int]
+_Affine = tuple[int, int]  # a finite affine point, as the tables store it
 
 _J_INFINITY: _Jacobian = (0, 1, 0)
 
@@ -71,7 +86,7 @@ def _from_jacobian(point: _Jacobian) -> AffinePoint:
     x, y, z = point
     if z == 0:
         return INFINITY
-    z_inv = pow(z, P - 2, P)
+    z_inv = pow(z, -1, P)
     z_inv2 = z_inv * z_inv % P
     return AffinePoint(x * z_inv2 % P, y * z_inv2 * z_inv % P)
 
@@ -117,17 +132,110 @@ def _j_add(p: _Jacobian, q: _Jacobian) -> _Jacobian:
     return (nx, ny, nz)
 
 
-def _j_multiply(point: _Jacobian, scalar: int) -> _Jacobian:
+def _j_add_affine(p: _Jacobian, q: _Affine) -> _Jacobian:
+    """Mixed addition: Jacobian ``p`` plus the finite affine point ``q``."""
+    x1, y1, z1 = p
+    x2, y2 = q
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1z1 = z1 * z1 % P
+    h = (x2 * z1z1 - x1) % P
+    r = (y2 * z1z1 % P * z1 - y1) % P
+    if h == 0:
+        if r != 0:
+            return _J_INFINITY
+        return _j_double(p)
+    hh = h * h % P
+    hhh = h * hh % P
+    v = x1 * hh % P
+    nx = (r * r - hhh - 2 * v) % P
+    ny = (r * (v - nx) - y1 * hhh) % P
+    nz = z1 * h % P
+    return (nx, ny, nz)
+
+
+# --- Scalar multiplication -----------------------------------------------
+#
+# Two tables, no generic double-and-add.  ``k*G`` walks a fixed-base comb:
+# ``_generator_table()[i][j - 1]`` is the affine point ``j * 16^i * G``, so a
+# 256-bit scalar is at most 64 mixed additions and no doubling at all.
+# ``k*P`` for a point only known at call time recodes ``k`` in width-5 wNAF
+# (non-zero digits are odd, |d| < 16, and at least four zeros apart) over
+# the eight odd multiples P, 3P, ..., 15P.  ``a*P + b*G`` -- what verify and
+# recover need -- is the wNAF result handed to the comb walk as its starting
+# accumulator: one pass over each scalar.
+
+
+@functools.cache
+def _generator_table() -> tuple[tuple[_Affine, ...], ...]:
+    """The comb table for ``G``: 64 four-bit windows x 15 affine multiples.
+
+    Built on first use, never at import: 960 Jacobian points brought to
+    affine with one shared inversion (Montgomery's trick).  No entry is the
+    point at infinity, since every ``j * 16^i`` is below the group order.
+    """
+    points: list[_Jacobian] = []
+    base = _to_jacobian(GENERATOR)
+    for _ in range(64):
+        multiple = base
+        points.append(multiple)
+        for _ in range(14):
+            multiple = _j_add(multiple, base)
+            points.append(multiple)
+        base = _j_add(multiple, base)
+    prefix = [1]
+    for point in points:
+        prefix.append(prefix[-1] * point[2] % P)
+    inverse = pow(prefix[-1], -1, P)
+    affine: list[_Affine] = [(0, 0)] * len(points)
+    for index in range(len(points) - 1, -1, -1):
+        x, y, z = points[index]
+        z_inv = inverse * prefix[index] % P
+        inverse = inverse * z % P
+        z_inv2 = z_inv * z_inv % P
+        affine[index] = (x * z_inv2 % P, y * z_inv2 * z_inv % P)
+    return tuple(tuple(affine[i : i + 15]) for i in range(0, len(affine), 15))
+
+
+def _j_generator_multiply(scalar: int, start: _Jacobian = _J_INFINITY) -> _Jacobian:
+    """``start + scalar * G`` for ``0 <= scalar < 2^256``: one comb walk."""
+    result = start
+    for window in _generator_table():
+        digit = scalar & 15
+        if digit:
+            result = _j_add_affine(result, window[digit - 1])
+        scalar >>= 4
+    return result
+
+
+def _j_multiply(point: AffinePoint, scalar: int) -> _Jacobian:
+    """``scalar * point`` by width-5 wNAF; the scalar is taken mod N."""
     scalar %= N
-    if scalar == 0 or point[2] == 0:
+    if scalar == 0 or point.is_infinity:
         return _J_INFINITY
-    result = _J_INFINITY
-    addend = point
+    base = _to_jacobian(point)
+    twice = _j_double(base)
+    odd = [base]  # odd[i] = (2i + 1) * point
+    for _ in range(7):
+        odd.append(_j_add(odd[-1], twice))
+    digits = []  # least significant first
     while scalar:
+        digit = 0
         if scalar & 1:
-            result = _j_add(result, addend)
-        addend = _j_double(addend)
+            digit = scalar & 31
+            if digit >= 16:
+                digit -= 32
+            scalar -= digit
+        digits.append(digit)
         scalar >>= 1
+    result = _J_INFINITY
+    for digit in reversed(digits):
+        result = _j_double(result)
+        if digit > 0:
+            result = _j_add(result, odd[digit >> 1])
+        elif digit < 0:
+            x, y, z = odd[-digit >> 1]
+            result = _j_add(result, (x, -y % P, z))
     return result
 
 
@@ -138,7 +246,7 @@ def point_add(p: AffinePoint, q: AffinePoint) -> AffinePoint:
 
 def point_multiply(point: AffinePoint, scalar: int) -> AffinePoint:
     """Affine scalar multiplication ``scalar * point``."""
-    return _from_jacobian(_j_multiply(_to_jacobian(point), scalar))
+    return _from_jacobian(_j_multiply(point, scalar))
 
 
 def point_negate(point: AffinePoint) -> AffinePoint:
@@ -149,7 +257,7 @@ def point_negate(point: AffinePoint) -> AffinePoint:
 
 def generator_multiply(scalar: int) -> AffinePoint:
     """``scalar * G``."""
-    return point_multiply(GENERATOR, scalar)
+    return _from_jacobian(_j_generator_multiply(scalar % N))
 
 
 # --- Encoding -------------------------------------------------------------
@@ -173,7 +281,7 @@ def decode_point(data: bytes) -> AffinePoint:
         x = int.from_bytes(data[1:33], "big")
         y = int.from_bytes(data[33:], "big")
         point = AffinePoint(x, y)
-        if x >= P or y >= P or not is_on_curve(point):
+        if not is_on_curve(point):
             raise InvalidPublicKey("point not on curve")
         return point
     if len(data) == 33 and data[0] in (0x02, 0x03):
@@ -216,7 +324,7 @@ class RawSignature(NamedTuple):
         r = int.from_bytes(data[:32], "big")
         s = int.from_bytes(data[32:64], "big")
         v = data[64]
-        if v >= 28:
+        if 27 <= v <= 30:  # Ethereum-style 27 + recovery id
             v -= 27
         if v not in (0, 1, 2, 3):
             raise InvalidSignature(f"invalid recovery id {data[64]}")
@@ -254,7 +362,7 @@ def sign_digest(digest: bytes, private_key: int) -> RawSignature:
     while True:
         extra = attempt.to_bytes(4, "big") if attempt else b""
         k = _rfc6979_nonce(digest, private_key, extra)
-        point = _from_jacobian(_j_multiply(_to_jacobian(GENERATOR), k))
+        point = _from_jacobian(_j_generator_multiply(k))
         if point.is_infinity:
             attempt += 1
             continue
@@ -262,7 +370,7 @@ def sign_digest(digest: bytes, private_key: int) -> RawSignature:
         if r == 0:
             attempt += 1
             continue
-        s = pow(k, N - 2, N) * (z + r * private_key) % N
+        s = pow(k, -1, N) * (z + r * private_key) % N
         if s == 0:
             attempt += 1
             continue
@@ -283,15 +391,10 @@ def verify_digest(digest: bytes, signature: RawSignature, public_key: AffinePoin
     if public_key.is_infinity or not is_on_curve(public_key):
         return False
     z = int.from_bytes(digest, "big")
-    w = pow(s, N - 2, N)
+    w = pow(s, -1, N)
     u1 = z * w % N
     u2 = r * w % N
-    point = _from_jacobian(
-        _j_add(
-            _j_multiply(_to_jacobian(GENERATOR), u1),
-            _j_multiply(_to_jacobian(public_key), u2),
-        )
-    )
+    point = _from_jacobian(_j_generator_multiply(u1, _j_multiply(public_key, u2)))
     if point.is_infinity:
         return False
     return point.x % N == r
@@ -316,12 +419,10 @@ def recover_digest(digest: bytes, signature: RawSignature) -> AffinePoint:
         raise InvalidSignature(str(exc)) from exc
     point_r = AffinePoint(x, y)
     z = int.from_bytes(digest, "big")
-    r_inv = pow(r, N - 2, N)
-    # Q = r^-1 (s*R - z*G)
-    zg_x, zg_y, zg_z = _j_multiply(_to_jacobian(GENERATOR), z % N)
-    neg_zg = (zg_x, (-zg_y) % P, zg_z)
+    r_inv = pow(r, -1, N)
+    # Q = r^-1 (s*R - z*G) = (s/r)*R + (-z/r)*G
     q = _from_jacobian(
-        _j_multiply(_j_add(_j_multiply(_to_jacobian(point_r), s), neg_zg), r_inv)
+        _j_generator_multiply(-z * r_inv % N, _j_multiply(point_r, s * r_inv % N))
     )
     if q.is_infinity or not is_on_curve(q):
         raise InvalidSignature("recovered point not on curve")

@@ -23,6 +23,7 @@ import logging
 import time
 from typing import Iterable, Optional
 
+from repro.crypto.keccak import keccak256
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
 from repro.discovery.packets import (
@@ -257,8 +258,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
             self._spawn(self.ping_addr(addr))
             return
         find: FindNodePacket = decoded.packet  # type: ignore[assignment]
-        from repro.crypto.keccak import keccak256
-
         target_hash = keccak256(find.target)
         closest = self.table.closest_to(target_hash, K_NEIGHBORS)
         records = [
@@ -377,8 +376,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
         Queries the ALPHA closest unqueried nodes each round, merging their
         answers, until no closer nodes appear (paper §2.1).
         """
-        from repro.crypto.keccak import keccak256
-
         target_hash = keccak256(target)
         for node in self.bootstrap_nodes:
             self.table.add(node)

@@ -1,11 +1,19 @@
 """secp256k1 arithmetic, ECDSA, recovery, and ECDH tests.
 
-Cross-checks against the `cryptography` package where available keep our
-pure-Python implementation honest.
+Three independent references keep the table-driven engine honest: a naive
+affine double-and-add oracle defined here, the published vectors in
+``tests/vectors/secp256k1.json``, and the `cryptography` package where
+available.
 """
 
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto import secp256k1 as ec
 from repro.crypto.keccak import keccak256
@@ -13,6 +21,84 @@ from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, Signature
 from repro.errors import InvalidPrivateKey, InvalidPublicKey, InvalidSignature
 
 scalars = st.integers(min_value=1, max_value=ec.N - 1)
+digests = st.binary(min_size=32, max_size=32)
+
+VECTORS = json.loads((Path(__file__).parent / "vectors" / "secp256k1.json").read_text())
+
+
+# --- Reference oracle -----------------------------------------------------
+#
+# Textbook affine arithmetic, one modular inverse per step, and the
+# bit-at-a-time double-and-add the engine replaced.  It shares no code with
+# ``repro.crypto.secp256k1`` beyond the curve constants.
+
+def naive_add(p, q):
+    if p is None:
+        return q
+    if q is None:
+        return p
+    (x1, y1), (x2, y2) = p, q
+    if x1 == x2:
+        if (y1 + y2) % ec.P == 0:
+            return None
+        slope = 3 * x1 * x1 * pow(2 * y1, -1, ec.P) % ec.P
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, ec.P) % ec.P
+    x3 = (slope * slope - x1 - x2) % ec.P
+    return (x3, (slope * (x1 - x3) - y1) % ec.P)
+
+
+def naive_multiply(point, scalar):
+    """``scalar * point`` for ``scalar >= 0``; ``None`` is the point at infinity."""
+    result, addend = None, point
+    while scalar:
+        if scalar & 1:
+            result = naive_add(result, addend)
+        addend = naive_add(addend, addend)
+        scalar >>= 1
+    return result
+
+
+G = (ec.GX, ec.GY)
+
+
+def as_affine(pair):
+    return ec.INFINITY if pair is None else ec.AffinePoint(*pair)
+
+
+def naive_recover(digest, r, s, v):
+    """Q = r^-1 (s*R - z*G), straight from SEC 1 section 4.1.6."""
+    x = r + ec.N if v & 2 else r
+    big_r = (x, ec.solve_y(x, v & 1))
+    z = int.from_bytes(digest, "big")
+    s_r = naive_multiply(big_r, s)
+    z_g = naive_multiply(G, z % ec.N)
+    minus_z_g = None if z_g is None else (z_g[0], -z_g[1] % ec.P)
+    return naive_multiply(naive_add(s_r, minus_z_g), pow(r, -1, ec.N))
+
+
+def naive_verify(digest, r, s, public):
+    z = int.from_bytes(digest, "big")
+    w = pow(s, -1, ec.N)
+    point = naive_add(
+        naive_multiply(G, z * w % ec.N), naive_multiply(public, r * w % ec.N)
+    )
+    return point is not None and point[0] % ec.N == r
+
+
+#: scalars that sit on the engine's seams: group-order wraparound, single
+#: bits and runs of ones across comb-window and wNAF-window boundaries,
+#: all-ones and alternating nibbles, and wNAF carry chains (a run of ones
+#: recodes to -1 and a carry; 17 and 15 are the +-15 digits).
+EDGE_SCALARS = sorted(
+    {0, 1, 2, 3, ec.N - 2, ec.N - 1, ec.N, ec.N + 1, 2 * ec.N - 1, (1 << 256) - 1}
+    | {1 << k for k in (1, 3, 4, 5, 8, 63, 64, 127, 128, 251, 252, 253, 254, 255, 256)}
+    | {(1 << k) - 1 for k in (2, 4, 5, 6, 8, 64, 65, 128, 252, 255, 256)}
+    | {(1 << k) + 1 for k in (4, 5, 128, 255)}
+    | {15, 17, 31, 33, 0xF0, 0xFF0, 0x10F, 0x1F1F, 0b1110111, 0b10101010101}
+    | {int("f" * 64, 16) // 0xF * d for d in (1, 5, 7, 8, 9, 0xA, 0xF)}  # 0x1111.., 0x5555.., ...
+    | {int("f0" * 32, 16), int("0f" * 32, 16), int("ff00" * 16, 16), int("0001" * 16, 16)}
+)
 
 
 class TestCurveArithmetic:
@@ -45,6 +131,194 @@ class TestCurveArithmetic:
     def test_doubling_matches_addition(self):
         point = ec.generator_multiply(7)
         assert ec.point_add(point, point) == ec.generator_multiply(14)
+
+    def test_non_canonical_coordinates_are_off_curve(self):
+        # x + P satisfies the equation mod P but is not a field element
+        assert not ec.is_on_curve(ec.AffinePoint(ec.GX + ec.P, ec.GY))
+        assert not ec.is_on_curve(ec.AffinePoint(ec.GX, ec.GY + ec.P))
+        assert not ec.is_on_curve(ec.AffinePoint(ec.GX, ec.GY - ec.P))
+
+
+class TestScalarMultiplicationEngine:
+    """The comb / wNAF engine against the naive oracle, seam by seam."""
+
+    def test_generator_table_layout(self):
+        table = ec._generator_table()
+        assert len(table) == 64 and all(len(window) == 15 for window in table)
+        for i, j in ((0, 1), (0, 15), (1, 1), (7, 9), (63, 1), (63, 15)):
+            assert table[i][j - 1] == naive_multiply(G, j << (4 * i))
+        assert all(ec.is_on_curve(ec.AffinePoint(*entry)) for window in table for entry in window)
+
+    def test_table_is_not_built_at_import(self):
+        code = (
+            "import repro, repro.crypto.keys, repro.crypto.secp256k1 as ec;"
+            "assert ec._generator_table.cache_info().currsize == 0;"
+            "ec.generator_multiply(5);"
+            "assert ec._generator_table.cache_info().currsize == 1"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    @pytest.mark.parametrize("scalar", EDGE_SCALARS, ids=hex)
+    def test_edge_scalars(self, scalar):
+        assert ec.generator_multiply(scalar) == as_affine(naive_multiply(G, scalar % ec.N))
+        point = naive_multiply(G, 0xC0FFEE)
+        assert ec.point_multiply(ec.AffinePoint(*point), scalar) == as_affine(
+            naive_multiply(point, scalar % ec.N)
+        )
+
+    def test_negative_scalar_is_taken_mod_n(self):
+        point = ec.generator_multiply(99)
+        assert ec.point_multiply(point, -1) == ec.point_negate(point)
+        assert ec.generator_multiply(-1) == ec.generator_multiply(ec.N - 1)
+
+    def test_infinity_in_infinity_out(self):
+        point = ec.generator_multiply(0xABCDEF)
+        assert ec.generator_multiply(ec.N).is_infinity
+        assert ec.generator_multiply(0).is_infinity
+        assert ec.point_multiply(point, ec.N).is_infinity
+        assert ec.point_multiply(point, 0).is_infinity
+        for scalar in (1, 2, 31, ec.N - 1, 1 << 255):
+            assert ec.point_multiply(ec.INFINITY, scalar).is_infinity
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=(1 << 256) - 1))
+    def test_generator_multiply_matches_oracle(self, scalar):
+        assert ec.generator_multiply(scalar) == as_affine(naive_multiply(G, scalar % ec.N))
+
+    @settings(max_examples=25, deadline=None)
+    @given(scalars, st.integers(min_value=0, max_value=(1 << 256) - 1))
+    def test_point_multiply_matches_oracle(self, secret, scalar):
+        point = naive_multiply(G, secret)
+        assert ec.point_multiply(ec.AffinePoint(*point), scalar) == as_affine(
+            naive_multiply(point, scalar % ec.N)
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(scalars, digests)
+    def test_recover_and_verify_match_oracle(self, secret, digest):
+        signature = ec.sign_digest(digest, secret)
+        public = naive_multiply(G, secret)
+        recovered = ec.recover_digest(digest, signature)
+        assert recovered == as_affine(public)
+        assert recovered == as_affine(naive_recover(digest, *signature))
+        assert ec.verify_digest(digest, signature, recovered)
+        assert naive_verify(digest, signature.r, signature.s, public)
+
+    @settings(max_examples=15, deadline=None)
+    @given(scalars, scalars, scalars, digests)
+    def test_arbitrary_rs_verify_matches_oracle(self, secret, r, s, digest):
+        # not a signature anyone made: both sides must still agree (on False,
+        # bar a 2^-256 accident)
+        public = naive_multiply(G, secret)
+        assert ec.verify_digest(digest, ec.RawSignature(r, s, 0), ec.AffinePoint(*public)) == (
+            naive_verify(digest, r, s, public)
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(scalars, scalars, st.integers(0, 1), digests)
+    def test_arbitrary_rs_recover_matches_oracle(self, r, s, v, digest):
+        try:
+            expected = as_affine(naive_recover(digest, r, s, v))
+        except InvalidPublicKey:  # no curve point has x == r
+            with pytest.raises(InvalidSignature):
+                ec.recover_digest(digest, ec.RawSignature(r, s, v))
+            return
+        recovered = ec.recover_digest(digest, ec.RawSignature(r, s, v))
+        assert recovered == expected
+        assert ec.verify_digest(digest, ec.RawSignature(r, s, v), recovered)
+
+    def test_mixed_add_doubling_and_cancellation_branches(self):
+        entry = ec._generator_table()[2][6]  # 7 * 16^2 * G
+        x, y = entry
+        z = 0xDEADBEEF  # the same point, in a non-trivial Jacobian form
+        same = (x * z * z % ec.P, y * z**3 % ec.P, z)
+        negated = (same[0], -same[1] % ec.P, z)
+        assert ec._from_jacobian(ec._j_add_affine(same, entry)) == as_affine(
+            naive_multiply(G, 2 * 7 * 16**2)
+        )
+        assert ec._from_jacobian(ec._j_add_affine(negated, entry)).is_infinity
+        assert ec._from_jacobian(ec._j_add_affine(ec._J_INFINITY, entry)) == ec.AffinePoint(x, y)
+
+    def test_verify_through_the_doubling_branch(self):
+        # Q = G, u1 = u2 = 5: the wNAF half hands 5G to the comb walk, whose
+        # first table entry is 5G again.  r = x(10G) makes it a valid signature.
+        r = naive_multiply(G, 10)[0] % ec.N
+        s = r * pow(5, -1, ec.N) % ec.N
+        digest = r.to_bytes(32, "big")  # z = r, so u1 = z/s = 5 = r/s = u2
+        assert naive_verify(digest, r, s, G)
+        assert ec.verify_digest(digest, ec.RawSignature(r, s, 0), ec.GENERATOR)
+
+    def test_verify_through_the_cancellation_branch(self):
+        # Q = G, s = 1, u2 = r = 5, u1 = z = N - 5: the sum is infinity
+        digest = (ec.N - 5).to_bytes(32, "big")
+        assert not naive_verify(digest, 5, 1, G)
+        assert not ec.verify_digest(digest, ec.RawSignature(5, 1, 0), ec.GENERATOR)
+
+    def test_recover_through_the_doubling_and_cancellation_branches(self):
+        # R = 10G, s = r, z = -10r: (s/r)*R = 10G meets (-z/r)*G = 10G.  It is
+        # the signature key 20 makes with nonce 10; the other parity of R
+        # cancels to infinity instead.
+        big_r = naive_multiply(G, 10)
+        r = big_r[0] % ec.N
+        digest = (-10 * r % ec.N).to_bytes(32, "big")
+        parity = big_r[1] & 1
+        assert ec.recover_digest(digest, ec.RawSignature(r, r, parity)) == as_affine(
+            naive_multiply(G, 20)
+        )
+        with pytest.raises(InvalidSignature):
+            ec.recover_digest(digest, ec.RawSignature(r, r, parity ^ 1))
+
+    @pytest.mark.parametrize("digest", [bytes(32), ec.N.to_bytes(32, "big")], ids=["0", "N"])
+    def test_recover_with_zero_digest_scalar(self, digest):
+        # z == 0 (mod N): the G term of recover vanishes
+        key = PrivateKey(0x5EED)
+        signature = key.sign(digest)
+        assert signature.recover(digest) == key.public_key
+        assert key.public_key.verify(digest, signature)
+        raw = ec.RawSignature(signature.r, signature.s, signature.v)
+        assert ec.recover_digest(digest, raw) == as_affine(naive_recover(digest, *raw))
+
+    def test_recover_with_high_x_recovery_ids(self):
+        # v in {2, 3}: R.x = r + N, which only fits below P for tiny r
+        digest = keccak256(b"high x")
+        found = 0
+        for r in range(1, 40):
+            try:
+                ec.solve_y(r + ec.N, 0)
+            except InvalidPublicKey:
+                continue
+            found += 1
+            for v in (2, 3):
+                raw = ec.RawSignature(r, 0x1234567, v)
+                recovered = ec.recover_digest(digest, raw)
+                assert recovered == as_affine(naive_recover(digest, *raw))
+                assert ec.verify_digest(digest, raw, recovered)
+        assert found
+        with pytest.raises(InvalidSignature):  # r + N >= P
+            ec.recover_digest(digest, ec.RawSignature(ec.P - ec.N, 1, 2))
+
+
+class TestKnownAnswers:
+    """Published vectors (tests/vectors/secp256k1.json)."""
+
+    @pytest.mark.parametrize(
+        "vector", VECTORS["generator_multiples"]["vectors"], ids=lambda v: v["k"].lstrip("0")[:12]
+    )
+    def test_generator_multiples(self, vector):
+        k, x, y = (int(vector[name], 16) for name in ("k", "x", "y"))
+        assert ec.generator_multiply(k) == ec.AffinePoint(x, y)
+        assert ec.point_multiply(ec.GENERATOR, k) == ec.AffinePoint(x, y)
+
+    @pytest.mark.parametrize(
+        "vector", VECTORS["rfc6979_signatures"]["vectors"], ids=lambda v: v["message"][:16]
+    )
+    def test_rfc6979_signatures(self, vector):
+        key = PrivateKey(int(vector["private_key"], 16))
+        digest = hashlib.sha256(vector["message"].encode()).digest()
+        signature = key.sign(digest)
+        assert (signature.r, signature.s) == (int(vector["r"], 16), int(vector["s"], 16))
+        assert signature.recover(digest) == key.public_key
+        assert key.public_key.verify(digest, signature)
 
 
 class TestPointCodec:
@@ -123,11 +397,29 @@ class TestECDSA:
         assert Signature.from_bytes(signature.to_bytes()).to_bytes() == signature.to_bytes()
 
     def test_signature_v27_accepted(self):
+        # Ethereum tx-style recovery ids 27/28, both parities
         key = PrivateKey(5)
-        raw = bytearray(key.sign(keccak256(b"x")).to_bytes())
-        raw[64] += 27  # Ethereum tx-style recovery id
-        parsed = Signature.from_bytes(bytes(raw))
-        assert parsed.recover(keccak256(b"x")) == key.public_key
+        seen = set()
+        for index in range(64):
+            digest = keccak256(bytes([index]))
+            signature = key.sign(digest)
+            raw = bytearray(signature.to_bytes())
+            raw[64] += 27
+            parsed = Signature.from_bytes(bytes(raw))
+            assert parsed == signature
+            assert parsed.recover(digest) == key.public_key
+            seen.add(signature.v)
+            if seen == {0, 1}:
+                break
+        assert seen == {0, 1}
+
+    def test_signature_v_range(self):
+        body = bytes(31) + b"\x01" + bytes(31) + b"\x01"
+        for byte, v in ((0, 0), (3, 3), (27, 0), (28, 1), (29, 2), (30, 3)):
+            assert Signature.from_bytes(body + bytes([byte])).v == v
+        for byte in (4, 26, 31, 255):
+            with pytest.raises(InvalidSignature):
+                Signature.from_bytes(body + bytes([byte]))
 
     def test_malformed_signature_rejected(self):
         with pytest.raises(InvalidSignature):
@@ -168,18 +460,24 @@ class TestCrossValidation:
             cec.ECDSA(Prehashed(hashes.SHA256())),
         )
 
-    def test_public_key_interop(self):
+    @settings(max_examples=6, deadline=None)
+    @given(scalars)
+    @example(0x1337)
+    def test_public_key_interop(self, secret):
         cec = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
-        key = PrivateKey(0x1337)
+        key = PrivateKey(secret)
         ckey = cec.derive_private_key(key.secret, cec.SECP256K1())
         numbers = ckey.public_key().public_numbers()
         assert (numbers.x, numbers.y) == (key.public_key.point.x, key.public_key.point.y)
 
-    def test_ecdh_interop(self):
+    @settings(max_examples=6, deadline=None)
+    @given(scalars, scalars)
+    @example(111, 222)
+    def test_ecdh_interop(self, a, b):
         cec = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
-        ours_a, ours_b = PrivateKey(111), PrivateKey(222)
-        theirs_a = cec.derive_private_key(111, cec.SECP256K1())
-        theirs_b = cec.derive_private_key(222, cec.SECP256K1())
+        ours_a, ours_b = PrivateKey(a), PrivateKey(b)
+        theirs_a = cec.derive_private_key(a, cec.SECP256K1())
+        theirs_b = cec.derive_private_key(b, cec.SECP256K1())
         expected = theirs_a.exchange(cec.ECDH(), theirs_b.public_key())
         assert ours_a.ecdh(ours_b.public_key) == expected
 
@@ -202,6 +500,13 @@ class TestKeyObjects:
             PrivateKey(0)
         with pytest.raises(InvalidPrivateKey):
             PrivateKey(ec.N)
+
+    def test_non_canonical_public_key_rejected(self):
+        # used to be accepted, compare unequal to G, and die in to_bytes()
+        with pytest.raises(InvalidSignature):
+            PublicKey(ec.AffinePoint(ec.GX + ec.P, ec.GY))
+        with pytest.raises(InvalidPublicKey):
+            ec.ecdh(1, ec.AffinePoint(ec.GX, ec.GY + ec.P))
 
     def test_key_byte_roundtrip(self):
         key = PrivateKey(0xABCDEF)
