@@ -393,13 +393,13 @@ def replay_journals(
     injected clock, so a stable sort reconstructs the crawl's interleaved
     timeline while keeping each dial's companion records (written at the
     same instant) contiguous.  Sharded crawls journal one file per shard
-    (``<name>-shard<k>.jsonl``); because the keyspace partition gives
+    (``<name>-shard<k>.g0.jsonl``); because the keyspace partition gives
     every node exactly one owning shard, no two shard files carry the
     same node at the same timestamp, and the merged replay reconstructs
     the same NodeDB the live sharded crawl folded through its writer
     queue (the shard-conformance suite pins this).
 
-    Elastic crawls add generation-suffixed segments
+    Elastic crawls add later-generation segments
     (``<name>-shard<k>.g<gen>.jsonl``): a reshard seals the parent
     segment with a ``reshard`` record and the children continue in fresh
     files.  The same timestamp merge reassembles them — a node's dials

@@ -174,14 +174,13 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         reshard=policy,
     )
     journal = None
-    shard_journals = None
     journal_opener = None
     opened: list[EventJournal] = []
     journal_dir = Path(args.journal_dir) if args.journal_dir else None
     if journal_dir is not None:
         journal_dir.mkdir(parents=True, exist_ok=True)
-        if policy is not None:
-            # elastic crawls journal per segment: reshards seal parents
+        if policy is not None or config.shards > 1:
+            # sharded crawls journal per segment: reshards seal parents
             # and open generation-suffixed children through this opener
             def journal_opener(segment: str) -> EventJournal:
                 opened_journal = EventJournal.open(
@@ -190,12 +189,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
                 opened.append(opened_journal)
                 return opened_journal
 
-        elif config.shards > 1:
-            shard_journals = [
-                EventJournal.open(journal_dir / f"crawl-shard{index}.jsonl")
-                for index in range(config.shards)
-            ]
-            opened.extend(shard_journals)
         else:
             journal = EventJournal.open(journal_dir / "crawl.jsonl")
             opened.append(journal)
@@ -205,7 +198,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             PrivateKey.generate(),
             config=config,
             telemetry=Telemetry(journal=journal) if journal else None,
-            shard_journals=shard_journals,
             journal_opener=journal_opener,
         )
         await finder.start(bootstrap)

@@ -14,7 +14,17 @@ NodeFinder is a Geth-derived crawler that (§4):
 Two transports exist: :mod:`repro.nodefinder.scanner` drives the simulated
 world (all benchmarks), and :mod:`repro.nodefinder.wire` performs the same
 harvest over the real asyncio RLPx stack against live TCP nodes
-(integration tests and examples).
+(integration tests and examples), scheduled by
+:mod:`repro.nodefinder.live`.
+
+Both crawlers shard the same way: one
+:class:`~repro.nodefinder.reshard.DynamicShardPlan` partitions the enode
+keyspace by node-ID prefix into N >= 1 ranges (an unsharded crawl is the
+1-shard plan; a plan nobody reshards just stays at generation 0), every
+dial result folds into the one ``NodeDB`` through
+:class:`~repro.nodefinder.shard.NodeDBWriter`, and a mid-crawl
+split/merge goes through
+:meth:`~repro.nodefinder.reshard.ReshardCoordinator.handoff`.
 """
 
 from repro.nodefinder.database import NodeDB, NodeEntry

@@ -2,9 +2,10 @@
 
 With ``telemetry_dir`` set, :func:`run_fleet` instruments every instance
 with its own :class:`~repro.telemetry.Telemetry` on the shared world
-clock, writes one measurement journal per instance
-(``<name>.jsonl`` — replayable one by one or merged via
-:func:`repro.analysis.ingest.replay_journals`), and exports the fleet's
+clock, writes one measurement journal per instance (``<name>.jsonl``) or
+per shard segment (``<name>-shard<k>.g<gen>.jsonl``) — replayable one by
+one or merged via :func:`repro.analysis.ingest.replay_journals` — and
+exports the fleet's
 merged metrics snapshot (``metrics.json``) — the multi-instance
 equivalent of the paper's combined measurement log.
 """
@@ -73,10 +74,10 @@ class Fleet:
         """One snapshot with per-shard series across the fleet.
 
         Each shard's series merge under the instance name
-        ``<name>-shard<label>`` — for elastic crawls the label is the
-        generation-suffixed segment id (``<name>-shard<k>.g<gen>``), so
-        children born from a split never collide with the pre-split
-        shard's name (``merge_snapshots`` raises on duplicates)."""
+        ``<name>-shard<segment>`` — the generation-suffixed segment id
+        (``<name>-shard<k>.g<gen>``), so children born from a split never
+        collide with the pre-split shard's name (``merge_snapshots``
+        raises on duplicates)."""
         snapshots: list[dict] = []
         names: list[str] = []
         for instance in self.instances:
@@ -105,13 +106,12 @@ def run_fleet(
     All instances start simultaneously, as in the paper's deployment.  With
     ``watch_bootstrap`` every instance tracks dials to the first bootstrap
     node (the Figure 8 experiment).  With ``telemetry_dir`` each instance
-    journals to ``<dir>/<name>.jsonl`` — or, when ``config.shards > 1``,
-    one journal per shard (``<dir>/<name>-shard<k>.jsonl``), which
+    journals to ``<dir>/<name>.jsonl`` — or, when ``config.shards > 1`` or
+    ``config.reshard`` is set, one journal per shard *segment*
+    (``<dir>/<name>-shard<k>.g<gen>.jsonl``), which
     ``repro.analysis.ingest.replay_journals`` merges back into a single
     timeline — and the merged metrics snapshot is written to
-    ``<dir>/metrics.json`` when the run completes.  Elastic runs
-    (``config.reshard`` set) journal per *segment* instead
-    (``<dir>/<name>-shard<k>.g<gen>.jsonl``): reshards seal parent
+    ``<dir>/metrics.json`` when the run completes.  Reshards seal parent
     segments mid-crawl and open generation-suffixed children, all of
     which land in ``journal_paths``.
 
@@ -139,53 +139,42 @@ def run_fleet(
     journal_paths: list[Path] = []
     if profiler is not None:
         world.clock.profiler = profiler
-    reshard_policy = config.reshard if config is not None else None
+    # one journal per instance, or one per shard segment once the crawl is
+    # sharded or may become so
+    segmented = shard_count > 1 or (
+        config is not None and config.reshard is not None
+    )
     for index in range(instance_count):
         name = f"nodefinder-{index}"
         telemetry = NULL_TELEMETRY
-        shard_journals: list[EventJournal] | None = None
         journal_opener = None
-        if export_dir is not None:
-            if reshard_policy is not None:
-                # elastic runs journal per segment: the instance opens
-                # <name>-shard<segment>.jsonl on demand (generation 0 at
-                # start, children as reshards happen) via its coordinator
-                telemetry = Telemetry(
-                    clock=clock, profiler=profiler, recorder=recorder
-                )
+        if export_dir is not None and segmented:
+            # the instance opens <name>-shard<segment>.jsonl on demand
+            # (generation 0 at start, children as reshards happen) via
+            # its coordinator; its own telemetry keeps the shared metrics
+            # registry while each segment journals its own dial stream
+            telemetry = Telemetry(
+                clock=clock, profiler=profiler, recorder=recorder
+            )
 
-                def journal_opener(
-                    segment: str, name: str = name
-                ) -> EventJournal:
-                    path = export_dir / f"{name}-shard{segment}.jsonl"
-                    journal_paths.append(path)
-                    return EventJournal.open(path)
-
-            elif shard_count > 1:
-                # one journal per shard (<name>-shard<k>.jsonl); the
-                # instance telemetry keeps the shared metrics registry
-                # while each shard journals its own dial stream
-                telemetry = Telemetry(
-                    clock=clock, profiler=profiler, recorder=recorder
-                )
-                shard_journals = []
-                for shard_index in range(shard_count):
-                    path = export_dir / f"{name}-shard{shard_index}.jsonl"
-                    journal = EventJournal.open(path)
-                    journals.append(journal)
-                    journal_paths.append(path)
-                    shard_journals.append(journal)
-            else:
-                path = export_dir / f"{name}.jsonl"
-                journal = EventJournal.open(path)
-                journals.append(journal)
+            def journal_opener(
+                segment: str, name: str = name
+            ) -> EventJournal:
+                path = export_dir / f"{name}-shard{segment}.jsonl"
                 journal_paths.append(path)
-                telemetry = Telemetry(
-                    journal=journal,
-                    clock=clock,
-                    profiler=profiler,
-                    recorder=recorder,
-                )
+                return EventJournal.open(path)
+
+        elif export_dir is not None:
+            path = export_dir / f"{name}.jsonl"
+            journal = EventJournal.open(path)
+            journals.append(journal)
+            journal_paths.append(path)
+            telemetry = Telemetry(
+                journal=journal,
+                clock=clock,
+                profiler=profiler,
+                recorder=recorder,
+            )
         elif profiler is not None or recorder is not None:
             # profiled/recorded but journal-less runs still need a real
             # facade (NULL_TELEMETRY would drop both)
@@ -197,7 +186,6 @@ def run_fleet(
             config=config or NodeFinderConfig(seed=index),
             name=name,
             telemetry=telemetry,
-            shard_journals=shard_journals,
             journal_opener=journal_opener,
         )
         if watch_bootstrap and bootstrap:
@@ -214,8 +202,8 @@ def run_fleet(
         for journal in journals:
             journal.close()
         for instance in instances:
-            # elastic runs: segments sealed mid-crawl are already closed;
-            # the still-live ones close here
+            # segments sealed mid-crawl are already closed; the still-live
+            # ones close here
             instance.coordinator.close_open_segments()
     if export_dir is not None:
         fleet.metrics_path = export_dir / "metrics.json"

@@ -36,7 +36,7 @@ from repro.nodefinder.reshard import (
     ReshardCoordinator,
     ReshardPolicy,
 )
-from repro.nodefinder.shard import NodeDBWriter, ShardPlan, ShardState
+from repro.nodefinder.shard import NodeDBWriter, ShardState
 from repro.nodefinder.wire import harvest
 from repro.resilience import LoopSupervisor, PeerScoreboard, RetryPolicy
 from repro.telemetry import EventJournal, Telemetry
@@ -63,16 +63,15 @@ class LiveConfig:
     breaker_cooldown: float = 300.0
     #: restart budget for crashed crawler loops; None → package default
     supervisor_policy: Optional[RetryPolicy] = None
-    #: worker shards partitioning the enode keyspace by node-ID prefix;
-    #: 1 keeps the classic single static loop, N>1 runs one dial loop per
-    #: shard, all folding through one NodeDB writer queue
+    #: worker shards partitioning the enode keyspace by node-ID prefix:
+    #: one dial loop per shard, all folding through one NodeDB writer queue
     shards: int = 1
     #: dynamic-dial targets a shard loop drains from its queue per pass
     shard_batch: int = 8
     #: elastic sharding: when set, a supervised reshard loop polls the
     #: shard-health gauges and may split hot shards / merge cold siblings
     #: mid-crawl with a drain-seal-handoff protocol (see
-    #: :mod:`repro.nodefinder.reshard`); None keeps the static plan
+    #: :mod:`repro.nodefinder.reshard`); None leaves the plan as it starts
     reshard: Optional[ReshardPolicy] = None
 
 
@@ -87,7 +86,6 @@ class LiveNodeFinder:
         clock: Callable[[], float] | None = None,
         rng: Optional[random.Random] = None,
         telemetry: Optional[Telemetry] = None,
-        shard_journals: Optional[list[EventJournal]] = None,
         harvester: Optional[Callable] = None,
         journal_opener: Optional[Callable[[str], EventJournal]] = None,
     ) -> None:
@@ -107,113 +105,46 @@ class LiveNodeFinder:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.db = NodeDB()
         self.discovery: Optional[DiscoveryService] = None
-        #: node id -> (enode, next static dial time)
-        self.static_nodes: dict[bytes, tuple[ENode, float]] = {}
-        self.breakers = PeerScoreboard(
-            failure_threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-            clock=self.clock,
-            on_transition=self.telemetry.record_breaker,
-        )
         self._supervisors: list[LoopSupervisor] = []
         self._tasks: list[asyncio.Task] = []
         self._stopping = False
-        self._dial_semaphore = asyncio.Semaphore(self.config.max_active_dials)
-        self._dialed_once: set[bytes] = set()
+        #: dial history: node id -> when a lookup result was last queued for
+        #: a dynamic dial, on the injected clock
+        self._dial_history: dict[bytes, float] = {}
         #: injectable dial function (harvest-compatible); benchmarks and
         #: tests swap in a stub to exercise the scheduler without sockets
         self._harvest = harvester if harvester is not None else harvest
         # -- sharding -------------------------------------------------------
-        shards = max(1, int(self.config.shards))
+        self.plan = DynamicShardPlan(max(1, int(self.config.shards)))
         policy = self.config.reshard
-        if journal_opener is not None and shard_journals is not None:
-            raise ValueError(
-                "journal_opener and shard_journals are mutually exclusive"
-            )
-        if policy is not None and shard_journals is not None:
-            raise ValueError(
-                "elastic crawls journal per segment: pass journal_opener, "
-                "not a fixed shard_journals list"
-            )
-        # an elastic crawl (or a segment-keyed journal opener) switches to
-        # the dynamic plan; its generation-0 ranges match the static plan
-        if policy is not None or journal_opener is not None:
-            self.plan: ShardPlan | DynamicShardPlan = DynamicShardPlan(shards)
-        else:
-            self.plan = ShardPlan(shards)
-        self.controller: Optional[ReshardController] = None
-        if policy is not None:
-            assert isinstance(self.plan, DynamicShardPlan)
-            self.controller = ReshardController(policy, self.plan)
+        self.controller: Optional[ReshardController] = (
+            ReshardController(policy, self.plan) if policy is not None else None
+        )
         self.coordinator = ReshardCoordinator(journal_opener)
         #: every NodeDB/CrawlStats mutation goes through this single writer
-        #: (queued mode while sharded loops run; SHARD-SAFE pins the rule)
+        #: (queued mode while the shard loops run; SHARD-SAFE pins the rule)
         self.writer = NodeDBWriter(self.db, telemetry=self.telemetry)
-        self._shards: list[ShardState] = []
-        if shard_journals is not None and len(shard_journals) != shards:
-            raise ValueError(
-                f"{len(shard_journals)} shard journals for {shards} shards"
+        #: one dial worker per live range, positional like ``plan.ranges``
+        #: and labeled by stable segment id (the controller may split even
+        #: a single shard)
+        self._shards: list[ShardState] = [
+            self._make_shard_state(
+                index,
+                shard_range.segment,
+                self.coordinator.open_segment(shard_range.segment),
             )
-        if isinstance(self.plan, DynamicShardPlan):
-            # elastic mode always runs shard loops (even at one shard —
-            # the controller may split it), labeled by stable segment id
-            for index, shard_range in enumerate(self.plan.ranges):
-                self._shards.append(
-                    self._make_shard_state(index, shard_range.segment)
-                )
-        elif shards > 1:
-            for index in range(shards):
-                if shard_journals is not None:
-                    # own journal, shared metrics registry: counters
-                    # aggregate exactly as unsharded while each shard's
-                    # event stream stays separable (and re-mergeable)
-                    shard_telemetry = Telemetry(
-                        registry=self.telemetry.registry,
-                        journal=shard_journals[index],
-                        clock=self.clock,
-                        shard=str(index),
-                        profiler=self.telemetry.profiler,
-                        recorder=self.telemetry.recorder,
-                    )
-                else:
-                    shard_telemetry = self.telemetry
-                shard_breakers = PeerScoreboard(
-                    failure_threshold=self.config.breaker_threshold,
-                    cooldown=self.config.breaker_cooldown,
-                    clock=self.clock,
-                    on_transition=shard_telemetry.record_breaker,
-                )
-                self._shards.append(
-                    ShardState(
-                        index,
-                        shard_telemetry,
-                        shard_breakers,
-                        self.config.max_active_dials,
-                    )
-                )
+            for index, shard_range in enumerate(self.plan.ranges)
+        ]
 
     @property
     def shard_count(self) -> int:
         return self.plan.shards
 
-    def _make_shard_state(self, index: int, segment: str) -> ShardState:
-        """Build one elastic shard: segment journal, fresh breakers."""
-        journal = (
-            self.coordinator.open_segment(segment)
-            if self.coordinator.journaled
-            else None
-        )
-        if journal is not None:
-            shard_telemetry = Telemetry(
-                registry=self.telemetry.registry,
-                journal=journal,
-                clock=self.clock,
-                shard=segment,
-                profiler=self.telemetry.profiler,
-                recorder=self.telemetry.recorder,
-            )
-        else:
-            shard_telemetry = self.telemetry
+    def _make_shard_state(
+        self, index: int, segment: str, journal: Optional[EventJournal]
+    ) -> ShardState:
+        """Build one shard: its segment's telemetry, fresh breakers."""
+        shard_telemetry = self.telemetry.for_shard(segment, journal, self.clock)
         shard_breakers = PeerScoreboard(
             failure_threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown,
@@ -225,8 +156,17 @@ class LiveNodeFinder:
             shard_telemetry,
             shard_breakers,
             self.config.max_active_dials,
-            segment=segment,
+            segment,
         )
+
+    @property
+    def static_nodes(self) -> dict[bytes, tuple[ENode, float]]:
+        """The StaticNodes schedule (merged read view across shards):
+        node id -> (enode, next static dial time)."""
+        merged: dict[bytes, tuple[ENode, float]] = {}
+        for shard in self._shards:
+            merged.update(shard.static_nodes)
+        return merged
 
     @property
     def stats(self) -> dict[str, int]:
@@ -259,23 +199,15 @@ class LiveNodeFinder:
         await self.discovery.listen()
         for node in bootstrap:
             await self.discovery.bond(node)
-        loops: list[tuple[str, Callable]] = [
-            ("discovery", self._discovery_loop)
-        ]
-        if not self._shards:
-            loops.append(("static", self._static_loop))
-        else:
-            # sharded mode: the writer serializes folds behind a queue and
-            # each shard gets its own supervised dial loop
-            self.writer.start()
+        # the writer serializes folds behind a queue and each shard gets
+        # its own supervised dial loop
+        self.writer.start()
+        self._spawn_loop("discovery", self._discovery_loop)
         if self.controller is not None:
-            loops.append(("reshard", self._reshard_loop))
-        for name, loop in loops:
-            self._spawn_loop(name, loop)
+            self._spawn_loop("reshard", self._reshard_loop)
         for shard in self._shards:
             self._spawn_shard_loop(shard)
-        if isinstance(self.plan, DynamicShardPlan):
-            self._publish_plan()
+        self.plan.publish(self.telemetry)
         return self
 
     def _spawn_loop(self, name: str, loop: Callable) -> asyncio.Task:
@@ -301,7 +233,7 @@ class LiveNodeFinder:
 
     def _spawn_shard_loop(self, shard: ShardState) -> None:
         shard.task = self._spawn_loop(
-            f"shard-{shard.label}", lambda shard=shard: self._shard_loop(shard)
+            f"shard-{shard.segment}", lambda shard=shard: self._shard_loop(shard)
         )
 
     def _task_died(self, name: str, task: asyncio.Task) -> None:
@@ -335,8 +267,8 @@ class LiveNodeFinder:
         # drain queued folds before shutdown so the database reflects every
         # dial the shards completed
         await self.writer.close()
-        # elastic runs: segments sealed mid-crawl are already closed; the
-        # still-live generation's journals close here
+        # segments sealed mid-crawl are already closed; the still-live
+        # generation's journals close here
         self.coordinator.close_open_segments()
         if self.discovery is not None:
             self.discovery.close()
@@ -349,81 +281,40 @@ class LiveNodeFinder:
             target = PrivateKey.generate().public_key.to_bytes()
             found = await self.discovery.lookup(target)
             self.telemetry.lookups.inc()
-            fresh = [
-                node
-                for node in found
-                if not self._known_static(node.node_id)
-                and node.node_id != self.discovery.node_id
-                and node.node_id not in self._dialed_once
-            ]
-            if self._shards:
+            now = self.clock()
+            for node in found:
+                if (
+                    node.node_id == self.discovery.node_id
+                    or self._known_static(node.node_id)
+                    or self._recently_dialed(node.node_id, now)
+                ):
+                    continue
                 # route each target to the shard owning its keyspace slice;
                 # the shard loop batches the draws
-                for node in fresh:
-                    self._dialed_once.add(node.node_id)
-                    shard = self._shards[self.plan.shard_of(node.node_id)]
-                    shard.queue.put_nowait(node)
-                    shard.telemetry.shard_queue_depth.labels(
-                        shard=shard.label
-                    ).set(float(shard.queue.qsize()))
-                await asyncio.sleep(self.config.lookup_interval)
-                continue
-            if fresh:
-                # exception-safe fan-out: one crashing dial must not cancel
-                # its siblings or kill the loop
-                outcomes = await asyncio.gather(
-                    *(self._dial(node, "dynamic-dial") for node in fresh),
-                    return_exceptions=True,
-                )
-                for node, outcome in zip(fresh, outcomes):
-                    if isinstance(outcome, asyncio.CancelledError):
-                        raise outcome
-                    if isinstance(outcome, BaseException):
-                        self.telemetry.record_dial_crash(repr(outcome))
-                        logger.warning(
-                            "dynamic dial of %s crashed: %r",
-                            node.short_id(),
-                            outcome,
-                        )
+                self._dial_history[node.node_id] = now
+                shard = self._shards[self.plan.shard_of(node.node_id)]
+                shard.queue.put_nowait(node)
+                shard.telemetry.shard_queue_depth.labels(
+                    shard=shard.segment
+                ).set(float(shard.queue.qsize()))
             await asyncio.sleep(self.config.lookup_interval)
 
-    def _next_due_static(self, now: float) -> Optional[tuple[bytes, ENode]]:
-        """The next static node due at ``now``, read from live state."""
-        for node_id, (enode, next_dial) in self.static_nodes.items():
-            if next_dial <= now:
-                return node_id, enode
-        return None
+    def _recently_dialed(self, node_id: bytes, now: float) -> bool:
+        """Was a dynamic dial of this node attempted within the window?
 
-    async def _static_loop(self) -> None:
-        while not self._stopping:
-            now = self.clock()
-            due = self._next_due_static(now)
-            if due is not None:
-                node_id, enode = due
-                # reschedule before the dial await: while the dial is in
-                # flight other loops may add/prune statics, and the next
-                # iteration re-derives the due set from that fresh state
-                # instead of acting on a snapshot taken before the await
-                self.static_nodes[node_id] = (
-                    enode,
-                    now + self.config.static_dial_interval,
-                )
-                try:
-                    await self._dial(enode, "static-dial")
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    self.telemetry.record_dial_crash(repr(exc))
-                    logger.warning(
-                        "static dial of %s crashed: %r", enode.short_id(), exc
-                    )
-                self._refresh_health(self.telemetry, self.breakers, now)
-                continue
-            self._prune_stale()
-            self._refresh_health(self.telemetry, self.breakers, now)
-            await asyncio.sleep(
-                min(1.0, self.config.static_dial_interval / 10)
-            )
+        The window is ``static_dial_interval``, the sim's
+        ``dial_history_expiration`` default: a peer that was offline when
+        a lookup first returned it never joined StaticNodes, so once the
+        window has passed it must be dialable again (§4).  An expired
+        entry is dropped here, so the map holds only the last window.
+        """
+        last = self._dial_history.get(node_id)
+        if last is None:
+            return False
+        if now - last < self.config.static_dial_interval:
+            return True
+        del self._dial_history[node_id]
+        return False
 
     async def _shard_loop(self, shard: ShardState) -> None:
         """One shard's dial loop: due statics plus a batched queue draw.
@@ -463,10 +354,11 @@ class LiveNodeFinder:
             except (asyncio.TimeoutError, asyncio.QueueEmpty):
                 pass
             shard.telemetry.shard_queue_depth.labels(
-                shard=shard.label
+                shard=shard.segment
             ).set(float(shard.queue.qsize()))
             if jobs:
-                # exception-safe fan-out, same contract as the unsharded loop
+                # exception-safe fan-out: one crashing dial must not cancel
+                # its siblings or kill the loop
                 outcomes = await asyncio.gather(
                     *(
                         self._shard_dial(shard, enode, kind)
@@ -488,22 +380,9 @@ class LiveNodeFinder:
                         )
             self._prune_shard(shard)
             shard.last_lag = self.clock() - now
-            self._refresh_health(
-                shard.telemetry,
-                shard.breakers,
-                now,
-                shard.queue.qsize(),
-                shard=shard.label,
-            )
+            self._refresh_health(shard, now)
 
-    def _refresh_health(
-        self,
-        telemetry: Telemetry,
-        breakers: PeerScoreboard,
-        pass_started: float,
-        queue_depth: Optional[int] = None,
-        shard: Optional[str] = None,
-    ) -> None:
+    def _refresh_health(self, shard: ShardState, pass_started: float) -> None:
         """One loop pass done: publish how this worker is keeping up.
 
         Lag is the pass's wall duration — how far the loop trails the
@@ -512,14 +391,15 @@ class LiveNodeFinder:
         label is explicit: a shard loop sharing the crawl-wide telemetry
         (no per-shard journals) still owns its health row.
         """
+        telemetry = shard.telemetry
         telemetry.record_shard_health(
-            queue_depth=queue_depth,
+            queue_depth=shard.queue.qsize(),
             lag=self.clock() - pass_started,
-            open_breakers=breakers.open_count,
+            open_breakers=shard.breakers.open_count,
             journal_backlog=(
                 telemetry.journal.backlog if telemetry.journal is not None else None
             ),
-            shard=shard,
+            shard=shard.segment,
         )
 
     # -- elastic resharding ------------------------------------------------
@@ -541,11 +421,11 @@ class LiveNodeFinder:
             lags = [shard.last_lag for shard in self._shards]
             ops = self.controller.observe(loads, now=self.clock(), lags=lags)
             for action, index in ops:
-                await self._apply_reshard_live(action, index)
+                await self._apply_reshard(action, index)
             if ops:
-                self._publish_plan()
+                self.plan.publish(self.telemetry)
 
-    async def _apply_reshard_live(self, action: str, index: int) -> None:
+    async def _apply_reshard(self, action: str, index: int) -> None:
         """One live handoff: drain the parent loops, seal, split/merge.
 
         Protocol order matters:
@@ -553,9 +433,10 @@ class LiveNodeFinder:
         1. flag the parent shard(s) ``retired`` and await their loop
            tasks — the loops finish the pass in flight (all dials fold
            through the writer queue) and return cleanly;
-        2. with the parents quiescent, mutate the plan and seal their
-           journal segments with the ``reshard`` record (no awaits from
-           here to step 4, so no loop observes a half-built plan);
+        2. with the parents quiescent, the coordinator mutates the plan,
+           seals their journal segments with the ``reshard`` record and
+           opens the children's (no awaits from here to step 4, so no
+           loop observes a half-built plan);
         3. hand off: statics and queued targets transfer to the child
            owning their prefix; children get fresh breaker scoreboards
            (failure history does not survive a handoff — a deliberate
@@ -564,134 +445,58 @@ class LiveNodeFinder:
            indices, and spawn their supervised loops.
         """
         assert self.controller is not None
-        plan = self.plan
-        assert isinstance(plan, DynamicShardPlan)
-        step = self.controller.step - 1
         count = 1 if action == "split" else 2
-        parents = self._shards[index : index + count]
-        for shard in parents:
+        drains = []
+        for shard in self._shards[index : index + count]:
             shard.retired = True
-        drains = [shard.task for shard in parents if shard.task is not None]
+            if shard.task is not None:
+                drains.append(shard.task)
         if drains:
             await asyncio.gather(*drains, return_exceptions=True)
         if self._stopping:
             return
         # ---- synchronous from here until the new loops spawn ----
-        if action == "split":
-            parent, children = plan.split(index)
-            parent_ranges = [parent]
-            child_ranges = list(children)
-        else:
-            (left, right), child = plan.merge(index)
-            parent_ranges = [left, right]
-            child_ranges = [child]
-        generation = plan.generation
-        children_spans = [(child.lo, child.hi) for child in child_ranges]
-        for shard, parent_range in zip(parents, parent_ranges):
-            if self.coordinator.journaled:
-                self.coordinator.seal_segment(
-                    shard.telemetry,
-                    parent_range.segment,
-                    action=action,
-                    step=step,
-                    generation=generation,
-                    parent=(parent_range.lo, parent_range.hi),
-                    children=children_spans,
-                )
-            else:
-                shard.telemetry.record_reshard(
-                    action=action,
-                    step=step,
-                    generation=generation,
-                    parent=(parent_range.lo, parent_range.hi),
-                    children=children_spans,
-                )
-        children_states = [
-            self._make_shard_state(index + offset, child.segment)
-            for offset, child in enumerate(child_ranges)
+        parents = self._shards[index : index + count]
+        handed = self.coordinator.handoff(
+            self.plan,
+            action,
+            index,
+            step=self.controller.step - 1,  # the observation that decided this
+            parents=[shard.telemetry for shard in parents],
+        )
+        children = [
+            self._make_shard_state(index + offset, child.segment, journal)
+            for offset, (child, journal) in enumerate(handed)
         ]
-
-        def owning_child(node_id: bytes) -> ShardState:
-            offset = plan.shard_of(node_id) - index
-            return children_states[max(0, min(offset, len(children_states) - 1))]
-
-        for shard in parents:
-            for node_id, entry in shard.static_nodes.items():
-                owning_child(node_id).static_nodes[node_id] = entry
-            while True:
-                try:
-                    node = shard.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                owning_child(node.node_id).queue.put_nowait(node)
-        self._shards[index : index + count] = children_states
+        self._shards[index : index + count] = children
         for position, shard in enumerate(self._shards):
             shard.index = position
-        for shard in children_states:
+        for parent in parents:
+            for node_id, entry in parent.static_nodes.items():
+                self._shards[self.plan.shard_of(node_id)].static_nodes[node_id] = entry
+            while True:
+                try:
+                    node = parent.queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    break
+                self._shards[self.plan.shard_of(node.node_id)].queue.put_nowait(node)
+        for shard in children:
             self._spawn_shard_loop(shard)
 
-    def _publish_plan(self) -> None:
-        """Refresh the live-plan gauges (``nodefinder top`` renders them)."""
-        assert isinstance(self.plan, DynamicShardPlan)
-        self.telemetry.record_shard_plan(
-            [
-                (shard_range.segment, shard_range.lo, shard_range.hi)
-                for shard_range in self.plan.ranges
-            ]
-        )
-
     def _known_static(self, node_id: bytes) -> bool:
-        """Is this node already on a StaticNodes schedule (any shard)?"""
-        if not self._shards:
-            return node_id in self.static_nodes
+        """Is this node already on its owning shard's StaticNodes schedule?"""
         return node_id in self._shards[self.plan.shard_of(node_id)].static_nodes
 
-    def _prune_stale(self) -> None:
-        horizon = self.clock() - self.config.stale_address_age
-        for entry in list(self.db):
-            if 0 <= entry.last_success < horizon:
-                self.static_nodes.pop(entry.node_id, None)
-                self.breakers.forget(entry.node_id)
-
     def _prune_shard(self, shard: ShardState) -> None:
-        horizon = self.clock() - self.config.stale_address_age
-        for entry in list(self.db):
-            if (
-                0 <= entry.last_success < horizon
-                and entry.node_id in shard.static_nodes
-            ):
-                shard.static_nodes.pop(entry.node_id, None)
-                shard.breakers.forget(entry.node_id)
+        """Drop this shard's addresses with no successful connection for
+        over ``stale_address_age`` (§4's 24 h rule)."""
+        for node_id in self.db.stale_addresses(
+            self.clock(), self.config.stale_address_age
+        ):
+            if shard.static_nodes.pop(node_id, None) is not None:
+                shard.breakers.forget(node_id)
 
     # -- dialing ---------------------------------------------------------------
-
-    async def _dial(self, target: ENode, connection_type: str) -> None:
-        if not self.breakers.allow(target.node_id):
-            self.telemetry.record_breaker_skip()
-            return
-        async with self._dial_semaphore:
-            self._dialed_once.add(target.node_id)
-            result = await self._harvest(
-                target,
-                self.private_key,
-                connection_type=connection_type,
-                dial_timeout=self.config.dial_timeout,
-                clock=self.clock,
-                retry=self.config.retry,
-                retry_rng=self.rng,
-                telemetry=self.telemetry,
-            )
-        self.telemetry.record_scheduled_dial(connection_type)
-        self.writer.submit(result)
-        if result.outcome.completed:
-            self.breakers.record_success(target.node_id)
-            # §4: completed dials join StaticNodes for 30-minute re-dials
-            self.static_nodes.setdefault(
-                target.node_id,
-                (target, self.clock() + self.config.static_dial_interval),
-            )
-        else:
-            self.breakers.record_failure(target.node_id)
 
     async def _shard_dial(
         self, shard: ShardState, target: ENode, connection_type: str
@@ -700,7 +505,6 @@ class LiveNodeFinder:
             shard.telemetry.record_breaker_skip()
             return
         async with shard.semaphore:
-            self._dialed_once.add(target.node_id)
             result = await self._harvest(
                 target,
                 self.private_key,
@@ -713,7 +517,7 @@ class LiveNodeFinder:
             )
         shard.telemetry.record_scheduled_dial(connection_type)
         shard.telemetry.shard_dials.labels(
-            shard=shard.label, type=connection_type
+            shard=shard.segment, type=connection_type
         ).inc()
         # the only shared-state touch on the shard hot path: hand the
         # result to the single writer queue

@@ -1,38 +1,40 @@
-"""Elastic sharding: split a hot shard / merge cold siblings mid-crawl.
+"""The shard plan and its mid-crawl changes: split a hot shard, merge cold ones.
 
-PR 5's :class:`~repro.nodefinder.shard.ShardPlan` fixes the node-ID-prefix
-partition at startup, so a churn burst (or a Sybil swarm) concentrated in
-one prefix slice gates the whole fleet on its hottest shard.  This module
-makes the partition *dynamic* while keeping every determinism property the
-conformance suites pin:
+Every crawl — simulated or live, one shard or N — partitions the enode
+keyspace with one :class:`DynamicShardPlan`; a crawl that never reshards
+is simply a plan no operation was applied to.  A churn burst (or a Sybil
+swarm) concentrated in one prefix slice would otherwise gate the whole
+crawl on its hottest shard, so the plan can change while the crawl runs,
+keeping every determinism property the conformance suites pin:
 
 * :class:`DynamicShardPlan` — a list of contiguous half-open 16-bit prefix
-  ranges covering the keyspace.  Generation 0 reproduces ``ShardPlan``'s
-  ceil-division ranges exactly, so an elastic crawl that never reshards is
-  byte-for-byte the static crawl.  ``split`` halves one range, ``merge``
-  fuses two adjacent ones; every operation mints a fresh *generation* and
-  each live range carries a stable **segment id** ``"<k>.g<gen>"`` (its
-  positional index at birth plus the generation that created it) used for
-  journal file names and metric labels — positional indices shift as the
-  tree changes, segment ids never collide.
+  ranges covering the keyspace, ceil-division even at generation 0.
+  ``split`` halves one range, ``merge`` fuses two adjacent ones; every
+  operation mints a fresh *generation* and each live range carries a
+  stable **segment id** ``"<k>.g<gen>"`` (its positional index at birth
+  plus the generation that created it) used for journal file names and
+  metric labels — positional indices shift as the tree changes, segment
+  ids never collide.
 * :class:`ReshardController` — turns the PR 8 shard-health gauges (queue
   depth, loop lag) into split/merge decisions with hysteresis (a shard
   must look hot/cold for ``hysteresis`` consecutive observations) and a
   cooldown between operations so the plan doesn't flap.  A scripted
   ``schedule`` of :class:`ReshardOp` entries drives the deterministic
   conformance crawls.
-* :class:`ReshardCoordinator` — owns the journal-segment lifecycle of a
-  handoff: it opens generation-suffixed segments and it (alone, with
-  ``NodeDBWriter`` — the OWNERSHIP lint enforces this) may **seal** a
-  parent's segment after the schema-v4 ``reshard`` event is written.
+* :class:`ReshardCoordinator` — owns the journal-segment lifecycle and the
+  handoff itself: :meth:`~ReshardCoordinator.handoff` mutates the plan,
+  writes the schema-v4 ``reshard`` record into each parent's segment,
+  **seals** it (only this class and ``NodeDBWriter`` may — the OWNERSHIP
+  lint enforces it) and opens the children's generation-suffixed
+  segments.
 
-The handoff protocol itself lives in the crawlers: the simnet scanner
-applies an operation between ticks (``scanner._apply_reshard``), the live
-crawler drains and retires the parent loops first
-(``live._apply_reshard_live``).  Both route every fold through the single
-:class:`~repro.nodefinder.shard.NodeDBWriter`, so replaying the merged
-generation files reconstructs the live NodeDB entry-for-entry (pinned by
-``tests/test_reshard_conformance.py``).
+What is left to each crawler is what differs between them: the simnet
+scanner applies an operation between ticks and re-routes its StaticNodes
+dicts, the live crawler first drains and retires the parent loops, then
+moves their statics and queues and spawns the children.  Both route every
+fold through the single :class:`~repro.nodefinder.shard.NodeDBWriter`, so
+replaying the merged generation files reconstructs the live NodeDB
+entry-for-entry (pinned by ``tests/test_reshard_conformance.py``).
 """
 
 from __future__ import annotations
@@ -75,9 +77,10 @@ class ReshardError(ValueError):
 class DynamicShardPlan:
     """A mutable partition of the 16-bit prefix space into live ranges.
 
-    The generation-0 ranges are exactly ``ShardPlan.prefix_range``'s
-    ceil-division partition, so ``DynamicShardPlan(n)`` with no reshard
-    operations routes every node the way ``ShardPlan(n)`` does.
+    Generation 0 is the even ceil-division partition: shard ``k`` of N
+    owns ``[ceil(k * 65536 / N), ceil((k + 1) * 65536 / N))``, so with N=1
+    every node lands in shard 0 and the unsharded crawl is the 1-shard
+    plan.
     """
 
     def __init__(self, shards: int) -> None:
@@ -94,6 +97,12 @@ class DynamicShardPlan:
         #: every operation applied, in order: (generation, action, parent
         #: segments, child segments) — the plan's own audit trail
         self.history: List[Tuple[int, str, Tuple[str, ...], Tuple[str, ...]]] = []
+        self._rebuild_bounds()
+
+    def _rebuild_bounds(self) -> None:
+        #: each range's ``lo``, ascending from 0 — ``shard_of`` runs per
+        #: dial, so the bounds are kept, not rebuilt per call
+        self._bounds = tuple(shard_range.lo for shard_range in self.ranges)
 
     @property
     def shards(self) -> int:
@@ -101,15 +110,7 @@ class DynamicShardPlan:
 
     def shard_of(self, node_id: bytes) -> int:
         """Positional index of the range owning ``node_id``."""
-        prefix = int.from_bytes(node_id[:2], "big")
-        return self.index_of_prefix(prefix)
-
-    def index_of_prefix(self, prefix: int) -> int:
-        index = bisect.bisect_right(self._bounds(), prefix) - 1
-        return max(0, min(index, len(self.ranges) - 1))
-
-    def _bounds(self) -> List[int]:
-        return [shard_range.lo for shard_range in self.ranges]
+        return bisect.bisect_right(self._bounds, int.from_bytes(node_id[:2], "big")) - 1
 
     def prefix_range(self, shard: int) -> Tuple[int, int]:
         """The half-open 16-bit prefix range ``[lo, hi)`` shard owns."""
@@ -119,6 +120,15 @@ class DynamicShardPlan:
             )
         shard_range = self.ranges[shard]
         return shard_range.lo, shard_range.hi
+
+    def publish(self, telemetry: "Telemetry") -> None:
+        """Refresh the live-plan gauges (``nodefinder top`` renders them)."""
+        telemetry.record_shard_plan(
+            [
+                (shard_range.segment, shard_range.lo, shard_range.hi)
+                for shard_range in self.ranges
+            ]
+        )
 
     def can_split(self, index: int) -> bool:
         return 0 <= index < len(self.ranges) and self.ranges[index].width >= 2
@@ -148,6 +158,7 @@ class DynamicShardPlan:
             segment=f"{index + 1}.g{generation}",
         )
         self.ranges[index : index + 1] = [left, right]
+        self._rebuild_bounds()
         self.history.append(
             (generation, "split", (parent.segment,), (left.segment, right.segment))
         )
@@ -165,6 +176,7 @@ class DynamicShardPlan:
             segment=f"{index}.g{generation}",
         )
         self.ranges[index : index + 2] = [child]
+        self._rebuild_bounds()
         self.history.append(
             (generation, "merge", (left.segment, right.segment), (child.segment,))
         )
@@ -190,8 +202,7 @@ class ReshardPolicy:
     """When the controller may change the plan, and by how much.
 
     ``schedule`` scripts deterministic operations (the conformance
-    harness); automatic gauge-driven decisions run when ``auto`` is true —
-    the default is automatic *unless* a schedule is given.
+    harness); without one the decisions are automatic, gauge-driven.
     """
 
     max_shards: int = 8
@@ -209,11 +220,10 @@ class ReshardPolicy:
     #: how often the live reshard loop polls the gauges
     interval: float = 5.0
     schedule: Tuple[ReshardOp, ...] = ()
-    auto: Optional[bool] = None
 
     @property
     def automatic(self) -> bool:
-        return self.auto if self.auto is not None else not self.schedule
+        return not self.schedule
 
 
 @dataclass
@@ -392,15 +402,13 @@ class ReshardController:
 
 
 class ReshardCoordinator:
-    """Owns journal segments across a handoff: open children, seal parents.
+    """Owns journal segments and the handoff that moves them.
 
     ``opener`` maps a segment id to a fresh :class:`EventJournal` (the
     fleet runner opens ``<name>-shard<segment>.jsonl``); without one the
-    crawl is unjournaled and segment bookkeeping degenerates to no-ops.
-    Sealing writes the schema-v4 ``reshard`` record *into the parent's
-    segment* first — the sealed file's last event says where its range
-    went — then calls :meth:`EventJournal.seal`.  The OWNERSHIP lint
-    allows only this class (and ``NodeDBWriter``) to seal journals.
+    crawl journals through its crawl-wide telemetry, or not at all, and
+    segment bookkeeping degenerates to no-ops.  The OWNERSHIP lint allows
+    only this class (and ``NodeDBWriter``) to seal journals.
     """
 
     def __init__(
@@ -410,10 +418,6 @@ class ReshardCoordinator:
         #: segment id -> the open journal for that segment
         self.open_segments: Dict[str, "EventJournal"] = {}
 
-    @property
-    def journaled(self) -> bool:
-        return self._opener is not None
-
     def open_segment(self, segment: str) -> Optional["EventJournal"]:
         """Open (and track) the journal for a newly live range."""
         if self._opener is None:
@@ -422,33 +426,48 @@ class ReshardCoordinator:
         self.open_segments[segment] = journal
         return journal
 
-    def seal_segment(
+    def handoff(
         self,
-        telemetry: "Telemetry",
-        segment: str,
-        *,
+        plan: DynamicShardPlan,
         action: str,
+        index: int,
+        *,
         step: int,
-        generation: int,
-        parent: Tuple[int, int],
-        children: Sequence[Tuple[int, int]],
-    ) -> None:
-        """Write the ``reshard`` record through ``telemetry``, then seal.
+        parents: Sequence["Telemetry"],
+    ) -> List[Tuple[ShardRange, Optional["EventJournal"]]]:
+        """Apply one plan change and move the journal segments with it.
 
-        ``telemetry`` must be the facade that owns the segment's journal —
-        the record lands as the segment's final event, so replay sees the
-        handoff exactly where the dial stream stops.
+        ``parents`` are the facades of the range(s) being replaced, in
+        positional order (one for a split, two for a merge); the caller
+        has already quiesced their dials.  In order: mutate the plan;
+        write the ``reshard`` record through each parent's facade — it
+        lands as the segment's final event, so the sealed file says where
+        its range went and replay sees the handoff exactly where the dial
+        stream stops; seal the parent; open each child's
+        generation-suffixed segment.  Returns the child ranges, each with
+        its freshly opened journal (``None`` without an opener).
         """
-        telemetry.record_reshard(
-            action=action,
-            step=step,
-            generation=generation,
-            parent=parent,
-            children=children,
-        )
-        journal = self.open_segments.pop(segment, None)
-        if journal is not None:
-            journal.seal()
+        parent_ranges: Sequence[ShardRange]
+        children: Sequence[ShardRange]
+        if action == "split":
+            parent, children = plan.split(index)
+            parent_ranges = (parent,)
+        else:
+            parent_ranges, child = plan.merge(index)
+            children = (child,)
+        spans = [(child.lo, child.hi) for child in children]
+        for parent_range, telemetry in zip(parent_ranges, parents):
+            telemetry.record_reshard(
+                action=action,
+                step=step,
+                generation=plan.generation,
+                parent=(parent_range.lo, parent_range.hi),
+                children=spans,
+            )
+            journal = self.open_segments.pop(parent_range.segment, None)
+            if journal is not None:
+                journal.seal()
+        return [(child, self.open_segment(child.segment)) for child in children]
 
     def close_open_segments(self) -> None:
         """Close every still-open segment journal (crawl shutdown)."""

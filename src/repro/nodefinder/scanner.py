@@ -38,9 +38,8 @@ from repro.nodefinder.reshard import (
     ReshardController,
     ReshardCoordinator,
     ReshardPolicy,
-    ShardRange,
 )
-from repro.nodefinder.shard import NodeDBWriter, ShardPlan
+from repro.nodefinder.shard import NodeDBWriter
 from repro.resilience.breaker import BreakerState, PeerScoreboard
 from repro.simnet.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.simnet.geo import Location
@@ -67,9 +66,6 @@ class NodeFinderConfig:
     stale_address_age: float = SECONDS_PER_DAY
     lookup_rounds: int = 3
     seed: int = 0
-    #: re-dial budget per static-dial tick (paper: unbounded; a cap keeps
-    #: pathological sim configs bounded). None = unbounded.
-    max_static_dials_per_tick: Optional[int] = None
     #: Geth's dialHistoryExpiration is 30s — a node can be re-dialed half a
     #: minute after the last attempt, which is how the paper racks up 5.3M
     #: dial attempts to 34.7K nodes per day.  Simulating every attempt is
@@ -88,8 +84,8 @@ class NodeFinderConfig:
     defenses: Optional[DefenseConfig] = None
     #: elastic sharding: when set, the plan may split hot shards and merge
     #: cold siblings mid-crawl (scripted schedule or gauge-driven with
-    #: hysteresis — see :mod:`repro.nodefinder.reshard`).  None keeps the
-    #: static :class:`~repro.nodefinder.shard.ShardPlan` byte-for-byte.
+    #: hysteresis — see :mod:`repro.nodefinder.reshard`).  None leaves
+    #: the plan as it starts.
     reshard: Optional[ReshardPolicy] = None
 
 
@@ -103,7 +99,6 @@ class NodeFinderInstance:
         name: str = "nodefinder-0",
         location: Location | None = None,
         telemetry: Telemetry = NULL_TELEMETRY,
-        shard_journals: list[EventJournal] | None = None,
         journal_opener: Callable[[str], EventJournal] | None = None,
     ) -> None:
         self.telemetry = telemetry
@@ -148,81 +143,29 @@ class NodeFinderInstance:
         self._started = False
         # -- sharding: partition by node-ID prefix, fold via one writer ------
         shards = max(1, int(self.config.shards))
+        self.plan = DynamicShardPlan(shards)
         policy = self.config.reshard
-        if journal_opener is not None and shard_journals is not None:
-            raise ValueError(
-                "journal_opener and shard_journals are mutually exclusive"
-            )
-        if policy is not None and shard_journals is not None:
-            # a reshard would seal parents and open generation-suffixed
-            # children, but a fixed journal list can't grow segments:
-            # post-reshard events would silently stop being journaled
-            # per shard and replay_journals could not reconstruct the db
-            raise ValueError(
-                "elastic crawls journal per segment: pass journal_opener, "
-                "not a fixed shard_journals list"
-            )
-        # a reshard policy (or segment-keyed journal opener) switches the
-        # partition to the dynamic plan; its generation-0 ranges are the
-        # static ShardPlan's exactly, so an elastic crawl that never
-        # reshards is byte-for-byte the static crawl
-        if policy is not None or journal_opener is not None:
-            self.plan: ShardPlan | DynamicShardPlan = DynamicShardPlan(shards)
-        else:
-            self.plan = ShardPlan(shards)
-        self.controller: Optional[ReshardController] = None
-        if policy is not None:
-            assert isinstance(self.plan, DynamicShardPlan)
-            self.controller = ReshardController(policy, self.plan)
+        self.controller: Optional[ReshardController] = (
+            ReshardController(policy, self.plan) if policy is not None else None
+        )
         self.coordinator = ReshardCoordinator(journal_opener)
         self.writer = NodeDBWriter(self.db, stats=self.stats, telemetry=telemetry)
         #: per-shard StaticNodes lists: node id -> next re-dial time; a node
         #: lives only in its owning shard's dict
         self._statics: list[dict[bytes, float]] = [{} for _ in range(shards)]
-        self._shard_clock = lambda: world.now  # noqa: E731 - the world timeline
-        #: segment id -> telemetry facade (elastic runs): keyed on the
-        #: stable segment label so facades survive positional index shifts
-        self._segment_telemetry: dict[str, Telemetry] = {}
-        if shard_journals is not None:
-            if len(shard_journals) != shards:
-                raise ValueError(
-                    f"{len(shard_journals)} shard journals for {shards} shards"
-                )
-            # each shard journals on its own file but shares the crawl's
-            # metrics registry, so counters aggregate exactly as unsharded;
-            # the shard label keeps each worker's series separable
-            self._shard_telemetry = [
-                self._segment_facade(str(index), journal)
-                for index, journal in enumerate(shard_journals)
-            ]
-        elif journal_opener is not None:
-            assert isinstance(self.plan, DynamicShardPlan)
-            self._shard_telemetry = [
-                self._segment_facade(
-                    shard_range.segment,
-                    self.coordinator.open_segment(shard_range.segment),
-                )
-                for shard_range in self.plan.ranges
-            ]
-        else:
-            self._shard_telemetry = [telemetry] * shards
-        if isinstance(self.plan, DynamicShardPlan):
-            for shard_range, facade in zip(self.plan.ranges, self._shard_telemetry):
-                self._segment_telemetry[shard_range.segment] = facade
+        #: per-shard telemetry, positional like ``plan.ranges``: with a
+        #: ``journal_opener`` each segment journals on its own file under
+        #: its segment id; without one every shard shares ``telemetry``
+        self._shard_telemetry = [
+            self._shard_facade(
+                shard_range.segment,
+                self.coordinator.open_segment(shard_range.segment),
+            )
+            for shard_range in self.plan.ranges
+        ]
 
-    def _segment_facade(
-        self, shard_label: str, journal: EventJournal | None
-    ) -> Telemetry:
-        # the profiler and flight recorder are crawl-wide: shard facades
-        # share them so attribution and crash rings stay in one place
-        return Telemetry(
-            registry=self.telemetry.registry,
-            journal=journal,
-            clock=self._shard_clock,
-            shard=shard_label,
-            profiler=self.telemetry.profiler,
-            recorder=self.telemetry.recorder,
-        )
+    def _shard_facade(self, segment: str, journal: EventJournal | None) -> Telemetry:
+        return self.telemetry.for_shard(segment, journal, self._world_now)
 
     @property
     def shard_count(self) -> int:
@@ -256,7 +199,7 @@ class NodeFinderInstance:
     @property
     def static_nodes(self) -> dict[bytes, float]:
         """The StaticNodes schedule (merged read view across shards)."""
-        if self.shard_count == 1:
+        if len(self._statics) == 1:
             return self._statics[0]
         merged: dict[bytes, float] = {}
         for statics in self._statics:
@@ -301,8 +244,7 @@ class NodeFinderInstance:
         clock.schedule_every(
             SECONDS_PER_HOUR, self._prune_stale, label="scanner.prune_stale"
         )
-        if isinstance(self.plan, DynamicShardPlan):
-            self._publish_plan()
+        self.plan.publish(self.telemetry)
 
     @property
     def day(self) -> int:
@@ -369,7 +311,7 @@ class NodeFinderInstance:
             for op_action, op_index in ops:
                 self._apply_reshard(op_action, op_index)
             if ops:
-                self._publish_plan()
+                self.plan.publish(self.telemetry)
         self._refresh_shard_health()
 
     def _refresh_shard_health(self) -> None:
@@ -390,82 +332,34 @@ class NodeFinderInstance:
 
         The scanner is synchronous, so "drain in-flight dials" is free:
         every dial of the triggering tick has already folded through the
-        writer.  Protocol: mutate the plan, seal the parent segment(s)
-        with the schema-v4 ``reshard`` record as their final event,
-        re-route the StaticNodes union under the new plan (each node's
+        writer.  The coordinator mutates the plan, seals the parent
+        segment(s) and opens the children's; what is left here is to
+        re-route the StaticNodes union under the new plan — each node's
         next-dial time is preserved, so the due set of every future tick
-        — and therefore the dial set — is unchanged: the conformance
-        equivalence argument), then open the children's
-        generation-suffixed journal segments.
+        (and therefore the dial set) is unchanged: the conformance
+        equivalence argument.
         """
         assert self.controller is not None
-        plan = self.plan
-        assert isinstance(plan, DynamicShardPlan)
-        step = self.controller.step - 1  # the observation that decided this
-        parent_facades = [self._shard_telemetry[index]]
-        if action == "split":
-            parent, children = plan.split(index)
-            parent_ranges: list[ShardRange] = [parent]
-            child_ranges = list(children)
-        else:
-            parent_facades.append(self._shard_telemetry[index + 1])
-            (left, right), child = plan.merge(index)
-            parent_ranges = [left, right]
-            child_ranges = [child]
-        generation = plan.generation
-        children_spans = [(child.lo, child.hi) for child in child_ranges]
-        for parent_range, facade in zip(parent_ranges, parent_facades):
-            self._segment_telemetry.pop(parent_range.segment, None)
-            if self.coordinator.journaled:
-                self.coordinator.seal_segment(
-                    facade,
-                    parent_range.segment,
-                    action=action,
-                    step=step,
-                    generation=generation,
-                    parent=(parent_range.lo, parent_range.hi),
-                    children=children_spans,
-                )
-            else:
-                facade.record_reshard(
-                    action=action,
-                    step=step,
-                    generation=generation,
-                    parent=(parent_range.lo, parent_range.hi),
-                    children=children_spans,
-                )
-        # re-route the StaticNodes union under the new partition; values
-        # (next-dial times) carry over untouched
-        merged_statics: dict[bytes, float] = {}
-        for statics in self._statics:
-            merged_statics.update(statics)
-        self._statics = [{} for _ in range(plan.shards)]
-        for node_id, next_dial in merged_statics.items():
-            self._statics[plan.shard_of(node_id)][node_id] = next_dial
-        for child in child_ranges:
-            if self.coordinator.journaled:
-                facade = self._segment_facade(
-                    child.segment, self.coordinator.open_segment(child.segment)
-                )
+        count = 1 if action == "split" else 2
+        children = self.coordinator.handoff(
+            self.plan,
+            action,
+            index,
+            step=self.controller.step - 1,  # the observation that decided this
+            parents=self._shard_telemetry[index : index + count],
+        )
+        facades = []
+        for child, journal in children:
+            facade = self._shard_facade(child.segment, journal)
+            if journal is not None:
                 # each segment file is self-describing for forensics
                 facade.record_crawler_identity(self.node_id, self.name)
-            else:
-                facade = self.telemetry
-            self._segment_telemetry[child.segment] = facade
-        self._shard_telemetry = [
-            self._segment_telemetry[shard_range.segment]
-            for shard_range in plan.ranges
-        ]
-
-    def _publish_plan(self) -> None:
-        """Refresh the live-plan gauges (``nodefinder top`` renders them)."""
-        assert isinstance(self.plan, DynamicShardPlan)
-        self.telemetry.record_shard_plan(
-            [
-                (shard_range.segment, shard_range.lo, shard_range.hi)
-                for shard_range in self.plan.ranges
-            ]
-        )
+            facades.append(facade)
+        self._shard_telemetry[index : index + count] = facades
+        merged_statics = self.static_nodes
+        self._statics = [{} for _ in range(self.plan.shards)]
+        for node_id, next_dial in merged_statics.items():
+            self._static_shard(node_id)[node_id] = next_dial
 
     def _lookup(self, target: bytes) -> list[NodeAddress]:
         """Iterative FIND_NODE toward ``target`` (paper §2.1 semantics).
@@ -581,12 +475,6 @@ class NodeFinderInstance:
             for node_id, next_dial in statics.items()
             if next_dial <= now
         ]
-        cap = self.config.max_static_dials_per_tick
-        if cap is not None and len(due) > cap:
-            # sample from a shard-count-independent order so the capped
-            # selection is identical for any N
-            due.sort(key=lambda item: item[1])
-            due = self.rng.sample(due, cap)
         for shard_index, node_id in due:
             address = self.addresses.get(node_id)
             if address is None:

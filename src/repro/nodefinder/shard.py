@@ -1,24 +1,26 @@
-"""Sharded crawl scheduling: keyspace partition + the single-writer fold.
+"""Sharded crawl scheduling: the single-writer fold and per-shard state.
 
 The paper's NodeFinder sustained its dial rate with one process; scaling
 past that means running N dial workers without giving up the property
 every analysis depends on — *one* coherent
-:class:`~repro.nodefinder.database.NodeDB`.  This module provides the two
-pieces both the simulated and the live crawler build on:
+:class:`~repro.nodefinder.database.NodeDB`.  The keyspace partition
+itself — N contiguous node-ID-prefix ranges, each target owned by exactly
+one shard, so no node is ever dialed by two workers and a sharded crawl
+visits exactly the set an unsharded crawl would — is
+:class:`~repro.nodefinder.reshard.DynamicShardPlan`.  This module holds
+what the shards of that plan share and what each owns:
 
-* :class:`ShardPlan` — a deterministic partition of the 64-byte enode
-  keyspace into N contiguous node-ID-prefix ranges.  Each target is owned
-  by exactly one shard, so no node is ever dialed by two workers and a
-  sharded crawl visits exactly the set an unsharded crawl would.
 * :class:`NodeDBWriter` — the single mutation point for shared crawl
   state.  Every ``DialResult`` folds into the shared ``NodeDB`` (and
   ``CrawlStats``) *only* through a writer: synchronously in direct mode
-  (simulation, unsharded live crawls), or via one ``asyncio.Queue``
-  drained by one consumer task in queued mode (sharded live crawls) — so
-  shard dial loops never contend on the database and there are no
-  cross-shard locks on the hot path.  The OWNERSHIP lint family enforces
-  the invariant type-resolved and tree-wide: a ``NodeDB``/``CrawlStats``
-  mutation outside a writer class (or the owning module) is an error.
+  (the simulation), or via one ``asyncio.Queue`` drained by one consumer
+  task in queued mode (live crawls) — so shard dial loops never contend
+  on the database and there are no cross-shard locks on the hot path.
+  The OWNERSHIP lint family enforces the invariant type-resolved and
+  tree-wide: a ``NodeDB``/``CrawlStats`` mutation outside a writer class
+  (or the owning module) is an error.
+* :class:`ShardState` — one live dial worker's private queue, breakers
+  and StaticNodes.
 
 Fold order across shards is not deterministic in queued mode, and does
 not need to be: ``NodeDB.observe`` folds per *node* in timestamp order
@@ -50,38 +52,11 @@ logger = logging.getLogger(__name__)
 PREFIX_SPACE = 1 << 16
 
 
-class ShardPlan:
-    """Deterministic partition of the enode keyspace by node-ID prefix.
-
-    Shard ``k`` owns the contiguous 16-bit-prefix range
-    ``[ceil(k * 65536 / N), ceil((k + 1) * 65536 / N))``; with N=1 every
-    node lands in shard 0, so the unsharded crawl is the 1-shard plan.
-    """
-
-    def __init__(self, shards: int) -> None:
-        if shards < 1:
-            raise ValueError(f"shard count must be >= 1, got {shards}")
-        self.shards = shards
-
-    def shard_of(self, node_id: bytes) -> int:
-        """The index of the shard owning ``node_id`` (0 <= index < N)."""
-        prefix = int.from_bytes(node_id[:2], "big")
-        return prefix * self.shards // PREFIX_SPACE
-
-    def prefix_range(self, shard: int) -> tuple[int, int]:
-        """The half-open 16-bit prefix range ``[lo, hi)`` shard owns."""
-        if not 0 <= shard < self.shards:
-            raise ValueError(f"shard {shard} out of range 0..{self.shards - 1}")
-        lo = -(-shard * PREFIX_SPACE // self.shards)
-        hi = -(-(shard + 1) * PREFIX_SPACE // self.shards)
-        return lo, hi
-
-
 class NodeDBWriter:
     """Single writer folding every ``DialResult`` into shared crawl state.
 
     Direct mode (the default) folds synchronously on ``submit`` — the
-    simulation and unsharded live crawls keep their call-site semantics.
+    simulation's call-site semantics.
     After ``start()`` the writer runs in queued mode: ``put`` enqueues
     and one consumer task folds, so N shard loops write through one
     serialization point without blocking each other.  ``close()`` drains
@@ -206,14 +181,14 @@ class ShardState:
         telemetry: "Telemetry",
         breakers: "PeerScoreboard",
         max_active_dials: int,
-        segment: str = "",
+        segment: str,
     ) -> None:
         self.index = index
         self.telemetry = telemetry
         self.breakers = breakers
-        #: stable segment id (``<k>.g<gen>``) for elastic crawls; the
-        #: positional ``index`` shifts when the plan reshards, the segment
-        #: never does, so journal files and metric labels key on it
+        #: stable segment id (``<k>.g<gen>``); the positional ``index``
+        #: shifts when the plan reshards, the segment never does, so
+        #: journal files and metric labels key on it
         self.segment = segment
         #: dynamic-dial targets routed here by the discovery loop
         self.queue: asyncio.Queue = asyncio.Queue()
@@ -227,8 +202,3 @@ class ShardState:
         self.last_lag = 0.0
         #: the supervised loop task, so a handoff can await the drain
         self.task: Optional[asyncio.Task] = None
-
-    @property
-    def label(self) -> str:
-        """The metric/journal label: segment id when elastic, else index."""
-        return self.segment or str(self.index)

@@ -234,6 +234,33 @@ class Telemetry:
         self._dial_children: dict[tuple, object] = {}
         self._dial_seconds_child = self.dial_seconds.labels(shard=self.shard)
 
+    def for_shard(
+        self,
+        shard: str,
+        journal: Optional[EventJournal],
+        clock: Callable[[], float],
+    ) -> "Telemetry":
+        """The facade one shard segment instruments through.
+
+        With its own ``journal`` the shard gets its own facade labelled
+        ``shard``, on the crawl's ``clock``: the metrics registry is
+        shared, so counters aggregate exactly as unsharded while each
+        shard's event stream stays separable (and re-mergeable); the
+        profiler and flight recorder are crawl-wide too, so attribution
+        and crash rings stay in one place.  Without a journal there is
+        nothing to keep apart and the shard shares this facade.
+        """
+        if journal is None:
+            return self
+        return Telemetry(
+            registry=self.registry,
+            journal=journal,
+            clock=clock,
+            shard=shard,
+            profiler=self.profiler,
+            recorder=self.recorder,
+        )
+
     # -- primitives ---------------------------------------------------------
 
     def start_span(self, name: str) -> Span:

@@ -245,8 +245,9 @@ class TestLiveDialCrash:
             target = ENode(
                 PrivateKey(91).public_key.to_bytes(), "127.0.0.1", 1, 1
             )
-            finder.static_nodes[target.node_id] = (target, 0.0)
-            task = asyncio.create_task(finder._static_loop())
+            [shard] = finder._shards
+            shard.static_nodes[target.node_id] = (target, 0.0)
+            task = asyncio.create_task(finder._shard_loop(shard))
             try:
                 for _ in range(200):
                     if recorder.dumps:

@@ -8,8 +8,8 @@ TASK-LIFE / OWNERSHIP families:
   (RACE-RMW);
 * ``DiscoveryService`` retains its fire-and-forget protocol chores so
   crashes surface and ``close()`` cancels them (TASK-LIFE-ORPHAN);
-* the live static-dial loop re-derives its due set from live state
-  after every dial instead of acting on a pre-await snapshot
+* the live shard loop re-derives its due set from live state on every
+  pass instead of acting on a snapshot taken before a dial's await
   (RACE-RMW);
 * journal replay folds dials through :class:`NodeDBWriter`, the same
   single-writer path a live crawl uses (OWNERSHIP).
@@ -158,62 +158,99 @@ def static_enode(seed: int) -> ENode:
     return ENode(PrivateKey(seed).public_key.to_bytes(), "127.0.0.1", 1, 1)
 
 
-def test_next_due_static_reads_live_state():
-    fake_now = [1000.0]
-    finder = LiveNodeFinder(
-        config=LiveConfig(static_dial_interval=30.0),
+def recording_finder(fake_now, dialed, on_dial=None):
+    """A one-shard finder on a fake clock whose harvester records targets."""
+
+    async def harvester(target, key, connection_type="dynamic-dial", **kwargs):
+        dialed.append(target.node_id)
+        if on_dial is not None:
+            on_dial(target)
+        await asyncio.sleep(0)
+        return DialResult(
+            timestamp=fake_now[0],
+            node_id=target.node_id,
+            ip=target.ip,
+            tcp_port=target.tcp_port,
+            connection_type=connection_type,
+            outcome=DialOutcome.FULL_HARVEST,
+        )
+
+    return LiveNodeFinder(
+        # a 0.3 s interval keeps an idle pass of the loop at 30 ms
+        config=LiveConfig(static_dial_interval=0.3, retry=None),
         clock=lambda: fake_now[0],
+        harvester=harvester,
     )
-    first = static_enode(31)
-    finder.static_nodes[first.node_id] = (first, 1500.0)
-    assert finder._next_due_static(finder.clock()) is None
-
-    second = static_enode(32)
-    finder.static_nodes[second.node_id] = (second, 900.0)
-    assert finder._next_due_static(finder.clock()) == (second.node_id, second)
-
-    del finder.static_nodes[second.node_id]
-    assert finder._next_due_static(finder.clock()) is None
 
 
-def test_static_loop_honours_mutations_made_during_a_dial():
+async def run_shard_loop(finder, drive):
+    [shard] = finder._shards
+    loop_task = asyncio.create_task(finder._shard_loop(shard))
+    try:
+        await drive(shard)
+    finally:
+        finder._stopping = True
+        loop_task.cancel()
+        await asyncio.gather(loop_task, return_exceptions=True)
+
+
+def test_shard_loop_reads_due_statics_from_live_state():
+    async def scenario():
+        fake_now = [1000.0]
+        dialed = []
+        finder = recording_finder(fake_now, dialed)
+        first, second, third = static_enode(31), static_enode(32), static_enode(33)
+
+        async def drive(shard):
+            shard.static_nodes[first.node_id] = (first, 1500.0)
+            await asyncio.sleep(0.1)
+            assert dialed == []  # nothing is due yet
+
+            # planted while the loop runs: the next pass picks it up...
+            shard.static_nodes[second.node_id] = (second, 900.0)
+            # ...and never sees one that was removed before that pass
+            shard.static_nodes[third.node_id] = (third, 900.0)
+            del shard.static_nodes[third.node_id]
+            await asyncio.sleep(0.1)
+            assert dialed == [second.node_id]
+
+        await run_shard_loop(finder, drive)
+
+    asyncio.run(scenario())
+
+
+def test_shard_loop_honours_mutations_made_during_a_dial():
     """A static pruned while another dial is in flight is never dialed.
 
-    The old loop snapshotted every due entry before its first await, so
-    entries removed mid-flight were still dialed from the stale batch.
+    The shard loop re-derives its due set at the top of every pass, so
+    an entry removed mid-flight is not dialed from a stale batch.
     """
 
     async def scenario():
         fake_now = [1000.0]
-        finder = LiveNodeFinder(
-            config=LiveConfig(static_dial_interval=30.0),
-            clock=lambda: fake_now[0],
-        )
-        first, second = static_enode(41), static_enode(42)
         dialed = []
+        first, second = static_enode(41), static_enode(42)
+        rescheduled = []
 
-        async def fake_dial(enode, connection_type):
-            dialed.append(enode.node_id)
-            if enode.node_id == first.node_id:
-                # another loop prunes the second static mid-dial
-                finder.static_nodes.pop(second.node_id, None)
-            await asyncio.sleep(0)
+        def on_dial(target):
+            [shard] = finder._shards
+            # the dialed static was rescheduled before its dial awaited
+            rescheduled.append(shard.static_nodes[target.node_id][1])
+            # the second static comes due mid-dial, and another loop
+            # prunes it before this pass ends
+            fake_now[0] = 1000.2
+            shard.static_nodes.pop(second.node_id, None)
 
-        finder._dial = fake_dial
-        finder.static_nodes[first.node_id] = (first, 1000.0)
-        finder.static_nodes[second.node_id] = (second, 1000.0)
+        finder = recording_finder(fake_now, dialed, on_dial)
 
-        loop_task = asyncio.create_task(finder._static_loop())
-        await asyncio.sleep(0.05)
-        finder._stopping = True
-        loop_task.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await loop_task
+        async def drive(shard):
+            shard.static_nodes[first.node_id] = (first, 1000.0)
+            shard.static_nodes[second.node_id] = (second, 1000.1)
+            await asyncio.sleep(0.1)
 
+        await run_shard_loop(finder, drive)
         assert dialed == [first.node_id]
-        # the dialed static was rescheduled before its dial awaited
-        _, next_dial = finder.static_nodes[first.node_id]
-        assert next_dial == pytest.approx(1030.0)
+        assert rescheduled == [pytest.approx(1000.3)]
 
     asyncio.run(scenario())
 

@@ -88,14 +88,15 @@ def test_stale_addresses_pruned_with_injected_clock():
             outcome=DialOutcome.FULL_HARVEST,
         )
     )
-    finder.static_nodes[node_id] = (None, fake_now[0] + 1800.0)
+    [shard] = finder._shards
+    shard.static_nodes[node_id] = (None, fake_now[0] + 1800.0)
 
     fake_now[0] = 23 * 3600.0  # not yet stale
-    finder._prune_stale()
+    finder._prune_shard(shard)
     assert node_id in finder.static_nodes
 
     fake_now[0] = 25 * 3600.0  # a successful dial 25h ago: stale, drop it
-    finder._prune_stale()
+    finder._prune_shard(shard)
     assert node_id not in finder.static_nodes
 
 
@@ -118,11 +119,11 @@ def test_stop_returns_promptly_with_inflight_retrying_dial():
             )
         )
         await finder.start(bootstrap=[])
-        # plant a due static entry at a closed port: the static loop dials
+        # plant a due static entry at a closed port: the shard loop dials
         # it, the dial is refused instantly, and the retry policy parks it
         # in a 5-second backoff sleep
         target = dead_enode()
-        finder.static_nodes[target.node_id] = (target, 0.0)
+        finder._shards[0].static_nodes[target.node_id] = (target, 0.0)
         await asyncio.sleep(0.5)  # let the dial enter its backoff
         started = time.monotonic()
         await finder.stop()
@@ -173,19 +174,114 @@ def test_breaker_backs_off_repeatedly_failing_peer():
         finder = LiveNodeFinder(
             config=LiveConfig(
                 dial_timeout=1.0,
-                retry=None,  # each _dial is one attempt
+                retry=None,  # each _shard_dial is one attempt
                 breaker_threshold=2,
                 breaker_cooldown=600.0,
             )
         )
         target = dead_enode()
-        await finder._dial(target, "dynamic-dial")
-        await finder._dial(target, "dynamic-dial")
-        assert finder.breakers.state(target.node_id) is BreakerState.OPEN
-        await finder._dial(target, "dynamic-dial")  # skipped, not dialed
+        [shard] = finder._shards
+        await finder._shard_dial(shard, target, "dynamic-dial")
+        await finder._shard_dial(shard, target, "dynamic-dial")
+        assert shard.breakers.state(target.node_id) is BreakerState.OPEN
+        await finder._shard_dial(shard, target, "dynamic-dial")  # skipped
         assert finder.stats["breaker_skips"] == 1
         assert finder.stats["dynamic_dials"] == 2
         # a refused dial never joins StaticNodes (§4 completed-dial rule)
         assert target.node_id not in finder.static_nodes
+
+    asyncio.run(scenario())
+
+
+def stub_harvester(dial_seconds, outcome_for):
+    """A harvest-compatible stub: fixed latency, scripted outcome, no sockets."""
+    dialed = []
+
+    async def stub(target, key, connection_type="dynamic-dial", **kwargs):
+        dialed.append(target.node_id)
+        await asyncio.sleep(dial_seconds)
+        return DialResult(
+            timestamp=kwargs["clock"](),
+            node_id=target.node_id,
+            ip=target.ip,
+            tcp_port=target.tcp_port,
+            connection_type=connection_type,
+            outcome=outcome_for(len(dialed)),
+        )
+
+    return stub, dialed
+
+
+def test_failed_dynamic_dial_is_retried_after_the_history_window():
+    """§4: a peer offline when a lookup first returns it is dialed again.
+
+    A failed dial never joins StaticNodes, so the dial history is the only
+    thing standing between it and the next lookup result; it must expire
+    (regression: ``_dialed_once`` was a set that never did).
+    """
+
+    async def scenario():
+        fake_now = [0.0]
+        target = dead_enode()
+        harvester, dialed = stub_harvester(
+            0.0,
+            lambda attempt: (
+                DialOutcome.TIMEOUT if attempt == 1 else DialOutcome.FULL_HARVEST
+            ),
+        )
+        finder = LiveNodeFinder(
+            config=LiveConfig(
+                lookup_interval=0.02, static_dial_interval=1800.0, retry=None
+            ),
+            clock=lambda: fake_now[0],
+            harvester=harvester,
+        )
+        await finder.start(bootstrap=[])
+
+        async def lookup(_target):
+            return [target]
+
+        finder.discovery.lookup = lookup
+        try:
+            await asyncio.sleep(0.3)  # a dozen lookups, all inside the window
+            assert dialed == [target.node_id]
+            assert target.node_id not in finder.static_nodes
+            fake_now[0] = 1800.0  # the window has passed
+            await asyncio.sleep(0.3)
+            assert dialed == [target.node_id] * 2
+            assert target.node_id in finder.static_nodes
+        finally:
+            await finder.stop()
+
+    asyncio.run(scenario())
+
+
+def test_one_shard_redials_its_due_statics_concurrently():
+    """``shards=1`` runs the same shard loop as ``shards=N``: 16 due
+    statics at 50 ms each finish one sweep in about one dial time, not
+    sixteen (regression: the unsharded static loop awaited them one by
+    one, ~0.8 s)."""
+
+    async def scenario():
+        harvester, dialed = stub_harvester(
+            0.05, lambda attempt: DialOutcome.FULL_HARVEST
+        )
+        finder = LiveNodeFinder(
+            config=LiveConfig(static_dial_interval=3600.0, retry=None),
+            harvester=harvester,
+        )
+        targets = [dead_enode(seed) for seed in range(100, 116)]
+        await finder.start(bootstrap=[])
+        try:
+            started = time.monotonic()
+            for target in targets:
+                finder._shards[0].static_nodes[target.node_id] = (target, 0.0)
+            while len(finder.db) < len(targets):
+                assert time.monotonic() - started < 5.0, "sweep never finished"
+                await asyncio.sleep(0.005)
+            assert time.monotonic() - started < 0.4
+            assert finder.stats["static_dials"] == len(targets)
+        finally:
+            await finder.stop()
 
     asyncio.run(scenario())

@@ -1,4 +1,4 @@
-"""Reshard-conformance harness: an elastic crawl must equal the static one.
+"""Reshard-conformance harness: a crawl that reshards must equal one that never does.
 
 Elastic sharding (split a hot shard, merge cold siblings mid-crawl) is
 only admissible if it is *invisible to the measurement*: the paper's
@@ -49,8 +49,8 @@ from repro.nodefinder.reshard import (
     ReshardOp,
     ReshardPolicy,
 )
-from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
-from repro.nodefinder.shard import PREFIX_SPACE, ShardPlan
+from repro.nodefinder.scanner import NodeFinderConfig
+from repro.nodefinder.shard import PREFIX_SPACE
 from repro.simnet.node import DialOutcome, DialResult
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
@@ -194,17 +194,62 @@ class TestReshardConformance:
 # -- plan and journal-seal semantics ------------------------------------------
 
 
+_NODE_IDS = st.binary(min_size=64, max_size=64)
+
+
+def _linear_scan(plan: DynamicShardPlan, node_id: bytes) -> int:
+    prefix = int.from_bytes(node_id[:2], "big")
+    [index] = [
+        index
+        for index, shard_range in enumerate(plan.ranges)
+        if shard_range.lo <= prefix < shard_range.hi
+    ]
+    return index
+
+
 class TestDynamicShardPlan:
     @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7])
     def test_generation_zero_matches_static_plan(self, shards):
-        static, dynamic = ShardPlan(shards), DynamicShardPlan(shards)
-        assert dynamic.shards == shards
+        # generation 0 is the even ceil-division partition of the keyspace
+        plan = DynamicShardPlan(shards)
+        assert plan.shards == shards
         for index in range(shards):
-            assert dynamic.prefix_range(index) == static.prefix_range(index)
-        rng = random.Random(99)
-        for _ in range(200):
-            node_id = rng.randbytes(64)
-            assert dynamic.shard_of(node_id) == static.shard_of(node_id)
+            assert plan.prefix_range(index) == (
+                -(-index * PREFIX_SPACE // shards),
+                -(-(index + 1) * PREFIX_SPACE // shards),
+            )
+
+    @given(shards=st.integers(min_value=1, max_value=64), node_id=_NODE_IDS)
+    def test_generation_zero_routes_by_the_closed_form(self, shards, node_id):
+        prefix = int.from_bytes(node_id[:2], "big")
+        assert DynamicShardPlan(shards).shard_of(node_id) == (
+            prefix * shards // PREFIX_SPACE
+        )
+
+    @given(
+        shards=st.integers(min_value=1, max_value=8),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["split", "merge"]), st.integers(0, 15)),
+            max_size=12,
+        ),
+        node_ids=st.lists(_NODE_IDS, min_size=1, max_size=8),
+    )
+    def test_shard_of_tracks_the_ranges_through_any_op_sequence(
+        self, shards, ops, node_ids
+    ):
+        # shard_of bisects bounds cached at construction and refreshed by
+        # split/merge: after every feasible op it must still agree with a
+        # linear scan of the ranges themselves
+        plan = DynamicShardPlan(shards)
+        for action, index in ops:
+            if action == "split" and plan.can_split(index):
+                plan.split(index)
+            elif action == "merge" and plan.can_merge(index):
+                plan.merge(index)
+            else:
+                continue
+            for node_id in node_ids:
+                assert plan.shard_of(node_id) == _linear_scan(plan, node_id)
 
     def test_split_and_merge_mint_generation_suffixed_segments(self):
         plan = DynamicShardPlan(2)
@@ -315,20 +360,6 @@ class TestControllerSameStepOps:
         [baseline] = small_static[0].instances
         [elastic] = fleet.instances
         assert len(elastic.db) == len(baseline.db)
-
-
-class TestElasticJournalGuards:
-    def test_shard_journals_rejected_with_reshard_policy(self):
-        # mirrors LiveNodeFinder's guard: a fixed journal list cannot
-        # grow generation-suffixed segments, so post-reshard events
-        # would silently drop out of the per-shard journals
-        journals = [EventJournal(io.StringIO()) for _ in range(2)]
-        with pytest.raises(ValueError, match="journal_opener"):
-            NodeFinderInstance(
-                _world(nodes=5, days=0.1),
-                NodeFinderConfig(shards=2, reshard=ReshardPolicy()),
-                shard_journals=journals,
-            )
 
 
 class TestJournalSeal:

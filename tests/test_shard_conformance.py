@@ -12,8 +12,7 @@ unsharded and with N∈{2,4} shards must produce
 * a merged multi-shard journal replay that reconstructs the live NodeDB.
 
 A separate ``benchmark``-marked test pins the point of sharding: on a
-stub dial workload, 4 shard loops finish > 1.5x faster than the single
-static loop.
+stub dial workload, 4 shard loops finish > 1.5x faster than one.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from repro.cli import main
 from repro.discovery.enode import ENode
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
+from repro.nodefinder.reshard import DynamicShardPlan
 from repro.nodefinder.scanner import NodeFinderConfig
-from repro.nodefinder.shard import ShardPlan
 from repro.simnet.node import DialOutcome, DialResult
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
@@ -114,7 +113,7 @@ class TestShardConformance:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_no_target_dialed_by_two_shards(self, crawls, shards):
         _, journal_paths = crawls[shards]
-        plan = ShardPlan(shards)
+        plan = DynamicShardPlan(shards)
         dialed_by_shard = []
         for index, path in enumerate(sorted(journal_paths)):
             lo, hi = plan.prefix_range(index)
@@ -249,61 +248,42 @@ async def _drain_until(db, count: int, deadline: float) -> float:
 
 @pytest.mark.benchmark
 class TestShardSpeedup:
-    """N=4 shard loops beat the single static loop by > 1.5x wall-clock."""
+    """N=4 shard loops beat the single shard loop by > 1.5x wall-clock."""
 
     TARGETS = 120
     DIAL_SECONDS = 0.005
 
-    def _config(self, shards: int) -> LiveConfig:
-        return LiveConfig(
-            shards=shards,
-            max_active_dials=1,
-            static_dial_interval=3600.0,
-            retry=None,
+    async def _sweep(self, shards: int) -> float:
+        """Seconds for ``shards`` shard loops to dial every due static."""
+        finder = LiveNodeFinder(
+            config=LiveConfig(
+                shards=shards,
+                max_active_dials=1,
+                static_dial_interval=3600.0,
+                retry=None,
+            ),
+            harvester=_stub_harvester(self.DIAL_SECONDS),
         )
+        for enode in _targets(self.TARGETS):
+            shard = finder._shards[finder.plan.shard_of(enode.node_id)]
+            shard.static_nodes[enode.node_id] = (enode, 0.0)
+        finder.writer.start()
+        tasks = [
+            asyncio.ensure_future(finder._shard_loop(shard))
+            for shard in finder._shards
+        ]
+        try:
+            return await _drain_until(finder.db, self.TARGETS, 30.0)
+        finally:
+            finder._stopping = True
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            await finder.writer.close()
 
     def test_four_shards_beat_unsharded(self):
-        targets = _targets(self.TARGETS)
-
-        async def run_unsharded() -> float:
-            finder = LiveNodeFinder(
-                config=self._config(1),
-                harvester=_stub_harvester(self.DIAL_SECONDS),
-            )
-            for enode in targets:
-                finder.static_nodes[enode.node_id] = (enode, 0.0)
-            task = asyncio.ensure_future(finder._static_loop())
-            try:
-                return await _drain_until(finder.db, self.TARGETS, 30.0)
-            finally:
-                finder._stopping = True
-                task.cancel()
-                await asyncio.gather(task, return_exceptions=True)
-
-        async def run_sharded() -> float:
-            finder = LiveNodeFinder(
-                config=self._config(4),
-                harvester=_stub_harvester(self.DIAL_SECONDS),
-            )
-            for enode in targets:
-                shard = finder._shards[finder.plan.shard_of(enode.node_id)]
-                shard.static_nodes[enode.node_id] = (enode, 0.0)
-            finder.writer.start()
-            tasks = [
-                asyncio.ensure_future(finder._shard_loop(shard))
-                for shard in finder._shards
-            ]
-            try:
-                return await _drain_until(finder.db, self.TARGETS, 30.0)
-            finally:
-                finder._stopping = True
-                for task in tasks:
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-                await finder.writer.close()
-
-        baseline = asyncio.run(run_unsharded())
-        sharded = asyncio.run(run_sharded())
+        baseline = asyncio.run(self._sweep(1))
+        sharded = asyncio.run(self._sweep(4))
         speedup = baseline / sharded
         assert speedup > 1.5, (
             f"4 shards only {speedup:.2f}x faster "
