@@ -13,7 +13,7 @@ histories for the ecosystem simulator come from
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from repro.chain.difficulty import calc_difficulty
 from repro.chain.header import EMPTY_TRIE_ROOT, EMPTY_UNCLES_HASH, BlockHeader
@@ -175,6 +175,3 @@ class HeaderChain:
             if number < 0:
                 break
         return result
-
-    def iter_headers(self) -> Iterable[BlockHeader]:
-        return iter(self._headers)

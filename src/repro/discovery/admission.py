@@ -121,10 +121,6 @@ class TableAdmission:
         else:
             counts.pop(key, None)
 
-    def subnet_occupancy(self) -> Dict[str, int]:
-        """Live table entries per /24 — the eclipse-detection view."""
-        return dict(self._per_subnet)
-
     @property
     def total_rejections(self) -> int:
         return sum(self.rejections.values())

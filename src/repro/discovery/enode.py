@@ -65,10 +65,6 @@ class ENode:
     def udp_address(self) -> tuple[str, int]:
         return (self.ip, self.udp_port)
 
-    @property
-    def tcp_address(self) -> tuple[str, int]:
-        return (self.ip, self.tcp_port)
-
     def to_url(self) -> str:
         host = f"[{self.ip}]" if ":" in self.ip else self.ip
         url = f"enode://{self.node_id.hex()}@{host}:{self.tcp_port}"

@@ -208,9 +208,6 @@ class RoutingTable:
             return nodes
         return rng.sample(nodes, count)
 
-    def neighbours_of_self(self, count: int = K_NEIGHBORS) -> list[ENode]:
-        return self.closest_to(self.own_id_hash, count)
-
     def bucket_fill_histogram(self) -> dict[int, int]:
         """Occupancy per log distance — the Figure 11 view of a live table."""
         return {

@@ -11,11 +11,14 @@ NodeFinder is a Geth-derived crawler that (§4):
 * logs every HELLO/STATUS/DISCONNECT/DAO event with timestamp, node ID,
   IP, port, connection type, latency, and duration.
 
-Two transports exist: :mod:`repro.nodefinder.scanner` drives the simulated
-world (all benchmarks), and :mod:`repro.nodefinder.wire` performs the same
-harvest over the real asyncio RLPx stack against live TCP nodes
-(integration tests and examples), scheduled by
-:mod:`repro.nodefinder.live`.
+The crawl policy in that list — what is dialed, what joins StaticNodes,
+what is due, gated or pruned — is defined once, free of IO, in
+:class:`repro.nodefinder.core.CrawlerCore`.  Two drivers ask it:
+:mod:`repro.nodefinder.scanner` drives the simulated world (all
+benchmarks), and :mod:`repro.nodefinder.live` schedules
+:mod:`repro.nodefinder.wire`, which performs the same harvest over the
+real asyncio RLPx stack against live TCP nodes (integration tests and
+examples).
 
 Both crawlers shard the same way: one
 :class:`~repro.nodefinder.reshard.DynamicShardPlan` partitions the enode

@@ -167,13 +167,6 @@ class NodeDB:
     def mainnet_nodes(self) -> list[NodeEntry]:
         return [entry for entry in self if entry.got_status and entry.is_mainnet]
 
-    def seen_in_window(self, start: float, end: float) -> list[NodeEntry]:
-        return [
-            entry
-            for entry in self
-            if entry.last_seen >= start and entry.first_seen < end
-        ]
-
     def stale_addresses(self, now: float, max_age: float = SECONDS_PER_DAY) -> list[bytes]:
         """Node IDs whose last successful connection is older than 24h (§4)."""
         return [

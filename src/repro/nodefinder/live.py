@@ -1,10 +1,14 @@
 """A live NodeFinder: the full §4 crawler over real UDP/TCP.
 
 ``LiveNodeFinder`` wires the pieces together the way the paper's deployment
-did — continuous discv4 lookups feed dynamic dials; every successful dial
+did — continuous discv4 lookups feed dynamic dials; every completed dial
 joins the StaticNodes list and is re-dialed on a fixed interval; stale
 addresses fall off after 24 hours; all results land in the same
-:class:`~repro.nodefinder.database.NodeDB` the analyses consume.
+:class:`~repro.nodefinder.database.NodeDB` the analyses consume.  Those
+rules are :class:`~repro.nodefinder.core.CrawlerCore`'s, shared with the
+simnet scanner; this module is the asyncio around them — the discv4
+service, per-shard queues and dial loops, semaphores, the writer queue,
+supervisors and the drain/spawn half of a reshard.
 
 The crawler is supervised for month-long runs: each loop restarts under a
 backoff policy if it crashes (crash/restart counts land in ``stats``),
@@ -29,6 +33,7 @@ from typing import Callable, Optional
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
 from repro.discovery.protocol import DiscoveryService
+from repro.nodefinder.core import CrawlerCore
 from repro.nodefinder.database import NodeDB
 from repro.nodefinder.reshard import (
     DynamicShardPlan,
@@ -108,9 +113,6 @@ class LiveNodeFinder:
         self._supervisors: list[LoopSupervisor] = []
         self._tasks: list[asyncio.Task] = []
         self._stopping = False
-        #: dial history: node id -> when a lookup result was last queued for
-        #: a dynamic dial, on the injected clock
-        self._dial_history: dict[bytes, float] = {}
         #: injectable dial function (harvest-compatible); benchmarks and
         #: tests swap in a stub to exercise the scheduler without sockets
         self._harvest = harvester if harvester is not None else harvest
@@ -135,6 +137,14 @@ class LiveNodeFinder:
             )
             for index, shard_range in enumerate(self.plan.ranges)
         ]
+        #: the §4 policy: StaticNodes, dial history (one re-dial interval
+        #: long), each shard's breaker gate — all on the injected clock
+        self.core: CrawlerCore[ENode] = CrawlerCore(
+            self.plan,
+            self.config.static_dial_interval,
+            self.config.static_dial_interval,
+            [shard.breakers for shard in self._shards],
+        )
 
     @property
     def shard_count(self) -> int:
@@ -160,13 +170,9 @@ class LiveNodeFinder:
         )
 
     @property
-    def static_nodes(self) -> dict[bytes, tuple[ENode, float]]:
-        """The StaticNodes schedule (merged read view across shards):
-        node id -> (enode, next static dial time)."""
-        merged: dict[bytes, tuple[ENode, float]] = {}
-        for shard in self._shards:
-            merged.update(shard.static_nodes)
-        return merged
+    def static_nodes(self) -> dict[bytes, float]:
+        """The StaticNodes schedule: node id -> next static dial time."""
+        return self.core.static_nodes
 
     @property
     def stats(self) -> dict[str, int]:
@@ -281,40 +287,28 @@ class LiveNodeFinder:
             target = PrivateKey.generate().public_key.to_bytes()
             found = await self.discovery.lookup(target)
             self.telemetry.lookups.inc()
-            now = self.clock()
-            for node in found:
-                if (
-                    node.node_id == self.discovery.node_id
-                    or self._known_static(node.node_id)
-                    or self._recently_dialed(node.node_id, now)
-                ):
-                    continue
-                # route each target to the shard owning its keyspace slice;
-                # the shard loop batches the draws
-                self._dial_history[node.node_id] = now
-                shard = self._shards[self.plan.shard_of(node.node_id)]
-                shard.queue.put_nowait(node)
-                shard.telemetry.shard_queue_depth.labels(
-                    shard=shard.segment
-                ).set(float(shard.queue.qsize()))
+            batches, _ = self.core.select(
+                found, self.discovery.node_id, self.clock()
+            )
+            # each target goes to the shard owning its keyspace slice; the
+            # shard loop batches the draws
+            for shard, batch in zip(self._shards, batches):
+                for node in batch:
+                    shard.queue.put_nowait(node)
+                if batch:
+                    shard.telemetry.shard_queue_depth.labels(
+                        shard=shard.segment
+                    ).set(float(shard.queue.qsize()))
+            self._prune_stale()
             await asyncio.sleep(self.config.lookup_interval)
 
-    def _recently_dialed(self, node_id: bytes, now: float) -> bool:
-        """Was a dynamic dial of this node attempted within the window?
-
-        The window is ``static_dial_interval``, the sim's
-        ``dial_history_expiration`` default: a peer that was offline when
-        a lookup first returned it never joined StaticNodes, so once the
-        window has passed it must be dialable again (§4).  An expired
-        entry is dropped here, so the map holds only the last window.
-        """
-        last = self._dial_history.get(node_id)
-        if last is None:
-            return False
-        if now - last < self.config.static_dial_interval:
-            return True
-        del self._dial_history[node_id]
-        return False
+    def _prune_stale(self) -> None:
+        """Drop addresses with no successful connection for over
+        ``stale_address_age`` (§4's 24 h rule), crawl-wide, once per
+        lookup round."""
+        self.core.prune(
+            self.db.stale_addresses(self.clock(), self.config.stale_address_age)
+        )
 
     async def _shard_loop(self, shard: ShardState) -> None:
         """One shard's dial loop: due statics plus a batched queue draw.
@@ -328,14 +322,10 @@ class LiveNodeFinder:
         # supervisor treats as a normal exit
         while not (self._stopping or shard.retired):
             now = self.clock()
-            jobs: list[tuple[ENode, str]] = []
-            for node_id, (enode, next_dial) in list(shard.static_nodes.items()):
-                if next_dial <= now:
-                    shard.static_nodes[node_id] = (
-                        enode,
-                        now + self.config.static_dial_interval,
-                    )
-                    jobs.append((enode, "static-dial"))
+            jobs: list[tuple[ENode, str]] = [
+                (enode, "static-dial")
+                for _, enode in self.core.due_statics(now, shard.index)
+            ]
             try:
                 drawn = 0
                 if not jobs:
@@ -378,8 +368,6 @@ class LiveNodeFinder:
                             enode.short_id(),
                             outcome,
                         )
-            self._prune_shard(shard)
-            shard.last_lag = self.clock() - now
             self._refresh_health(shard, now)
 
     def _refresh_health(self, shard: ShardState, pass_started: float) -> None:
@@ -418,8 +406,7 @@ class LiveNodeFinder:
             if self._stopping:
                 return
             loads = [float(shard.queue.qsize()) for shard in self._shards]
-            lags = [shard.last_lag for shard in self._shards]
-            ops = self.controller.observe(loads, now=self.clock(), lags=lags)
+            ops = self.controller.observe(loads, now=self.clock())
             for action, index in ops:
                 await self._apply_reshard(action, index)
             if ops:
@@ -437,10 +424,11 @@ class LiveNodeFinder:
            seals their journal segments with the ``reshard`` record and
            opens the children's (no awaits from here to step 4, so no
            loop observes a half-built plan);
-        3. hand off: statics and queued targets transfer to the child
-           owning their prefix; children get fresh breaker scoreboards
-           (failure history does not survive a handoff — a deliberate
-           reset, the cooldowns re-learn quickly);
+        3. hand off: the core re-homes the parents' statics, queued
+           targets transfer to the child owning their prefix; children
+           get fresh breaker scoreboards (failure history does not
+           survive a handoff — a deliberate reset, the cooldowns re-learn
+           quickly);
         4. splice the children into the shard list, renumber positional
            indices, and spawn their supervised loops.
         """
@@ -471,9 +459,8 @@ class LiveNodeFinder:
         self._shards[index : index + count] = children
         for position, shard in enumerate(self._shards):
             shard.index = position
+        self.core.replan(index, count, [child.breakers for child in children])
         for parent in parents:
-            for node_id, entry in parent.static_nodes.items():
-                self._shards[self.plan.shard_of(node_id)].static_nodes[node_id] = entry
             while True:
                 try:
                     node = parent.queue.get_nowait()
@@ -483,25 +470,12 @@ class LiveNodeFinder:
         for shard in children:
             self._spawn_shard_loop(shard)
 
-    def _known_static(self, node_id: bytes) -> bool:
-        """Is this node already on its owning shard's StaticNodes schedule?"""
-        return node_id in self._shards[self.plan.shard_of(node_id)].static_nodes
-
-    def _prune_shard(self, shard: ShardState) -> None:
-        """Drop this shard's addresses with no successful connection for
-        over ``stale_address_age`` (§4's 24 h rule)."""
-        for node_id in self.db.stale_addresses(
-            self.clock(), self.config.stale_address_age
-        ):
-            if shard.static_nodes.pop(node_id, None) is not None:
-                shard.breakers.forget(node_id)
-
     # -- dialing ---------------------------------------------------------------
 
     async def _shard_dial(
         self, shard: ShardState, target: ENode, connection_type: str
     ) -> None:
-        if not shard.breakers.allow(target.node_id):
+        if not self.core.admit(shard.index, target):
             shard.telemetry.record_breaker_skip()
             return
         async with shard.semaphore:
@@ -522,15 +496,9 @@ class LiveNodeFinder:
         # the only shared-state touch on the shard hot path: hand the
         # result to the single writer queue
         await self.writer.put(result)
-        if result.outcome.completed:
-            shard.breakers.record_success(target.node_id)
-            # §4: completed dials join StaticNodes for 30-minute re-dials
-            shard.static_nodes.setdefault(
-                target.node_id,
-                (target, self.clock() + self.config.static_dial_interval),
-            )
-        else:
-            shard.breakers.record_failure(target.node_id)
+        # positional index re-read after the awaits: a reshard of other
+        # ranges may have renumbered this shard, and the core with it
+        self.core.dial_done(shard.index, target, result.outcome, self.clock())
 
     async def crawl_for(self, seconds: float) -> NodeDB:
         """Convenience: run the loops for a wall-clock duration."""

@@ -15,10 +15,10 @@ keeping every determinism property the conformance suites pin:
   plus the generation that created it) used for journal file names and
   metric labels — positional indices shift as the tree changes, segment
   ids never collide.
-* :class:`ReshardController` — turns the PR 8 shard-health gauges (queue
-  depth, loop lag) into split/merge decisions with hysteresis (a shard
-  must look hot/cold for ``hysteresis`` consecutive observations) and a
-  cooldown between operations so the plan doesn't flap.  A scripted
+* :class:`ReshardController` — turns the per-shard queue-depth gauge
+  into split/merge decisions with hysteresis (a shard must look hot/cold
+  for ``hysteresis`` consecutive observations) and a cooldown between
+  operations so the plan doesn't flap.  A scripted
   ``schedule`` of :class:`ReshardOp` entries drives the deterministic
   conformance crawls.
 * :class:`ReshardCoordinator` — owns the journal-segment lifecycle and the
@@ -211,8 +211,6 @@ class ReshardPolicy:
     split_load: float = 32.0
     #: queue depth at/below which a shard counts as cold for one observation
     merge_load: float = 1.0
-    #: optional loop-lag trigger (seconds); a lagging shard is hot too
-    split_lag: Optional[float] = None
     #: consecutive hot/cold observations required before acting
     hysteresis: int = 3
     #: seconds between plan changes (suppresses flapping)
@@ -256,35 +254,20 @@ class ReshardController:
         self._schedule = sorted(policy.schedule, key=lambda op: op.step)
         self._schedule_pos = 0
 
-    def observe(
-        self,
-        loads: Sequence[float],
-        now: float = 0.0,
-        lags: Optional[Sequence[float]] = None,
-    ) -> List[Tuple[str, int]]:
+    def observe(self, loads: Sequence[float], now: float = 0.0) -> List[Tuple[str, int]]:
         """Feed one round of per-shard loads; returns ops to apply now.
 
-        ``loads[i]`` is shard i's queue depth (simnet: batch size); the
-        optional ``lags`` adds the loop-lag trigger.  The caller applies
-        each returned ``(action, index)`` in order, re-reading its own
-        shard list between them — indices are valid against the plan as
-        mutated by the preceding operations.
+        ``loads[i]`` is shard i's queue depth (simnet: batch size).  The
+        caller applies each returned ``(action, index)`` in order,
+        re-reading its own shard list between them — indices are valid
+        against the plan as mutated by the preceding operations.
         """
         policy = self.policy
         if len(self._streaks.hot) != self.plan.shards:
             self._streaks.resize(self.plan.shards)
         for index in range(self.plan.shards):
             load = loads[index] if index < len(loads) else 0.0
-            lag = (
-                lags[index]
-                if lags is not None and index < len(lags)
-                else None
-            )
-            hot = load >= policy.split_load or (
-                policy.split_lag is not None
-                and lag is not None
-                and lag >= policy.split_lag
-            )
+            hot = load >= policy.split_load
             cold = load <= policy.merge_load
             self._streaks.hot[index] = self._streaks.hot[index] + 1 if hot else 0
             self._streaks.cold[index] = self._streaks.cold[index] + 1 if cold else 0

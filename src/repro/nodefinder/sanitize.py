@@ -48,10 +48,6 @@ class SanitizationReport:
             return 0.0
         return len(self.abusive_node_ids) / self.total_nodes
 
-    @property
-    def removed_total(self) -> int:
-        return len(self.abusive_node_ids | self.scanner_node_ids)
-
 
 def find_abusive(db: NodeDB) -> SanitizationReport:
     """Apply the five-step filter; returns the report without mutating ``db``."""

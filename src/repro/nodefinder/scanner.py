@@ -12,6 +12,12 @@ as discrete events on the shared world clock:
   with addresses stale for >24h dropped from the list;
 * **incoming connections** accepted from the world (never Too-many-peers);
 * the measurement log: per-day counters plus the node database.
+
+The policy in that list — which results are dialed, what joins
+StaticNodes, what is due, gated or pruned — is
+:class:`~repro.nodefinder.core.CrawlerCore`'s; this module is the IO
+around it: lookups against the world, ``world.dial``, the clock ticks,
+profiler scopes, per-shard journals and the reshard handoff.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from repro.discovery.enode import (
 )
 from repro.discovery.routing import RoutingTable
 from repro.errors import DiscoveryError
+from repro.nodefinder.core import CrawlerCore
 from repro.nodefinder.database import NodeDB
 from repro.nodefinder.defense import DefenseConfig, DefenseStats
 from repro.nodefinder.records import CrawlStats
@@ -43,12 +50,14 @@ from repro.nodefinder.shard import NodeDBWriter
 from repro.resilience.breaker import BreakerState, PeerScoreboard
 from repro.simnet.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.simnet.geo import Location
-from repro.simnet.node import DialOutcome, DialResult
+from repro.simnet.node import DialResult
 from repro.simnet.world import NodeAddress, SimWorld
 from repro.telemetry import NULL_TELEMETRY, EventJournal, Telemetry
 
 #: Kademlia fan-out per lookup round (§2.1).
 ALPHA = 3
+#: query rounds per iterative lookup
+LOOKUP_ROUNDS = 3
 
 
 @dataclass
@@ -64,7 +73,6 @@ class NodeFinderConfig:
     discovery_interval: float = 12.0
     static_dial_interval: float = 30 * 60.0
     stale_address_age: float = SECONDS_PER_DAY
-    lookup_rounds: int = 3
     seed: int = 0
     #: Geth's dialHistoryExpiration is 30s — a node can be re-dialed half a
     #: minute after the last attempt, which is how the paper racks up 5.3M
@@ -136,10 +144,6 @@ class NodeFinderInstance:
         #: the crawler's own Kademlia routing table (Geth metric) — lookups
         #: pick their alpha starting candidates from here, as Geth does
         self.table = RoutingTable.for_node_id(self.node_id, admission=admission)
-        #: discovery pool: everything we can dial (address book)
-        self.addresses: dict[bytes, NodeAddress] = {}
-        #: dial history: node id -> last dynamic-dial attempt time
-        self.dial_history: dict[bytes, float] = {}
         self._started = False
         # -- sharding: partition by node-ID prefix, fold via one writer ------
         shards = max(1, int(self.config.shards))
@@ -150,9 +154,15 @@ class NodeFinderInstance:
         )
         self.coordinator = ReshardCoordinator(journal_opener)
         self.writer = NodeDBWriter(self.db, stats=self.stats, telemetry=telemetry)
-        #: per-shard StaticNodes lists: node id -> next re-dial time; a node
-        #: lives only in its owning shard's dict
-        self._statics: list[dict[bytes, float]] = [{} for _ in range(shards)]
+        #: the §4 policy: StaticNodes, dial history, breaker gate (the one
+        #: crawl-wide scoreboard, if any, serves every shard) and the
+        #: address book — the discovery pool lookups fill and dials draw on
+        self.core: CrawlerCore[NodeAddress] = CrawlerCore(
+            self.plan,
+            self.config.static_dial_interval,
+            self.config.dial_history_expiration,
+            [self.scoreboard] * shards,
+        )
         #: per-shard telemetry, positional like ``plan.ranges``: with a
         #: ``journal_opener`` each segment journals on its own file under
         #: its segment id; without one every shard shares ``telemetry``
@@ -166,10 +176,6 @@ class NodeFinderInstance:
 
     def _shard_facade(self, segment: str, journal: EventJournal | None) -> Telemetry:
         return self.telemetry.for_shard(segment, journal, self._world_now)
-
-    @property
-    def shard_count(self) -> int:
-        return self.plan.shards
 
     # -- defence plumbing -------------------------------------------------------
 
@@ -198,17 +204,8 @@ class NodeFinderInstance:
 
     @property
     def static_nodes(self) -> dict[bytes, float]:
-        """The StaticNodes schedule (merged read view across shards)."""
-        if len(self._statics) == 1:
-            return self._statics[0]
-        merged: dict[bytes, float] = {}
-        for statics in self._statics:
-            merged.update(statics)
-        return merged
-
-    def _static_shard(self, node_id: bytes) -> dict[bytes, float]:
-        """The StaticNodes dict of the shard owning ``node_id``."""
-        return self._statics[self.plan.shard_of(node_id)]
+        """The StaticNodes schedule: node id -> next static dial time."""
+        return self.core.static_nodes
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -228,7 +225,7 @@ class NodeFinderInstance:
         for address in bootstrap or self.world.bootstrap_addresses():
             self._learn(address)
             # bootstrap nodes are static-dialed like any other node (§4)
-            self._static_shard(address.node_id)[address.node_id] = clock.now
+            self.core.add_static(address.node_id, clock.now)
         self.world.register_listener(self)
         clock.schedule_every(
             self.config.discovery_interval,
@@ -253,51 +250,29 @@ class NodeFinderInstance:
     # -- discovery -----------------------------------------------------------------
 
     def _discovery_tick(self) -> None:
-        """One node-discovery round: an iterative lookup, then dials.
-
-        Every address in the lookup's result set is a dynamic-dial
-        candidate unless it is already on the StaticNodes schedule or was
-        attempted within the dial-history window — mirroring how Geth
-        keeps dialing discovery results (including nodes that never
-        answered) round after round.
-        """
+        """One node-discovery round: an iterative lookup, then dials of
+        what the core selects from its results."""
         target = self.rng.randbytes(64)
         with self.telemetry.profiler.scope("scanner.lookup"):
             results = self._lookup(target)
         self.writer.record_discovery(self.day)
         now = self.world.now
-        horizon = now - self.config.dial_history_expiration
-        # batched target draw: filter every candidate first, then hand each
-        # shard its batch.  The filters depend only on state the dials in
-        # this tick cannot change (each node id appears once per lookup),
-        # so batching is dial-order neutral — shards=1 produces exactly the
-        # pre-shard interleaved sequence.
-        eligible: list[NodeAddress] = []
-        for address in results:
-            if address.node_id == self.node_id:
-                continue
-            if address.node_id in self._statics[self.plan.shard_of(address.node_id)]:
-                continue
-            if self.dial_history.get(address.node_id, -1e18) > horizon:
-                continue
-            eligible.append(address)
-        budget = (
-            self.config.defenses.max_dynamic_dials_per_tick
-            if self.config.defenses is not None
-            else None
+        defenses = self.config.defenses
+        # batched target draw: the core filters every candidate first, then
+        # each shard gets its batch.  The filters depend only on state the
+        # dials in this tick cannot change (each node id appears once per
+        # lookup), so batching is dial-order neutral — shards=1 produces
+        # exactly the pre-shard interleaved sequence.
+        batches, dropped = self.core.select(
+            results,
+            self.node_id,
+            now,
+            # amplification guard: the overflow is shed, not dialed
+            budget=defenses.max_dynamic_dials_per_tick if defenses is not None else None,
         )
-        if budget is not None and len(eligible) > budget:
-            # amplification guard: shed the overflow *before* it enters the
-            # dial history, so honest targets dropped this tick are still
-            # dialable next tick instead of blocked for the history window
-            dropped = len(eligible) - budget
-            eligible = eligible[:budget]
+        if dropped:
             self.defense_stats.budget_dropped_dials += dropped
             self.telemetry.record_budget_drop(dropped)
-        batches: list[list[NodeAddress]] = [[] for _ in range(self.shard_count)]
-        for address in eligible:
-            self.dial_history[address.node_id] = now
-            batches[self.plan.shard_of(address.node_id)].append(address)
         for shard_index, batch in enumerate(batches):
             for address in batch:
                 self._dial(address, "dynamic-dial", shard_index)
@@ -333,11 +308,11 @@ class NodeFinderInstance:
         The scanner is synchronous, so "drain in-flight dials" is free:
         every dial of the triggering tick has already folded through the
         writer.  The coordinator mutates the plan, seals the parent
-        segment(s) and opens the children's; what is left here is to
-        re-route the StaticNodes union under the new plan — each node's
-        next-dial time is preserved, so the due set of every future tick
-        (and therefore the dial set) is unchanged: the conformance
-        equivalence argument.
+        segment(s) and opens the children's; the core re-homes the
+        parents' StaticNodes under the new plan — each node's next-dial
+        time is preserved, so the due set of every future tick (and
+        therefore the dial set) is unchanged: the conformance equivalence
+        argument.
         """
         assert self.controller is not None
         count = 1 if action == "split" else 2
@@ -356,10 +331,7 @@ class NodeFinderInstance:
                 facade.record_crawler_identity(self.node_id, self.name)
             facades.append(facade)
         self._shard_telemetry[index : index + count] = facades
-        merged_statics = self.static_nodes
-        self._statics = [{} for _ in range(self.plan.shards)]
-        for node_id, next_dial in merged_statics.items():
-            self._static_shard(node_id)[node_id] = next_dial
+        self.core.replan(index, count, [self.scoreboard] * len(facades))
 
     def _lookup(self, target: bytes) -> list[NodeAddress]:
         """Iterative FIND_NODE toward ``target`` (paper §2.1 semantics).
@@ -377,12 +349,12 @@ class NodeFinderInstance:
 
         seen: dict[bytes, NodeAddress] = {}
         for enode in self.table.closest_in_buckets(target_hash, 16):
-            address = self.addresses.get(enode.node_id)
+            address = self.core.addresses.get(enode.node_id)
             if address is not None:
                 seen[address.node_id] = address
         queried: set[bytes] = set()
         results: dict[bytes, NodeAddress] = {}
-        for _ in range(self.config.lookup_rounds):
+        for _ in range(LOOKUP_ROUNDS):
             # nsmallest == sorted(...)[:ALPHA] but only heapifies ALPHA
             # entries — the round scans |seen| addresses, it must not
             # fully sort them
@@ -413,53 +385,28 @@ class NodeFinderInstance:
 
     def _learn(self, address: NodeAddress) -> None:
         """Fold a discovered address into the book and routing table."""
-        if address.node_id not in self.addresses:
+        if address.node_id not in self.core.addresses:
             try:
                 self.table.add(
                     ENode(address.node_id, address.ip, address.udp_port, address.tcp_port)
                 )
             except (DiscoveryError, ValueError):
                 return
-        self.addresses[address.node_id] = address
+        self.core.addresses[address.node_id] = address
 
     # -- dialing -------------------------------------------------------------------
 
-    def _breaker_allows(self, node_id: bytes, ip: str) -> bool:
-        """Peer + subnet breaker gate (always open when defenses=None)."""
-        if self.scoreboard is None:
-            return True
-        if self.scoreboard.allow(node_id, ip):
-            return True
-        self.defense_stats.breaker_skips += 1
-        self.telemetry.record_breaker_skip()
-        return False
-
-    def _score_dial(self, address: NodeAddress, result: DialResult) -> None:
-        if self.scoreboard is None:
+    def _dial(self, address: NodeAddress, connection_type: str, shard_index: int) -> None:
+        """One outbound dial, if the core's breaker gate admits it; the
+        core scores the outcome and decides whether it joins StaticNodes."""
+        if not self.core.admit(shard_index, address):
+            self.defense_stats.breaker_skips += 1
+            self.telemetry.record_breaker_skip()
             return
-        if result.outcome is DialOutcome.TIMEOUT:
-            self.scoreboard.record_failure(address.node_id, address.ip)
-        else:
-            self.scoreboard.record_success(address.node_id, address.ip)
-
-    def _dial(
-        self, address: NodeAddress, connection_type: str, shard_index: int = 0
-    ) -> Optional[DialResult]:
-        if not self._breaker_allows(address.node_id, address.ip):
-            return None
         with self.telemetry.profiler.scope("scanner.dial"):
             result = self.world.dial(address, connection_type, self.location)
         self._record(result, shard_index)
-        self._score_dial(address, result)
-        if result.outcome is not DialOutcome.TIMEOUT:
-            # §4: successful dynamic-dials are added to StaticNodes and
-            # re-dialed every 30 minutes; completion of any outbound attempt
-            # pushes the next re-dial back.
-            self._statics[shard_index][address.node_id] = (
-                self.world.now + self.config.static_dial_interval
-            )
-            self.addresses[address.node_id] = address
-        return result
+        self.core.dial_done(shard_index, address, result.outcome, self.world.now)
 
     def _static_tick(self) -> None:
         """Re-dial every static node whose re-dial time has come.
@@ -468,34 +415,14 @@ class NodeFinderInstance:
         deterministic, the union of due nodes (and each node's owning
         shard) is independent of the shard count.
         """
-        now = self.world.now
-        due: list[tuple[int, bytes]] = [
-            (shard_index, node_id)
-            for shard_index, statics in enumerate(self._statics)
-            for node_id, next_dial in statics.items()
-            if next_dial <= now
-        ]
-        for shard_index, node_id in due:
-            address = self.addresses.get(node_id)
-            if address is None:
-                self._statics[shard_index].pop(node_id, None)
-                continue
-            self._statics[shard_index][node_id] = (
-                now + self.config.static_dial_interval
-            )
-            if not self._breaker_allows(node_id, address.ip):
-                continue
-            with self.telemetry.profiler.scope("scanner.dial"):
-                result = self.world.dial(address, "static-dial", self.location)
-            self._record(result, shard_index)
-            self._score_dial(address, result)
+        for shard_index, address in self.core.due_statics(self.world.now):
+            self._dial(address, "static-dial", shard_index)
 
     def _prune_stale(self) -> None:
         """Drop addresses with no successful TCP connection for >24h (§4)."""
-        for node_id in self.db.stale_addresses(
-            self.world.now, self.config.stale_address_age
-        ):
-            self._static_shard(node_id).pop(node_id, None)
+        self.core.prune(
+            self.db.stale_addresses(self.world.now, self.config.stale_address_age)
+        )
 
     # -- incoming ------------------------------------------------------------------
 
@@ -505,10 +432,9 @@ class NodeFinderInstance:
         self._record(result, shard_index)
         # Inbound peers become static-dial targets too — how NodeFinder
         # keeps tabs on otherwise-unreachable nodes while they last.
-        if result.node_id not in self._statics[shard_index]:
-            self._statics[shard_index][result.node_id] = (
-                self.world.now + self.config.static_dial_interval
-            )
+        if self.core.add_static(
+            result.node_id, self.world.now + self.config.static_dial_interval
+        ):
             self._learn(
                 NodeAddress(result.node_id, result.ip, result.tcp_port, result.tcp_port)
             )

@@ -19,8 +19,9 @@ what the shards of that plan share and what each owns:
   The OWNERSHIP lint family enforces the invariant type-resolved and
   tree-wide: a ``NodeDB``/``CrawlStats`` mutation outside a writer class
   (or the owning module) is an error.
-* :class:`ShardState` — one live dial worker's private queue, breakers
-  and StaticNodes.
+* :class:`ShardState` — one live dial worker's private queue, dial slots
+  and breakers (its StaticNodes dict lives with the policy, in
+  :class:`~repro.nodefinder.core.CrawlerCore`).
 
 Fold order across shards is not deterministic in queued mode, and does
 not need to be: ``NodeDB.observe`` folds per *node* in timestamp order
@@ -165,7 +166,7 @@ class NodeDBWriter:
 
 
 class ShardState:
-    """One live dial worker's private state: queue, breakers, statics.
+    """One live dial worker's private state: queue, dial slots, breakers.
 
     Everything here is owned by exactly one shard loop — the only shared
     object a shard touches is the :class:`NodeDBWriter`, which is why the
@@ -194,11 +195,7 @@ class ShardState:
         self.queue: asyncio.Queue = asyncio.Queue()
         #: per-shard dial-slot budget (total live concurrency is N * this)
         self.semaphore = asyncio.Semaphore(max_active_dials)
-        #: node id -> (enode, next static dial time); owned by this shard
-        self.static_nodes: dict = {}
         #: set by a reshard handoff: the loop drains and exits cleanly
         self.retired = False
-        #: last published loop lag (the reshard controller's second gauge)
-        self.last_lag = 0.0
         #: the supervised loop task, so a handoff can await the drain
         self.task: Optional[asyncio.Task] = None

@@ -9,7 +9,7 @@ how Geth and pyrlp declare theirs.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Iterable, Sequence
+from typing import Any, ClassVar, Sequence
 
 from repro.errors import DeserializationError
 from repro.rlp import codec
@@ -317,11 +317,6 @@ def _hashable(value: Any) -> Any:
     if isinstance(value, tuple):
         return tuple(_hashable(item) for item in value)
     return value
-
-
-def sedes_for_fields(fields: Iterable[tuple[str, Sedes]]) -> ListSedes:
-    """Build a :class:`ListSedes` from a ``fields`` declaration."""
-    return ListSedes([sedes for _, sedes in fields])
 
 
 # Shared singletons used across message schemas.

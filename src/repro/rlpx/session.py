@@ -63,11 +63,6 @@ class RLPxSession:
     def is_initiator(self) -> bool:
         return self.handshake.is_initiator
 
-    @property
-    def remote_address(self) -> Optional[tuple[str, int]]:
-        peer = self._writer.get_extra_info("peername")
-        return (peer[0], peer[1]) if peer else None
-
     def smoothed_rtt(self) -> Optional[float]:
         """The kernel's smoothed RTT for the socket, in seconds.
 

@@ -157,17 +157,6 @@ class SimNode:
             return max(0, world_height - spec.lag_blocks)
         return max(0, world_height - spec.lag_blocks)
 
-    def status_for(self, chain: SyntheticChain, world_height: int) -> dict:
-        """STATUS field values for this node right now."""
-        best = self.best_block(world_height)
-        return {
-            "network_id": self.spec.network_id,
-            "genesis_hash": self.spec.genesis_hash,
-            "total_difficulty": chain.total_difficulty_at(best),
-            "best_hash": chain.block_hash(best),
-            "best_block": best,
-        }
-
     def dao_answer(self, world_height: int) -> str:
         """The DAO-check outcome a crawler records: supports/opposes/empty."""
         if self.best_block(world_height) < DAO_FORK_BLOCK:

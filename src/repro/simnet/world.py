@@ -435,9 +435,6 @@ class SimWorld:
         answers = node.find_node(target_hash, count=16)
         return [self.node_address(neighbor) for neighbor in answers]
 
-    def listener_address(self, listener: Listener) -> NodeAddress:
-        return NodeAddress(listener.node_id, listener.location.ip, 30303, 30303)
-
     def _dial_listener(
         self, listener: Listener, connection_type: str, from_location: Location
     ) -> DialResult:
@@ -665,13 +662,4 @@ class SimWorld:
             node
             for node in self.nodes.values()
             if node.spec.is_mainnet and node.spec.is_online(day)
-        ]
-
-    def seen_within(self, start_day: float, end_day: float) -> list[SimNode]:
-        """Nodes whose lifetime intersects [start_day, end_day)."""
-        return [
-            node
-            for node in self.nodes.values()
-            if node.spec.arrival_day < end_day
-            and node.spec.departure_day > start_day
         ]

@@ -13,7 +13,7 @@ given snapshot: rows sort by shard key, all numbers format fixed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 #: rendered for the unsharded ("" label) worker row
 WHOLE_CRAWL = "-"
@@ -166,8 +166,3 @@ def _plan_line(families: Dict[str, dict]) -> Optional[str]:
         for segment in segments
     )
     return f"plan: {len(segments)} live shards  {parts}"
-
-
-def render_top_lines(snapshot: dict) -> Iterable[str]:
-    """Line iterator over :func:`render_top` (stream-friendly callers)."""
-    return render_top(snapshot).splitlines()

@@ -18,6 +18,8 @@ from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import FlightRecorder, Telemetry, read_flightrecord
 from repro.telemetry.journal import Event, EventJournal
 
+from tests.helpers import plant_static
+
 TOP_KEYS = {
     "flightrecord",
     "reason",
@@ -246,7 +248,7 @@ class TestLiveDialCrash:
                 PrivateKey(91).public_key.to_bytes(), "127.0.0.1", 1, 1
             )
             [shard] = finder._shards
-            shard.static_nodes[target.node_id] = (target, 0.0)
+            plant_static(finder, target, 0.0)
             task = asyncio.create_task(finder._shard_loop(shard))
             try:
                 for _ in range(200):

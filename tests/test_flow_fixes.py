@@ -40,6 +40,8 @@ from repro.rlpx.session import open_session
 from repro.simnet.node import DialOutcome, DialResult
 from repro.telemetry import Event
 
+from tests.helpers import plant_static
+
 
 async def connect_for_sync(node: FullNode, key: PrivateKey) -> DevP2PPeer:
     session = await open_session(
@@ -202,15 +204,15 @@ def test_shard_loop_reads_due_statics_from_live_state():
         first, second, third = static_enode(31), static_enode(32), static_enode(33)
 
         async def drive(shard):
-            shard.static_nodes[first.node_id] = (first, 1500.0)
+            plant_static(finder, first, 1500.0)
             await asyncio.sleep(0.1)
             assert dialed == []  # nothing is due yet
 
             # planted while the loop runs: the next pass picks it up...
-            shard.static_nodes[second.node_id] = (second, 900.0)
+            plant_static(finder, second, 900.0)
             # ...and never sees one that was removed before that pass
-            shard.static_nodes[third.node_id] = (third, 900.0)
-            del shard.static_nodes[third.node_id]
+            plant_static(finder, third, 900.0)
+            finder.core.prune([third.node_id])
             await asyncio.sleep(0.1)
             assert dialed == [second.node_id]
 
@@ -233,19 +235,18 @@ def test_shard_loop_honours_mutations_made_during_a_dial():
         rescheduled = []
 
         def on_dial(target):
-            [shard] = finder._shards
             # the dialed static was rescheduled before its dial awaited
-            rescheduled.append(shard.static_nodes[target.node_id][1])
+            rescheduled.append(finder.static_nodes[target.node_id])
             # the second static comes due mid-dial, and another loop
             # prunes it before this pass ends
             fake_now[0] = 1000.2
-            shard.static_nodes.pop(second.node_id, None)
+            finder.core.prune([second.node_id])
 
         finder = recording_finder(fake_now, dialed, on_dial)
 
         async def drive(shard):
-            shard.static_nodes[first.node_id] = (first, 1000.0)
-            shard.static_nodes[second.node_id] = (second, 1000.1)
+            plant_static(finder, first, 1000.0)
+            plant_static(finder, second, 1000.1)
             await asyncio.sleep(0.1)
 
         await run_shard_loop(finder, drive)

@@ -12,6 +12,8 @@ from repro.nodefinder.live import LiveConfig, LiveNodeFinder
 from repro.resilience import BreakerState, RetryPolicy
 from repro.simnet.node import DialOutcome, DialResult
 
+from tests.helpers import plant_static
+
 
 def test_live_crawl_discovers_and_harvests():
     async def scenario():
@@ -88,16 +90,18 @@ def test_stale_addresses_pruned_with_injected_clock():
             outcome=DialOutcome.FULL_HARVEST,
         )
     )
+    finder.core.add_static(node_id, fake_now[0] + 1800.0)
     [shard] = finder._shards
-    shard.static_nodes[node_id] = (None, fake_now[0] + 1800.0)
+    shard.breakers.record_failure(node_id)
 
     fake_now[0] = 23 * 3600.0  # not yet stale
-    finder._prune_shard(shard)
+    finder._prune_stale()
     assert node_id in finder.static_nodes
 
     fake_now[0] = 25 * 3600.0  # a successful dial 25h ago: stale, drop it
-    finder._prune_shard(shard)
+    finder._prune_stale()
     assert node_id not in finder.static_nodes
+    assert len(shard.breakers) == 0  # its breaker went with it
 
 
 def dead_enode(seed=91):
@@ -123,7 +127,7 @@ def test_stop_returns_promptly_with_inflight_retrying_dial():
         # it, the dial is refused instantly, and the retry policy parks it
         # in a 5-second backoff sleep
         target = dead_enode()
-        finder._shards[0].static_nodes[target.node_id] = (target, 0.0)
+        plant_static(finder, target, 0.0)
         await asyncio.sleep(0.5)  # let the dial enter its backoff
         started = time.monotonic()
         await finder.stop()
@@ -275,7 +279,7 @@ def test_one_shard_redials_its_due_statics_concurrently():
         try:
             started = time.monotonic()
             for target in targets:
-                finder._shards[0].static_nodes[target.node_id] = (target, 0.0)
+                plant_static(finder, target, 0.0)
             while len(finder.db) < len(targets):
                 assert time.monotonic() - started < 5.0, "sweep never finished"
                 await asyncio.sleep(0.005)

@@ -38,6 +38,8 @@ from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import read_events
 
+from tests.helpers import plant_static
+
 SHARD_COUNTS = (1, 2, 4)
 WORLD_SEED = 41
 CRAWL_SEED = 7
@@ -265,8 +267,7 @@ class TestShardSpeedup:
             harvester=_stub_harvester(self.DIAL_SECONDS),
         )
         for enode in _targets(self.TARGETS):
-            shard = finder._shards[finder.plan.shard_of(enode.node_id)]
-            shard.static_nodes[enode.node_id] = (enode, 0.0)
+            plant_static(finder, enode, 0.0)
         finder.writer.start()
         tasks = [
             asyncio.ensure_future(finder._shard_loop(shard))
