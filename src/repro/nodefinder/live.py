@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -102,7 +103,8 @@ class LiveNodeFinder:
         #: time without sleeping; monotonic by default (wall-clock jumps must
         #: not expire or re-schedule dials)
         self.clock = clock if clock is not None else time.monotonic
-        #: draws retry jitter; injectable for reproducible backoff schedules
+        #: draws lookup targets and retry jitter; injectable for
+        #: reproducible targets and backoff schedules
         self.rng = rng
         #: the crawler is a measurement instrument, so it always carries a
         #: *real* registry (``stats`` reads off it); pass your own Telemetry
@@ -284,7 +286,11 @@ class LiveNodeFinder:
     async def _discovery_loop(self) -> None:
         assert self.discovery is not None
         while not self._stopping:
-            target = PrivateKey.generate().public_key.to_bytes()
+            # 64 random bytes, as the sim driver draws its targets — a
+            # lookup target need not be a valid public key
+            target = (
+                self.rng.randbytes(64) if self.rng is not None else os.urandom(64)
+            )
             found = await self.discovery.lookup(target)
             self.telemetry.lookups.inc()
             batches, _ = self.core.select(

@@ -36,6 +36,7 @@ from repro.chain.synthetic import (
     warm_synthetic_pairs,
 )
 from repro.discovery.enode import cached_id_hash, warm_id_hashes
+from repro.errors import SimulationError
 from repro.ethproto.forks import BYZANTIUM_BLOCK
 from repro.simnet.clock import (
     SECONDS_PER_DAY,
@@ -424,8 +425,15 @@ class SimWorld:
 
         Only online, reachable nodes answer unsolicited UDP.  Answers come
         from the target's neighbour table under its *own* metric, filtered
-        to neighbours it has seen recently (online-ish).
+        to neighbours it has seen recently (online-ish).  ``target`` is a
+        64-byte node ID or, from a caller that already hashed it, its
+        32-byte keccak-256.
         """
+        if len(target) not in (32, 64):
+            raise SimulationError(
+                "FIND_NODE target must be a 64-byte node ID or its 32-byte "
+                f"keccak-256, got {len(target)} bytes"
+            )
         node = self.nodes.get(address.node_id)
         if node is None or not node.spec.reachable:
             return None

@@ -141,7 +141,7 @@ _BLOCK_BOUNDARIES = (135, 136, 271, 272)
 @given(
     st.lists(st.binary(max_size=700), max_size=12),
     # copies of each boundary length: groups on both sides of the crossover
-    st.sampled_from([1, 15, 16, 17, 40]),
+    st.sampled_from([1, 16, 23, 24, 25, 40]),
     st.booleans(),
     st.integers(min_value=0, max_value=1 << 32),
 )
@@ -162,7 +162,9 @@ def test_batch_vectorises_multiblock_groups():
     # numpy path, a small group beside them the scalar one
     if not keccak_mod._HAVE_BATCH:
         pytest.skip("numpy unavailable")
-    payloads = [bytes([i]) * 540 for i in range(20)] + [b"solo" * 50]
+    payloads = [
+        bytes([i]) * 540 for i in range(keccak_mod._BATCH_CROSSOVER)
+    ] + [b"solo" * 50]
     with mock.patch.object(
         keccak_mod, "_absorb_batch", wraps=keccak_mod._absorb_batch
     ) as absorb:

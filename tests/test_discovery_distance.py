@@ -84,6 +84,25 @@ class TestParityMetric:
         assert parity_log_distance(a, b) == parity_log_distance(b, a)
 
     @given(hashes, hashes)
+    def test_matches_appendix_a_byte_loop(self, a, b):
+        """The XOR-and-table form equals the paper's Appendix A loop: for
+        each of the 32 XOR bytes, shift right until zero, counting."""
+        total = 0
+        for byte_a, byte_b in zip(a, b):
+            xor_byte = byte_a ^ byte_b
+            while xor_byte:
+                xor_byte >>= 1
+                total += 1
+        assert parity_log_distance(a, b) == total
+
+    @pytest.mark.parametrize("size", [31, 33])
+    def test_bad_hash_length(self, size):
+        with pytest.raises(ValueError):
+            parity_log_distance(b"\x00" * size, b"\x00" * 32)
+        with pytest.raises(ValueError):
+            parity_log_distance(b"\x00" * 32, b"\x00" * size)
+
+    @given(hashes, hashes)
     def test_parity_never_exceeds_geth(self, a, b):
         """ld_P <= ld_G for every pair (each lower byte contributes <= 8)."""
         assert parity_log_distance(a, b) <= geth_log_distance(a, b)

@@ -173,6 +173,42 @@ def test_crashed_discovery_loop_is_restarted_and_counted():
     asyncio.run(scenario())
 
 
+def test_lookup_targets_are_random_bytes_from_the_injected_rng():
+    """Targets are 64 random bytes, as in the sim driver — seedable through
+    ``rng=`` and never a freshly minted keypair."""
+    import random
+
+    async def scenario(rng):
+        finder = LiveNodeFinder(
+            config=LiveConfig(lookup_interval=0.01, static_dial_interval=600.0),
+            rng=rng,
+        )
+        await finder.start(bootstrap=[])
+        targets = []
+
+        async def recording_lookup(target):
+            targets.append(target)
+            return []
+
+        finder.discovery.lookup = recording_lookup
+        try:
+            for _ in range(100):
+                await asyncio.sleep(0.01)
+                if len(targets) >= 3:
+                    break
+        finally:
+            await finder.stop()
+        return targets
+
+    seeded = asyncio.run(scenario(random.Random(42)))
+    reference = random.Random(42)
+    assert len(seeded) >= 3
+    assert seeded == [reference.randbytes(64) for _ in seeded]
+    unseeded = asyncio.run(scenario(None))
+    assert len(unseeded) >= 3 and len(set(unseeded)) == len(unseeded)
+    assert all(len(target) == 64 for target in unseeded)
+
+
 def test_breaker_backs_off_repeatedly_failing_peer():
     async def scenario():
         finder = LiveNodeFinder(

@@ -1,7 +1,12 @@
 """NodeFinder crawler tests: scheduling, database, stats, sanitisation."""
 
+import random
+import zlib
+
 import pytest
 
+from repro.crypto.keccak import keccak256
+from repro.nodefinder import scanner
 from repro.nodefinder.database import NodeDB, NodeEntry
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.records import CrawlStats
@@ -11,7 +16,12 @@ from repro.nodefinder.sanitize import (
     find_abusive,
     sanitize,
 )
-from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
+from repro.nodefinder.scanner import (
+    TICK_PLAN_BLOCK,
+    NodeFinderConfig,
+    NodeFinderInstance,
+    TickPlan,
+)
 from repro.simnet.clock import SECONDS_PER_DAY
 from repro.simnet.node import DialOutcome, DialResult
 from repro.simnet.population import PopulationConfig
@@ -231,6 +241,57 @@ class TestSanitize:
     def test_constants_match_paper(self):
         assert SHORT_LIVED_SPAN == 30 * 60
         assert MAX_GENERATION_INTERVAL == 30 * 60
+
+
+class TestTickPlan:
+    """The pre-drawn plan is the draw-as-you-go stream, value for value."""
+
+    @pytest.mark.parametrize("have_numpy", [True, False])
+    def test_plan_is_the_interleaved_stream(self, monkeypatch, have_numpy):
+        if not have_numpy:
+            monkeypatch.setattr("repro.crypto.keccak._HAVE_BATCH", False)
+        seed, name = 5, "nodefinder-3"
+        plan = TickPlan(seed, name)
+        rng = random.Random(seed ^ zlib.crc32(name.encode()))
+        assert plan.node_id == rng.randbytes(64)
+        for _ in range(2 * TICK_PLAN_BLOCK + 10):  # into a third block
+            target, target_hash = plan.next_target()
+            assert target == rng.randbytes(64)
+            assert target_hash == keccak256(target)
+            assert plan.next_jitter() == rng.uniform(0, 2.0)
+
+    def test_crawler_ticks_follow_the_plan(self, monkeypatch):
+        """Driven by the clock, tick k looks up the k-th target and tick
+        k+1 fires ``interval + k-th jitter`` later — across block edges."""
+        monkeypatch.setattr(scanner, "TICK_PLAN_BLOCK", 4)
+        world = SimWorld(
+            WorldConfig(
+                population=PopulationConfig(
+                    total_nodes=60, measurement_days=1.0, seed=3
+                ),
+                seed=3,
+            )
+        )
+        finder = NodeFinderInstance(
+            world, NodeFinderConfig(seed=9), name="nodefinder-2"
+        )
+        ticks = []
+        monkeypatch.setattr(
+            finder,
+            "_lookup",
+            lambda target_hash: ticks.append((world.now, target_hash)) or [],
+        )
+        finder.start()
+        world.clock.run_until(150.0)
+        assert len(ticks) > 2 * 4
+        rng = random.Random(9 ^ zlib.crc32(b"nodefinder-2"))
+        assert finder.node_id == rng.randbytes(64)
+        when, jitter = 0.0, 0.0
+        for at, target_hash in ticks:
+            when += finder.config.discovery_interval + jitter
+            assert at == when
+            assert target_hash == keccak256(rng.randbytes(64))
+            jitter = rng.uniform(0, 2.0)
 
 
 class TestScannerIntegration:

@@ -8,6 +8,7 @@ from repro.chain.genesis import custom_genesis
 from repro.chain.synthetic import _HASH_MEMO, _SEED_MEMO
 from repro.crypto.keccak import keccak256
 from repro.discovery.enode import _ID_HASH_MEMO, cached_id_hash
+from repro.errors import SimulationError
 from repro.simnet.clock import SECONDS_PER_DAY
 from repro.simnet.geo import (
     AS_DISTRIBUTION,
@@ -178,6 +179,25 @@ class TestDiscoveryPlumbing:
             n for n in world.nodes.values() if not n.spec.reachable
         )
         assert world.find_node_query(world.node_address(node), b"\x07" * 64) is None
+
+    def test_find_node_query_takes_a_node_id_or_its_hash(self, world):
+        node = next(
+            n for n in world.nodes.values()
+            if n.spec.reachable and n.spec.is_online(world.day) and n.neighbors
+        )
+        address = world.node_address(node)
+        target = b"\x07" * 64
+        assert world.find_node_query(address, keccak256(target)) == (
+            world.find_node_query(address, target)
+        )
+
+    @pytest.mark.parametrize("size", [0, 31, 33, 63, 65])
+    def test_find_node_query_rejects_other_target_lengths(self, world, size):
+        # whoever is asked, Geth-metric nodes included (only Parity's
+        # distance function used to notice a 31- or 33-byte "hash")
+        for node in list(world.nodes.values())[:5]:
+            with pytest.raises(SimulationError, match=f"got {size} bytes"):
+                world.find_node_query(world.node_address(node), b"\x07" * size)
 
     def test_parity_answers_differ_from_geth(self, world):
         target = b"\x55" * 32
