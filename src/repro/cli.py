@@ -9,8 +9,7 @@ Commands:
 * ``casestudy`` — reproduce the §3 instrumented-client week (Table 1);
 * ``distance``  — reproduce the Figure 11 distance-metric comparison;
 * ``telemetry`` — summarise a crawl from its JSONL measurement journal
-  (``--journal crawl.jsonl``) or a metrics-registry snapshot
-  (``--metrics metrics.json``); ``demo`` writes both with the same flags;
+  (``--journal crawl.jsonl``, as ``demo --journal`` writes it);
 * ``analyze``   — render the paper's tables/figures (Table 1, Table 3,
   Figure 9, Table 4, Figure 14, churn, and ``--sightings`` for the
   Figure 12 intervals) from either a measurement journal (``--journal``,
@@ -23,8 +22,9 @@ Commands:
   per-subsystem hot-path attribution table (deterministic virtual clock
   by default, so output is byte-stable per seed; ``--wall`` for real
   wall-clock attribution);
-* ``top``       — one-page shard-health view of a metrics snapshot
-  (queue depths, loop lag, open breakers, journal backlog).
+* ``top``       — one-page view of a metrics snapshot (``demo --metrics``
+  or a fleet's ``metrics.json``): per-shard queue depths, loop lag, open
+  breakers and journal backlog, then stage latencies and counters.
 """
 
 from __future__ import annotations
@@ -79,21 +79,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    import json
+    from repro.telemetry import read_events, summarize_journal
 
-    from repro.telemetry import read_events, summarize_journal, summarize_snapshot
-
-    if not args.journal and not args.metrics:
-        print("telemetry: pass --journal crawl.jsonl and/or --metrics metrics.json",
-              file=sys.stderr)
-        return 2
-    sections = []
-    if args.journal:
-        sections.append(summarize_journal(read_events(args.journal)))
-    if args.metrics:
-        with open(args.metrics, encoding="utf-8") as stream:
-            sections.append(summarize_snapshot(json.load(stream)))
-    print("\n\n".join(sections))
+    print(summarize_journal(read_events(args.journal)))
     return 0
 
 
@@ -484,12 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
     distance.set_defaults(func=_cmd_distance)
 
     telemetry = commands.add_parser(
-        "telemetry", help="summarise a crawl from its journal or metrics snapshot"
+        "telemetry", help="summarise a crawl from its measurement journal"
     )
-    telemetry.add_argument("--journal", metavar="PATH",
+    telemetry.add_argument("--journal", metavar="PATH", required=True,
                            help="JSONL measurement journal written by a crawl")
-    telemetry.add_argument("--metrics", metavar="PATH",
-                           help="metrics-registry snapshot (JSON)")
     telemetry.set_defaults(func=_cmd_telemetry)
 
     analyze = commands.add_parser(

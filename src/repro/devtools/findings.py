@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -11,10 +10,7 @@ class Finding:
     """One rule violation, pointing at ``path:line:col``.
 
     Ordering is (path, line, col, code) so reports are stable regardless
-    of rule execution order.  The ``fingerprint`` identifies the finding
-    across line drift for the baseline mechanism and SARIF output; it is
-    assigned by the runner and excluded from ordering/equality so rule
-    code and tests never depend on it.
+    of rule execution order.
     """
 
     path: str
@@ -22,60 +18,15 @@ class Finding:
     col: int
     code: str
     message: str
-    fingerprint: str = field(default="", compare=False)
 
     def format_text(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
     def to_json(self) -> dict:
-        payload = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "code": self.code,
             "message": self.message,
         }
-        if self.fingerprint:
-            payload["fingerprint"] = self.fingerprint
-        return payload
-
-
-def _normalise(path: str) -> str:
-    normalised = path.replace("\\", "/")
-    anchor = normalised.rfind("src/repro/")
-    return normalised[anchor:] if anchor != -1 else normalised
-
-
-def fingerprint_findings(findings: list[Finding]) -> list[Finding]:
-    """Assign a stable fingerprint to every finding.
-
-    The key deliberately excludes line/column so a finding survives
-    unrelated edits above it; identical (path, code, message) triples are
-    disambiguated by an occurrence ordinal, counted in source order so
-    inserting a new duplicate invalidates only the fingerprints after
-    it.  Paths are normalised to forward slashes, and anchored at the
-    innermost ``src/repro/`` when present, so fingerprints agree across
-    platforms and between absolute-path (test) and relative-path (CLI)
-    invocations.
-    """
-    out: list[Finding] = []
-    seen: dict[tuple, int] = {}
-    for finding in sorted(findings):
-        normalised = _normalise(finding.path)
-        key = (normalised, finding.code, finding.message)
-        ordinal = seen.get(key, 0)
-        seen[key] = ordinal + 1
-        digest = hashlib.sha256(
-            f"{normalised}::{finding.code}::{finding.message}::{ordinal}".encode()
-        ).hexdigest()[:16]
-        out.append(
-            Finding(
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                code=finding.code,
-                message=finding.message,
-                fingerprint=digest,
-            )
-        )
-    return out

@@ -1,20 +1,7 @@
 """The ``reprolint`` command line: ``python -m repro.devtools.lint src/``.
 
-Exit status: 0 when the tree is clean (modulo a ``--baseline`` file when
-one is given), 1 when any new finding (or parse error, or baseline
-drift under ``--fail-on-baseline-drift``) is reported, 2 on usage
-errors (argparse's convention).
-
-Baseline workflow::
-
-    # land a new rule family without fixing history in one PR:
-    python -m repro.devtools.lint src/ --write-baseline reprolint-baseline.json
-    # day to day: clean modulo the committed debt, strict on new findings
-    python -m repro.devtools.lint src/ --baseline reprolint-baseline.json
-    # CI ratchet: also fail when baselined entries no longer fire,
-    # so the file only ever shrinks
-    python -m repro.devtools.lint src/ --baseline reprolint-baseline.json \
-        --fail-on-baseline-drift
+Exit status: 0 when the tree is clean, 1 when any finding (or parse
+error) is reported, 2 on usage errors (argparse's convention).
 """
 
 from __future__ import annotations
@@ -23,11 +10,8 @@ import argparse
 import json
 import sys
 from collections import Counter
-from pathlib import Path
 from typing import Sequence
 
-from repro.devtools import baseline as baseline_mod
-from repro.devtools import sarif
 from repro.devtools.registry import all_rules, unknown_selectors
 from repro.devtools.runner import run_paths
 
@@ -45,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -61,28 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ignore",
         metavar="CODES",
         help="comma-separated rule codes or family prefixes to skip",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "fingerprint baseline file: findings listed there are "
-            "reported as known debt and do not fail the run"
-        ),
-    )
-    parser.add_argument(
-        "--fail-on-baseline-drift",
-        action="store_true",
-        help=(
-            "with --baseline: also exit 1 when the baseline contains "
-            "fingerprints that no longer fire (forces the file to shrink "
-            "as findings are fixed)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings as a new baseline file and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -118,8 +80,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     select = _split_codes(args.select, parser)
     ignore = _split_codes(args.ignore, parser)
-    if args.fail_on_baseline_drift and not args.baseline:
-        parser.error("--fail-on-baseline-drift requires --baseline")
 
     run = run_paths(args.paths, select=select, ignore=ignore)
     if not run.checked_files:
@@ -130,64 +90,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 2
 
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            baseline_mod.render(run.findings), encoding="utf-8"
-        )
-        print(
-            f"reprolint: wrote {len(run.findings)} finding(s) to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baselined: set = set()
-    if args.baseline:
-        try:
-            baselined = baseline_mod.load(Path(args.baseline))
-        except FileNotFoundError:
-            parser.error(f"baseline file not found: {args.baseline}")
-        except (ValueError, json.JSONDecodeError) as exc:
-            parser.error(f"bad baseline file: {exc}")
-    new, known, stale = baseline_mod.split(run.findings, baselined)
-    drift_failed = bool(args.fail_on_baseline_drift and stale)
-
-    if args.format == "sarif":
-        log = sarif.render(
-            run.findings,
-            all_rules(),
-            baseline=baselined if args.baseline else None,
-        )
-        print(json.dumps(log, indent=2))
-    elif args.format == "json":
-        counts = Counter(finding.code for finding in new)
+    if args.format == "json":
+        counts = Counter(finding.code for finding in run.findings)
         print(
             json.dumps(
                 {
                     "checked_files": len(run.checked_files),
-                    "findings": [finding.to_json() for finding in new],
+                    "findings": [finding.to_json() for finding in run.findings],
                     "counts": dict(sorted(counts.items())),
                     "suppressed": run.suppressed,
-                    "baselined": len(known),
-                    "baseline_stale": sorted(stale),
                 },
                 indent=2,
             )
         )
     else:
-        for finding in new:
+        for finding in run.findings:
             print(finding.format_text())
-        extras = []
-        if run.suppressed:
-            extras.append(f"{run.suppressed} suppressed")
-        if known:
-            extras.append(f"{len(known)} baselined")
-        if stale:
-            extras.append(f"{len(stale)} stale baseline entr(y/ies)")
-        detail = f" ({', '.join(extras)})" if extras else ""
-        if new:
+        detail = f" ({run.suppressed} suppressed)" if run.suppressed else ""
+        if run.findings:
             summary = (
-                f"reprolint: {len(new)} finding(s) in "
+                f"reprolint: {len(run.findings)} finding(s) in "
                 f"{len(run.checked_files)} file(s){detail}"
             )
         else:
@@ -197,16 +119,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         print(summary, file=sys.stderr)
 
-    if drift_failed:
-        print(
-            "reprolint: baseline drift — these baselined findings no "
-            "longer fire; remove them from the baseline:",
-            file=sys.stderr,
-        )
-        for fingerprint in sorted(stale):
-            print(f"  {fingerprint}", file=sys.stderr)
-
-    return 1 if (new or drift_failed) else 0
+    return 1 if run.findings else 0
 
 
 if __name__ == "__main__":

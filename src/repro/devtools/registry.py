@@ -33,8 +33,6 @@ class Rule:
 
     #: family identifier, e.g. ``SIM-DET``; used in output and suppressions
     code: str = ""
-    #: short human name
-    name: str = ""
     #: one-paragraph rationale shown by ``--list-rules``
     description: str = ""
     #: directory names the rule is restricted to (any match in the path);

@@ -1,74 +1,17 @@
 """Rule implementations; importing this package registers every rule.
 
-Families
---------
-``SIM-DET``
-    No ambient nondeterminism (global RNG, wall clock, datetime, entropy)
-    inside ``repro.simnet`` / ``repro.chain`` — thread a seeded
-    ``random.Random`` and the ``SimClock`` instead.
-``ASYNC-BLOCK``
-    No blocking calls (``time.sleep``, blocking socket/subprocess/url
-    calls) or unbounded await-free loops inside ``async def``.
-``ASYNC-CANCEL``
-    Never swallow ``asyncio.CancelledError`` — re-raise it, including
-    when it is caught via a tuple or a bare/``BaseException`` handler
-    around awaited code.
-``EXC-SILENT``
-    No bare ``except:`` and no ``except Exception: pass`` silencers
-    anywhere in the tree.
-``CRYPTO-BYTES``
-    In the wire-format layers (``repro.crypto``/``repro.rlp``/
-    ``repro.rlpx``): no str/bytes comparisons, no ``str`` defaults on
-    ``bytes`` parameters, no ``+`` mixing str- and bytes-typed values.
-``RETRY-SAFE``
-    In the live crawler layers (``repro.nodefinder``/``repro.rlpx``):
-    never await a network primitive directly — every read/write/connect
-    runs under ``asyncio.wait_for``, ``asyncio.timeout``, or a
-    RetryPolicy/StageBudgets deadline, so one silent peer cannot park a
-    dial slot forever.
-``OBS-CLOCK``
-    Inside ``repro.telemetry``: never *call* a wall clock
-    (``time.time``, ``time.monotonic``, ``datetime.now``, ...) — read
-    the injected clock instead, so metrics, spans, and journal records
-    share one timeline.  Passing ``time.monotonic`` by reference as a
-    default clock is the sanctioned idiom and does not fire.
-``INGEST-PURE``
-    Inside ``repro.analysis``: no wall-clock/datetime calls and no
-    direct file I/O — a replayed report must be a pure function of the
-    crawl artifact, byte-identical no matter when or where it renders.
-``SHARD-SAFE``
-    Inside ``repro.nodefinder``: crawler code neither draws from the
-    global ``random`` module nor calls a wall clock; per-shard rngs and
-    the crawl clock are injected so N shards stay conformant with the
-    unsharded crawl.
-``RACE-*``
-    Flow-sensitive await-boundary analysis (CFG + taint dataflow):
-    ``RACE-RMW`` flags read-modify-writes of ``self.*``/module state
-    straddling an await, ``RACE-STALE`` flags double-checked state gone
-    stale across an await, ``RACE-LOCK`` flags synchronous locks held
-    across an await.
-``TASK-LIFE-*``
-    Task lifecycle: ``TASK-LIFE-ORPHAN`` flags
-    ``create_task``/``ensure_future`` handles that nothing retains
-    (exceptions vanish), ``TASK-LIFE-GATHER`` flags ``asyncio.gather``
-    in supervision loops without ``return_exceptions=True``.
-``OWNERSHIP``
-    Whole-tree, type-resolved single-writer enforcement: NodeDB,
-    CrawlStats, and MetricsRegistry are mutated only inside their
-    defining module or their declared writer classes (NodeDBWriter,
-    Telemetry).
+``python -m repro.devtools.lint --list-rules`` prints what each code
+enforces (the rules' own ``description``); DESIGN.md §5 has the rationale
+and each family's measured record.
 """
 
 from repro.devtools.rules import (  # noqa: F401
+    ambient,
     async_rules,
     crypto_bytes,
     exc_silent,
-    ingest_pure,
-    obs_clock,
     ownership,
     race,
     retry_safe,
-    shard_safe,
-    sim_det,
     task_life,
 )

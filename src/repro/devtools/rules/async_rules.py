@@ -78,7 +78,6 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 @register
 class AsyncBlocking(Rule):
     code = "ASYNC-BLOCK"
-    name = "async-no-blocking"
     description = (
         "async functions must not call blocking primitives (time.sleep, "
         "blocking socket/subprocess/urllib calls) or spin in unbounded "
@@ -130,7 +129,6 @@ class AsyncBlocking(Rule):
 @register
 class AsyncCancellation(Rule):
     code = "ASYNC-CANCEL"
-    name = "async-cancellation-safety"
     description = (
         "never swallow asyncio.CancelledError: any handler that catches it "
         "(explicitly, or via bare except / except BaseException around "

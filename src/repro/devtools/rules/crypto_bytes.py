@@ -111,7 +111,6 @@ class _TypeEnv:
 @register
 class CryptoBytesHygiene(Rule):
     code = "CRYPTO-BYTES"
-    name = "crypto-bytes-hygiene"
     description = (
         "in repro.crypto / repro.rlp / repro.rlpx: no str/bytes comparisons "
         "(always unequal), no str defaults on bytes parameters, no `+` "

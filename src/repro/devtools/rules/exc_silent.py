@@ -34,7 +34,6 @@ def _is_silencer_body(body: list[ast.stmt]) -> bool:
 @register
 class SilentExcept(Rule):
     code = "EXC-SILENT"
-    name = "no-silent-except"
     description = (
         "bare `except:` is always an error; `except Exception:` (or "
         "BaseException) whose body is only pass/... silently destroys the "

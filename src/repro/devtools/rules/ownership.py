@@ -199,7 +199,6 @@ class _ProjectTypes:
 @register
 class StateOwnership(ProjectRule):
     code = "OWNERSHIP"
-    name = "shared-state-ownership"
     description = (
         "NodeDB, CrawlStats, MetricsRegistry, and EventJournal are mutated "
         "only inside their defining module or their declared writer classes "

@@ -77,7 +77,6 @@ def _is_writer_class(cls: Optional[ast.ClassDef]) -> bool:
 @register
 class AwaitBoundaryRaces(Rule):
     code = "RACE-RMW"
-    name = "await-boundary-read-modify-write"
     description = (
         "no read-modify-write of self.*/module state across an await "
         "outside a *Writer class: a value read before an await is stale "
@@ -115,7 +114,6 @@ class AwaitBoundaryRaces(Rule):
 @register
 class DoubleCheckedStale(Rule):
     code = "RACE-STALE"
-    name = "double-checked-state-gone-stale"
     description = (
         "a branch that tests self.*/module state, awaits, then writes the "
         "same state acts on a stale check — two tasks can both pass the "
@@ -272,7 +270,6 @@ def _flat(stmts) -> Iterator[ast.stmt]:
 @register
 class SyncLockAcrossAwait(Rule):
     code = "RACE-LOCK"
-    name = "sync-lock-held-across-await"
     description = (
         "a synchronous `with <lock>:` must not contain an await: the lock "
         "stays held while the event loop schedules other tasks (deadlock "

@@ -48,7 +48,6 @@ _TIMEOUT_CONTEXTS = {"asyncio.timeout", "asyncio.timeout_at"}
 @register
 class RetrySafe(Rule):
     code = "RETRY-SAFE"
-    name = "network-awaits-need-deadlines"
     description = (
         "in repro.nodefinder / repro.rlpx, never await a network primitive "
         "(open_connection, readexactly/readuntil/readline, drain, sendall, "

@@ -86,7 +86,6 @@ def _name_is_read(func: ast.AST, name: str) -> bool:
 @register
 class OrphanTask(Rule):
     code = "TASK-LIFE-ORPHAN"
-    name = "orphan-task"
     description = (
         "the handle returned by asyncio.create_task/ensure_future must be "
         "retained (stored, awaited, gathered, passed on, or given a "
@@ -156,7 +155,6 @@ class OrphanTask(Rule):
 @register
 class GatherSupervision(Rule):
     code = "TASK-LIFE-GATHER"
-    name = "gather-without-return-exceptions"
     description = (
         "asyncio.gather in a supervision loop needs return_exceptions=True: "
         "without it the first child failure aborts the whole round and the "

@@ -5,18 +5,17 @@ checks (one parsed file at a time) and whole-tree
 :class:`~repro.devtools.registry.ProjectRule` passes, which receive every
 parsed module of the run at once so they can resolve cross-file facts.
 The runner parses each file exactly once, applies suppression comments
-to both shapes, counts what was suppressed, and fingerprints the final
-finding list for the baseline/SARIF machinery.
+to both shapes and counts what was suppressed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from repro.devtools.findings import Finding, fingerprint_findings
-from repro.devtools.registry import ProjectRule, Rule, select_rules
+from repro.devtools.findings import Finding
+from repro.devtools.registry import ProjectRule, select_rules
 from repro.devtools.source import ModuleSource
 
 #: directories never descended into
@@ -65,26 +64,6 @@ def _parse(path: Path) -> tuple[Optional[ModuleSource], Optional[Finding]]:
         )
 
 
-def lint_file(path: Path, rules: Sequence[Rule]) -> list[Finding]:
-    """All unsuppressed per-module findings for one file.
-
-    Kept as the single-file entry point; project rules need the whole
-    tree and only run under :func:`run_paths`.
-    """
-    module, error = _parse(path)
-    if error is not None:
-        return [error]
-    assert module is not None
-    findings = []
-    for rule in rules:
-        if isinstance(rule, ProjectRule) or not rule.applies_to(path):
-            continue
-        for finding in rule.check(module):
-            if not module.is_suppressed(finding.line, finding.code):
-                findings.append(finding)
-    return findings
-
-
 def run_paths(
     paths: Iterable[Path | str],
     select: Iterable[str] | None = None,
@@ -125,7 +104,7 @@ def run_paths(
             else:
                 run.findings.append(finding)
 
-    run.findings = fingerprint_findings(run.findings)
+    run.findings.sort()
     return run
 
 

@@ -7,8 +7,8 @@ addresses fall off after 24 hours; all results land in the same
 :class:`~repro.nodefinder.database.NodeDB` the analyses consume.  Those
 rules are :class:`~repro.nodefinder.core.CrawlerCore`'s, shared with the
 simnet scanner; this module is the asyncio around them — the discv4
-service, per-shard queues and dial loops, semaphores, the writer queue,
-supervisors and the drain/spawn half of a reshard.
+service, per-shard queues and dial loops, semaphores, supervisors and
+the drain/spawn half of a reshard.
 
 The crawler is supervised for month-long runs: each loop restarts under a
 backoff policy if it crashes (crash/restart counts land in ``stats``),
@@ -70,7 +70,7 @@ class LiveConfig:
     #: restart budget for crashed crawler loops; None → package default
     supervisor_policy: Optional[RetryPolicy] = None
     #: worker shards partitioning the enode keyspace by node-ID prefix:
-    #: one dial loop per shard, all folding through one NodeDB writer queue
+    #: one dial loop per shard, all folding through one NodeDBWriter
     shards: int = 1
     #: dynamic-dial targets a shard loop drains from its queue per pass
     shard_batch: int = 8
@@ -126,7 +126,7 @@ class LiveNodeFinder:
         )
         self.coordinator = ReshardCoordinator(journal_opener)
         #: every NodeDB/CrawlStats mutation goes through this single writer
-        #: (queued mode while the shard loops run; SHARD-SAFE pins the rule)
+        #: (OWNERSHIP pins the rule)
         self.writer = NodeDBWriter(self.db, telemetry=self.telemetry)
         #: one dial worker per live range, positional like ``plan.ranges``
         #: and labeled by stable segment id (the controller may split even
@@ -207,9 +207,6 @@ class LiveNodeFinder:
         await self.discovery.listen()
         for node in bootstrap:
             await self.discovery.bond(node)
-        # the writer serializes folds behind a queue and each shard gets
-        # its own supervised dial loop
-        self.writer.start()
         self._spawn_loop("discovery", self._discovery_loop)
         if self.controller is not None:
             self._spawn_loop("reshard", self._reshard_loop)
@@ -272,9 +269,6 @@ class LiveNodeFinder:
         # (non-cancelled) loop is surfaced by the done-callback instead of
         # silently dropped; give those callbacks a tick to run
         await asyncio.sleep(0)
-        # drain queued folds before shutdown so the database reflects every
-        # dial the shards completed
-        await self.writer.close()
         # segments sealed mid-crawl are already closed; the still-live
         # generation's journals close here
         self.coordinator.close_open_segments()
@@ -424,8 +418,8 @@ class LiveNodeFinder:
         Protocol order matters:
 
         1. flag the parent shard(s) ``retired`` and await their loop
-           tasks — the loops finish the pass in flight (all dials fold
-           through the writer queue) and return cleanly;
+           tasks — the loops finish the pass in flight (every dial
+           folded) and return cleanly;
         2. with the parents quiescent, the coordinator mutates the plan,
            seals their journal segments with the ``reshard`` record and
            opens the children's (no awaits from here to step 4, so no
@@ -495,13 +489,10 @@ class LiveNodeFinder:
                 retry_rng=self.rng,
                 telemetry=shard.telemetry,
             )
-        shard.telemetry.record_scheduled_dial(connection_type)
-        shard.telemetry.shard_dials.labels(
-            shard=shard.segment, type=connection_type
-        ).inc()
-        # the only shared-state touch on the shard hot path: hand the
-        # result to the single writer queue
-        await self.writer.put(result)
+        shard.telemetry.record_scheduled_dial(connection_type, shard=shard.segment)
+        # the only shared-state touch on the shard hot path; a fold that
+        # raises surfaces in the loop's gather as a crashed dial
+        self.writer.submit(result)
         # positional index re-read after the awaits: a reshard of other
         # ranges may have renumbered this shard, and the core with it
         self.core.dial_done(shard.index, target, result.outcome, self.clock())

@@ -492,7 +492,7 @@ class NodeFinderInstance:
     # -- bookkeeping ------------------------------------------------------------------
 
     def _record(self, result: DialResult, shard_index: int = 0) -> None:
-        # every fold goes through the single writer (SHARD-SAFE invariant)
+        # every fold goes through the single writer (OWNERSHIP invariant)
         self.writer.submit(result)
         # simulated dials have no spans (no real stages ran), but they
         # share the funnel counters and journal schema with live crawls;

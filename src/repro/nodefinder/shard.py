@@ -12,10 +12,11 @@ what the shards of that plan share and what each owns:
 
 * :class:`NodeDBWriter` — the single mutation point for shared crawl
   state.  Every ``DialResult`` folds into the shared ``NodeDB`` (and
-  ``CrawlStats``) *only* through a writer: synchronously in direct mode
-  (the simulation), or via one ``asyncio.Queue`` drained by one consumer
-  task in queued mode (live crawls) — so shard dial loops never contend
-  on the database and there are no cross-shard locks on the hot path.
+  ``CrawlStats``) *only* through ``submit``, a synchronous call: the
+  simulation is single-threaded and asyncio runs one coroutine at a
+  time, so a fold with no ``await`` in it is already serialised and the
+  shard dial loops need no queue and no lock.  A fold that raises
+  propagates to the dial that submitted it, in both drivers.
   The OWNERSHIP lint family enforces the invariant type-resolved and
   tree-wide: a ``NodeDB``/``CrawlStats`` mutation outside a writer class
   (or the owning module) is an error.
@@ -23,8 +24,8 @@ what the shards of that plan share and what each owns:
   and breakers (its StaticNodes dict lives with the policy, in
   :class:`~repro.nodefinder.core.CrawlerCore`).
 
-Fold order across shards is not deterministic in queued mode, and does
-not need to be: ``NodeDB.observe`` folds per *node* in timestamp order
+Fold order across live shards is not deterministic, and does not need
+to be: ``NodeDB.observe`` folds per *node* in timestamp order
 (each node is owned by one shard, which preserves its dial order), and
 ``CrawlStats`` day counters are order-insensitive sums and sets.  The
 shard-conformance suite pins entry-for-entry equality against the
@@ -34,7 +35,6 @@ unsharded crawl.
 from __future__ import annotations
 
 import asyncio
-import logging
 from typing import TYPE_CHECKING, Optional
 
 from repro.simnet.clock import SECONDS_PER_DAY
@@ -47,23 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnet.node import DialResult
     from repro.telemetry import Telemetry
 
-logger = logging.getLogger(__name__)
-
 #: the partition key is the first two node-ID bytes: 2^16 prefixes
 PREFIX_SPACE = 1 << 16
 
 
 class NodeDBWriter:
-    """Single writer folding every ``DialResult`` into shared crawl state.
-
-    Direct mode (the default) folds synchronously on ``submit`` — the
-    simulation's call-site semantics.
-    After ``start()`` the writer runs in queued mode: ``put`` enqueues
-    and one consumer task folds, so N shard loops write through one
-    serialization point without blocking each other.  ``close()`` drains
-    whatever is queued before stopping, so the database always reflects
-    every journaled dial at shutdown.
-    """
+    """Single writer folding every ``DialResult`` into shared crawl state."""
 
     def __init__(
         self,
@@ -75,14 +64,9 @@ class NodeDBWriter:
         self.stats = stats
         self.telemetry = telemetry
         self.folds = 0
-        self._queue: Optional[asyncio.Queue] = None
-        self._task: Optional[asyncio.Task] = None
 
-    @property
-    def queued(self) -> bool:
-        return self._queue is not None
-
-    def _fold(self, result: "DialResult") -> "NodeEntry":
+    def submit(self, result: "DialResult") -> "NodeEntry":
+        """Fold one result; whatever the fold raises reaches the caller."""
         profiler = (
             self.telemetry.profiler if self.telemetry is not None else NULL_PROFILER
         )
@@ -97,17 +81,10 @@ class NodeDBWriter:
                 self.telemetry.writer_folds.inc()
             return entry
 
-    def submit(self, result: "DialResult") -> "NodeEntry":
-        """Fold one result synchronously (direct mode only)."""
-        if self._queue is not None:
-            raise RuntimeError("writer is in queued mode; use `await put(...)`")
-        return self._fold(result)
-
     # -- stats passthroughs --------------------------------------------------
     #
     # Crawl bookkeeping that is not dial-result-shaped still goes through
-    # the writer, so CrawlStats has exactly one mutating owner.  Both are
-    # synchronous upserts of independent counters — safe in either mode.
+    # the writer, so CrawlStats has exactly one mutating owner.
 
     def record_discovery(self, day: int, lookups: int = 1) -> None:
         """Count discovery lookups for the Figure 5 series."""
@@ -118,51 +95,6 @@ class NodeDBWriter:
         """Arm the Figure 8 bootstrap-dial series."""
         if self.stats is not None:
             self.stats.watch_bootstrap(node_id)
-
-    async def put(self, result: "DialResult") -> None:
-        """Hand one result to the writer (folds inline in direct mode)."""
-        if self._queue is None:
-            self._fold(result)
-            return
-        self._queue.put_nowait(result)
-        if self.telemetry is not None:
-            self.telemetry.writer_queue_depth.set(float(self._queue.qsize()))
-
-    def start(self) -> None:
-        """Switch to queued mode: one consumer task owns every fold."""
-        if self._queue is not None:
-            return
-        self._queue = asyncio.Queue()
-        self._task = asyncio.ensure_future(self._drain_forever())
-
-    async def _drain_forever(self) -> None:
-        assert self._queue is not None
-        while True:
-            result = await self._queue.get()
-            try:
-                self._fold(result)
-            except Exception:
-                logger.exception("writer failed to fold a dial result")
-            finally:
-                self._queue.task_done()
-            if self.telemetry is not None:
-                self.telemetry.writer_queue_depth.set(float(self._queue.qsize()))
-
-    async def close(self) -> None:
-        """Drain the queue, stop the consumer, return to direct mode."""
-        if self._task is None:
-            return
-        assert self._queue is not None
-        await self._queue.join()
-        pending: set[asyncio.Task] = {self._task}
-        while pending:
-            # same re-cancel idiom as LiveNodeFinder.stop(): a cancellation
-            # can be absorbed by a queue.get completion race on 3.11
-            for task in pending:
-                task.cancel()
-            _, pending = await asyncio.wait(pending, timeout=1.0)
-        self._task = None
-        self._queue = None
 
 
 class ShardState:

@@ -17,8 +17,8 @@ and zero ambient state:
   one fleet view (aggregate sums or ``instance``-labeled series);
 * :func:`split_snapshot_by_shard` — the inverse cut: one snapshot into
   per-shard snapshots keyed by the (generation-suffixed) shard label;
-* :func:`summarize_journal` / :func:`summarize_snapshot` — the human
-  summary behind ``repro telemetry``;
+* :func:`summarize_journal` — the human summary behind ``repro
+  telemetry``;
 * :class:`Telemetry` — the facade instrumented code receives, bundling
   registry + journal + the one injected clock (``NULL_TELEMETRY`` is the
   shared do-nothing default);
@@ -27,7 +27,8 @@ and zero ambient state:
   byte-stable tables; ``NULL_PROFILER`` is the free default);
 * :class:`FlightRecorder` — per-shard ring buffers of recent events and
   open spans, crash-dumped to ``flightrecord.json``;
-* :func:`render_top` — the one-page shard-health view.
+* :func:`render_top` — the one-page view of a metrics snapshot: shard
+  health, stage latencies, funnel and loop counters.
 
 Everything here reads time only through the injected clock; the
 OBS-CLOCK reprolint family fails the build on a direct wall-clock call.
@@ -63,7 +64,7 @@ from repro.telemetry.profiler import (
     render_profile,
 )
 from repro.telemetry.spans import Span
-from repro.telemetry.summary import summarize_journal, summarize_snapshot
+from repro.telemetry.summary import summarize_journal
 
 __all__ = [
     "Counter",
@@ -94,5 +95,4 @@ __all__ = [
     "render_top",
     "split_snapshot_by_shard",
     "summarize_journal",
-    "summarize_snapshot",
 ]

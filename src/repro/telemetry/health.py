@@ -2,18 +2,23 @@
 
 The per-shard gauges the dial workers publish (queue depth, loop lag,
 open breakers, journal backlog — see ``Telemetry.record_shard_health``)
-plus the funnel/loop counters, folded into a single text page: which
-shard is drowning, which breakers are popping, whether the writer queue
-is keeping up.  Input is the same ``metrics.json`` snapshot shape the
-``telemetry``/``analyze`` commands already consume (or a live
-``MetricsRegistry.snapshot()``), so the renderer works on a finished sim
-run and on a live crawl's export alike.  Output is byte-stable for a
-given snapshot: rows sort by shard key, all numbers format fixed.
+plus the funnel/loop counters and the per-stage dial latencies, folded
+into a single text page: which shard is drowning, which breakers are
+popping, which harvest stage is slow.  Input is a ``metrics.json``
+snapshot file (or a live ``MetricsRegistry.snapshot()``) — this is the
+one renderer of that shape — so it works on a finished sim run and on a
+live crawl's export alike.  Output is byte-stable for a given snapshot:
+rows sort by shard key, all numbers format fixed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from functools import partial
+from typing import Callable, Dict, Optional
+
+from repro.telemetry.merge import _merge_series
+from repro.telemetry.metrics import quantile_from_buckets
+from repro.telemetry.summary import stage_latency_rows
 
 #: rendered for the unsharded ("" label) worker row
 WHOLE_CRAWL = "-"
@@ -49,6 +54,31 @@ def _by_label(family: Optional[dict], label: str) -> Dict[str, float]:
         key = series["labels"].get(label, "")
         totals[key] = totals.get(key, 0.0) + float(series.get("value", 0.0))
     return totals
+
+
+def _stage_quantiles(family: Optional[dict]) -> Dict[str, Callable[[float], float]]:
+    """Stage → bucket-interpolated quantile function.
+
+    The family carries one series per (stage, shard); a stage's bucket
+    counts fold across shards rather than letting one shard's histogram
+    stand for the crawl.
+    """
+    folded: Dict[str, dict] = {}
+    for series in family["series"] if family is not None else ():
+        stage = series["labels"].get("stage", "?")
+        if stage in folded:
+            _merge_series(folded[stage], series, family["name"])
+        else:
+            folded[stage] = dict(series)
+    return {
+        stage: partial(
+            quantile_from_buckets,
+            [bound for bound, _ in histogram["buckets"]],
+            [count for _, count in histogram["buckets"]],
+            histogram["inf"],
+        )
+        for stage, histogram in folded.items()
+    }
 
 
 def _shard_sort_key(shard: str):
@@ -111,9 +141,15 @@ def render_top(snapshot: dict) -> str:
             rows,
         ),
         "",
-        "writer: queue depth "
-        f"{int(_scalar(families.get('crawler_writer_queue_depth')))}, "
-        f"folds {int(_scalar(families.get('crawler_writer_folds_total')))}",
+        format_table(
+            "Stage latency",
+            ["stage", "p50", "p95", "max"],
+            stage_latency_rows(
+                _stage_quantiles(families.get("nodefinder_dial_stage_seconds"))
+            ),
+        ),
+        "",
+        f"writer: folds {int(_scalar(families.get('crawler_writer_folds_total')))}",
         "loops: "
         f"crashes {int(_scalar(families.get('crawler_loop_crashes_total')))}, "
         f"restarts {int(_scalar(families.get('crawler_loop_restarts_total')))}, "

@@ -125,11 +125,6 @@ class Telemetry:
             ("reason",),
         )
         # -- sharded scheduler ----------------------------------------------
-        self.shard_dials = registry_.counter(
-            "crawler_shard_dials_total",
-            "dials completed by each crawl shard, by connection type",
-            ("shard", "type"),
-        )
         self.shard_queue_depth = registry_.gauge(
             "crawler_shard_queue_depth",
             "dynamic-dial targets waiting in each shard's queue",
@@ -138,10 +133,6 @@ class Telemetry:
         self.writer_folds = registry_.counter(
             "crawler_writer_folds_total",
             "dial results folded into the shared NodeDB by the writer",
-        )
-        self.writer_queue_depth = registry_.gauge(
-            "crawler_writer_queue_depth",
-            "dial results waiting in the NodeDB writer queue",
         )
         self.loop_crashes = registry_.counter(
             "crawler_loop_crashes_total", "supervised crawler loop crashes"
@@ -390,8 +381,10 @@ class Telemetry:
 
     # -- crawler scheduler ---------------------------------------------------
 
-    def record_scheduled_dial(self, connection_type: str) -> None:
-        self.scheduled_dials.labels(type=connection_type, shard=self.shard).inc()
+    def record_scheduled_dial(self, connection_type: str, shard: str) -> None:
+        """``shard`` is explicit, as in :meth:`record_shard_health`: a loop
+        sharing the crawl-wide facade still counts under its own segment."""
+        self.scheduled_dials.labels(type=connection_type, shard=shard).inc()
 
     def record_dial_crash(self, error: str = "") -> None:
         self.dial_failures.labels(shard=self.shard).inc()

@@ -1,18 +1,16 @@
-"""Human summaries of a crawl: dial funnel, stage latencies, health.
+"""Human summary of a crawl journal: dial funnel, stage latencies, health.
 
-Feeds the ``repro telemetry`` CLI subcommand from either input shape —
-a JSONL measurement journal (replayed into per-event aggregates) or a
-:meth:`MetricsRegistry.snapshot` JSON dump (read straight off the
-counters and histogram buckets).
+Feeds the ``repro telemetry`` CLI subcommand: a JSONL measurement journal
+replayed into per-event aggregates.  (A ``metrics.json`` snapshot renders
+through ``nodefinder top`` — :mod:`repro.telemetry.health`.)
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from repro.telemetry.journal import Event
-from repro.telemetry.metrics import quantile_from_buckets
 
 
 def _format_table(title: str, headers: Sequence[str], rows: List[Sequence]) -> str:
@@ -50,20 +48,24 @@ def _funnel_rows(counts: Dict[str, int]) -> List[Sequence]:
     return rows
 
 
-def _quantile_rows(
-    per_stage: Dict[str, "_Quantiler"],
+def stage_latency_rows(
+    per_stage: Dict[str, Callable[[float], float]],
 ) -> List[Sequence]:
-    rows = []
-    for stage in ("connect", "rlpx", "hello", "status", "dao"):
-        if stage in per_stage:
-            rows.append([stage] + per_stage.pop(stage).row())
-    for stage in sorted(per_stage):
-        rows.append([stage] + per_stage[stage].row())
-    return rows
+    """``[stage, p50, p95, max]`` rows from each stage's quantile function."""
+    ordered = [
+        stage
+        for stage in ("connect", "rlpx", "hello", "status", "dao")
+        if stage in per_stage
+    ]
+    ordered += sorted(set(per_stage) - set(ordered))
+    return [
+        [stage] + [f"{per_stage[stage](q) * 1000:.1f}ms" for q in _QUANTILES]
+        for stage in ordered
+    ]
 
 
 class _Quantiler:
-    """Exact small-sample quantiles (journal path) in one shape."""
+    """Exact small-sample quantiles over a journal's stage durations."""
 
     def __init__(self) -> None:
         self.values: List[float] = []
@@ -77,24 +79,6 @@ class _Quantiler:
             return 0.0
         index = min(len(ordered) - 1, int(q * len(ordered)))
         return ordered[index]
-
-    def row(self) -> List[str]:
-        return [f"{self.quantile(q) * 1000:.1f}ms" for q in _QUANTILES]
-
-
-class _BucketQuantiler(_Quantiler):
-    """Bucket-interpolated quantiles (snapshot path) in the same shape."""
-
-    def __init__(
-        self, bounds: Sequence[float], counts: Sequence[float], inf: float
-    ) -> None:
-        super().__init__()
-        self._bounds = list(bounds)
-        self._counts = list(counts)
-        self._inf = inf
-
-    def quantile(self, q: float) -> float:
-        return quantile_from_buckets(self._bounds, self._counts, self._inf, q)
 
 
 def summarize_journal(events: Iterable[Event]) -> str:
@@ -139,7 +123,9 @@ def summarize_journal(events: Iterable[Event]) -> str:
         _format_table(
             "Stage latency",
             ["stage", "p50", "p95", "max"],
-            _quantile_rows(dict(stage_latency)),
+            stage_latency_rows(
+                {stage: q.quantile for stage, q in stage_latency.items()}
+            ),
         ),
         _health_text(breaker, supervisor, retries),
         (
@@ -169,67 +155,4 @@ def _health_text(
         f"{supervisor.get('restart', 0)} restarts, "
         f"{supervisor.get('death', 0)} loop deaths\n"
         f"retries: {retries} backoff waits"
-    )
-
-
-def summarize_snapshot(snapshot: dict) -> str:
-    """Render the crawl summary from a registry snapshot JSON dump."""
-    metrics = {metric["name"]: metric for metric in snapshot.get("metrics", [])}
-
-    funnel: Dict[str, int] = Counter()
-    for series in metrics.get("nodefinder_dials_total", {}).get("series", []):
-        outcome = series["labels"].get("outcome", "?")
-        funnel[outcome] += int(series["value"])
-
-    stage_latency: Dict[str, _Quantiler] = {}
-    for series in metrics.get("nodefinder_dial_stage_seconds", {}).get("series", []):
-        bounds = [bound for bound, _ in series["buckets"]]
-        counts = [count for _, count in series["buckets"]]
-        stage = series["labels"].get("stage", "?")
-        existing = stage_latency.get(stage)
-        if isinstance(existing, _BucketQuantiler) and existing._bounds == bounds:
-            # one series per shard label: fold the counts together rather
-            # than letting the last shard's histogram shadow the rest
-            existing._counts = [
-                mine + theirs
-                for mine, theirs in zip(existing._counts, counts)
-            ]
-            existing._inf += series["inf"]
-        else:
-            stage_latency[stage] = _BucketQuantiler(
-                bounds, counts, series["inf"]
-            )
-
-    breaker: Counter = Counter()
-    for series in metrics.get("nodefinder_breaker_transitions_total", {}).get(
-        "series", []
-    ):
-        breaker[series["labels"].get("to", "?")] += int(series["value"])
-
-    supervisor: Counter = Counter()
-    for key, name in (
-        ("crash", "crawler_loop_crashes_total"),
-        ("restart", "crawler_loop_restarts_total"),
-        ("death", "crawler_loop_deaths_total"),
-    ):
-        for series in metrics.get(name, {}).get("series", []):
-            supervisor[key] += int(series["value"])
-
-    retries = sum(
-        int(series["value"])
-        for series in metrics.get("nodefinder_retries_total", {}).get("series", [])
-    )
-
-    return "\n\n".join(
-        [
-            _format_table(
-                "Dial funnel", ["outcome", "dials", "share"], _funnel_rows(funnel)
-            ),
-            _format_table(
-                "Stage latency",
-                ["stage", "p50", "p95", "max"],
-                _quantile_rows(stage_latency),
-            ),
-            _health_text(breaker, supervisor, retries),
-        ]
     )

@@ -15,7 +15,8 @@ class TestParser:
         enode = "enode://" + "ab" * 64 + "@127.0.0.1:30303"
         for argv in (
             ["demo"], ["simulate"], ["casestudy"], ["distance"],
-            ["telemetry"], ["analyze"], ["crawl", "--enode", enode],
+            ["telemetry", "--journal", "crawl.jsonl"], ["analyze"],
+            ["crawl", "--enode", enode],
         ):
             args = parser.parse_args(argv)
             assert callable(args.func)
@@ -63,13 +64,16 @@ class TestCommands:
         assert "Dial funnel" in out and "full-harvest" in out
         assert "Stage latency" in out
 
-        assert main(["telemetry", "--metrics", str(metrics)]) == 0
+        # the metrics snapshot has one renderer: `top`
+        assert main(["top", "--metrics", str(metrics)]) == 0
         out = capsys.readouterr().out
-        assert "Dial funnel" in out and "full-harvest" in out
+        assert "Stage latency" in out and "full-harvest" in out
 
     def test_telemetry_requires_an_input(self, capsys):
-        assert main(["telemetry"]) == 2
-        assert "telemetry:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["telemetry"])
+        assert excinfo.value.code == 2
+        assert "--journal" in capsys.readouterr().err
 
     def test_demo_journal_feeds_analyze(self, capsys, tmp_path):
         journal = tmp_path / "crawl.jsonl"

@@ -1,326 +1,20 @@
-"""SARIF output, baseline workflow, selector families, fingerprints.
+"""Suppression accounting and selector families.
 
-Everything here exercises the CI-facing surface of reprolint: the SARIF
-log uploaded as an artifact (validated against a vendored subset of the
-SARIF 2.1.0 schema), the committed-baseline suppress/drift cycle, the
-family-prefix ``--select``/``--ignore`` semantics, and the stability
-guarantees of finding fingerprints that both mechanisms rely on.
+The CI-facing surface of reprolint beyond the per-rule fixtures: that
+suppressed findings are counted (in text and JSON, for module and
+project rules alike) and that ``--select``/``--ignore`` accept family
+prefixes.
 """
 
 import json
-import shutil
 from pathlib import Path
 
-import pytest
-
-jsonschema = pytest.importorskip("jsonschema")
-
 from repro.devtools import lint_paths
-from repro.devtools.baseline import FORMAT_VERSION, load, render, split
-from repro.devtools.findings import Finding, fingerprint_findings
 from repro.devtools.lint import main
 from repro.devtools.registry import selector_matches, unknown_selectors
 from repro.devtools.runner import run_paths
-from repro.devtools.sarif import FINGERPRINT_KEY, SARIF_SCHEMA, SARIF_VERSION
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
-
-# A reduced-but-faithful subset of the SARIF 2.1.0 schema: every property
-# reprolint emits, with the spec's own types and enums.  Vendored because
-# the full OASIS schema lives behind a network fetch; validating against
-# this subset still catches structural regressions (wrong nesting, string
-# lines, missing message wrappers) that plain key asserts would miss.
-SARIF_SUBSET_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["version", "runs"],
-    "properties": {
-        "$schema": {"type": "string", "format": "uri"},
-        "version": {"const": "2.1.0"},
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["tool", "results"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name"],
-                                "properties": {
-                                    "name": {"type": "string"},
-                                    "informationUri": {"type": "string"},
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": ["id"],
-                                            "properties": {
-                                                "id": {"type": "string"},
-                                                "name": {"type": "string"},
-                                                "shortDescription": {
-                                                    "type": "object",
-                                                    "required": ["text"],
-                                                    "properties": {
-                                                        "text": {"type": "string"}
-                                                    },
-                                                },
-                                                "defaultConfiguration": {
-                                                    "type": "object",
-                                                    "properties": {
-                                                        "level": {
-                                                            "enum": [
-                                                                "none",
-                                                                "note",
-                                                                "warning",
-                                                                "error",
-                                                            ]
-                                                        }
-                                                    },
-                                                },
-                                            },
-                                        },
-                                    },
-                                },
-                            }
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["ruleId", "message", "locations"],
-                            "properties": {
-                                "ruleId": {"type": "string"},
-                                "level": {
-                                    "enum": ["none", "note", "warning", "error"]
-                                },
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                    "properties": {"text": {"type": "string"}},
-                                },
-                                "locations": {
-                                    "type": "array",
-                                    "minItems": 1,
-                                    "items": {
-                                        "type": "object",
-                                        "properties": {
-                                            "physicalLocation": {
-                                                "type": "object",
-                                                "required": ["artifactLocation"],
-                                                "properties": {
-                                                    "artifactLocation": {
-                                                        "type": "object",
-                                                        "required": ["uri"],
-                                                        "properties": {
-                                                            "uri": {"type": "string"}
-                                                        },
-                                                    },
-                                                    "region": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "startLine": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                            "startColumn": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                        },
-                                                    },
-                                                },
-                                            }
-                                        },
-                                    },
-                                },
-                                "partialFingerprints": {
-                                    "type": "object",
-                                    "additionalProperties": {"type": "string"},
-                                },
-                                "baselineState": {
-                                    "enum": ["new", "unchanged", "updated", "absent"]
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-
-def sarif_run(capsys, *argv):
-    rc = main([*argv, "--format", "sarif"])
-    payload = json.loads(capsys.readouterr().out)
-    return rc, payload
-
-
-# -- SARIF ------------------------------------------------------------------
-
-
-def test_sarif_log_validates_against_2_1_0_subset(capsys):
-    rc, payload = sarif_run(capsys, str(FIXTURES / "race" / "bad_rmw.py"))
-    assert rc == 1
-    jsonschema.validate(payload, SARIF_SUBSET_SCHEMA)
-    assert payload["version"] == SARIF_VERSION == "2.1.0"
-    assert payload["$schema"] == SARIF_SCHEMA
-    (run,) = payload["runs"]
-    assert run["tool"]["driver"]["name"] == "reprolint"
-    assert len(run["results"]) == 3
-    assert {r["ruleId"] for r in run["results"]} == {"RACE-RMW"}
-
-
-def test_sarif_results_carry_partial_fingerprints(capsys):
-    rc, payload = sarif_run(capsys, str(FIXTURES / "task_life" / "bad_orphan.py"))
-    assert rc == 1
-    results = payload["runs"][0]["results"]
-    prints = [r["partialFingerprints"][FINGERPRINT_KEY] for r in results]
-    assert len(prints) == 3 and len(set(prints)) == 3
-    for fp in prints:
-        int(fp, 16)  # hex digest
-
-
-def test_sarif_rules_metadata_covers_every_reported_rule(capsys):
-    rc, payload = sarif_run(capsys, str(FIXTURES / "ownership" / "bad_mutation.py"))
-    assert rc == 1
-    run = payload["runs"][0]
-    rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert rule_ids == sorted(rule_ids)
-    reported = {r["ruleId"] for r in run["results"]}
-    assert reported <= set(rule_ids)
-
-
-def test_sarif_clean_run_has_empty_results_and_rc_zero(capsys):
-    rc, payload = sarif_run(capsys, str(FIXTURES / "race" / "clean_locked.py"))
-    assert rc == 0
-    jsonschema.validate(payload, SARIF_SUBSET_SCHEMA)
-    assert payload["runs"][0]["results"] == []
-
-
-def test_sarif_baseline_state_only_with_baseline(capsys, tmp_path):
-    fixture = str(FIXTURES / "race" / "bad_stale.py")
-    _, payload = sarif_run(capsys, fixture)
-    for result in payload["runs"][0]["results"]:
-        assert "baselineState" not in result
-
-    base = tmp_path / "base.json"
-    assert main([fixture, "--write-baseline", str(base)]) == 0
-    capsys.readouterr()
-    rc, payload = sarif_run(capsys, fixture, "--baseline", str(base))
-    assert rc == 0  # everything known
-    states = [r["baselineState"] for r in payload["runs"][0]["results"]]
-    assert states == ["unchanged", "unchanged"]
-
-
-def test_sarif_marks_unbaselined_findings_new(capsys, tmp_path):
-    stale = str(FIXTURES / "race" / "bad_stale.py")
-    lock = str(FIXTURES / "race" / "bad_lock.py")
-    base = tmp_path / "base.json"
-    assert main([stale, "--write-baseline", str(base)]) == 0
-    capsys.readouterr()
-    rc, payload = sarif_run(capsys, stale, lock, "--baseline", str(base))
-    assert rc == 1  # the lock finding is new
-    states = {
-        r["ruleId"]: r["baselineState"] for r in payload["runs"][0]["results"]
-    }
-    assert states == {"RACE-STALE": "unchanged", "RACE-LOCK": "new"}
-
-
-# -- baseline workflow ------------------------------------------------------
-
-
-def test_write_then_lint_against_baseline_is_clean(capsys, tmp_path):
-    fixture = str(FIXTURES / "race" / "bad_rmw.py")
-    base = tmp_path / "reprolint-baseline.json"
-    rc = main([fixture, "--write-baseline", str(base)])
-    assert rc == 0
-    assert "wrote 3 finding(s)" in capsys.readouterr().err
-
-    on_disk = json.loads(base.read_text())
-    assert on_disk["version"] == FORMAT_VERSION
-    assert len(load(base)) == 3
-
-    rc = main([fixture, "--baseline", str(base)])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert captured.out == ""  # known findings are not re-printed
-    assert "3 baselined" in captured.err
-
-
-def test_fixed_finding_becomes_stale_baseline_entry(capsys, tmp_path):
-    # baseline the firing file, then lint its clean sibling against that
-    # baseline under the same name: every entry is now stale
-    src = tmp_path / "module.py"
-    base = tmp_path / "base.json"
-    shutil.copy(FIXTURES / "race" / "bad_stale.py", src)
-    assert main([str(src), "--write-baseline", str(base)]) == 0
-    shutil.copy(FIXTURES / "race" / "clean_locked.py", src)
-    capsys.readouterr()
-
-    rc = main([str(src), "--baseline", str(base)])
-    captured = capsys.readouterr()
-    assert rc == 0  # stale entries alone do not fail without the flag
-    assert "2 stale baseline entr" in captured.err
-
-    rc = main([str(src), "--baseline", str(base), "--fail-on-baseline-drift"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "baseline drift" in captured.err
-
-
-def test_json_payload_reports_baseline_accounting(capsys, tmp_path):
-    fixture = str(FIXTURES / "task_life" / "bad_orphan.py")
-    base = tmp_path / "base.json"
-    assert main([fixture, "--write-baseline", str(base)]) == 0
-    capsys.readouterr()
-    rc = main([fixture, "--format", "json", "--baseline", str(base)])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["findings"] == []  # only NEW findings are listed
-    assert payload["counts"] == {}
-    assert payload["baselined"] == 3
-    assert payload["baseline_stale"] == []
-
-
-def test_baseline_split_round_trips_through_render_and_load(tmp_path):
-    findings = lint_paths([FIXTURES / "ownership" / "bad_mutation.py"])
-    assert len(findings) == 3
-    base = tmp_path / "base.json"
-    base.write_text(render(findings))
-    baselined = load(base)
-    new, known, stale = split(findings, baselined)
-    assert (new, len(known), stale) == ([], 3, set())
-    # drop one entry: that finding comes back as new, nothing stale
-    dropped = set(sorted(baselined)[1:])
-    new, known, stale = split(findings, dropped)
-    assert len(new) == 1 and len(known) == 2 and stale == set()
-
-
-def test_missing_baseline_file_is_usage_error():
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(FIXTURES), "--baseline", "no/such/baseline.json"])
-    assert excinfo.value.code == 2
-
-
-def test_corrupt_baseline_file_is_usage_error(tmp_path):
-    bad = tmp_path / "base.json"
-    bad.write_text('{"version": 999}')
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(FIXTURES), "--baseline", str(bad)])
-    assert excinfo.value.code == 2
-
-
-def test_drift_flag_requires_baseline():
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(FIXTURES), "--fail-on-baseline-drift"])
-    assert excinfo.value.code == 2
 
 
 # -- suppression accounting -------------------------------------------------
@@ -381,45 +75,3 @@ def test_cli_accepts_family_prefix_selectors(capsys):
     rc = main([fixture, "--select", "RACE"])
     capsys.readouterr()
     assert rc == 0  # no RACE findings in the orphan fixture
-
-
-# -- fingerprints -----------------------------------------------------------
-
-
-def test_fingerprints_survive_line_drift(tmp_path):
-    # the baseline's whole point: editing unrelated lines above a finding
-    # must not invalidate its fingerprint.  TASK-LIFE messages carry no
-    # line numbers, so only the line field moves.
-    target = tmp_path / "work.py"
-    original = (FIXTURES / "task_life" / "bad_orphan.py").read_text()
-    target.write_text(original)
-    before = [f.fingerprint for f in lint_paths([target])]
-    target.write_text("# a comment\n# another\n\n" + original)
-    after = [f.fingerprint for f in lint_paths([target])]
-    assert before == after != []
-
-
-def test_fingerprints_anchor_at_src_repro(tmp_path, monkeypatch):
-    # absolute (test) and relative (CI) invocations must agree on the
-    # fingerprint, so paths are anchored at the innermost src/repro/
-    target = tmp_path / "src" / "repro" / "work.py"
-    target.parent.mkdir(parents=True)
-    shutil.copy(FIXTURES / "task_life" / "bad_orphan.py", target)
-    absolute = [f.fingerprint for f in lint_paths([target])]
-    monkeypatch.chdir(tmp_path)
-    relative = [f.fingerprint for f in lint_paths([Path("src/repro/work.py")])]
-    assert absolute == relative != []
-
-
-def test_duplicate_findings_get_distinct_ordinal_fingerprints():
-    twin = dict(path="src/repro/x.py", line=1, col=0, code="X-Y", message="same")
-    findings = fingerprint_findings(
-        [Finding(**twin), Finding(**dict(twin, line=9))]
-    )
-    prints = [f.fingerprint for f in findings]
-    assert len(set(prints)) == 2
-    # re-fingerprinting is deterministic
-    again = fingerprint_findings(
-        [Finding(**dict(twin, line=9)), Finding(**twin)]
-    )
-    assert sorted(prints) == sorted(f.fingerprint for f in again)

@@ -19,6 +19,7 @@ import pytest
 import repro
 from repro.devtools import all_rules, lint_paths
 from repro.devtools.lint import main
+from repro.devtools.rules.ambient import AMBIENT_RULES
 from repro.devtools.runner import PARSE_ERROR, iter_python_files
 
 SRC = Path(repro.__file__).resolve().parents[1]
@@ -152,40 +153,61 @@ def test_disable_all_suppresses_every_family(tmp_path):
 # -- scoping ----------------------------------------------------------------
 
 
-def test_scoped_rule_ignores_other_packages(tmp_path):
-    # the same nondeterministic source outside simnet/chain is not SIM-DET's
-    # business (fullnode code may legitimately read the clock)
-    bad = (FIXTURES / "simnet" / "bad_wallclock.py").read_text()
-    target = tmp_path / "fullnode" / "wallclock.py"
-    target.parent.mkdir()
-    target.write_text(bad)
-    assert lint_paths([target]) == []
+#: what each ambient fixture calls, by ban class; ``clean_injected.py``
+#: only *references* ``time.monotonic`` and must never fire anywhere
+AMBIENT_SOURCES = {
+    "simnet/bad_wallclock.py": {"wall-clock": 2, "calendar": 1},
+    "simnet/bad_random.py": {"global-RNG": 3, "OS-entropy": 1},
+    "simnet/bad_heapq_scheduling.py": {"heap-scheduling": 4},
+    "analysis/bad_impure.py": {"wall-clock": 1, "calendar": 1, "file-I/O": 2},
+    "telemetry/clean_injected.py": {},
+}
+
+#: the ban classes each row carries, pinned so a row cannot quietly drop one
+AMBIENT_BANS = {
+    "SIM-DET": {
+        "global-RNG", "wall-clock", "calendar", "OS-entropy", "heap-scheduling"
+    },
+    "OBS-CLOCK": {"wall-clock", "calendar"},
+    "INGEST-PURE": {"wall-clock", "calendar", "file-I/O"},
+    "SHARD-SAFE": {"global-RNG", "wall-clock"},
+}
 
 
-def test_scheduler_module_may_own_a_heap(tmp_path):
-    # the same heap-scheduling source is legal in exactly one place: the
-    # scheduler itself (repro/simnet/clock.py)
-    bad = (FIXTURES / "simnet" / "bad_heapq_scheduling.py").read_text()
-    target = tmp_path / "simnet" / "clock.py"
-    target.parent.mkdir()
-    target.write_text(bad)
-    assert lint_paths([target]) == []
-    # ...and only under simnet/: a chain-side clock.py is still a finding
-    chain_clock = tmp_path / "chain" / "clock.py"
-    chain_clock.parent.mkdir()
-    chain_clock.write_text(bad)
-    assert len(lint_paths([chain_clock])) == 4
+@pytest.mark.parametrize(
+    "code, scope, banned, remedy",
+    AMBIENT_RULES,
+    ids=[row[0] for row in AMBIENT_RULES],
+)
+def test_ambient_row(tmp_path, code, scope, banned, remedy):
+    """Each row fires on its banned classes inside its scope, only there."""
+    assert set(banned) == AMBIENT_BANS[code]
 
+    def findings_by_class(package, filename=None):
+        counts = Counter()
+        for relative in AMBIENT_SOURCES:
+            target = tmp_path / package / (filename or relative.replace("/", "_"))
+            target.parent.mkdir(exist_ok=True)
+            shutil.copy(FIXTURES / relative, target)
+            for finding in lint_paths([target]):
+                assert finding.code == code and remedy in finding.message
+                counts[finding.message.split(" call ")[0]] += 1
+        return dict(counts)
 
-def test_ingest_pure_guards_the_analysis_layer(tmp_path):
-    # the very same wall-clock source dropped into analysis/ is caught —
-    # replayed reports must not depend on when they render
-    bad = (FIXTURES / "simnet" / "bad_wallclock.py").read_text()
-    target = tmp_path / "analysis" / "wallclock.py"
-    target.parent.mkdir()
-    target.write_text(bad)
-    codes = {finding.code for finding in lint_paths([target])}
-    assert codes == {"INGEST-PURE"}
+    expected = Counter()
+    for calls in AMBIENT_SOURCES.values():
+        expected.update({k: n for k, n in calls.items() if k in banned})
+    for package in scope:
+        assert findings_by_class(package) == dict(expected)
+        # the one exemption: the scheduler itself (simnet/clock.py) may own
+        # a heap — and only under simnet/, a chain-side clock.py may not
+        in_clock = dict(expected)
+        if package == "simnet":
+            del in_clock["heap-scheduling"]
+        assert findings_by_class(package, "clock.py") == in_clock
+    # the same sources outside the row's scope are not its business
+    # (fullnode code may legitimately read the clock)
+    assert findings_by_class("fullnode") == {}
 
 
 def test_crypto_rule_applies_to_rlpx_paths(tmp_path):

@@ -92,6 +92,23 @@ class TestRenderTop:
         assert "breaker transitions: open=2" in text
         assert "full-harvest=9" in text and "timeout=4" in text
 
+    def test_stage_latency_table_folds_shards(self):
+        # one series per (stage, shard): three fast connects on shard 0 and
+        # one slow on shard 1 fold into one row — the last shard's
+        # histogram must not shadow the rest
+        telemetry = Telemetry(shard="0")
+        for _ in range(3):
+            telemetry.stage_seconds.labels(stage="connect", shard="0").observe(0.004)
+        telemetry.stage_seconds.labels(stage="connect", shard="1").observe(2.0)
+        telemetry.stage_seconds.labels(stage="hello", shard="1").observe(0.04)
+        lines = render_top(telemetry.registry.snapshot()).splitlines()
+        header = lines.index("Stage latency") + 2
+        assert lines[header].split() == ["stage", "p50", "p95", "max"]
+        connect, hello = (line.split() for line in lines[header + 1 : header + 3])
+        assert connect[0] == "connect" and hello[0] == "hello"
+        p50, _, worst = (float(cell.rstrip("ms")) for cell in connect[1:])
+        assert p50 <= 5.0 < 1000.0 <= worst
+
     def test_byte_stable_for_a_snapshot(self):
         snapshot = sample_snapshot()
         assert render_top(snapshot) == render_top(snapshot)
@@ -100,6 +117,7 @@ class TestRenderTop:
         text = render_top({"metrics": []})
         assert "Shard health" in text
         assert "-" in text
+        assert "Stage latency" in text
         assert "breaker transitions: none" in text
 
 

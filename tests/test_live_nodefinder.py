@@ -325,3 +325,54 @@ def test_one_shard_redials_its_due_statics_concurrently():
             await finder.stop()
 
     asyncio.run(scenario())
+
+
+def test_raising_fold_is_a_crashed_dial_and_the_loop_keeps_dialing():
+    """A ``NodeDB.observe`` that raises crashes *that dial*, as in the sim
+    (regression: the writer's queue consumer logged and dropped it, so the
+    dial counted as scheduled and never reached ``dial_failures``)."""
+
+    async def scenario():
+        harvester, _ = stub_harvester(
+            0.0, lambda attempt: DialOutcome.FULL_HARVEST
+        )
+        finder = LiveNodeFinder(
+            config=LiveConfig(shards=2, static_dial_interval=3600.0, retry=None),
+            harvester=harvester,
+        )
+        targets = [dead_enode(seed) for seed in range(200, 212)]
+        poisoned = targets[0].node_id
+        observe = finder.db.observe
+
+        def flaky_observe(result):
+            if result.node_id == poisoned:
+                raise RuntimeError("corrupt entry")
+            return observe(result)
+
+        finder.db.observe = flaky_observe
+        await finder.start(bootstrap=[])
+        try:
+            started = time.monotonic()
+            for target in targets:
+                plant_static(finder, target, 0.0)
+            while (
+                len(finder.db) < len(targets) - 1
+                or not finder.stats["dial_failures"]
+            ):
+                assert time.monotonic() - started < 5.0, "sweep never finished"
+                await asyncio.sleep(0.005)
+            assert poisoned not in finder.db
+            assert finder.stats["loop_crashes"] == 0
+            # one dials-by-shard family, labelled per segment even though
+            # journal-less shards share the crawl-wide facade
+            dials = finder.telemetry.scheduled_dials
+            per_segment = [
+                dials.total(type="static-dial", shard=shard.segment)
+                for shard in finder._shards
+            ]
+            assert all(per_segment)
+            assert sum(per_segment) == finder.stats["static_dials"]
+        finally:
+            await finder.stop()
+
+    asyncio.run(scenario())

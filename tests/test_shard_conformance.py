@@ -268,7 +268,6 @@ class TestShardSpeedup:
         )
         for enode in _targets(self.TARGETS):
             plant_static(finder, enode, 0.0)
-        finder.writer.start()
         tasks = [
             asyncio.ensure_future(finder._shard_loop(shard))
             for shard in finder._shards
@@ -280,7 +279,6 @@ class TestShardSpeedup:
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-            await finder.writer.close()
 
     def test_four_shards_beat_unsharded(self):
         baseline = asyncio.run(self._sweep(1))

@@ -2,7 +2,6 @@
 journal round-trip, spans, and the facade's event mapping."""
 
 import io
-import math
 
 import pytest
 
@@ -23,7 +22,6 @@ from repro.telemetry import (
     read_events,
     render_prometheus,
     summarize_journal,
-    summarize_snapshot,
 )
 
 
@@ -521,18 +519,6 @@ class TestSummaries:
         assert "hello" in text
         assert "100.0ms" in text
 
-    def test_snapshot_summary_matches_journal_shape(self):
-        telemetry, _, clock = TestTelemetryFacade().make()
-        span = telemetry.start_span("dial")
-        child = span.child("connect")
-        clock.advance(0.05)
-        child.finish()
-        telemetry.record_dial(full_result(duration=span.finish()), span=span)
-        text = summarize_snapshot(telemetry.registry.snapshot())
-        assert "Dial funnel" in text and "full-harvest" in text
-        assert "Stage latency" in text and "connect" in text
-        assert math.isfinite(1.0)  # sanity: text path raised nothing
-
     def test_stage_latency_reports_p50_p95_max(self):
         telemetry, stream, clock = TestTelemetryFacade().make()
         # 0.1s .. 1.0s in ten dials: p50 straddles the middle, max = 1.0s
@@ -574,4 +560,3 @@ class TestSummaries:
 
     def test_empty_inputs_render(self):
         assert "no transitions" in summarize_journal([])
-        assert "Dial funnel" in summarize_snapshot({"metrics": []})
