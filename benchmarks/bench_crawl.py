@@ -43,11 +43,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.analysis.ingest import read_events
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
+from repro.telemetry.journal import iter_events
 from repro.telemetry.profiler import Profiler
 
 #: (label, world size, simulated crawl days); 100k runs a shorter sim-day
@@ -91,7 +91,7 @@ def bench_scale(total_nodes: int, days: float) -> dict:
             events = sum(
                 1
                 for path in sorted(Path(telemetry_dir).glob("*.jsonl"))
-                for _ in read_events(path)
+                for _ in iter_events(path)
             )
     finally:
         # un-freeze between scales so one world's pinned objects don't

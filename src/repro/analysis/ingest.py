@@ -28,7 +28,7 @@ lacking one, write their facts onto the entry directly; duplicated
 records re-apply idempotent facts; records that cannot be interpreted at
 all (missing ``node_id``, unknown outcome) are counted in
 ``ReplayedCrawl.skipped`` and dropped.  Torn final lines are handled one
-layer down by :func:`~repro.telemetry.journal.read_events`.
+layer down by :func:`~repro.telemetry.journal.iter_events`.
 
 Replay folds **every** dial attempt on record.  A live crawl under a
 ``RetryPolicy`` journals each attempt but folds only the final
@@ -43,10 +43,13 @@ event stream, so replaying a journal is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from math import isfinite
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, TextIO, Union
+from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Union
 
 from repro.devp2p.messages import DisconnectReason
 from repro.nodefinder.database import NodeDB
@@ -54,7 +57,7 @@ from repro.nodefinder.records import CrawlStats
 from repro.nodefinder.shard import NodeDBWriter
 from repro.simnet.clock import SECONDS_PER_DAY
 from repro.simnet.node import DialOutcome, DialResult
-from repro.telemetry.journal import Event, read_events
+from repro.telemetry.journal import Event, iter_events
 
 
 @dataclass
@@ -88,8 +91,10 @@ class PeerTimeline:
         return max(self.sighting_gaps, default=0.0)
 
     def _touch(self, ts: float) -> None:
-        self.first_event = min(self.first_event, ts)
-        self.last_event = max(self.last_event, ts)
+        if ts < self.first_event:
+            self.first_event = ts
+        if ts > self.last_event:
+            self.last_event = ts
 
     def _sight(self, ts: float) -> None:
         if self.last_seen is not None:
@@ -140,27 +145,37 @@ class ReplayedCrawl:
 #: companion records that attach to a peer's open dial observation
 _COMPANIONS = frozenset({"hello", "status", "dao", "disconnect"})
 
+#: record types that may be crawl-scope (v3/v4): about the crawl, not a peer
+_CRAWL_SCOPE = frozenset({"crawler", "table_admission", "breaker", "reshard"})
 
-class _PendingDial:
-    """One dial observation being assembled from its records."""
+_OUTCOMES = {outcome.value: outcome for outcome in DialOutcome}
 
-    __slots__ = ("base", "hello", "status", "dao_side", "disconnect_reason")
 
-    def __init__(self, base: dict) -> None:
-        self.base = base
-        self.hello: dict = {}
-        self.status: dict = {}
-        self.dao_side: Optional[str] = None
-        self.disconnect_reason: Optional[DisconnectReason] = None
+def _finite(value) -> float:
+    number = float(value)
+    if not isfinite(number):  # json reads NaN / Infinity; a day index cannot
+        raise ValueError(f"{number} is not a timestamp")
+    return number
 
-    def result(self) -> DialResult:
-        return DialResult(
-            dao_side=self.dao_side,
-            disconnect_reason=self.disconnect_reason,
-            **self.base,
-            **self.hello,
-            **self.status,
-        )
+
+#: the ``dial`` fields replay converts, each with the conversion that
+#: makes it the type a live ``DialResult`` carries
+_DIAL_NUMBERS = (
+    ("started", _finite),
+    ("tcp_port", int),
+    ("latency", float),
+    ("duration", float),
+    ("attempt", int),
+)
+_NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+
+
+def _converts(convert, value) -> bool:
+    try:
+        convert(value)
+    except _NOT_A_NUMBER:
+        return False
+    return True
 
 
 def _node_id(event: Event) -> Optional[bytes]:
@@ -198,98 +213,99 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
 
     Never raises on stream *content*: uninterpretable records are noted
     in ``skipped`` and dropped, so shuffled, duplicated, or truncated
-    journals still yield the best view their events support.
+    journals still yield the best view their events support.  ``events``
+    is consumed once, one event at a time — what the fold holds is the
+    crawl products and the observation still open for each peer.
     """
     out = ReplayedCrawl()
     # replayed dials fold through the same single-writer path a live crawl
     # uses (direct mode), so the OWNERSHIP invariant holds here too
     writer = NodeDBWriter(out.db, stats=out.stats)
-    pending: Dict[bytes, _PendingDial] = {}
-
-    def flush(node_id: bytes) -> None:
-        open_dial = pending.pop(node_id, None)
-        if open_dial is None:
-            return
-        writer.submit(open_dial.result())
-        out.dials_replayed += 1
+    #: the observation a peer's ``dial`` opened; its companions fill it in
+    pending: Dict[bytes, DialResult] = {}
+    timelines = out.timelines
+    skipped = out.skipped
+    counts: Dict[str, int] = {}
+    lineno = 0
 
     for lineno, event in enumerate(events, start=1):
-        out.events_replayed += 1
-        out.event_counts[event.type] += 1
+        kind = event.type
+        counts[kind] = counts.get(kind, 0) + 1
         fields = event.fields
+        ts = event.ts
         # crawl-scope records (v3): they carry node_ids that are *not*
         # peers (the crawler's own identity, refused candidates) or no
         # node_id at all — handle them before the timeline bookkeeping
-        if event.type == "crawler":
-            crawler_id = _node_id(event)
-            if crawler_id is not None:
-                out.crawler_ids.add(crawler_id)
-                name = fields.get("name")
-                if isinstance(name, str):
-                    out.crawler_names[crawler_id] = name
-            continue
-        if event.type == "table_admission":
-            out.admission_rejections[str(fields.get("reason"))] += 1
-            subnet = fields.get("subnet")
-            if isinstance(subnet, str):
-                out.rejected_subnets[subnet] += 1
-            continue
-        if event.type == "breaker" and fields.get("scope") == "subnet":
-            if fields.get("new") == "open":
-                out.subnet_breaker_trips[str(fields.get("subnet"))] += 1
-            continue
-        if event.type == "reshard":
-            # (v4) a sealed segment's handoff marker.  A merge seals two
-            # parent segments with the same generation's record — dedupe
-            # on generation so the plan history reads one row per op.
-            generation = fields.get("generation")
-            if generation is not None and generation not in out.reshard_generations:
-                out.reshard_generations.add(generation)
-                out.reshards.append(
-                    {
-                        "action": fields.get("action"),
-                        "step": fields.get("step"),
-                        "generation": generation,
-                        "parent": fields.get("parent"),
-                        "children": fields.get("children"),
-                        "ts": event.ts,
-                    }
-                )
-                out.reshards.sort(
-                    key=lambda op: (op["ts"], op["generation"])
-                )
-            continue
+        if kind in _CRAWL_SCOPE:
+            if kind == "crawler":
+                crawler_id = _node_id(event)
+                if crawler_id is not None:
+                    out.crawler_ids.add(crawler_id)
+                    name = fields.get("name")
+                    if isinstance(name, str):
+                        out.crawler_names[crawler_id] = name
+                continue
+            if kind == "table_admission":
+                out.admission_rejections[str(fields.get("reason"))] += 1
+                subnet = fields.get("subnet")
+                if isinstance(subnet, str):
+                    out.rejected_subnets[subnet] += 1
+                continue
+            if kind == "reshard":
+                # (v4) a sealed segment's handoff marker.  A merge seals two
+                # parent segments with the same generation's record — dedupe
+                # on generation so the plan history reads one row per op.
+                generation = fields.get("generation")
+                if (
+                    isinstance(generation, int)
+                    and generation not in out.reshard_generations
+                ):
+                    out.reshard_generations.add(generation)
+                    out.reshards.append(
+                        {
+                            "action": fields.get("action"),
+                            "step": fields.get("step"),
+                            "generation": generation,
+                            "parent": fields.get("parent"),
+                            "children": fields.get("children"),
+                            "ts": ts,
+                        }
+                    )
+                    out.reshards.sort(
+                        key=lambda op: (op["ts"], op["generation"])
+                    )
+                continue
+            if fields.get("scope") == "subnet":  # a breaker over a /24
+                if fields.get("new") == "open":
+                    out.subnet_breaker_trips[str(fields.get("subnet"))] += 1
+                continue
+            # ...a peer-scope breaker is a per-peer record like any other
         node_id = _node_id(event)
         if node_id is not None:
-            timeline = out.timelines.get(node_id)
+            timeline = timelines.get(node_id)
             if timeline is None:
-                timeline = out.timelines[node_id] = PeerTimeline(
-                    node_id=node_id, first_event=event.ts, last_event=event.ts
+                timeline = timelines[node_id] = PeerTimeline(
+                    node_id=node_id, first_event=ts, last_event=ts
                 )
             else:
-                timeline._touch(event.ts)
-        elif event.type in _COMPANIONS or event.type == "dial":
-            out.skipped.append(
-                f"event {lineno}: {event.type} without a usable node_id"
-            )
+                timeline._touch(ts)
+        elif kind in _COMPANIONS or kind == "dial":
+            skipped.append(f"event {lineno}: {kind} without a usable node_id")
             continue
         else:
             continue  # supervisor / datagram_fault / unknown broadcast types
 
-        if event.type == "dial":
-            try:
-                outcome = DialOutcome(fields.get("outcome"))
-            except ValueError:
-                out.skipped.append(
-                    f"event {lineno}: dial with unknown outcome "
-                    f"{fields.get('outcome')!r}"
+        if kind == "dial":
+            value = fields.get("outcome")
+            outcome = _OUTCOMES.get(value) if isinstance(value, str) else None
+            if outcome is None:
+                skipped.append(
+                    f"event {lineno}: dial with unknown outcome {value!r}"
                 )
                 continue
-            flush(node_id)
-            started = fields.get("started", event.ts)
-            pending[node_id] = _PendingDial(
-                dict(
-                    timestamp=float(started),
+            try:
+                result = DialResult(
+                    timestamp=_finite(fields.get("started", ts)),
                     node_id=node_id,
                     ip=str(fields.get("ip", "")),
                     tcp_port=int(fields.get("tcp_port", 0)),
@@ -303,101 +319,129 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
                     failure_detail=fields.get("failure_detail"),
                     attempts=int(fields.get("attempt", 1)),
                 )
-            )
+            except _NOT_A_NUMBER:
+                unusable = next(
+                    key
+                    for key, convert in _DIAL_NUMBERS
+                    if not _converts(convert, fields.get(key, 0))
+                )
+                skipped.append(f"event {lineno}: dial with unusable {unusable}")
+                continue
+            if node_id in pending:
+                writer.submit(pending.pop(node_id))
+            pending[node_id] = result
             timeline.dials += 1
             timeline.outcomes[outcome.value] += 1
             if outcome.connected:
-                timeline._sight(float(started))
-        elif event.type == "hello":
-            hello = dict(
-                client_id=fields.get("client_id"),
-                capabilities=_capabilities(fields.get("capabilities")),
-                listen_port=fields.get("listen_port"),
-            )
+                timeline._sight(result.timestamp)
+        elif kind == "hello":
+            client_id = fields.get("client_id")
+            capabilities = _capabilities(fields.get("capabilities"))
             open_dial = pending.get(node_id)
             if open_dial is not None:
-                open_dial.hello = hello
+                open_dial.client_id = client_id
+                open_dial.capabilities = capabilities
+                open_dial.listen_port = fields.get("listen_port")
             else:  # orphan (shuffled/truncated stream): write facts directly
-                entry = out.db.entry(node_id, event.ts)
-                if hello["client_id"] is not None:
-                    entry.client_id = hello["client_id"]
-                    entry.capabilities = hello["capabilities"]
-        elif event.type == "status":
-            status = dict(
-                network_id=fields.get("network_id"),
-                genesis_hash=_hex_field(fields, "genesis_hash"),
-                best_hash=_hex_field(fields, "best_hash"),
-                best_block=fields.get("best_block"),
-                head_height=fields.get("head_height"),
-                total_difficulty=fields.get("total_difficulty"),
-            )
+                entry = out.db.entry(node_id, ts)
+                if client_id is not None:
+                    entry.client_id = client_id
+                    entry.capabilities = capabilities
+        elif kind == "status":
+            network_id = fields.get("network_id")
             open_dial = pending.get(node_id)
             if open_dial is not None:
-                open_dial.status = status
-            elif status["network_id"] is not None:
-                entry = out.db.entry(node_id, event.ts)
-                entry.network_id = status["network_id"]
-                entry.genesis_hash = status["genesis_hash"]
-                entry.best_hash = status["best_hash"]
-                entry.best_block = status["best_block"]
-                entry.head_at_status = status["head_height"]
-                entry.total_difficulty = status["total_difficulty"]
-        elif event.type == "dao":
+                open_dial.network_id = network_id
+                open_dial.genesis_hash = _hex_field(fields, "genesis_hash")
+                open_dial.best_hash = _hex_field(fields, "best_hash")
+                open_dial.best_block = fields.get("best_block")
+                open_dial.head_height = fields.get("head_height")
+                open_dial.total_difficulty = fields.get("total_difficulty")
+            elif network_id is not None:
+                entry = out.db.entry(node_id, ts)
+                entry.network_id = network_id
+                entry.genesis_hash = _hex_field(fields, "genesis_hash")
+                entry.best_hash = _hex_field(fields, "best_hash")
+                entry.best_block = fields.get("best_block")
+                entry.head_at_status = fields.get("head_height")
+                entry.total_difficulty = fields.get("total_difficulty")
+        elif kind == "dao":
             verdict = fields.get("verdict")
             open_dial = pending.get(node_id)
             if open_dial is not None:
                 open_dial.dao_side = verdict
             elif verdict is not None:
-                out.db.entry(node_id, event.ts).dao_side = verdict
-        elif event.type == "disconnect":
-            if fields.get("sent_by") == "remote":
+                out.db.entry(node_id, ts).dao_side = verdict
+        elif kind == "disconnect":
+            open_dial = pending.get(node_id)
+            if open_dial is not None and fields.get("sent_by") == "remote":
                 try:
                     reason = DisconnectReason(fields.get("reason"))
                 except ValueError:
                     reason = None
-                open_dial = pending.get(node_id)
-                if open_dial is not None:
-                    open_dial.disconnect_reason = reason
-        elif event.type == "retry":
+                open_dial.disconnect_reason = reason
+        elif kind == "retry":
             timeline.retries += 1
-        elif event.type == "bond":
+        elif kind == "bond":
             if fields.get("ok"):
                 timeline.bonds_ok += 1
             else:
                 timeline.bonds_failed += 1
-        elif event.type == "breaker":
+        elif kind == "breaker":
             if fields.get("new") == "open":
                 timeline.breaker_opens += 1
         # any other per-node event type: timeline already touched above
 
-    for node_id in list(pending):
-        flush(node_id)
+    for open_dial in pending.values():
+        writer.submit(open_dial)
+    out.events_replayed = lineno
+    out.dials_replayed = writer.folds
+    out.event_counts.update(counts)
     return out
 
 
+Source = Union[str, Path, TextIO, Iterable[str]]
+
+_TS = attrgetter("ts")
+
+
 def replay_journal(
-    source: Union[str, Path, TextIO, Iterable[str]],
+    source: Source,
     tolerate_torn_tail: bool = True,
 ) -> ReplayedCrawl:
-    """Read one journal (path, stream, or lines) and replay it."""
-    return replay(read_events(source, tolerate_torn_tail=tolerate_torn_tail))
+    """Read one journal (path, stream, or lines) and replay it, in file order."""
+    return replay(iter_events(source, tolerate_torn_tail=tolerate_torn_tail))
+
+
+class _StepsBackwards(Exception):
+    """A source's ``ts`` decreased: a merge of it would not be the sort."""
+
+
+def _ascending(events: Iterable[Event]) -> Iterator[Event]:
+    latest = float("-inf")
+    for event in events:
+        if event.ts < latest:
+            raise _StepsBackwards
+        latest = event.ts
+        yield event
 
 
 def replay_journals(
-    sources: Iterable[Union[str, Path, TextIO, Iterable[str]]],
+    sources: Iterable[Source],
     tolerate_torn_tail: bool = True,
 ) -> ReplayedCrawl:
     """Replay several journals (per-instance or per-shard files) as one crawl.
 
-    Events are merged in timestamp order — the journals share one
-    injected clock, so a stable sort reconstructs the crawl's interleaved
-    timeline while keeping each dial's companion records (written at the
-    same instant) contiguous.  Sharded crawls journal one file per shard
-    (``<name>-shard<k>.g0.jsonl``); because the keyspace partition gives
-    every node exactly one owning shard, no two shard files carry the
-    same node at the same timestamp, and the merged replay reconstructs
-    the same NodeDB the live sharded crawl folded through its writer
-    queue (the shard-conformance suite pins this).
+    Events are folded in timestamp order, ties going to the earlier
+    source and, within a source, to the earlier line — the journals
+    share one injected clock, so this reconstructs the crawl's
+    interleaved timeline while keeping each dial's companion records
+    (written at the same instant) contiguous.  Sharded crawls journal one
+    file per shard (``<name>-shard<k>.g0.jsonl``); because the keyspace
+    partition gives every node exactly one owning shard, no two shard
+    files carry the same node at the same timestamp, and the merged
+    replay reconstructs the same NodeDB the live sharded crawl folded
+    through its ``NodeDBWriter`` (the shard-conformance suite pins this).
 
     Elastic crawls add later-generation segments
     (``<name>-shard<k>.g<gen>.jsonl``): a reshard seals the parent
@@ -407,16 +451,44 @@ def replay_journals(
     so the sealed parent's records all precede its children's.  The
     reshard-conformance suite pins entry-for-entry reconstruction across
     generations.
+
+    **Memory.**  A journal a crawl wrote is non-decreasing in ``ts``, and
+    while every source is, the sources are streamed through a k-way merge
+    straight into the fold: one decoded event per source is held, so
+    memory is O(peers), not O(events).  A source that steps backwards
+    (two runs appended into one file, a hand-shuffled file) makes the
+    merge differ from the sort, so on the first backwards step the
+    partial fold is discarded, every source is read again in full, and
+    the union is stable-sorted and folded — the same result, in
+    O(events) memory.  Sources that are not paths are held as their
+    *lines* so that they can be read twice.
+
+    A :class:`~repro.telemetry.journal.JournalError` names the file when
+    the source is a path.  When *several* sources are corrupt, which one
+    is reported first depends on where the merge is in time, not on
+    argument order.
     """
-    merged: List[Event] = []
-    for source in sources:
-        merged.extend(read_events(source, tolerate_torn_tail=tolerate_torn_tail))
-    merged.sort(key=lambda event: event.ts)
-    return replay(merged)
+    held = [
+        source if isinstance(source, (str, Path, list, tuple)) else list(source)
+        for source in sources
+    ]
+
+    def streams() -> List[Iterator[Event]]:
+        return [
+            iter_events(source, tolerate_torn_tail=tolerate_torn_tail)
+            for source in held
+        ]
+
+    try:
+        return replay(heapq.merge(*map(_ascending, streams()), key=_TS))
+    except _StepsBackwards:
+        merged: List[Event] = []
+        for stream in streams():
+            merged.extend(stream)
+        merged.sort(key=_TS)
+        return replay(merged)
 
 
-def load_nodedb(
-    source: Union[str, Path, TextIO, Iterable[str]],
-) -> NodeDB:
+def load_nodedb(source: Source) -> NodeDB:
     """Shortcut: journal → the NodeDB view the analyses consume."""
     return replay_journal(source).db

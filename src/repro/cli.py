@@ -79,9 +79,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from repro.telemetry import read_events, summarize_journal
+    from repro.telemetry import iter_events, summarize_journal
 
-    print(summarize_journal(read_events(args.journal)))
+    print(summarize_journal(iter_events(args.journal)))
     return 0
 
 

@@ -10,8 +10,9 @@ and zero ambient state:
   no-op default for uninstrumented call sites);
 * :class:`Span` — per-dial traces with one child span per harvest stage,
   feeding per-stage latency histograms;
-* :class:`EventJournal` / :func:`read_events` — the structured JSONL
-  measurement journal (versioned schema, exact round-trip);
+* :class:`EventJournal` / :func:`iter_events` / :func:`read_events` —
+  the structured JSONL measurement journal (versioned schema, exact
+  round-trip; the reader is a generator, ``read_events`` its list);
 * :func:`render_prometheus` — text exposition of a registry;
 * :func:`merge_snapshots` — fold per-instance registry snapshots into
   one fleet view (aggregate sums or ``instance``-labeled series);
@@ -43,6 +44,7 @@ from repro.telemetry.journal import (
     Event,
     EventJournal,
     JournalError,
+    iter_events,
     read_events,
 )
 from repro.telemetry.merge import merge_snapshots, split_snapshot_by_shard
@@ -86,6 +88,7 @@ __all__ = [
     "Span",
     "Telemetry",
     "TickClock",
+    "iter_events",
     "merge_snapshots",
     "quantile_from_buckets",
     "read_events",

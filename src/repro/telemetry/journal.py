@@ -5,9 +5,10 @@ log of HELLO / STATUS / DISCONNECT / DAO-check events with timestamps and
 connection metadata.  :class:`EventJournal` is that log made machine
 readable: an append-only JSON-lines stream where every record carries the
 schema version, an event ``type``, a ``ts`` stamped from the *injected*
-clock, and the event's flat fields.  :func:`read_events` round-trips the
-stream back into :class:`Event` objects, so a crawl is replayable into
-the same analyses that consume a live run.
+clock, and the event's flat fields.  :func:`iter_events` round-trips the
+stream back into :class:`Event` objects one record at a time
+(:func:`read_events` is the same reader collected into a list), so a
+crawl is replayable into the same analyses that consume a live run.
 
 Event types emitted by the instrumented stack (see DESIGN.md §7 for the
 full field tables):
@@ -39,8 +40,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, TextIO, Union
 
 from repro.errors import ReproError
 
@@ -66,15 +68,21 @@ _RESERVED_SET = frozenset(_RESERVED)
 #: fresh ``JSONEncoder`` per call, measurable at journal rates
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+#: ...and one shared decoder, called at ``raw_decode``: the reader hands it
+#: stripped lines, so ``json.loads``' two whitespace scans and two call
+#: frames per record buy nothing
+_DECODE = json.JSONDecoder().raw_decode
+
 
 class JournalError(ReproError):
     """A journal stream violated the schema (bad JSON, unknown version).
 
     ``torn`` marks errors consistent with a torn final line from a
-    crashed writer (truncated JSON, missing keys) — :func:`read_events`
+    crashed writer (truncated JSON, missing keys) — :func:`iter_events`
     tolerates those on the last line of a stream.  A recognised-but-
-    unknown schema version is never torn: the line parsed fine and the
-    reader genuinely cannot interpret it.
+    unknown schema version, or a ``v`` / ``type`` / ``ts`` of the wrong
+    JSON type, is never torn: the line parsed fine and the reader
+    genuinely cannot interpret it.
     """
 
     def __init__(self, message: str, torn: bool = False) -> None:
@@ -84,6 +92,16 @@ class JournalError(ReproError):
 
 def _at(lineno: int, message: str) -> str:
     return f"line {lineno}: {message}" if lineno else message
+
+
+def _unknown_version(lineno: int, version: Any) -> JournalError:
+    return JournalError(
+        _at(
+            lineno,
+            f"unknown schema version {version!r} "
+            f"(this reader speaks 1..{SCHEMA_VERSION})",
+        )
+    )
 
 
 def _upgrade_v1(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -117,7 +135,7 @@ MIGRATIONS: Dict[int, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     """One journal record."""
 
@@ -140,32 +158,51 @@ class Event:
 
     @classmethod
     def from_json(cls, line: str, lineno: int = 0) -> "Event":
+        """Decode one record; every way it can fail is a :class:`JournalError`.
+
+        ``v`` must be an integer the reader speaks, ``type`` a string and
+        ``ts`` a finite number — a consumer may key a merge on ``ts`` and
+        count by ``type`` without looking again.
+        """
+        line = line.strip()
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record, end = _DECODE(line)
+        except (ValueError, RecursionError) as exc:
             raise JournalError(
                 _at(lineno, f"not valid JSON: {exc}"), torn=True
             ) from exc
+        if end != len(line):
+            raise JournalError(
+                _at(lineno, f"not valid JSON: extra data after char {end}"),
+                torn=True,
+            )
         if not isinstance(record, dict):
             raise JournalError(_at(lineno, "record is not an object"), torn=True)
         version = record.pop("v", None)
-        while version in MIGRATIONS:
-            record = MIGRATIONS[version](record)
-            version += 1
+        if type(version) is not int:  # bool is not a version either
+            raise _unknown_version(lineno, version)
         if version != SCHEMA_VERSION:
-            raise JournalError(
-                _at(
-                    lineno,
-                    f"unknown schema version {version!r} "
-                    f"(this reader speaks 1..{SCHEMA_VERSION})",
-                )
-            )
+            while version in MIGRATIONS:
+                record = MIGRATIONS[version](record)
+                version += 1
+            if version != SCHEMA_VERSION:
+                raise _unknown_version(lineno, version)
         try:
             event_type = record.pop("type")
             ts = record.pop("ts")
         except KeyError as exc:
             raise JournalError(_at(lineno, f"missing key {exc}"), torn=True) from exc
-        return cls(type=event_type, ts=float(ts), fields=record, v=SCHEMA_VERSION)
+        if type(event_type) is not str:
+            raise JournalError(_at(lineno, f"type {event_type!r} is not a string"))
+        stamp = ts
+        if type(ts) is int:
+            try:
+                stamp = float(ts)
+            except OverflowError:
+                stamp = inf
+        if type(stamp) is not float or not isfinite(stamp):
+            raise JournalError(_at(lineno, f"ts {ts!r} is not a finite number"))
+        return cls(event_type, stamp, record, SCHEMA_VERSION)
 
 
 class EventJournal:
@@ -240,36 +277,56 @@ class EventJournal:
         self.close()
 
 
-def read_events(
+def iter_events(
     source: Union[str, Path, TextIO, Iterable[str]],
     tolerate_torn_tail: bool = True,
-) -> List[Event]:
-    """Parse a journal back into events (path, open stream, or lines).
+) -> Iterator[Event]:
+    """Parse a journal lazily (path, open stream, or lines), one record held.
 
     A journal written by a crawl that crashed (or was SIGKILLed) mid-write
     typically ends in one torn line — truncated JSON with no newline.
     With ``tolerate_torn_tail`` (the default) that final line is dropped
     instead of raised, so a crashed crawl's journal still replays; torn
     lines *before* the tail, and unknown schema versions anywhere, always
-    raise :class:`JournalError` with the line number.
+    raise :class:`JournalError` with the line number — and the file's
+    name, when the source is a path.  Being a generator, it opens a path
+    at the first ``next()`` and raises where the bad line *is*: the
+    events before it have been yielded by then.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as stream:
-            return _parse_lines(stream, tolerate_torn_tail)
-    return _parse_lines(source, tolerate_torn_tail)
+            try:
+                yield from _parse_lines(stream, tolerate_torn_tail)
+            except JournalError as exc:
+                raise JournalError(
+                    f"{Path(source).name} {exc}", torn=exc.torn
+                ) from exc
+    else:
+        yield from _parse_lines(source, tolerate_torn_tail)
 
 
-def _parse_lines(lines: Iterable[str], tolerate_torn_tail: bool) -> List[Event]:
-    stripped = [line.strip() for line in lines]
-    last = max((i for i, line in enumerate(stripped) if line), default=-1)
-    events = []
-    for index, line in enumerate(stripped):
+def read_events(
+    source: Union[str, Path, TextIO, Iterable[str]],
+    tolerate_torn_tail: bool = True,
+) -> List[Event]:
+    """:func:`iter_events`, collected: the whole journal as a list."""
+    return list(iter_events(source, tolerate_torn_tail))
+
+
+def _parse_lines(lines: Iterable[str], tolerate_torn_tail: bool) -> Iterator[Event]:
+    from_json = Event.from_json
+    rest = iter(lines)
+    for lineno, line in enumerate(rest, start=1):
+        line = line.strip()
         if not line:
             continue
         try:
-            events.append(Event.from_json(line, index + 1))
+            event = from_json(line, lineno)
         except JournalError as exc:
-            if tolerate_torn_tail and exc.torn and index == last:
-                break
+            # a torn line is the tail only if nothing but blanks follows it
+            if tolerate_torn_tail and exc.torn and not any(
+                later.strip() for later in rest
+            ):
+                return
             raise
-    return events
+        yield event

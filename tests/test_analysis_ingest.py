@@ -9,11 +9,14 @@ Three layers:
   ``--db`` emit byte-identical reports for the same crawl;
 * property tests (Hypothesis) over adversarial event orderings:
   shuffled, duplicated, or truncated journals degrade gracefully
-  instead of raising.
+  instead of raising;
+* the streamed k-way merge of ``replay_journals`` against the fold of
+  the stable-sorted union it replaces, product for product.
 """
 
 from __future__ import annotations
 
+import io
 import random
 
 import pytest
@@ -25,8 +28,9 @@ from repro.cli import main
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
+from repro.simnet.node import DialOutcome
 from repro.simnet.world import SimWorld, WorldConfig
-from repro.telemetry import Event, read_events
+from repro.telemetry import Event, JournalError, read_events
 
 # dial-derived DayCounters attributes (discovery_attempts is scheduler
 # bookkeeping with no journal record; everything else folds from dials)
@@ -243,3 +247,243 @@ class TestAdversarialOrderings:
         lines[index] = mangled
         replayed = replay(read_events(lines))
         assert replayed.skipped or replayed.events_replayed == len(lines)
+
+
+# -- dial fields that are not numbers ------------------------------------------
+
+
+class TestUnusableFieldTypes:
+    """``replay`` never raises on stream content — whatever JSON type a
+    field arrives as."""
+
+    @pytest.mark.parametrize(
+        "field", ["tcp_port", "attempt", "latency", "duration", "started"]
+    )
+    @pytest.mark.parametrize("value", ["abc", None, [1], {}])
+    def test_non_numeric_field_is_skipped_not_fatal(self, field, value):
+        fields = {"node_id": "aa" * 32, "outcome": "timeout", field: value}
+        replayed = replay([Event("dial", 5.0, fields), *read_events(_synthetic_lines())])
+        assert replayed.skipped == [f"event 1: dial with unusable {field}"]
+        assert replayed.dials_replayed == 2  # the journal's own two
+        assert replayed.event_counts["dial"] == 3
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_started_that_is_not_a_time_is_skipped(self, value):
+        # json reads NaN / Infinity; a day index cannot be taken of them
+        line = Event("dial", 5.0, {
+            "node_id": "aa" * 32, "outcome": "timeout", "started": value,
+        }).to_json()
+        replayed = replay_journal([line])
+        assert replayed.skipped == ["event 1: dial with unusable started"]
+        assert replayed.dials_replayed == 0
+
+    def test_numeric_strings_still_convert(self):
+        replayed = replay([Event("dial", 5.0, {
+            "node_id": "aa" * 32, "outcome": "timeout", "tcp_port": "30303",
+        })])
+        assert not replayed.skipped
+        assert replayed.db.get(bytes.fromhex("aa" * 32)).tcp_port == 30303
+
+    @pytest.mark.parametrize("outcome", [["timeout"], {}, 7, None])
+    def test_outcome_that_is_not_a_string_is_an_unknown_outcome(self, outcome):
+        replayed = replay(
+            [Event("dial", 5.0, {"node_id": "aa" * 32, "outcome": outcome})]
+        )
+        assert replayed.skipped == [
+            f"event 1: dial with unknown outcome {outcome!r}"
+        ]
+
+    @pytest.mark.parametrize("generation", [[1], {}, "1", None])
+    def test_reshard_generation_that_is_not_an_integer_is_ignored(self, generation):
+        # it is a set member and a sort key: [1] was a TypeError out of replay
+        replayed = replay([
+            Event("reshard", 1.0, {"action": "split", "generation": 1}),
+            Event("reshard", 1.0, {"action": "split", "generation": generation}),
+        ])
+        assert [op["generation"] for op in replayed.reshards] == [1]
+        assert replayed.event_counts["reshard"] == 2
+
+
+# -- streamed merge == fold of the sorted union -----------------------------------
+
+PEERS = ("aa" * 32, "bb" * 32, "cc" * 32)
+
+
+@st.composite
+def _journal_events(draw):
+    """A short run of records over three peers and a dozen instants, so
+    that equal-``ts`` ties (inside a source and across sources) and
+    re-dials of one peer are the common case, not the rare one."""
+    events = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        ts = float(draw(st.integers(min_value=0, max_value=11)))
+        peer = draw(st.sampled_from(PEERS))
+
+        def pick(*options):
+            return draw(st.sampled_from(options))
+
+        kind = pick(
+            "dial", "dial", "hello", "status", "dao", "disconnect", "retry",
+            "bond", "breaker", "subnet-breaker", "crawler", "table_admission",
+            "reshard", "supervisor",
+        )
+        if kind == "dial":
+            fields = {
+                "node_id": peer,
+                "ip": pick("10.0.0.1", "10.0.0.2"),
+                "tcp_port": pick(30303, 30304),
+                "connection_type": pick("dynamic-dial", "static-dial", "incoming"),
+                "outcome": pick("no-such-outcome", *(o.value for o in DialOutcome)),
+                "latency": pick(0.0, 0.05),
+                "started": ts - pick(0.0, 0.25),
+            }
+        elif kind == "hello":
+            fields = {
+                "node_id": peer,
+                "client_id": pick("Geth/v1.8.0", "Parity/v1.9", None),
+                "capabilities": [["eth", pick(62, 63)]],
+            }
+        elif kind == "status":
+            fields = {
+                "node_id": peer,
+                "network_id": pick(1, 3, None),
+                "genesis_hash": pick("cc" * 32, "zz"),
+                "best_block": pick(10, 20),
+                "head_height": 30,
+            }
+        elif kind == "dao":
+            fields = {"node_id": peer, "verdict": pick("supports", "opposes", None)}
+        elif kind == "disconnect":
+            fields = {
+                "node_id": peer,
+                "sent_by": pick("remote", "local"),
+                "reason": pick(4, 16, 999),
+            }
+        elif kind == "bond":
+            fields = {"node_id": peer, "ok": pick(True, False)}
+        elif kind == "breaker":
+            fields = {"node_id": peer, "new": pick("open", "closed")}
+        elif kind == "subnet-breaker":
+            kind = "breaker"
+            fields = {"scope": "subnet", "subnet": "10.0.0", "new": "open"}
+        elif kind == "crawler":
+            fields = {"node_id": pick("ee" * 32, "ff" * 32), "name": "nodefinder-0"}
+        elif kind == "table_admission":
+            fields = {"node_id": peer, "reason": "subnet-cap", "subnet": "10.0.0"}
+        elif kind == "reshard":
+            fields = {"action": "split", "step": 1, "generation": pick(1, 2, None)}
+        else:  # retry (per-peer) / supervisor (broadcast, no node_id)
+            fields = {"node_id": peer} if kind == "retry" else {"restarts": 1}
+        events.append(Event(kind, ts, fields))
+    return events
+
+
+def _products(crawl):
+    """Everything a ``ReplayedCrawl`` carries, in comparable form."""
+    return {
+        "db": list(crawl.db),
+        "days": dict(crawl.stats.days),
+        "timelines": crawl.timelines,
+        "skipped": crawl.skipped,
+        "reshards": crawl.reshards,
+        "event_counts": crawl.event_counts,
+        "events_replayed": crawl.events_replayed,
+        "dials_replayed": crawl.dials_replayed,
+        "crawler_names": crawl.crawler_names,
+        "admission_rejections": crawl.admission_rejections,
+        "rejected_subnets": crawl.rejected_subnets,
+        "subnet_breaker_trips": crawl.subnet_breaker_trips,
+    }
+
+
+def _sorted_fold(sources):
+    """The definition ``replay_journals`` must equal: fold the stable
+    sort, by ``ts``, of the sources' events concatenated in argument order."""
+    union = [event for lines in sources for event in read_events(lines)]
+    return replay(sorted(union, key=lambda event: event.ts))
+
+
+class TestStreamedMergeIsTheSortedFold:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_sources_in_any_form(self, data, tmp_path_factory):
+        # (a session fixture: Hypothesis runs every example in one call)
+        directory = tmp_path_factory.getbasetemp() / "streamed-merge-forms"
+        directory.mkdir(exist_ok=True)
+        sources = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            events = data.draw(_journal_events())
+            # a file a crawl wrote is non-decreasing in ts; one that is
+            # not (two runs appended, a hand edit) takes the sort fallback
+            if data.draw(st.booleans(), label="written in time order"):
+                events.sort(key=lambda event: event.ts)
+            sources.append([event.to_json() for event in events])
+        if data.draw(st.booleans(), label="one file twice, its copy torn"):
+            victim = list(data.draw(st.sampled_from(sources)))
+            if victim:
+                victim[-1] = victim[-1][: len(victim[-1]) // 2]
+            sources.append(victim + ["", "  "])
+        sources = data.draw(st.permutations(sources))  # glob order is arbitrary
+
+        handed = []
+        for index, lines in enumerate(sources):
+            form = data.draw(st.sampled_from(["lines", "path", "stream", "one-shot"]))
+            if form == "path":
+                path = directory / f"shard{index}.jsonl"
+                path.write_text("\n".join(lines), encoding="utf-8")
+                handed.append(path if index % 2 else str(path))
+            elif form == "stream":
+                handed.append(io.StringIO("\n".join(lines)))
+            else:
+                handed.append(iter(lines) if form == "one-shot" else lines)
+
+        assert _products(replay_journals(handed)) == _products(_sorted_fold(sources))
+
+    def test_a_source_that_steps_backwards_is_resorted(self):
+        """The input that reaches the sort fallback, by name: one source
+        whose ``ts`` decreases.  A merge would fold its records where
+        they stand (port 1, then 3, then 2: the entry ends on 2); the
+        contract is the sorted union (1, 2, 3: it ends on 3) — and a
+        one-shot iterator must survive being read twice to get there."""
+        def dial(ts, port):
+            return Event("dial", ts, {
+                "node_id": "aa" * 32, "outcome": "timeout", "tcp_port": port,
+            }).to_json()
+
+        backwards = [dial(10.0, 1), dial(30.0, 3), dial(20.0, 2)]
+        other = [dial(5.0, 9)]
+        for form in (list, iter, lambda lines: io.StringIO("\n".join(lines))):
+            replayed = replay_journals([form(other), form(backwards)])
+            assert replayed.db.get(bytes.fromhex("aa" * 32)).tcp_port == 3
+            assert replayed.events_replayed == replayed.dials_replayed == 4
+            assert _products(replayed) == _products(_sorted_fold([other, backwards]))
+
+    def test_equal_timestamps_go_to_the_earlier_source(self):
+        def dial(port):
+            return [Event("dial", 7.0, {
+                "node_id": "aa" * 32, "outcome": "timeout", "tcp_port": port,
+            }).to_json()]
+
+        assert replay_journals([dial(1), dial(2)]).db.get(
+            bytes.fromhex("aa" * 32)
+        ).tcp_port == 2
+        assert replay_journals([dial(2), dial(1)]).db.get(
+            bytes.fromhex("aa" * 32)
+        ).tcp_port == 1
+
+    def test_corrupt_file_is_named(self, tmp_path):
+        good = Event("dial", 1.0, {"node_id": "aa" * 32, "outcome": "timeout"})
+        clean = tmp_path / "nodefinder-0-shard0.g0.jsonl"
+        clean.write_text(good.to_json() + "\n", encoding="utf-8")
+        corrupt = tmp_path / "nodefinder-0-shard1.g0.jsonl"
+        corrupt.write_text(
+            "\n".join([good.to_json(), "{nope", good.to_json()]), encoding="utf-8"
+        )
+        with pytest.raises(
+            JournalError, match=r"^nodefinder-0-shard1\.g0\.jsonl line 2: not valid JSON"
+        ):
+            replay_journals([clean, corrupt])
+        with pytest.raises(JournalError, match=r"^nodefinder-0-shard1\.g0\.jsonl line 2"):
+            replay_journal(str(corrupt))
+        with pytest.raises(JournalError, match=r"^line 2: not valid JSON"):
+            replay_journals([corrupt.read_text(encoding="utf-8").splitlines()])

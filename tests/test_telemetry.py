@@ -2,8 +2,12 @@
 journal round-trip, spans, and the facade's event mapping."""
 
 import io
+import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.simnet.node import DialOutcome, DialResult
@@ -18,6 +22,7 @@ from repro.telemetry import (
     SCHEMA_VERSION,
     Span,
     Telemetry,
+    iter_events,
     quantile_from_buckets,
     read_events,
     render_prometheus,
@@ -287,6 +292,155 @@ class TestJournal:
     def test_blank_lines_after_torn_tail_still_tolerated(self):
         good = Event(type="dial", ts=0.0).to_json()
         assert read_events([good, good[:9], "", "  "]) == read_events([good])
+
+
+    def test_events_are_slotted(self):
+        # one per journal line on the read side: no per-instance dict
+        event = Event(type="dial", ts=0.0)
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(AttributeError):
+            event.extra = 1
+
+    def test_iter_events_is_lazy_and_is_the_list_reader(self, tmp_path):
+        good = Event(type="dial", ts=0.0).to_json()
+        stream = iter_events([good, "{nope", good])
+        assert next(stream).type == "dial"  # yielded before the bad line is read
+        with pytest.raises(JournalError, match="line 2"):
+            next(stream)
+        path = tmp_path / "crawl.jsonl"
+        path.write_text(good + "\n" + good + "\n", encoding="utf-8")
+        assert list(iter_events(path)) == read_events(path) == read_events([good] * 2)
+
+    def test_error_names_the_file_when_the_source_is_a_path(self, tmp_path):
+        good = Event(type="dial", ts=0.0).to_json()
+        path = tmp_path / "nodefinder-0-shard2.g0.jsonl"
+        path.write_text(f"{good}\n{good[:10]}\n{good}\n", encoding="utf-8")
+        with pytest.raises(JournalError) as caught:
+            read_events(str(path))
+        assert str(caught.value).startswith(
+            "nodefinder-0-shard2.g0.jsonl line 2: not valid JSON"
+        )
+        assert caught.value.torn
+        with open(path, encoding="utf-8") as stream:  # a stream has no name to give
+            with pytest.raises(JournalError, match="^line 2: not valid JSON"):
+                read_events(stream)
+
+    @pytest.mark.parametrize(
+        "record, complaint",
+        [
+            ('{"v":4,"type":"dial","ts":null}', "ts None is not a finite number"),
+            ('{"v":4,"type":"dial","ts":"abc"}', "ts 'abc' is not a finite number"),
+            ('{"v":4,"type":"dial","ts":"1.5"}', "ts '1.5' is not a finite number"),
+            ('{"v":4,"type":"dial","ts":true}', "ts True is not a finite number"),
+            ('{"v":4,"type":"dial","ts":[1]}', "is not a finite number"),
+            ('{"v":4,"type":"dial","ts":NaN}', "ts nan is not a finite number"),
+            ('{"v":4,"type":"dial","ts":1e999}', "ts inf is not a finite number"),
+            ('{"v":4,"type":"dial","ts":-Infinity}', "ts -inf is not a finite number"),
+            ('{"v":4,"type":"dial","ts":1' + "0" * 400 + "}", "is not a finite number"),
+            ('{"v":[1],"type":"dial","ts":0}', "unknown schema version [1]"),
+            ('{"v":{},"type":"dial","ts":0}', "unknown schema version {}"),
+            ('{"v":true,"type":"dial","ts":0}', "unknown schema version True"),
+            ('{"v":4.0,"type":"dial","ts":0}', "unknown schema version 4.0"),
+            ('{"v":"4","type":"dial","ts":0}', "unknown schema version '4'"),
+            ('{"v":4,"type":["x"],"ts":0}', "type ['x'] is not a string"),
+            ('{"v":4,"type":null,"ts":0}', "type None is not a string"),
+            ('{"v":1,"type":7,"ts":0}', "type 7 is not a string"),
+        ],
+    )
+    def test_wrongly_typed_reserved_key_is_a_journal_error(self, record, complaint):
+        """The line parsed; the reader cannot interpret it — so it is a
+        typed error with the line number, never torn, never let through
+        for ``replay`` or a merge keyed on ``ts`` to trip over."""
+        good = Event(type="dial", ts=0.0).to_json()
+        with pytest.raises(JournalError) as caught:
+            read_events([good, record])
+        assert str(caught.value).startswith("line 2: ")
+        assert complaint in str(caught.value)
+        assert not caught.value.torn
+
+    def test_integer_ts_is_still_read_as_a_float(self):
+        [event] = read_events(['{"v":4,"type":"dial","ts":3}'])
+        assert event.ts == 3.0 and type(event.ts) is float
+
+    def test_nesting_too_deep_to_parse_is_a_journal_error(self):
+        with pytest.raises(JournalError, match="line 1: not valid JSON"):
+            read_events(["[" * 100_000, Event(type="dial", ts=0.0).to_json()])
+
+
+# -- the reader against a per-line ``json.loads`` reference -------------------------
+
+_GOOD = Event(type="dial", ts=1.5, fields={"outcome": "timeout"}).to_json()
+_HOSTILE_LINES = [
+    _GOOD,
+    Event(type="hello", ts=2.0, fields={"client_id": "Geth/v1.8.0"}).to_json(),
+    '{"v":1,"type":"dial","ts":3,"outcome":"refused"}',
+    '{"v":2,"type":"status","ts":4.0,"best_block":7}',
+    '{"v":3,"type":"crawler","ts":5.0,"name":"nodefinder-0"}',
+    "",
+    "   ",
+    "\t\n",
+    _GOOD + "\n",
+    "  " + _GOOD + " \r\n",
+    "\x0c" + _GOOD,  # str.strip() whitespace that is not JSON whitespace
+    _GOOD + ' {"x":1}',  # extra data after the object
+    _GOOD + "x",
+    _GOOD + _GOOD,
+    _GOOD[:10],  # torn
+    _GOOD[:-1],
+    '{"a":"}',  # these two parse as ONE record if lines are ever joined
+    '{","b":1}',
+    "[1,2]",
+    "3",
+    '"dial"',
+    "null",
+    '{"v":99,"type":"dial","ts":0}',
+    '{"type":"dial","ts":0}',
+    '{"v":4,"type":"dial"}',
+    '{"v":4,"ts":1}',
+]
+
+
+def _reference_read(lines, tolerate_torn_tail):
+    """The reader's contract at its plainest: ``json.loads`` per stripped
+    line, versions 1..4, a torn line forgiven only as the last non-blank
+    one.  Returns the events, or ``(torn, line number)`` of the error."""
+    stripped = [line.strip() for line in lines]
+    last = max((i for i, line in enumerate(stripped) if line), default=-1)
+    events = []
+    for index, line in enumerate(stripped):
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if record.pop("v", None) not in (1, 2, 3, 4):
+                return (False, index + 1)
+            events.append(Event(record.pop("type"), float(record.pop("ts")), record))
+        except (ValueError, AttributeError, TypeError, KeyError):
+            # not JSON / not an object (no .pop, or list.pop("v")) / key missing
+            if tolerate_torn_tail and index == last:
+                break
+            return (True, index + 1)
+    return events
+
+
+class TestReaderAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.sampled_from(_HOSTILE_LINES), max_size=8),
+        tolerate_torn_tail=st.booleans(),
+    )
+    def test_same_events_or_same_error(self, lines, tolerate_torn_tail):
+        try:
+            got = read_events(lines, tolerate_torn_tail=tolerate_torn_tail)
+        except JournalError as exc:
+            lineno = int(re.match(r"line (\d+): ", str(exc)).group(1))
+            got = (exc.torn, lineno)
+        assert got == _reference_read(lines, tolerate_torn_tail)
+        # a stream and a one-shot iterator read like the list of lines
+        if isinstance(got, list):
+            text = "\n".join(line.rstrip("\n") for line in lines)
+            assert read_events(io.StringIO(text), tolerate_torn_tail) == got
+            assert list(iter_events(iter(lines), tolerate_torn_tail)) == got
 
 
 # -- spans ------------------------------------------------------------------
