@@ -16,14 +16,16 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.crypto.keccak import keccak256
 from repro.discovery.distance import (
     geth_log_distance,
     parity_log_distance,
 )
-from repro.discovery.enode import ENode
-from repro.discovery.routing import RoutingTable
+from repro.discovery.enode import ENode, cached_id_hash, cached_id_hash_int
+from repro.discovery.lookup import ALPHA, LOOKUP_ROUNDS, Lookup
+from repro.discovery.routing import K_NEIGHBORS, RoutingTable
 
 
 @dataclass
@@ -147,6 +149,12 @@ def simulate_friction(
     return report
 
 
+class _Peer(NamedTuple):
+    """A node of the §6.3 lookup experiment: an ID and nothing to dial."""
+
+    node_id: bytes
+
+
 @dataclass
 class ConvergenceReport:
     """§6.3 iterated-lookup experiment: how close lookups get to targets
@@ -165,7 +173,7 @@ def simulate_lookup_convergence(
     population: int = 600,
     lookups: int = 120,
     neighbors_per_node: int = 30,
-    rounds: int = 6,
+    rounds: int = 2 * LOOKUP_ROUNDS,
     seed: int = 9,
     compositions: tuple = ("geth", "parity", "mixed"),
 ) -> ConvergenceReport:
@@ -174,22 +182,21 @@ def simulate_lookup_convergence(
     Every node holds a random neighbour sample; Geth-metric nodes answer
     FIND_NODE with their 16 XOR-nearest neighbours, Parity-metric nodes
     with the 16 "nearest" under their summed-byte metric.  The lookup is
-    the standard alpha=3 iteration.  In an all-Parity network the answers
+    the crawlers' :class:`~repro.discovery.lookup.Lookup`, given twice
+    their rounds.  In an all-Parity network the answers
     stop correlating with real closeness, so lookups stall several bits
     short of the target — the paper's 'effectively useless' / accidental
     eclipse scenario.
     """
     rng = random.Random(seed)
-    ids = [rng.randbytes(64) for _ in range(population)]
-    hashes = {node_id: keccak256(node_id) for node_id in ids}
-    hash_ints = {node_id: int.from_bytes(hashes[node_id], "big") for node_id in ids}
-    neighbor_map = {
-        node_id: rng.sample(ids, neighbors_per_node) for node_id in ids
-    }
+    peers = [_Peer(rng.randbytes(64)) for _ in range(population)]
+    hashes = {peer: cached_id_hash(peer.node_id) for peer in peers}
+    hash_ints = {peer: cached_id_hash_int(peer.node_id) for peer in peers}
+    neighbor_map = {peer: rng.sample(peers, neighbors_per_node) for peer in peers}
     report = ConvergenceReport(population=population, lookups=lookups)
 
-    def answer(node_id: bytes, metric: str, target_hash: bytes) -> list[bytes]:
-        neighbors = neighbor_map[node_id]
+    def answer(peer: _Peer, metric: str, target_hash: bytes) -> list[_Peer]:
+        neighbors = neighbor_map[peer]
         if metric == "parity":
             return sorted(
                 neighbors,
@@ -197,19 +204,18 @@ def simulate_lookup_convergence(
                     parity_log_distance(hashes[n], target_hash),
                     hashes[n][-2:],
                 ),
-            )[:16]
+            )[:K_NEIGHBORS]
         target_int = int.from_bytes(target_hash, "big")
-        return sorted(neighbors, key=lambda n: hash_ints[n] ^ target_int)[:16]
+        return sorted(neighbors, key=lambda n: hash_ints[n] ^ target_int)[:K_NEIGHBORS]
 
     for composition in compositions:
         if composition == "geth":
-            metric_of = {node_id: "geth" for node_id in ids}
+            metric_of = {peer: "geth" for peer in peers}
         elif composition == "parity":
-            metric_of = {node_id: "parity" for node_id in ids}
+            metric_of = {peer: "parity" for peer in peers}
         else:
             metric_of = {
-                node_id: ("parity" if rng.random() < 0.5 else "geth")
-                for node_id in ids
+                peer: ("parity" if rng.random() < 0.5 else "geth") for peer in peers
             }
         gaps = []
         hits = 0
@@ -217,20 +223,13 @@ def simulate_lookup_convergence(
         for _ in range(lookups):
             target_hash = keccak256(comp_rng.randbytes(64))
             target_int = int.from_bytes(target_hash, "big")
-            true_nearest = min(ids, key=lambda n: hash_ints[n] ^ target_int)
-            seen = set(comp_rng.sample(ids, 3))
-            queried: set[bytes] = set()
-            for _ in range(rounds):
-                candidates = sorted(
-                    (n for n in seen if n not in queried),
-                    key=lambda n: hash_ints[n] ^ target_int,
-                )[:3]
-                if not candidates:
-                    break
-                for node_id in candidates:
-                    queried.add(node_id)
-                    seen.update(answer(node_id, metric_of[node_id], target_hash))
-            best = min(seen, key=lambda n: hash_ints[n] ^ target_int)
+            true_nearest = min(peers, key=lambda n: hash_ints[n] ^ target_int)
+            # the asker is outside the network: no own ID to drop
+            lookup = Lookup(target_hash, None, comp_rng.sample(peers, ALPHA), rounds)
+            while candidates := lookup.next_round():
+                for peer in candidates:
+                    lookup.feed(answer(peer, metric_of[peer], target_hash))
+            [best] = lookup.closest(1)
             gap = geth_log_distance(hashes[best], target_hash) - geth_log_distance(
                 hashes[true_nearest], target_hash
             )

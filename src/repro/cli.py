@@ -33,6 +33,8 @@ import argparse
 import asyncio
 import sys
 
+from repro.errors import ReproError
+
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     import json
@@ -550,7 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        # a corrupt journal, a missing or unreadable file: the message
+        # already names what and where — no traceback on top of it
+        print(f"nodefinder: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ and each family's measured record.
 from repro.devtools.rules import (  # noqa: F401
     ambient,
     async_rules,
-    crypto_bytes,
     exc_silent,
     ownership,
     race,

@@ -14,8 +14,10 @@ Modules:
 * :mod:`repro.discovery.kbucket` / :mod:`repro.discovery.routing` — the
   routing table with Kademlia's old-node-favouring eviction;
 * :mod:`repro.discovery.packets` — signed discv4 datagrams;
-* :mod:`repro.discovery.protocol` — asyncio UDP endpoint with bonding and
-  iterative lookup.
+* :mod:`repro.discovery.lookup` — the iterative lookup itself, free of IO
+  (frontier, stop rule, round cap), for every driver;
+* :mod:`repro.discovery.protocol` — asyncio UDP endpoint with bonding, and
+  the lookup driven over it.
 """
 
 from repro.discovery.distance import (

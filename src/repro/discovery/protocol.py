@@ -5,8 +5,9 @@ Implements the observable behaviour of Geth's ``p2p/discover``:
 * **endpoint proof (bonding)** — a node answers FIND_NODE only for peers it
   has exchanged PING/PONG with recently; unbonded queries trigger a PING
   back instead of an answer;
-* **iterative lookup** — query the ``ALPHA`` closest known nodes for a
-  target, merge their NEIGHBORS, repeat until convergence (paper §2.1);
+* **iterative lookup** — drive a :class:`~repro.discovery.lookup.Lookup`:
+  FIND_NODE to the ``ALPHA`` closest known nodes, merge their NEIGHBORS,
+  repeat until no new node appears or the rounds are spent (paper §2.1);
 * **NEIGHBORS chunking** — answers are split so no datagram exceeds 1280
   bytes (Geth sends at most :data:`MAX_NEIGHBORS_PER_PACKET` per datagram);
 * **table maintenance** — PONGs and valid queries refresh the routing
@@ -21,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.crypto.keccak import keccak256
 from repro.crypto.keys import PrivateKey
@@ -39,7 +40,8 @@ from repro.discovery.packets import (
     default_expiration,
     encode_packet,
 )
-from repro.discovery.routing import ALPHA, K_NEIGHBORS, RoutingTable
+from repro.discovery.lookup import Lookup
+from repro.discovery.routing import K_NEIGHBORS, RoutingTable
 from repro.errors import BadPacket, DiscoveryError
 from repro.resilience.chaos import ChaosDatagramTransport, DatagramChaosConfig
 from repro.resilience.retry import RetryPolicy
@@ -63,6 +65,21 @@ BOND_EXPIRATION = 12 * 3600
 
 #: How long to wait for a PONG / NEIGHBORS reply, seconds.
 REPLY_TIMEOUT = 0.5
+
+
+def _valid_enodes(records: Iterable[NeighborRecord]) -> Iterator[ENode]:
+    """The NEIGHBORS records that name a dialable node (64-byte ID, a
+    parseable IP, ports in range); the rest are dropped."""
+    for record in records:
+        try:
+            yield ENode(
+                node_id=record.node_id,
+                ip=record.ip,
+                udp_port=record.udp_port,
+                tcp_port=record.tcp_port,
+            )
+        except (DiscoveryError, ValueError):
+            continue
 
 
 class DiscoveryService(asyncio.DatagramProtocol):
@@ -244,7 +261,15 @@ class DiscoveryService(asyncio.DatagramProtocol):
         sender_id = decoded.sender_node_id
         self._bonds[sender_id] = time.monotonic()
         pong: PongPacket = decoded.packet  # type: ignore[assignment]
-        node = ENode(node_id=sender_id, ip=addr[0], udp_port=addr[1], tcp_port=addr[1])
+        # a PONG names no TCP port: refresh the record we hold for this
+        # endpoint, and only for a stranger guess that it listens where it
+        # answered from — else every bond would overwrite a good port with
+        # the guess, and NEIGHBORS would spread it
+        node = self.table.get(sender_id)
+        if node is None or node.udp_address != addr:
+            node = ENode(
+                node_id=sender_id, ip=addr[0], udp_port=addr[1], tcp_port=addr[1]
+            )
         self._table_add(node)
         waiters = self._pending_pongs.pop(addr, [])
         for waiter in waiters:
@@ -370,27 +395,19 @@ class DiscoveryService(asyncio.DatagramProtocol):
             if waiter in pending:
                 pending.remove(waiter)
 
-    async def lookup(self, target: bytes) -> list[ENode]:
-        """Iterative Kademlia lookup toward a 64-byte target node ID.
-
-        Queries the ALPHA closest unqueried nodes each round, merging their
-        answers, until no closer nodes appear (paper §2.1).
-        """
+    async def _iterate(self, target: bytes) -> Lookup[ENode]:
+        """Drive one :class:`Lookup` toward a 64-byte target over the wire:
+        FIND_NODE to each round's candidates at once, every node learned
+        added to the table."""
         target_hash = keccak256(target)
         for node in self.bootstrap_nodes:
             self.table.add(node)
-        queried: set[bytes] = {self.node_id}
-        seen: dict[bytes, ENode] = {
-            node.node_id: node for node in self.table.closest_to(target_hash, K_NEIGHBORS)
-        }
-        while True:
-            candidates = sorted(
-                (node for node in seen.values() if node.node_id not in queried),
-                key=lambda node: int.from_bytes(node.id_hash, "big")
-                ^ int.from_bytes(target_hash, "big"),
-            )[:ALPHA]
-            if not candidates:
-                break
+        lookup: Lookup[ENode] = Lookup(
+            target_hash,
+            self.node_id,
+            self.table.closest_in_buckets(target_hash, K_NEIGHBORS),
+        )
+        while candidates := lookup.next_round():
             # exception-safe fan-out: one peer's crash (malformed datagram,
             # socket teardown mid-query) must not cancel the other queries
             # or abort the whole lookup
@@ -405,34 +422,21 @@ class DiscoveryService(asyncio.DatagramProtocol):
                     logger.warning(
                         "find_node to %s failed: %r", node.short_id(), answer
                     )
-            answers = [a if isinstance(a, list) else [] for a in answers]
-            for node in candidates:
-                queried.add(node.node_id)
-            progressed = False
-            for records in answers:
-                for record in records:
-                    if record.node_id == self.node_id or record.node_id in seen:
-                        continue
-                    try:
-                        found = ENode(
-                            node_id=record.node_id,
-                            ip=record.ip,
-                            udp_port=record.udp_port,
-                            tcp_port=record.tcp_port,
-                        )
-                    except (DiscoveryError, ValueError):
-                        continue
-                    seen[found.node_id] = found
+                    continue
+                for found in lookup.feed(_valid_enodes(answer)):
                     self.table.add(found)
-                    progressed = True
-            if not progressed:
-                break
         self.telemetry.discovery_table_size.set(len(self.table))
-        return sorted(
-            seen.values(),
-            key=lambda node: int.from_bytes(node.id_hash, "big")
-            ^ int.from_bytes(target_hash, "big"),
-        )[:K_NEIGHBORS]
+        return lookup
+
+    async def lookup(self, target: bytes) -> list[ENode]:
+        """Iterative Kademlia lookup toward a 64-byte target node ID: the
+        ``K_NEIGHBORS`` closest nodes known when it ends (paper §2.1)."""
+        return (await self._iterate(target)).closest(K_NEIGHBORS)
+
+    async def lookup_all(self, target: bytes) -> list[ENode]:
+        """The same lookup, returning every record an answer carried —
+        what a crawler wants of it: addresses, not proximity."""
+        return list((await self._iterate(target)).results.values())
 
     async def self_lookup(self) -> list[ENode]:
         """Lookup of our own ID — how a node joins the network."""

@@ -20,9 +20,6 @@ from repro.discovery.kbucket import DEFAULT_BUCKET_SIZE, KBucket
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.discovery.admission import TableAdmission
 
-#: Kademlia concurrency factor (paper §2.1: "typically three").
-ALPHA = 3
-
 #: Nodes returned per FIND_NODE (Geth's bucketSize).
 K_NEIGHBORS = 16
 

@@ -207,6 +207,11 @@ class LiveNodeFinder:
         await self.discovery.listen()
         for node in bootstrap:
             await self.discovery.bond(node)
+            # bootstrap nodes are static-dialed like any other node (§4): a
+            # lookup's product is what answers carry, and on a small network
+            # no answer carries the node every query goes to
+            self.core.addresses[node.node_id] = node
+            self.core.add_static(node.node_id, self.clock())
         self._spawn_loop("discovery", self._discovery_loop)
         if self.controller is not None:
             self._spawn_loop("reshard", self._reshard_loop)
@@ -285,7 +290,7 @@ class LiveNodeFinder:
             target = (
                 self.rng.randbytes(64) if self.rng is not None else os.urandom(64)
             )
-            found = await self.discovery.lookup(target)
+            found = await self.discovery.lookup_all(target)
             self.telemetry.lookups.inc()
             batches, _ = self.core.select(
                 found, self.discovery.node_id, self.clock()

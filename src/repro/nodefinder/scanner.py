@@ -22,7 +22,6 @@ profiler scopes, per-shard journals and the reshard handoff.
 
 from __future__ import annotations
 
-import heapq
 import random
 import zlib
 from collections import deque
@@ -31,8 +30,9 @@ from typing import Callable, Optional
 
 from repro.crypto.keccak import keccak256_batch
 from repro.discovery.admission import TableAdmission
-from repro.discovery.enode import ENode, cached_id_hash_int
-from repro.discovery.routing import RoutingTable
+from repro.discovery.enode import ENode
+from repro.discovery.lookup import Lookup
+from repro.discovery.routing import K_NEIGHBORS, RoutingTable
 from repro.errors import DiscoveryError
 from repro.nodefinder.core import CrawlerCore
 from repro.nodefinder.database import NodeDB
@@ -52,10 +52,6 @@ from repro.simnet.node import DialResult
 from repro.simnet.world import NodeAddress, SimWorld
 from repro.telemetry import NULL_TELEMETRY, EventJournal, Telemetry
 
-#: Kademlia fan-out per lookup round (§2.1).
-ALPHA = 3
-#: query rounds per iterative lookup
-LOOKUP_ROUNDS = 3
 #: discovery ticks pre-drawn, and their targets hashed, per block.  One
 #: ``keccak256_batch`` pass is nearly flat in its size — 4.9 ms for 64
 #: targets, 5.7 ms for 256, 7.7 ms for 1 024, against 199 us per scalar
@@ -386,52 +382,29 @@ class NodeFinderInstance:
         """Iterative FIND_NODE toward the target whose keccak-256 is
         ``target_hash`` (paper §2.1 semantics).
 
-        Starting candidates come from the crawler's own routing table
-        (bucket walk), exactly as Geth seeds its lookups; every node
-        learned on the way enters both the table and the address book.
+        Starting candidates come from the crawler's own routing table by
+        a bucket walk outward from the target's bucket — an approximation
+        of Geth, which scans its whole table for the closest.  Every node
+        learned on the way enters both the table and the address book;
+        the return is every record an answer carried.
         """
-        target_int = int.from_bytes(target_hash, "big")
-        id_int = cached_id_hash_int
-        # the frontier holds every address seen and not yet queried, as a
-        # heap keyed once, on insertion, by XOR distance to the target: a
-        # round pops its ALPHA closest instead of re-deriving every seen
-        # address's distance (distinct IDs never tie, so the order is the
-        # one a full sort would give)
-        seen: set[bytes] = set()
-        frontier: list[tuple[int, NodeAddress]] = []
-        for enode in self.table.closest_in_buckets(target_hash, 16):
-            address = self.core.addresses.get(enode.node_id)
-            if address is not None and address.node_id not in seen:
-                seen.add(address.node_id)
-                frontier.append((id_int(address.node_id) ^ target_int, address))
-        heapq.heapify(frontier)
-        results: dict[bytes, NodeAddress] = {}
-        for _ in range(LOOKUP_ROUNDS):
-            candidates = [
-                heapq.heappop(frontier)[1]
-                for _ in range(min(ALPHA, len(frontier)))
-            ]
-            if not candidates:
-                break
-            progressed = False
+        addresses = self.core.addresses
+        lookup: Lookup[NodeAddress] = Lookup(
+            target_hash,
+            self.node_id,
+            (
+                addresses[enode.node_id]
+                for enode in self.table.closest_in_buckets(target_hash, K_NEIGHBORS)
+                if enode.node_id in addresses
+            ),
+        )
+        while candidates := lookup.next_round():
             for address in candidates:
                 answer = self.world.find_node_query(address, target_hash)
-                if answer is None:
-                    continue
-                for record in answer:
-                    if record.node_id == self.node_id:
-                        continue
-                    results[record.node_id] = record
-                    if record.node_id not in seen:
-                        seen.add(record.node_id)
-                        heapq.heappush(
-                            frontier, (id_int(record.node_id) ^ target_int, record)
-                        )
+                if answer is not None:
+                    for record in lookup.feed(answer):
                         self._learn(record)
-                        progressed = True
-            if not progressed:
-                break
-        return list(results.values())
+        return list(lookup.results.values())
 
     def _learn(self, address: NodeAddress) -> None:
         """Fold a discovered address into the book and routing table."""

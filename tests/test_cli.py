@@ -167,6 +167,31 @@ class TestCommands:
         assert main(["analyze", "--journal", str(journal), "--eclipse"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("command", ["analyze", "telemetry"])
+    def test_torn_middle_line_is_one_error_line_not_a_traceback(
+        self, command, capsys, tmp_path
+    ):
+        journal = self._failed_dials_journal(tmp_path)
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][:20]
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([command, "--journal", str(journal)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(
+            f"nodefinder: error: {journal.name} line 2: not valid JSON"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "telemetry"])
+    def test_missing_journal_is_one_error_line_not_a_traceback(
+        self, command, capsys, tmp_path
+    ):
+        missing = tmp_path / "nope.jsonl"
+        assert main([command, "--journal", str(missing)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("nodefinder: error: ") and str(missing) in line
+
     def test_simulate_adversary_smoke(self, capsys):
         assert main([
             "simulate", "--nodes", "150", "--days", "1",

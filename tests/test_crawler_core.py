@@ -5,7 +5,7 @@
 * a sim <-> live differential: one scripted peer set driven through
   ``NodeFinderInstance`` (a scripted world on a real ``WheelClock``) and
   through ``LiveNodeFinder`` (fake clock, stub harvester, patched
-  ``discovery.lookup``).  The journals cannot be byte-equal — the simnet
+  ``discovery.lookup_all``).  The journals cannot be byte-equal — the simnet
   sweeps StaticNodes on a 30-minute tick, a live shard loop polls — so the
   test asserts what the policy determines and the cadence does not;
 * a live split, which must re-home StaticNodes through ``core.replan``;
@@ -212,7 +212,7 @@ async def run_live(peers, shards: int, intervals: int):
         now[0] += LIVE_STEP
         return found
 
-    finder.discovery.lookup = lookup
+    finder.discovery.lookup_all = lookup
     try:
         await asyncio.wait_for(finished.wait(), timeout=30.0)
     finally:

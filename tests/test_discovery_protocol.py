@@ -5,7 +5,11 @@ import asyncio
 import pytest
 
 from repro.crypto.keys import PrivateKey
+from repro.discovery.enode import ENode
+from repro.discovery.lookup import ALPHA, LOOKUP_ROUNDS
+from repro.discovery.packets import NeighborRecord
 from repro.discovery.protocol import DiscoveryService
+from repro.discovery.routing import K_NEIGHBORS
 
 
 def run(coroutine):
@@ -132,6 +136,52 @@ class TestLookup:
                 assert found == []
             finally:
                 await stop_services([lonely])
+
+        run(scenario())
+
+    def test_lookup_is_bounded_against_a_responder_minting_fresh_ids(self):
+        """Every FIND_NODE is answered with 16 IDs nobody has seen: each
+        round "progresses" and leaves more to ask, so only the round cap
+        ends the lookup (false friends, 1908.10141).  The uncapped lookup
+        never returned; ``wait_for`` turns that into a failure."""
+
+        async def scenario():
+            service = DiscoveryService(PrivateKey(5100))
+            service.table.add(ENode(bytes([1]) * 64, "127.0.0.1", 30303, 30303))
+            asked: list[bytes] = []
+
+            async def minting_find_node(node, target):
+                asked.append(node.node_id)
+                return [
+                    NeighborRecord(
+                        "127.0.0.1", 30303, 30303,
+                        (len(asked) * K_NEIGHBORS + i).to_bytes(64, "big"),
+                    )
+                    for i in range(K_NEIGHBORS)
+                ]
+
+            service.find_node = minting_find_node
+            found = await asyncio.wait_for(service.lookup(bytes(64)), 5.0)
+            assert len(found) == K_NEIGHBORS
+            assert ALPHA < len(asked) <= LOOKUP_ROUNDS * ALPHA
+            assert len(set(asked)) == len(asked)
+
+        run(scenario())
+
+    def test_pong_refreshes_the_known_record_and_keeps_its_tcp_port(self):
+        """A PONG names no TCP port; bonding with a node whose record we
+        hold (RLPx listener on another port) must not overwrite it with
+        the guess "TCP = the UDP port it answered from"."""
+
+        async def scenario():
+            a, b = await start_services(2)
+            b.tcp_port = 40404
+            try:
+                a.table.add(b.local_enode)
+                assert await a.bond(b.local_enode)
+                assert a.table.get(b.node_id).tcp_port == 40404
+            finally:
+                await stop_services([a, b])
 
         run(scenario())
 

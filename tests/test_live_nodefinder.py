@@ -7,6 +7,7 @@ import pytest
 
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
+from repro.discovery.packets import NeighborRecord
 from repro.fullnode import start_localhost_network
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
 from repro.resilience import BreakerState, RetryPolicy
@@ -154,7 +155,7 @@ def test_crashed_discovery_loop_is_restarted_and_counted():
                 raise RuntimeError("injected lookup crash")
             return []
 
-        finder.discovery.lookup = flaky_lookup
+        finder.discovery.lookup_all = flaky_lookup
         try:
             for _ in range(60):
                 await asyncio.sleep(0.05)
@@ -190,7 +191,7 @@ def test_lookup_targets_are_random_bytes_from_the_injected_rng():
             targets.append(target)
             return []
 
-        finder.discovery.lookup = recording_lookup
+        finder.discovery.lookup_all = recording_lookup
         try:
             for _ in range(100):
                 await asyncio.sleep(0.01)
@@ -281,7 +282,7 @@ def test_failed_dynamic_dial_is_retried_after_the_history_window():
         async def lookup(_target):
             return [target]
 
-        finder.discovery.lookup = lookup
+        finder.discovery.lookup_all = lookup
         try:
             await asyncio.sleep(0.3)  # a dozen lookups, all inside the window
             assert dialed == [target.node_id]
@@ -290,6 +291,42 @@ def test_failed_dynamic_dial_is_retried_after_the_history_window():
             await asyncio.sleep(0.3)
             assert dialed == [target.node_id] * 2
             assert target.node_id in finder.static_nodes
+        finally:
+            await finder.stop()
+
+    asyncio.run(scenario())
+
+
+def test_every_answered_record_is_dialed_not_only_the_sixteen_closest():
+    """The crawler's product is every record an answer carried (§4 dials
+    what discovery returns): a responder naming 20 nodes gets all 20
+    dialed, where the K-closest view of the lookup dropped the rest."""
+
+    async def scenario():
+        harvester, dialed = stub_harvester(0.0, lambda attempt: DialOutcome.TIMEOUT)
+        finder = LiveNodeFinder(
+            # one lookup: across several random targets the 16 closest
+            # would differ and could cover all 20 by chance
+            config=LiveConfig(lookup_interval=600.0, retry=None),
+            harvester=harvester,
+        )
+        answered = [
+            NeighborRecord("127.0.0.1", 30303, 30303, bytes([index]) * 64)
+            for index in range(1, 21)
+        ]
+        await finder.start(bootstrap=[])
+        finder.discovery.table.add(dead_enode())
+
+        async def find_node(node, target):
+            return answered
+
+        finder.discovery.find_node = find_node
+        try:
+            for _ in range(100):
+                await asyncio.sleep(0.02)
+                if len(dialed) >= len(answered):
+                    break
+            assert set(dialed) == {record.node_id for record in answered}
         finally:
             await finder.stop()
 
