@@ -14,10 +14,10 @@ import statistics
 
 from conftest import emit
 
-from repro.analysis.render import format_table
+from repro.render import format_table
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
-from repro.simnet.node import DialOutcome
+from repro.nodefinder.records import DialOutcome
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 

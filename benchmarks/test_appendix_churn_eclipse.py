@@ -10,7 +10,7 @@ from conftest import emit
 
 from repro.analysis.churn import churn_report
 from repro.analysis.eclipse import takeover_comparison
-from repro.analysis.render import format_table
+from repro.render import format_table
 
 
 def test_appendix_churn(benchmark, paper_crawl):

@@ -8,7 +8,7 @@ Parity because it broadcasts to all peers while Parity relays to √n
 
 from conftest import emit
 
-from repro.analysis.render import format_table
+from repro.render import format_table
 from repro.simnet.casestudy import GETH_PROFILE, run_case_study
 
 

@@ -7,7 +7,7 @@ Parity 50) within minutes and then sit at the cap almost continuously
 
 from conftest import emit
 
-from repro.analysis.render import format_series, side_by_side
+from repro.render import format_series, side_by_side
 from repro.datasets import reference
 
 

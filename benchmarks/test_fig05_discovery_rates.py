@@ -9,7 +9,7 @@ compare rates per instance-hour and the stability of the ratio.
 
 from conftest import bench_profile, emit
 
-from repro.analysis.render import format_series, side_by_side
+from repro.render import format_series, side_by_side
 from repro.analysis.validation import build_validation_report
 from repro.datasets import reference
 

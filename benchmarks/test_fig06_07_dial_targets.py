@@ -7,7 +7,7 @@ much flatter than the dialed one.
 
 from conftest import bench_profile, emit
 
-from repro.analysis.render import format_series, side_by_side
+from repro.render import format_series, side_by_side
 from repro.analysis.validation import build_validation_report
 from repro.datasets import reference
 

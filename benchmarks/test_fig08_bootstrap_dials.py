@@ -8,7 +8,7 @@ outbound attempt pushes the next re-dial back.
 
 from conftest import emit
 
-from repro.analysis.render import format_table, side_by_side
+from repro.render import format_table, side_by_side
 from repro.analysis.validation import build_validation_report
 from repro.datasets import reference
 

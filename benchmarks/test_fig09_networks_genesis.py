@@ -10,7 +10,7 @@ Mainnet genesis.
 from conftest import emit
 
 from repro.analysis.ecosystem import network_stats
-from repro.analysis.render import format_table, side_by_side
+from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from conftest import bench_profile, emit
 
 from repro.analysis.clients import parse_client_id
-from repro.analysis.render import format_table
+from repro.render import format_table
 from repro.simnet.releases import GETH_RELEASES
 
 

@@ -9,7 +9,7 @@ protocol-level reproduction — same metrics, same Monte-Carlo.
 from conftest import emit
 
 from repro.analysis.distance import simulate_distance_distribution
-from repro.analysis.render import format_table
+from repro.render import format_table
 from repro.datasets import reference
 
 TRIALS = 100_000  # the paper's count; direct hash sampling keeps it fast

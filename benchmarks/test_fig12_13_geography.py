@@ -9,7 +9,7 @@ round-trip times versus 2002 Gnutella's residential links.
 from conftest import emit
 
 from repro.analysis.geography import geolocate, latency_report
-from repro.analysis.render import format_table, side_by_side
+from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 

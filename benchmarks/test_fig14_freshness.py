@@ -8,7 +8,7 @@ head to validate/propagate), and 141 nodes sit at exactly block 4,370,001
 from conftest import emit
 
 from repro.analysis.freshness import freshness_cdf
-from repro.analysis.render import format_table, side_by_side
+from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 

@@ -13,7 +13,7 @@ import time
 
 from conftest import emit
 
-from repro.analysis.render import format_table
+from repro.render import format_table
 from repro.chain.chain import HeaderChain
 from repro.chain.genesis import mainnet_genesis
 from repro.crypto.keys import PrivateKey

@@ -10,7 +10,7 @@ convergence through all-Geth, mixed, and all-Parity networks.
 from conftest import emit
 
 from repro.analysis.distance import simulate_friction, simulate_lookup_convergence
-from repro.analysis.render import format_table
+from repro.render import format_table
 
 
 def test_sec63_one_hop_friction(benchmark):

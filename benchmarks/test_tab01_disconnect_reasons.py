@@ -8,7 +8,7 @@ than Geth.
 
 from conftest import emit
 
-from repro.analysis.render import format_table
+from repro.render import format_table
 from repro.datasets import reference
 from repro.devp2p.messages import DisconnectReason
 

@@ -10,7 +10,7 @@ than its genesis-verified subset.
 from conftest import emit
 
 from repro.analysis.comparison import build_table2
-from repro.analysis.render import format_table, side_by_side
+from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 

@@ -9,7 +9,7 @@ Mainnet client.
 from conftest import emit
 
 from repro.analysis.ecosystem import service_table, useless_fraction
-from repro.analysis.render import format_table, side_by_side
+from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 

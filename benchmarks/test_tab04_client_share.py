@@ -7,7 +7,7 @@ third at ~5.2%, and ~30 other clients sharing the rest.
 from conftest import emit
 
 from repro.analysis.clients import client_share_table
-from repro.analysis.render import format_table
+from repro.render import format_table
 from repro.datasets import reference
 
 

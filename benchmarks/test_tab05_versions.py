@@ -13,7 +13,7 @@ from repro.analysis.clients import (
     stable_fraction,
     version_table,
 )
-from repro.analysis.render import format_table, side_by_side
+from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 

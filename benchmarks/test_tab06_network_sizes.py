@@ -8,7 +8,7 @@ reachable set (10,454); far smaller than 2002 Gnutella (62,586).
 from conftest import emit
 
 from repro.analysis.comparison import build_table6, mainnet_snapshot_ids
-from repro.analysis.render import format_table
+from repro.render import format_table
 from repro.datasets import reference
 from repro.datasets.p2p_history import NETWORK_SIZES
 

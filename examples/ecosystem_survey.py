@@ -15,7 +15,7 @@ from repro.analysis.clients import (
     version_table,
 )
 from repro.analysis.ecosystem import network_stats, service_table, useless_fraction
-from repro.analysis.render import format_table, side_by_side
+from repro.render import format_table, side_by_side
 from repro.datasets import reference
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.sanitize import sanitize

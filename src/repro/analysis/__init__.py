@@ -10,7 +10,6 @@ Each module computes one family of results from a :class:`NodeDB` /
 * :mod:`repro.analysis.freshness` — Figure 14;
 * :mod:`repro.analysis.validation` — Figures 5-8;
 * :mod:`repro.analysis.distance` — Figure 11 and the §6.3 friction study;
-* :mod:`repro.analysis.render` — plain-text table/series rendering;
 * :mod:`repro.analysis.ingest` — measurement-journal replay: folds a
   crawl's JSONL event stream back into the same :class:`NodeDB` /
   :class:`CrawlStats` view, so every module above runs unchanged from a
@@ -18,35 +17,3 @@ Each module computes one family of results from a :class:`NodeDB` /
 * :mod:`repro.analysis.report` — the canonical ``nodefinder analyze``
   report (shared with the golden-file regression tests).
 """
-
-from repro.analysis.clients import ClientInfo, parse_client_id
-from repro.analysis.ecosystem import service_table, network_stats, useless_fraction
-from repro.analysis.freshness import freshness_cdf
-from repro.analysis.ingest import (
-    PeerTimeline,
-    ReplayedCrawl,
-    load_nodedb,
-    replay,
-    replay_journal,
-    replay_journals,
-)
-from repro.analysis.render import format_table, format_series
-from repro.analysis.report import render_crawl_report
-
-__all__ = [
-    "ClientInfo",
-    "PeerTimeline",
-    "ReplayedCrawl",
-    "parse_client_id",
-    "service_table",
-    "network_stats",
-    "useless_fraction",
-    "freshness_cdf",
-    "format_table",
-    "format_series",
-    "load_nodedb",
-    "render_crawl_report",
-    "replay",
-    "replay_journal",
-    "replay_journals",
-]

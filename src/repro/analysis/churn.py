@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.nodefinder.database import NodeDB
-from repro.simnet.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 #: Sessions are resolved no finer than the static re-dial interval.
 PROBE_INTERVAL = 30 * 60.0

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from repro.datasets.ethernodes import EthernodesSnapshot
 from repro.datasets.p2p_history import NETWORK_SIZES
 from repro.nodefinder.database import NodeDB
-from repro.simnet.clock import SECONDS_PER_DAY
+from repro.units import SECONDS_PER_DAY
 
 
 @dataclass

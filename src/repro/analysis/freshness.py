@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ethproto.forks import BYZANTIUM_BLOCK
+from repro.chain.forks import BYZANTIUM_BLOCK
 from repro.nodefinder.database import NodeDB
 
 #: A node more than this many blocks behind head is stale (~2 hours of

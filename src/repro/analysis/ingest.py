@@ -53,11 +53,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Union
 
 from repro.devp2p.messages import DisconnectReason
 from repro.nodefinder.database import NodeDB
-from repro.nodefinder.records import CrawlStats
+from repro.nodefinder.records import CrawlStats, DialOutcome, DialResult
 from repro.nodefinder.shard import NodeDBWriter
-from repro.simnet.clock import SECONDS_PER_DAY
-from repro.simnet.node import DialOutcome, DialResult
 from repro.telemetry.journal import Event, iter_events
+from repro.units import SECONDS_PER_DAY
 
 
 @dataclass

@@ -16,8 +16,8 @@ from repro.analysis.churn import churn_report
 from repro.analysis.clients import client_share_table, parse_client_id
 from repro.analysis.ecosystem import network_stats, service_table, useless_fraction
 from repro.analysis.freshness import freshness_cdf
-from repro.analysis.render import format_table
 from repro.nodefinder.database import NodeDB
+from repro.render import format_table
 
 #: Figure 12 sighting-interval histogram bucket edges, in seconds
 SIGHTING_BUCKETS = (

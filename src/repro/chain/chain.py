@@ -16,10 +16,10 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.chain.difficulty import calc_difficulty
+from repro.chain.forks import DAO_FORK_BLOCK, DAO_FORK_EXTRA_DATA
 from repro.chain.header import EMPTY_TRIE_ROOT, EMPTY_UNCLES_HASH, BlockHeader
 from repro.crypto.keccak import keccak256
 from repro.errors import ChainError, InvalidHeader
-from repro.ethproto.forks import DAO_FORK_BLOCK, DAO_FORK_EXTRA_DATA
 
 #: Average Ethereum block interval circa 2018, seconds.
 BLOCK_INTERVAL = 15

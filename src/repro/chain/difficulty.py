@@ -9,8 +9,9 @@ STATUS messages.
 
 from __future__ import annotations
 
+from repro.chain.forks import BYZANTIUM_BLOCK
+
 HOMESTEAD_BLOCK = 1_150_000
-BYZANTIUM_BLOCK = 4_370_000
 
 MIN_DIFFICULTY = 131_072
 _BOMB_DELAY_BYZANTIUM = 3_000_000

@@ -18,11 +18,11 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from repro.chain.chain import BLOCK_INTERVAL
+from repro.chain.forks import DAO_FORK_BLOCK, DAO_FORK_EXTRA_DATA
 from repro.chain.genesis import MAINNET_GENESIS_HASH, custom_genesis
 from repro.chain.header import EMPTY_TRIE_ROOT, EMPTY_UNCLES_HASH, BlockHeader
 from repro.crypto.keccak import KeccakMemo, keccak256
 from repro.errors import ChainError
-from repro.ethproto.forks import DAO_FORK_BLOCK, DAO_FORK_EXTRA_DATA
 
 #: Approximate Mainnet head height on 2018-04-23 (paper snapshot day).
 MAINNET_HEIGHT_APRIL_2018 = 5_463_000

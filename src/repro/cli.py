@@ -91,7 +91,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.ingest import replay_journals
     from repro.analysis.report import render_crawl_report, render_sightings
     from repro.nodefinder.database import NodeDB
-    from repro.simnet.clock import SECONDS_PER_DAY
+    from repro.units import SECONDS_PER_DAY
 
     if bool(args.journal) == bool(args.db):
         print("analyze: pass --journal crawl.jsonl (repeatable) or --db nodes.jsonl",
@@ -222,11 +222,11 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis.clients import client_share_table
     from repro.analysis.ecosystem import network_stats, service_table, useless_fraction
-    from repro.analysis.render import format_table
     from repro.nodefinder.defense import DefenseConfig
     from repro.nodefinder.fleet import run_fleet
     from repro.nodefinder.sanitize import sanitize
     from repro.nodefinder.scanner import NodeFinderConfig
+    from repro.render import format_table
     from repro.simnet.adversary import AdversaryCampaign, AdversaryConfig
     from repro.simnet.population import PopulationConfig
     from repro.simnet.world import SimWorld, WorldConfig
@@ -378,7 +378,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_casestudy(args: argparse.Namespace) -> int:
-    from repro.analysis.render import format_table
+    from repro.render import format_table
     from repro.simnet.casestudy import GETH_PROFILE, PARITY_PROFILE, run_case_study
 
     for profile in (GETH_PROFILE, PARITY_PROFILE):

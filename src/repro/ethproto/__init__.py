@@ -23,12 +23,7 @@ from repro.ethproto.messages import (
     ETH_62,
     ETH_63,
 )
-from repro.ethproto.forks import (
-    DAO_FORK_BLOCK,
-    DAO_FORK_EXTRA_DATA,
-    BYZANTIUM_BLOCK,
-    dao_fork_side,
-)
+from repro.ethproto.forks import dao_fork_side
 from repro.ethproto.handshake import EthHandshakeInfo, run_eth_handshake
 from repro.ethproto.sync import HeaderSynchronizer, SyncMode, SyncProgress
 
@@ -47,9 +42,6 @@ __all__ = [
     "ReceiptsMessage",
     "ETH_62",
     "ETH_63",
-    "DAO_FORK_BLOCK",
-    "DAO_FORK_EXTRA_DATA",
-    "BYZANTIUM_BLOCK",
     "dao_fork_side",
     "EthHandshakeInfo",
     "run_eth_handshake",

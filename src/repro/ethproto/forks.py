@@ -1,26 +1,15 @@
-"""Hard-fork constants and the DAO-fork side check.
+"""The DAO-fork side check.
 
-The DAO fork (paper §2.3 footnote 3) split Mainnet on 2016-07-20 at block
-1,920,000: pro-fork clients stamp that block's ``extra_data`` with the ASCII
-string ``dao-hard-fork``; Ethereum Classic clients do not.  NodeFinder
-requests exactly that header after the STATUS exchange and classifies the
-peer accordingly (§4).
-
-Byzantium activated at block 4,370,000; Figure 14 finds nodes stuck at
-4,370,001 because they run pre-Byzantium clients (§6.2, §7.3).
+NodeFinder requests the DAO fork block's header (the height and stamp
+live in :mod:`repro.chain.forks`) after the STATUS exchange and
+classifies the peer by its ``extra_data`` (§4).
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-DAO_FORK_BLOCK = 1_920_000
-DAO_FORK_EXTRA_DATA = b"dao-hard-fork"
-
-BYZANTIUM_BLOCK = 4_370_000
-
-#: Geth v1.7.1 is "the first version fully compatible with Byzantium" (§6.2).
-FIRST_BYZANTIUM_GETH = (1, 7, 1)
+from repro.chain.forks import DAO_FORK_BLOCK, DAO_FORK_EXTRA_DATA
 
 
 class DaoForkSide(Enum):

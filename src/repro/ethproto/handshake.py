@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.chain.forks import DAO_FORK_BLOCK
 from repro.chain.header import BlockHeader
 from repro.devp2p.messages import DisconnectReason
 from repro.devp2p.peer import DevP2PPeer
 from repro.errors import ProtocolError
 from repro.ethproto import messages as eth
-from repro.ethproto.forks import DAO_FORK_BLOCK, DaoForkSide, dao_fork_side
+from repro.ethproto.forks import DaoForkSide, dao_fork_side
 
 
 @dataclass

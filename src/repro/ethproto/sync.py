@@ -21,15 +21,12 @@ from __future__ import annotations
 import asyncio
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from repro.chain.chain import HeaderChain
 from repro.chain.header import BlockHeader
 from repro.devp2p.peer import DevP2PPeer
 from repro.errors import ChainError, InvalidHeader, ProtocolError
 from repro.ethproto import messages as eth
-
-if TYPE_CHECKING:  # avoid the chain.chain -> ethproto.forks import cycle
-    from repro.chain.chain import HeaderChain
 
 #: Geth's MaxHeaderFetch.
 HEADER_BATCH = 192
@@ -75,7 +72,7 @@ class HeaderSynchronizer:
 
     def __init__(
         self,
-        chain: "HeaderChain",
+        chain: HeaderChain,
         mode: SyncMode = SyncMode.FULL,
         batch_size: int = HEADER_BATCH,
         pivot_distance: int = PIVOT_DISTANCE,

@@ -29,39 +29,3 @@ dial result folds into the one ``NodeDB`` through
 split/merge goes through
 :meth:`~repro.nodefinder.reshard.ReshardCoordinator.handoff`.
 """
-
-from repro.nodefinder.database import NodeDB, NodeEntry
-from repro.nodefinder.records import CrawlStats, DayCounters
-from repro.nodefinder.reshard import (
-    DynamicShardPlan,
-    ReshardController,
-    ReshardCoordinator,
-    ReshardOp,
-    ReshardPolicy,
-    ShardRange,
-)
-from repro.nodefinder.sanitize import SanitizationReport, sanitize
-from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
-from repro.nodefinder.fleet import Fleet, run_fleet
-from repro.nodefinder.live import LiveConfig, LiveNodeFinder
-
-__all__ = [
-    "NodeDB",
-    "NodeEntry",
-    "CrawlStats",
-    "DayCounters",
-    "DynamicShardPlan",
-    "ReshardController",
-    "ReshardCoordinator",
-    "ReshardOp",
-    "ReshardPolicy",
-    "SanitizationReport",
-    "sanitize",
-    "ShardRange",
-    "NodeFinderConfig",
-    "NodeFinderInstance",
-    "Fleet",
-    "run_fleet",
-    "LiveConfig",
-    "LiveNodeFinder",
-]

@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generic, Iterable, Optional, Protocol, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.nodefinder.records import DialOutcome
     from repro.nodefinder.reshard import DynamicShardPlan
     from repro.resilience.breaker import PeerScoreboard
-    from repro.simnet.node import DialOutcome
 
 
 class DialTarget(Protocol):
@@ -68,6 +68,11 @@ class CrawlerCore(Generic[T]):
         #: per-shard StaticNodes: node id -> next re-dial time; a node lives
         #: only in the dict of the shard owning its prefix
         self.statics: list[dict[bytes, float]] = [{} for _ in plan.ranges]
+        #: node id -> the order it joined StaticNodes in, crawl-wide: what
+        #: lets :meth:`due_statics` walk the shards' dicts in one order
+        #: that no plan changes
+        self._joined: dict[bytes, int] = {}
+        self._joins = 0
         self.breakers = list(breakers)
         #: node id -> where to dial it; discovery and completed dials fill it
         self.addresses: dict[bytes, T] = {}
@@ -84,21 +89,23 @@ class CrawlerCore(Generic[T]):
 
     def select(
         self, found: Iterable[T], own_id: bytes, now: float, budget: Optional[int] = None
-    ) -> tuple[list[list[T]], int]:
-        """Lookup results -> per-shard dynamic-dial batches, plus how many
-        the budget shed.
+    ) -> tuple[list[tuple[int, T]], int]:
+        """Lookup results -> the dynamic dials to make, as ``(shard,
+        target)`` in lookup order, plus how many the budget shed.
 
         A result is dialed unless it is ourselves, already on StaticNodes,
         or was taken inside the history window — Geth keeps dialing what
         discovery returns, including nodes that never answered.  Overflow
         beyond ``budget`` is shed *before* it enters the history, so a
         target dropped this round is dialable next round, not blocked for
-        a window.
+        a window.  The order is the lookup's, not the plan's: a subnet
+        breaker trips on the K-th failure in dial order, so a driver that
+        dials this list front to back behaves the same under any plan.
         """
         horizon = now - self.history_window
         shard_of, statics, history = self.plan.shard_of, self.statics, self.dial_history
-        batches: list[list[T]] = [[] for _ in statics]
-        taken = shed = 0
+        taken: list[tuple[int, T]] = []
+        shed = 0
         for target in found:
             node_id = target.node_id
             if node_id == own_id:
@@ -109,20 +116,21 @@ class CrawlerCore(Generic[T]):
             last = history.get(node_id)
             if last is not None and last > horizon:
                 continue
-            if taken == budget:
+            if len(taken) == budget:
                 shed += 1
                 continue
-            taken += 1
             history[node_id] = now
-            batches[shard].append(target)
-        return batches, shed
+            taken.append((shard, target))
+        return taken, shed
 
     def due_statics(self, now: float, shard: Optional[int] = None) -> list[tuple[int, T]]:
         """``(shard, target)`` for every static whose time has come, in
-        shard then insertion order (one shard's only when ``shard`` is
-        given).  Each is rescheduled one interval out *before* it is
-        returned — the caller's dial cannot be raced into a second dial —
-        and an entry with no known address is dropped instead.
+        the order they joined StaticNodes (one shard's only when ``shard``
+        is given) — like :meth:`select`'s, an order the plan does not
+        enter, so dialing it front to back trips the same breakers under
+        any shard count.  Each is rescheduled one interval out *before* it
+        is returned — the caller's dial cannot be raced into a second
+        dial — and an entry with no known address is dropped instead.
         """
         due: list[tuple[int, T]] = []
         for index in range(len(self.statics)) if shard is None else (shard,):
@@ -130,10 +138,11 @@ class CrawlerCore(Generic[T]):
             for node_id in [n for n, next_dial in statics.items() if next_dial <= now]:
                 target = self.addresses.get(node_id)
                 if target is None:
-                    del statics[node_id]
+                    self._leave(index, node_id)
                     continue
                 statics[node_id] = now + self.static_dial_interval
                 due.append((index, target))
+        due.sort(key=lambda item: self._joined[item[1].node_id])
         return due
 
     def admit(self, shard: int, target: T) -> bool:
@@ -157,24 +166,33 @@ class CrawlerCore(Generic[T]):
         if board is not None:
             board.record_success(target.node_id, target.ip)
         self.addresses[target.node_id] = target
-        self.statics[shard].setdefault(target.node_id, now + self.static_dial_interval)
+        self._join(shard, target.node_id, now + self.static_dial_interval)
 
     def add_static(self, node_id: bytes, next_dial: float) -> bool:
         """Put a bootstrap or inbound peer on StaticNodes unless it is
         there already; True when added.  Its address is the caller's to
         learn (the simnet's table admission may refuse it)."""
-        statics = self.statics[self.plan.shard_of(node_id)]
+        return self._join(self.plan.shard_of(node_id), node_id, next_dial)
+
+    def _join(self, shard: int, node_id: bytes, next_dial: float) -> bool:
+        statics = self.statics[shard]
         if node_id in statics:
             return False
         statics[node_id] = next_dial
+        self._joined[node_id] = self._joins
+        self._joins += 1
         return True
+
+    def _leave(self, shard: int, node_id: bytes) -> bool:
+        self._joined.pop(node_id, None)
+        return self.statics[shard].pop(node_id, None) is not None
 
     def prune(self, stale_ids: Iterable[bytes]) -> None:
         """Drop stale addresses from StaticNodes (§4's 24 h rule); a
         dropped peer's breaker is forgotten with it."""
         for node_id in stale_ids:
             shard = self.plan.shard_of(node_id)
-            if self.statics[shard].pop(node_id, None) is not None:
+            if self._leave(shard, node_id):
                 board = self.breakers[shard]
                 if board is not None:
                     board.forget(node_id)

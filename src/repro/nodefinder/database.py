@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from repro.simnet.clock import SECONDS_PER_DAY
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
+from repro.units import SECONDS_PER_DAY
 
 
 @dataclass

@@ -21,13 +21,7 @@ from repro.nodefinder.records import CrawlStats
 from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
 from repro.simnet.adversary import AdversaryCampaign
 from repro.simnet.world import SimWorld
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    EventJournal,
-    Telemetry,
-    merge_snapshots,
-    split_snapshot_by_shard,
-)
+from repro.telemetry import NULL_TELEMETRY, EventJournal, Telemetry, merge_snapshots
 from repro.telemetry.flightrecorder import FlightRecorder
 from repro.telemetry.profiler import Profiler
 
@@ -62,32 +56,6 @@ class Fleet:
     def merged_metrics(self) -> dict:
         """Fleet totals: every instance's counters/histograms summed."""
         return merge_snapshots(self.instance_snapshots())
-
-    def labeled_metrics(self) -> dict:
-        """One snapshot with per-instance series (``instance`` label)."""
-        return merge_snapshots(
-            self.instance_snapshots(),
-            names=[instance.name for instance in self.instances],
-        )
-
-    def shard_labeled_metrics(self) -> dict:
-        """One snapshot with per-shard series across the fleet.
-
-        Each shard's series merge under the instance name
-        ``<name>-shard<segment>`` — the generation-suffixed segment id
-        (``<name>-shard<k>.g<gen>``), so children born from a split never
-        collide with the pre-split shard's name (``merge_snapshots``
-        raises on duplicates)."""
-        snapshots: list[dict] = []
-        names: list[str] = []
-        for instance in self.instances:
-            per_shard = split_snapshot_by_shard(
-                instance.telemetry.registry.snapshot()
-            )
-            for shard, snapshot in per_shard.items():
-                snapshots.append(snapshot)
-                names.append(f"{instance.name}-shard{shard}")
-        return merge_snapshots(snapshots, names=names)
 
 
 def run_fleet(

@@ -46,6 +46,7 @@ from repro.nodefinder.shard import NodeDBWriter, ShardState
 from repro.nodefinder.wire import harvest
 from repro.resilience import LoopSupervisor, PeerScoreboard, RetryPolicy
 from repro.telemetry import EventJournal, Telemetry
+from repro.units import SECONDS_PER_DAY
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +57,7 @@ class LiveConfig:
 
     lookup_interval: float = 4.0
     static_dial_interval: float = 30 * 60.0
-    stale_address_age: float = 24 * 3600.0
+    stale_address_age: float = SECONDS_PER_DAY
     max_active_dials: int = 16   # Geth's maxActiveDialTasks
     dial_timeout: float = 5.0
     #: in-place retry for transport-level dial failures; None disables
@@ -292,18 +293,17 @@ class LiveNodeFinder:
             )
             found = await self.discovery.lookup_all(target)
             self.telemetry.lookups.inc()
-            batches, _ = self.core.select(
+            taken, _ = self.core.select(
                 found, self.discovery.node_id, self.clock()
             )
             # each target goes to the shard owning its keyspace slice; the
             # shard loop batches the draws
-            for shard, batch in zip(self._shards, batches):
-                for node in batch:
-                    shard.queue.put_nowait(node)
-                if batch:
-                    shard.telemetry.shard_queue_depth.labels(
-                        shard=shard.segment
-                    ).set(float(shard.queue.qsize()))
+            for index, node in taken:
+                shard = self._shards[index]
+                shard.queue.put_nowait(node)
+                shard.telemetry.shard_queue_depth.labels(
+                    shard=shard.segment
+                ).set(float(shard.queue.qsize()))
             self._prune_stale()
             await asyncio.sleep(self.config.lookup_interval)
 

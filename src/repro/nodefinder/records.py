@@ -1,8 +1,11 @@
-"""Crawl bookkeeping: per-day counters and whole-crawl statistics.
+"""The measurement record of §4 and the crawl bookkeeping that folds it.
 
-NodeFinder's raw log is one line per connection event; at simulation scale
-we aggregate as we go (the full line-by-line log is optional) into the
-exact series the paper's internal-validation figures plot:
+NodeFinder's raw log is one line per connection event — a
+:class:`DialResult`, whichever driver produced it (``world.dial`` in the
+simnet, :func:`repro.nodefinder.wire.harvest` on real sockets, a journal
+replay).  At simulation scale we aggregate as we go (the full
+line-by-line log is optional) into the exact series the paper's
+internal-validation figures plot:
 
 * Figure 5 — discovery attempts and dynamic-dial attempts per day;
 * Figure 6 — unique nodes dynamic-dialed per day;
@@ -12,11 +15,90 @@ exact series the paper's internal-validation figures plot:
 
 from __future__ import annotations
 
+import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.simnet.node import DialOutcome, DialResult
+from repro.devp2p.messages import DisconnectReason
+
+
+class DialOutcome(enum.Enum):
+    """How a connection attempt ended."""
+
+    TIMEOUT = "timeout"                      # offline / unreachable
+    CONNECTION_REFUSED = "refused"
+    RLPX_FAILED = "rlpx-failed"              # crypto handshake failure
+    DISCONNECT_BEFORE_HELLO = "disconnect-before-hello"
+    HELLO_NO_STATUS = "hello-no-status"      # HELLO ok, STATUS never came
+    HELLO_THEN_DISCONNECT = "hello-then-disconnect"
+    FULL_HARVEST = "full-harvest"            # HELLO + STATUS (+ DAO check)
+
+    @property
+    def connected(self) -> bool:
+        """A TCP connection was established (the peer is alive at all).
+
+        TIMEOUT and CONNECTION_REFUSED mean nothing ever answered; every
+        other outcome is evidence of a listening process.
+        """
+        return self not in (DialOutcome.TIMEOUT, DialOutcome.CONNECTION_REFUSED)
+
+    @property
+    def completed(self) -> bool:
+        """The RLPx session came up and the peer spoke DEVp2p.
+
+        This is §4's "completed dial" — the bar for joining StaticNodes.
+        A refused, reset, or stalled connection is *not* completed and
+        must not be re-dialed every 30 minutes.
+        """
+        return self in (
+            DialOutcome.DISCONNECT_BEFORE_HELLO,
+            DialOutcome.HELLO_NO_STATUS,
+            DialOutcome.HELLO_THEN_DISCONNECT,
+            DialOutcome.FULL_HARVEST,
+        )
+
+
+@dataclass(slots=True)
+class DialResult:
+    """Everything a single connection attempt yields (one NodeFinder log line)."""
+
+    timestamp: float
+    node_id: bytes
+    ip: str
+    tcp_port: int
+    connection_type: str  # dynamic-dial | static-dial | incoming
+    outcome: DialOutcome
+    latency: float = 0.0
+    duration: float = 0.0
+    client_id: Optional[str] = None
+    capabilities: Optional[list[tuple[str, int]]] = None
+    listen_port: Optional[int] = None
+    network_id: Optional[int] = None
+    genesis_hash: Optional[bytes] = None
+    total_difficulty: Optional[int] = None
+    best_hash: Optional[bytes] = None
+    best_block: Optional[int] = None
+    disconnect_reason: Optional[DisconnectReason] = None
+    dao_side: Optional[str] = None  # supports | opposes | empty
+    #: chain head height of the node's network when STATUS was taken —
+    #: freshness (Figure 14) is the lag against *this*, not a later head
+    head_height: Optional[int] = None
+    #: which harvest stage failed: connect | rlpx | hello | status | dao
+    failure_stage: Optional[str] = None
+    #: how it failed: refused | stalled | reset | truncated | unreachable |
+    #: protocol — the fine-grained taxonomy a flat timeout conflates
+    failure_detail: Optional[str] = None
+    #: connection attempts this result covers (> 1 under a RetryPolicy)
+    attempts: int = 1
+
+    @property
+    def got_hello(self) -> bool:
+        return self.client_id is not None
+
+    @property
+    def got_status(self) -> bool:
+        return self.network_id is not None
 
 
 @dataclass

@@ -37,7 +37,7 @@ from repro.errors import DiscoveryError
 from repro.nodefinder.core import CrawlerCore
 from repro.nodefinder.database import NodeDB
 from repro.nodefinder.defense import DefenseConfig, DefenseStats
-from repro.nodefinder.records import CrawlStats
+from repro.nodefinder.records import CrawlStats, DialResult
 from repro.nodefinder.reshard import (
     DynamicShardPlan,
     ReshardController,
@@ -46,11 +46,10 @@ from repro.nodefinder.reshard import (
 )
 from repro.nodefinder.shard import NodeDBWriter
 from repro.resilience.breaker import BreakerState, PeerScoreboard
-from repro.simnet.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.simnet.geo import Location
-from repro.simnet.node import DialResult
 from repro.simnet.world import NodeAddress, SimWorld
 from repro.telemetry import NULL_TELEMETRY, EventJournal, Telemetry
+from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 #: discovery ticks pre-drawn, and their targets hashed, per block.  One
 #: ``keccak256_batch`` pass is nearly flat in its size — 4.9 ms for 64
@@ -84,9 +83,10 @@ class NodeFinderConfig:
     #: scale factor is reported alongside Figure 5).
     dial_history_expiration: float = 30 * 60.0
     #: worker shards partitioning the enode keyspace by node-ID prefix;
-    #: dials route to the shard owning the target and fold through one
-    #: NodeDBWriter, so any N produces the same NodeDB as shards=1 (the
-    #: shard-conformance suite pins this)
+    #: dials go out in the same order under any N, each routed to the
+    #: shard owning the target and folded through one NodeDBWriter, so any
+    #: N produces the same NodeDB, stats and defence counters as shards=1
+    #: (the shard-conformance suite pins this, defended crawl included)
     shards: int = 1
     #: hostile-load hardening (table admission, subnet breakers, dial
     #: budget — see :mod:`repro.nodefinder.defense`).  None keeps the
@@ -227,19 +227,28 @@ class NodeFinderInstance:
     def _world_now(self) -> float:
         return self.world.now
 
+    def _owner_telemetry(self, node_id: bytes) -> Telemetry:
+        """The facade of the segment owning ``node_id``: a record about a
+        node lands in the journal that holds that node's dials (in a
+        segmented crawl the crawl-wide facade has no journal at all)."""
+        return self._shard_telemetry[self.plan.shard_of(node_id)]
+
     def _on_table_reject(self, node: ENode, reason: str, subnet: Optional[str]) -> None:
         self.defense_stats.note_rejection(reason)
-        self.telemetry.record_table_admission(node.node_id, node.ip, reason, subnet)
+        self._owner_telemetry(node.node_id).record_table_admission(
+            node.node_id, node.ip, reason, subnet
+        )
 
     def _on_breaker(self, node_id: bytes, old: BreakerState, new: BreakerState) -> None:
-        self.telemetry.record_breaker(node_id, old, new)
+        self._owner_telemetry(node_id).record_breaker(node_id, old, new)
 
     def _on_subnet_breaker(
         self, subnet: str, old: BreakerState, new: BreakerState
     ) -> None:
         if new is BreakerState.OPEN:
             self.defense_stats.subnet_breaker_trips += 1
-        self.telemetry.record_subnet_breaker(subnet, old, new)
+        # a subnet has no owning segment: the first live one journals it
+        self._shard_telemetry[0].record_subnet_breaker(subnet, old, new)
 
     def defense_snapshot(self) -> DefenseStats:
         """The hardening layer's absorption counters, with live breaker state."""
@@ -303,12 +312,13 @@ class NodeFinderInstance:
         self.writer.record_discovery(self.day)
         now = self.world.now
         defenses = self.config.defenses
-        # batched target draw: the core filters every candidate first, then
-        # each shard gets its batch.  The filters depend only on state the
-        # dials in this tick cannot change (each node id appears once per
-        # lookup), so batching is dial-order neutral — shards=1 produces
-        # exactly the pre-shard interleaved sequence.
-        batches, dropped = self.core.select(
+        # the core filters every candidate first (its filters depend only
+        # on state this tick's dials cannot change: each node id appears
+        # once per lookup); the dials then go out in lookup order whatever
+        # the plan, because a /24's breaker trips on the K-th failure in
+        # dial order — dialing shard by shard would make the defended
+        # crawl depend on the shard count.
+        taken, dropped = self.core.select(
             results,
             self.node_id,
             now,
@@ -318,16 +328,16 @@ class NodeFinderInstance:
         if dropped:
             self.defense_stats.budget_dropped_dials += dropped
             self.telemetry.record_budget_drop(dropped)
-        for shard_index, batch in enumerate(batches):
-            for address in batch:
-                self._dial(address, "dynamic-dial", shard_index)
+        for shard_index, address in taken:
+            self._dial(address, "dynamic-dial", shard_index)
         if self.controller is not None:
-            # the tick's batch sizes are the simnet's queue-depth gauge;
-            # every dial above has already folded, so an op decided here
-            # applies with zero in-flight work (the drain is implicit)
-            ops = self.controller.observe(
-                [float(len(batch)) for batch in batches], now=now
-            )
+            # the tick's per-shard dial counts are the simnet's queue-depth
+            # gauge; every dial above has already folded, so an op decided
+            # here applies with zero in-flight work (the drain is implicit)
+            loads = [0.0] * self.plan.shards
+            for shard_index, _ in taken:
+                loads[shard_index] += 1
+            ops = self.controller.observe(loads, now=now)
             for op_action, op_index in ops:
                 self._apply_reshard(op_action, op_index)
             if ops:
@@ -432,12 +442,9 @@ class NodeFinderInstance:
         self.core.dial_done(shard_index, address, result.outcome, self.world.now)
 
     def _static_tick(self) -> None:
-        """Re-dial every static node whose re-dial time has come.
-
-        Shards are walked in index order; because the keyspace partition is
-        deterministic, the union of due nodes (and each node's owning
-        shard) is independent of the shard count.
-        """
+        """Re-dial every static node whose re-dial time has come, in the
+        order they joined StaticNodes — like a discovery tick's dials, the
+        same sequence under any shard count."""
         for shard_index, address in self.core.due_statics(self.world.now):
             self._dial(address, "static-dial", shard_index)
 

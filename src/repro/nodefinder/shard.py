@@ -37,14 +37,13 @@ from __future__ import annotations
 import asyncio
 from typing import TYPE_CHECKING, Optional
 
-from repro.simnet.clock import SECONDS_PER_DAY
 from repro.telemetry.profiler import NULL_PROFILER
+from repro.units import SECONDS_PER_DAY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nodefinder.database import NodeDB, NodeEntry
-    from repro.nodefinder.records import CrawlStats
+    from repro.nodefinder.records import CrawlStats, DialResult
     from repro.resilience import PeerScoreboard
-    from repro.simnet.node import DialResult
     from repro.telemetry import Telemetry
 
 #: the partition key is the first two node-ID bytes: 2^16 prefixes

@@ -35,6 +35,7 @@ from repro.errors import HandshakeError, PeerDisconnected, ProtocolError, ReproE
 from repro.ethproto import messages as eth
 from repro.ethproto.handshake import harvest_dao_check, run_eth_handshake
 from repro.nodefinder.database import NodeDB
+from repro.nodefinder.records import DialOutcome, DialResult
 from repro.nodefinder.shard import NodeDBWriter
 from repro.resilience import (
     PeerScoreboard,
@@ -44,7 +45,6 @@ from repro.resilience import (
     bounded,
 )
 from repro.rlpx.session import open_session
-from repro.simnet.node import DialOutcome, DialResult
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.spans import Span
 

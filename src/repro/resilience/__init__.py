@@ -9,7 +9,7 @@ supervision for crawler loops (:class:`LoopSupervisor`), and the chaos
 fault-injection layer (:class:`ChaosProxy`, :class:`ChaosStreamReader`
 for TCP, :class:`ChaosDatagramTransport` for the UDP discovery socket)
 the test suite uses to prove each failure mode maps to a deterministic
-:class:`~repro.simnet.node.DialOutcome` or telemetry outcome.
+:class:`~repro.nodefinder.records.DialOutcome` or telemetry outcome.
 """
 
 from repro.resilience.breaker import BreakerState, CircuitBreaker, PeerScoreboard

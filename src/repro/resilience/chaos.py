@@ -3,7 +3,7 @@
 The open Internet the paper crawled injects faults continuously — peers
 reset mid-handshake, stall inside STATUS, feed garbage frames.  This
 module reproduces those faults *deterministically* so tests can assert
-the exact :class:`~repro.simnet.node.DialOutcome` each one maps to:
+the exact :class:`~repro.nodefinder.records.DialOutcome` each one maps to:
 
 * :class:`ChaosProxy` — a localhost TCP proxy between the crawler and a
   real node.  Client→upstream bytes pass verbatim; upstream→client bytes

@@ -22,21 +22,3 @@ rebuilds it as a deterministic discrete-event world:
 Every stochastic choice flows from one seeded RNG, so worlds are exactly
 reproducible.
 """
-
-from repro.simnet.clock import SimClock
-from repro.simnet.geo import GeoModel
-from repro.simnet.population import PopulationConfig, generate_population
-from repro.simnet.node import DialOutcome, DialResult, SimNode
-from repro.simnet.world import SimWorld, WorldConfig
-
-__all__ = [
-    "SimClock",
-    "GeoModel",
-    "PopulationConfig",
-    "generate_population",
-    "SimNode",
-    "DialOutcome",
-    "DialResult",
-    "SimWorld",
-    "WorldConfig",
-]

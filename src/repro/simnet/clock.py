@@ -48,12 +48,10 @@ import itertools
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import SimulationError
+from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.profiler import Profiler
-
-SECONDS_PER_HOUR = 3600.0
-SECONDS_PER_DAY = 86400.0
 
 #: profile scope for callbacks scheduled without a label
 UNLABELLED = "clock.unlabelled"

@@ -9,97 +9,18 @@ its FIND_NODE behaviour under its client's distance metric.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Optional
 
+from repro.chain.forks import BYZANTIUM_BLOCK, DAO_FORK_BLOCK
 from repro.chain.synthetic import SyntheticChain
 from repro.devp2p.messages import DisconnectReason
 from repro.discovery.enode import cached_id_hash
 from repro.discovery.distance import parity_log_distance
-from repro.ethproto.forks import BYZANTIUM_BLOCK, DAO_FORK_BLOCK
-from repro.simnet.clock import SECONDS_PER_DAY
+from repro.nodefinder.records import DialOutcome, DialResult
 from repro.simnet.population import NodeSpec, PopulationBuilder
-
-
-class DialOutcome(enum.Enum):
-    """How a connection attempt ended."""
-
-    TIMEOUT = "timeout"                      # offline / unreachable
-    CONNECTION_REFUSED = "refused"
-    RLPX_FAILED = "rlpx-failed"              # crypto handshake failure
-    DISCONNECT_BEFORE_HELLO = "disconnect-before-hello"
-    HELLO_NO_STATUS = "hello-no-status"      # HELLO ok, STATUS never came
-    HELLO_THEN_DISCONNECT = "hello-then-disconnect"
-    FULL_HARVEST = "full-harvest"            # HELLO + STATUS (+ DAO check)
-
-    @property
-    def connected(self) -> bool:
-        """A TCP connection was established (the peer is alive at all).
-
-        TIMEOUT and CONNECTION_REFUSED mean nothing ever answered; every
-        other outcome is evidence of a listening process.
-        """
-        return self not in (DialOutcome.TIMEOUT, DialOutcome.CONNECTION_REFUSED)
-
-    @property
-    def completed(self) -> bool:
-        """The RLPx session came up and the peer spoke DEVp2p.
-
-        This is §4's "completed dial" — the bar for joining StaticNodes.
-        A refused, reset, or stalled connection is *not* completed and
-        must not be re-dialed every 30 minutes.
-        """
-        return self in (
-            DialOutcome.DISCONNECT_BEFORE_HELLO,
-            DialOutcome.HELLO_NO_STATUS,
-            DialOutcome.HELLO_THEN_DISCONNECT,
-            DialOutcome.FULL_HARVEST,
-        )
-
-
-@dataclass(slots=True)
-class DialResult:
-    """Everything a single connection attempt yields (one NodeFinder log line)."""
-
-    timestamp: float
-    node_id: bytes
-    ip: str
-    tcp_port: int
-    connection_type: str  # dynamic-dial | static-dial | incoming
-    outcome: DialOutcome
-    latency: float = 0.0
-    duration: float = 0.0
-    client_id: Optional[str] = None
-    capabilities: Optional[list[tuple[str, int]]] = None
-    listen_port: Optional[int] = None
-    network_id: Optional[int] = None
-    genesis_hash: Optional[bytes] = None
-    total_difficulty: Optional[int] = None
-    best_hash: Optional[bytes] = None
-    best_block: Optional[int] = None
-    disconnect_reason: Optional[DisconnectReason] = None
-    dao_side: Optional[str] = None  # supports | opposes | empty
-    #: chain head height of the node's network when STATUS was taken —
-    #: freshness (Figure 14) is the lag against *this*, not a later head
-    head_height: Optional[int] = None
-    #: which harvest stage failed: connect | rlpx | hello | status | dao
-    failure_stage: Optional[str] = None
-    #: how it failed: refused | stalled | reset | truncated | unreachable |
-    #: protocol — the fine-grained taxonomy a flat timeout conflates
-    failure_detail: Optional[str] = None
-    #: connection attempts this result covers (> 1 under a RetryPolicy)
-    attempts: int = 1
-
-    @property
-    def got_hello(self) -> bool:
-        return self.client_id is not None
-
-    @property
-    def got_status(self) -> bool:
-        return self.network_id is not None
+from repro.units import SECONDS_PER_DAY
 
 
 class SimNode:

@@ -29,6 +29,7 @@ try:  # optional acceleration for the online-node mask at scale
 except ImportError:  # pragma: no cover - numpy is present in dev installs
     _np = None
 
+from repro.chain.forks import BYZANTIUM_BLOCK
 from repro.chain.synthetic import (
     MAINNET_HEIGHT_APRIL_2018,
     SyntheticChain,
@@ -37,15 +38,10 @@ from repro.chain.synthetic import (
 )
 from repro.discovery.enode import cached_id_hash, warm_id_hashes
 from repro.errors import SimulationError
-from repro.ethproto.forks import BYZANTIUM_BLOCK
-from repro.simnet.clock import (
-    SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
-    EventClock,
-    SimClock,
-)
+from repro.nodefinder.records import DialOutcome, DialResult
+from repro.simnet.clock import EventClock, SimClock
 from repro.simnet.geo import GeoModel, Location
-from repro.simnet.node import DialOutcome, DialResult, SimNode
+from repro.simnet.node import SimNode
 from repro.simnet.population import (
     AbusiveIPSpec,
     NodeSpec,
@@ -53,6 +49,7 @@ from repro.simnet.population import (
     PopulationConfig,
     generate_population,
 )
+from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 #: Blocks mined per second on the simulated Mainnet (15s interval).
 BLOCKS_PER_SECOND = 1.0 / 15.0

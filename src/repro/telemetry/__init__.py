@@ -13,11 +13,8 @@ and zero ambient state:
 * :class:`EventJournal` / :func:`iter_events` / :func:`read_events` —
   the structured JSONL measurement journal (versioned schema, exact
   round-trip; the reader is a generator, ``read_events`` its list);
-* :func:`render_prometheus` — text exposition of a registry;
 * :func:`merge_snapshots` — fold per-instance registry snapshots into
-  one fleet view (aggregate sums or ``instance``-labeled series);
-* :func:`split_snapshot_by_shard` — the inverse cut: one snapshot into
-  per-shard snapshots keyed by the (generation-suffixed) shard label;
+  one fleet total;
 * :func:`summarize_journal` — the human summary behind ``repro
   telemetry``;
 * :class:`Telemetry` — the facade instrumented code receives, bundling
@@ -35,7 +32,6 @@ Everything here reads time only through the injected clock; the
 OBS-CLOCK reprolint family fails the build on a direct wall-clock call.
 """
 
-from repro.telemetry.exposition import render_prometheus
 from repro.telemetry.flightrecorder import FlightRecorder, read_flightrecord
 from repro.telemetry.health import render_top
 from repro.telemetry.hub import NULL_TELEMETRY, Telemetry
@@ -47,7 +43,7 @@ from repro.telemetry.journal import (
     iter_events,
     read_events,
 )
-from repro.telemetry.merge import merge_snapshots, split_snapshot_by_shard
+from repro.telemetry.merge import merge_snapshots
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -94,8 +90,6 @@ __all__ = [
     "read_events",
     "read_flightrecord",
     "render_profile",
-    "render_prometheus",
     "render_top",
-    "split_snapshot_by_shard",
     "summarize_journal",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, Optional
 
+from repro.render import format_table
 from repro.telemetry.merge import _merge_series
 from repro.telemetry.metrics import quantile_from_buckets
 from repro.telemetry.summary import stage_latency_rows
@@ -109,8 +110,6 @@ def _counts_line(title: str, counts: Dict[str, float]) -> str:
 
 def render_top(snapshot: dict) -> str:
     """The one-page health view of a crawl's metrics snapshot."""
-    from repro.analysis.render import format_table
-
     families = _families(snapshot)
     dials = _per_shard(families.get("nodefinder_dials_total"))
     queue = _per_shard(families.get("crawler_shard_queue_depth"))

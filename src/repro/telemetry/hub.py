@@ -25,8 +25,8 @@ from repro.telemetry.profiler import NULL_PROFILER, Profiler
 from repro.telemetry.spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.nodefinder.records import DialResult
     from repro.resilience.breaker import BreakerState
-    from repro.simnet.node import DialResult
     from repro.telemetry.flightrecorder import FlightRecorder
 
 
@@ -91,11 +91,6 @@ class Telemetry:
             "circuit-breaker state changes by destination state",
             ("to", "shard"),
         )
-        self.subnet_breaker_transitions = registry_.counter(
-            "nodefinder_subnet_breaker_transitions_total",
-            "subnet-scope breaker state changes by destination state",
-            ("to",),
-        )
         # -- crawler scheduler ----------------------------------------------
         self.lookups = registry_.counter(
             "crawler_lookups_total", "discv4 lookup rounds completed"
@@ -118,11 +113,6 @@ class Telemetry:
         self.budget_dropped_dials = registry_.counter(
             "crawler_budget_dropped_dials_total",
             "dial candidates shed by the per-tick dial budget",
-        )
-        self.table_rejections = registry_.counter(
-            "discovery_table_rejections_total",
-            "routing-table admissions refused by a guard, by reason",
-            ("reason",),
         )
         # -- sharded scheduler ----------------------------------------------
         self.shard_queue_depth = registry_.gauge(
@@ -161,11 +151,6 @@ class Telemetry:
             ("shard",),
         )
         # -- elastic sharding -----------------------------------------------
-        self.reshard_segments = registry_.counter(
-            "crawler_reshard_segments_total",
-            "journal segments sealed by shard handoffs, by action",
-            ("action",),
-        )
         self.shard_range_lo = registry_.gauge(
             "crawler_shard_range_lo",
             "inclusive 16-bit prefix lower bound of each live shard range",
@@ -180,9 +165,6 @@ class Telemetry:
             "crawler_shard_active",
             "1 while a shard segment is live, 0 once retired by a reshard",
             ("shard",),
-        )
-        self.shard_count = registry_.gauge(
-            "crawler_shard_count", "live shards in the current plan"
         )
         #: segments this facade last published as active, so a plan
         #: refresh can retire the gauges of ranges that handed off
@@ -372,7 +354,6 @@ class Telemetry:
         self, subnet: str, old: "BreakerState", new: "BreakerState"
     ) -> None:
         """A subnet-scope breaker changed state (coordinated-failure guard)."""
-        self.subnet_breaker_transitions.labels(to=new.value).inc()
         self.emit(
             "breaker", scope="subnet", subnet=subnet, old=old.value, new=new.value
         )
@@ -413,7 +394,6 @@ class Telemetry:
         subnet: Optional[str] = None,
     ) -> None:
         """A routing-table admission guard refused a candidate entry."""
-        self.table_rejections.labels(reason=reason).inc()
         self.emit(
             "table_admission",
             node_id=_hex(node_id),
@@ -480,7 +460,6 @@ class Telemetry:
         calls this through the *parent segment's* telemetry immediately
         before sealing, so replay finds the handoff exactly where the
         segment's dial stream ends."""
-        self.reshard_segments.labels(action=action).inc()
         self.emit(
             "reshard",
             action=action,
@@ -512,7 +491,6 @@ class Telemetry:
             self.shard_range_lo.labels(shard=segment).set(0.0)
             self.shard_range_hi.labels(shard=segment).set(0.0)
         self._plan_segments = live
-        self.shard_count.set(float(len(ranges)))
 
     # -- discovery -----------------------------------------------------------
 

@@ -3,20 +3,14 @@
 The paper ran 30 NodeFinder instances and analysed their union;
 :func:`merge_snapshots` gives the registry equivalent: fold N
 per-instance :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`
-dumps into one.  Two shapes are supported:
-
-* **aggregate** (``names=None``) — series with identical label sets are
-  summed (counter/gauge values, histogram buckets), yielding the fleet
-  total for every family;
-* **per-instance** (``names=[...]``) — every series gains an
-  ``instance`` label, keeping each crawler's contribution separate in
-  one snapshot.  A family that already carries the instance label is
-  rejected rather than silently shadowed.
+dumps into one — series with identical label sets are summed
+(counter/gauge values, histogram buckets), yielding the fleet total for
+every family.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.telemetry.metrics import MetricError
 
@@ -25,55 +19,6 @@ _LabelKey = Tuple[Tuple[str, str], ...]
 
 def _series_key(labels: Dict[str, str]) -> _LabelKey:
     return tuple(sorted(labels.items()))
-
-
-def split_snapshot_by_shard(snapshot: dict, shard_label: str = "shard") -> dict:
-    """Split one registry snapshot into per-shard snapshots.
-
-    Returns ``{shard value: snapshot}`` over every family carrying the
-    shard label, with that label stripped from the split series — so each
-    shard's snapshot can be re-merged via :func:`merge_snapshots` under a
-    per-shard instance name.  Elastic crawls label shards with their
-    stable segment id (``<k>.g<gen>``), which is what keeps the merged
-    names (``<name>-shard<k>.g<gen>``) collision-free after a split
-    re-uses positional indices.  Series with an empty shard value (the
-    crawl-wide facade's row) are not attributed to any shard.
-    """
-    shards: Dict[str, dict] = {}
-    families_by_shard: Dict[str, Dict[str, dict]] = {}
-    for family in snapshot.get("metrics", []):
-        labelnames = list(family.get("labelnames", []))
-        if shard_label not in labelnames:
-            continue
-        stripped = [name for name in labelnames if name != shard_label]
-        for series in family.get("series", []):
-            shard = str(series["labels"].get(shard_label, ""))
-            if not shard:
-                continue
-            out = shards.setdefault(shard, {"metrics": []})
-            families = families_by_shard.setdefault(shard, {})
-            target = families.get(family["name"])
-            if target is None:
-                target = {
-                    "name": family["name"],
-                    "type": family["type"],
-                    "help": family["help"],
-                    "labelnames": stripped,
-                    "series": [],
-                }
-                families[family["name"]] = target
-                out["metrics"].append(target)
-            labels = {
-                key: value
-                for key, value in series["labels"].items()
-                if key != shard_label
-            }
-            copied = {key: value for key, value in series.items() if key != "labels"}
-            if "buckets" in copied:
-                copied["buckets"] = [list(bucket) for bucket in copied["buckets"]]
-            copied["labels"] = labels
-            target["series"].append(copied)
-    return dict(sorted(shards.items()))
 
 
 def _merge_series(target: dict, source: dict, family: str) -> None:
@@ -97,66 +42,22 @@ def _merge_series(target: dict, source: dict, family: str) -> None:
     target["count"] += source["count"]
 
 
-def merge_snapshots(
-    snapshots: Sequence[dict],
-    names: Optional[Sequence[str]] = None,
-    instance_label: str = "instance",
-) -> dict:
+def merge_snapshots(snapshots: Sequence[dict]) -> dict:
     """Fold per-instance registry snapshots into one fleet snapshot."""
-    if names is not None:
-        if len(names) != len(snapshots):
-            raise MetricError(
-                f"{len(snapshots)} snapshots but {len(names)} instance names"
-            )
-        if len(set(names)) != len(names):
-            # name the duplicates: a fleet labelling elastic shards by
-            # positional index (instead of the generation-suffixed
-            # segment id) collides here, and the message must say where
-            duplicated = sorted(
-                {name for name in names if list(names).count(name) > 1}
-            )
-            raise MetricError(
-                "duplicate instance names would collide: "
-                + ", ".join(repr(name) for name in duplicated)
-            )
-
     families: Dict[str, dict] = {}
-    order: List[str] = []
-    for index, snapshot in enumerate(snapshots):
+    for snapshot in snapshots:
         for family in snapshot.get("metrics", []):
             name = family["name"]
             merged = families.get(name)
             if merged is None:
-                labelnames = list(family["labelnames"])
-                if names is not None:
-                    if instance_label in labelnames:
-                        # name both colliding sources: the instance being
-                        # merged and whoever already stamped the label
-                        owners = sorted(
-                            {
-                                str(
-                                    series["labels"].get(
-                                        instance_label, "<unlabeled>"
-                                    )
-                                )
-                                for series in family["series"]
-                            }
-                        )
-                        raise MetricError(
-                            f"metric {name} already has a {instance_label!r} "
-                            f"label (from {', '.join(owners)}); merging "
-                            f"instance {names[index]!r} on top would collide"
-                        )
-                    labelnames.append(instance_label)
                 merged = {
                     "name": name,
                     "type": family["type"],
                     "help": family["help"],
-                    "labelnames": labelnames,
+                    "labelnames": list(family["labelnames"]),
                     "_series": {},
                 }
                 families[name] = merged
-                order.append(name)
             elif merged["type"] != family["type"]:
                 raise MetricError(
                     f"metric {name} registered as {merged['type']} by one "
@@ -164,8 +65,6 @@ def merge_snapshots(
                 )
             for series in family["series"]:
                 labels = dict(series["labels"])
-                if names is not None:
-                    labels[instance_label] = names[index]
                 key = _series_key(labels)
                 existing = merged["_series"].get(key)
                 if existing is None:
@@ -178,7 +77,7 @@ def merge_snapshots(
                     _merge_series(existing, series, name)
 
     metrics = []
-    for name in sorted(order):
+    for name in sorted(families):
         family = families[name]
         series = [family["_series"][key] for key in sorted(family["_series"])]
         metrics.append(

@@ -32,6 +32,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.render import format_table
+
 #: default virtual-clock quantum: one microsecond per read, so virtual
 #: durations render in the same millisecond columns as wall timings
 TICK_QUANTUM = 1e-6
@@ -223,10 +225,6 @@ def render_profile(
     tie-breaks, so two identical runs — e.g. two seeded simulations on a
     :class:`TickClock` — render identical bytes.
     """
-    # rendering shares the repo-wide table style; imported lazily for the
-    # same cycle reason as telemetry.summary
-    from repro.analysis.render import format_table
-
     stats = sorted(
         profiler.stats.values(), key=lambda stat: (-stat.self_time, stat.name)
     )

@@ -10,15 +10,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Callable, Dict, Iterable, List, Sequence
 
+from repro.render import format_table
 from repro.telemetry.journal import Event
-
-
-def _format_table(title: str, headers: Sequence[str], rows: List[Sequence]) -> str:
-    # analysis imports nodefinder, which (transitively) imports telemetry;
-    # deferring this import keeps the package cycle-free at import time
-    from repro.analysis.render import format_table
-
-    return format_table(title, headers, rows)
 
 
 #: stage-latency columns: medians for the bulk, p95 for the tail, and the
@@ -117,10 +110,10 @@ def summarize_journal(events: Iterable[Event]) -> str:
         elif event.type == "datagram_fault":
             chaos[event.fields.get("fault", "?")] += 1
     sections = [
-        _format_table(
+        format_table(
             "Dial funnel", ["outcome", "dials", "share"], _funnel_rows(funnel)
         ),
-        _format_table(
+        format_table(
             "Stage latency",
             ["stage", "p50", "p95", "max"],
             stage_latency_rows(

@@ -22,12 +22,12 @@ from repro.analysis.ecosystem import (
     useless_fraction,
 )
 from repro.analysis.freshness import freshness_cdf
-from repro.analysis.render import format_series, format_table, side_by_side
+from repro.render import format_series, format_table, side_by_side
 from repro.analysis.validation import build_validation_report
 from repro.chain.genesis import MAINNET_GENESIS_HASH
 from repro.nodefinder.database import NodeDB
 from repro.nodefinder.records import CrawlStats
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
 
 
 def result(node_id, **overrides):

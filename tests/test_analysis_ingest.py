@@ -28,7 +28,7 @@ from repro.cli import main
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
-from repro.simnet.node import DialOutcome
+from repro.nodefinder.records import DialOutcome
 from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import Event, JournalError, read_events
 

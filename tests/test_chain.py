@@ -10,6 +10,7 @@ from repro.chain.difficulty import (
     MIN_DIFFICULTY,
     calc_difficulty,
 )
+from repro.chain.forks import DAO_FORK_BLOCK, DAO_FORK_EXTRA_DATA
 from repro.chain.genesis import (
     MAINNET_GENESIS_HASH,
     custom_genesis,
@@ -19,7 +20,6 @@ from repro.chain.genesis import (
 from repro.chain.header import BlockHeader
 from repro.chain.synthetic import SyntheticChain
 from repro.errors import ChainError, InvalidHeader
-from repro.ethproto.forks import DAO_FORK_BLOCK, DAO_FORK_EXTRA_DATA
 
 
 class TestGenesis:

@@ -23,7 +23,7 @@ from repro.resilience import (
     RetryPolicy,
     StageBudgets,
 )
-from repro.simnet.node import DialOutcome
+from repro.nodefinder.records import DialOutcome
 
 pytestmark = pytest.mark.chaos
 

@@ -5,8 +5,8 @@ import pytest
 from repro.analysis.churn import ChurnReport, churn_report
 from repro.analysis.eclipse import simulate_table_takeover, takeover_comparison
 from repro.nodefinder.database import NodeDB
-from repro.simnet.clock import SECONDS_PER_DAY
-from repro.simnet.node import DialOutcome, DialResult
+from repro.units import SECONDS_PER_DAY
+from repro.nodefinder.records import DialOutcome, DialResult
 
 
 def sighting(node_id, timestamp, outcome=DialOutcome.FULL_HARVEST):

@@ -30,7 +30,7 @@ from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
 from repro.resilience import PeerScoreboard
 from repro.simnet.clock import WheelClock
 from repro.simnet.geo import GeoModel
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
 from repro.simnet.world import NodeAddress
 from repro.telemetry import EventJournal, read_events
 
@@ -419,13 +419,10 @@ class CrawlerCoreModel(RuleBasedStateMachine):
             and not self.history.get(target.node_id, -1e18) > self.now - WINDOW
         ]
         taken = eligible if budget is None else eligible[:budget]
-        batches, shed = self.core.select(found, OWN_ID, self.now, budget)
-        assert len(batches) == self.plan.shards
+        selected, shed = self.core.select(found, OWN_ID, self.now, budget)
         assert shed == len(eligible) - len(taken)
-        assert sorted(t for batch in batches for t in batch) == sorted(taken)
-        for shard, batch in enumerate(batches):
-            # routed to the owning shard, lookup order kept within it
-            assert batch == [t for t in taken if self.plan.shard_of(t.node_id) == shard]
+        # lookup order kept across shards, each routed to its owning shard
+        assert selected == [(self.plan.shard_of(t.node_id), t) for t in taken]
         for target in taken:
             self.history[target.node_id] = self.now
         # a shed target stayed out of the history
@@ -433,12 +430,14 @@ class CrawlerCoreModel(RuleBasedStateMachine):
 
     @rule(shard_by_shard=st.booleans())
     def due_statics(self, shard_by_shard):
+        # the model's one dict is the unsharded crawl: its order is the
+        # order nodes joined, which no split or merge may disturb
         due = [n for n, next_dial in self.statics.items() if next_dial <= self.now]
-        expected = set()
+        expected = []
         for node_id in due:
             if node_id in self.core.addresses:
                 self.statics[node_id] = self.now + INTERVAL
-                expected.add(node_id)
+                expected.append(node_id)
             else:
                 del self.statics[node_id]
         if shard_by_shard:  # a live shard loop's view: its own slice
@@ -447,10 +446,10 @@ class CrawlerCoreModel(RuleBasedStateMachine):
                 for shard in range(self.plan.shards)
                 for pair in self.core.due_statics(self.now, shard)
             ]
+            expected.sort(key=self.plan.shard_of)  # stable: join order within a shard
         else:  # the simnet's static tick: every shard at once
             returned = self.core.due_statics(self.now)
-        assert {target.node_id for _, target in returned} == expected
-        assert len(returned) == len(expected)
+        assert [target.node_id for _, target in returned] == expected
         for shard, target in returned:
             assert self.plan.shard_of(target.node_id) == shard
 

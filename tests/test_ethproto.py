@@ -5,18 +5,14 @@ import asyncio
 import pytest
 
 from repro.chain import HeaderChain, SyntheticChain, mainnet_genesis
+from repro.chain.forks import DAO_FORK_BLOCK, DAO_FORK_EXTRA_DATA
 from repro.chain.genesis import MAINNET_GENESIS_HASH, custom_genesis
 from repro.crypto.keys import PrivateKey
 from repro.devp2p.messages import Capability, DisconnectReason, HelloMessage
 from repro.devp2p.peer import DevP2PPeer
 from repro.errors import ProtocolError
 from repro.ethproto import messages as eth
-from repro.ethproto.forks import (
-    DAO_FORK_BLOCK,
-    DAO_FORK_EXTRA_DATA,
-    DaoForkSide,
-    dao_fork_side,
-)
+from repro.ethproto.forks import DaoForkSide, dao_fork_side
 from repro.ethproto.handshake import harvest_dao_check, run_eth_handshake
 from repro.rlpx.session import accept_session, open_session
 

@@ -2,8 +2,8 @@
 
 Covers the ``run_fleet(telemetry_dir=...)`` path end to end — files on
 disk, aggregate merge arithmetic (fleet totals equal the sum of every
-instance's counters), per-instance labeling without collisions, and the
-guard rails ``merge_snapshots`` raises instead of silently shadowing.
+instance's counters), and the guard rails ``merge_snapshots`` raises
+instead of silently shadowing.
 """
 
 from __future__ import annotations
@@ -14,16 +14,10 @@ import pytest
 
 from repro.analysis.ingest import replay_journals
 from repro.nodefinder.fleet import run_fleet
-from repro.nodefinder.reshard import ReshardOp, ReshardPolicy
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
-from repro.telemetry import (
-    MetricError,
-    MetricsRegistry,
-    merge_snapshots,
-    split_snapshot_by_shard,
-)
+from repro.telemetry import MetricError, MetricsRegistry, merge_snapshots
 
 
 @pytest.fixture(scope="module")
@@ -92,22 +86,6 @@ class TestFleetTelemetryExport:
             )
             assert merged_count == per_instance, family["name"]
 
-    def test_labeled_metrics_keep_instances_apart(self, fleet):
-        labeled = fleet.labeled_metrics()
-        instance_names = {instance.name for instance in fleet.instances}
-        for family in labeled["metrics"]:
-            assert family["labelnames"][-1] == "instance"
-            seen = set()
-            for series in family["series"]:
-                assert series["labels"]["instance"] in instance_names
-                key = tuple(sorted(series["labels"].items()))
-                assert key not in seen, f"label collision in {family['name']}"
-                seen.add(key)
-        # the labeled view carries the same grand total as the aggregate
-        assert counter_total(labeled, "nodefinder_dials_total") == counter_total(
-            fleet.merged_metrics(), "nodefinder_dials_total"
-        )
-
     def test_journals_replay_to_the_fleet_view(self, fleet):
         replayed = replay_journals(fleet.journal_paths)
         assert replayed.dials_replayed == int(
@@ -119,142 +97,7 @@ class TestFleetTelemetryExport:
                 assert entry.node_id in replayed.db
 
 
-class TestShardSplitAndLabels:
-    """The per-shard cut of a snapshot, and its collision-free re-merge."""
-
-    def _registry(self) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        dials = registry.counter(
-            "dials_total", "dials", labelnames=("outcome", "shard")
-        )
-        dials.labels(outcome="ok", shard="0.g0").inc(3)
-        dials.labels(outcome="ok", shard="1.g0").inc(5)
-        dials.labels(outcome="ok", shard="").inc(7)  # crawl-wide facade row
-        registry.gauge("folds", "folds").labels().set(11)  # no shard label
-        lat = registry.histogram(
-            "lat_seconds", "lat", labelnames=("shard",), buckets=(0.1, 1.0)
-        )
-        lat.labels(shard="0.g0").observe(0.05)
-        return registry
-
-    def test_split_strips_shard_label_and_skips_blank_rows(self):
-        per_shard = split_snapshot_by_shard(self._registry().snapshot())
-        assert sorted(per_shard) == ["0.g0", "1.g0"]
-        for shard, snapshot in per_shard.items():
-            for family in snapshot["metrics"]:
-                assert "shard" not in family["labelnames"], shard
-                for series in family["series"]:
-                    assert "shard" not in series["labels"]
-        assert counter_total(per_shard["0.g0"], "dials_total") == 3
-        assert counter_total(per_shard["1.g0"], "dials_total") == 5
-        # families without the shard label (and the blank-shard series)
-        # are not attributed to any shard
-        names_0 = {f["name"] for f in per_shard["0.g0"]["metrics"]}
-        assert names_0 == {"dials_total", "lat_seconds"}
-        assert "folds" not in names_0
-
-    def test_split_deep_copies_histogram_buckets(self):
-        snapshot = self._registry().snapshot()
-        per_shard = split_snapshot_by_shard(snapshot)
-        [lat] = [
-            f for f in per_shard["0.g0"]["metrics"] if f["name"] == "lat_seconds"
-        ]
-        lat["series"][0]["buckets"][0][1] += 99
-        [original] = [
-            f for f in snapshot["metrics"] if f["name"] == "lat_seconds"
-        ]
-        assert original["series"][0]["buckets"][0][1] != (
-            lat["series"][0]["buckets"][0][1]
-        )
-
-    def test_shard_labeled_metrics_use_generation_suffixed_names(
-        self, tmp_path_factory
-    ):
-        # regression: labeling elastic shards by positional index would
-        # make the post-split children collide with the pre-split parent
-        # (index 0 exists in both generations); the segment id cannot
-        world = SimWorld(
-            WorldConfig(
-                population=PopulationConfig(
-                    total_nodes=30, measurement_days=0.25, seed=23
-                )
-            )
-        )
-        fleet = run_fleet(
-            world,
-            instance_count=1,
-            days=0.25,
-            config=NodeFinderConfig(
-                discovery_interval=400.0,
-                shards=2,
-                reshard=ReshardPolicy(
-                    schedule=(ReshardOp(step=1, action="split", index=0),),
-                    max_shards=4,
-                ),
-            ),
-            telemetry_dir=tmp_path_factory.mktemp("elastic-fleet"),
-        )
-        labeled = fleet.shard_labeled_metrics()  # merge raises on collision
-        [instance] = fleet.instances
-        instances_seen = {
-            series["labels"]["instance"]
-            for family in labeled["metrics"]
-            for series in family["series"]
-        }
-        assert instances_seen == {
-            f"{instance.name}-shard{segment}"
-            for segment in ("0.g0", "0.g1", "1.g1", "1.g0")
-        }
-
-
 class TestMergeGuards:
-    def test_duplicate_instance_names_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x_total", "x").labels().inc()
-        snaps = [registry.snapshot(), registry.snapshot()]
-        with pytest.raises(MetricError, match="duplicate"):
-            merge_snapshots(snaps, names=["a", "a"])
-
-    def test_duplicate_name_error_names_the_duplicates(self):
-        # regression: the guard used to report only *that* names collided;
-        # an elastic fleet mislabeling shards needs to know which ones
-        registry = MetricsRegistry()
-        registry.counter("x_total", "x").labels().inc()
-        snaps = [registry.snapshot()] * 4
-        with pytest.raises(MetricError) as excinfo:
-            merge_snapshots(
-                snaps, names=["n-shard0", "n-shard0", "n-shard1", "n-shard1"]
-            )
-        message = str(excinfo.value)
-        assert "'n-shard0'" in message and "'n-shard1'" in message, message
-
-    def test_name_count_mismatch_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(MetricError, match="names"):
-            merge_snapshots([registry.snapshot()], names=["a", "b"])
-
-    def test_preexisting_instance_label_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x_total", "x", labelnames=("instance",)).labels(
-            instance="rogue"
-        ).inc()
-        with pytest.raises(MetricError, match="instance"):
-            merge_snapshots([registry.snapshot()], names=["a"])
-
-    def test_collision_error_names_both_sources(self):
-        # regression: the guard used to say only that a label existed,
-        # leaving the operator to guess which snapshot brought it in
-        registry = MetricsRegistry()
-        registry.counter("x_total", "x", labelnames=("instance",)).labels(
-            instance="rogue"
-        ).inc()
-        with pytest.raises(MetricError) as excinfo:
-            merge_snapshots([registry.snapshot()], names=["crawler-0"])
-        message = str(excinfo.value)
-        assert "x_total" in message
-        assert "rogue" in message, message
-        assert "crawler-0" in message, message
-
     def test_type_mismatch_rejected(self):
         counters = MetricsRegistry()
         counters.counter("x_total", "x").labels().inc()

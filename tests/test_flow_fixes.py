@@ -37,7 +37,7 @@ from repro.nodefinder.live import LiveConfig, LiveNodeFinder
 from repro.nodefinder.records import CrawlStats
 from repro.nodefinder.shard import NodeDBWriter
 from repro.rlpx.session import open_session
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
 from repro.telemetry import Event
 
 from tests.helpers import plant_static

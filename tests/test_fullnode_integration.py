@@ -8,10 +8,10 @@ from repro.chain.chain import HeaderChain
 from repro.chain.genesis import custom_genesis, mainnet_genesis
 from repro.crypto.keys import PrivateKey
 from repro.devp2p.messages import DisconnectReason
-from repro.ethproto.forks import DAO_FORK_BLOCK
+from repro.chain.forks import DAO_FORK_BLOCK
 from repro.fullnode import FullNode, FullNodeConfig, start_localhost_network
 from repro.nodefinder.wire import crawl_targets, harvest
-from repro.simnet.node import DialOutcome
+from repro.nodefinder.records import DialOutcome
 
 
 def run(coroutine):

@@ -8,7 +8,7 @@ well before the end of the first simulated day.
 
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
-from repro.simnet.clock import SECONDS_PER_HOUR
+from repro.units import SECONDS_PER_HOUR
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 

@@ -11,7 +11,7 @@ from repro.discovery.packets import NeighborRecord
 from repro.fullnode import start_localhost_network
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
 from repro.resilience import BreakerState, RetryPolicy
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
 
 from tests.helpers import plant_static
 

@@ -22,8 +22,8 @@ from repro.nodefinder.scanner import (
     NodeFinderInstance,
     TickPlan,
 )
-from repro.simnet.clock import SECONDS_PER_DAY
-from repro.simnet.node import DialOutcome, DialResult
+from repro.units import SECONDS_PER_DAY
+from repro.nodefinder.records import DialOutcome, DialResult
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 

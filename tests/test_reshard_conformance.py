@@ -51,7 +51,7 @@ from repro.nodefinder.reshard import (
 )
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.nodefinder.shard import PREFIX_SPACE
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import Event, EventJournal, JournalError, read_events

@@ -11,6 +11,12 @@ unsharded and with N∈{2,4} shards must produce
   (no target ever dialed by two shards), and
 * a merged multi-shard journal replay that reconstructs the live NodeDB.
 
+The same holds for a defended crawl under attack (``--adversary
+--defenses``), where dial *order* matters — a /24's breaker trips on the
+K-th failure in dial order: one NodeDB, one CrawlStats, one DefenseStats,
+and segment journals carrying every crawl-scope record the unsharded
+journal has.
+
 A separate ``benchmark``-marked test pins the point of sharding: on a
 stub dial workload, 4 shard loops finish > 1.5x faster than one.
 """
@@ -20,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,11 +36,13 @@ from hypothesis import strategies as st
 from repro.analysis.ingest import replay_journals
 from repro.cli import main
 from repro.discovery.enode import ENode
+from repro.nodefinder.defense import DefenseConfig
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
 from repro.nodefinder.reshard import DynamicShardPlan
 from repro.nodefinder.scanner import NodeFinderConfig
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
+from repro.simnet.adversary import AdversaryCampaign, AdversaryConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import read_events
@@ -46,33 +55,52 @@ CRAWL_SEED = 7
 DAYS = 1.0
 
 
-def _crawl(shards: int, telemetry_dir) -> tuple:
-    """One single-instance crawl of the canonical seeded world."""
+def _crawl(shards: int, telemetry_dir, defended: bool = False) -> tuple:
+    """One single-instance crawl of the canonical seeded world —
+    ``defended``: half a day under the default Sybil campaign with the
+    default defences on."""
+    days = DAYS / 2 if defended else DAYS
     world = SimWorld(
         WorldConfig(
             population=PopulationConfig(
-                total_nodes=100, measurement_days=DAYS, seed=WORLD_SEED
+                total_nodes=100, measurement_days=days, seed=WORLD_SEED
             )
         )
     )
+    config = NodeFinderConfig(seed=CRAWL_SEED, shards=shards)
+    if defended:
+        config.discovery_interval = 60.0
+        config.defenses = DefenseConfig()
     fleet = run_fleet(
         world,
         instance_count=1,
-        days=DAYS,
-        config=NodeFinderConfig(seed=CRAWL_SEED, shards=shards),
+        days=days,
+        config=config,
         telemetry_dir=telemetry_dir,
+        adversary=AdversaryCampaign(AdversaryConfig()) if defended else None,
     )
     return fleet, list(fleet.journal_paths)
+
+
+def _crawl_at_every_shard_count(tmp_path_factory, defended: bool) -> dict:
+    return {
+        shards: _crawl(
+            shards, tmp_path_factory.mktemp(f"shards{shards}"), defended
+        )
+        for shards in SHARD_COUNTS
+    }
 
 
 @pytest.fixture(scope="module")
 def crawls(tmp_path_factory):
     """The same seeded world crawled at every shard count."""
-    out = {}
-    for shards in SHARD_COUNTS:
-        telemetry_dir = tmp_path_factory.mktemp(f"shards{shards}")
-        out[shards] = _crawl(shards, telemetry_dir)
-    return out
+    return _crawl_at_every_shard_count(tmp_path_factory, defended=False)
+
+
+@pytest.fixture(scope="module")
+def defended_crawls(tmp_path_factory):
+    """The same attacked world crawled, defences on, at every shard count."""
+    return _crawl_at_every_shard_count(tmp_path_factory, defended=True)
 
 
 class TestShardConformance:
@@ -147,6 +175,41 @@ class TestShardConformance:
         assert len(replayed.db) == len(instance.db)
         for entry in instance.db:
             assert replayed.db.get(entry.node_id) == entry, entry.node_id.hex()
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+class TestDefendedShardConformance:
+    """Under attack with the defences on, the crawl depends on dial order
+    (the subnet breaker) — and must still not depend on the shard count."""
+
+    def test_nodedb_stats_and_defense_stats_equal(self, defended_crawls, shards):
+        [baseline] = defended_crawls[1][0].instances
+        [sharded] = defended_crawls[shards][0].instances
+        assert baseline.defense_snapshot().subnet_breaker_trips > 0
+        assert list(sharded.db) == list(baseline.db)
+        assert sharded.stats.days == baseline.stats.days
+        assert sharded.defense_snapshot() == baseline.defense_snapshot()
+
+    def test_segment_journals_carry_the_crawl_scope_records(
+        self, defended_crawls, shards
+    ):
+        counts = {
+            n: Counter(
+                event.type
+                for path in defended_crawls[n][1]
+                for event in read_events(path)
+            )
+            for n in (1, shards)
+        }
+        assert counts[1]["breaker"] > 0 and counts[1]["table_admission"] > 0
+        assert counts[shards].pop("crawler") == shards  # one per file
+        assert counts[1].pop("crawler") == 1
+        assert counts[shards] == counts[1]
+        baseline = replay_journals(defended_crawls[1][1])
+        replayed = replay_journals(defended_crawls[shards][1])
+        assert replayed.admission_rejections == baseline.admission_rejections
+        assert replayed.subnet_breaker_trips == baseline.subnet_breaker_trips
+        assert sum(baseline.subnet_breaker_trips.values()) > 0
 
 
 # -- merged-replay properties -------------------------------------------------

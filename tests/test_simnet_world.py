@@ -9,13 +9,13 @@ from repro.chain.synthetic import _HASH_MEMO, _SEED_MEMO
 from repro.crypto.keccak import keccak256
 from repro.discovery.enode import _ID_HASH_MEMO, cached_id_hash
 from repro.errors import SimulationError
-from repro.simnet.clock import SECONDS_PER_DAY
+from repro.units import SECONDS_PER_DAY
 from repro.simnet.geo import (
     AS_DISTRIBUTION,
     COUNTRY_DISTRIBUTION,
     GeoModel,
 )
-from repro.simnet.node import DialOutcome
+from repro.nodefinder.records import DialOutcome
 from repro.simnet.population import PopulationBuilder, PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 
@@ -154,7 +154,7 @@ class TestDialing:
             assert answer == "empty"
 
     def test_stuck_byzantium_best_block(self, world):
-        from repro.ethproto.forks import BYZANTIUM_BLOCK
+        from repro.chain.forks import BYZANTIUM_BLOCK
 
         stuck = [
             n for n in world.nodes.values()

@@ -1,5 +1,5 @@
-"""Unit coverage for ``repro.telemetry``: metrics math, exposition format,
-journal round-trip, spans, and the facade's event mapping."""
+"""Unit coverage for ``repro.telemetry``: metrics math, journal
+round-trip, spans, and the facade's event mapping."""
 
 import io
 import json
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     Event,
@@ -25,7 +25,6 @@ from repro.telemetry import (
     iter_events,
     quantile_from_buckets,
     read_events,
-    render_prometheus,
     summarize_journal,
 )
 
@@ -155,57 +154,6 @@ class TestQuantileMath:
     def test_exact_boundary_rank(self):
         # all mass in the first bucket: p100 interpolates to its top edge
         assert quantile_from_buckets([0.2, 1.0], [4, 0], 0, 1.0) == pytest.approx(0.2)
-
-
-# -- exposition -------------------------------------------------------------
-
-
-class TestExposition:
-    def test_counter_keeps_total_suffix_and_help_type(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        registry.counter("dials_total", "dial attempts").inc(3)
-        text = render_prometheus(registry)
-        assert "# HELP dials_total dial attempts\n" in text
-        assert "# TYPE dials_total counter\n" in text
-        assert "\ndials_total 3\n" in text
-
-    def test_label_values_escaped(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        counter = registry.counter("c_total", "", ("client",))
-        counter.labels(client='Geth\\v1 "quoted"\nnewline').inc()
-        text = render_prometheus(registry)
-        assert (
-            'c_total{client="Geth\\\\v1 \\"quoted\\"\\nnewline"} 1' in text
-        )
-
-    def test_help_text_escaped(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        registry.counter("c_total", "line\nbreak \\ slash")
-        text = render_prometheus(registry)
-        assert "# HELP c_total line\\nbreak \\\\ slash" in text
-
-    def test_histogram_expands_to_bucket_sum_count(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        hist = registry.histogram("lat_seconds", "", ("stage",), buckets=(0.1, 1.0))
-        hist.labels(stage="hello").observe(0.05)
-        hist.labels(stage="hello").observe(5.0)
-        text = render_prometheus(registry)
-        assert 'lat_seconds_bucket{stage="hello",le="0.1"} 1' in text
-        assert 'lat_seconds_bucket{stage="hello",le="1"} 1' in text
-        assert 'lat_seconds_bucket{stage="hello",le="+Inf"} 2' in text
-        assert 'lat_seconds_sum{stage="hello"} 5.05' in text
-        assert 'lat_seconds_count{stage="hello"} 2' in text
-
-    def test_nan_and_infinities_formatted(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        gauge = registry.gauge("g")
-        gauge.set(float("inf"))
-        assert "\ng +Inf\n" in render_prometheus(registry)
-        gauge.set(float("nan"))
-        assert "\ng NaN\n" in render_prometheus(registry)
-
-    def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry(clock=FakeClock())) == ""
 
 
 # -- journal ----------------------------------------------------------------
@@ -499,7 +447,6 @@ class TestNullRegistry:
         assert counter.value == 0.0
         assert hist.quantile(0.5) == 0.0
         assert registry.snapshot() == {"metrics": []}
-        assert render_prometheus(registry) == ""
 
 
 # -- facade -----------------------------------------------------------------

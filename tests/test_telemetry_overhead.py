@@ -14,7 +14,7 @@ import pytest
 from repro.crypto.keys import PrivateKey
 from repro.fullnode import FullNode
 from repro.nodefinder.wire import harvest
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
 from repro.telemetry import NULL_TELEMETRY, Profiler, Telemetry
 
 pytestmark = pytest.mark.benchmark

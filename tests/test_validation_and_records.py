@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.validation import ValidationReport, build_validation_report
 from repro.nodefinder.records import CrawlStats, DayCounters
-from repro.simnet.node import DialOutcome, DialResult
+from repro.nodefinder.records import DialOutcome, DialResult
 
 
 def dial(day_seconds, connection_type="dynamic-dial", outcome=DialOutcome.FULL_HARVEST,

@@ -14,7 +14,7 @@ from repro.nodefinder.wire import (
     nodefinder_hello,
     nodefinder_status,
 )
-from repro.simnet.node import DialOutcome
+from repro.nodefinder.records import DialOutcome
 
 
 def run(coroutine):
