@@ -137,13 +137,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.crypto.keys import PrivateKey
     from repro.discovery.enode import parse_enode_url
     from repro.errors import DiscoveryError
     from repro.nodefinder.live import LiveConfig, LiveNodeFinder
-    from repro.telemetry import EventJournal, Telemetry
+    from repro.nodefinder.reshard import ReshardPolicy, SegmentFiles
 
     try:
         bootstrap = [parse_enode_url(uri) for uri in args.enode]
@@ -152,8 +150,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         return 2
     policy = None
     if args.max_shards > args.shards:
-        from repro.nodefinder.reshard import ReshardPolicy
-
         # elastic: the reshard loop may split hot shards up to the cap
         # (and merge cold siblings back down, never below the start count)
         policy = ReshardPolicy(max_shards=args.max_shards, min_shards=args.shards)
@@ -163,32 +159,17 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         static_dial_interval=args.static_dial_interval,
         reshard=policy,
     )
-    journal = None
-    journal_opener = None
-    opened: list[EventJournal] = []
-    journal_dir = Path(args.journal_dir) if args.journal_dir else None
-    if journal_dir is not None:
-        journal_dir.mkdir(parents=True, exist_ok=True)
-        if policy is not None or config.shards > 1:
-            # sharded crawls journal per segment: reshards seal parents
-            # and open generation-suffixed children through this opener
-            def journal_opener(segment: str) -> EventJournal:
-                opened_journal = EventJournal.open(
-                    journal_dir / f"crawl-shard{segment}.jsonl"
-                )
-                opened.append(opened_journal)
-                return opened_journal
-
-        else:
-            journal = EventJournal.open(journal_dir / "crawl.jsonl")
-            opened.append(journal)
+    # reshards seal parent segments and open generation-suffixed children
+    # through this opener; a plain one-shard crawl has the one crawl.jsonl
+    files = None
+    if args.journal_dir:
+        files = SegmentFiles(args.journal_dir, "crawl", config.shards, policy)
 
     async def run() -> int:
         finder = LiveNodeFinder(
             PrivateKey.generate(),
             config=config,
-            telemetry=Telemetry(journal=journal) if journal else None,
-            journal_opener=journal_opener,
+            journal_opener=files,
         )
         await finder.start(bootstrap)
         try:
@@ -210,12 +191,9 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     try:
         return asyncio.run(run())
     finally:
-        # sealed segments are already closed; close() is idempotent
-        for open_journal in opened:
-            open_journal.close()
-        if journal_dir is not None:
-            paths = sorted(journal_dir.glob("crawl*.jsonl"))
-            journals = " ".join(f"--journal {path}" for path in paths)
+        if files is not None:
+            files.close()  # idempotent: sealed segments are closed already
+            journals = " ".join(f"--journal {path}" for path in sorted(files.paths))
             print(f"measurement journals: replay with `nodefinder analyze {journals}`")
 
 

@@ -45,10 +45,10 @@ WRITER_SETS = {
     "CrawlStats": frozenset({"NodeDBWriter"}),
     "MetricsRegistry": frozenset({"Telemetry"}),
     # sealing a journal segment ends its lifetime — only the reshard
-    # handoff path (and the writer that owns crawl shutdown) may do it,
-    # or a crash between the seal and the handoff could orphan a
+    # handoff, inside the class that places every record, may do it, or
+    # a crash between the seal and the handoff could orphan a
     # half-written generation
-    "EventJournal": frozenset({"NodeDBWriter", "ReshardCoordinator"}),
+    "EventJournal": frozenset({"ReshardCoordinator"}),
 }
 
 #: the methods that mutate each tracked type

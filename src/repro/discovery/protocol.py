@@ -49,14 +49,6 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 logger = logging.getLogger(__name__)
 
-#: packet class → the label value telemetry counts it under
-_PACKET_NAMES = {
-    PingPacket: "ping",
-    PongPacket: "pong",
-    FindNodePacket: "findnode",
-    NeighborsPacket: "neighbors",
-}
-
 #: Geth caps NEIGHBORS packets at 12 records to stay under 1280 bytes.
 MAX_NEIGHBORS_PER_PACKET = 12
 
@@ -206,17 +198,12 @@ class DiscoveryService(asyncio.DatagramProtocol):
 
     def datagram_received(self, data: bytes, addr: tuple[str, int]) -> None:
         self.stats["packets_received"] += 1
-        self.telemetry.discovery_datagrams.labels(direction="in").inc()
         try:
             decoded = decode_packet(data)
         except BadPacket as exc:
             self.stats["bad_packets"] += 1
-            self.telemetry.discovery_bad_packets.inc()
             logger.debug("bad packet from %s: %s", addr, exc)
             return
-        self.telemetry.discovery_packets.labels(
-            direction="in", type=_PACKET_NAMES[type(decoded.packet)]
-        ).inc()
         handler = {
             PingPacket: self._handle_ping,
             PongPacket: self._handle_pong,
@@ -230,10 +217,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
             raise DiscoveryError("discovery service is not listening")
         datagram = encode_packet(packet, self.private_key)
         self._transport.sendto(datagram, addr)
-        self.telemetry.discovery_datagrams.labels(direction="out").inc()
-        self.telemetry.discovery_packets.labels(
-            direction="out", type=_PACKET_NAMES[type(packet)]
-        ).inc()
         return datagram[:32]  # the packet hash
 
     # -- handlers ------------------------------------------------------------
@@ -309,7 +292,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
         if candidate is not None:
             # Bucket full: Kademlia eviction check — ping the old node.
             self._spawn(self._eviction_check(candidate))
-        self.telemetry.discovery_table_size.set(len(self.table))
 
     async def _eviction_check(self, candidate: ENode) -> None:
         alive = await self.ping(candidate)
@@ -317,7 +299,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
             self.table.confirm_alive(candidate)
         else:
             self.table.evict(candidate)
-        self.telemetry.discovery_table_size.set(len(self.table))
 
     # -- client operations -----------------------------------------------------
 
@@ -425,7 +406,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
                     continue
                 for found in lookup.feed(_valid_enodes(answer)):
                     self.table.add(found)
-        self.telemetry.discovery_table_size.set(len(self.table))
         return lookup
 
     async def lookup(self, target: bytes) -> list[ENode]:

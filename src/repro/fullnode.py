@@ -161,7 +161,6 @@ class FullNode:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.stats["inbound_connections"] += 1
-        self.telemetry.inbound.labels(phase="accepted").inc()
         self.telemetry.emit("inbound", phase="accepted")
         if self.chaos is not None:
             reader = ChaosStreamReader(reader, self.chaos)  # type: ignore[assignment]
@@ -173,7 +172,6 @@ class FullNode:
         try:
             await peer.handshake()
             self.stats["hellos"] += 1
-            self.telemetry.inbound.labels(phase="hello").inc()
             self.telemetry.emit(
                 "inbound",
                 phase="hello",
@@ -184,7 +182,6 @@ class FullNode:
                 and len(self.peers) >= self.config.max_peers
             ):
                 self.stats["too_many_peers_sent"] += 1
-                self.telemetry.inbound.labels(phase="too-many-peers").inc()
                 await self._disconnect_lingering(peer, DisconnectReason.TOO_MANY_PEERS)
                 return
             if peer.negotiated("eth") is None:
@@ -230,7 +227,6 @@ class FullNode:
                 continue
             if code == eth.STATUS:
                 self.stats["statuses"] += 1
-                self.telemetry.inbound.labels(phase="status").inc()
                 remote = eth.StatusMessage.decode(payload)
                 if not remote.same_chain_as(self.our_status()):
                     await peer.disconnect(DisconnectReason.USELESS_PEER)
@@ -244,7 +240,6 @@ class FullNode:
                     bool(request.reverse),
                 )
                 self.stats["headers_served"] += len(headers)
-                self.telemetry.headers_served.inc(len(headers))
                 answer = eth.BlockHeadersMessage.from_headers(headers)
                 await peer.send_subprotocol("eth", eth.BLOCK_HEADERS, answer.encode())
             elif code == eth.GET_BLOCK_BODIES:

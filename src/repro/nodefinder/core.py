@@ -1,8 +1,8 @@
 """The NodeFinder policy of §4, defined once and free of IO.
 
-:class:`CrawlerCore` holds what the policy remembers — each shard's
-StaticNodes schedule, the dial history, the address book StaticNodes
-resolves against, each shard's breaker scoreboard — and answers the seven
+:class:`CrawlerCore` holds what the policy remembers — the StaticNodes
+schedule, the dial history, the address book StaticNodes resolves
+against, each shard's breaker scoreboard — and answers the seven
 decisions a crawl keeps asking:
 
 * which lookup results become dynamic dials (:meth:`~CrawlerCore.select`);
@@ -12,7 +12,7 @@ decisions a crawl keeps asking:
   rule (:meth:`~CrawlerCore.dial_done`);
 * who else is static: bootstrap and inbound peers (:meth:`~CrawlerCore.add_static`);
 * who falls off after 24 h (:meth:`~CrawlerCore.prune`);
-* where everything lives after a split or merge (:meth:`~CrawlerCore.replan`).
+* whose breakers gate the ranges a split or merge made (:meth:`~CrawlerCore.replan`).
 
 It reads no clock, socket, event loop, journal or RNG: ``now`` arrives as
 a number and plain data comes back.  The drivers own every side effect —
@@ -65,27 +65,15 @@ class CrawlerCore(Generic[T]):
         self.plan = plan
         self.static_dial_interval = static_dial_interval
         self.history_window = history_window
-        #: per-shard StaticNodes: node id -> next re-dial time; a node lives
-        #: only in the dict of the shard owning its prefix
-        self.statics: list[dict[bytes, float]] = [{} for _ in plan.ranges]
-        #: node id -> the order it joined StaticNodes in, crawl-wide: what
-        #: lets :meth:`due_statics` walk the shards' dicts in one order
-        #: that no plan changes
-        self._joined: dict[bytes, int] = {}
-        self._joins = 0
+        #: StaticNodes: node id -> next re-dial time, in the order the nodes
+        #: joined; which shard dials one is ``plan.shard_of``, looked up
+        #: when asked, so no plan change moves anything here
+        self.statics: dict[bytes, float] = {}
         self.breakers = list(breakers)
         #: node id -> where to dial it; discovery and completed dials fill it
         self.addresses: dict[bytes, T] = {}
         #: node id -> when a lookup result was last taken for a dynamic dial
         self.dial_history: dict[bytes, float] = {}
-
-    @property
-    def static_nodes(self) -> dict[bytes, float]:
-        """The StaticNodes schedule, merged across shards (a copy)."""
-        merged: dict[bytes, float] = {}
-        for statics in self.statics:
-            merged.update(statics)
-        return merged
 
     def select(
         self, found: Iterable[T], own_id: bytes, now: float, budget: Optional[int] = None
@@ -110,8 +98,7 @@ class CrawlerCore(Generic[T]):
             node_id = target.node_id
             if node_id == own_id:
                 continue
-            shard = shard_of(node_id)
-            if node_id in statics[shard]:
+            if node_id in statics:
                 continue
             last = history.get(node_id)
             if last is not None and last > horizon:
@@ -120,7 +107,7 @@ class CrawlerCore(Generic[T]):
                 shed += 1
                 continue
             history[node_id] = now
-            taken.append((shard, target))
+            taken.append((shard_of(node_id), target))
         return taken, shed
 
     def due_statics(self, now: float, shard: Optional[int] = None) -> list[tuple[int, T]]:
@@ -132,17 +119,18 @@ class CrawlerCore(Generic[T]):
         is returned — the caller's dial cannot be raced into a second
         dial — and an entry with no known address is dropped instead.
         """
+        statics, shard_of = self.statics, self.plan.shard_of
         due: list[tuple[int, T]] = []
-        for index in range(len(self.statics)) if shard is None else (shard,):
-            statics = self.statics[index]
-            for node_id in [n for n, next_dial in statics.items() if next_dial <= now]:
-                target = self.addresses.get(node_id)
-                if target is None:
-                    self._leave(index, node_id)
-                    continue
-                statics[node_id] = now + self.static_dial_interval
-                due.append((index, target))
-        due.sort(key=lambda item: self._joined[item[1].node_id])
+        for node_id in [n for n, next_dial in statics.items() if next_dial <= now]:
+            index = shard_of(node_id)
+            if shard is not None and index != shard:
+                continue
+            target = self.addresses.get(node_id)
+            if target is None:
+                del statics[node_id]
+                continue
+            statics[node_id] = now + self.static_dial_interval
+            due.append((index, target))
         return due
 
     def admit(self, shard: int, target: T) -> bool:
@@ -166,34 +154,23 @@ class CrawlerCore(Generic[T]):
         if board is not None:
             board.record_success(target.node_id, target.ip)
         self.addresses[target.node_id] = target
-        self._join(shard, target.node_id, now + self.static_dial_interval)
+        self.add_static(target.node_id, now + self.static_dial_interval)
 
     def add_static(self, node_id: bytes, next_dial: float) -> bool:
         """Put a bootstrap or inbound peer on StaticNodes unless it is
         there already; True when added.  Its address is the caller's to
         learn (the simnet's table admission may refuse it)."""
-        return self._join(self.plan.shard_of(node_id), node_id, next_dial)
-
-    def _join(self, shard: int, node_id: bytes, next_dial: float) -> bool:
-        statics = self.statics[shard]
-        if node_id in statics:
+        if node_id in self.statics:
             return False
-        statics[node_id] = next_dial
-        self._joined[node_id] = self._joins
-        self._joins += 1
+        self.statics[node_id] = next_dial
         return True
-
-    def _leave(self, shard: int, node_id: bytes) -> bool:
-        self._joined.pop(node_id, None)
-        return self.statics[shard].pop(node_id, None) is not None
 
     def prune(self, stale_ids: Iterable[bytes]) -> None:
         """Drop stale addresses from StaticNodes (§4's 24 h rule); a
         dropped peer's breaker is forgotten with it."""
         for node_id in stale_ids:
-            shard = self.plan.shard_of(node_id)
-            if self._leave(shard, node_id):
-                board = self.breakers[shard]
+            if self.statics.pop(node_id, None) is not None:
+                board = self.breakers[self.plan.shard_of(node_id)]
                 if board is not None:
                     board.forget(node_id)
 
@@ -201,12 +178,6 @@ class CrawlerCore(Generic[T]):
         self, index: int, count: int, breakers: Sequence[Optional["PeerScoreboard"]]
     ) -> None:
         """The plan just replaced the ``count`` ranges at ``index`` with
-        ``len(breakers)`` children: re-home the parents' statics under it,
-        next-dial times kept (so every future due set is unchanged), and
-        attach the children's scoreboards."""
-        parents = self.statics[index : index + count]
-        self.statics[index : index + count] = [{} for _ in breakers]
+        ``len(breakers)`` children: attach the children's scoreboards.
+        StaticNodes needs nothing — it is not laid out by the plan."""
         self.breakers[index : index + count] = breakers
-        for statics in parents:
-            for node_id, next_dial in statics.items():
-                self.statics[self.plan.shard_of(node_id)][node_id] = next_dial

@@ -2,11 +2,11 @@
 
 With ``telemetry_dir`` set, :func:`run_fleet` instruments every instance
 with its own :class:`~repro.telemetry.Telemetry` on the shared world
-clock, writes one measurement journal per instance (``<name>.jsonl``) or
-per shard segment (``<name>-shard<k>.g<gen>.jsonl``) — replayable one by
-one or merged via :func:`repro.analysis.ingest.replay_journals` — and
-exports the fleet's
-merged metrics snapshot (``metrics.json``) — the multi-instance
+clock, writes its measurement journal through
+:class:`~repro.nodefinder.reshard.SegmentFiles` — ``<name>.jsonl``, or one
+file per shard segment (``<name>-shard<k>.g<gen>.jsonl``), replayable one
+by one or merged via :func:`repro.analysis.ingest.replay_journals` — and
+exports the fleet's merged metrics snapshot (``metrics.json``) — the multi-instance
 equivalent of the paper's combined measurement log.
 """
 
@@ -18,10 +18,11 @@ from pathlib import Path
 
 from repro.nodefinder.database import NodeDB
 from repro.nodefinder.records import CrawlStats
+from repro.nodefinder.reshard import SegmentFiles
 from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
 from repro.simnet.adversary import AdversaryCampaign
 from repro.simnet.world import SimWorld
-from repro.telemetry import NULL_TELEMETRY, EventJournal, Telemetry, merge_snapshots
+from repro.telemetry import NULL_TELEMETRY, Telemetry, merge_snapshots
 from repro.telemetry.flightrecorder import FlightRecorder
 from repro.telemetry.profiler import Profiler
 
@@ -74,8 +75,8 @@ def run_fleet(
     All instances start simultaneously, as in the paper's deployment.  With
     ``watch_bootstrap`` every instance tracks dials to the first bootstrap
     node (the Figure 8 experiment).  With ``telemetry_dir`` each instance
-    journals to ``<dir>/<name>.jsonl`` — or, when ``config.shards > 1`` or
-    ``config.reshard`` is set, one journal per shard *segment*
+    journals to ``<dir>/<name>.jsonl`` — or, when it is sharded or may
+    reshard, one journal per shard *segment*
     (``<dir>/<name>-shard<k>.g<gen>.jsonl``), which
     ``repro.analysis.ingest.replay_journals`` merges back into a single
     timeline — and the merged metrics snapshot is written to
@@ -97,61 +98,31 @@ def run_fleet(
     the crawl itself.
     """
     export_dir = Path(telemetry_dir) if telemetry_dir is not None else None
-    if export_dir is not None:
-        export_dir.mkdir(parents=True, exist_ok=True)
-    shard_count = max(1, int(config.shards)) if config is not None else 1
     bootstrap = world.bootstrap_addresses()
-    clock = lambda: world.now  # noqa: E731 - the one shared timeline
     instances = []
-    journals: list[EventJournal] = []
-    journal_paths: list[Path] = []
+    files: list[SegmentFiles] = []
     if profiler is not None:
         world.clock.profiler = profiler
-    # one journal per instance, or one per shard segment once the crawl is
-    # sharded or may become so
-    segmented = shard_count > 1 or (
-        config is not None and config.reshard is not None
-    )
     for index in range(instance_count):
         name = f"nodefinder-{index}"
+        instance_config = config or NodeFinderConfig(seed=index)
         telemetry = NULL_TELEMETRY
+        if export_dir is not None or profiler is not None or recorder is not None:
+            # a journaled, profiled or recorded run needs a real facade
+            # (NULL_TELEMETRY would drop all three); the instance journals
+            # through the opener, never through a file of the facade's own
+            telemetry = Telemetry(
+                clock=lambda: world.now, profiler=profiler, recorder=recorder
+            )
         journal_opener = None
-        if export_dir is not None and segmented:
-            # the instance opens <name>-shard<segment>.jsonl on demand
-            # (generation 0 at start, children as reshards happen) via
-            # its coordinator; its own telemetry keeps the shared metrics
-            # registry while each segment journals its own dial stream
-            telemetry = Telemetry(
-                clock=clock, profiler=profiler, recorder=recorder
+        if export_dir is not None:
+            journal_opener = SegmentFiles(
+                export_dir, name, instance_config.shards, instance_config.reshard
             )
-
-            def journal_opener(
-                segment: str, name: str = name
-            ) -> EventJournal:
-                path = export_dir / f"{name}-shard{segment}.jsonl"
-                journal_paths.append(path)
-                return EventJournal.open(path)
-
-        elif export_dir is not None:
-            path = export_dir / f"{name}.jsonl"
-            journal = EventJournal.open(path)
-            journals.append(journal)
-            journal_paths.append(path)
-            telemetry = Telemetry(
-                journal=journal,
-                clock=clock,
-                profiler=profiler,
-                recorder=recorder,
-            )
-        elif profiler is not None or recorder is not None:
-            # profiled/recorded but journal-less runs still need a real
-            # facade (NULL_TELEMETRY would drop both)
-            telemetry = Telemetry(
-                clock=clock, profiler=profiler, recorder=recorder
-            )
+            files.append(journal_opener)
         instance = NodeFinderInstance(
             world,
-            config=config or NodeFinderConfig(seed=index),
+            config=instance_config,
             name=name,
             telemetry=telemetry,
             journal_opener=journal_opener,
@@ -163,16 +134,15 @@ def run_fleet(
         adversary.launch(world, victim_node_id=instances[0].node_id)
     for instance in instances:
         instance.start(bootstrap)
-    fleet = Fleet(world=world, instances=instances, journal_paths=journal_paths)
+    fleet = Fleet(world=world, instances=instances)
     try:
         world.run_days(days)
     finally:
-        for journal in journals:
-            journal.close()
-        for instance in instances:
-            # segments sealed mid-crawl are already closed; the still-live
-            # ones close here
-            instance.coordinator.close_open_segments()
+        # segments sealed mid-crawl are already closed; the still-live
+        # ones close here
+        for opened in files:
+            opened.close()
+            fleet.journal_paths.extend(opened.paths)
     if export_dir is not None:
         fleet.metrics_path = export_dir / "metrics.json"
         with open(fleet.metrics_path, "w", encoding="utf-8") as stream:

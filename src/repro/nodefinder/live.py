@@ -107,10 +107,6 @@ class LiveNodeFinder:
         #: draws lookup targets and retry jitter; injectable for
         #: reproducible targets and backoff schedules
         self.rng = rng
-        #: the crawler is a measurement instrument, so it always carries a
-        #: *real* registry (``stats`` reads off it); pass your own Telemetry
-        #: to add a journal or share a registry across components
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.db = NodeDB()
         self.discovery: Optional[DiscoveryService] = None
         self._supervisors: list[LoopSupervisor] = []
@@ -125,7 +121,23 @@ class LiveNodeFinder:
         self.controller: Optional[ReshardController] = (
             ReshardController(policy, self.plan) if policy is not None else None
         )
-        self.coordinator = ReshardCoordinator(journal_opener)
+        #: the crawl's journal: with a ``journal_opener`` every facade of
+        #: this crawl — the shards', the one discovery and the harvests
+        #: hold — writes through it and it places each record in a
+        #: segment file, which opens with the ``crawler`` record
+        self.coordinator = ReshardCoordinator(
+            self.plan,
+            journal_opener,
+            self.clock,
+            self.private_key.public_key.to_bytes(),
+            "live",
+        )
+        #: the crawler is a measurement instrument, so it always carries a
+        #: *real* registry (``stats`` reads off it); pass your own Telemetry
+        #: to share a registry across components
+        self.telemetry = self.coordinator.facade(
+            telemetry if telemetry is not None else Telemetry()
+        )
         #: every NodeDB/CrawlStats mutation goes through this single writer
         #: (OWNERSHIP pins the rule)
         self.writer = NodeDBWriter(self.db, telemetry=self.telemetry)
@@ -133,11 +145,7 @@ class LiveNodeFinder:
         #: and labeled by stable segment id (the controller may split even
         #: a single shard)
         self._shards: list[ShardState] = [
-            self._make_shard_state(
-                index,
-                shard_range.segment,
-                self.coordinator.open_segment(shard_range.segment),
-            )
+            self._make_shard_state(index, shard_range.segment)
             for index, shard_range in enumerate(self.plan.ranges)
         ]
         #: the §4 policy: StaticNodes, dial history (one re-dial interval
@@ -153,11 +161,9 @@ class LiveNodeFinder:
     def shard_count(self) -> int:
         return self.plan.shards
 
-    def _make_shard_state(
-        self, index: int, segment: str, journal: Optional[EventJournal]
-    ) -> ShardState:
-        """Build one shard: its segment's telemetry, fresh breakers."""
-        shard_telemetry = self.telemetry.for_shard(segment, journal, self.clock)
+    def _make_shard_state(self, index: int, segment: str) -> ShardState:
+        """Build one shard: its segment's metric label, fresh breakers."""
+        shard_telemetry = self.telemetry.for_shard(segment)
         shard_breakers = PeerScoreboard(
             failure_threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown,
@@ -175,7 +181,7 @@ class LiveNodeFinder:
     @property
     def static_nodes(self) -> dict[bytes, float]:
         """The StaticNodes schedule: node id -> next static dial time."""
-        return self.core.static_nodes
+        return self.core.statics
 
     @property
     def stats(self) -> dict[str, int]:
@@ -275,11 +281,11 @@ class LiveNodeFinder:
         # (non-cancelled) loop is surfaced by the done-callback instead of
         # silently dropped; give those callbacks a tick to run
         await asyncio.sleep(0)
-        # segments sealed mid-crawl are already closed; the still-live
-        # generation's journals close here
-        self.coordinator.close_open_segments()
         if self.discovery is not None:
             self.discovery.close()
+        # segments sealed mid-crawl are already closed; the still-live
+        # generation's journals close here, after the last emitter
+        self.coordinator.close()
 
     # -- loops -------------------------------------------------------------
 
@@ -301,9 +307,7 @@ class LiveNodeFinder:
             for index, node in taken:
                 shard = self._shards[index]
                 shard.queue.put_nowait(node)
-                shard.telemetry.shard_queue_depth.labels(
-                    shard=shard.segment
-                ).set(float(shard.queue.qsize()))
+                shard.telemetry.record_shard_health(queue_depth=shard.queue.qsize())
             self._prune_stale()
             await asyncio.sleep(self.config.lookup_interval)
 
@@ -348,9 +352,7 @@ class LiveNodeFinder:
                     drawn += 1
             except (asyncio.TimeoutError, asyncio.QueueEmpty):
                 pass
-            shard.telemetry.shard_queue_depth.labels(
-                shard=shard.segment
-            ).set(float(shard.queue.qsize()))
+            shard.telemetry.record_shard_health(queue_depth=shard.queue.qsize())
             if jobs:
                 # exception-safe fan-out: one crashing dial must not cancel
                 # its siblings or kill the loop
@@ -380,19 +382,13 @@ class LiveNodeFinder:
 
         Lag is the pass's wall duration — how far the loop trails the
         clock it schedules against; a healthy worker stays near its poll
-        interval, a drowning one grows with its dial backlog.  The shard
-        label is explicit: a shard loop sharing the crawl-wide telemetry
-        (no per-shard journals) still owns its health row.
+        interval, a drowning one grows with its dial backlog.
         """
-        telemetry = shard.telemetry
-        telemetry.record_shard_health(
+        shard.telemetry.record_shard_health(
             queue_depth=shard.queue.qsize(),
             lag=self.clock() - pass_started,
             open_breakers=shard.breakers.open_count,
-            journal_backlog=(
-                telemetry.journal.backlog if telemetry.journal is not None else None
-            ),
-            shard=shard.segment,
+            journal_backlog=self.coordinator.backlog(shard.index),
         )
 
     # -- elastic resharding ------------------------------------------------
@@ -429,11 +425,11 @@ class LiveNodeFinder:
            seals their journal segments with the ``reshard`` record and
            opens the children's (no awaits from here to step 4, so no
            loop observes a half-built plan);
-        3. hand off: the core re-homes the parents' statics, queued
-           targets transfer to the child owning their prefix; children
-           get fresh breaker scoreboards (failure history does not
-           survive a handoff — a deliberate reset, the cooldowns re-learn
-           quickly);
+        3. hand off: queued targets transfer to the child owning their
+           prefix (StaticNodes is one dict the plan is not in — nothing
+           to move); children get fresh breaker scoreboards (failure
+           history does not survive a handoff — a deliberate reset, the
+           cooldowns re-learn quickly);
         4. splice the children into the shard list, renumber positional
            indices, and spawn their supervised loops.
         """
@@ -451,15 +447,13 @@ class LiveNodeFinder:
         # ---- synchronous from here until the new loops spawn ----
         parents = self._shards[index : index + count]
         handed = self.coordinator.handoff(
-            self.plan,
             action,
             index,
             step=self.controller.step - 1,  # the observation that decided this
-            parents=[shard.telemetry for shard in parents],
         )
         children = [
-            self._make_shard_state(index + offset, child.segment, journal)
-            for offset, (child, journal) in enumerate(handed)
+            self._make_shard_state(index + offset, child.segment)
+            for offset, child in enumerate(handed)
         ]
         self._shards[index : index + count] = children
         for position, shard in enumerate(self._shards):
@@ -494,7 +488,7 @@ class LiveNodeFinder:
                 retry_rng=self.rng,
                 telemetry=shard.telemetry,
             )
-        shard.telemetry.record_scheduled_dial(connection_type, shard=shard.segment)
+        shard.telemetry.record_scheduled_dial(connection_type)
         # the only shared-state touch on the shard hot path; a fold that
         # raises surfaces in the loop's gather as a crashed dial
         self.writer.submit(result)

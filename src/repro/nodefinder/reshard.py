@@ -21,33 +21,39 @@ keeping every determinism property the conformance suites pin:
   operations so the plan doesn't flap.  A scripted
   ``schedule`` of :class:`ReshardOp` entries drives the deterministic
   conformance crawls.
-* :class:`ReshardCoordinator` — owns the journal-segment lifecycle and the
-  handoff itself: :meth:`~ReshardCoordinator.handoff` mutates the plan,
-  writes the schema-v4 ``reshard`` record into each parent's segment,
-  **seals** it (only this class and ``NodeDBWriter`` may — the OWNERSHIP
-  lint enforces it) and opens the children's generation-suffixed
-  segments.
+* :class:`ReshardCoordinator` — the crawl's journal: it owns the segment
+  files, places every record in one of them by one rule (the plan is
+  *looked up*, ``plan.shard_of``; no caller picks a file by picking a
+  facade), and moves them on a handoff:
+  :meth:`~ReshardCoordinator.handoff` mutates the plan, writes the
+  schema-v4 ``reshard`` record into each parent's segment, **seals** it
+  (only this class may — the OWNERSHIP lint enforces it) and opens the
+  children's generation-suffixed segments.
+* :class:`SegmentFiles` — the ``opener`` both CLIs hand a crawler: a
+  directory and a stem to the segments' file names.
 
 What is left to each crawler is what differs between them: the simnet
-scanner applies an operation between ticks and re-routes its StaticNodes
-dicts, the live crawler first drains and retires the parent loops, then
-moves their statics and queues and spawns the children.  Both route every
-fold through the single :class:`~repro.nodefinder.shard.NodeDBWriter`, so
-replaying the merged generation files reconstructs the live NodeDB
-entry-for-entry (pinned by ``tests/test_reshard_conformance.py``).
+scanner applies an operation between ticks, the live crawler first drains
+and retires the parent loops, then moves their queues and spawns the
+children.  StaticNodes is one dict the plan is not in, so a handoff moves
+none of it.  Both route every fold through the single
+:class:`~repro.nodefinder.shard.NodeDBWriter`, so replaying the merged
+generation files reconstructs the live NodeDB entry-for-entry (pinned by
+``tests/test_reshard_conformance.py``).
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.nodefinder.shard import PREFIX_SPACE
+from repro.telemetry.journal import Event, EventJournal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
-    from repro.telemetry.journal import EventJournal
 
 
 @dataclass(frozen=True)
@@ -385,75 +391,144 @@ class ReshardController:
 
 
 class ReshardCoordinator:
-    """Owns journal segments and the handoff that moves them.
+    """The crawl's journal: places every record, moves segments on a handoff.
 
-    ``opener`` maps a segment id to a fresh :class:`EventJournal` (the
-    fleet runner opens ``<name>-shard<segment>.jsonl``); without one the
-    crawl journals through its crawl-wide telemetry, or not at all, and
-    segment bookkeeping degenerates to no-ops.  The OWNERSHIP lint allows
-    only this class (and ``NodeDBWriter``) to seal journals.
+    ``opener`` maps a segment id to a fresh :class:`EventJournal`; a crawler
+    given one instruments through :meth:`facade`, which makes this object
+    the journal of every facade the crawl hands out, so a record lands in
+    the right file whoever emits it.  The
+    placement rule, stated once: a record naming a ``node_id`` goes to the
+    live segment whose range owns that prefix — the file holding the node's
+    dials — and any other record to the first live segment.  The two records
+    *about* segments are written here: every segment opens with the
+    ``crawler`` record (each file names whose crawl it is) and a sealed one
+    ends with ``reshard``.  Without an opener there are no segments: a
+    handoff only changes the plan.  The OWNERSHIP lint allows only this
+    class to seal a journal.
     """
 
     def __init__(
-        self, opener: Optional[Callable[[str], "EventJournal"]] = None
-    ) -> None:
-        self._opener = opener
-        #: segment id -> the open journal for that segment
-        self.open_segments: Dict[str, "EventJournal"] = {}
-
-    def open_segment(self, segment: str) -> Optional["EventJournal"]:
-        """Open (and track) the journal for a newly live range."""
-        if self._opener is None:
-            return None
-        journal = self._opener(segment)
-        self.open_segments[segment] = journal
-        return journal
-
-    def handoff(
         self,
         plan: DynamicShardPlan,
-        action: str,
-        index: int,
-        *,
-        step: int,
-        parents: Sequence["Telemetry"],
-    ) -> List[Tuple[ShardRange, Optional["EventJournal"]]]:
+        opener: Optional[Callable[[str], EventJournal]],
+        clock: Callable[[], float],
+        node_id: bytes,
+        name: str,
+    ) -> None:
+        self.plan = plan
+        self._opener = opener
+        self._clock = clock
+        self._identity = {"node_id": node_id.hex(), "name": name}
+        #: each live range's open journal, keyed by the range's ``lo``
+        self._segments: Dict[int, EventJournal] = {}
+        for shard_range in plan.ranges:
+            self._open(shard_range)
+
+    def facade(self, telemetry: "Telemetry") -> "Telemetry":
+        """``telemetry`` journaling through this coordinator on its clock —
+        the crawl-wide facade every other facade of the crawl derives from
+        — or ``telemetry`` as it came when there are no segments."""
+        if self._opener is None:
+            return telemetry
+        return telemetry.with_journal(self, self._clock)
+
+    def _open(self, shard_range: ShardRange) -> None:
+        if self._opener is not None:
+            journal = self._opener(shard_range.segment)
+            journal.emit(Event("crawler", self._clock(), self._identity))
+            self._segments[shard_range.lo] = journal
+
+    def emit(self, event: Event) -> None:
+        node_id = event.fields.get("node_id")
+        index = 0 if node_id is None else self.plan.shard_of(bytes.fromhex(node_id[:4]))
+        self._segments[self.plan.ranges[index].lo].emit(event)
+
+    def backlog(self, shard: int) -> Optional[int]:
+        """Unflushed events in shard ``shard``'s segment (None: no segments)."""
+        journal = self._segments.get(self.plan.ranges[shard].lo)
+        return journal.backlog if journal is not None else None
+
+    def handoff(self, action: str, index: int, *, step: int) -> Sequence[ShardRange]:
         """Apply one plan change and move the journal segments with it.
 
-        ``parents`` are the facades of the range(s) being replaced, in
-        positional order (one for a split, two for a merge); the caller
-        has already quiesced their dials.  In order: mutate the plan;
-        write the ``reshard`` record through each parent's facade — it
-        lands as the segment's final event, so the sealed file says where
+        The caller has already quiesced the dials of the range(s) being
+        replaced.  In order: mutate the plan; write the ``reshard`` record
+        as each parent segment's final event — the sealed file says where
         its range went and replay sees the handoff exactly where the dial
         stream stops; seal the parent; open each child's
-        generation-suffixed segment.  Returns the child ranges, each with
-        its freshly opened journal (``None`` without an opener).
+        generation-suffixed segment.  Returns the child ranges.
         """
-        parent_ranges: Sequence[ShardRange]
+        parents: Sequence[ShardRange]
         children: Sequence[ShardRange]
         if action == "split":
-            parent, children = plan.split(index)
-            parent_ranges = (parent,)
+            parent, children = self.plan.split(index)
+            parents = (parent,)
         else:
-            parent_ranges, child = plan.merge(index)
+            parents, child = self.plan.merge(index)
             children = (child,)
-        spans = [(child.lo, child.hi) for child in children]
-        for parent_range, telemetry in zip(parent_ranges, parents):
-            telemetry.record_reshard(
-                action=action,
-                step=step,
-                generation=plan.generation,
-                parent=(parent_range.lo, parent_range.hi),
-                children=spans,
-            )
-            journal = self.open_segments.pop(parent_range.segment, None)
+        for parent in parents:
+            journal = self._segments.pop(parent.lo, None)
             if journal is not None:
+                journal.emit(
+                    Event(
+                        "reshard",
+                        self._clock(),
+                        {
+                            "action": action,
+                            "step": step,
+                            "generation": self.plan.generation,
+                            "parent": [parent.lo, parent.hi],
+                            "children": [[child.lo, child.hi] for child in children],
+                        },
+                    )
+                )
                 journal.seal()
-        return [(child, self.open_segment(child.segment)) for child in children]
+        for child in children:
+            self._open(child)
+        return children
 
-    def close_open_segments(self) -> None:
-        """Close every still-open segment journal (crawl shutdown)."""
-        for journal in self.open_segments.values():
+    def flush(self) -> None:
+        for journal in self._segments.values():
+            journal.flush()
+
+    def close(self) -> None:
+        """Close every still-open segment (crawl shutdown); sealed ones are
+        closed already."""
+        for journal in self._segments.values():
             journal.close()
-        self.open_segments.clear()
+        self._segments.clear()
+
+
+class SegmentFiles:
+    """A crawl's journal files under one directory: the ``opener`` to give
+    its crawler, every path opened so far, and a close-all.
+
+    A segment journals to ``<stem>-shard<segment>.jsonl``; the only segment
+    of a one-shard crawl that can never reshard is named plain
+    ``<stem>.jsonl`` — decided here and nowhere else.
+    """
+
+    def __init__(
+        self,
+        directory: Union[str, Path],
+        stem: str,
+        shards: int,
+        reshard: Optional[ReshardPolicy],
+    ) -> None:
+        self._directory = Path(directory)
+        self._directory.mkdir(parents=True, exist_ok=True)
+        self._stem = stem
+        self._single = shards <= 1 and reshard is None
+        self.paths: List[Path] = []
+        self._journals: List[EventJournal] = []
+
+    def __call__(self, segment: str) -> EventJournal:
+        suffix = "" if self._single else f"-shard{segment}"
+        self.paths.append(self._directory / f"{self._stem}{suffix}.jsonl")
+        self._journals.append(EventJournal.open(self.paths[-1]))
+        return self._journals[-1]
+
+    def close(self) -> None:
+        """Close every journal opened (idempotent; sealed ones already are)."""
+        for journal in self._journals:
+            journal.close()

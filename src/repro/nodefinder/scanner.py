@@ -152,7 +152,6 @@ class NodeFinderInstance:
         telemetry: Telemetry = NULL_TELEMETRY,
         journal_opener: Callable[[str], EventJournal] | None = None,
     ) -> None:
-        self.telemetry = telemetry
         self.world = world
         self.config = config or NodeFinderConfig()
         self.name = name
@@ -197,7 +196,14 @@ class NodeFinderInstance:
         self.controller: Optional[ReshardController] = (
             ReshardController(policy, self.plan) if policy is not None else None
         )
-        self.coordinator = ReshardCoordinator(journal_opener)
+        #: the crawl's journal: with a ``journal_opener`` every facade of
+        #: this crawl writes through it and it places each record in a
+        #: segment file; without one the crawl journals wherever
+        #: ``telemetry`` does, or not at all
+        self.coordinator = ReshardCoordinator(
+            self.plan, journal_opener, self._world_now, self.node_id, name
+        )
+        self.telemetry = telemetry = self.coordinator.facade(telemetry)
         self.writer = NodeDBWriter(self.db, stats=self.stats, telemetry=telemetry)
         #: the §4 policy: StaticNodes, dial history, breaker gate (the one
         #: crawl-wide scoreboard, if any, serves every shard) and the
@@ -208,47 +214,30 @@ class NodeFinderInstance:
             self.config.dial_history_expiration,
             [self.scoreboard] * shards,
         )
-        #: per-shard telemetry, positional like ``plan.ranges``: with a
-        #: ``journal_opener`` each segment journals on its own file under
-        #: its segment id; without one every shard shares ``telemetry``
+        #: per-shard facades, positional like ``plan.ranges``: the crawl's
+        #: telemetry under each segment's metric label
         self._shard_telemetry = [
-            self._shard_facade(
-                shard_range.segment,
-                self.coordinator.open_segment(shard_range.segment),
-            )
-            for shard_range in self.plan.ranges
+            telemetry.for_shard(shard_range.segment) for shard_range in self.plan.ranges
         ]
-
-    def _shard_facade(self, segment: str, journal: EventJournal | None) -> Telemetry:
-        return self.telemetry.for_shard(segment, journal, self._world_now)
 
     # -- defence plumbing -------------------------------------------------------
 
     def _world_now(self) -> float:
         return self.world.now
 
-    def _owner_telemetry(self, node_id: bytes) -> Telemetry:
-        """The facade of the segment owning ``node_id``: a record about a
-        node lands in the journal that holds that node's dials (in a
-        segmented crawl the crawl-wide facade has no journal at all)."""
-        return self._shard_telemetry[self.plan.shard_of(node_id)]
-
     def _on_table_reject(self, node: ENode, reason: str, subnet: Optional[str]) -> None:
         self.defense_stats.note_rejection(reason)
-        self._owner_telemetry(node.node_id).record_table_admission(
-            node.node_id, node.ip, reason, subnet
-        )
+        self.telemetry.record_table_admission(node.node_id, node.ip, reason, subnet)
 
     def _on_breaker(self, node_id: bytes, old: BreakerState, new: BreakerState) -> None:
-        self._owner_telemetry(node_id).record_breaker(node_id, old, new)
+        self.telemetry.record_breaker(node_id, old, new)
 
     def _on_subnet_breaker(
         self, subnet: str, old: BreakerState, new: BreakerState
     ) -> None:
         if new is BreakerState.OPEN:
             self.defense_stats.subnet_breaker_trips += 1
-        # a subnet has no owning segment: the first live one journals it
-        self._shard_telemetry[0].record_subnet_breaker(subnet, old, new)
+        self.telemetry.record_subnet_breaker(subnet, old, new)
 
     def defense_snapshot(self) -> DefenseStats:
         """The hardening layer's absorption counters, with live breaker state."""
@@ -259,7 +248,7 @@ class NodeFinderInstance:
     @property
     def static_nodes(self) -> dict[bytes, float]:
         """The StaticNodes schedule: node id -> next static dial time."""
-        return self.core.static_nodes
+        return self.core.statics
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -268,13 +257,6 @@ class NodeFinderInstance:
         if self._started:
             return
         self._started = True
-        # journal which identity this crawl presents (once per journal —
-        # unsharded runs alias the same Telemetry N times)
-        distinct = {id(self.telemetry): self.telemetry}
-        for shard_telemetry in self._shard_telemetry:
-            distinct.setdefault(id(shard_telemetry), shard_telemetry)
-        for shard_telemetry in distinct.values():
-            shard_telemetry.record_crawler_identity(self.node_id, self.name)
         clock = self.world.clock
         for address in bootstrap or self.world.bootstrap_addresses():
             self._learn(address)
@@ -346,10 +328,10 @@ class NodeFinderInstance:
 
     def _refresh_shard_health(self) -> None:
         """Push the per-shard health gauges (journal backlog) once a tick."""
-        for shard_telemetry in self._shard_telemetry:
-            journal = shard_telemetry.journal
-            if journal is not None:
-                shard_telemetry.record_shard_health(journal_backlog=journal.backlog)
+        for index, shard_telemetry in enumerate(self._shard_telemetry):
+            shard_telemetry.record_shard_health(
+                journal_backlog=self.coordinator.backlog(index)
+            )
         if self.scoreboard is not None:
             self.telemetry.record_shard_health(
                 open_breakers=self.scoreboard.open_count
@@ -363,30 +345,22 @@ class NodeFinderInstance:
         The scanner is synchronous, so "drain in-flight dials" is free:
         every dial of the triggering tick has already folded through the
         writer.  The coordinator mutates the plan, seals the parent
-        segment(s) and opens the children's; the core re-homes the
-        parents' StaticNodes under the new plan — each node's next-dial
-        time is preserved, so the due set of every future tick (and
+        segment(s) and opens the children's.  StaticNodes is untouched —
+        the plan is not in it — so the due set of every future tick (and
         therefore the dial set) is unchanged: the conformance equivalence
         argument.
         """
         assert self.controller is not None
         count = 1 if action == "split" else 2
         children = self.coordinator.handoff(
-            self.plan,
             action,
             index,
             step=self.controller.step - 1,  # the observation that decided this
-            parents=self._shard_telemetry[index : index + count],
         )
-        facades = []
-        for child, journal in children:
-            facade = self._shard_facade(child.segment, journal)
-            if journal is not None:
-                # each segment file is self-describing for forensics
-                facade.record_crawler_identity(self.node_id, self.name)
-            facades.append(facade)
-        self._shard_telemetry[index : index + count] = facades
-        self.core.replan(index, count, [self.scoreboard] * len(facades))
+        self._shard_telemetry[index : index + count] = [
+            self.telemetry.for_shard(child.segment) for child in children
+        ]
+        self.core.replan(index, count, [self.scoreboard] * len(children))
 
     def _lookup(self, target_hash: bytes) -> list[NodeAddress]:
         """Iterative FIND_NODE toward the target whose keccak-256 is
@@ -476,7 +450,7 @@ class NodeFinderInstance:
         self.writer.submit(result)
         # simulated dials have no spans (no real stages ran), but they
         # share the funnel counters and journal schema with live crawls;
-        # each shard journals on its own telemetry
+        # each shard counts under its own label
         self._shard_telemetry[shard_index].record_dial(
             result, attempt=result.attempts
         )

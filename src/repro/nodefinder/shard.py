@@ -101,10 +101,9 @@ class ShardState:
 
     Everything here is owned by exactly one shard loop — the only shared
     object a shard touches is the :class:`NodeDBWriter`, which is why the
-    hot path needs no locks.  ``telemetry`` shares the crawl's metrics
-    registry but carries the shard's own :class:`EventJournal`, so
-    per-shard journals merge back into one timeline via
-    ``repro.analysis.ingest.replay_journals``.
+    hot path needs no locks.  ``telemetry`` is the crawl's facade under
+    this segment's ``shard`` metric label; which journal file a record
+    lands in is the crawl's journal's to decide, not the shard's.
     """
 
     def __init__(

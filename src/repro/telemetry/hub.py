@@ -17,9 +17,9 @@ and passes it down.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, Tuple
 
-from repro.telemetry.journal import Event, EventJournal
+from repro.telemetry.journal import Event
 from repro.telemetry.metrics import MetricsRegistry, NullRegistry
 from repro.telemetry.profiler import NULL_PROFILER, Profiler
 from repro.telemetry.spans import Span
@@ -34,13 +34,21 @@ def _hex(node_id: Optional[bytes]) -> Optional[str]:
     return node_id.hex() if node_id is not None else None
 
 
+class JournalSink(Protocol):
+    """What the facade asks of its journal: one :class:`EventJournal`, or a
+    crawl's :class:`~repro.nodefinder.reshard.ReshardCoordinator` placing
+    each record in one of its segment files."""
+
+    def emit(self, event: Event) -> None: ...
+
+
 class Telemetry:
     """Metrics + spans + journal behind one injectable seam."""
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        journal: Optional[EventJournal] = None,
+        journal: Optional[JournalSink] = None,
         clock: Optional[Callable[[], float]] = None,
         shard: str = "",
         profiler: Optional[Profiler] = None,
@@ -59,10 +67,12 @@ class Telemetry:
         #: and started span tees into its per-shard ring buffers, and the
         #: crash-shaped record_* methods below trigger a dump
         self.recorder = recorder
-        #: which crawl shard this facade instruments ("" = unsharded/whole
-        #: crawler).  Every family a shard worker emits carries it as a
-        #: label, so per-shard dashboards work off one shared registry;
-        #: sum across shards with ``Counter.total()``.
+        #: which crawl shard this facade instruments ("" = the whole
+        #: crawler, or a harvest with no crawler).  Every family a shard
+        #: worker emits carries it as a label, so per-shard dashboards work
+        #: off one shared registry; sum across shards with
+        #: ``Counter.total()``.  The label is all a shard facade is for:
+        #: which *file* a record lands in is the journal's business.
         self.shard = shard
         registry_ = self.registry
         # -- harvest / dial funnel ------------------------------------------
@@ -170,36 +180,13 @@ class Telemetry:
         #: refresh can retire the gauges of ranges that handed off
         self._plan_segments: set = set()
         # -- discovery ------------------------------------------------------
-        self.discovery_datagrams = registry_.counter(
-            "discovery_datagrams_total", "raw UDP datagrams", ("direction",)
-        )
-        self.discovery_packets = registry_.counter(
-            "discovery_packets_total",
-            "decoded discv4 packets by direction and type",
-            ("direction", "type"),
-        )
-        self.discovery_bad_packets = registry_.counter(
-            "discovery_bad_packets_total", "datagrams that failed to decode"
-        )
         self.discovery_bonds = registry_.counter(
             "discovery_bonds_total", "endpoint-proof attempts by outcome", ("outcome",)
-        )
-        self.discovery_table_size = registry_.gauge(
-            "discovery_table_size", "entries in the Kademlia routing table"
         )
         self.discovery_chaos_faults = registry_.counter(
             "discovery_chaos_faults_total",
             "datagram faults injected by the chaos layer",
             ("fault",),
-        )
-        # -- served side (FullNode) -----------------------------------------
-        self.inbound = registry_.counter(
-            "fullnode_inbound_total",
-            "inbound-connection milestones on a served node",
-            ("phase",),
-        )
-        self.headers_served = registry_.counter(
-            "fullnode_headers_served_total", "block headers answered to peers"
         )
         # label-child handles resolved once per (outcome, stage) — the
         # shard label is fixed for a facade's lifetime, and labels() is
@@ -207,24 +194,7 @@ class Telemetry:
         self._dial_children: dict[tuple, object] = {}
         self._dial_seconds_child = self.dial_seconds.labels(shard=self.shard)
 
-    def for_shard(
-        self,
-        shard: str,
-        journal: Optional[EventJournal],
-        clock: Callable[[], float],
-    ) -> "Telemetry":
-        """The facade one shard segment instruments through.
-
-        With its own ``journal`` the shard gets its own facade labelled
-        ``shard``, on the crawl's ``clock``: the metrics registry is
-        shared, so counters aggregate exactly as unsharded while each
-        shard's event stream stays separable (and re-mergeable); the
-        profiler and flight recorder are crawl-wide too, so attribution
-        and crash rings stay in one place.  Without a journal there is
-        nothing to keep apart and the shard shares this facade.
-        """
-        if journal is None:
-            return self
+    def _sharing(self, journal, clock, shard: str) -> "Telemetry":
         return Telemetry(
             registry=self.registry,
             journal=journal,
@@ -233,6 +203,20 @@ class Telemetry:
             profiler=self.profiler,
             recorder=self.recorder,
         )
+
+    def with_journal(
+        self, journal: JournalSink, clock: Callable[[], float]
+    ) -> "Telemetry":
+        """This facade, journaling to ``journal`` on ``clock`` — what a
+        crawler given a segment opener makes of the facade it was handed."""
+        return self._sharing(journal, clock, self.shard)
+
+    def for_shard(self, shard: str) -> "Telemetry":
+        """The facade one shard segment instruments through: everything
+        shared with this one — registry, journal, clock, profiler, flight
+        recorder — under the ``shard`` metric label, so counters aggregate
+        exactly as unsharded and each segment still has its own row."""
+        return self._sharing(self.journal, self.clock, shard)
 
     # -- primitives ---------------------------------------------------------
 
@@ -362,10 +346,8 @@ class Telemetry:
 
     # -- crawler scheduler ---------------------------------------------------
 
-    def record_scheduled_dial(self, connection_type: str, shard: str) -> None:
-        """``shard`` is explicit, as in :meth:`record_shard_health`: a loop
-        sharing the crawl-wide facade still counts under its own segment."""
-        self.scheduled_dials.labels(type=connection_type, shard=shard).inc()
+    def record_scheduled_dial(self, connection_type: str) -> None:
+        self.scheduled_dials.labels(type=connection_type, shard=self.shard).inc()
 
     def record_dial_crash(self, error: str = "") -> None:
         self.dial_failures.labels(shard=self.shard).inc()
@@ -378,11 +360,6 @@ class Telemetry:
     def record_budget_drop(self, count: int = 1) -> None:
         if count > 0:
             self.budget_dropped_dials.inc(count)
-
-    def record_crawler_identity(self, node_id: bytes, name: str) -> None:
-        """Journal which enode identity this crawler presents — analysis
-        needs it to tell the crawler's own table apart from peers."""
-        self.emit("crawler", node_id=_hex(node_id), name=name)
 
     # -- discovery table admission ------------------------------------------
 
@@ -426,14 +403,9 @@ class Telemetry:
         lag: Optional[float] = None,
         open_breakers: Optional[int] = None,
         journal_backlog: Optional[int] = None,
-        shard: Optional[str] = None,
     ) -> None:
-        """Refresh this shard's health gauges (pass only what you know).
-
-        ``shard`` overrides the facade's own label — shard loops sharing
-        the crawl-wide telemetry (no per-shard journals) still publish
-        under their own row instead of collapsing into it."""
-        label = self.shard if shard is None else shard
+        """Refresh this shard's health gauges (pass only what you know)."""
+        label = self.shard
         if queue_depth is not None:
             self.shard_queue_depth.labels(shard=label).set(queue_depth)
         if lag is not None:
@@ -444,30 +416,6 @@ class Telemetry:
             self.journal_backlog.labels(shard=label).set(journal_backlog)
 
     # -- elastic sharding ----------------------------------------------------
-
-    def record_reshard(
-        self,
-        action: str,
-        step: int,
-        generation: int,
-        parent: Tuple[int, int],
-        children: Sequence[Tuple[int, int]],
-    ) -> None:
-        """Journal a shard handoff — the sealed segment's final record.
-
-        ``parent`` is the prefix range this facade's shard owned;
-        ``children`` are the range(s) it became.  The reshard coordinator
-        calls this through the *parent segment's* telemetry immediately
-        before sealing, so replay finds the handoff exactly where the
-        segment's dial stream ends."""
-        self.emit(
-            "reshard",
-            action=action,
-            step=step,
-            generation=generation,
-            parent=list(parent),
-            children=[list(child) for child in children],
-        )
 
     def record_shard_plan(
         self, ranges: Sequence[Tuple[str, int, int]]

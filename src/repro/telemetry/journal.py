@@ -245,8 +245,8 @@ class EventJournal:
         A reshard handoff seals the parent shard's segment right after
         the ``reshard`` record is written, so the file on disk is a
         complete, immutable account of that range's lifetime.  Only the
-        reshard coordinator (or the ``NodeDBWriter``) may call this —
-        the OWNERSHIP lint family enforces it.
+        reshard coordinator may call this — the OWNERSHIP lint family
+        enforces it.
         """
         self._sealed = True
         self.close()

@@ -138,14 +138,6 @@ class HistogramChild(_Child):
     def quantile(self, q: float) -> float:
         return quantile_from_buckets(self.bounds, self.bucket_counts, self.inf_count, q)
 
-    def cumulative_buckets(self) -> Iterator[Tuple[float, int]]:
-        """(upper bound, cumulative count) pairs, the exposition shape."""
-        running = 0
-        for bound, count in zip(self.bounds, self.bucket_counts):
-            running += count
-            yield bound, running
-        yield float("inf"), running + self.inf_count
-
 
 class Metric:
     """One metric family: a name plus its labeled children."""

@@ -1,9 +1,10 @@
 """OWNERSHIP firing fixture: journal segments sealed outside the handoff.
 
 ``EventJournal.seal`` ends a segment's lifetime — only the reshard
-coordinator (or the ``NodeDBWriter``) may call it.  A shard loop sealing
-its own journal, or a helper function sealing one it was handed, is a
-finding; ordinary ``close()`` / ``flush()`` calls are not tracked.
+coordinator may call it.  A shard loop sealing its own journal, a helper
+function sealing one it was handed, or another state owner
+(``NodeDBWriter`` writes NodeDB and CrawlStats, not journals) doing so is
+a finding; ordinary ``close()`` / ``flush()`` calls are not tracked.
 """
 
 
@@ -19,3 +20,12 @@ class ShardLoop:
 def finish_segment(journal: "EventJournal"):
     journal.flush()  # untracked: flushing is anyone's to do
     journal.seal()
+
+
+class NodeDBWriter:
+    def __init__(self, journal: "EventJournal"):
+        self.journal = journal
+
+    def shutdown(self):
+        # a writer of other shared state is not a writer of this one
+        self.journal.seal()

@@ -306,10 +306,10 @@ def test_sim_and_live_drivers_apply_one_policy(shards):
             assert finder.plan.shard_of(node_id) == shard
 
 
-def test_live_split_rehomes_statics_and_the_children_keep_the_policy():
-    """A live handoff goes through ``core.replan``: the parent's statics
-    land in the child owning their prefix with their next-dial times, and
-    a dial completed by a child joins that child's StaticNodes."""
+def test_live_split_leaves_statics_in_place_and_the_children_keep_the_policy():
+    """A live handoff moves no StaticNodes entry — order and next-dial
+    times stand, each child's due set is the entries its range owns — and
+    a dial completed by a child joins StaticNodes."""
 
     async def scenario():
         dialer = Dialer()
@@ -339,16 +339,20 @@ def test_live_split_rehomes_statics_and_the_children_keep_the_policy():
                 if finder.plan.shards == 2:
                     break
                 await asyncio.sleep(0.01)
-            assert finder.plan.shards == 2 and len(finder.core.statics) == 2
-            assert finder.static_nodes == {
-                enode.node_id: 1000.0 + offset for offset, enode in enumerate(planted)
-            }
-            assert all(finder.core.statics), "the peer set spans both halves"
+            assert finder.plan.shards == 2 and len(finder.core.breakers) == 2
+            assert list(finder.static_nodes.items()) == [
+                (enode.node_id, 1000.0 + offset) for offset, enode in enumerate(planted)
+            ]
             shard = finder._shards[finder.plan.shard_of(late_joiner.node_id)]
             await finder._shard_dial(shard, late_joiner, "dynamic-dial")
-            for index, statics in enumerate(finder.core.statics):
-                assert all(finder.plan.shard_of(node_id) == index for node_id in statics)
-            assert late_joiner.node_id in finder.core.statics[shard.index]
+            assert list(finder.static_nodes)[-1] == late_joiner.node_id
+            halves = [finder.core.due_statics(5000.0, index) for index in (0, 1)]
+            assert all(halves), "the peer set spans both halves"
+            for index, due in enumerate(halves):
+                assert all(owner == index for owner, _ in due)
+            assert sorted(t.node_id for due in halves for _, t in due) == sorted(
+                finder.static_nodes
+            )
         finally:
             await asyncio.wait_for(finder.stop(), timeout=10.0)
 
@@ -367,7 +371,7 @@ def test_breaker_gate_scores_failures_and_prune_forgets():
         assert core.admit(0, peer)
         core.dial_done(0, peer, DialOutcome.CONNECTION_REFUSED, now[0])
     assert not core.admit(0, peer)
-    assert core.static_nodes == {}
+    assert core.statics == {}
     # a peer that is not on StaticNodes keeps its breaker through a prune
     core.prune([peer.node_id])
     assert not core.admit(0, peer)
@@ -488,16 +492,12 @@ class CrawlerCoreModel(RuleBasedStateMachine):
         self.core.replan(index, 2, [None])
 
     @invariant()
-    def every_static_lives_in_its_owning_shard_only(self):
-        assert len(self.core.statics) == len(self.core.breakers) == self.plan.shards
-        for shard, statics in enumerate(self.core.statics):
-            for node_id in statics:
-                assert self.plan.shard_of(node_id) == shard
-        assert sum(len(statics) for statics in self.core.statics) == len(self.statics)
+    def every_range_has_its_breakers(self):
+        assert len(self.core.breakers) == self.plan.shards
 
     @invariant()
-    def the_union_is_the_model_with_next_dial_times_kept(self):
-        assert self.core.static_nodes == self.statics
+    def statics_are_the_model_in_join_order_with_next_dial_times_kept(self):
+        assert list(self.core.statics.items()) == list(self.statics.items())
 
 
 CrawlerCoreModel.TestCase.settings = settings(

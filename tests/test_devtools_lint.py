@@ -76,7 +76,7 @@ FIRING = {
     "task_life/bad_orphan.py": {"TASK-LIFE-ORPHAN": 3},
     "task_life/bad_gather.py": {"TASK-LIFE-GATHER": 1},
     "ownership/bad_mutation.py": {"OWNERSHIP": 3},
-    "ownership/bad_seal.py": {"OWNERSHIP": 2},
+    "ownership/bad_seal.py": {"OWNERSHIP": 3},
 }
 
 CLEAN = [

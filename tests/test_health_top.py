@@ -1,5 +1,6 @@
 """Shard health introspection: gauges, Prometheus export, `nodefinder top`."""
 
+import io
 import json
 
 from repro.cli import main
@@ -7,7 +8,7 @@ from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
-from repro.telemetry import Telemetry, render_top
+from repro.telemetry import EventJournal, Telemetry, render_top
 
 
 def _value(snapshot, name, shard):
@@ -40,13 +41,20 @@ class TestShardHealthGauges:
             if metric["name"] == "crawler_shard_open_breakers":
                 assert metric["series"] == []
 
-    def test_shard_override_beats_the_facade_label(self):
-        # shard loops sharing the crawl-wide telemetry (no per-shard
-        # journals) publish under their own row, not the "" row
-        telemetry = Telemetry()
-        telemetry.record_shard_health(lag=0.7, shard="2")
-        snapshot = telemetry.registry.snapshot()
-        assert _value(snapshot, "crawler_shard_loop_lag_seconds", "2") == 0.7
+    def test_a_shard_facade_differs_in_the_label_only(self):
+        # a crawler always builds one facade per segment, journals or not:
+        # the segment id is the row; "" is a harvest with no crawler
+        crawl = Telemetry(journal=EventJournal(io.StringIO()))
+        facade = crawl.for_shard("2.g0")
+        assert facade is not crawl and facade.shard == "2.g0"
+        assert (facade.registry, facade.journal, facade.clock) == (
+            crawl.registry, crawl.journal, crawl.clock
+        )
+        facade.record_shard_health(lag=0.7)
+        crawl.record_shard_health(lag=0.1)
+        snapshot = crawl.registry.snapshot()
+        assert _value(snapshot, "crawler_shard_loop_lag_seconds", "2.g0") == 0.7
+        assert _value(snapshot, "crawler_shard_loop_lag_seconds", "") == 0.1
 
 
 def sample_snapshot():

@@ -5,13 +5,23 @@ import time
 
 import pytest
 
+from repro.analysis.ingest import replay_journals
+from repro.cli import main
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
 from repro.discovery.packets import NeighborRecord
+from repro.discovery.protocol import DiscoveryService
 from repro.fullnode import start_localhost_network
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
-from repro.resilience import BreakerState, RetryPolicy
 from repro.nodefinder.records import DialOutcome, DialResult
+from repro.nodefinder.reshard import (
+    DynamicShardPlan,
+    ReshardOp,
+    ReshardPolicy,
+    SegmentFiles,
+)
+from repro.resilience import BreakerState, RetryPolicy
+from repro.telemetry import read_events
 
 from tests.helpers import plant_static
 
@@ -400,8 +410,11 @@ def test_raising_fold_is_a_crashed_dial_and_the_loop_keeps_dialing():
                 await asyncio.sleep(0.005)
             assert poisoned not in finder.db
             assert finder.stats["loop_crashes"] == 0
-            # one dials-by-shard family, labelled per segment even though
-            # journal-less shards share the crawl-wide facade
+            # one dials-by-shard family, labelled per segment: a crawler
+            # builds a facade per segment with or without journals
+            assert [shard.telemetry.shard for shard in finder._shards] == [
+                shard.segment for shard in finder._shards
+            ]
             dials = finder.telemetry.scheduled_dials
             per_segment = [
                 dials.total(type="static-dial", shard=shard.segment)
@@ -413,3 +426,114 @@ def test_raising_fold_is_a_crashed_dial_and_the_loop_keeps_dialing():
             await finder.stop()
 
     asyncio.run(scenario())
+
+
+# -- one journal for the whole crawl, whatever the shard count ----------------
+
+
+async def _journaled_crawl(directory, shards, policy):
+    """Bond four discovery peers, then — with the final plan in place —
+    crash and restart the discovery loop once and inject one datagram
+    fault; returns ``(crawler node id, peer ids, journal paths)``."""
+    # node IDs d8.., d7.., 02.., 6d..: two in each half of the keyspace
+    peers = [await DiscoveryService(PrivateKey(30_000 + i)).listen() for i in (0, 2, 4, 5)]
+    files = SegmentFiles(directory, "crawl", shards, policy)
+    finder = LiveNodeFinder(
+        PrivateKey(77),
+        config=LiveConfig(
+            lookup_interval=0.01,
+            static_dial_interval=600.0,
+            shards=shards,
+            reshard=policy,
+            supervisor_policy=RetryPolicy(max_attempts=5, base_delay=0.01),
+        ),
+        harvester=stub_harvester(0.0, lambda nth: DialOutcome.CONNECTION_REFUSED)[0],
+        journal_opener=files,
+    )
+    crash = {"armed": False, "done": False}
+
+    async def lookup(_target):
+        if crash["armed"] and not crash["done"]:
+            crash["done"] = True
+            raise RuntimeError("injected lookup crash")
+        return []
+
+    try:
+        await finder.start(bootstrap=[peer.local_enode for peer in peers])
+        finder.discovery.lookup_all = lookup
+        started = time.monotonic()
+        while policy is not None and finder.plan.shards < 2:
+            assert time.monotonic() - started < 5.0, "the scripted split never ran"
+            await asyncio.sleep(0.005)
+        # the facade discovery holds is the crawl's: same journal, same rule
+        finder.discovery.telemetry.record_datagram_fault("drop")
+        crash["armed"] = True
+        lookups = None
+        while lookups is None or finder.stats["lookups"] <= lookups:
+            assert time.monotonic() - started < 5.0, "the loop never came back"
+            if lookups is None and finder.stats["loop_restarts"]:
+                lookups = finder.stats["lookups"]
+            await asyncio.sleep(0.005)
+    finally:
+        await asyncio.wait_for(finder.stop(), timeout=10.0)
+        for peer in peers:
+            peer.close()
+    return finder.discovery.node_id, [peer.node_id for peer in peers], files.paths
+
+
+SPLIT_AT_ONCE = ReshardPolicy(
+    interval=0.01, schedule=(ReshardOp(step=0, action="split", index=0),)
+)
+
+
+@pytest.mark.parametrize(
+    "shards, policy", [(2, None), (1, SPLIT_AT_ONCE)], ids=["two-shards", "elastic"]
+)
+def test_segment_journals_carry_what_the_one_shard_journal_does(
+    tmp_path, capsys, shards, policy
+):
+    """``supervisor``, ``bond`` and ``datagram_fault`` records reach the
+    segment files of a sharded or elastic crawl (they used to go through
+    the crawl-wide facade, which then had no journal), and every file
+    names the crawler — so ``analyze --eclipse`` leaves it out."""
+    _, peer_ids, [single] = asyncio.run(_journaled_crawl(tmp_path / "one", 1, None))
+    assert single.name == "crawl.jsonl"
+    crawler_id, _, paths = asyncio.run(
+        _journaled_crawl(tmp_path / "many", shards, policy)
+    )
+    assert sorted(path.name for path in paths) == (
+        ["crawl-shard0.g0.jsonl", "crawl-shard1.g0.jsonl"]
+        if policy is None
+        else ["crawl-shard0.g0.jsonl", "crawl-shard0.g1.jsonl", "crawl-shard1.g1.jsonl"]
+    )
+
+    def records(paths, kind):
+        return sorted(
+            sorted(event.fields.items())
+            for path in paths
+            for event in read_events(path)
+            if event.type == kind
+        )
+
+    bonds = records(paths, "bond")
+    assert bonds == records([single], "bond")
+    assert bonds == sorted(
+        [("node_id", node_id.hex()), ("ok", True)] for node_id in peer_ids
+    )
+    if policy is None:  # a record about a node: the file holding its dials
+        for index, path in enumerate(sorted(paths)):
+            owned = [bytes.fromhex(dict(bond)["node_id"]) for bond in records([path], "bond")]
+            assert len(owned) == 2
+            assert all(DynamicShardPlan(2).shard_of(node_id) == index for node_id in owned)
+    for kind in ("supervisor", "datagram_fault"):
+        assert records(paths, kind) == records([single], kind) != []
+    # node-less records: the first live segment, nowhere else
+    first_live = sorted(paths)[0 if policy is None else 1]
+    assert records([first_live], "supervisor") == records(paths, "supervisor")
+    assert main(["telemetry", "--journal", str(first_live)]) == 0
+    assert "supervisor: 1 crashes, 1 restarts" in capsys.readouterr().out
+    # every file opens with the crawler's own identity
+    for path in paths + [single]:
+        first = read_events(path)[0]
+        assert (first.type, first.fields["node_id"]) == ("crawler", crawler_id.hex())
+    assert replay_journals(paths).crawler_ids == {crawler_id}

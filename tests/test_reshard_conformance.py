@@ -56,6 +56,8 @@ from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import Event, EventJournal, JournalError, read_events
 
+from tests.helpers import assert_every_record_is_placed
+
 WORLD_SEED = 41
 CRAWL_SEED = 7
 DAYS = 1.0
@@ -167,6 +169,19 @@ class TestReshardConformance:
             [0, PREFIX_SPACE // 4],
             [PREFIX_SPACE // 4, PREFIX_SPACE // 2],
         ]
+
+    @pytest.mark.parametrize("variant", ["static", "split", "splitmerge"])
+    def test_every_record_type_is_in_the_file_the_one_rule_names(self, crawls, variant):
+        # crawler first in every file, reshard last in every sealed parent,
+        # each node's records in the segment owning its prefix at the time
+        seen = assert_every_record_is_placed(crawls[variant][1])
+        assert seen["crawler"] == len(crawls[variant][1])
+        assert seen["reshard"] == {"static": 0, "split": 1, "splitmerge": 3}[variant]
+        assert sum(seen.values()) - seen["crawler"] - seen["reshard"] == sum(
+            count
+            for kind, count in assert_every_record_is_placed(crawls["static"][1]).items()
+            if kind != "crawler"
+        )
 
     @pytest.mark.parametrize("variant", ["split", "splitmerge"])
     def test_merged_replay_reconstructs_live_db(self, crawls, variant):

@@ -47,7 +47,7 @@ from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import read_events
 
-from tests.helpers import plant_static
+from tests.helpers import assert_every_record_is_placed, plant_static
 
 SHARD_COUNTS = (1, 2, 4)
 WORLD_SEED = 41
@@ -166,6 +166,13 @@ class TestShardConformance:
                 assert not (dialed_by_shard[left] & dialed_by_shard[right])
         assert sum(len(dialed) for dialed in dialed_by_shard) > 20
 
+    def test_every_record_type_is_in_the_file_the_one_rule_names(self, crawls):
+        # the dial check above, for every record and from the files alone
+        for shards in SHARD_COUNTS:
+            seen = assert_every_record_is_placed(crawls[shards][1])
+            assert seen["crawler"] == shards
+            assert min(seen[kind] for kind in ("dial", "hello", "status", "dao")) > 20
+
     @pytest.mark.parametrize("shards", [2, 4])
     def test_merged_replay_reconstructs_live_db(self, crawls, shards):
         fleet, journal_paths = crawls[shards]
@@ -205,6 +212,13 @@ class TestDefendedShardConformance:
         assert counts[shards].pop("crawler") == shards  # one per file
         assert counts[1].pop("crawler") == 1
         assert counts[shards] == counts[1]
+        # ...each where the rule puts it: per-peer breakers and admission
+        # refusals with the node's dials, subnet breakers (no node) in the
+        # first segment
+        seen = assert_every_record_is_placed(defended_crawls[shards][1])
+        assert seen == counts[shards] + Counter(crawler=shards)
+        first = read_events(sorted(defended_crawls[shards][1])[0])
+        assert sum(e.fields.get("scope") == "subnet" for e in first) > 0
         baseline = replay_journals(defended_crawls[1][1])
         replayed = replay_journals(defended_crawls[shards][1])
         assert replayed.admission_rejections == baseline.admission_rejections

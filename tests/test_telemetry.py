@@ -113,18 +113,6 @@ class TestHistogramBuckets:
         assert child.count == 4
         assert child.sum == pytest.approx(3.2, abs=1e-6)
 
-    def test_cumulative_buckets_end_with_inf(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        hist = registry.histogram("h", buckets=(0.1, 1.0))
-        child = hist.labels()
-        for value in (0.05, 0.5, 5.0):
-            child.observe(value)
-        assert list(child.cumulative_buckets()) == [
-            (0.1, 1),
-            (1.0, 2),
-            (float("inf"), 3),
-        ]
-
     def test_duplicate_bounds_rejected(self):
         registry = MetricsRegistry(clock=FakeClock())
         with pytest.raises(MetricError):
