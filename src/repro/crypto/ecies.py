@@ -21,7 +21,7 @@ import secrets
 from repro.crypto.aes import aes_ctr
 from repro.crypto.kdf import concat_kdf
 from repro.crypto.keys import PrivateKey, PublicKey
-from repro.errors import DecryptionError
+from repro.errors import CryptoError, DecryptionError
 
 #: bytes added by ECIES: 65 (pubkey) + 16 (IV) + 32 (HMAC tag)
 ECIES_OVERHEAD = 65 + 16 + 32
@@ -72,7 +72,7 @@ def ecies_decrypt(
         raise DecryptionError("ECIES message must start with uncompressed point")
     try:
         ephemeral_public = PublicKey.from_bytes(message[:65])
-    except Exception as exc:
+    except CryptoError as exc:
         raise DecryptionError(f"bad ephemeral public key: {exc}") from exc
     iv = message[65:81]
     ciphertext = message[81:-32]

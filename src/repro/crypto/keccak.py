@@ -12,6 +12,7 @@ RLPx depends on Keccak-256 in four places: the discovery distance metric
 
 from __future__ import annotations
 
+import copy
 import struct
 from typing import Callable, Iterable
 
@@ -92,6 +93,12 @@ class KeccakSponge:
     The RLPx frame MAC (:mod:`repro.rlpx.frame`) uses this directly as a
     never-finalised running hash, updating and snapshotting digests, so the
     sponge supports both incremental absorption and copy().
+
+    :meth:`digest` is memoised until the next non-empty :meth:`update`, and
+    :meth:`copy` carries the memo: the frame MAC digests most states twice
+    (the MAC update re-digests the state the body MAC seed was just taken
+    from, and each header re-digests the previous frame's final state), and
+    a digest is a permutation or more.
     """
 
     def __init__(self, rate_bytes: int, output_bytes: int, pad_byte: int = 0x01):
@@ -102,14 +109,17 @@ class KeccakSponge:
         self.pad_byte = pad_byte
         self._state = [0] * 25
         self._buffer = b""
+        self._digest: bytes | None = None
 
     def copy(self) -> "KeccakSponge":
-        clone = KeccakSponge(self.rate, self.output_bytes, self.pad_byte)
+        clone = copy.copy(self)  # shares the immutable buffer and memo
         clone._state = list(self._state)
-        clone._buffer = self._buffer
         return clone
 
     def update(self, data: bytes) -> "KeccakSponge":
+        if not data:
+            return self
+        self._digest = None
         self._buffer += bytes(data)
         while len(self._buffer) >= self.rate:
             block, self._buffer = self._buffer[: self.rate], self._buffer[self.rate :]
@@ -128,6 +138,11 @@ class KeccakSponge:
 
     def digest(self) -> bytes:
         """Return the digest of everything absorbed so far (non-destructive)."""
+        if self._digest is None:
+            self._digest = self._compute_digest()
+        return self._digest
+
+    def _compute_digest(self) -> bytes:
         pad_len = self.rate - len(self._buffer) % self.rate
         if pad_len == 1:
             padding = bytes([self.pad_byte ^ 0x80])
@@ -161,12 +176,6 @@ class Keccak256(KeccakSponge):
         super().__init__(rate_bytes=136, output_bytes=32, pad_byte=0x01)
         if data:
             self.update(data)
-
-    def copy(self) -> "Keccak256":
-        clone = Keccak256()
-        clone._state = list(self._state)
-        clone._buffer = self._buffer
-        return clone
 
 
 # Padding suffix for every single-block input length (rate 136, pad 0x01):

@@ -11,7 +11,7 @@ import secrets
 
 from repro.crypto import secp256k1
 from repro.crypto.keccak import keccak256
-from repro.errors import InvalidPrivateKey, InvalidSignature
+from repro.errors import InvalidPrivateKey, InvalidPublicKey
 
 
 class Signature:
@@ -64,7 +64,7 @@ class PublicKey:
 
     def __init__(self, point: secp256k1.AffinePoint) -> None:
         if point.is_infinity or not secp256k1.is_on_curve(point):
-            raise InvalidSignature("invalid public key point")
+            raise InvalidPublicKey("invalid public key point")
         self._point = point
 
     @classmethod

@@ -8,9 +8,11 @@ Curve: ``y^2 = x^3 + 7`` over GF(p), p = 2^256 - 2^32 - 977.
 Point arithmetic uses Jacobian projective coordinates; signing uses the
 deterministic nonce construction of RFC 6979 (HMAC-SHA256), as Geth does.
 
-Scalar multiplication is table-driven: a fixed-base comb for ``k*G``, width-5
-wNAF for ``k*P``, and the two chained for the ``a*P + b*G`` of verify and
-recover.  It is deliberately simple rather than constant-time -- table
+Scalar multiplication is table-driven: a fixed-base comb for ``k*G``; for
+``k*P`` the GLV endomorphism splits ``k`` into two half-length scalars walked
+as one joint width-5 wNAF (about 130 doublings instead of 256), so ``P``
+must be on the curve; and the two chained for the ``a*P + b*G`` of verify
+and recover.  It is deliberately simple rather than constant-time -- table
 indices, wNAF digits and branch counts all depend on the scalar: the threat
 model of a measurement reproduction is correctness, not side channels, and
 tests validate it against published vectors, a naive double-and-add oracle
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import hmac
 import hashlib
+import math
 from typing import NamedTuple
 
 from repro.errors import InvalidPublicKey, InvalidPrivateKey, InvalidSignature
@@ -159,30 +162,16 @@ def _j_add_affine(p: _Jacobian, q: _Affine) -> _Jacobian:
 # Two tables, no generic double-and-add.  ``k*G`` walks a fixed-base comb:
 # ``_generator_table()[i][j - 1]`` is the affine point ``j * 16^i * G``, so a
 # 256-bit scalar is at most 64 mixed additions and no doubling at all.
-# ``k*P`` for a point only known at call time recodes ``k`` in width-5 wNAF
-# (non-zero digits are odd, |d| < 16, and at least four zeros apart) over
-# the eight odd multiples P, 3P, ..., 15P.  ``a*P + b*G`` -- what verify and
-# recover need -- is the wNAF result handed to the comb walk as its starting
-# accumulator: one pass over each scalar.
+# ``k*P`` for a point only known at call time splits ``k = k1 + k2*LAMBDA``
+# and recodes both halves in width-5 wNAF over the eight affine odd
+# multiples P, 3P, ..., 15P and their images under phi.  ``a*P + b*G`` --
+# what verify and recover need -- is that result handed to the comb walk as
+# its starting accumulator: one pass over each scalar.
 
 
-@functools.cache
-def _generator_table() -> tuple[tuple[_Affine, ...], ...]:
-    """The comb table for ``G``: 64 four-bit windows x 15 affine multiples.
-
-    Built on first use, never at import: 960 Jacobian points brought to
-    affine with one shared inversion (Montgomery's trick).  No entry is the
-    point at infinity, since every ``j * 16^i`` is below the group order.
-    """
-    points: list[_Jacobian] = []
-    base = _to_jacobian(GENERATOR)
-    for _ in range(64):
-        multiple = base
-        points.append(multiple)
-        for _ in range(14):
-            multiple = _j_add(multiple, base)
-            points.append(multiple)
-        base = _j_add(multiple, base)
+def _batch_to_affine(points: list[_Jacobian]) -> list[_Affine]:
+    """Finite Jacobian points to affine with one shared inversion
+    (Montgomery's trick)."""
     prefix = [1]
     for point in points:
         prefix.append(prefix[-1] * point[2] % P)
@@ -194,6 +183,27 @@ def _generator_table() -> tuple[tuple[_Affine, ...], ...]:
         inverse = inverse * z % P
         z_inv2 = z_inv * z_inv % P
         affine[index] = (x * z_inv2 % P, y * z_inv2 * z_inv % P)
+    return affine
+
+
+@functools.cache
+def _generator_table() -> tuple[tuple[_Affine, ...], ...]:
+    """The comb table for ``G``: 64 four-bit windows x 15 affine multiples.
+
+    Built on first use, never at import: 960 Jacobian points brought to
+    affine together.  No entry is the point at infinity, since every
+    ``j * 16^i`` is below the group order.
+    """
+    points: list[_Jacobian] = []
+    base = _to_jacobian(GENERATOR)
+    for _ in range(64):
+        multiple = base
+        points.append(multiple)
+        for _ in range(14):
+            multiple = _j_add(multiple, base)
+            points.append(multiple)
+        base = _j_add(multiple, base)
+    affine = _batch_to_affine(points)
     return tuple(tuple(affine[i : i + 15]) for i in range(0, len(affine), 15))
 
 
@@ -208,17 +218,50 @@ def _j_generator_multiply(scalar: int, start: _Jacobian = _J_INFINITY) -> _Jacob
     return result
 
 
-def _j_multiply(point: AffinePoint, scalar: int) -> _Jacobian:
-    """``scalar * point`` by width-5 wNAF; the scalar is taken mod N."""
-    scalar %= N
-    if scalar == 0 or point.is_infinity:
-        return _J_INFINITY
-    base = _to_jacobian(point)
-    twice = _j_double(base)
-    odd = [base]  # odd[i] = (2i + 1) * point
-    for _ in range(7):
-        odd.append(_j_add(odd[-1], twice))
-    digits = []  # least significant first
+def _glv_basis(n: int, lam: int) -> tuple[int, int, int, int]:
+    """A short basis ``(a1, b1), (a2, b2)`` of ``{(a, b) : a + b*lam ≡ 0 (mod n)}``.
+
+    Extended Euclid on ``(n, lam)`` keeps ``r_i ≡ t_i * lam (mod n)``, so
+    every ``(r_i, -t_i)`` is a lattice vector.  The first remainder below
+    ``sqrt(n)`` gives one basis vector and the shorter of its two
+    neighbours the other (Guide to Elliptic Curve Cryptography, Alg. 3.74).
+    """
+    bound = math.isqrt(n)
+    r0, r1, t0, t1 = n, lam, 0, 1
+    while r1 >= bound:  # stop with r0 >= sqrt(n) > r1
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    q = r0 // r1
+    r2, t2 = r0 - q * r1, t0 - q * t1
+    if r0 * r0 + t0 * t0 <= r2 * r2 + t2 * t2:
+        return r1, -t1, r0, -t0
+    return r1, -t1, r2, -t2
+
+
+# GLV: secp256k1 has j-invariant 0, so ``phi(x, y) = (BETA*x, y)`` is an
+# endomorphism acting on every curve point (prime order, cofactor 1) as
+# multiplication by LAMBDA.  Both are primitive cube roots of unity (mod N
+# and mod P), paired so that ``LAMBDA*G == (BETA*GX, GY)``; the tests
+# re-derive all three facts.  On a twist the pairing does not hold.
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_A1, _B1, _A2, _B2 = _glv_basis(N, _LAMBDA)
+
+
+def _split_scalar(scalar: int) -> tuple[int, int]:
+    """``(k1, k2)`` with ``scalar ≡ k1 + k2*LAMBDA (mod N)``, ``|k1|, |k2| < 2^129``.
+
+    Rounds ``scalar`` onto the lattice (Babai) and keeps the remainder.
+    """
+    c1 = (_B2 * scalar + _HALF_N) // N
+    c2 = (-_B1 * scalar + _HALF_N) // N
+    return scalar - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf(scalar: int) -> list[int]:
+    """Width-5 NAF of ``scalar >= 0``, least significant digit first: each
+    non-zero digit is odd, ``|d| < 16``, and at least four zeros apart."""
+    digits = []
     while scalar:
         digit = 0
         if scalar & 1:
@@ -228,14 +271,55 @@ def _j_multiply(point: AffinePoint, scalar: int) -> _Jacobian:
             scalar -= digit
         digits.append(digit)
         scalar >>= 1
+    return digits
+
+
+def _digit_table(odd: list[_Affine], beta: int, negate: bool) -> list[_Affine]:
+    """``table[d] = d * Q`` for every odd ``|d| < 16`` (a negative ``d``
+    indexes from the end): ``Q`` is the point (``beta = 1``) or its image
+    under phi (``beta = _BETA``), negated when ``negate`` -- the sign of a
+    split scalar folds into the ``y``s."""
+    table: list[_Affine] = [(0, 0)] * 32
+    for index, (x, y) in enumerate(odd):
+        x = x * beta % P
+        y = P - y if negate else y
+        table[2 * index + 1] = (x, y)
+        table[-2 * index - 1] = (x, P - y)
+    return table
+
+
+def _j_multiply(point: AffinePoint, scalar: int) -> _Jacobian:
+    """``scalar * point`` for a point on the curve; the scalar is taken mod N.
+
+    ``scalar*P = k1*P + k2*phi(P)`` with half-length ``k1``, ``k2``: one
+    joint width-5 wNAF over the odd multiples of ``P`` and ``phi(P)``,
+    sharing one chain of at most 130 doublings.
+    """
+    scalar %= N
+    if scalar == 0 or point.is_infinity:
+        return _J_INFINITY
+    k1, k2 = _split_scalar(scalar)
+    base = _to_jacobian(point)
+    twice = _j_double(base)
+    odd = [base]  # odd[i] = (2i + 1) * point; none is infinity (prime order)
+    for _ in range(7):
+        odd.append(_j_add(odd[-1], twice))
+    affine = _batch_to_affine(odd)
+    table1 = _digit_table(affine, 1, k1 < 0)
+    table2 = _digit_table(affine, _BETA, k2 < 0)
+    digits1, digits2 = _wnaf(abs(k1)), _wnaf(abs(k2))
+    length = max(len(digits1), len(digits2))
+    digits1 += [0] * (length - len(digits1))
+    digits2 += [0] * (length - len(digits2))
     result = _J_INFINITY
-    for digit in reversed(digits):
+    for index in range(length - 1, -1, -1):
         result = _j_double(result)
-        if digit > 0:
-            result = _j_add(result, odd[digit >> 1])
-        elif digit < 0:
-            x, y, z = odd[-digit >> 1]
-            result = _j_add(result, (x, -y % P, z))
+        digit = digits1[index]
+        if digit:
+            result = _j_add_affine(result, table1[digit])
+        digit = digits2[index]
+        if digit:
+            result = _j_add_affine(result, table2[digit])
     return result
 
 
@@ -245,7 +329,13 @@ def point_add(p: AffinePoint, q: AffinePoint) -> AffinePoint:
 
 
 def point_multiply(point: AffinePoint, scalar: int) -> AffinePoint:
-    """Affine scalar multiplication ``scalar * point``."""
+    """Affine scalar multiplication ``scalar * point``.
+
+    Raises :class:`InvalidPublicKey` for a point off the curve: the GLV
+    split is only valid on it.
+    """
+    if not is_on_curve(point):
+        raise InvalidPublicKey("cannot multiply a point off the curve")
     return _from_jacobian(_j_multiply(point, scalar))
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Type
 
 from repro.crypto.keccak import keccak256
 from repro.crypto.keys import PrivateKey, PublicKey, Signature
-from repro.errors import BadPacket, DecodingError, DeserializationError, InvalidSignature
+from repro.errors import BadPacket, CryptoError, DecodingError, DeserializationError
 from repro.rlp import codec
 from repro.rlp.sedes import (
     BigEndianInt,
@@ -240,7 +240,7 @@ def decode_packet(datagram: bytes, now: float | None = None) -> DecodedPacket:
     try:
         signature = Signature.from_bytes(signature_bytes)
         sender = signature.recover(keccak256(body))
-    except InvalidSignature as exc:
+    except CryptoError as exc:
         raise BadPacket(f"signature recovery failed: {exc}") from exc
     packet_type = body[0]
     packet_class = PACKET_CLASSES.get(packet_type)

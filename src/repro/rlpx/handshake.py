@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.crypto.ecies import ecies_decrypt, ecies_encrypt
 from repro.crypto.keccak import Keccak256, keccak256
 from repro.crypto.keys import PrivateKey, PublicKey, Signature
-from repro.errors import DecodingError, HandshakeError
+from repro.errors import CryptoError, DecodingError, HandshakeError
 from repro.rlp import codec
 from repro.rlpx.frame import Secrets
 
@@ -92,9 +92,19 @@ def _open(message: bytes, private_key: PrivateKey) -> tuple[bytes, bytes]:
     wire = message[: 2 + size]
     try:
         plaintext = ecies_decrypt(wire[2:], private_key, shared_mac_data=prefix)
-    except Exception as exc:
+    except CryptoError as exc:
         raise HandshakeError(f"handshake decryption failed: {exc}") from exc
     return plaintext, wire
+
+
+def _node_key(item: object, what: str) -> PublicKey:
+    """An RLP node-ID field: exactly 64 bytes, a point on the curve."""
+    if not isinstance(item, bytes) or len(item) != 64:
+        raise HandshakeError(f"{what} must be 64 bytes")
+    try:
+        return PublicKey.from_bytes(item)
+    except CryptoError as exc:
+        raise HandshakeError(f"bad {what}: {exc}") from exc
 
 
 def handshake_message_size(first_two_bytes: bytes) -> int:
@@ -146,16 +156,13 @@ def read_auth(
         raise HandshakeError("auth signature must be 65 bytes")
     if not isinstance(nonce, bytes) or len(nonce) != _NONCE_LEN:
         raise HandshakeError("auth nonce must be 32 bytes")
-    try:
-        initiator_public = PublicKey.from_bytes(initiator_id)
-    except Exception as exc:
-        raise HandshakeError(f"bad initiator public key: {exc}") from exc
+    initiator_public = _node_key(initiator_id, "initiator public key")
     static_shared = responder_key.ecdh(initiator_public)
     try:
         ephemeral_public = Signature.from_bytes(sig_bytes).recover(
             _xor(static_shared, nonce)
         )
-    except Exception as exc:
+    except CryptoError as exc:
         raise HandshakeError(f"cannot recover ephemeral key: {exc}") from exc
     return initiator_public, ephemeral_public, nonce, wire
 
@@ -186,10 +193,7 @@ def read_ack(
     ephemeral_id, nonce, _version = fields[:3]
     if not isinstance(nonce, bytes) or len(nonce) != _NONCE_LEN:
         raise HandshakeError("ack nonce must be 32 bytes")
-    try:
-        ephemeral_public = PublicKey.from_bytes(ephemeral_id)
-    except Exception as exc:
-        raise HandshakeError(f"bad responder ephemeral key: {exc}") from exc
+    ephemeral_public = _node_key(ephemeral_id, "responder ephemeral key")
     return ephemeral_public, nonce, wire
 
 

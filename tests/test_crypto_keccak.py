@@ -72,6 +72,29 @@ def test_copy_forks_state():
     assert fork.digest() == keccak256(b"shared prefix|right")
 
 
+def test_digest_is_memoised_until_the_state_changes(monkeypatch):
+    calls = []
+    permutation = keccak_mod.keccak_f1600
+
+    def counting(state):
+        calls.append(1)
+        return permutation(state)
+
+    monkeypatch.setattr(keccak_mod, "keccak_f1600", counting)
+    hasher = Keccak256(b"abc")
+    first = hasher.digest()
+    assert len(calls) == 1
+    assert hasher.update(b"").digest() is first and len(calls) == 1
+    fork = hasher.copy()
+    assert fork.digest() is first and len(calls) == 1  # the memo travels
+    hasher.update(b"def")
+    assert hasher.digest() == keccak256(b"abcdef") and len(calls) == 3
+    assert fork.digest() == first == keccak256(b"abc")  # the source moved, not the copy
+    fork.update(b"xyz")
+    assert fork.digest() == keccak256(b"abcxyz")
+    assert hasher.digest() == keccak256(b"abcdef")
+
+
 def test_input_crossing_rate_boundary():
     # rate is 136 bytes; exercise sizes around it
     for size in (135, 136, 137, 271, 272, 273, 1000):

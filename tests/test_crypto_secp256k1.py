@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -86,12 +87,29 @@ def naive_verify(digest, r, s, public):
     return point is not None and point[0] % ec.N == r
 
 
+def _first_scalar_rounding_to(multiplier, count):
+    """The least ``k`` with ``round(multiplier * k / N) == count``."""
+    return -((ec._HALF_N - count * ec.N) // multiplier)
+
+
+#: the GLV split's seams: lambda and its negation (one half zero, the other
+#: +-1), and where either rounded lattice coefficient steps from 0 to 1 and
+#: from 1 to 2, one scalar either side
+GLV_EDGE_SCALARS = [ec._LAMBDA, ec.N - ec._LAMBDA] + sorted(
+    _first_scalar_rounding_to(multiplier, count) + offset
+    for multiplier in (ec._B2, -ec._B1)
+    for count in (1, 2)
+    for offset in (-1, 0)
+)
+
 #: scalars that sit on the engine's seams: group-order wraparound, single
 #: bits and runs of ones across comb-window and wNAF-window boundaries,
-#: all-ones and alternating nibbles, and wNAF carry chains (a run of ones
-#: recodes to -1 and a carry; 17 and 15 are the +-15 digits).
+#: all-ones and alternating nibbles, wNAF carry chains (a run of ones
+#: recodes to -1 and a carry; 17 and 15 are the +-15 digits), and the GLV
+#: split's seams.
 EDGE_SCALARS = sorted(
     {0, 1, 2, 3, ec.N - 2, ec.N - 1, ec.N, ec.N + 1, 2 * ec.N - 1, (1 << 256) - 1}
+    | set(GLV_EDGE_SCALARS)
     | {1 << k for k in (1, 3, 4, 5, 8, 63, 64, 127, 128, 251, 252, 253, 254, 255, 256)}
     | {(1 << k) - 1 for k in (2, 4, 5, 6, 8, 64, 65, 128, 252, 255, 256)}
     | {(1 << k) + 1 for k in (4, 5, 128, 255)}
@@ -296,6 +314,84 @@ class TestScalarMultiplicationEngine:
         assert found
         with pytest.raises(InvalidSignature):  # r + N >= P
             ec.recover_digest(digest, ec.RawSignature(ec.P - ec.N, 1, 2))
+
+
+def with_examples(values):
+    """``@example(v)`` for every ``v``: named scalars run before the random ones."""
+
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+
+    return decorate
+
+
+#: (k1, k2) halves that are zero, negative or both; the split returns
+#: exactly these for ``k = k1 + k2 * lambda``
+SIGNED_HALVES = [
+    (0, 1), (0, -1), (1, 0), (-1, 0), (5, -7), (-5, 7), (0, 1 << 100),
+    (0, -(1 << 100)), (-(1 << 100), 0), (-(1 << 127), 3), (-(1 << 126), -(1 << 126)),
+]
+
+
+class TestGLV:
+    """The endomorphism split behind ``k*P``, from first principles."""
+
+    def test_lambda_and_beta_are_paired_cube_roots_of_unity(self):
+        assert pow(ec._LAMBDA, 3, ec.N) == 1 and ec._LAMBDA != 1
+        assert pow(ec._BETA, 3, ec.P) == 1 and ec._BETA != 1
+        assert naive_multiply(G, ec._LAMBDA) == (ec._BETA * ec.GX % ec.P, ec.GY)
+
+    def test_basis_spans_the_kernel_lattice(self):
+        a1, b1, a2, b2 = ec._A1, ec._B1, ec._A2, ec._B2
+        assert (a1 + b1 * ec._LAMBDA) % ec.N == 0
+        assert (a2 + b2 * ec._LAMBDA) % ec.N == 0
+        assert abs(a1 * b2 - a2 * b1) == ec.N  # a basis, not a sublattice
+        assert all(abs(v) < 1 << 129 for v in (a1, b1, a2, b2))
+
+    @with_examples(scalar % ec.N for scalar in EDGE_SCALARS)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=ec.N - 1))
+    def test_split_recombines_into_two_short_halves(self, scalar):
+        k1, k2 = ec._split_scalar(scalar)
+        assert (k1 + k2 * ec._LAMBDA - scalar) % ec.N == 0
+        assert abs(k1) < 1 << 129 and abs(k2) < 1 << 129
+
+    @pytest.mark.parametrize("halves", SIGNED_HALVES, ids=str)
+    def test_zero_and_negative_halves_match_oracle(self, halves):
+        scalar = (halves[0] + halves[1] * ec._LAMBDA) % ec.N
+        assert ec._split_scalar(scalar) == halves
+        point = naive_multiply(G, 0xBEEF)
+        assert ec.point_multiply(ec.AffinePoint(*point), scalar) == as_affine(
+            naive_multiply(point, scalar)
+        )
+
+    @pytest.mark.parametrize(
+        "point",
+        [ec.AffinePoint(1, 1), ec.AffinePoint(ec.GX, ec.GY + 1), ec.AffinePoint(ec.GX + ec.P, ec.GY)],
+        ids=["(1,1)", "y+1", "x+P"],
+    )
+    def test_off_curve_point_is_refused(self, point):
+        with pytest.raises(InvalidPublicKey):
+            ec.point_multiply(point, 12345)
+
+    @with_examples(EDGE_SCALARS)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=(1 << 256) - 1))
+    def test_at_most_131_doublings_per_multiply(self, scalar):
+        doublings = 0
+        double = ec._j_double
+
+        def counting(point):
+            nonlocal doublings
+            doublings += 1
+            return double(point)
+
+        point = ec.generator_multiply(0xD0B1E)
+        with mock.patch.object(ec, "_j_double", counting):
+            ec.point_multiply(point, scalar)
+        assert doublings <= 131
 
 
 class TestKnownAnswers:
@@ -503,8 +599,10 @@ class TestKeyObjects:
 
     def test_non_canonical_public_key_rejected(self):
         # used to be accepted, compare unequal to G, and die in to_bytes()
-        with pytest.raises(InvalidSignature):
+        with pytest.raises(InvalidPublicKey):
             PublicKey(ec.AffinePoint(ec.GX + ec.P, ec.GY))
+        with pytest.raises(InvalidPublicKey):
+            PublicKey(ec.INFINITY)
         with pytest.raises(InvalidPublicKey):
             ec.ecdh(1, ec.AffinePoint(ec.GX, ec.GY + ec.P))
 

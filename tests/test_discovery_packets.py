@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import secp256k1 as ec
 from repro.crypto.keys import PrivateKey
 from repro.discovery.protocol import MAX_NEIGHBORS_PER_PACKET as MAX_NEIGHBORS
 from repro.discovery.packets import (
@@ -130,6 +131,23 @@ class TestPacketValidation:
             assert decoded.sender_public_key != KEY.public_key
         except BadPacket:
             pass  # recovery may legitimately fail outright
+
+    @pytest.mark.parametrize(
+        "signature",
+        [
+            bytes(64) + b"\x00",  # r = s = 0
+            (1).to_bytes(32, "big") * 2 + b"\x09",  # recovery id out of range
+            (5).to_bytes(32, "big") * 2 + b"\x00",  # no curve point has x = 5
+            (ec.P - ec.N).to_bytes(32, "big") * 2 + b"\x02",  # r + N >= P
+        ],
+        ids=["zero", "v9", "no-point", "high-x"],
+    )
+    def test_unrecoverable_signature_rejected(self, signature):
+        from repro.crypto.keccak import keccak256
+
+        envelope = signature + encode_packet(make_ping(), KEY)[97:]
+        with pytest.raises(BadPacket, match="signature recovery failed"):
+            decode_packet(keccak256(envelope) + envelope)
 
     def test_expired_packet_rejected(self):
         stale = make_ping(expiration=int(time.time()) - 5)

@@ -16,8 +16,11 @@ import pytest
 import repro.crypto.keccak as keccak_mod
 from repro.crypto.keys import PrivateKey
 from repro.discovery.protocol import DiscoveryService
+from repro.fullnode import start_localhost_network
 from repro.nodefinder.fleet import run_fleet
+from repro.nodefinder.records import DialOutcome
 from repro.nodefinder.scanner import NodeFinderConfig
+from repro.nodefinder.wire import harvest
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 
@@ -108,3 +111,35 @@ def test_loopback_lookup_hashes_each_target_once_per_end(permutations):
     assert counts["lookup"] == 4
     assert counts["_handle_findnode"] == 4
     assert counts["elsewhere"] == 0
+
+
+def test_loopback_harvest_digests_each_mac_state_once(permutations):
+    """Both ends of a harvest frame 7 messages (HELLO, STATUS, the DAO
+    header request and answer, DISCONNECT): three MAC digests per message
+    per end plus one for each sponge's first frame -- 46, not the 70 of
+    re-digesting a state that has not changed.  Absorbs are excluded: where
+    the seed and frame bytes cross a rate block depends on the EIP-8 padding."""
+
+    async def scenario(harvests: int) -> collections.Counter:
+        [node] = await start_localhost_network(1, blocks=4)
+        try:
+            key = PrivateKey(0xC0FFEE)
+            counts = permutations(
+                "derive_secrets", "_absorb", "encode_frame", "decode_header", "decode_body"
+            )
+            for _ in range(harvests):
+                result = await harvest(node.enode, key)
+                assert result.outcome is DialOutcome.FULL_HARVEST
+                while node.peers:  # the served end reads the DISCONNECT
+                    await asyncio.sleep(0.01)
+            return counts
+        finally:
+            await node.stop()
+
+    counts = asyncio.run(scenario(3))
+    assert counts["derive_secrets"] > 0 and counts["_absorb"] > 0
+    assert (counts["encode_frame"], counts["decode_header"], counts["decode_body"]) == (
+        3 * 23,
+        3 * 9,
+        3 * 14,
+    )

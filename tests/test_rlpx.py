@@ -6,11 +6,14 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import secp256k1
 from repro.crypto.keccak import Keccak256
 from repro.crypto.keys import PrivateKey
 from repro.errors import FramingError, HandshakeError
+from repro.rlp import codec
 from repro.rlpx.frame import FrameCodec, Secrets
 from repro.rlpx.handshake import (
+    _seal,
     derive_secrets,
     handshake_message_size,
     make_ack,
@@ -22,6 +25,15 @@ from repro.rlpx.session import accept_session, open_session
 
 INITIATOR = PrivateKey(0x1111)
 RESPONDER = PrivateKey(0x2222)
+
+#: node-ID fields a hostile peer can put in an auth or ack body
+HOSTILE_NODE_IDS = [
+    [b"\x01"] * 64,  # a 64-item list, not 64 bytes
+    INITIATOR.public_key.to_bytes()[:63],
+    b"\x01" * 64,  # off the curve
+    b"",
+]
+HOSTILE_IDS = ["list", "63-bytes", "off-curve", "empty"]
 
 
 def do_handshake_in_memory():
@@ -89,6 +101,37 @@ class TestHandshakeMessages:
     def test_size_prefix(self):
         auth = make_auth(INITIATOR, RESPONDER.public_key, PrivateKey(3), os.urandom(32))
         assert handshake_message_size(auth[:2]) == len(auth)
+
+    @pytest.mark.parametrize("node_id", HOSTILE_NODE_IDS, ids=HOSTILE_IDS)
+    def test_hostile_auth_initiator_id_is_a_handshake_error(self, node_id):
+        signature = PrivateKey(3).sign(bytes(32)).to_bytes()
+        auth = _seal(codec.encode([signature, node_id, bytes(32), 4]), RESPONDER.public_key)
+        with pytest.raises(HandshakeError, match="initiator public key"):
+            read_auth(RESPONDER, auth)
+
+    @pytest.mark.parametrize("node_id", HOSTILE_NODE_IDS, ids=HOSTILE_IDS)
+    def test_hostile_ack_ephemeral_id_is_a_handshake_error(self, node_id):
+        ack = _seal(codec.encode([node_id, bytes(32), 4]), INITIATOR.public_key)
+        with pytest.raises(HandshakeError, match="responder ephemeral key"):
+            read_ack(INITIATOR, ack)
+
+    def test_unrecoverable_auth_signature_is_a_handshake_error(self):
+        signature = bytes(64) + b"\x00"  # r = s = 0
+        body = codec.encode([signature, INITIATOR.public_key.to_bytes(), bytes(32), 4])
+        with pytest.raises(HandshakeError, match="cannot recover"):
+            read_auth(RESPONDER, _seal(body, RESPONDER.public_key))
+
+    def test_a_bug_in_the_arithmetic_is_not_a_peer_fault(self, monkeypatch):
+        """Only crypto errors are the peer's: a slip in the multiply must
+        crash the handshake, not be journaled as a bad auth."""
+        auth = make_auth(INITIATOR, RESPONDER.public_key, PrivateKey(3), os.urandom(32))
+
+        def broken(point, scalar):
+            raise TypeError("slip in the multiply")
+
+        monkeypatch.setattr(secp256k1, "_j_multiply", broken)
+        with pytest.raises(TypeError, match="slip"):
+            read_auth(RESPONDER, auth)
 
     def test_bad_nonce_length(self):
         with pytest.raises(HandshakeError):
