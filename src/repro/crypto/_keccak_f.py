@@ -81,7 +81,7 @@ keccak_f1600_unrolled = _namespace["keccak_f1600_unrolled"]
 
 try:  # numpy is optional at runtime: callers fall back to the scalar path
     import numpy as _np
-except ImportError:  # numpy is in no extra: a plain `pip install -e .[dev]` lands here
+except ImportError:  # pragma: no cover - numpy is a dev extra; a bare install lands here
     _np = None
 
 HAVE_BATCH = _np is not None

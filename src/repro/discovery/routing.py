@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.crypto.keccak import keccak256
 from repro.discovery import distance as dist
-from repro.discovery.enode import ENode
+from repro.discovery.enode import ENode, cached_id_hash_int
 from repro.discovery.kbucket import DEFAULT_BUCKET_SIZE, KBucket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,7 +156,7 @@ class RoutingTable:
         target = int.from_bytes(target_hash, "big")
         return sorted(
             self._nodes_by_id.values(),
-            key=lambda node: int.from_bytes(node.id_hash, "big") ^ target,
+            key=lambda node: cached_id_hash_int(node.node_id) ^ target,
         )[:count]
 
     def closest_in_buckets(
@@ -195,7 +195,7 @@ class RoutingTable:
                 )
             )
         else:
-            found.sort(key=lambda node: int.from_bytes(node.id_hash, "big") ^ target)
+            found.sort(key=lambda node: cached_id_hash_int(node.node_id) ^ target)
         return found[:count]
 
     def random_nodes(self, count: int, rng) -> list[ENode]:

@@ -175,7 +175,7 @@ class FullNode:
             self.telemetry.emit(
                 "inbound",
                 phase="hello",
-                node_id=peer.remote_node_id.hex() if peer.remote_node_id else None,
+                node_id=peer.remote_node_id or None,
             )
             if (
                 self.config.enforce_peer_limit

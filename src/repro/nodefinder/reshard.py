@@ -397,9 +397,10 @@ class ReshardCoordinator:
     given one instruments through :meth:`facade`, which makes this object
     the journal of every facade the crawl hands out, so a record lands in
     the right file whoever emits it.  The
-    placement rule, stated once: a record naming a ``node_id`` goes to the
-    live segment whose range owns that prefix — the file holding the node's
-    dials — and any other record to the first live segment.  The two records
+    placement rule, stated once: a write about a node — it arrives with the
+    node ID's bytes — goes to the live segment whose range owns that prefix,
+    the file holding the node's dials, and any other to the first live
+    segment.  The two records
     *about* segments are written here: every segment opens with the
     ``crawler`` record (each file names whose crawl it is) and a sealed one
     ends with ``reshard``.  Without an opener there are no segments: a
@@ -438,10 +439,11 @@ class ReshardCoordinator:
             journal.emit(Event("crawler", self._clock(), self._identity))
             self._segments[shard_range.lo] = journal
 
-    def emit(self, event: Event) -> None:
-        node_id = event.fields.get("node_id")
-        index = 0 if node_id is None else self.plan.shard_of(bytes.fromhex(node_id[:4]))
-        self._segments[self.plan.ranges[index].lo].emit(event)
+    def write_lines(
+        self, text: str, records: int = 1, node_id: Optional[bytes] = None
+    ) -> None:
+        index = 0 if node_id is None else self.plan.shard_of(node_id)
+        self._segments[self.plan.ranges[index].lo].write_lines(text, records)
 
     def backlog(self, shard: int) -> Optional[int]:
         """Unflushed events in shard ``shard``'s segment (None: no segments)."""

@@ -47,7 +47,8 @@ from repro.nodefinder.reshard import (
 from repro.nodefinder.shard import NodeDBWriter
 from repro.resilience.breaker import BreakerState, PeerScoreboard
 from repro.simnet.geo import Location
-from repro.simnet.world import NodeAddress, SimWorld
+from repro.simnet.node import NodeAddress
+from repro.simnet.world import SimWorld
 from repro.telemetry import NULL_TELEMETRY, EventJournal, Telemetry
 from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 

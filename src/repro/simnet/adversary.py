@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.crypto.keccak import keccak256
 from repro.discovery.distance import geth_log_distance
 from repro.simnet.geo import Location
-from repro.simnet.node import SimNode
+from repro.simnet.node import NodeAddress, SimNode
 from repro.simnet.population import NodeSpec
 from repro.simnet.world import SimWorld
 
@@ -83,10 +83,11 @@ class AdversaryConfig:
 class _Phantom:
     """A minted address with no node behind it — dials are dead air."""
 
-    __slots__ = ("spec",)
+    __slots__ = ("spec", "address")
 
     def __init__(self, spec: NodeSpec) -> None:
         self.spec = spec
+        self.address = NodeAddress(spec.node_id, spec.ip, spec.udp_port, spec.tcp_port)
 
 
 class AttackerNode(SimNode):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.chain.forks import BYZANTIUM_BLOCK, DAO_FORK_BLOCK
 from repro.chain.synthetic import SyntheticChain
@@ -23,11 +23,21 @@ from repro.simnet.population import NodeSpec, PopulationBuilder
 from repro.units import SECONDS_PER_DAY
 
 
+class NodeAddress(NamedTuple):
+    """What discovery tells you about a node: identity + endpoint."""
+
+    node_id: bytes
+    ip: str
+    udp_port: int
+    tcp_port: int
+
+
 class SimNode:
     """Runtime wrapper around a NodeSpec."""
 
     __slots__ = (
         "spec",
+        "address",
         "builder",
         "id_hash",
         "id_hash_int",
@@ -41,6 +51,9 @@ class SimNode:
         self, spec: NodeSpec, builder: PopulationBuilder, rng: random.Random
     ) -> None:
         self.spec = spec
+        #: the one record every FIND_NODE answer naming this node carries —
+        #: built once, since everything in it is static
+        self.address = NodeAddress(spec.node_id, spec.ip, spec.udp_port, spec.tcp_port)
         self.builder = builder
         # shared with the scanner's address-book cache, and a hit already
         # when the world warmed its population's IDs in bulk: every later

@@ -22,7 +22,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import NamedTuple, Optional, Protocol
+from typing import Optional, Protocol
 
 try:  # optional acceleration for the online-node mask at scale
     import numpy as _np
@@ -41,7 +41,7 @@ from repro.errors import SimulationError
 from repro.nodefinder.records import DialOutcome, DialResult
 from repro.simnet.clock import EventClock, SimClock
 from repro.simnet.geo import GeoModel, Location
-from repro.simnet.node import SimNode
+from repro.simnet.node import NodeAddress, SimNode
 from repro.simnet.population import (
     AbusiveIPSpec,
     NodeSpec,
@@ -53,15 +53,6 @@ from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 #: Blocks mined per second on the simulated Mainnet (15s interval).
 BLOCKS_PER_SECOND = 1.0 / 15.0
-
-
-class NodeAddress(NamedTuple):
-    """What discovery tells you about a node: identity + endpoint."""
-
-    node_id: bytes
-    ip: str
-    udp_port: int
-    tcp_port: int
 
 
 class Listener(Protocol):
@@ -377,8 +368,7 @@ class SimWorld:
         return online
 
     def node_address(self, node: SimNode) -> NodeAddress:
-        spec = node.spec
-        return NodeAddress(spec.node_id, spec.ip, spec.udp_port, spec.tcp_port)
+        return node.address
 
     def bootstrap_addresses(self, count: int = 6) -> list[NodeAddress]:
         """Stable, reachable, long-lived nodes — the hardcoded bootnodes."""
@@ -437,8 +427,7 @@ class SimWorld:
         if not node.spec.is_online(self.day):
             return None
         target_hash = cached_id_hash(target) if len(target) == 64 else target
-        answers = node.find_node(target_hash, count=16)
-        return [self.node_address(neighbor) for neighbor in answers]
+        return [neighbor.address for neighbor in node.find_node(target_hash, count=16)]
 
     def _dial_listener(
         self, listener: Listener, connection_type: str, from_location: Location

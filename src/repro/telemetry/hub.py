@@ -19,7 +19,14 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, Tuple
 
-from repro.telemetry.journal import Event
+from repro.telemetry.journal import (
+    Event,
+    dao_line,
+    dial_line,
+    disconnect_line,
+    hello_line,
+    status_line,
+)
 from repro.telemetry.metrics import MetricsRegistry, NullRegistry
 from repro.telemetry.profiler import NULL_PROFILER, Profiler
 from repro.telemetry.spans import Span
@@ -37,9 +44,11 @@ def _hex(node_id: Optional[bytes]) -> Optional[str]:
 class JournalSink(Protocol):
     """What the facade asks of its journal: one :class:`EventJournal`, or a
     crawl's :class:`~repro.nodefinder.reshard.ReshardCoordinator` placing
-    each record in one of its segment files."""
+    each write in one of its segment files by the node it is about."""
 
-    def emit(self, event: Event) -> None: ...
+    def write_lines(
+        self, text: str, records: int = 1, node_id: Optional[bytes] = None
+    ) -> None: ...
 
 
 class Telemetry:
@@ -226,15 +235,22 @@ class Telemetry:
             self.recorder.track_span(span, self.shard)
         return span
 
-    def emit(self, event_type: str, **fields) -> None:
-        """Journal one event (no-op without a journal or flight recorder)."""
+    def emit(
+        self, event_type: str, node_id: Optional[bytes] = None, **fields
+    ) -> None:
+        """Journal one event (no-op without a journal or flight recorder).
+
+        ``node_id`` is journaled as hex and, as bytes, places the record;
+        ``None`` fields are left out."""
         if self.journal is None and self.recorder is None:
             return
         clean = {key: value for key, value in fields.items() if value is not None}
+        if node_id is not None:
+            clean["node_id"] = node_id.hex()
         event = Event(type=event_type, ts=self.clock(), fields=clean)
         if self.journal is not None:
             with self.profiler.scope("journal.append"):
-                self.journal.emit(event)
+                self.journal.write_lines(event.to_json() + "\n", 1, node_id)
         if self.recorder is not None:
             self.recorder.record_event(event, self.shard)
 
@@ -245,7 +261,8 @@ class Telemetry:
     ) -> None:
         """One completed harvest attempt: funnel counter, latency
         histograms from the span's stage children, and the journal's
-        dial / hello / status / dao / disconnect records."""
+        dial / hello / status / dao / disconnect records — encoded straight
+        from the result's values and handed to the journal in one write."""
         outcome = result.outcome.value
         stage = result.failure_stage or ""
         child = self._dial_children.get((outcome, stage))
@@ -263,74 +280,92 @@ class Telemetry:
                 )
         if self.journal is None and self.recorder is None:
             return
-        node_id = _hex(result.node_id)
-        self.emit(
-            "dial",
-            node_id=node_id,
-            ip=result.ip,
-            tcp_port=result.tcp_port,
-            started=result.timestamp,
-            outcome=outcome,
-            connection_type=result.connection_type,
-            duration=result.duration,
-            latency=result.latency or None,
-            attempt=attempt,
-            stages=stages or None,
-            failure_stage=result.failure_stage,
-            failure_detail=result.failure_detail,
-        )
-        if result.got_hello:
-            self.emit(
-                "hello",
+        ts = self.clock()
+        node_id = result.node_id.hex()
+        lines = [
+            dial_line(
+                ts,
                 node_id=node_id,
-                client_id=result.client_id,
-                capabilities=[list(cap) for cap in result.capabilities or []],
-                listen_port=result.listen_port,
+                ip=result.ip,
+                tcp_port=result.tcp_port,
+                started=result.timestamp,
+                outcome=outcome,
+                connection_type=result.connection_type,
+                duration=result.duration,
+                latency=result.latency or None,
+                attempt=attempt,
+                stages=stages or None,
+                failure_stage=result.failure_stage,
+                failure_detail=result.failure_detail,
+            )
+        ]
+        if result.got_hello:
+            lines.append(
+                hello_line(
+                    ts,
+                    node_id=node_id,
+                    client_id=result.client_id,
+                    capabilities=[list(cap) for cap in result.capabilities or []],
+                    listen_port=result.listen_port,
+                )
             )
         if result.got_status:
-            self.emit(
-                "status",
-                node_id=node_id,
-                network_id=result.network_id,
-                genesis_hash=_hex(result.genesis_hash),
-                best_hash=_hex(result.best_hash),
-                best_block=result.best_block,
-                head_height=result.head_height,
-                total_difficulty=result.total_difficulty,
+            lines.append(
+                status_line(
+                    ts,
+                    node_id=node_id,
+                    network_id=result.network_id,
+                    genesis_hash=_hex(result.genesis_hash),
+                    best_hash=_hex(result.best_hash),
+                    best_block=result.best_block,
+                    head_height=result.head_height,
+                    total_difficulty=result.total_difficulty,
+                )
             )
         if result.dao_side is not None:
-            self.emit("dao", node_id=node_id, verdict=result.dao_side)
-        if result.disconnect_reason is not None:
-            self.emit(
-                "disconnect",
-                node_id=node_id,
-                reason=int(result.disconnect_reason),
-                reason_name=result.disconnect_reason.name.lower().replace("_", "-"),
-                sent_by="remote",
+            lines.append(dao_line(ts, node_id=node_id, verdict=result.dao_side))
+        reason = result.disconnect_reason
+        if reason is not None:
+            lines.append(
+                disconnect_line(
+                    ts,
+                    node_id=node_id,
+                    reason=int(reason),
+                    reason_name=reason.name.lower().replace("_", "-"),
+                    sent_by="remote",
+                )
             )
-        elif result.outcome.value == "full-harvest":
+        elif outcome == "full-harvest":
             # a full harvest always ends with our DISCONNECT(Client quitting)
-            self.emit(
-                "disconnect",
-                node_id=node_id,
-                reason=8,
-                reason_name="client-quitting",
-                sent_by="local",
+            lines.append(
+                disconnect_line(
+                    ts,
+                    node_id=node_id,
+                    reason=8,
+                    reason_name="client-quitting",
+                    sent_by="local",
+                )
             )
+        if self.journal is not None:
+            with self.profiler.scope("journal.append"):
+                self.journal.write_lines(
+                    "\n".join(lines) + "\n", len(lines), result.node_id
+                )
+        if self.recorder is not None:
+            for line in lines:
+                self.recorder.record_event(Event.from_json(line), self.shard)
 
     def record_retry(
         self, node_id: Optional[bytes], attempt: int, delay: float
     ) -> None:
         self.retries.labels(shard=self.shard).inc()
-        self.emit("retry", node_id=_hex(node_id), attempt=attempt, delay=delay)
+        self.emit("retry", node_id=node_id, attempt=attempt, delay=delay)
 
     def record_breaker(
         self, node_id: bytes, old: "BreakerState", new: "BreakerState"
     ) -> None:
         self.breaker_transitions.labels(to=new.value, shard=self.shard).inc()
-        self.emit(
-            "breaker", node_id=_hex(node_id), old=old.value, new=new.value
-        )
+        self.emit("breaker", node_id=node_id, old=old.value, new=new.value)
         if self.recorder is not None and new.value == "open":
             self.recorder.dump("breaker-open", detail=_hex(node_id) or "")
 
@@ -373,7 +408,7 @@ class Telemetry:
         """A routing-table admission guard refused a candidate entry."""
         self.emit(
             "table_admission",
-            node_id=_hex(node_id),
+            node_id=node_id,
             ip=ip,
             reason=reason,
             subnet=subnet,
@@ -444,7 +479,7 @@ class Telemetry:
 
     def record_bond(self, node_id: bytes, ok: bool) -> None:
         self.discovery_bonds.labels(outcome="ok" if ok else "failed").inc()
-        self.emit("bond", node_id=_hex(node_id), ok=ok)
+        self.emit("bond", node_id=node_id, ok=ok)
 
     def record_datagram_fault(self, fault: str) -> None:
         self.discovery_chaos_faults.labels(fault=fault).inc()

@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from math import inf, isfinite
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, TextIO, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, TextIO, Union
 
 from repro.errors import ReproError
 
@@ -72,6 +73,163 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 #: stripped lines, so ``json.loads``' two whitespace scans and two call
 #: frames per record buy nothing
 _DECODE = json.JSONDecoder().raw_decode
+
+
+def _value(value: Any) -> str:
+    """``value`` spelt exactly as ``_ENCODE`` spells it inside a record."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    # an exact int, or a finite exact float (NaN fails both comparisons):
+    # int.__repr__ / float.__repr__, as the reference spells them
+    if kind is int or (kind is float and -inf < value < inf):
+        return repr(value)
+    return _ENCODE(value)  # bool, IntEnum, NaN, ±inf, containers
+
+
+# -- the dial-family line encoders --------------------------------------------
+#
+# One straight-line encoder per record type a harvest attempt writes, and the
+# only producer of those lines: ``Telemetry.record_dial`` calls them with a
+# ``DialResult``'s values, ``Event.to_json`` with an event's fields.  Each
+# returns exactly ``_ENCODE({"v", "type", "ts", **fields})`` with the ``None``
+# fields left out: the keys in sorted order, every value spelt by ``_value``.
+# The keyword parameters after ``ts`` are the type's DESIGN §7 schema.
+
+
+_DIAL_TAIL = f',"type":"dial","v":{SCHEMA_VERSION}}}'
+_HELLO_TAIL = f',"type":"hello","v":{SCHEMA_VERSION}}}'
+_STATUS_TAIL = f',"type":"status","v":{SCHEMA_VERSION}}}'
+_DAO_TAIL = f',"type":"dao","v":{SCHEMA_VERSION}'  # ``verdict`` sorts after ``v``
+_DISCONNECT_TAIL = f',"type":"disconnect","v":{SCHEMA_VERSION}}}'
+
+
+def dial_line(
+    ts: float,
+    node_id: Optional[str] = None,
+    ip: Optional[str] = None,
+    tcp_port: Optional[int] = None,
+    started: Optional[float] = None,
+    outcome: Optional[str] = None,
+    connection_type: Optional[str] = None,
+    duration: Optional[float] = None,
+    latency: Optional[float] = None,
+    attempt: Optional[int] = None,
+    stages: Optional[Dict[str, float]] = None,
+    failure_stage: Optional[str] = None,
+    failure_detail: Optional[str] = None,
+) -> str:
+    # every dial writes this record, so each value's usual type is spelt
+    # inline and only the rest pay for the call into ``_value``
+    return "".join((
+        "{",
+        "" if attempt is None else
+        f'"attempt":{repr(attempt) if type(attempt) is int else _value(attempt)},',
+        "" if connection_type is None else
+        f'"connection_type":{_quote(connection_type) if type(connection_type) is str else _value(connection_type)},',
+        "" if duration is None else
+        f'"duration":{repr(duration) if type(duration) is float and -inf < duration < inf else _value(duration)},',
+        "" if failure_detail is None else f'"failure_detail":{_value(failure_detail)},',
+        "" if failure_stage is None else f'"failure_stage":{_value(failure_stage)},',
+        "" if ip is None else f'"ip":{_quote(ip) if type(ip) is str else _value(ip)},',
+        "" if latency is None else
+        f'"latency":{repr(latency) if type(latency) is float and -inf < latency < inf else _value(latency)},',
+        "" if node_id is None else
+        f'"node_id":{_quote(node_id) if type(node_id) is str else _value(node_id)},',
+        "" if outcome is None else
+        f'"outcome":{_quote(outcome) if type(outcome) is str else _value(outcome)},',
+        "" if stages is None else f'"stages":{_value(stages)},',
+        "" if started is None else
+        f'"started":{repr(started) if type(started) is float and -inf < started < inf else _value(started)},',
+        "" if tcp_port is None else
+        f'"tcp_port":{repr(tcp_port) if type(tcp_port) is int else _value(tcp_port)},',
+        f'"ts":{repr(ts) if type(ts) is float and -inf < ts < inf else _value(ts)}',
+        _DIAL_TAIL,
+    ))
+
+
+def hello_line(
+    ts: float,
+    node_id: Optional[str] = None,
+    client_id: Optional[str] = None,
+    capabilities: Optional[List[List[Any]]] = None,
+    listen_port: Optional[int] = None,
+) -> str:
+    return "".join((
+        "{",
+        "" if capabilities is None else f'"capabilities":{_value(capabilities)},',
+        "" if client_id is None else f'"client_id":{_value(client_id)},',
+        "" if listen_port is None else f'"listen_port":{_value(listen_port)},',
+        "" if node_id is None else f'"node_id":{_value(node_id)},',
+        f'"ts":{_value(ts)}',
+        _HELLO_TAIL,
+    ))
+
+
+def status_line(
+    ts: float,
+    node_id: Optional[str] = None,
+    network_id: Optional[int] = None,
+    genesis_hash: Optional[str] = None,
+    best_hash: Optional[str] = None,
+    best_block: Optional[int] = None,
+    head_height: Optional[int] = None,
+    total_difficulty: Optional[int] = None,
+) -> str:
+    return "".join((
+        "{",
+        "" if best_block is None else f'"best_block":{_value(best_block)},',
+        "" if best_hash is None else f'"best_hash":{_value(best_hash)},',
+        "" if genesis_hash is None else f'"genesis_hash":{_value(genesis_hash)},',
+        "" if head_height is None else f'"head_height":{_value(head_height)},',
+        "" if network_id is None else f'"network_id":{_value(network_id)},',
+        "" if node_id is None else f'"node_id":{_value(node_id)},',
+        "" if total_difficulty is None else
+        f'"total_difficulty":{_value(total_difficulty)},',
+        f'"ts":{_value(ts)}',
+        _STATUS_TAIL,
+    ))
+
+
+def dao_line(
+    ts: float, node_id: Optional[str] = None, verdict: Optional[str] = None
+) -> str:
+    return "".join((
+        "{",
+        "" if node_id is None else f'"node_id":{_value(node_id)},',
+        f'"ts":{_value(ts)}',
+        _DAO_TAIL,
+        "" if verdict is None else f',"verdict":{_value(verdict)}',
+        "}",
+    ))
+
+
+def disconnect_line(
+    ts: float,
+    node_id: Optional[str] = None,
+    reason: Optional[int] = None,
+    reason_name: Optional[str] = None,
+    sent_by: Optional[str] = None,
+) -> str:
+    return "".join((
+        "{",
+        "" if node_id is None else f'"node_id":{_value(node_id)},',
+        "" if reason is None else f'"reason":{_value(reason)},',
+        "" if reason_name is None else f'"reason_name":{_value(reason_name)},',
+        "" if sent_by is None else f'"sent_by":{_value(sent_by)},',
+        f'"ts":{_value(ts)}',
+        _DISCONNECT_TAIL,
+    ))
+
+
+#: record type -> the one encoder of its lines
+_LINE_ENCODERS: Dict[str, Callable[..., str]] = {
+    "dial": dial_line,
+    "hello": hello_line,
+    "status": status_line,
+    "dao": dao_line,
+    "disconnect": disconnect_line,
+}
 
 
 class JournalError(ReproError):
@@ -145,7 +303,18 @@ class Event:
     v: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
+        """The record's line.  A dial-family record whose fields are all in
+        its schema is spelt by its type's encoder (``None`` fields left
+        out); any other record by ``_ENCODE``, the encoders' reference."""
         fields = self.fields
+        encoder = _LINE_ENCODERS.get(self.type)
+        if encoder is not None and type(self.v) is int and self.v == SCHEMA_VERSION:
+            try:
+                return encoder(self.ts, **fields)
+            except TypeError:
+                # a field outside the schema, which the reference spells —
+                # or a value json cannot spell, which it raises on again
+                pass
         if not _RESERVED_SET.isdisjoint(fields):
             for key in fields:
                 if key in _RESERVED_SET:
@@ -229,11 +398,26 @@ class EventJournal:
         return journal
 
     def emit(self, event: Event) -> None:
-        if self._sealed:
-            raise JournalError("journal segment is sealed; no further events")
-        self._stream.write(event.to_json() + "\n")
-        self.events_written += 1
-        self._unflushed += 1
+        self.write_lines(event.to_json() + "\n")
+
+    def write_lines(
+        self, text: str, records: int = 1, node_id: Optional[bytes] = None
+    ) -> None:
+        """Append ``records`` encoded lines, ``text``, in one write.
+
+        ``node_id`` is the node the lines are about; a single file has no
+        choice to make with it (the crawl's coordinator places on it).  A
+        sealed or closed journal refuses the write and counts nothing.
+        """
+        if self._closed:
+            raise JournalError(
+                "journal segment is sealed; no further events"
+                if self._sealed
+                else "journal is closed; no further events"
+            )
+        self._stream.write(text)
+        self.events_written += records
+        self._unflushed += records
 
     @property
     def sealed(self) -> bool:

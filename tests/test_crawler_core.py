@@ -31,7 +31,7 @@ from repro.resilience import PeerScoreboard
 from repro.simnet.clock import WheelClock
 from repro.simnet.geo import GeoModel
 from repro.nodefinder.records import DialOutcome, DialResult
-from repro.simnet.world import NodeAddress
+from repro.simnet.node import NodeAddress
 from repro.telemetry import EventJournal, read_events
 
 from tests.helpers import plant_static

@@ -66,7 +66,7 @@ class TestGeoModel:
 
 class TestDialing:
     def test_dial_unknown_node_times_out(self, world):
-        from repro.simnet.world import NodeAddress
+        from repro.simnet.node import NodeAddress
 
         result = world.dial(
             NodeAddress(b"\x99" * 64, "1.2.3.4", 30303, 30303),

@@ -2,13 +2,16 @@
 round-trip, spans, and the facade's event mapping."""
 
 import io
+import itertools
 import json
+import math
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.devp2p.messages import DisconnectReason
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.nodefinder.records import DialOutcome, DialResult
 from repro.telemetry import (
@@ -26,6 +29,14 @@ from repro.telemetry import (
     quantile_from_buckets,
     read_events,
     summarize_journal,
+)
+from repro.telemetry.journal import (
+    _ENCODE,
+    dao_line,
+    dial_line,
+    disconnect_line,
+    hello_line,
+    status_line,
 )
 
 
@@ -229,6 +240,18 @@ class TestJournal:
         good = Event(type="dial", ts=0.0).to_json()
         assert read_events([good, good[:9], "", "  "]) == read_events([good])
 
+    def test_closed_journal_refuses_writes(self, tmp_path):
+        journal = EventJournal.open(tmp_path / "crawl.jsonl")
+        journal.emit(Event(type="dial", ts=1.0))
+        journal.close()
+        with pytest.raises(JournalError, match="closed"):
+            journal.emit(Event(type="dial", ts=2.0))
+        with pytest.raises(JournalError, match="closed"):
+            journal.write_lines(Event(type="dial", ts=2.0).to_json() + "\n")
+        assert journal.events_written == 1
+        assert journal.backlog == 0
+        assert len(read_events(tmp_path / "crawl.jsonl")) == 1
+
 
     def test_events_are_slotted(self):
         # one per journal line on the read side: no per-instance dict
@@ -379,6 +402,126 @@ class TestReaderAgainstReference:
             assert list(iter_events(iter(lines), tolerate_torn_tail)) == got
 
 
+# -- the dial-family encoders against the reference encoder ------------------
+
+#: DESIGN §7's field tables for the records a harvest attempt writes
+SCHEMAS = {
+    "dial": (
+        "node_id", "ip", "tcp_port", "outcome", "connection_type", "started",
+        "duration", "latency", "attempt", "stages", "failure_stage",
+        "failure_detail",
+    ),
+    "hello": ("node_id", "client_id", "capabilities", "listen_port"),
+    "status": (
+        "node_id", "network_id", "genesis_hash", "best_hash", "best_block",
+        "head_height", "total_difficulty",
+    ),
+    "dao": ("node_id", "verdict"),
+    "disconnect": ("node_id", "reason", "reason_name", "sent_by"),
+}
+ENCODERS = {
+    "dial": dial_line,
+    "hello": hello_line,
+    "status": status_line,
+    "dao": dao_line,
+    "disconnect": disconnect_line,
+}
+#: one ordinary value per field, for the every-subset sweep
+ORDINARY = {
+    "node_id": "ab" * 64, "ip": "10.0.0.1", "tcp_port": 30303,
+    "outcome": "full-harvest", "connection_type": "static-dial",
+    "started": 1.25, "duration": 0.4, "latency": 0.05, "attempt": 2,
+    "stages": {"hello": 0.25, "connect": 0.1}, "failure_stage": "connect",
+    "failure_detail": "stalled", "client_id": "Geth/v1.8.2",
+    "capabilities": [["eth", 62], ["eth", 63]], "listen_port": 30303,
+    "network_id": 1, "genesis_hash": "11" * 32, "best_hash": "22" * 32,
+    "best_block": 5_000_000, "head_height": 5_000_100,
+    "total_difficulty": 10**21, "verdict": "supports", "reason": 4,
+    "reason_name": "too-many-peers", "sent_by": "remote",
+}
+
+
+def _reference_line(record_type, ts, fields):
+    """The record as ``_ENCODE`` spells it, ``None`` fields left out."""
+    record = {"v": SCHEMA_VERSION, "type": record_type, "ts": ts}
+    record.update({key: value for key, value in fields.items() if value is not None})
+    return _ENCODE(record)
+
+
+#: a peer's client_id and the other values a field can be handed
+HOSTILE_SAMPLES = [
+    '"', "\\", "\x00\x1f\x7f", "\n\t", "naïve 北京", "\ud800", "\udfff",
+    'Geth/"v1.8"\\linux\x1b[0m',
+    math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324,
+    2**64, 2**64 + 1, -(2**70), 0,
+    True, False, DisconnectReason.TOO_MANY_PEERS,
+    [("eth", 63), ("les", 2**65)], [["eth", [1, {"x": None}]]],
+    {"hello": math.nan, "connect": 0.25, "\ud800": -0.0},
+]
+_TEXT = st.text(alphabet=st.characters(exclude_categories=()))  # lone surrogates too
+_HOSTILE = st.one_of(
+    _TEXT,
+    st.sampled_from(HOSTILE_SAMPLES),
+    st.floats(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**256),
+    st.integers(min_value=-(2**256), max_value=-(2**64)),
+    st.booleans(),
+    st.sampled_from(list(DisconnectReason)),
+    st.lists(st.tuples(_TEXT, st.integers(0, 2**70))),  # capabilities
+    st.lists(st.lists(_TEXT | st.integers(), max_size=3), max_size=3),
+    st.dictionaries(_TEXT, st.floats()),  # stages
+)
+
+
+class TestEncodersAgainstReference:
+    @pytest.mark.parametrize("record_type", sorted(SCHEMAS))
+    def test_every_present_absent_combination(self, record_type):
+        keys = SCHEMAS[record_type]
+        encoder = ENCODERS[record_type]
+        for present in itertools.product((False, True), repeat=len(keys)):
+            fields = {key: ORDINARY[key] for key, on in zip(keys, present) if on}
+            expected = _reference_line(record_type, 7.5, fields)
+            assert encoder(7.5, **fields) == expected
+            assert Event(record_type, 7.5, fields).to_json() == expected
+
+    @pytest.mark.parametrize("record_type", sorted(SCHEMAS))
+    def test_every_hostile_sample_in_every_field(self, record_type):
+        for key in ("ts",) + SCHEMAS[record_type]:
+            for value in HOSTILE_SAMPLES:
+                fields = dict.fromkeys(SCHEMAS[record_type])
+                ts = value if key == "ts" else 7.5
+                if key != "ts":
+                    fields[key] = value
+                expected = _reference_line(record_type, ts, fields)
+                assert ENCODERS[record_type](ts, **fields) == expected, (key, value)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), record_type=st.sampled_from(sorted(SCHEMAS)))
+    def test_hostile_values_are_spelt_as_the_reference_spells_them(
+        self, data, record_type
+    ):
+        fields = {
+            key: data.draw(st.none() | _HOSTILE, label=key)
+            for key in SCHEMAS[record_type]
+        }
+        ts = data.draw(st.floats() | st.integers() | st.booleans(), label="ts")
+        expected = _reference_line(record_type, ts, fields)
+        assert ENCODERS[record_type](ts, **fields) == expected
+        present = {key: value for key, value in fields.items() if value is not None}
+        assert Event(record_type, ts, present).to_json() == expected
+
+    def test_a_field_outside_the_schema_falls_back_and_round_trips(self):
+        event = Event("dial", 1.5, {"outcome": "timeout", "extra": [1, {"b": None}]})
+        line = event.to_json()
+        assert line == _ENCODE(
+            {"v": SCHEMA_VERSION, "type": "dial", "ts": 1.5, **event.fields}
+        )
+        assert Event.from_json(line) == event
+        with pytest.raises(JournalError, match="reserved"):
+            Event("hello", 0.0, {"ts": 1.0}).to_json()
+
+
 # -- spans ------------------------------------------------------------------
 
 
@@ -460,6 +603,103 @@ def full_result(**overrides):
     )
     fields.update(overrides)
     return DialResult(**fields)
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+def _hexed(raw):
+    return raw.hex() if raw is not None else None
+
+
+def _reference_dial_lines(result, ts, stages, attempt):
+    """What ``record_dial`` journals for ``result``, built the plain way:
+    one ``None``-filtered field dict per record through ``_ENCODE``."""
+    node_id = result.node_id.hex()
+    lines = [
+        _reference_line("dial", ts, dict(
+            node_id=node_id,
+            ip=result.ip,
+            tcp_port=result.tcp_port,
+            started=result.timestamp,
+            outcome=result.outcome.value,
+            connection_type=result.connection_type,
+            duration=result.duration,
+            latency=result.latency or None,
+            attempt=attempt,
+            stages=stages or None,
+            failure_stage=result.failure_stage,
+            failure_detail=result.failure_detail,
+        ))
+    ]
+    if result.client_id is not None:
+        lines.append(_reference_line("hello", ts, dict(
+            node_id=node_id,
+            client_id=result.client_id,
+            capabilities=[list(cap) for cap in result.capabilities or []],
+            listen_port=result.listen_port,
+        )))
+    if result.network_id is not None:
+        lines.append(_reference_line("status", ts, dict(
+            node_id=node_id,
+            network_id=result.network_id,
+            genesis_hash=_hexed(result.genesis_hash),
+            best_hash=_hexed(result.best_hash),
+            best_block=result.best_block,
+            head_height=result.head_height,
+            total_difficulty=result.total_difficulty,
+        )))
+    if result.dao_side is not None:
+        lines.append(_reference_line("dao", ts, dict(node_id=node_id, verdict=result.dao_side)))
+    if result.disconnect_reason is not None:
+        lines.append(_reference_line("disconnect", ts, dict(
+            node_id=node_id,
+            reason=int(result.disconnect_reason),
+            reason_name=result.disconnect_reason.name.lower().replace("_", "-"),
+            sent_by="remote",
+        )))
+    elif result.outcome is DialOutcome.FULL_HARVEST:
+        lines.append(_reference_line("disconnect", ts, dict(
+            node_id=node_id, reason=8, reason_name="client-quitting", sent_by="local"
+        )))
+    return "".join(line + "\n" for line in lines)
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+_DIAL_RESULTS = st.builds(
+    DialResult,
+    timestamp=st.floats(),
+    node_id=st.binary(min_size=64, max_size=64),
+    ip=_TEXT,
+    tcp_port=st.integers(0, 65535),
+    connection_type=st.sampled_from(["dynamic-dial", "static-dial", "incoming"]),
+    outcome=st.sampled_from(list(DialOutcome)),
+    latency=st.just(0.0) | st.floats(),
+    duration=st.floats(min_value=0.0, max_value=60.0),
+    client_id=_maybe(_TEXT),
+    capabilities=_maybe(st.lists(st.tuples(_TEXT, st.integers(0, 2**70)))),
+    listen_port=_maybe(st.integers(0, 65535)),
+    network_id=_maybe(st.integers(0, 2**80)),
+    genesis_hash=_maybe(st.binary(min_size=32, max_size=32)),
+    total_difficulty=_maybe(st.integers(0, 2**256)),
+    best_hash=_maybe(st.binary(min_size=32, max_size=32)),
+    best_block=_maybe(st.integers(0, 2**64)),
+    disconnect_reason=_maybe(st.sampled_from(list(DisconnectReason))),
+    dao_side=_maybe(st.sampled_from(["supports", "opposes", "empty"])),
+    head_height=_maybe(st.integers(0, 2**64)),
+    failure_stage=_maybe(st.sampled_from(["connect", "rlpx", "hello", "status", "dao"])),
+    failure_detail=_maybe(_TEXT),
+)
 
 
 class TestTelemetryFacade:
@@ -566,6 +806,29 @@ class TestTelemetryFacade:
         ]
         assert telemetry.loop_crashes.value == 1
         assert telemetry.retries.total() == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(result=_DIAL_RESULTS, with_span=st.booleans(), attempt=st.integers(1, 5))
+    def test_record_dial_writes_the_reference_lines_in_one_write(
+        self, result, with_span, attempt
+    ):
+        clock = FakeClock()
+        stream = _CountingStream()
+        telemetry = Telemetry(journal=EventJournal(stream), clock=clock)
+        span = None
+        if with_span:
+            span = telemetry.start_span("dial")
+            stage = span.child("connect")
+            clock.advance(0.125)
+            stage.finish()
+            span.finish()
+        telemetry.record_dial(result, span=span, attempt=attempt)
+        stages = span.stage_durations() if span is not None else {}
+        assert stream.getvalue() == _reference_dial_lines(
+            result, clock.now, stages, attempt
+        )
+        assert stream.writes == 1
+        assert telemetry.journal.events_written == stream.getvalue().count("\n")
 
     def test_null_telemetry_records_nothing(self):
         from repro.telemetry import NULL_TELEMETRY
