@@ -1,12 +1,29 @@
-"""Unrolled Keccak-f[1600] permutation.
+"""Unrolled Keccak-f[1600] permutation on periodic lanes.
 
-The readable round-loop implementation lives in :mod:`repro.crypto.keccak`;
-this module generates a fully unrolled permutation function at import time
-(25 lanes held in locals, all five steps inlined per round), which is ~6x
-faster in CPython and keeps the frame-MAC and distance-metric paths usable
-at simulation scale.  The generator mirrors the spec steps directly, so the
-unrolled code stays auditable; tests assert it matches the loop version on
-random states.
+The readable round-loop implementation lives in :mod:`repro.crypto.keccak`
+(``keccak_f1600_reference``); this module generates one fully unrolled
+permutation function at import time, with the lanes held in locals and all
+five steps inlined per round.
+
+Each 64-bit lane ``v`` is carried as ``COPIES`` back-to-back copies of
+itself (``v * _REPLICATE``), so a rotation is a single right shift:
+``rotl(v, r)`` is ``a >> (64 - r)`` read from bit 0, and θ's ``rotl(c, 1)``
+is ``c << 1``.  No ``& M`` is needed inside a round.  θ's ``<< 1`` leaves
+bit 0 wrong, but every lane then shifts right by at least one bit in ρ —
+lane 0, whose rotation is 0, shifts a full period (``>> 64``) — so the
+bottom of the valid window stays at bit 0 and its top drops by at most 64
+bits a round.  ``COPIES = ROUNDS_PER_REFRESH + 1`` therefore leaves one
+exact copy after ``ROUNDS_PER_REFRESH`` rounds, and ``(a & M) * _REPLICATE``
+rebuilds the copies; the output is ``a & M``.  That is ≈173 big-int
+operations a round against 242 for two-shift rotations with a mask each.
+
+The mask ``M``, the χ complement mask ``F`` and the 24 round constants are
+arguments, so the same function permutes two independent states at once:
+the second state's lanes sit at bit offset ``PAIR_SHIFT`` (``64 *
+COPIES``) of the first's.  CPython's cost of a bitwise op is nearly flat
+up to ≈1 000 bits, so ``keccak_f1600(lanes, *PAIR)`` costs about what one
+state does.  Tests assert both forms against the reference on random and
+edge states.
 """
 
 from __future__ import annotations
@@ -30,51 +47,69 @@ _ROTATIONS = (
     18, 2, 61, 56, 14,
 )
 
+ROUNDS_PER_REFRESH = 3
+COPIES = ROUNDS_PER_REFRESH + 1
+_WIDTH = 64 * COPIES  # bits of one periodic lane
+#: bit offset of the second state's lanes in a two-state call
+PAIR_SHIFT = _WIDTH
 
-def _rot_expr(var: str, shift: int) -> str:
-    if shift == 0:
-        return var
-    return f"((({var}) << {shift} | ({var}) >> {64 - shift}) & M)"
+_MASK = (1 << 64) - 1
+_REPLICATE = sum(1 << 64 * k for k in range(COPIES))
+_PAIRED = _REPLICATE | _REPLICATE << PAIR_SHIFT
+
+#: (mask, χ complement mask, round constants) for one state — the defaults
+SINGLE = (
+    _MASK,
+    (1 << _WIDTH) - 1,
+    tuple(rc * _REPLICATE for rc in _ROUND_CONSTANTS),
+)
+#: the same for two states: lane ``i`` is ``first[i] | second[i] << PAIR_SHIFT``
+PAIR = (
+    _MASK | _MASK << PAIR_SHIFT,
+    (1 << (PAIR_SHIFT + _WIDTH)) - 1,
+    tuple(rc * _PAIRED for rc in _ROUND_CONSTANTS),
+)
 
 
 def _generate_source() -> str:
+    lanes = ", ".join(f"a{i}" for i in range(25))
     lines = [
-        "def keccak_f1600_unrolled(state):",
-        "    M = 0xFFFFFFFFFFFFFFFF",
-        "    (" + ", ".join(f"a{i}" for i in range(25)) + ") = state",
+        "def keccak_f1600(state, M=SINGLE[0], F=SINGLE[1], RC=SINGLE[2]):",
+        "    (" + ", ".join(f"r{n}" for n in range(24)) + ") = RC",
+        f"    ({lanes}) = state",
     ]
-    for rc in _ROUND_CONSTANTS:
-        # theta
+    lines += [f"    a{i} *= {_REPLICATE:#x}" for i in range(25)]
+    for n in range(24):
+        # theta; its a ^= d is folded into rho + pi below
         for x in range(5):
-            lanes = " ^ ".join(f"a{x + 5 * y}" for y in range(5))
-            lines.append(f"    c{x} = {lanes}")
+            lines.append(f"    c{x} = " + " ^ ".join(f"a{x + 5 * y}" for y in range(5)))
         for x in range(5):
-            rot = _rot_expr(f"c{(x + 1) % 5}", 1)
-            lines.append(f"    d{x} = c{(x - 1) % 5} ^ {rot}")
-        for i in range(25):
-            lines.append(f"    a{i} ^= d{i % 5}")
-        # rho + pi: b[dst] = rol(a[src], rot[src]) where src = x+3y mod 5 + 5x
+            lines.append(f"    d{x} = c{(x - 1) % 5} ^ (c{(x + 1) % 5} << 1)")
+        # rho + pi: b[dst] = rotl(a[src], rot[src]) where src = x+3y mod 5 + 5x
         for y in range(5):
             for x in range(5):
-                dst = x + 5 * y
                 src = (x + 3 * y) % 5 + 5 * x
-                lines.append(f"    b{dst} = {_rot_expr(f'a{src}', _ROTATIONS[src])}")
-        # chi — for 0 <= b < 2**64, (~b) & M == b ^ M in one bigint op
+                shift = 64 - _ROTATIONS[src]
+                lines.append(f"    b{x + 5 * y} = (a{src} ^ d{src % 5}) >> {shift}")
+        # chi (iota folded into lane 0); refresh the copies every few rounds
         for y in range(5):
             for x in range(5):
                 i = x + 5 * y
-                i1 = (x + 1) % 5 + 5 * y
-                i2 = (x + 2) % 5 + 5 * y
-                lines.append(f"    a{i} = b{i} ^ ((b{i1} ^ M) & b{i2})")
-        # iota
-        lines.append(f"    a0 ^= {rc:#x}")
-    lines.append("    return [" + ", ".join(f"a{i}" for i in range(25)) + "]")
+                lane = f"b{i} ^ ((b{(x + 1) % 5 + 5 * y} ^ F) & b{(x + 2) % 5 + 5 * y})"
+                if i == 0:
+                    lane += f" ^ r{n}"
+                if n == 23:
+                    lane = f"({lane}) & M"
+                elif n % ROUNDS_PER_REFRESH == ROUNDS_PER_REFRESH - 1:
+                    lane = f"(({lane}) & M) * {_REPLICATE:#x}"
+                lines.append(f"    a{i} = {lane}")
+    lines.append(f"    return [{lanes}]")
     return "\n".join(lines)
 
 
-_namespace: dict = {}
+_namespace: dict = {"SINGLE": SINGLE}
 exec(_generate_source(), _namespace)  # noqa: S102 - code generated from constants above
-keccak_f1600_unrolled = _namespace["keccak_f1600_unrolled"]
+keccak_f1600 = _namespace["keccak_f1600"]
 
 
 # -- batched permutation (numpy) ---------------------------------------------
@@ -99,8 +134,8 @@ def keccak_f1600_batch(state):
     One python-level round loop regardless of N — the per-message cost is
     a handful of vector ops, which is what makes bulk memo warm-ups (e.g.
     the synthetic-chain hash cache) ~50x cheaper than hashing one by one.
-    Lane order and step structure mirror the scalar generator above; tests
-    assert equality against :func:`keccak_f1600_unrolled` lane-for-lane.
+    Lane order and step structure follow the spec steps; tests assert that
+    ``keccak256_batch`` equals scalar ``keccak256`` digest for digest.
     """
     a = list(state)
     for rc in _ROUND_CONSTANTS:

@@ -3,7 +3,9 @@
 Ethereum uses the original Keccak submission with multi-rate padding byte
 ``0x01``, *not* FIPS-202 SHA3-256 (padding ``0x06``) — the two differ on
 every input, which is why ``hashlib.sha3_256`` cannot be used.  This module
-implements the Keccak-f[1600] permutation and a streaming sponge.
+holds the reference Keccak-f[1600] permutation (the oracle of the generated
+one in :mod:`repro.crypto._keccak_f`), a streaming sponge, and one-shot
+hashing of one message, two messages in lockstep, or a batch.
 
 RLPx depends on Keccak-256 in four places: the discovery distance metric
 (hash of the 512-bit node ID), discv4 packet hashes, the RLPx frame MAC
@@ -54,8 +56,9 @@ def _rol(value: int, shift: int) -> int:
 def keccak_f1600_reference(state: list[int]) -> list[int]:
     """Apply the 24-round Keccak-f[1600] permutation to 25 64-bit lanes.
 
-    Readable spec-shaped implementation; production code routes through the
-    unrolled variant (same function, generated) in :mod:`repro.crypto._keccak_f`.
+    Readable spec-shaped implementation, kept as the oracle; production code
+    routes through :func:`keccak_f1600`, generated in
+    :mod:`repro.crypto._keccak_f`, which also permutes two states at once.
     """
     a = state
     for rc in _ROUND_CONSTANTS:
@@ -83,8 +86,8 @@ def keccak_f1600_reference(state: list[int]) -> list[int]:
 
 
 from repro.crypto._keccak_f import HAVE_BATCH as _HAVE_BATCH  # noqa: E402
-from repro.crypto._keccak_f import keccak_f1600_batch  # noqa: E402
-from repro.crypto._keccak_f import keccak_f1600_unrolled as keccak_f1600  # noqa: E402
+from repro.crypto._keccak_f import PAIR, PAIR_SHIFT  # noqa: E402
+from repro.crypto._keccak_f import keccak_f1600, keccak_f1600_batch  # noqa: E402
 
 
 class KeccakSponge:
@@ -107,6 +110,7 @@ class KeccakSponge:
         self.rate = rate_bytes
         self.output_bytes = output_bytes
         self.pad_byte = pad_byte
+        self._lane_fmt = f"<{rate_bytes // 8}Q"
         self._state = [0] * 25
         self._buffer = b""
         self._digest: bytes | None = None
@@ -131,10 +135,6 @@ class KeccakSponge:
         for i, lane in enumerate(struct.unpack(self._lane_fmt, block)):
             state[i] ^= lane
         self._state = keccak_f1600(state)
-
-    @property
-    def _lane_fmt(self) -> str:
-        return f"<{self.rate // 8}Q"
 
     def digest(self) -> bytes:
         """Return the digest of everything absorbed so far (non-destructive)."""
@@ -186,6 +186,20 @@ _PAD_136 = tuple(
     for n in range(136)
 )
 _ZERO_CAPACITY = [0] * 8  # lanes 17..24 (the 512-bit capacity) start zero
+_ZERO_STATE = [0] * 25
+_RATE_LANES = struct.Struct("<17Q").unpack_from
+
+
+def _absorb(state: list[int], padded: bytes, start: int) -> list[int]:
+    """Absorb the rate blocks of ``padded`` from ``start`` on into ``state``."""
+    for offset in range(start, len(padded), 136):
+        words = _RATE_LANES(padded, offset)
+        state = keccak_f1600([lane ^ word for lane, word in zip(state, words)] + state[17:])
+    return state
+
+
+def _digest(state: list[int]) -> bytes:
+    return struct.pack("<4Q", state[0], state[1], state[2], state[3])
 
 
 def keccak256(data: bytes) -> bytes:
@@ -193,15 +207,38 @@ def keccak256(data: bytes) -> bytes:
 
     Inputs under one rate block (136 bytes) — node-ID hashes, distance
     targets, synthetic block hashes: every hash on the simulation's hot
-    path — skip the streaming sponge: pad, one permutation, pack.
+    path — are one pad, one permutation, one pack; longer ones absorb their
+    padded blocks in a loop, with no streaming sponge built.
     """
     size = len(data)
     if size < 136:
         state = list(struct.unpack("<17Q", data + _PAD_136[size]))
         state += _ZERO_CAPACITY
-        state = keccak_f1600(state)
-        return struct.pack("<4Q", state[0], state[1], state[2], state[3])
-    return Keccak256(data).digest()
+        return _digest(keccak_f1600(state))
+    return _digest(_absorb(_ZERO_STATE, data + _PAD_136[size % 136], 0))
+
+
+def keccak256_pair(first: bytes, second: bytes) -> tuple[bytes, bytes]:
+    """``(keccak256(first), keccak256(second))``, both sponges in one pass.
+
+    The two messages are absorbed block by block in lockstep through the
+    two-state permutation (about the cost of one); when their block counts
+    differ, the longer message's extra blocks run one-state.  A discv4
+    datagram's envelope and body hashes are such a pair.
+    """
+    first = first + _PAD_136[len(first) % 136]  # not +=: never extend a caller's bytearray
+    second = second + _PAD_136[len(second) % 136]
+    shared = min(len(first), len(second))
+    state = _ZERO_STATE
+    for offset in range(0, shared, 136):
+        words = zip(_RATE_LANES(first, offset), _RATE_LANES(second, offset))
+        state = keccak_f1600(
+            [lane ^ a ^ (b << PAIR_SHIFT) for lane, (a, b) in zip(state, words)] + state[17:],
+            *PAIR,
+        )
+    first_state = _absorb([lane & _MASK for lane in state], first, shared)
+    second_state = _absorb([lane >> PAIR_SHIFT for lane in state], second, shared)
+    return _digest(first_state), _digest(second_state)
 
 
 #: Below this many same-block-count messages the vectorised pass loses to

@@ -16,7 +16,7 @@ import ipaddress
 import time
 from typing import NamedTuple, Type
 
-from repro.crypto.keccak import keccak256
+from repro.crypto.keccak import keccak256, keccak256_pair
 from repro.crypto.keys import PrivateKey, PublicKey, Signature
 from repro.errors import BadPacket, CryptoError, DecodingError, DeserializationError
 from repro.rlp import codec
@@ -225,7 +225,8 @@ def decode_packet(datagram: bytes, now: float | None = None) -> DecodedPacket:
     """Validate and decode a datagram; raises :class:`BadPacket` on any fault.
 
     Checks, in order: size, hash integrity, signature recovery, known type,
-    RLP shape, expiration.
+    RLP shape, expiration.  The envelope hash and the signed body's digest
+    are computed together, in one two-state sponge pass.
     """
     if len(datagram) > MAX_PACKET_SIZE:
         raise BadPacket(f"oversized datagram: {len(datagram)} bytes")
@@ -233,13 +234,13 @@ def decode_packet(datagram: bytes, now: float | None = None) -> DecodedPacket:
         raise BadPacket(f"truncated datagram: {len(datagram)} bytes")
     packet_hash = datagram[:32]
     envelope = datagram[32:]
-    if keccak256(envelope) != packet_hash:
-        raise BadPacket("packet hash mismatch")
-    signature_bytes = envelope[:65]
     body = envelope[65:]
+    envelope_hash, body_hash = keccak256_pair(envelope, body)
+    if envelope_hash != packet_hash:
+        raise BadPacket("packet hash mismatch")
     try:
-        signature = Signature.from_bytes(signature_bytes)
-        sender = signature.recover(keccak256(body))
+        signature = Signature.from_bytes(envelope[:65])
+        sender = signature.recover(body_hash)
     except CryptoError as exc:
         raise BadPacket(f"signature recovery failed: {exc}") from exc
     packet_type = body[0]

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.crypto.keccak as keccak_mod
+from repro.crypto._keccak_f import PAIR, PAIR_SHIFT
 from repro.crypto.keccak import (
     Keccak256,
     KeccakMemo,
     KeccakSponge,
     keccak256,
     keccak256_batch,
+    keccak256_pair,
     keccak512,
     keccak_f1600,
     keccak_f1600_reference,
@@ -113,10 +115,76 @@ def test_invalid_sponge_rate():
         KeccakSponge(rate_bytes=0, output_bytes=32)
 
 
+_LANE_MASK = (1 << 64) - 1
+_STATES = st.lists(st.integers(min_value=0, max_value=_LANE_MASK), min_size=25, max_size=25)
+
+
+def _two_state(first, second):
+    """Both states through one call of the generated permutation."""
+    lanes = keccak_f1600([a | b << PAIR_SHIFT for a, b in zip(first, second)], *PAIR)
+    return [lane & _LANE_MASK for lane in lanes], [lane >> PAIR_SHIFT for lane in lanes]
+
+
+#: all-zero, all-ones, every lane 1 << 63, lane i holding bit i, and a
+#: single-bit lane (bits 0 and 63) at every position
+_EDGE_STATES = [
+    [0] * 25,
+    [_LANE_MASK] * 25,
+    [1 << 63] * 25,
+    [1 << i for i in range(25)],
+] + [
+    [1 << bit if i == lane else 0 for i in range(25)]
+    for lane in range(25)
+    for bit in (0, 63)
+]
+
+
 @settings(max_examples=20)
-@given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=25, max_size=25))
+@given(_STATES)
 def test_unrolled_permutation_matches_reference(state):
     assert keccak_f1600(list(state)) == keccak_f1600_reference(list(state))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_STATES, _STATES)
+def test_two_state_permutation_matches_reference(first, second):
+    assert _two_state(first, second) == (
+        keccak_f1600_reference(list(first)),
+        keccak_f1600_reference(list(second)),
+    )
+
+
+@pytest.mark.parametrize("index", range(len(_EDGE_STATES)))
+def test_edge_states_match_reference(index):
+    state = _EDGE_STATES[index]
+    expected = keccak_f1600_reference(list(state))
+    assert keccak_f1600(list(state)) == expected
+    complement = [lane ^ _LANE_MASK for lane in state]
+    expected_complement = keccak_f1600_reference(list(complement))
+    assert _two_state(state, complement) == (expected, expected_complement)
+    assert _two_state(complement, state) == (expected_complement, expected)
+
+
+#: around one, two and three rate blocks, and the largest discv4 datagram
+_PAIR_LENGTHS = (0, 1, 134, 135, 136, 137, 271, 272, 273, 1279)
+
+
+@pytest.mark.parametrize("first_length", _PAIR_LENGTHS)
+def test_pair_equals_two_single_hashes(first_length):
+    rng = random.Random(first_length)
+    first = rng.randbytes(first_length)
+    expected_first = Keccak256(first).digest()
+    for second_length in _PAIR_LENGTHS:
+        second = rng.randbytes(second_length)
+        expected = (expected_first, Keccak256(second).digest())
+        assert keccak256_pair(first, second) == expected
+        assert (keccak256(first), keccak256(second)) == expected
+
+
+def test_pair_leaves_its_inputs_alone():
+    first, second = bytearray(b"a" * 140), bytearray(b"b" * 3)
+    keccak256_pair(first, second)
+    assert (first, second) == (b"a" * 140, b"b" * 3)
 
 
 @settings(max_examples=40)

@@ -3,7 +3,9 @@
 A counting wrapper around the scalar permutation attributes every call to
 the code that asked for it (by walking the Python stack), so a change that
 starts hashing something per tick, or re-hashing a known answer per packet,
-fails here as a count — before it shows up as a slower benchmark.
+fails here as a count — before it shows up as a slower benchmark.  A
+two-state call (``keccak_f1600(lanes, *PAIR)``) is one call, counted again
+under ``"<site> two-state"``.
 """
 
 import asyncio
@@ -14,7 +16,16 @@ import sys
 import pytest
 
 import repro.crypto.keccak as keccak_mod
+from repro.crypto._keccak_f import PAIR
 from repro.crypto.keys import PrivateKey
+from repro.discovery.packets import (
+    Endpoint,
+    NeighborRecord,
+    NeighborsPacket,
+    PingPacket,
+    decode_packet,
+    encode_packet,
+)
 from repro.discovery.protocol import DiscoveryService
 from repro.fullnode import start_localhost_network
 from repro.nodefinder.fleet import run_fleet
@@ -28,21 +39,25 @@ from repro.simnet.world import SimWorld, WorldConfig
 @pytest.fixture
 def permutations(monkeypatch):
     """``permutations(sites)`` starts counting: every scalar permutation
-    from then on is filed under the first of ``sites`` (function names,
-    checked in the given order) found on the calling stack, else under
-    ``"elsewhere"``.  Returns the counter."""
+    from then on, one- or two-state, is filed under the first of ``sites``
+    (function names, checked in the given order) found on the calling
+    stack, else under ``"elsewhere"``; a two-state one also under
+    ``"<site> two-state"``.  Returns the counter."""
     counts: collections.Counter = collections.Counter()
     scalar = keccak_mod.keccak_f1600
     sites: tuple = ()
 
-    def counting(state):
+    def counting(state, *constants):
         on_stack = set()
         frame = sys._getframe(1)
         while frame is not None:
             on_stack.add(frame.f_code.co_name)
             frame = frame.f_back
-        counts[next((s for s in sites if s in on_stack), "elsewhere")] += 1
-        return scalar(state)
+        site = next((s for s in sites if s in on_stack), "elsewhere")
+        counts[site] += 1
+        if constants and constants[0] == PAIR[0]:
+            counts[f"{site} two-state"] += 1
+        return scalar(state, *constants)
 
     def start(*names: str) -> collections.Counter:
         nonlocal sites
@@ -111,6 +126,46 @@ def test_loopback_lookup_hashes_each_target_once_per_end(permutations):
     assert counts["lookup"] == 4
     assert counts["_handle_findnode"] == 4
     assert counts["elsewhere"] == 0
+
+
+def test_decoded_packet_hashes_envelope_and_body_together(permutations):
+    """A decoded datagram costs one permutation per envelope block, and the
+    body digest rides along: ``max(blocks)`` calls, ``min(blocks)`` of them
+    two-state, whether or not the 65-byte signature adds a block."""
+    key = PrivateKey(0x5EED)
+    ping = PingPacket(
+        version=4,
+        sender=Endpoint("10.0.0.1", 30301, 30303),
+        recipient=Endpoint("10.0.0.2", 30301, 30303),
+        expiration=1 << 40,
+    )
+    packets = [ping] + [
+        NeighborsPacket(
+            nodes=[
+                NeighborRecord("10.0.0.3", 30303, 30303, bytes([i + 1]) * 64)
+                for i in range(count)
+            ],
+            expiration=1 << 40,
+        )
+        for count in (0, 1, 2, 12)
+    ]
+    datagrams = [encode_packet(packet, key) for packet in packets]
+    counts = permutations("decode_packet")
+    shapes = set()
+    for datagram in datagrams:
+        before = counts.copy()
+        decode_packet(datagram, now=0)
+        envelope_blocks = (len(datagram) - 32) // 136 + 1
+        body_blocks = (len(datagram) - 32 - 65) // 136 + 1
+        assert counts["decode_packet"] - before["decode_packet"] == envelope_blocks
+        assert (
+            counts["decode_packet two-state"] - before["decode_packet two-state"]
+            == body_blocks
+        )
+        shapes.add((envelope_blocks, body_blocks))
+    assert counts["elsewhere"] == 0
+    assert {envelope > body for envelope, body in shapes} == {True, False}
+    assert max(shapes) == (8, 8)  # twelve records: a full NEIGHBORS datagram
 
 
 def test_loopback_harvest_digests_each_mac_state_once(permutations):
