@@ -41,9 +41,21 @@ class Signature:
     def to_bytes(self) -> bytes:
         return self._raw.to_bytes()
 
-    def recover(self, digest: bytes) -> "PublicKey":
-        """Recover the signer's public key from a 32-byte digest."""
-        return PublicKey(secp256k1.recover_digest(digest, self._raw))
+    def recover(self, digest: bytes, expected: "PublicKey | None" = None) -> "PublicKey":
+        """Recover the signer's public key from a 32-byte digest.
+
+        ``expected`` is a hint, the key the caller believes signed: it is
+        checked with one double-scalar multiplication over its cached
+        table, and returned itself if it is the key recovery would return;
+        only otherwise does the full recovery run.  The result, and any
+        exception, is the same as without the hint.
+        """
+        if expected is None:
+            return PublicKey(secp256k1.recover_digest(digest, self._raw))
+        point = secp256k1.recover_digest(
+            digest, self._raw, expected.point, expected._point_table()
+        )
+        return expected if point is expected.point else PublicKey(point)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Signature):
@@ -60,12 +72,20 @@ class Signature:
 class PublicKey:
     """A secp256k1 public key; doubles as the RLPx node ID."""
 
-    __slots__ = ("_point",)
+    __slots__ = ("_point", "_table")
 
     def __init__(self, point: secp256k1.AffinePoint) -> None:
         if point.is_infinity or not secp256k1.is_on_curve(point):
             raise InvalidPublicKey("invalid public key point")
         self._point = point
+        self._table: secp256k1.PointTable | None = None
+
+    def _point_table(self) -> secp256k1.PointTable:
+        """This key's odd-multiple tables, built on the first verify or
+        hinted recovery that needs them and kept with the key."""
+        if self._table is None:
+            self._table = secp256k1.point_table(self._point)
+        return self._table
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicKey":
@@ -92,7 +112,9 @@ class PublicKey:
         return keccak256(self.to_bytes())
 
     def verify(self, digest: bytes, signature: Signature) -> bool:
-        return secp256k1.verify_digest(digest, signature._raw, self._point)
+        return secp256k1.verify_digest(
+            digest, signature._raw, self._point, self._point_table()
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PublicKey):

@@ -11,15 +11,23 @@ deterministic nonce construction of RFC 6979 (HMAC-SHA256), as Geth does.
 Scalar multiplication is table-driven: a fixed-base comb for ``k*G``; for
 ``k*P`` the GLV endomorphism splits ``k`` into two half-length scalars walked
 as one joint width-5 wNAF (about 130 doublings instead of 256), so ``P``
-must be on the curve; and the two chained for the ``a*P + b*G`` of verify
-and recover.  It is deliberately simple rather than constant-time -- table
+must be on the curve; and for the ``a*G + b*Q`` of verify and recover, one
+joint wNAF chain over the GLV halves of both scalars -- width 7 over ``G``'s
+fixed odd multiples, width 5 over ``Q``'s (:func:`point_table`, which a
+caller holding the same key for many calls keeps, as
+:class:`~repro.crypto.keys.PublicKey` does).
+Recovery takes a hint: given the key the caller expects, one ``a*G + b*Q``
+checks it, and the full recovery runs only when that check fails.
+
+The arithmetic is deliberately simple rather than constant-time -- table
 indices, wNAF digits and branch counts all depend on the scalar: the threat
 model of a measurement reproduction is correctness, not side channels, and
 tests validate it against published vectors, a naive double-and-add oracle
 and the ``cryptography`` package.  The comb table for ``G`` (64 windows x 15
 affine points, about 0.2 MB) is built on first use, not at import; that
-costs roughly 17 ms once per process, paid by the first sign, recover,
-verify or key derivation.
+costs roughly 17 ms once per process, paid by the first sign or key
+derivation, and ``G``'s 32 odd multiples likewise by the first verify or
+recover.
 """
 
 from __future__ import annotations
@@ -159,14 +167,15 @@ def _j_add_affine(p: _Jacobian, q: _Affine) -> _Jacobian:
 
 # --- Scalar multiplication -----------------------------------------------
 #
-# Two tables, no generic double-and-add.  ``k*G`` walks a fixed-base comb:
+# No generic double-and-add.  ``k*G`` walks a fixed-base comb:
 # ``_generator_table()[i][j - 1]`` is the affine point ``j * 16^i * G``, so a
 # 256-bit scalar is at most 64 mixed additions and no doubling at all.
 # ``k*P`` for a point only known at call time splits ``k = k1 + k2*LAMBDA``
 # and recodes both halves in width-5 wNAF over the eight affine odd
-# multiples P, 3P, ..., 15P and their images under phi.  ``a*P + b*G`` --
-# what verify and recover need -- is that result handed to the comb walk as
-# its starting accumulator: one pass over each scalar.
+# multiples P, 3P, ..., 15P and their images under phi.  ``a*G + b*Q`` --
+# what verify and recover need -- splits both scalars and walks all four
+# halves in one doubling chain: ``a``'s in width 7 over G's 32 fixed odd
+# multiples, ``b``'s in width 5 over Q's.
 
 
 def _batch_to_affine(points: list[_Jacobian]) -> list[_Affine]:
@@ -207,9 +216,9 @@ def _generator_table() -> tuple[tuple[_Affine, ...], ...]:
     return tuple(tuple(affine[i : i + 15]) for i in range(0, len(affine), 15))
 
 
-def _j_generator_multiply(scalar: int, start: _Jacobian = _J_INFINITY) -> _Jacobian:
-    """``start + scalar * G`` for ``0 <= scalar < 2^256``: one comb walk."""
-    result = start
+def _j_generator_multiply(scalar: int) -> _Jacobian:
+    """``scalar * G`` for ``0 <= scalar < 2^256``: one comb walk."""
+    result = _J_INFINITY
     for window in _generator_table():
         digit = scalar & 15
         if digit:
@@ -258,34 +267,94 @@ def _split_scalar(scalar: int) -> tuple[int, int]:
     return scalar - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _wnaf(scalar: int) -> list[int]:
-    """Width-5 NAF of ``scalar >= 0``, least significant digit first: each
-    non-zero digit is odd, ``|d| < 16``, and at least four zeros apart."""
+def _wnaf(scalar: int, width: int) -> list[tuple[int, int]]:
+    """Width-``width`` NAF of ``scalar`` as ``(position, digit)`` pairs for
+    its non-zero digits, least significant first: each digit is odd,
+    ``|d| < 2^(width - 1)``, and at least ``width`` positions after the
+    last.  A negative ``scalar`` gets the negated digits of ``-scalar``, so
+    the sign of a GLV half folds into the digits, not into a table."""
+    sign = -1 if scalar < 0 else 1
+    scalar = abs(scalar)
+    full = 1 << width
     digits = []
+    position = 0
     while scalar:
-        digit = 0
-        if scalar & 1:
-            digit = scalar & 31
-            if digit >= 16:
-                digit -= 32
-            scalar -= digit
-        digits.append(digit)
-        scalar >>= 1
+        zeros = (scalar & -scalar).bit_length() - 1
+        scalar >>= zeros
+        position += zeros
+        digit = scalar & (full - 1)
+        if digit >= full >> 1:
+            digit -= full
+        digits.append((position, sign * digit))
+        scalar = (scalar - digit) >> width  # the next width - 1 digits are 0
+        position += width
     return digits
 
 
-def _digit_table(odd: list[_Affine], beta: int, negate: bool) -> list[_Affine]:
-    """``table[d] = d * Q`` for every odd ``|d| < 16`` (a negative ``d``
-    indexes from the end): ``Q`` is the point (``beta = 1``) or its image
-    under phi (``beta = _BETA``), negated when ``negate`` -- the sign of a
-    split scalar folds into the ``y``s."""
-    table: list[_Affine] = [(0, 0)] * 32
-    for index, (x, y) in enumerate(odd):
-        x = x * beta % P
-        y = P - y if negate else y
-        table[2 * index + 1] = (x, y)
-        table[-2 * index - 1] = (x, P - y)
-    return table
+#: A point's digit tables for one wNAF width, and its image's under phi:
+#: ``tables[0][d] = d * Q`` and ``tables[1][d] = d * phi(Q)`` for every odd
+#: ``|d|`` below the width's bound (a negative ``d`` indexes from the end).
+PointTable = tuple[tuple[_Affine, ...], tuple[_Affine, ...]]
+
+
+def _digit_tables(point: _Jacobian, count: int) -> PointTable:
+    """The :data:`PointTable` of the ``count`` odd multiples of a finite
+    ``point``: one doubling, ``count - 1`` additions, one inversion.  No
+    multiple is the point at infinity (prime order)."""
+    twice = _j_double(point)
+    odd = [point]  # odd[i] = (2i + 1) * point
+    for _ in range(count - 1):
+        odd.append(_j_add(odd[-1], twice))
+    plain: list[_Affine] = [(0, 0)] * (4 * count)
+    image: list[_Affine] = [(0, 0)] * (4 * count)
+    for index, (x, y) in enumerate(_batch_to_affine(odd)):
+        x_image = x * _BETA % P
+        plain[2 * index + 1] = (x, y)
+        plain[-2 * index - 1] = (x, P - y)
+        image[2 * index + 1] = (x_image, y)
+        image[-2 * index - 1] = (x_image, P - y)
+    return tuple(plain), tuple(image)
+
+
+def point_table(point: AffinePoint) -> PointTable:
+    """The width-5 tables of a finite point ``Q`` on the curve: what
+    :func:`verify_digest` and :func:`recover_digest` take to skip
+    rebuilding them when one key checks many signatures."""
+    return _digit_tables(_to_jacobian(point), 8)
+
+
+@functools.cache
+def _generator_digit_tables() -> PointTable:
+    """``G``'s width-7 tables (32 odd multiples and their images), built
+    on the first verify or recover, never at import."""
+    return _digit_tables(_to_jacobian(GENERATOR), 32)
+
+
+_Term = tuple[list[tuple[int, int]], tuple[_Affine, ...]]
+
+
+def _glv_terms(scalar: int, tables: PointTable, width: int) -> list[_Term]:
+    """``scalar * Q`` as two terms of a :func:`_j_chain`: the wNAF digits
+    of the GLV halves ``k1``, ``k2`` against ``Q``'s and ``phi(Q)``'s tables."""
+    k1, k2 = _split_scalar(scalar)
+    return [(_wnaf(k1, width), tables[0]), (_wnaf(k2, width), tables[1])]
+
+
+def _j_chain(terms: list[_Term]) -> _Jacobian:
+    """``sum(digit * 2^position * table[digit])`` over every term: one
+    shared chain of doublings up to the highest digit, each digit's table
+    entry mixed in at its position."""
+    length = max(digits[-1][0] + 1 if digits else 0 for digits, _ in terms)
+    steps: list[list[_Affine]] = [[] for _ in range(length)]
+    for digits, table in terms:
+        for position, digit in digits:
+            steps[position].append(table[digit])
+    result = _J_INFINITY
+    for addends in reversed(steps):
+        result = _j_double(result)
+        for addend in addends:
+            result = _j_add_affine(result, addend)
+    return result
 
 
 def _j_multiply(point: AffinePoint, scalar: int) -> _Jacobian:
@@ -298,29 +367,15 @@ def _j_multiply(point: AffinePoint, scalar: int) -> _Jacobian:
     scalar %= N
     if scalar == 0 or point.is_infinity:
         return _J_INFINITY
-    k1, k2 = _split_scalar(scalar)
-    base = _to_jacobian(point)
-    twice = _j_double(base)
-    odd = [base]  # odd[i] = (2i + 1) * point; none is infinity (prime order)
-    for _ in range(7):
-        odd.append(_j_add(odd[-1], twice))
-    affine = _batch_to_affine(odd)
-    table1 = _digit_table(affine, 1, k1 < 0)
-    table2 = _digit_table(affine, _BETA, k2 < 0)
-    digits1, digits2 = _wnaf(abs(k1)), _wnaf(abs(k2))
-    length = max(len(digits1), len(digits2))
-    digits1 += [0] * (length - len(digits1))
-    digits2 += [0] * (length - len(digits2))
-    result = _J_INFINITY
-    for index in range(length - 1, -1, -1):
-        result = _j_double(result)
-        digit = digits1[index]
-        if digit:
-            result = _j_add_affine(result, table1[digit])
-        digit = digits2[index]
-        if digit:
-            result = _j_add_affine(result, table2[digit])
-    return result
+    return _j_chain(_glv_terms(scalar, point_table(point), 5))
+
+
+def _j_double_multiply(a: int, b: int, table: PointTable) -> _Jacobian:
+    """``a*G + b*Q`` for ``0 <= a, b < N`` and ``Q``'s :func:`point_table`:
+    the GLV halves of both scalars in one chain of about 130 doublings."""
+    return _j_chain(
+        _glv_terms(a, _generator_digit_tables(), 7) + _glv_terms(b, table, 5)
+    )
 
 
 def point_add(p: AffinePoint, q: AffinePoint) -> AffinePoint:
@@ -471,8 +526,14 @@ def sign_digest(digest: bytes, private_key: int) -> RawSignature:
         return RawSignature(r, s, v)
 
 
-def verify_digest(digest: bytes, signature: RawSignature, public_key: AffinePoint) -> bool:
-    """Verify ``signature`` over a 32-byte ``digest`` against ``public_key``."""
+def verify_digest(
+    digest: bytes,
+    signature: RawSignature,
+    public_key: AffinePoint,
+    table: PointTable | None = None,
+) -> bool:
+    """Verify ``signature`` over a 32-byte ``digest`` against ``public_key``
+    (``table``: its :func:`point_table`, if the caller keeps one)."""
     if len(digest) != 32:
         return False
     r, s = signature.r, signature.s
@@ -480,20 +541,32 @@ def verify_digest(digest: bytes, signature: RawSignature, public_key: AffinePoin
         return False
     if public_key.is_infinity or not is_on_curve(public_key):
         return False
+    if table is None:
+        table = point_table(public_key)
     z = int.from_bytes(digest, "big")
     w = pow(s, -1, N)
-    u1 = z * w % N
-    u2 = r * w % N
-    point = _from_jacobian(_j_generator_multiply(u1, _j_multiply(public_key, u2)))
+    point = _from_jacobian(_j_double_multiply(z * w % N, r * w % N, table))
     if point.is_infinity:
         return False
     return point.x % N == r
 
 
-def recover_digest(digest: bytes, signature: RawSignature) -> AffinePoint:
+def recover_digest(
+    digest: bytes,
+    signature: RawSignature,
+    expected: AffinePoint | None = None,
+    table: PointTable | None = None,
+) -> AffinePoint:
     """Recover the signing public key from a recoverable signature.
 
     This is how discv4 learns the sender's node ID from a datagram.
+
+    ``expected`` is a hint: a key on the curve that the caller believes
+    signed (``table``: its :func:`point_table`, if the caller keeps one).
+    It is checked first, by one ``a*G + b*Q`` (:func:`_signed_by`); the full
+    recovery runs only if the check fails.  The result is the key the full
+    recovery returns, either way, and the range checks raise before either
+    path runs.
     """
     if len(digest) != 32:
         raise InvalidSignature("digest must be 32 bytes")
@@ -503,16 +576,42 @@ def recover_digest(digest: bytes, signature: RawSignature) -> AffinePoint:
     x = r + N if v & 2 else r
     if x >= P:
         raise InvalidSignature("invalid x coordinate for recovery")
+    z = int.from_bytes(digest, "big")
+    if expected is not None:
+        if table is None:
+            table = point_table(expected)
+        if _signed_by(z, r, s, x, v & 1, table):
+            return expected
+    return _recover(z, r, s, x, v & 1)
+
+
+def _signed_by(z: int, r: int, s: int, x: int, parity: int, table: PointTable) -> bool:
+    """Whether recovery of ``(r, s)`` with ``R = (x, parity)`` yields the key
+    ``Q`` of ``table``.
+
+    It does iff ``R' = (z/s)*G + (r/s)*Q`` is that ``R``: if recovery
+    yields ``Q`` then ``s*R = z*G + r*Q``, so ``R' = R``; and an ``R'`` with
+    that ``x`` and that parity is exactly the point recovery solves for,
+    whence ``r^-1 (s*R' - z*G) = Q``.  Checking ``x`` alone would also pass
+    ``-R`` -- what ECDSA verification accepts, a different key to recovery.
+    """
+    s_inv = pow(s, -1, N)
+    point = _from_jacobian(_j_double_multiply(z * s_inv % N, r * s_inv % N, table))
+    return point.x == x and point.y & 1 == parity
+
+
+def _recover(z: int, r: int, s: int, x: int, parity: int) -> AffinePoint:
+    """The full recovery: ``R`` from ``(x, parity)``, then
+    ``Q = r^-1 (s*R - z*G) = (-z/r)*G + (s/r)*R``."""
     try:
-        y = solve_y(x, v & 1)
+        y = solve_y(x, parity)
     except InvalidPublicKey as exc:
         raise InvalidSignature(str(exc)) from exc
-    point_r = AffinePoint(x, y)
-    z = int.from_bytes(digest, "big")
     r_inv = pow(r, -1, N)
-    # Q = r^-1 (s*R - z*G) = (s/r)*R + (-z/r)*G
     q = _from_jacobian(
-        _j_generator_multiply(-z * r_inv % N, _j_multiply(point_r, s * r_inv % N))
+        _j_double_multiply(
+            -z * r_inv % N, s * r_inv % N, point_table(AffinePoint(x, y))
+        )
     )
     if q.is_infinity or not is_on_curve(q):
         raise InvalidSignature("recovered point not on curve")

@@ -221,12 +221,17 @@ def encode_packet(packet: Serializable, private_key: PrivateKey) -> bytes:
     return datagram
 
 
-def decode_packet(datagram: bytes, now: float | None = None) -> DecodedPacket:
+def decode_packet(
+    datagram: bytes, now: float | None = None, sender: PublicKey | None = None
+) -> DecodedPacket:
     """Validate and decode a datagram; raises :class:`BadPacket` on any fault.
 
     Checks, in order: size, hash integrity, signature recovery, known type,
     RLP shape, expiration.  The envelope hash and the signed body's digest
-    are computed together, in one two-state sponge pass.
+    are computed together, in one two-state sponge pass.  ``sender`` is the
+    key the caller expects signed it -- a hint to the recovery
+    (:meth:`Signature.recover`), which checks it before recovering: the
+    decoded sender is the signer either way.
     """
     if len(datagram) > MAX_PACKET_SIZE:
         raise BadPacket(f"oversized datagram: {len(datagram)} bytes")
@@ -240,7 +245,7 @@ def decode_packet(datagram: bytes, now: float | None = None) -> DecodedPacket:
         raise BadPacket("packet hash mismatch")
     try:
         signature = Signature.from_bytes(envelope[:65])
-        sender = signature.recover(body_hash)
+        signer = signature.recover(body_hash, sender)
     except CryptoError as exc:
         raise BadPacket(f"signature recovery failed: {exc}") from exc
     packet_type = body[0]
@@ -255,4 +260,4 @@ def decode_packet(datagram: bytes, now: float | None = None) -> DecodedPacket:
     current = now if now is not None else time.time()
     if expiration < current:
         raise BadPacket(f"expired packet (expiration {expiration} < now {current:.0f})")
-    return DecodedPacket(packet=packet, sender_public_key=sender, packet_hash=packet_hash)
+    return DecodedPacket(packet=packet, sender_public_key=signer, packet_hash=packet_hash)

@@ -8,6 +8,10 @@ Implements the observable behaviour of Geth's ``p2p/discover``:
 * **iterative lookup** — drive a :class:`~repro.discovery.lookup.Lookup`:
   FIND_NODE to the ``ALPHA`` closest known nodes, merge their NEIGHBORS,
   repeat until no new node appears or the rounds are spent (paper §2.1);
+* **reply matching** — as Geth's ``handleReply``: a reply counts only
+  from the address asked and signed by the node asked, and a PONG only if
+  it echoes the hash of a PING sent there; anything else is an
+  unsolicited reply, counted and dropped;
 * **NEIGHBORS chunking** — answers are split so no datagram exceeds 1280
   bytes (Geth sends at most :data:`MAX_NEIGHBORS_PER_PACKET` per datagram);
 * **table maintenance** — PONGs and valid queries refresh the routing
@@ -25,7 +29,7 @@ import time
 from typing import Iterable, Iterator, Optional
 
 from repro.crypto.keccak import keccak256
-from repro.crypto.keys import PrivateKey
+from repro.crypto.keys import PrivateKey, PublicKey
 from repro.discovery.enode import ENode
 from repro.discovery.packets import (
     DecodedPacket,
@@ -57,6 +61,35 @@ BOND_EXPIRATION = 12 * 3600
 
 #: How long to wait for a PONG / NEIGHBORS reply, seconds.
 REPLY_TIMEOUT = 0.5
+
+#: How many UDP addresses the signer memo (the recovery hint) holds; the
+#: oldest entry goes first.
+SIGNER_MEMO_SIZE = 1024
+
+_Address = tuple[str, int]
+
+#: A pending reply: the node ID that must have signed it, and the future
+#: it resolves.
+_Waiter = tuple[bytes, asyncio.Future]
+
+
+def _resolve(waiters: Iterable[_Waiter], sender_id: bytes, reply: object) -> bool:
+    """Hand ``reply`` to the first pending waiter for ``sender_id``; False
+    if there is none -- the reply is unsolicited."""
+    for expected, waiter in waiters:
+        if expected == sender_id and not waiter.done():
+            waiter.set_result(reply)
+            return True
+    return False
+
+
+def _forget(pending: dict, key: object, entry: _Waiter) -> None:
+    """Drop a finished waiter, and its key once no waiter is left."""
+    waiters = pending.get(key, [])
+    if entry in waiters:
+        waiters.remove(entry)
+        if not waiters:
+            del pending[key]
 
 
 def _valid_enodes(records: Iterable[NeighborRecord]) -> Iterator[ENode]:
@@ -108,9 +141,15 @@ class DiscoveryService(asyncio.DatagramProtocol):
         self.chaos = chaos
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._bonds: dict[bytes, float] = {}
-        self._pending_pongs: dict[tuple[str, int], list[asyncio.Future]] = {}
-        self._pending_neighbors: dict[tuple[str, int], list[asyncio.Future]] = {}
-        self._sent_pings: dict[bytes, bytes] = {}  # packet hash -> node id
+        #: (address, PING hash) -> waiters for its PONG
+        self._pending_pongs: dict[tuple[_Address, bytes], list[_Waiter]] = {}
+        #: address -> waiters for NEIGHBORS, each naming the node asked
+        self._pending_neighbors: dict[_Address, list[_Waiter]] = {}
+        #: the key each address last signed with: the hint its next
+        #: datagram's recovery checks first (FIFO, SIGNER_MEMO_SIZE entries)
+        self._signers: dict[_Address, PublicKey] = {}
+        #: the last FIND_NODE sent: (target, expiration, datagram)
+        self._findnode: tuple[bytes, int, bytes] = (b"", 0, b"")
         #: fire-and-forget protocol chores (bond-back pings, eviction
         #: checks) spawned off the datagram handlers; retained so their
         #: exceptions surface and close() can cancel them
@@ -122,6 +161,7 @@ class DiscoveryService(asyncio.DatagramProtocol):
             "neighbors_sent": 0,
             "packets_received": 0,
             "bad_packets": 0,
+            "unsolicited_replies": 0,
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -199,11 +239,17 @@ class DiscoveryService(asyncio.DatagramProtocol):
     def datagram_received(self, data: bytes, addr: tuple[str, int]) -> None:
         self.stats["packets_received"] += 1
         try:
-            decoded = decode_packet(data)
+            decoded = decode_packet(data, sender=self._signers.get(addr))
         except BadPacket as exc:
             self.stats["bad_packets"] += 1
             logger.debug("bad packet from %s: %s", addr, exc)
             return
+        # a stranger costs one recovery, a known signer one check; a known
+        # address signing with another key costs both (about 1.7 decodes)
+        # and from then on hints the new key
+        self._signers[addr] = decoded.sender_public_key
+        if len(self._signers) > SIGNER_MEMO_SIZE:
+            del self._signers[next(iter(self._signers))]
         handler = {
             PingPacket: self._handle_ping,
             PongPacket: self._handle_pong,
@@ -213,11 +259,27 @@ class DiscoveryService(asyncio.DatagramProtocol):
         handler(decoded, addr)
 
     def _send(self, packet, addr: tuple[str, int]) -> bytes:
+        datagram = encode_packet(packet, self.private_key)
+        self._sendto(datagram, addr)
+        return datagram[:32]  # the packet hash
+
+    def _sendto(self, datagram: bytes, addr: tuple[str, int]) -> None:
         if self._transport is None:
             raise DiscoveryError("discovery service is not listening")
-        datagram = encode_packet(packet, self.private_key)
         self._transport.sendto(datagram, addr)
-        return datagram[:32]  # the packet hash
+
+    def _findnode_datagram(self, target: bytes) -> bytes:
+        """The FIND_NODE for ``target``, signed once per expiration second.
+
+        A lookup round asks its candidates the same question at once, and
+        RFC 6979 signing is deterministic: these are the bytes encoding it
+        afresh for each candidate would produce.
+        """
+        expiration = default_expiration()
+        if self._findnode[:2] != (target, expiration):
+            packet = FindNodePacket(target=target, expiration=expiration)
+            self._findnode = (target, expiration, encode_packet(packet, self.private_key))
+        return self._findnode[2]
 
     # -- handlers ------------------------------------------------------------
 
@@ -242,8 +304,12 @@ class DiscoveryService(asyncio.DatagramProtocol):
 
     def _handle_pong(self, decoded: DecodedPacket, addr: tuple[str, int]) -> None:
         sender_id = decoded.sender_node_id
-        self._bonds[sender_id] = time.monotonic()
         pong: PongPacket = decoded.packet  # type: ignore[assignment]
+        waiters = self._pending_pongs.get((addr, pong.ping_hash), [])
+        if not _resolve(waiters, sender_id, pong):
+            self.stats["unsolicited_replies"] += 1
+            return
+        self._bonds[sender_id] = time.monotonic()
         # a PONG names no TCP port: refresh the record we hold for this
         # endpoint, and only for a stranger guess that it listens where it
         # answered from — else every bond would overwrite a good port with
@@ -254,16 +320,12 @@ class DiscoveryService(asyncio.DatagramProtocol):
                 node_id=sender_id, ip=addr[0], udp_port=addr[1], tcp_port=addr[1]
             )
         self._table_add(node)
-        waiters = self._pending_pongs.pop(addr, [])
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(pong)
 
     def _handle_findnode(self, decoded: DecodedPacket, addr: tuple[str, int]) -> None:
         sender_id = decoded.sender_node_id
         if not self.is_bonded(sender_id):
             # Endpoint proof missing: Geth ignores the query and pings back.
-            self._spawn(self.ping_addr(addr))
+            self._spawn(self.ping_addr(addr, sender_id))
             return
         find: FindNodePacket = decoded.packet  # type: ignore[assignment]
         target_hash = keccak256(find.target)
@@ -280,12 +342,9 @@ class DiscoveryService(asyncio.DatagramProtocol):
             self.stats["neighbors_sent"] += 1
 
     def _handle_neighbors(self, decoded: DecodedPacket, addr: tuple[str, int]) -> None:
-        neighbors: NeighborsPacket = decoded.packet  # type: ignore[assignment]
         waiters = self._pending_neighbors.get(addr, [])
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(neighbors)
-                break
+        if not _resolve(waiters, decoded.sender_node_id, decoded.packet):
+            self.stats["unsolicited_replies"] += 1
 
     def _table_add(self, node: ENode) -> None:
         candidate = self.table.add(node)
@@ -306,31 +365,31 @@ class DiscoveryService(asyncio.DatagramProtocol):
         bonded_at = self._bonds.get(node_id)
         return bonded_at is not None and time.monotonic() - bonded_at < BOND_EXPIRATION
 
-    async def ping_addr(self, addr: tuple[str, int]) -> Optional[PongPacket]:
-        """PING a bare address and await the PONG (or None on timeout)."""
+    async def ping_addr(
+        self, addr: tuple[str, int], node_id: bytes
+    ) -> Optional[PongPacket]:
+        """PING the node ``node_id`` at ``addr`` and await its PONG (or None
+        on timeout): one signed by it that echoes this PING's hash."""
         ping = PingPacket(
             version=DISCOVERY_PROTOCOL_VERSION,
             sender=self.endpoint,
             recipient=Endpoint(addr[0], addr[1], 0),
             expiration=default_expiration(),
         )
-        loop = asyncio.get_running_loop()
-        waiter: asyncio.Future = loop.create_future()
-        self._pending_pongs.setdefault(addr, []).append(waiter)
-        self._send(ping, addr)
+        key = (addr, self._send(ping, addr))
         self.stats["pings_sent"] += 1
+        entry: _Waiter = (node_id, asyncio.get_running_loop().create_future())
+        self._pending_pongs.setdefault(key, []).append(entry)
         try:
-            return await asyncio.wait_for(waiter, self.reply_timeout)
+            return await asyncio.wait_for(entry[1], self.reply_timeout)
         except asyncio.TimeoutError:
             return None
         finally:
-            pending = self._pending_pongs.get(addr, [])
-            if waiter in pending:
-                pending.remove(waiter)
+            _forget(self._pending_pongs, key, entry)
 
     async def ping(self, node: ENode) -> bool:
         """PING ``node``; True if it answered in time."""
-        return await self.ping_addr(node.udp_address) is not None
+        return await self.ping_addr(node.udp_address, node.node_id) is not None
 
     async def bond(
         self, node: ENode, retry: Optional[RetryPolicy] = None
@@ -357,28 +416,25 @@ class DiscoveryService(asyncio.DatagramProtocol):
     async def find_node(self, node: ENode, target: bytes) -> list[NeighborRecord]:
         """Send FIND_NODE to ``node``; returns its NEIGHBORS (possibly empty)."""
         await self.bond(node)
-        packet = FindNodePacket(target=target, expiration=default_expiration())
-        loop = asyncio.get_running_loop()
-        waiter: asyncio.Future = loop.create_future()
         addr = node.udp_address
-        self._pending_neighbors.setdefault(addr, []).append(waiter)
-        self._send(packet, addr)
+        entry: _Waiter = (node.node_id, asyncio.get_running_loop().create_future())
+        self._pending_neighbors.setdefault(addr, []).append(entry)
+        self._sendto(self._findnode_datagram(target), addr)
         self.stats["findnodes_sent"] += 1
         try:
             neighbors: NeighborsPacket = await asyncio.wait_for(
-                waiter, self.reply_timeout
+                entry[1], self.reply_timeout
             )
             return list(neighbors.nodes)
         except asyncio.TimeoutError:
             return []
         finally:
-            pending = self._pending_neighbors.get(addr, [])
-            if waiter in pending:
-                pending.remove(waiter)
+            _forget(self._pending_neighbors, addr, entry)
 
     async def _iterate(self, target: bytes) -> Lookup[ENode]:
         """Drive one :class:`Lookup` toward a 64-byte target over the wire:
-        FIND_NODE to each round's candidates at once, every node learned
+        FIND_NODE to each round's candidates at once -- one signed datagram
+        for all of them (:meth:`_findnode_datagram`) -- every node learned
         added to the table."""
         target_hash = keccak256(target)
         for node in self.bootstrap_nodes:

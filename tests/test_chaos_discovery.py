@@ -13,6 +13,8 @@ import io
 
 import pytest
 
+from repro.crypto import secp256k1
+from repro.crypto.keccak import keccak256
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
 from repro.discovery.protocol import DiscoveryService
@@ -152,7 +154,7 @@ class TestDiscoveryFaults:
             )
             a.reply_timeout = 0.2
             try:
-                pong = await a.ping_addr((b.host, b.port))
+                pong = await a.ping_addr((b.host, b.port), b.node_id)
                 assert pong is None  # the PING never left the host
                 assert b.stats["packets_received"] == 0
                 assert fault_count(telemetry, "drop") == 1
@@ -197,7 +199,7 @@ class TestDiscoveryFaults:
                 telemetry=telemetry,
             )
             try:
-                pong = await a.ping_addr((b.host, b.port))
+                pong = await a.ping_addr((b.host, b.port), b.node_id)
                 assert pong is not None  # replays don't break the exchange
                 # the duplicate may still sit in b's socket buffer when the
                 # first PONG resolves the waiter; let it drain
@@ -220,13 +222,152 @@ class TestDiscoveryFaults:
             )
             a.reply_timeout = 0.2
             try:
-                pong = await a.ping_addr((b.host, b.port))
+                pong = await a.ping_addr((b.host, b.port), b.node_id)
                 assert pong is None  # the mangled PING fails b's hash check
                 assert b.stats["packets_received"] == 1
                 assert b.stats["bad_packets"] == 1
                 assert fault_count(telemetry, "corrupt") == 1
                 events = list(read_events(stream.getvalue().splitlines()))
                 assert [e.type for e in events] == ["datagram_fault"]
+            finally:
+                a.close()
+                b.close()
+
+        run(scenario())
+
+
+@pytest.fixture
+def recoveries(monkeypatch):
+    """``recoveries()`` starts counting each hinted check by its verdict
+    and each full recovery; returns ``{"hint held": n, "hint failed": n,
+    "recovered": n}``, live."""
+    counts = {"hint held": 0, "hint failed": 0, "recovered": 0}
+    signed_by, recover = secp256k1._signed_by, secp256k1._recover
+
+    def counting_signed_by(*args):
+        held = signed_by(*args)
+        counts["hint held" if held else "hint failed"] += 1
+        return held
+
+    def counting_recover(*args):
+        counts["recovered"] += 1
+        return recover(*args)
+
+    def start() -> dict:
+        monkeypatch.setattr(secp256k1, "_signed_by", counting_signed_by)
+        monkeypatch.setattr(secp256k1, "_recover", counting_recover)
+        return counts
+
+    return start
+
+
+class ResealingCorruptor:
+    """Flips a bit of each outbound datagram's signature ``s`` and fixes up
+    the hash: the damage reaches the receiver's recovery, not its hash check."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def sendto(self, data, addr=None):
+        envelope = bytearray(data[32:])
+        envelope[40] ^= 0x01
+        self._inner.sendto(keccak256(bytes(envelope)) + bytes(envelope), addr)
+
+    def close(self):
+        self._inner.close()
+
+
+async def bonded_pair():
+    """``a`` and ``b`` after a clean bond: each holds the other's key as the
+    hint for its address."""
+    a, b = await pair()
+    assert await a.bond(b.local_enode)
+    assert b._signers[(a.host, a.port)] == a.private_key.public_key
+    assert a._signers[(b.host, b.port)] == b.private_key.public_key
+    return a, b
+
+
+def fault(service, config):
+    service._transport = ChaosDatagramTransport(service._transport, config)
+
+
+class TestHintedSender:
+    """Faults on an address the receiver already holds a key for: a replay
+    or a reordering still decodes on the hint, and a damaged signature
+    falls back to the full recovery and never passes as the hinted key."""
+
+    def test_duplicated_datagrams_decode_on_the_hint(self, recoveries):
+        async def scenario():
+            a, b = await bonded_pair()
+            fault(a, DatagramChaosConfig(DatagramFault.DUPLICATE))
+            counts = recoveries()
+            try:
+                assert await a.ping_addr((b.host, b.port), b.node_id) is not None
+                await asyncio.sleep(0.05)  # the second PONG
+                assert b.stats["bad_packets"] == a.stats["bad_packets"] == 0
+                # b PONGs both copies; the second PONG answers a PING
+                # already answered
+                assert a.stats["unsolicited_replies"] == 1
+                assert counts == {"hint held": 4, "hint failed": 0, "recovered": 0}
+            finally:
+                a.close()
+                b.close()
+
+        run(scenario())
+
+    def test_reordered_datagrams_decode_on_the_hint(self, recoveries):
+        async def scenario():
+            a, b = await bonded_pair()
+            fault(a, DatagramChaosConfig(DatagramFault.REORDER))
+            counts = recoveries()
+            try:
+                pong, records = await asyncio.gather(
+                    a.ping_addr((b.host, b.port), b.node_id),
+                    a.find_node(b.local_enode, a.node_id),
+                )
+                assert pong is not None
+                assert [record.node_id for record in records] == [a.node_id]
+                assert counts == {"hint held": 4, "hint failed": 0, "recovered": 0}
+                assert a.stats["unsolicited_replies"] == 0
+            finally:
+                a.close()
+                b.close()
+
+        run(scenario())
+
+    def test_corrupted_signature_falls_back_and_is_not_the_hinted_key(self, recoveries):
+        async def scenario():
+            a, b = await bonded_pair()
+            a.reply_timeout = 0.2
+            b._transport = ResealingCorruptor(b._transport)
+            counts = recoveries()
+            try:
+                assert await a.find_node(b.local_enode, a.node_id) == []
+                # b checks a's FIND_NODE on the hint; a checks b's damaged
+                # NEIGHBORS, the check fails, and a recovers
+                assert counts == {"hint held": 1, "hint failed": 1, "recovered": 1}
+                # s' is still in range, so the NEIGHBORS recovers to another
+                # key: an unsolicited reply, and the hint from then on
+                assert a.stats["unsolicited_replies"] == 1
+                assert a.stats["bad_packets"] == 0
+                assert a._signers[(b.host, b.port)] != b.private_key.public_key
+            finally:
+                a.close()
+                b.close()
+
+        run(scenario())
+
+    def test_corrupted_hash_from_a_hinted_address_is_rejected_first(self, recoveries):
+        async def scenario():
+            a, b = await bonded_pair()
+            a.reply_timeout = 0.2
+            fault(a, DatagramChaosConfig(DatagramFault.CORRUPT))
+            counts = recoveries()
+            try:
+                assert await a.ping_addr((b.host, b.port), b.node_id) is None
+                assert b.stats["bad_packets"] == 1
+                assert counts == {"hint held": 0, "hint failed": 0, "recovered": 0}
+                assert b._signers[(a.host, a.port)] == a.private_key.public_key
             finally:
                 a.close()
                 b.close()

@@ -394,6 +394,100 @@ class TestGLV:
         assert doublings <= 131
 
 
+def outcome(call):
+    """``call()``'s value, or the type of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 -- the type is the comparison
+        return type(exc)
+
+
+#: ways to damage a recoverable signature ``(r, s, v)``: the recovery id's
+#: parity, its high-x bit, r or s at and past the range ends, and an
+#: ``x = r + N`` at or past P
+SIGNATURE_DAMAGE = {
+    "as signed": lambda r, s, v: (r, s, v),
+    "flipped v": lambda r, s, v: (r, s, v ^ 1),
+    "v in {2, 3}": lambda r, s, v: (r, s, v | 2),
+    "r = 0": lambda r, s, v: (0, s, v),
+    "s = 0": lambda r, s, v: (r, 0, v),
+    "r = N": lambda r, s, v: (ec.N, s, v),
+    "s >= N": lambda r, s, v: (r, ec.N + s, v),
+    "x >= P": lambda r, s, v: (ec.P - ec.N, s, 2 | v),
+}
+
+
+def small_x_signature(digest, v):
+    """A signature whose ``R`` has ``x = r`` small enough that ``r + N`` is
+    below P too, and the key it recovers to with recovery id ``v``."""
+    r = next(r for r in range(1, 64) if outcome(lambda: ec.solve_y(r, 0)) is not InvalidPublicKey)
+    raw = ec.RawSignature(r, 0x1234567, v)
+    return Signature(raw), PublicKey(ec.recover_digest(digest, raw))
+
+
+class TestHintedRecovery:
+    """``recover(digest, expected=K)`` checks ``K`` with one ``a*G + b*Q``
+    and returns exactly what the full recovery returns, or raises as it does."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(scalars, scalars, digests, st.sampled_from(sorted(SIGNATURE_DAMAGE)))
+    def test_a_hint_never_changes_the_result(self, secret, other, digest, damage):
+        signer = PrivateKey(secret)
+        signature = signer.sign(digest)
+        raw = ec.RawSignature(*SIGNATURE_DAMAGE[damage](signature.r, signature.s, signature.v))
+        damaged = Signature(raw)
+        plain = outcome(lambda: damaged.recover(digest))
+        negation = PublicKey(ec.point_negate(signer.public_key.point))
+        for hint in (signer.public_key, PrivateKey(other).public_key, negation, None):
+            assert outcome(lambda: damaged.recover(digest, expected=hint)) == plain
+            assert outcome(lambda: ec.recover_digest(digest, raw, hint and hint.point)) == (
+                plain.point if isinstance(plain, PublicKey) else plain
+            )
+        if damage == "as signed":
+            assert plain == signer.public_key
+
+    def test_the_signer_is_returned_itself(self):
+        key = PrivateKey(0xA11CE)
+        digest = keccak256(b"hinted")
+        expected = key.public_key
+        assert key.sign(digest).recover(digest, expected=expected) is expected
+
+    def test_the_other_parity_of_r_is_not_the_signer(self):
+        # (r, s) with the parity of -R: ECDSA verification accepts it for the
+        # signer, recovery yields another key -- the hint must not hide that
+        key = PrivateKey(0xB0B)
+        digest = keccak256(b"parity")
+        signature = key.sign(digest)
+        flipped = Signature(ec.RawSignature(signature.r, signature.s, signature.v ^ 1))
+        assert key.public_key.verify(digest, flipped)
+        recovered = flipped.recover(digest)
+        assert recovered != key.public_key
+        assert flipped.recover(digest, expected=key.public_key) == recovered
+
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_a_high_x_recovery_id_is_not_the_low_x_signer(self, v):
+        # x = r names one R, x = r + N another: a hint that signed with
+        # (r, s, v) is not the signer of (r, s, v | 2)
+        digest = keccak256(b"high x hint")
+        low, signer = small_x_signature(digest, v)
+        assert low.recover(digest, expected=signer) is signer
+        high = Signature(ec.RawSignature(low.r, low.s, v | 2))
+        plain = outcome(lambda: high.recover(digest))
+        assert plain != signer
+        assert outcome(lambda: high.recover(digest, expected=signer)) == plain
+
+    def test_each_key_keeps_its_own_table(self):
+        a, b = PrivateKey(0xAAAA), PrivateKey(0xBBBB)
+        digest = keccak256(b"tables")
+        by_a, by_b = a.sign(digest), b.sign(digest)
+        assert a.public_key.verify(digest, by_a)  # fills a's table
+        assert not b.public_key.verify(digest, by_a)
+        assert by_a.recover(digest, expected=b.public_key) == a.public_key
+        assert by_b.recover(digest, expected=a.public_key) == b.public_key
+        assert b.public_key.verify(digest, by_b)
+        assert not a.public_key.verify(digest, by_b)
+
+
 class TestKnownAnswers:
     """Published vectors (tests/vectors/secp256k1.json)."""
 

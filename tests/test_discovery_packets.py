@@ -201,3 +201,67 @@ class TestPacketValidation:
         datagram = keccak256(envelope) + envelope
         decoded = decode_packet(datagram)
         assert decoded.packet == ping
+
+
+def _damaged_datagram_cases():
+    """Real PING / FIND_NODE / NEIGHBORS datagrams by ``KEY``, for damage."""
+    far = 1 << 40  # decoded at ``now=0``: damage, not age, decides
+    records = [
+        NeighborRecord("10.0.0.3", 30303, 30303, PrivateKey(i + 1).public_key.to_bytes())
+        for i in range(3)
+    ]
+    return {
+        "ping": encode_packet(make_ping(expiration=far), KEY),
+        "findnode": encode_packet(
+            FindNodePacket(target=OTHER_KEY.public_key.to_bytes(), expiration=far), KEY
+        ),
+        "neighbors": encode_packet(NeighborsPacket(nodes=records, expiration=far), KEY),
+    }
+
+
+DAMAGE_CASES = _damaged_datagram_cases()
+
+
+def _decode_outcome(datagram, sender=None):
+    try:
+        return decode_packet(datagram, now=0, sender=sender)
+    except BadPacket:
+        return BadPacket
+
+
+class TestHintedDecode:
+    """``decode_packet(..., sender=K)`` is ``decode_packet(...)``: the hint
+    only decides which path recovery takes, never the sender it reports."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(DAMAGE_CASES)),
+        st.sampled_from(["flip", "flip, hash fixed", "truncate", "truncate, hash fixed"]),
+        st.integers(min_value=0, max_value=1279),
+        st.integers(min_value=1, max_value=255),
+    )
+    def test_damaged_datagram_decodes_the_same_with_any_hint(
+        self, kind, damage, position, mask
+    ):
+        from repro.crypto.keccak import keccak256
+
+        datagram = bytearray(DAMAGE_CASES[kind])
+        if damage.startswith("flip"):
+            datagram[position % len(datagram)] ^= mask
+        else:
+            del datagram[position % len(datagram) :]
+        if damage.endswith("hash fixed") and len(datagram) > 32:
+            datagram[:32] = keccak256(bytes(datagram[32:]))
+        datagram = bytes(datagram)
+        plain = _decode_outcome(datagram)
+        for hint in (KEY.public_key, OTHER_KEY.public_key):
+            assert _decode_outcome(datagram, hint) == plain
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE_CASES))
+    def test_intact_datagram_decodes_to_the_hinted_signer(self, kind):
+        plain = decode_packet(DAMAGE_CASES[kind], now=0)
+        assert plain.sender_public_key == KEY.public_key
+        for hint in (KEY.public_key, OTHER_KEY.public_key):
+            assert decode_packet(DAMAGE_CASES[kind], now=0, sender=hint) == plain
+        hinted = decode_packet(DAMAGE_CASES[kind], now=0, sender=KEY.public_key)
+        assert hinted.sender_public_key is KEY.public_key

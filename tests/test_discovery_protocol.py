@@ -1,14 +1,22 @@
 """Integration tests for the discv4 UDP service on localhost sockets."""
 
 import asyncio
+import time
 
 import pytest
 
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
 from repro.discovery.lookup import ALPHA, LOOKUP_ROUNDS
-from repro.discovery.packets import NeighborRecord
-from repro.discovery.protocol import DiscoveryService
+from repro.discovery.packets import (
+    Endpoint,
+    NeighborRecord,
+    NeighborsPacket,
+    PongPacket,
+    default_expiration,
+    encode_packet,
+)
+from repro.discovery.protocol import SIGNER_MEMO_SIZE, DiscoveryService
 from repro.discovery.routing import K_NEIGHBORS
 
 
@@ -109,6 +117,119 @@ class TestFindNode:
                 await stop_services(services)
 
         run(scenario())
+
+
+class RecordingTransport:
+    """Stands in for the UDP socket: keeps what the service sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def sendto(self, data, addr=None):
+        self.sent.append((data, addr))
+
+    def close(self):
+        pass
+
+
+PEER = PrivateKey(6001)  # the node asked
+THIRD = PrivateKey(6002)  # anyone else, at the same address
+PEER_ADDR = ("127.0.0.1", 30399)
+PEER_ENODE = ENode(PEER.public_key.to_bytes(), *PEER_ADDR, 30399)
+
+
+def offline_service() -> tuple[DiscoveryService, RecordingTransport]:
+    service = DiscoveryService(PrivateKey(6000))
+    transport = RecordingTransport()
+    service._transport = transport
+    return service, transport
+
+
+def pong_for(ping_datagram: bytes, key: PrivateKey) -> bytes:
+    pong = PongPacket(
+        recipient=Endpoint("127.0.0.1", 30301, 0),
+        ping_hash=ping_datagram[:32],
+        expiration=default_expiration(),
+    )
+    return encode_packet(pong, key)
+
+
+class TestReplyMatching:
+    """A reply counts only if it answers something we sent, from the node we
+    sent it to (Geth's ``handleReply``): a datagram from the right address
+    signed by a third key is unsolicited -- counted and dropped."""
+
+    def test_neighbors_signed_by_another_key_is_unsolicited(self):
+        async def scenario():
+            service, _ = offline_service()
+            service._bonds[PEER_ENODE.node_id] = time.monotonic()  # no PING needed
+            asked = asyncio.ensure_future(service.find_node(PEER_ENODE, bytes(64)))
+            await asyncio.sleep(0)
+            record = NeighborRecord("10.0.0.9", 30303, 30303, bytes([9]) * 64)
+            answer = NeighborsPacket(nodes=[record], expiration=default_expiration())
+            service.datagram_received(encode_packet(answer, THIRD), PEER_ADDR)
+            await asyncio.sleep(0)
+            assert not asked.done()
+            assert service.stats["unsolicited_replies"] == 1
+            service.datagram_received(encode_packet(answer, PEER), PEER_ADDR)
+            assert await asked == [record]
+            assert service._pending_neighbors == {}
+
+        run(scenario())
+
+    def test_pong_must_echo_our_ping_from_the_node_pinged(self):
+        async def scenario():
+            service, transport = offline_service()
+            pinged = asyncio.ensure_future(service.ping(PEER_ENODE))
+            await asyncio.sleep(0)
+            [(ping, _)] = transport.sent
+            # a PONG for another PING, one from another address, and one
+            # signed by a third key
+            service.datagram_received(pong_for(bytes(32) + ping[32:], PEER), PEER_ADDR)
+            service.datagram_received(pong_for(ping, PEER), ("127.0.0.1", 30398))
+            service.datagram_received(pong_for(ping, THIRD), PEER_ADDR)
+            await asyncio.sleep(0)
+            assert not pinged.done()
+            assert service.stats["unsolicited_replies"] == 3
+            for key in (PEER, THIRD):
+                assert not service.is_bonded(key.public_key.to_bytes())
+            assert service.table.get(THIRD.public_key.to_bytes()) is None
+            service.datagram_received(pong_for(ping, PEER), PEER_ADDR)
+            assert await pinged
+            assert service.is_bonded(PEER_ENODE.node_id)
+            assert service._pending_pongs == {}
+
+        run(scenario())
+
+
+class TestSignerMemo:
+    """Each address's last signer is the hint for its next datagram."""
+
+    def test_memo_follows_the_latest_signer_and_drops_the_oldest_address(self):
+        service, _ = offline_service()
+        answer = NeighborsPacket(nodes=[], expiration=default_expiration())
+        by_peer, by_third = encode_packet(answer, PEER), encode_packet(answer, THIRD)
+        service.datagram_received(by_peer, PEER_ADDR)
+        assert service._signers[PEER_ADDR] == PEER.public_key
+        hint = service._signers[PEER_ADDR]
+        service.datagram_received(by_peer, PEER_ADDR)
+        assert service._signers[PEER_ADDR] is hint  # decoded on the hint
+        service.datagram_received(by_third, PEER_ADDR)
+        assert service._signers[PEER_ADDR] == THIRD.public_key
+        for port in range(SIGNER_MEMO_SIZE - 1):  # full, PEER_ADDR the oldest
+            service._signers[("10.0.0.1", port)] = hint
+        service.datagram_received(by_peer, ("10.0.0.2", 1))
+        assert len(service._signers) == SIGNER_MEMO_SIZE
+        assert PEER_ADDR not in service._signers
+        assert service._signers[("10.0.0.2", 1)] == PEER.public_key
+
+    def test_garbage_leaves_the_memo_alone(self):
+        service, _ = offline_service()
+        answer = NeighborsPacket(nodes=[], expiration=default_expiration())
+        service.datagram_received(encode_packet(answer, PEER), PEER_ADDR)
+        service.datagram_received(b"garbage", PEER_ADDR)
+        assert service.stats["bad_packets"] == 1
+        assert service._signers == {PEER_ADDR: PEER.public_key}
 
 
 class TestLookup:

@@ -5,7 +5,8 @@ the code that asked for it (by walking the Python stack), so a change that
 starts hashing something per tick, or re-hashing a known answer per packet,
 fails here as a count — before it shows up as a slower benchmark.  A
 two-state call (``keccak_f1600(lanes, *PAIR)``) is one call, counted again
-under ``"<site> two-state"``.
+under ``"<site> two-state"``.  A loopback lookup's ECDSA work -- signatures,
+hinted signer checks, full key recoveries -- is pinned the same way.
 """
 
 import asyncio
@@ -16,8 +17,10 @@ import sys
 import pytest
 
 import repro.crypto.keccak as keccak_mod
+from repro.crypto import secp256k1
 from repro.crypto._keccak_f import PAIR
 from repro.crypto.keys import PrivateKey
+from repro.discovery.lookup import Lookup
 from repro.discovery.packets import (
     Endpoint,
     NeighborRecord,
@@ -126,6 +129,67 @@ def test_loopback_lookup_hashes_each_target_once_per_end(permutations):
     assert counts["lookup"] == 4
     assert counts["_handle_findnode"] == 4
     assert counts["elsewhere"] == 0
+
+
+def test_bonded_lookup_checks_signers_and_signs_each_round_once(
+    permutations, monkeypatch
+):
+    """A lookup among bonded peers recovers no key: each end already holds
+    the other's, so every datagram costs one hinted check.  The client signs
+    a round's FIND_NODE once, whatever the number of candidates: one
+    signature and one encode's permutations (3) per round."""
+
+    async def scenario() -> tuple[collections.Counter, collections.Counter, list]:
+        client = DiscoveryService(PrivateKey(7200))
+        servers = [DiscoveryService(PrivateKey(7201 + i)) for i in range(3)]
+        try:
+            for service in [client, *servers]:
+                await service.listen()
+            for server in servers:
+                assert await client.bond(server.local_enode)
+            ops: collections.Counter = collections.Counter()
+            signers: list = []
+            signed_by, recover, sign = (
+                secp256k1._signed_by, secp256k1._recover, secp256k1.sign_digest
+            )
+            next_round = Lookup.next_round
+
+            def counting_signed_by(*args):
+                held = signed_by(*args)
+                ops["hint held" if held else "hint failed"] += 1
+                return held
+
+            def counting_recover(*args):
+                ops["recovered"] += 1
+                return recover(*args)
+
+            def counting_sign(digest, private_key):
+                signers.append(private_key)
+                return sign(digest, private_key)
+
+            def counting_round(self):
+                candidates = next_round(self)
+                ops["rounds"] += bool(candidates)
+                return candidates
+
+            monkeypatch.setattr(secp256k1, "_signed_by", counting_signed_by)
+            monkeypatch.setattr(secp256k1, "_recover", counting_recover)
+            monkeypatch.setattr(secp256k1, "sign_digest", counting_sign)
+            monkeypatch.setattr(Lookup, "next_round", counting_round)
+            counts = permutations("_findnode_datagram")
+            await client.self_lookup()
+            assert client.stats["findnodes_sent"] == 3
+            return ops, counts, signers
+        finally:
+            for service in [client, *servers]:
+                service.close()
+            await asyncio.sleep(0)
+
+    ops, counts, signers = asyncio.run(scenario())
+    assert ops == {"rounds": 1, "hint held": 6}  # 3 FIND_NODE + 3 NEIGHBORS
+    assert signers.count(7200) == ops["rounds"]
+    assert sorted(signers) == [7200, 7201, 7202, 7203]
+    assert counts["_findnode_datagram"] == 3 * ops["rounds"]
 
 
 def test_decoded_packet_hashes_envelope_and_body_together(permutations):
