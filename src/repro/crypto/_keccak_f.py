@@ -114,12 +114,9 @@ keccak_f1600 = _namespace["keccak_f1600"]
 
 # -- batched permutation (numpy) ---------------------------------------------
 
-try:  # numpy is optional at runtime: callers fall back to the scalar path
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a dev extra; a bare install lands here
-    _np = None
-
-HAVE_BATCH = _np is not None
+# after the generated function compiles: importing numpy before it raises
+# a live process's peak RSS by ~4 MB
+import numpy as _np  # noqa: E402
 
 
 def _rol_batch(lanes, shift: int):

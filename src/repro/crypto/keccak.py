@@ -85,7 +85,6 @@ def keccak_f1600_reference(state: list[int]) -> list[int]:
     return a
 
 
-from repro.crypto._keccak_f import HAVE_BATCH as _HAVE_BATCH  # noqa: E402
 from repro.crypto._keccak_f import PAIR, PAIR_SHIFT  # noqa: E402
 from repro.crypto._keccak_f import keccak_f1600, keccak_f1600_batch  # noqa: E402
 
@@ -256,9 +255,8 @@ def keccak256_batch(payloads: list[bytes]) -> list[bytes]:
     block by block through the numpy-backed :func:`keccak_f1600_batch`,
     amortising the pure-python round loop across the group — the bulk
     path for world builds and memo warm-ups (node IDs, genesis headers,
-    synthetic-chain hashes).  Groups smaller than the crossover, and every
-    group when numpy is unavailable, go through per-message
-    :func:`keccak256`; results are byte-identical either way.
+    synthetic-chain hashes).  Groups smaller than the crossover go through
+    per-message :func:`keccak256`; results are byte-identical either way.
     """
     payloads = list(payloads)
     digests: list = [None] * len(payloads)
@@ -266,7 +264,7 @@ def keccak256_batch(payloads: list[bytes]) -> list[bytes]:
     for index, payload in enumerate(payloads):
         groups.setdefault(len(payload) // 136 + 1, []).append(index)
     for blocks, indices in groups.items():
-        if not _HAVE_BATCH or len(indices) < _BATCH_CROSSOVER:
+        if len(indices) < _BATCH_CROSSOVER:
             for index in indices:
                 digests[index] = keccak256(payloads[index])
             continue

@@ -53,7 +53,7 @@ WRITER_SETS = {
 
 #: the methods that mutate each tracked type
 MUTATORS_BY_TYPE = {
-    "NodeDB": frozenset({"observe", "merge", "merge_entry", "remove"}),
+    "NodeDB": frozenset({"observe", "merge", "merge_entry"}),
     "CrawlStats": frozenset(
         {"record_dial", "record_discovery", "watch_bootstrap", "merge"}
     ),

@@ -2,15 +2,16 @@
 
 :class:`CrawlerCore` holds what the policy remembers — the StaticNodes
 schedule, the dial history, the address book StaticNodes resolves
-against, each shard's breaker scoreboard — and answers the seven
-decisions a crawl keeps asking:
+against, each peer's last successful connection, each shard's breaker
+scoreboard — and answers the seven decisions a crawl keeps asking:
 
 * which lookup results become dynamic dials (:meth:`~CrawlerCore.select`);
 * which statics are due, already rescheduled (:meth:`~CrawlerCore.due_statics`);
 * may this peer be dialed now (:meth:`~CrawlerCore.admit`);
 * what a finished dial means — breaker score and *the* join-StaticNodes
   rule (:meth:`~CrawlerCore.dial_done`);
-* who else is static: bootstrap and inbound peers (:meth:`~CrawlerCore.add_static`);
+* who else is static: bootstrap peers (:meth:`~CrawlerCore.add_static`)
+  and inbound ones (:meth:`~CrawlerCore.inbound`);
 * who falls off after 24 h (:meth:`~CrawlerCore.prune`);
 * whose breakers gate the ranges a split or merge made (:meth:`~CrawlerCore.replan`).
 
@@ -20,14 +21,18 @@ a number and plain data comes back.  The drivers own every side effect —
 simulated-clock ticks, :class:`~repro.nodefinder.live.LiveNodeFinder` from
 asyncio loops — so the two cannot drift apart on policy, and a test can
 script the policy without either (``tests/test_crawler_core.py``).
+The core is the policy's whole state: the NodeDB and the crawl
+statistics are folds of the same dial stream that nothing here reads.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generic, Iterable, Optional, Protocol, Sequence, TypeVar
 
+from repro.units import SECONDS_PER_DAY
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.nodefinder.records import DialOutcome
+    from repro.nodefinder.records import DialResult
     from repro.nodefinder.reshard import DynamicShardPlan
     from repro.resilience.breaker import PeerScoreboard
 
@@ -74,6 +79,9 @@ class CrawlerCore(Generic[T]):
         self.addresses: dict[bytes, T] = {}
         #: node id -> when a lookup result was last taken for a dynamic dial
         self.dial_history: dict[bytes, float] = {}
+        #: node id -> timestamp of its latest connected result, outbound or
+        #: inbound — the number ``NodeEntry.last_success`` folds to
+        self.last_success: dict[bytes, float] = {}
 
     def select(
         self, found: Iterable[T], own_id: bytes, now: float, budget: Optional[int] = None
@@ -140,14 +148,16 @@ class CrawlerCore(Generic[T]):
         board = self.breakers[shard]
         return board is None or board.allow(target.node_id, target.ip)
 
-    def dial_done(self, shard: int, target: T, outcome: "DialOutcome", now: float) -> None:
+    def dial_done(self, shard: int, target: T, result: "DialResult", now: float) -> None:
         """Score one finished outbound dial and apply §4's join rule: a
         *completed* dial (the peer spoke DEVp2p) joins StaticNodes one
         interval out unless it is already there; a refused, reset or
         timed-out one counts against the peer's breaker and joins nothing.
+        Any connected result is the peer's latest success for :meth:`prune`.
         """
+        self._note_success(result)
         board = self.breakers[shard]
-        if not outcome.completed:
+        if not result.outcome.completed:
             if board is not None:
                 board.record_failure(target.node_id, target.ip)
             return
@@ -156,23 +166,45 @@ class CrawlerCore(Generic[T]):
         self.addresses[target.node_id] = target
         self.add_static(target.node_id, now + self.static_dial_interval)
 
+    def inbound(self, result: "DialResult", now: float) -> bool:
+        """A peer dialed in: note the connection, and put the peer on
+        StaticNodes one interval out unless it is there already; True when
+        added.  Its address is the caller's to learn (the simnet's table
+        admission may refuse it)."""
+        self._note_success(result)
+        return self.add_static(result.node_id, now + self.static_dial_interval)
+
     def add_static(self, node_id: bytes, next_dial: float) -> bool:
-        """Put a bootstrap or inbound peer on StaticNodes unless it is
-        there already; True when added.  Its address is the caller's to
-        learn (the simnet's table admission may refuse it)."""
+        """Put a bootstrap node on StaticNodes unless it is there
+        already; True when added."""
         if node_id in self.statics:
             return False
         self.statics[node_id] = next_dial
         return True
 
-    def prune(self, stale_ids: Iterable[bytes]) -> None:
-        """Drop stale addresses from StaticNodes (§4's 24 h rule); a
-        dropped peer's breaker is forgotten with it."""
-        for node_id in stale_ids:
-            if self.statics.pop(node_id, None) is not None:
-                board = self.breakers[self.plan.shard_of(node_id)]
-                if board is not None:
-                    board.forget(node_id)
+    def _note_success(self, result: "DialResult") -> None:
+        if result.outcome.connected:
+            node_id, at = result.node_id, result.timestamp
+            last = self.last_success.get(node_id)
+            if last is None or at > last:
+                self.last_success[node_id] = at
+
+    def prune(self, now: float) -> None:
+        """§4's 24 h rule: drop every static whose last successful
+        connection is more than a day old; a dropped peer's breaker is
+        forgotten with it.  A static that never connected (a bootstrap
+        node that never answered) stays."""
+        last_success = self.last_success
+        stale = [
+            node_id
+            for node_id in self.statics
+            if now - last_success.get(node_id, now) > SECONDS_PER_DAY
+        ]
+        for node_id in stale:
+            del self.statics[node_id]
+            board = self.breakers[self.plan.shard_of(node_id)]
+            if board is not None:
+                board.forget(node_id)
 
     def replan(
         self, index: int, count: int, breakers: Sequence[Optional["PeerScoreboard"]]

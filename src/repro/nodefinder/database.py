@@ -1,8 +1,9 @@
 """The node database: everything NodeFinder learned about each node ID.
 
-Mirrors the paper's central database of scanned targets (§4-5): last-dial
-timestamps drive the static-dial scheduler and stale-address removal, and
-the accumulated HELLO/STATUS/DAO fields feed every ecosystem analysis.
+Mirrors the paper's central database of scanned targets (§4-5): a fold
+of the crawl's dial stream, whose accumulated HELLO/STATUS/DAO fields feed
+every ecosystem analysis.  The crawl policy reads none of it — its own
+state is :class:`~repro.nodefinder.core.CrawlerCore`.
 Entries are keyed by node ID; a node seen at several IPs keeps them all.
 """
 
@@ -27,7 +28,7 @@ class NodeEntry:
     #: §5.4's "active" span is about observed liveliness)
     first_seen: float = 0.0
     last_seen: float = 0.0
-    #: most recent dial attempt of any outcome (drives scheduling)
+    #: most recent dial attempt of any outcome
     last_attempt: float = 0.0
     last_success: float = -1.0   # last successful TCP connection
     sessions: int = 0            # connections that yielded any message
@@ -166,17 +167,6 @@ class NodeDB:
 
     def mainnet_nodes(self) -> list[NodeEntry]:
         return [entry for entry in self if entry.got_status and entry.is_mainnet]
-
-    def stale_addresses(self, now: float, max_age: float = SECONDS_PER_DAY) -> list[bytes]:
-        """Node IDs whose last successful connection is older than 24h (§4)."""
-        return [
-            entry.node_id
-            for entry in self
-            if entry.last_success >= 0 and now - entry.last_success > max_age
-        ]
-
-    def remove(self, node_id: bytes) -> None:
-        self._entries.pop(node_id, None)
 
     def merge(self, other: "NodeDB") -> None:
         """Fold another instance's database into this one (fleet view)."""

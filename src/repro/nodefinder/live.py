@@ -46,7 +46,6 @@ from repro.nodefinder.shard import NodeDBWriter, ShardState
 from repro.nodefinder.wire import harvest
 from repro.resilience import LoopSupervisor, PeerScoreboard, RetryPolicy
 from repro.telemetry import EventJournal, Telemetry
-from repro.units import SECONDS_PER_DAY
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +56,6 @@ class LiveConfig:
 
     lookup_interval: float = 4.0
     static_dial_interval: float = 30 * 60.0
-    stale_address_age: float = SECONDS_PER_DAY
     max_active_dials: int = 16   # Geth's maxActiveDialTasks
     dial_timeout: float = 5.0
     #: in-place retry for transport-level dial failures; None disables
@@ -308,16 +306,9 @@ class LiveNodeFinder:
                 shard = self._shards[index]
                 shard.queue.put_nowait(node)
                 shard.telemetry.record_shard_health(queue_depth=shard.queue.qsize())
-            self._prune_stale()
+            # §4's 24 h rule, crawl-wide, once per lookup round
+            self.core.prune(self.clock())
             await asyncio.sleep(self.config.lookup_interval)
-
-    def _prune_stale(self) -> None:
-        """Drop addresses with no successful connection for over
-        ``stale_address_age`` (§4's 24 h rule), crawl-wide, once per
-        lookup round."""
-        self.core.prune(
-            self.db.stale_addresses(self.clock(), self.config.stale_address_age)
-        )
 
     async def _shard_loop(self, shard: ShardState) -> None:
         """One shard's dial loop: due statics plus a batched queue draw.
@@ -494,7 +485,7 @@ class LiveNodeFinder:
         self.writer.submit(result)
         # positional index re-read after the awaits: a reshard of other
         # ranges may have renumbered this shard, and the core with it
-        self.core.dial_done(shard.index, target, result.outcome, self.clock())
+        self.core.dial_done(shard.index, target, result, self.clock())
 
     async def crawl_for(self, seconds: float) -> NodeDB:
         """Convenience: run the loops for a wall-clock duration."""

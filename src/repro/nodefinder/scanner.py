@@ -56,10 +56,19 @@ from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 #: ``keccak256_batch`` pass is nearly flat in its size — 4.9 ms for 64
 #: targets, 5.7 ms for 256, 7.7 ms for 1 024, against 199 us per scalar
 #: hash — so 256 hashes a target for 22 us, 89% of the saving an endless
-#: block would give, while a crawl that stops after a few ticks (or runs
-#: without numpy, where a block is 256 scalar hashes = 51 ms) wastes at
+#: block would give, while a crawl that stops after a few ticks wastes at
 #: most one block.  A property of the two hash paths: a constant.
 TICK_PLAN_BLOCK = 256
+
+#: how long a dynamic dial keeps its target out of the next lookups'
+#: dials.  Geth's dialHistoryExpiration is 30s — a node can be re-dialed
+#: half a minute after the last attempt, which is how the paper racks up
+#: 5.3M dial attempts to 34.7K nodes per day.  Simulating every attempt is
+#: wasteful; 30 sim-minutes keeps the discovery:dial ratio shape while
+#: cutting event count ~60x (the scale factor is reported alongside
+#: Figure 5).  Not ``static_dial_interval``: a crawl that stretches that
+#: one must not widen this.
+DIAL_HISTORY_EXPIRATION = 30 * 60.0
 
 
 @dataclass
@@ -74,15 +83,7 @@ class NodeFinderConfig:
 
     discovery_interval: float = 12.0
     static_dial_interval: float = 30 * 60.0
-    stale_address_age: float = SECONDS_PER_DAY
     seed: int = 0
-    #: Geth's dialHistoryExpiration is 30s — a node can be re-dialed half a
-    #: minute after the last attempt, which is how the paper racks up 5.3M
-    #: dial attempts to 34.7K nodes per day.  Simulating every attempt is
-    #: wasteful; the default re-dial guard of 30 sim-minutes keeps the
-    #: discovery:dial ratio shape while cutting event count ~60x (the
-    #: scale factor is reported alongside Figure 5).
-    dial_history_expiration: float = 30 * 60.0
     #: worker shards partitioning the enode keyspace by node-ID prefix;
     #: dials go out in the same order under any N, each routed to the
     #: shard owning the target and folded through one NodeDBWriter, so any
@@ -212,7 +213,7 @@ class NodeFinderInstance:
         self.core: CrawlerCore[NodeAddress] = CrawlerCore(
             self.plan,
             self.config.static_dial_interval,
-            self.config.dial_history_expiration,
+            DIAL_HISTORY_EXPIRATION,
             [self.scoreboard] * shards,
         )
         #: per-shard facades, positional like ``plan.ranges``: the crawl's
@@ -414,7 +415,7 @@ class NodeFinderInstance:
         with self.telemetry.profiler.scope("scanner.dial"):
             result = self.world.dial(address, connection_type, self.location)
         self._record(result, shard_index)
-        self.core.dial_done(shard_index, address, result.outcome, self.world.now)
+        self.core.dial_done(shard_index, address, result, self.world.now)
 
     def _static_tick(self) -> None:
         """Re-dial every static node whose re-dial time has come, in the
@@ -425,9 +426,7 @@ class NodeFinderInstance:
 
     def _prune_stale(self) -> None:
         """Drop addresses with no successful TCP connection for >24h (§4)."""
-        self.core.prune(
-            self.db.stale_addresses(self.world.now, self.config.stale_address_age)
-        )
+        self.core.prune(self.world.now)
 
     # -- incoming ------------------------------------------------------------------
 
@@ -437,9 +436,7 @@ class NodeFinderInstance:
         self._record(result, shard_index)
         # Inbound peers become static-dial targets too — how NodeFinder
         # keeps tabs on otherwise-unreachable nodes while they last.
-        if self.core.add_static(
-            result.node_id, self.world.now + self.config.static_dial_interval
-        ):
+        if self.core.inbound(result, self.world.now):
             self._learn(
                 NodeAddress(result.node_id, result.ip, result.tcp_port, result.tcp_port)
             )

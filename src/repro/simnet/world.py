@@ -24,10 +24,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Optional, Protocol
 
-try:  # optional acceleration for the online-node mask at scale
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in dev installs
-    _np = None
+import numpy as _np
 
 from repro.chain.forks import BYZANTIUM_BLOCK
 from repro.chain.synthetic import (
@@ -93,8 +90,7 @@ class _OnlineIndex:
 
     Arrays are rebuilt whenever the node map changes size (listener
     presences, adversary injections); lifecycle fields themselves are
-    static after construction.  Worlds without numpy fall back to the
-    plain per-node scan.
+    static after construction.
     """
 
     __slots__ = (
@@ -125,8 +121,6 @@ class _OnlineIndex:
         self._size = len(nodes)
 
     def online_at(self, node_map: dict, day: float) -> list:
-        if _np is None:
-            return [n for n in node_map.values() if n.spec.is_online(day)]
         if len(node_map) != self._size:
             self._rebuild(node_map)
         alive = (self._arrival <= day) & (day < self._departure)

@@ -15,6 +15,13 @@ def plant_static(finder, target, next_dial):
     core.statics[target.node_id] = next_dial
 
 
+def plant_success(core, node_id, at):
+    """Record a successful connection to ``node_id`` at time ``at`` in
+    ``core`` — what a connected dial or inbound connection would leave for
+    §4's 24 h prune to read."""
+    core.last_success[node_id] = at
+
+
 def assert_every_record_is_placed(journal_paths):
     """One crawl's journal files obey the one placement rule, every record
     type alike: ``crawler`` first in every file and nowhere else;

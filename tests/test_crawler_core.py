@@ -8,6 +8,10 @@
   ``discovery.lookup_all``).  The journals cannot be byte-equal — the simnet
   sweeps StaticNodes on a 30-minute tick, a live shard loop polls — so the
   test asserts what the policy determines and the cadence does not;
+  Both drivers run on a NodeDB that raises on every read: the policy
+  decides from the core alone, and the NodeDB is only written;
+* §4's 24 h rule over two simulated days, checked after every hourly
+  prune against the NodeDB the rule used to be read from;
 * a live split, which must re-home StaticNodes through ``core.replan``;
 * a Hypothesis model of the bare ``CrawlerCore`` against one unsharded dict.
 """
@@ -23,7 +27,11 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.discovery.enode import ENode
+from repro.nodefinder import live as live_module
+from repro.nodefinder import scanner
 from repro.nodefinder.core import CrawlerCore
+from repro.nodefinder.database import NodeDB
+from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
 from repro.nodefinder.reshard import DynamicShardPlan, ReshardOp, ReshardPolicy
 from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
@@ -32,9 +40,12 @@ from repro.simnet.clock import WheelClock
 from repro.simnet.geo import GeoModel
 from repro.nodefinder.records import DialOutcome, DialResult
 from repro.simnet.node import NodeAddress
+from repro.simnet.population import PopulationConfig
+from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import EventJournal, read_events
+from repro.units import SECONDS_PER_DAY
 
-from tests.helpers import plant_static
+from tests.helpers import plant_static, plant_success
 
 # -- the scripted peer set ---------------------------------------------------
 
@@ -66,6 +77,51 @@ KIND_OF = {address.node_id: kind for address, kind in PEERS.items()}
 DIRECTORY = NodeAddress(b"\x77\xff" * 32, "10.1.0.1", 30303, 30303)
 
 
+def _result(target, outcome: DialOutcome, now: float, connection_type="dynamic-dial"):
+    return DialResult(
+        timestamp=now,
+        node_id=target.node_id,
+        ip=target.ip,
+        tcp_port=target.tcp_port,
+        connection_type=connection_type,
+        outcome=outcome,
+    )
+
+
+class WriteOnlyNodeDB(NodeDB):
+    """A NodeDB the crawl may fold into but not read: every read raises
+    until a test opens it to check the crawl's output."""
+
+    readable = False
+
+    def _read(self) -> None:
+        if not self.readable:
+            raise AssertionError("the crawl policy read its NodeDB")
+
+    def __len__(self):
+        self._read()
+        return super().__len__()
+
+    def __contains__(self, node_id):
+        self._read()
+        return super().__contains__(node_id)
+
+    def __iter__(self):
+        self._read()
+        return super().__iter__()
+
+    def get(self, node_id):
+        self._read()
+        return super().get(node_id)
+
+
+@pytest.fixture
+def write_only_db(monkeypatch):
+    """Both drivers build their NodeDB as a :class:`WriteOnlyNodeDB`."""
+    monkeypatch.setattr(scanner, "NodeDB", WriteOnlyNodeDB)
+    monkeypatch.setattr(live_module, "NodeDB", WriteOnlyNodeDB)
+
+
 class Dialer:
     """Scripted outcomes by per-peer attempt number (both drivers' dial stub)."""
 
@@ -75,14 +131,7 @@ class Dialer:
     def result(self, target, connection_type: str, now: float) -> DialResult:
         self.attempts[target.node_id] += 1
         script = SCRIPTS[KIND_OF.get(target.node_id, "good")]
-        return DialResult(
-            timestamp=now,
-            node_id=target.node_id,
-            ip=target.ip,
-            tcp_port=target.tcp_port,
-            connection_type=connection_type,
-            outcome=script(self.attempts[target.node_id]),
-        )
+        return _result(target, script(self.attempts[target.node_id]), now, connection_type)
 
 
 class ScriptedWorld:
@@ -247,7 +296,7 @@ def test_refused_dial_never_joins_static_nodes_and_is_redialed():
     refused = next(address for address, kind in PEERS.items() if kind == "refused")
     good = next(address for address, kind in PEERS.items() if kind == "good")
     finder, journals = run_sim([refused, good], shards=1, seconds=4 * 1800.0 + 60)
-    window = finder.config.dial_history_expiration
+    window = scanner.DIAL_HISTORY_EXPIRATION
 
     assert refused.node_id not in finder.static_nodes
     assert good.node_id in finder.static_nodes
@@ -267,7 +316,7 @@ def test_refused_dial_never_joins_static_nodes_and_is_redialed():
 
 
 @pytest.mark.parametrize("shards", [1, 4])
-def test_sim_and_live_drivers_apply_one_policy(shards):
+def test_sim_and_live_drivers_apply_one_policy(shards, write_only_db):
     intervals = 8
     sim, sim_journals = run_sim(PEERS, shards, intervals * 1800.0 + 60)
     live, live_journals = asyncio.run(run_live(PEERS, shards, intervals))
@@ -292,7 +341,7 @@ def test_sim_and_live_drivers_apply_one_policy(shards):
     # no dynamic re-dial inside the history window, no static re-dial
     # inside the interval — each on the driver's own clock
     for dials, window, interval in (
-        (sim_dials, sim.config.dial_history_expiration, sim.config.static_dial_interval),
+        (sim_dials, scanner.DIAL_HISTORY_EXPIRATION, sim.config.static_dial_interval),
         (live_dials, LIVE_INTERVAL, LIVE_INTERVAL),
     ):
         for node_id in KIND_OF:
@@ -304,6 +353,50 @@ def test_sim_and_live_drivers_apply_one_policy(shards):
         assert finder.plan.shards == shards
         for shard, node_id, _, _, _ in journals.dials():
             assert finder.plan.shard_of(node_id) == shard
+
+
+def test_sim_crawl_prunes_by_the_24h_rule_alone(write_only_db, monkeypatch):
+    """§4: an hourly prune drops exactly the statics whose last successful
+    connection — outbound or inbound — is over a day old.  Checked after
+    every prune of a two-day crawl against the NodeDB, which the crawl
+    itself never reads."""
+    dropped_in_all = []
+    prune = NodeFinderInstance._prune_stale
+
+    def checked_prune(finder):
+        before = set(finder.static_nodes)
+        prune(finder)
+        now, db = finder.world.now, finder.db
+        dropped = before - set(finder.static_nodes)
+        db.readable = True
+        try:
+            for node_id in finder.static_nodes:
+                entry = db.get(node_id)
+                if entry is not None and entry.last_success >= 0:
+                    assert now - entry.last_success <= SECONDS_PER_DAY
+            for node_id in dropped:
+                entry = db.get(node_id)
+                assert entry is not None and entry.last_success >= 0
+                assert now - entry.last_success > SECONDS_PER_DAY
+        finally:
+            db.readable = False
+        dropped_in_all.extend(dropped)
+
+    monkeypatch.setattr(NodeFinderInstance, "_prune_stale", checked_prune)
+    population = PopulationConfig(total_nodes=120, measurement_days=2.1, seed=2018)
+    fleet = run_fleet(
+        SimWorld(WorldConfig(population=population, seed=7)),
+        instance_count=1,
+        days=2.1,
+        config=NodeFinderConfig(seed=1, shards=2, discovery_interval=60.0),
+    )
+    [finder] = fleet.instances
+    assert dropped_in_all
+    # the core's memory is the number the NodeDB folds to
+    finder.db.readable = True
+    assert finder.core.last_success == {
+        entry.node_id: entry.last_success for entry in finder.db if entry.last_success >= 0
+    }
 
 
 def test_live_split_leaves_statics_in_place_and_the_children_keep_the_policy():
@@ -369,15 +462,42 @@ def test_breaker_gate_scores_failures_and_prune_forgets():
     peer = _peer(3)
     for _ in range(2):
         assert core.admit(0, peer)
-        core.dial_done(0, peer, DialOutcome.CONNECTION_REFUSED, now[0])
+        core.dial_done(0, peer, _result(peer, DialOutcome.CONNECTION_REFUSED, now[0]), now[0])
     assert not core.admit(0, peer)
     assert core.statics == {}
-    # a peer that is not on StaticNodes keeps its breaker through a prune
-    core.prune([peer.node_id])
+    # its last success is over a day old, but a peer that is not on
+    # StaticNodes keeps its breaker through a prune
+    plant_success(core, peer.node_id, now[0] - SECONDS_PER_DAY - 1)
+    core.prune(now[0])
     assert not core.admit(0, peer)
     core.add_static(peer.node_id, 0.0)
-    core.prune([peer.node_id])
+    core.prune(now[0])
+    assert core.statics == {}
     assert core.admit(0, peer) and len(board) == 1  # a fresh breaker
+
+
+def test_prune_keeps_statics_that_never_connected_or_connected_within_a_day():
+    core = CrawlerCore(DynamicShardPlan(1), 1800.0, 1800.0, [None])
+    silent, fresh, inbound, stale = (_peer(index) for index in range(4))
+    core.add_static(silent.node_id, 0.0)  # a bootstrap node that never answered
+    core.dial_done(0, fresh, _result(fresh, DialOutcome.FULL_HARVEST, 0.0), 0.0)
+    core.dial_done(0, stale, _result(stale, DialOutcome.FULL_HARVEST, 0.0), 0.0)
+    # an inbound connection is a success too, and refreshes it
+    assert core.inbound(_result(inbound, DialOutcome.HELLO_NO_STATUS, 0.0, "incoming"), 0.0)
+    assert not core.inbound(
+        _result(fresh, DialOutcome.RLPX_FAILED, 3600.0, "incoming"), 3600.0
+    )
+    # a refused inbound attempt is not one
+    assert not core.inbound(
+        _result(stale, DialOutcome.CONNECTION_REFUSED, 3600.0, "incoming"), 3600.0
+    )
+    core.prune(SECONDS_PER_DAY)  # exactly a day: nothing is older than that
+    assert len(core.statics) == 4
+    core.prune(SECONDS_PER_DAY + 1800.0)
+    assert list(core.statics) == [silent.node_id, fresh.node_id]
+    assert core.last_success == {
+        fresh.node_id: 3600.0, stale.node_id: 0.0, inbound.node_id: 0.0
+    }
 
 
 #: the model's universe: prefixes spread over the whole keyspace
@@ -402,10 +522,19 @@ class CrawlerCoreModel(RuleBasedStateMachine):
         self.now = 0.0
         self.statics: dict[bytes, float] = {}
         self.history: dict[bytes, float] = {}
+        self.last_success: dict[bytes, float] = {}
 
     @rule(seconds=st.floats(min_value=0.0, max_value=45.0))
     def advance(self, seconds):
         self.now += seconds
+
+    @rule(days=st.floats(min_value=0.0, max_value=1.5))
+    def advance_days(self, days):
+        self.now += days * SECONDS_PER_DAY
+
+    def _connected(self, peer, outcome):
+        if outcome.connected:  # the clock only moves forward: latest = now
+            self.last_success[peer.node_id] = self.now
 
     @rule(
         found=st.lists(targets, unique=True, max_size=12),
@@ -460,7 +589,8 @@ class CrawlerCoreModel(RuleBasedStateMachine):
     @rule(peer=targets, outcome=OUTCOMES)
     def dial_done(self, peer, outcome):
         shard = self.plan.shard_of(peer.node_id)
-        self.core.dial_done(shard, peer, outcome, self.now)
+        self.core.dial_done(shard, peer, _result(peer, outcome, self.now), self.now)
+        self._connected(peer, outcome)
         if outcome.completed:
             self.statics.setdefault(peer.node_id, self.now + INTERVAL)
             assert self.core.addresses[peer.node_id] == peer
@@ -471,11 +601,20 @@ class CrawlerCoreModel(RuleBasedStateMachine):
         assert added == (peer.node_id not in self.statics)
         self.statics.setdefault(peer.node_id, self.now + delay)
 
-    @rule(stale=st.lists(targets, max_size=5))
-    def prune(self, stale):
-        self.core.prune([target.node_id for target in stale])
-        for target in stale:
-            self.statics.pop(target.node_id, None)
+    @rule(peer=targets, outcome=OUTCOMES)
+    def inbound(self, peer, outcome):
+        added = self.core.inbound(_result(peer, outcome, self.now, "incoming"), self.now)
+        assert added == (peer.node_id not in self.statics)
+        self.statics.setdefault(peer.node_id, self.now + INTERVAL)
+        self._connected(peer, outcome)
+
+    @rule()
+    def prune(self):
+        self.core.prune(self.now)
+        for node_id in list(self.statics):
+            last = self.last_success.get(node_id)
+            if last is not None and self.now - last > SECONDS_PER_DAY:
+                del self.statics[node_id]
 
     @precondition(lambda self: self.plan.shards < 8)
     @rule(data=st.data())
@@ -498,6 +637,10 @@ class CrawlerCoreModel(RuleBasedStateMachine):
     @invariant()
     def statics_are_the_model_in_join_order_with_next_dial_times_kept(self):
         assert list(self.core.statics.items()) == list(self.statics.items())
+
+    @invariant()
+    def last_success_is_the_latest_connected_result(self):
+        assert self.core.last_success == self.last_success
 
 
 CrawlerCoreModel.TestCase.settings = settings(

@@ -213,12 +213,6 @@ def test_batch_falls_back_on_multiblock_payloads():
     assert keccak256_batch(payloads) == [keccak256(p) for p in payloads]
 
 
-def test_batch_falls_back_without_numpy(monkeypatch):
-    monkeypatch.setattr(keccak_mod, "_HAVE_BATCH", False)
-    payloads = [b"", b"abc", b"z" * 135]
-    assert keccak_mod.keccak256_batch(payloads) == [keccak256(p) for p in payloads]
-
-
 def test_batch_empty():
     assert keccak256_batch([]) == []
 
@@ -233,26 +227,21 @@ _BLOCK_BOUNDARIES = (135, 136, 271, 272)
     st.lists(st.binary(max_size=700), max_size=12),
     # copies of each boundary length: groups on both sides of the crossover
     st.sampled_from([1, 16, 23, 24, 25, 40]),
-    st.booleans(),
     st.integers(min_value=0, max_value=1 << 32),
 )
-def test_batch_equals_scalar_across_block_counts(extra, copies, have_numpy, seed):
+def test_batch_equals_scalar_across_block_counts(extra, copies, seed):
     rng = random.Random(seed)
     assert 15 < keccak_mod._BATCH_CROSSOVER < 40
     payloads = extra + [
         rng.randbytes(length) for length in _BLOCK_BOUNDARIES for _ in range(copies)
     ]
     rng.shuffle(payloads)
-    vectorised = have_numpy and keccak_mod._HAVE_BATCH
-    with mock.patch.object(keccak_mod, "_HAVE_BATCH", vectorised):
-        assert keccak256_batch(payloads) == [keccak256(p) for p in payloads]
+    assert keccak256_batch(payloads) == [keccak256(p) for p in payloads]
 
 
 def test_batch_vectorises_multiblock_groups():
     # four-block messages (genesis headers) above the crossover take the
     # numpy path, a small group beside them the scalar one
-    if not keccak_mod._HAVE_BATCH:
-        pytest.skip("numpy unavailable")
     payloads = [
         bytes([i]) * 540 for i in range(keccak_mod._BATCH_CROSSOVER)
     ] + [b"solo" * 50]

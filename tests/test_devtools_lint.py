@@ -298,6 +298,55 @@ def test_cli_module_entrypoint(tmp_path):
     assert json.loads(result.stdout)["counts"] == {"SIM-DET": 4}
 
 
+# -- mutants of the real crawler --------------------------------------------
+
+#: a plausible slip in ``nodefinder/live.py`` per rule that has never fired
+#: on a committed tree: ``(old, new)`` replacements, each anchor present once
+LIVE_MUTANTS = {
+    "ASYNC-BLOCK": [  # a blocking sleep before the harvest of a dial
+        (
+            "        async with shard.semaphore:\n            result = await self._harvest(",
+            "        async with shard.semaphore:\n            time.sleep(0.01)\n"
+            "            result = await self._harvest(",
+        )
+    ],
+    "RACE-STALE": [  # open the discovery service lazily, re-checking nothing
+        (
+            "        assert self.discovery is not None\n        while not self._stopping:",
+            "        if self.discovery is None:\n"
+            "            self.discovery = await self._open_discovery()\n"
+            "        while not self._stopping:",
+        )
+    ],
+    "RACE-LOCK": [  # a threading lock held over the awaited harvest
+        ("import time\n", "import threading\nimport time\n"),
+        (
+            "        self._stopping = False\n",
+            "        self._stopping = False\n        self._lock = threading.Lock()\n",
+        ),
+        (
+            "        async with shard.semaphore:\n            result = await self._harvest(",
+            "        with self._lock:\n            result = await self._harvest(",
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("code", [None, *LIVE_MUTANTS])
+def test_rule_catches_its_mutant_of_the_live_crawler(tmp_path, code):
+    """Each rule fires exactly once on its mutant of the real live.py, and
+    the unmutated copy (same package path, so the same scopes) is clean."""
+    text = (SRC / "repro" / "nodefinder" / "live.py").read_text()
+    for old, new in LIVE_MUTANTS.get(code, []):
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    target = tmp_path / "repro" / "nodefinder" / "live.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(text)
+    findings = lint_paths([target])
+    assert [finding.code for finding in findings] == ([code] if code else [])
+
+
 # -- file discovery ---------------------------------------------------------
 
 

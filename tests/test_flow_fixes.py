@@ -39,8 +39,9 @@ from repro.nodefinder.shard import NodeDBWriter
 from repro.rlpx.session import open_session
 from repro.nodefinder.records import DialOutcome, DialResult
 from repro.telemetry import Event
+from repro.units import SECONDS_PER_DAY
 
-from tests.helpers import plant_static
+from tests.helpers import plant_static, plant_success
 
 
 async def connect_for_sync(node: FullNode, key: PrivateKey) -> DevP2PPeer:
@@ -212,7 +213,8 @@ def test_shard_loop_reads_due_statics_from_live_state():
             plant_static(finder, second, 900.0)
             # ...and never sees one that was removed before that pass
             plant_static(finder, third, 900.0)
-            finder.core.prune([third.node_id])
+            plant_success(finder.core, third.node_id, fake_now[0] - SECONDS_PER_DAY - 1)
+            finder.core.prune(fake_now[0])
             await asyncio.sleep(0.1)
             assert dialed == [second.node_id]
 
@@ -240,7 +242,8 @@ def test_shard_loop_honours_mutations_made_during_a_dial():
             # the second static comes due mid-dial, and another loop
             # prunes it before this pass ends
             fake_now[0] = 1000.2
-            finder.core.prune([second.node_id])
+            plant_success(finder.core, second.node_id, fake_now[0] - SECONDS_PER_DAY - 1)
+            finder.core.prune(fake_now[0])
 
         finder = recording_finder(fake_now, dialed, on_dial)
 

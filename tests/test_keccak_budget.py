@@ -75,8 +75,6 @@ def test_sim_crawl_hashes_no_lookup_target_one_at_a_time(permutations):
     """A crawl's discovery ticks spend no scalar permutation: targets are
     hashed a tick-plan block at a time, and every ID a lookup meets was
     hashed when the world was built."""
-    if not keccak_mod._HAVE_BATCH:
-        pytest.skip("without numpy a tick-plan block is scalar hashes")
     world = SimWorld(
         WorldConfig(
             population=PopulationConfig(

@@ -86,32 +86,32 @@ def test_stale_addresses_pruned_with_injected_clock():
     """The 24h stale-address rule is testable without sleeping: the finder's
     clock is injected, so advancing fake time expires a StaticNodes entry."""
     fake_now = [0.0]
-    finder = LiveNodeFinder(
-        config=LiveConfig(stale_address_age=24 * 3600.0),
-        clock=lambda: fake_now[0],
-    )
-    node_id = b"\x42" * 64
-    finder.db.observe(
+    finder = LiveNodeFinder(clock=lambda: fake_now[0])
+    target = ENode(b"\x42" * 64, "127.0.0.1", 30303, 30303)
+    # the completed dial that put it on StaticNodes is its last success
+    finder.core.dial_done(
+        0,
+        target,
         DialResult(
             timestamp=fake_now[0],
-            node_id=node_id,
-            ip="127.0.0.1",
-            tcp_port=30303,
+            node_id=target.node_id,
+            ip=target.ip,
+            tcp_port=target.tcp_port,
             connection_type="dynamic-dial",
             outcome=DialOutcome.FULL_HARVEST,
-        )
+        ),
+        fake_now[0],
     )
-    finder.core.add_static(node_id, fake_now[0] + 1800.0)
     [shard] = finder._shards
-    shard.breakers.record_failure(node_id)
+    assert target.node_id in finder.static_nodes and len(shard.breakers) == 1
 
     fake_now[0] = 23 * 3600.0  # not yet stale
-    finder._prune_stale()
-    assert node_id in finder.static_nodes
+    finder.core.prune(finder.clock())
+    assert target.node_id in finder.static_nodes
 
     fake_now[0] = 25 * 3600.0  # a successful dial 25h ago: stale, drop it
-    finder._prune_stale()
-    assert node_id not in finder.static_nodes
+    finder.core.prune(finder.clock())
+    assert target.node_id not in finder.static_nodes
     assert len(shard.breakers) == 0  # its breaker went with it
 
 

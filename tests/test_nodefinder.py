@@ -5,6 +5,7 @@ import zlib
 
 import pytest
 
+from repro.crypto import keccak
 from repro.crypto.keccak import keccak256
 from repro.nodefinder import scanner
 from repro.nodefinder.database import NodeDB, NodeEntry
@@ -99,13 +100,6 @@ class TestNodeDB:
         db.observe(make_result(ip="10.0.0.1"))
         db.observe(make_result(ip="10.0.0.2", timestamp=200.0))
         assert db.get(b"\x01" * 64).ips == {"10.0.0.1", "10.0.0.2"}
-
-    def test_stale_addresses(self):
-        db = NodeDB()
-        db.observe(make_result(timestamp=0.0))
-        db.observe(make_result(node_id=b"\x02" * 64, timestamp=SECONDS_PER_DAY * 1.9))
-        stale = db.stale_addresses(now=SECONDS_PER_DAY * 2)
-        assert stale == [b"\x01" * 64]
 
     def test_merge_unions_info(self):
         a, b = NodeDB(), NodeDB()
@@ -246,15 +240,19 @@ class TestSanitize:
 class TestTickPlan:
     """The pre-drawn plan is the draw-as-you-go stream, value for value."""
 
-    @pytest.mark.parametrize("have_numpy", [True, False])
-    def test_plan_is_the_interleaved_stream(self, monkeypatch, have_numpy):
-        if not have_numpy:
-            monkeypatch.setattr("repro.crypto.keccak._HAVE_BATCH", False)
+    @pytest.mark.parametrize("vectorised", [True, False])
+    def test_plan_is_the_interleaved_stream(self, monkeypatch, vectorised):
+        """Blocks of at least ``_BATCH_CROSSOVER`` targets hash through the
+        vectorised permutation; smaller ones go through per-message
+        :func:`keccak256` inside :func:`keccak256_batch`."""
+        block = TICK_PLAN_BLOCK if vectorised else keccak._BATCH_CROSSOVER - 1
+        assert (block >= keccak._BATCH_CROSSOVER) == vectorised
+        monkeypatch.setattr(scanner, "TICK_PLAN_BLOCK", block)
         seed, name = 5, "nodefinder-3"
         plan = TickPlan(seed, name)
         rng = random.Random(seed ^ zlib.crc32(name.encode()))
         assert plan.node_id == rng.randbytes(64)
-        for _ in range(2 * TICK_PLAN_BLOCK + 10):  # into a third block
+        for _ in range(2 * block + 10):  # into a third block
             target, target_hash = plan.next_target()
             assert target == rng.randbytes(64)
             assert target_hash == keccak256(target)

@@ -17,7 +17,7 @@ from repro.simnet.geo import (
 )
 from repro.nodefinder.records import DialOutcome
 from repro.simnet.population import PopulationBuilder, PopulationConfig
-from repro.simnet.world import SimWorld, WorldConfig
+from repro.simnet.world import SimWorld, WorldConfig, _OnlineIndex
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +249,16 @@ class TestWorldDynamics:
         assert result.client_id == factory.spec.client_string
         assert result.connection_type == "incoming"
 
+    def test_online_mask_is_the_per_node_rule(self, world):
+        # the vectorised mask against its reference, NodeSpec.is_online,
+        # node for node and in node-map order, across a day and a half
+        index = _OnlineIndex()
+        for step in range(37):
+            day = step / 24.0
+            assert index.online_at(world.nodes, day) == [
+                node for node in world.nodes.values() if node.spec.is_online(day)
+            ]
+
     def test_ground_truth_mainnet(self, world):
         truth = world.ground_truth_mainnet(world.day)
         assert truth
@@ -306,9 +316,9 @@ class TestBuildTimeHashing:
                 assert best <= 0 or (chain._seed, best) in warmed
 
     def test_scalar_fallback_builds_the_same_world(self, built, monkeypatch):
-        # numpy is optional: without it every batched call site must
-        # produce the same bytes through scalar keccak256
-        monkeypatch.setattr("repro.crypto.keccak._HAVE_BATCH", False)
+        # a crossover nothing reaches sends every batched call site through
+        # scalar keccak256, which must produce the same bytes
+        monkeypatch.setattr("repro.crypto.keccak._BATCH_CROSSOVER", 1 << 62)
         for memo in (_HASH_MEMO, _SEED_MEMO, _ID_HASH_MEMO):
             memo.clear()  # pure caches: force every hash to be recomputed
         small = PopulationConfig(total_nodes=60, measurement_days=1.0, seed=2018)
