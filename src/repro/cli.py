@@ -200,7 +200,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis.clients import client_share_table
     from repro.analysis.ecosystem import network_stats, service_table, useless_fraction
-    from repro.nodefinder.defense import DefenseConfig
     from repro.nodefinder.fleet import run_fleet
     from repro.nodefinder.sanitize import sanitize
     from repro.nodefinder.scanner import NodeFinderConfig
@@ -239,7 +238,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             discovery_interval=args.discovery_interval,
             shards=args.shards,
             reshard=reshard,
-            defenses=DefenseConfig() if args.defenses else None,
+            defended=args.defenses,
         ),
         telemetry_dir=args.telemetry_dir,
         adversary=adversary,

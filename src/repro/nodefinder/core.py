@@ -2,8 +2,9 @@
 
 :class:`CrawlerCore` holds what the policy remembers — the StaticNodes
 schedule, the dial history, the address book StaticNodes resolves
-against, each peer's last successful connection, each shard's breaker
-scoreboard — and answers the seven decisions a crawl keeps asking:
+against, each peer's last successful connection, the crawl's one breaker
+scoreboard and its dial budget — and answers the six decisions a crawl
+keeps asking:
 
 * which lookup results become dynamic dials (:meth:`~CrawlerCore.select`);
 * which statics are due, already rescheduled (:meth:`~CrawlerCore.due_statics`);
@@ -12,8 +13,7 @@ scoreboard — and answers the seven decisions a crawl keeps asking:
   rule (:meth:`~CrawlerCore.dial_done`);
 * who else is static: bootstrap peers (:meth:`~CrawlerCore.add_static`)
   and inbound ones (:meth:`~CrawlerCore.inbound`);
-* who falls off after 24 h (:meth:`~CrawlerCore.prune`);
-* whose breakers gate the ranges a split or merge made (:meth:`~CrawlerCore.replan`).
+* who falls off after 24 h (:meth:`~CrawlerCore.prune`).
 
 It reads no clock, socket, event loop, journal or RNG: ``now`` arrives as
 a number and plain data comes back.  The drivers own every side effect —
@@ -27,7 +27,7 @@ statistics are folds of the same dial stream that nothing here reads.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generic, Iterable, Optional, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Generic, Iterable, Optional, Protocol, TypeVar
 
 from repro.units import SECONDS_PER_DAY
 
@@ -54,10 +54,13 @@ T = TypeVar("T", bound=DialTarget)
 class CrawlerCore(Generic[T]):
     """One crawl's §4 state and decisions; see the module docstring.
 
-    ``shard`` arguments are positional indices into ``plan.ranges``;
-    ``breakers`` is positional too (``None`` = that shard dials ungated —
-    the simnet passes its one optional crawl-wide scoreboard for every
-    shard, a live crawl one scoreboard per shard).
+    ``gate`` is the crawl's one breaker scoreboard (``None`` = dials go
+    ungated) and ``budget`` caps the dynamic dials one lookup round may
+    take (``None`` = unbounded).  Both are crawl-wide: a scoreboard keyed
+    by node ID answers every shard as N per-shard ones would, since each
+    node ID is owned by one shard, and a split or merge leaves it whole.
+    The ``shard`` in a returned ``(shard, target)`` pair is a positional
+    index into ``plan.ranges``.
     """
 
     def __init__(
@@ -65,7 +68,8 @@ class CrawlerCore(Generic[T]):
         plan: "DynamicShardPlan",
         static_dial_interval: float,
         history_window: float,
-        breakers: Sequence[Optional["PeerScoreboard"]],
+        gate: Optional["PeerScoreboard"] = None,
+        budget: Optional[int] = None,
     ) -> None:
         self.plan = plan
         self.static_dial_interval = static_dial_interval
@@ -74,7 +78,8 @@ class CrawlerCore(Generic[T]):
         #: joined; which shard dials one is ``plan.shard_of``, looked up
         #: when asked, so no plan change moves anything here
         self.statics: dict[bytes, float] = {}
-        self.breakers = list(breakers)
+        self.gate = gate
+        self.budget = budget
         #: node id -> where to dial it; discovery and completed dials fill it
         self.addresses: dict[bytes, T] = {}
         #: node id -> when a lookup result was last taken for a dynamic dial
@@ -84,7 +89,7 @@ class CrawlerCore(Generic[T]):
         self.last_success: dict[bytes, float] = {}
 
     def select(
-        self, found: Iterable[T], own_id: bytes, now: float, budget: Optional[int] = None
+        self, found: Iterable[T], own_id: bytes, now: float
     ) -> tuple[list[tuple[int, T]], int]:
         """Lookup results -> the dynamic dials to make, as ``(shard,
         target)`` in lookup order, plus how many the budget shed.
@@ -92,7 +97,7 @@ class CrawlerCore(Generic[T]):
         A result is dialed unless it is ourselves, already on StaticNodes,
         or was taken inside the history window — Geth keeps dialing what
         discovery returns, including nodes that never answered.  Overflow
-        beyond ``budget`` is shed *before* it enters the history, so a
+        beyond :attr:`budget` is shed *before* it enters the history, so a
         target dropped this round is dialable next round, not blocked for
         a window.  The order is the lookup's, not the plan's: a subnet
         breaker trips on the K-th failure in dial order, so a driver that
@@ -100,6 +105,7 @@ class CrawlerCore(Generic[T]):
         """
         horizon = now - self.history_window
         shard_of, statics, history = self.plan.shard_of, self.statics, self.dial_history
+        budget = self.budget
         taken: list[tuple[int, T]] = []
         shed = 0
         for target in found:
@@ -141,14 +147,14 @@ class CrawlerCore(Generic[T]):
             due.append((index, target))
         return due
 
-    def admit(self, shard: int, target: T) -> bool:
+    def admit(self, target: T) -> bool:
         """Breaker gate: may ``target`` be dialed right now?  An admitted
         dial must report back through :meth:`dial_done` (a half-open
         breaker admits exactly one probe)."""
-        board = self.breakers[shard]
-        return board is None or board.allow(target.node_id, target.ip)
+        gate = self.gate
+        return gate is None or gate.allow(target.node_id, target.ip)
 
-    def dial_done(self, shard: int, target: T, result: "DialResult", now: float) -> None:
+    def dial_done(self, target: T, result: "DialResult", now: float) -> None:
         """Score one finished outbound dial and apply §4's join rule: a
         *completed* dial (the peer spoke DEVp2p) joins StaticNodes one
         interval out unless it is already there; a refused, reset or
@@ -156,13 +162,13 @@ class CrawlerCore(Generic[T]):
         Any connected result is the peer's latest success for :meth:`prune`.
         """
         self._note_success(result)
-        board = self.breakers[shard]
+        gate = self.gate
         if not result.outcome.completed:
-            if board is not None:
-                board.record_failure(target.node_id, target.ip)
+            if gate is not None:
+                gate.record_failure(target.node_id, target.ip)
             return
-        if board is not None:
-            board.record_success(target.node_id, target.ip)
+        if gate is not None:
+            gate.record_success(target.node_id, target.ip)
         self.addresses[target.node_id] = target
         self.add_static(target.node_id, now + self.static_dial_interval)
 
@@ -202,14 +208,5 @@ class CrawlerCore(Generic[T]):
         ]
         for node_id in stale:
             del self.statics[node_id]
-            board = self.breakers[self.plan.shard_of(node_id)]
-            if board is not None:
-                board.forget(node_id)
-
-    def replan(
-        self, index: int, count: int, breakers: Sequence[Optional["PeerScoreboard"]]
-    ) -> None:
-        """The plan just replaced the ``count`` ranges at ``index`` with
-        ``len(breakers)`` children: attach the children's scoreboards.
-        StaticNodes needs nothing — it is not laid out by the plan."""
-        self.breakers[index : index + count] = breakers
+            if self.gate is not None:
+                self.gate.forget(node_id)

@@ -1,4 +1,4 @@
-"""Hostile-load hardening knobs and anomaly accounting for the crawler.
+"""Hostile-load hardening limits and anomaly accounting for the crawler.
 
 The scanner faces the adversaries of :mod:`repro.simnet.adversary`
 (Sybil /24 swarms, ground node IDs, false-friend NEIGHBORS, FINDNODE
@@ -16,42 +16,29 @@ amplification) with three layered defences:
   floods *before* they enter the dial history, so honest targets shed in
   one tick stay dialable in the next and retry capacity is never starved.
 
-:class:`DefenseStats` is the graceful-degradation contract: the crawl
-always completes, and whatever the defences absorbed is surfaced here so
-the run can flag the anomaly instead of silently under-measuring.
+``NodeFinderConfig.defended`` switches all three on at Geth's production
+limits: table admission at ``TableAdmission``'s defaults, the breakers
+and the budget at the constants below.  :class:`DefenseStats` is the
+graceful-degradation contract: the crawl always completes, and whatever
+the defences absorbed is surfaced here so the run can flag the anomaly
+instead of silently under-measuring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.discovery.admission import (
-    DEFAULT_IDS_PER_IP,
-    DEFAULT_IPS_PER_BUCKET,
-    DEFAULT_IPS_PER_SUBNET,
-)
-
-
-@dataclass
-class DefenseConfig:
-    """Hardening knobs; defaults mirror Geth's production limits."""
-
-    #: routing-table admission (Geth tableIPLimit / bucketIPLimit + ID cap)
-    table_ips_per_subnet: int = DEFAULT_IPS_PER_SUBNET
-    table_ips_per_bucket: int = DEFAULT_IPS_PER_BUCKET
-    table_ids_per_ip: int = DEFAULT_IDS_PER_IP
-    subnet_prefix_bits: int = 24
-    #: per-peer breaker: consecutive transport failures before backing off
-    breaker_failure_threshold: int = 3
-    breaker_cooldown: float = 30 * 60.0
-    #: subnet breaker: transport failures across one /24 before the whole
-    #: prefix is backed off (catches swarms that rotate node IDs per dial)
-    subnet_failure_threshold: int = 12
-    subnet_cooldown: float = 60 * 60.0
-    #: dynamic-dial budget per discovery tick; candidates over the budget
-    #: are shed *without* entering the dial history (None = unbounded)
-    max_dynamic_dials_per_tick: Optional[int] = 32
+#: per-peer breaker: consecutive transport failures before backing off
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_COOLDOWN = 30 * 60.0
+#: subnet breaker: transport failures across one /24 before the whole
+#: prefix is backed off (catches swarms that rotate node IDs per dial)
+SUBNET_FAILURE_THRESHOLD = 12
+SUBNET_COOLDOWN = 60 * 60.0
+#: dynamic-dial budget per discovery tick; candidates over the budget are
+#: shed *without* entering the dial history
+MAX_DYNAMIC_DIALS_PER_TICK = 32
 
 
 @dataclass

@@ -13,8 +13,11 @@ the drain/spawn half of a reshard.
 The crawler is supervised for month-long runs: each loop restarts under a
 backoff policy if it crashes (crash/restart counts land in ``stats``),
 repeatedly-failing enodes are backed off behind a per-peer circuit
-breaker, and transient dial failures can be retried in place under a
-deterministic :class:`~repro.resilience.RetryPolicy`.
+breaker — one scoreboard for the whole crawl, held by the core at
+:class:`~repro.resilience.PeerScoreboard`'s defaults (3 failures, 300 s),
+so a reshard handoff keeps every peer's failure history — and transient
+dial failures can be retried in place under a deterministic
+:class:`~repro.resilience.RetryPolicy`.
 
 Intervals are parameters (the paper's values are 4s lookups and 30-minute
 re-dials); tests and examples shrink them to seconds so a localhost crawl
@@ -62,10 +65,6 @@ class LiveConfig:
     retry: Optional[RetryPolicy] = field(
         default_factory=lambda: RetryPolicy(max_attempts=2, base_delay=0.2)
     )
-    #: consecutive transport failures before an enode's breaker opens
-    breaker_threshold: int = 3
-    #: seconds an open breaker skips dials before admitting a probe
-    breaker_cooldown: float = 300.0
     #: restart budget for crashed crawler loops; None → package default
     supervisor_policy: Optional[RetryPolicy] = None
     #: worker shards partitioning the enode keyspace by node-ID prefix:
@@ -147,12 +146,12 @@ class LiveNodeFinder:
             for index, shard_range in enumerate(self.plan.ranges)
         ]
         #: the §4 policy: StaticNodes, dial history (one re-dial interval
-        #: long), each shard's breaker gate — all on the injected clock
+        #: long), the crawl's one breaker gate — all on the injected clock
         self.core: CrawlerCore[ENode] = CrawlerCore(
             self.plan,
             self.config.static_dial_interval,
             self.config.static_dial_interval,
-            [shard.breakers for shard in self._shards],
+            PeerScoreboard(clock=self.clock, on_transition=self.telemetry.record_breaker),
         )
 
     @property
@@ -160,20 +159,9 @@ class LiveNodeFinder:
         return self.plan.shards
 
     def _make_shard_state(self, index: int, segment: str) -> ShardState:
-        """Build one shard: its segment's metric label, fresh breakers."""
-        shard_telemetry = self.telemetry.for_shard(segment)
-        shard_breakers = PeerScoreboard(
-            failure_threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-            clock=self.clock,
-            on_transition=shard_telemetry.record_breaker,
-        )
+        """Build one shard under its segment's metric label."""
         return ShardState(
-            index,
-            shard_telemetry,
-            shard_breakers,
-            self.config.max_active_dials,
-            segment,
+            index, self.telemetry.for_shard(segment), self.config.max_active_dials, segment
         )
 
     @property
@@ -378,9 +366,12 @@ class LiveNodeFinder:
         shard.telemetry.record_shard_health(
             queue_depth=shard.queue.qsize(),
             lag=self.clock() - pass_started,
-            open_breakers=shard.breakers.open_count,
             journal_backlog=self.coordinator.backlog(shard.index),
         )
+        gate = self.core.gate
+        if gate is not None:
+            # the gate is crawl-wide, so its gauge is too
+            self.telemetry.record_shard_health(open_breakers=gate.open_count)
 
     # -- elastic resharding ------------------------------------------------
 
@@ -417,10 +408,9 @@ class LiveNodeFinder:
            opens the children's (no awaits from here to step 4, so no
            loop observes a half-built plan);
         3. hand off: queued targets transfer to the child owning their
-           prefix (StaticNodes is one dict the plan is not in — nothing
-           to move); children get fresh breaker scoreboards (failure
-           history does not survive a handoff — a deliberate reset, the
-           cooldowns re-learn quickly);
+           prefix (StaticNodes and the breaker gate are crawl-wide and the
+           plan is in neither — nothing to move, and every peer's failure
+           history survives the handoff);
         4. splice the children into the shard list, renumber positional
            indices, and spawn their supervised loops.
         """
@@ -449,7 +439,6 @@ class LiveNodeFinder:
         self._shards[index : index + count] = children
         for position, shard in enumerate(self._shards):
             shard.index = position
-        self.core.replan(index, count, [child.breakers for child in children])
         for parent in parents:
             while True:
                 try:
@@ -465,7 +454,7 @@ class LiveNodeFinder:
     async def _shard_dial(
         self, shard: ShardState, target: ENode, connection_type: str
     ) -> None:
-        if not self.core.admit(shard.index, target):
+        if not self.core.admit(target):
             shard.telemetry.record_breaker_skip()
             return
         async with shard.semaphore:
@@ -483,9 +472,7 @@ class LiveNodeFinder:
         # the only shared-state touch on the shard hot path; a fold that
         # raises surfaces in the loop's gather as a crashed dial
         self.writer.submit(result)
-        # positional index re-read after the awaits: a reshard of other
-        # ranges may have renumbered this shard, and the core with it
-        self.core.dial_done(shard.index, target, result, self.clock())
+        self.core.dial_done(target, result, self.clock())
 
     async def crawl_for(self, seconds: float) -> NodeDB:
         """Convenience: run the loops for a wall-clock duration."""

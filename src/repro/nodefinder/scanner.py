@@ -36,7 +36,14 @@ from repro.discovery.routing import K_NEIGHBORS, RoutingTable
 from repro.errors import DiscoveryError
 from repro.nodefinder.core import CrawlerCore
 from repro.nodefinder.database import NodeDB
-from repro.nodefinder.defense import DefenseConfig, DefenseStats
+from repro.nodefinder.defense import (
+    BREAKER_COOLDOWN,
+    BREAKER_FAILURE_THRESHOLD,
+    MAX_DYNAMIC_DIALS_PER_TICK,
+    SUBNET_COOLDOWN,
+    SUBNET_FAILURE_THRESHOLD,
+    DefenseStats,
+)
 from repro.nodefinder.records import CrawlStats, DialResult
 from repro.nodefinder.reshard import (
     DynamicShardPlan,
@@ -91,9 +98,10 @@ class NodeFinderConfig:
     #: (the shard-conformance suite pins this, defended crawl included)
     shards: int = 1
     #: hostile-load hardening (table admission, subnet breakers, dial
-    #: budget — see :mod:`repro.nodefinder.defense`).  None keeps the
-    #: crawler byte-for-byte on its historical undefended behaviour.
-    defenses: Optional[DefenseConfig] = None
+    #: budget, at the limits of :mod:`repro.nodefinder.defense`).  False
+    #: keeps the crawler byte-for-byte on its historical undefended
+    #: behaviour.
+    defended: bool = False
     #: elastic sharding: when set, the plan may split hot shards and merge
     #: cold siblings mid-crawl (scripted schedule or gauge-driven with
     #: hysteresis — see :mod:`repro.nodefinder.reshard`).  None leaves
@@ -164,27 +172,19 @@ class NodeFinderInstance:
         self.node_id = self.tick_plan.node_id
         self.db = NodeDB()
         self.stats = CrawlStats()
-        #: what the hardening layer absorbed (empty when defenses=None)
+        #: what the hardening layer absorbed (empty when not defended)
         self.defense_stats = DefenseStats()
-        defenses = self.config.defenses
         admission: Optional[TableAdmission] = None
-        self.scoreboard: Optional[PeerScoreboard] = None
-        if defenses is not None:
-            admission = TableAdmission(
-                ips_per_subnet=defenses.table_ips_per_subnet,
-                ips_per_bucket=defenses.table_ips_per_bucket,
-                ids_per_ip=defenses.table_ids_per_ip,
-                prefix_bits=defenses.subnet_prefix_bits,
-                on_reject=self._on_table_reject,
-            )
-            self.scoreboard = PeerScoreboard(
-                failure_threshold=defenses.breaker_failure_threshold,
-                cooldown=defenses.breaker_cooldown,
+        gate: Optional[PeerScoreboard] = None
+        if self.config.defended:
+            admission = TableAdmission(on_reject=self._on_table_reject)
+            gate = PeerScoreboard(
+                failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                cooldown=BREAKER_COOLDOWN,
                 clock=self._world_now,
                 on_transition=self._on_breaker,
-                subnet_failure_threshold=defenses.subnet_failure_threshold,
-                subnet_cooldown=defenses.subnet_cooldown,
-                subnet_prefix_bits=defenses.subnet_prefix_bits,
+                subnet_failure_threshold=SUBNET_FAILURE_THRESHOLD,
+                subnet_cooldown=SUBNET_COOLDOWN,
                 on_subnet_transition=self._on_subnet_breaker,
             )
         #: the crawler's own Kademlia routing table (Geth metric) — lookups
@@ -192,8 +192,7 @@ class NodeFinderInstance:
         self.table = RoutingTable.for_node_id(self.node_id, admission=admission)
         self._started = False
         # -- sharding: partition by node-ID prefix, fold via one writer ------
-        shards = max(1, int(self.config.shards))
-        self.plan = DynamicShardPlan(shards)
+        self.plan = DynamicShardPlan(max(1, int(self.config.shards)))
         policy = self.config.reshard
         self.controller: Optional[ReshardController] = (
             ReshardController(policy, self.plan) if policy is not None else None
@@ -207,14 +206,15 @@ class NodeFinderInstance:
         )
         self.telemetry = telemetry = self.coordinator.facade(telemetry)
         self.writer = NodeDBWriter(self.db, stats=self.stats, telemetry=telemetry)
-        #: the §4 policy: StaticNodes, dial history, breaker gate (the one
-        #: crawl-wide scoreboard, if any, serves every shard) and the
+        #: the §4 policy: StaticNodes, dial history, the breaker gate and
+        #: dial budget (crawl-wide; both off when not defended) and the
         #: address book — the discovery pool lookups fill and dials draw on
         self.core: CrawlerCore[NodeAddress] = CrawlerCore(
             self.plan,
             self.config.static_dial_interval,
             DIAL_HISTORY_EXPIRATION,
-            [self.scoreboard] * shards,
+            gate,
+            MAX_DYNAMIC_DIALS_PER_TICK if self.config.defended else None,
         )
         #: per-shard facades, positional like ``plan.ranges``: the crawl's
         #: telemetry under each segment's metric label
@@ -243,8 +243,8 @@ class NodeFinderInstance:
 
     def defense_snapshot(self) -> DefenseStats:
         """The hardening layer's absorption counters, with live breaker state."""
-        if self.scoreboard is not None:
-            self.defense_stats.open_subnets = self.scoreboard.open_subnets
+        if self.core.gate is not None:
+            self.defense_stats.open_subnets = self.core.gate.open_subnets
         return self.defense_stats
 
     @property
@@ -295,20 +295,13 @@ class NodeFinderInstance:
             results = self._lookup(target_hash)
         self.writer.record_discovery(self.day)
         now = self.world.now
-        defenses = self.config.defenses
         # the core filters every candidate first (its filters depend only
         # on state this tick's dials cannot change: each node id appears
-        # once per lookup); the dials then go out in lookup order whatever
-        # the plan, because a /24's breaker trips on the K-th failure in
-        # dial order — dialing shard by shard would make the defended
-        # crawl depend on the shard count.
-        taken, dropped = self.core.select(
-            results,
-            self.node_id,
-            now,
-            # amplification guard: the overflow is shed, not dialed
-            budget=defenses.max_dynamic_dials_per_tick if defenses is not None else None,
-        )
+        # once per lookup) and sheds what is over its budget; the dials
+        # then go out in lookup order whatever the plan, because a /24's
+        # breaker trips on the K-th failure in dial order — dialing shard
+        # by shard would make the defended crawl depend on the shard count.
+        taken, dropped = self.core.select(results, self.node_id, now)
         if dropped:
             self.defense_stats.budget_dropped_dials += dropped
             self.telemetry.record_budget_drop(dropped)
@@ -334,10 +327,8 @@ class NodeFinderInstance:
             shard_telemetry.record_shard_health(
                 journal_backlog=self.coordinator.backlog(index)
             )
-        if self.scoreboard is not None:
-            self.telemetry.record_shard_health(
-                open_breakers=self.scoreboard.open_count
-            )
+        if self.core.gate is not None:
+            self.telemetry.record_shard_health(open_breakers=self.core.gate.open_count)
 
     # -- elastic resharding ----------------------------------------------------
 
@@ -347,10 +338,10 @@ class NodeFinderInstance:
         The scanner is synchronous, so "drain in-flight dials" is free:
         every dial of the triggering tick has already folded through the
         writer.  The coordinator mutates the plan, seals the parent
-        segment(s) and opens the children's.  StaticNodes is untouched —
-        the plan is not in it — so the due set of every future tick (and
-        therefore the dial set) is unchanged: the conformance equivalence
-        argument.
+        segment(s) and opens the children's.  StaticNodes and the breaker
+        gate are untouched — the plan is in neither — so the due set of
+        every future tick (and therefore the dial set) is unchanged: the
+        conformance equivalence argument.
         """
         assert self.controller is not None
         count = 1 if action == "split" else 2
@@ -362,7 +353,6 @@ class NodeFinderInstance:
         self._shard_telemetry[index : index + count] = [
             self.telemetry.for_shard(child.segment) for child in children
         ]
-        self.core.replan(index, count, [self.scoreboard] * len(children))
 
     def _lookup(self, target_hash: bytes) -> list[NodeAddress]:
         """Iterative FIND_NODE toward the target whose keccak-256 is
@@ -408,14 +398,14 @@ class NodeFinderInstance:
     def _dial(self, address: NodeAddress, connection_type: str, shard_index: int) -> None:
         """One outbound dial, if the core's breaker gate admits it; the
         core scores the outcome and decides whether it joins StaticNodes."""
-        if not self.core.admit(shard_index, address):
+        if not self.core.admit(address):
             self.defense_stats.breaker_skips += 1
             self.telemetry.record_breaker_skip()
             return
         with self.telemetry.profiler.scope("scanner.dial"):
             result = self.world.dial(address, connection_type, self.location)
         self._record(result, shard_index)
-        self.core.dial_done(shard_index, address, result, self.world.now)
+        self.core.dial_done(address, result, self.world.now)
 
     def _static_tick(self) -> None:
         """Re-dial every static node whose re-dial time has come, in the

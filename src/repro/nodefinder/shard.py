@@ -20,9 +20,9 @@ what the shards of that plan share and what each owns:
   The OWNERSHIP lint family enforces the invariant type-resolved and
   tree-wide: a ``NodeDB``/``CrawlStats`` mutation outside a writer class
   (or the owning module) is an error.
-* :class:`ShardState` — one live dial worker's private queue, dial slots
-  and breakers (its StaticNodes dict lives with the policy, in
-  :class:`~repro.nodefinder.core.CrawlerCore`).
+* :class:`ShardState` — one live dial worker's private queue and dial
+  slots (StaticNodes and the breaker gate are the crawl's, held by the
+  policy in :class:`~repro.nodefinder.core.CrawlerCore`).
 
 Fold order across live shards is not deterministic, and does not need
 to be: ``NodeDB.observe`` folds per *node* in timestamp order
@@ -43,7 +43,6 @@ from repro.units import SECONDS_PER_DAY
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nodefinder.database import NodeDB, NodeEntry
     from repro.nodefinder.records import CrawlStats, DialResult
-    from repro.resilience import PeerScoreboard
     from repro.telemetry import Telemetry
 
 #: the partition key is the first two node-ID bytes: 2^16 prefixes
@@ -97,7 +96,7 @@ class NodeDBWriter:
 
 
 class ShardState:
-    """One live dial worker's private state: queue, dial slots, breakers.
+    """One live dial worker's private state: queue and dial slots.
 
     Everything here is owned by exactly one shard loop — the only shared
     object a shard touches is the :class:`NodeDBWriter`, which is why the
@@ -110,13 +109,11 @@ class ShardState:
         self,
         index: int,
         telemetry: "Telemetry",
-        breakers: "PeerScoreboard",
         max_active_dials: int,
         segment: str,
     ) -> None:
         self.index = index
         self.telemetry = telemetry
-        self.breakers = breakers
         #: stable segment id (``<k>.g<gen>``); the positional ``index``
         #: shifts when the plan reshards, the segment never does, so
         #: journal files and metric labels key on it

@@ -161,7 +161,7 @@ class Telemetry:
         )
         self.shard_open_breakers = registry_.gauge(
             "crawler_shard_open_breakers",
-            "peer breakers currently OPEN as seen by each shard",
+            "peer breakers currently OPEN on the crawl's breaker gate",
             ("shard",),
         )
         self.journal_backlog = registry_.gauge(

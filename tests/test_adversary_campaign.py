@@ -28,7 +28,7 @@ import pytest
 from repro.analysis.eclipse import detect_eclipse
 from repro.analysis.ingest import replay_journals
 from repro.analysis.report import render_eclipse
-from repro.nodefinder.defense import DefenseConfig
+from repro.nodefinder.defense import MAX_DYNAMIC_DIALS_PER_TICK
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.adversary import AdversaryCampaign, AdversaryConfig
@@ -58,7 +58,7 @@ def crawler_config(defended: bool) -> NodeFinderConfig:
     return NodeFinderConfig(
         seed=1,
         discovery_interval=60.0,
-        defenses=DefenseConfig() if defended else None,
+        defended=defended,
     )
 
 
@@ -183,8 +183,7 @@ class TestDefendedCampaign:
         fleet, _, _ = defended
         stats = fleet.instances[0].defense_snapshot()
         assert stats.budget_dropped_dials >= 0  # accounting present
-        limit = DefenseConfig().max_dynamic_dials_per_tick
-        assert limit is not None and limit > 0
+        assert fleet.instances[0].core.budget == MAX_DYNAMIC_DIALS_PER_TICK > 0
 
 
 class TestEclipseForensics:

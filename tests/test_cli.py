@@ -1,8 +1,33 @@
 """CLI smoke tests (each command end to end, small workloads)."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
+#: the documents whose fenced command examples must stay runnable, plus
+#: the verification notes under a hidden ``skills`` directory
+DOCUMENTS = [
+    REPO / name
+    for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmarks/perf/README.md")
+] + sorted(REPO.glob(".*/skills/*/SKILL.md"))
+FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+COMMAND = re.compile(r"^(?:\$ )?(?:PYTHONPATH=\S+ )?(?:nodefinder|python3? -m repro\.cli) ")
+
+
+def documented_commands():
+    """``(document, command line)`` for every ``nodefinder …`` or
+    ``python -m repro.cli …`` line in a fenced block, continuations joined."""
+    for path in DOCUMENTS:
+        for block in FENCE.findall(path.read_text(encoding="utf-8")):
+            for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+                match = COMMAND.match(line.strip())
+                if match:
+                    yield path.relative_to(REPO), line.strip()[match.end():]
 
 
 class TestParser:
@@ -20,6 +45,19 @@ class TestParser:
         ):
             args = parser.parse_args(argv)
             assert callable(args.func)
+
+    def test_every_documented_command_parses(self, capsys):
+        """A renamed or dropped option cannot leave the docs behind."""
+        parser = build_parser()
+        commands = list(documented_commands())
+        assert len(commands) >= 23  # README.md alone quotes 23
+        broken = []
+        for document, line in commands:
+            try:
+                parser.parse_args(shlex.split(line, comments=True))
+            except SystemExit:
+                broken.append((document, line, capsys.readouterr().err))
+        assert not broken
 
 
 class TestCommands:

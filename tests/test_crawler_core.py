@@ -12,7 +12,8 @@
   decides from the core alone, and the NodeDB is only written;
 * §4's 24 h rule over two simulated days, checked after every hourly
   prune against the NodeDB the rule used to be read from;
-* a live split, which must re-home StaticNodes through ``core.replan``;
+* a live split, which moves nothing: StaticNodes and the breaker gate
+  are crawl-wide, so the children keep both;
 * a Hypothesis model of the bare ``CrawlerCore`` against one unsharded dict.
 """
 
@@ -233,13 +234,13 @@ async def run_live(peers, shards: int, intervals: int):
             static_dial_interval=LIVE_INTERVAL,
             max_active_dials=64,
             retry=None,
-            breaker_threshold=10**9,  # the simnet side runs undefended
             shards=shards,
         ),
         clock=lambda: now[0],
         harvester=harvester,
         journal_opener=journals,
     )
+    finder.core.gate = None  # the simnet side runs undefended
     await finder.start(bootstrap=[])
     found = [ENode(*address) for address in peers]
     found.append(ENode(finder.discovery.node_id, "127.0.0.1", 1, 1))
@@ -432,7 +433,7 @@ def test_live_split_leaves_statics_in_place_and_the_children_keep_the_policy():
                 if finder.plan.shards == 2:
                     break
                 await asyncio.sleep(0.01)
-            assert finder.plan.shards == 2 and len(finder.core.breakers) == 2
+            assert finder.plan.shards == 2
             assert list(finder.static_nodes.items()) == [
                 (enode.node_id, 1000.0 + offset) for offset, enode in enumerate(planted)
             ]
@@ -452,36 +453,80 @@ def test_live_split_leaves_statics_in_place_and_the_children_keep_the_policy():
     asyncio.run(scenario())
 
 
+def test_live_split_keeps_an_open_breaker():
+    """The crawl's one breaker gate outlives a handoff: a peer whose breaker
+    opened before a split is still refused after it, by whichever child
+    owns the peer now."""
+
+    async def scenario():
+        async def harvester(target, key, connection_type="dynamic-dial", **kwargs):
+            return _result(target, DialOutcome.CONNECTION_REFUSED, kwargs["clock"]())
+
+        finder = LiveNodeFinder(
+            config=LiveConfig(
+                static_dial_interval=3600.0,
+                lookup_interval=3600.0,
+                retry=None,
+                reshard=ReshardPolicy(
+                    interval=0.01, schedule=(ReshardOp(step=0, action="split", index=0),)
+                ),
+            ),
+            clock=lambda: 0.0,  # the 300 s cooldown never runs out
+            harvester=harvester,
+        )
+        peer = ENode(*_peer(1))
+        [shard] = finder._shards
+        for _ in range(3):  # PeerScoreboard's default threshold
+            await finder._shard_dial(shard, peer, "dynamic-dial")
+        assert finder.stats["breaker_skips"] == 0
+        await finder.start(bootstrap=[])
+        try:
+            for _ in range(500):
+                if finder.plan.shards == 2:
+                    break
+                await asyncio.sleep(0.01)
+            assert finder.plan.shards == 2
+            child = finder._shards[finder.plan.shard_of(peer.node_id)]
+            await finder._shard_dial(child, peer, "dynamic-dial")
+            assert finder.stats["breaker_skips"] == 1
+            assert finder.stats["dynamic_dials"] == 3
+            assert not finder.core.admit(peer)
+        finally:
+            await asyncio.wait_for(finder.stop(), timeout=10.0)
+
+    asyncio.run(scenario())
+
+
 # -- the bare core -------------------------------------------------------------
 
 
 def test_breaker_gate_scores_failures_and_prune_forgets():
     now = [0.0]
     board = PeerScoreboard(failure_threshold=2, cooldown=600.0, clock=lambda: now[0])
-    core = CrawlerCore(DynamicShardPlan(1), 1800.0, 1800.0, [board])
+    core = CrawlerCore(DynamicShardPlan(1), 1800.0, 1800.0, board)
     peer = _peer(3)
     for _ in range(2):
-        assert core.admit(0, peer)
-        core.dial_done(0, peer, _result(peer, DialOutcome.CONNECTION_REFUSED, now[0]), now[0])
-    assert not core.admit(0, peer)
+        assert core.admit(peer)
+        core.dial_done(peer, _result(peer, DialOutcome.CONNECTION_REFUSED, now[0]), now[0])
+    assert not core.admit(peer)
     assert core.statics == {}
     # its last success is over a day old, but a peer that is not on
     # StaticNodes keeps its breaker through a prune
     plant_success(core, peer.node_id, now[0] - SECONDS_PER_DAY - 1)
     core.prune(now[0])
-    assert not core.admit(0, peer)
+    assert not core.admit(peer)
     core.add_static(peer.node_id, 0.0)
     core.prune(now[0])
     assert core.statics == {}
-    assert core.admit(0, peer) and len(board) == 1  # a fresh breaker
+    assert core.admit(peer) and len(board) == 1  # a fresh breaker
 
 
 def test_prune_keeps_statics_that_never_connected_or_connected_within_a_day():
-    core = CrawlerCore(DynamicShardPlan(1), 1800.0, 1800.0, [None])
+    core = CrawlerCore(DynamicShardPlan(1), 1800.0, 1800.0)
     silent, fresh, inbound, stale = (_peer(index) for index in range(4))
     core.add_static(silent.node_id, 0.0)  # a bootstrap node that never answered
-    core.dial_done(0, fresh, _result(fresh, DialOutcome.FULL_HARVEST, 0.0), 0.0)
-    core.dial_done(0, stale, _result(stale, DialOutcome.FULL_HARVEST, 0.0), 0.0)
+    core.dial_done(fresh, _result(fresh, DialOutcome.FULL_HARVEST, 0.0), 0.0)
+    core.dial_done(stale, _result(stale, DialOutcome.FULL_HARVEST, 0.0), 0.0)
     # an inbound connection is a success too, and refreshes it
     assert core.inbound(_result(inbound, DialOutcome.HELLO_NO_STATUS, 0.0, "incoming"), 0.0)
     assert not core.inbound(
@@ -518,7 +563,7 @@ class CrawlerCoreModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.plan = DynamicShardPlan(2)
-        self.core = CrawlerCore(self.plan, INTERVAL, WINDOW, [None, None])
+        self.core = CrawlerCore(self.plan, INTERVAL, WINDOW)
         self.now = 0.0
         self.statics: dict[bytes, float] = {}
         self.history: dict[bytes, float] = {}
@@ -552,7 +597,8 @@ class CrawlerCoreModel(RuleBasedStateMachine):
             and not self.history.get(target.node_id, -1e18) > self.now - WINDOW
         ]
         taken = eligible if budget is None else eligible[:budget]
-        selected, shed = self.core.select(found, OWN_ID, self.now, budget)
+        self.core.budget = budget
+        selected, shed = self.core.select(found, OWN_ID, self.now)
         assert shed == len(eligible) - len(taken)
         # lookup order kept across shards, each routed to its owning shard
         assert selected == [(self.plan.shard_of(t.node_id), t) for t in taken]
@@ -588,8 +634,7 @@ class CrawlerCoreModel(RuleBasedStateMachine):
 
     @rule(peer=targets, outcome=OUTCOMES)
     def dial_done(self, peer, outcome):
-        shard = self.plan.shard_of(peer.node_id)
-        self.core.dial_done(shard, peer, _result(peer, outcome, self.now), self.now)
+        self.core.dial_done(peer, _result(peer, outcome, self.now), self.now)
         self._connected(peer, outcome)
         if outcome.completed:
             self.statics.setdefault(peer.node_id, self.now + INTERVAL)
@@ -621,18 +666,12 @@ class CrawlerCoreModel(RuleBasedStateMachine):
     def split(self, data):
         index = data.draw(st.integers(0, self.plan.shards - 1))
         self.plan.split(index)
-        self.core.replan(index, 1, [None, None])
 
     @precondition(lambda self: self.plan.shards > 1)
     @rule(data=st.data())
     def merge(self, data):
         index = data.draw(st.integers(0, self.plan.shards - 2))
         self.plan.merge(index)
-        self.core.replan(index, 2, [None])
-
-    @invariant()
-    def every_range_has_its_breakers(self):
-        assert len(self.core.breakers) == self.plan.shards
 
     @invariant()
     def statics_are_the_model_in_join_order_with_next_dial_times_kept(self):

@@ -8,7 +8,6 @@ import pytest
 
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
-from repro.nodefinder.defense import DefenseConfig
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
 from repro.nodefinder.scanner import NodeFinderConfig
@@ -189,8 +188,9 @@ class TestTelemetryTriggers:
 
 class TestSimnetIntegration:
     def test_breaker_trip_during_sim_crawl_dumps(self, tmp_path):
-        # hair-trigger breakers: the first refused dial (≈35% of simnet
-        # nodes refuse inbound) trips CLOSED → OPEN and must dump
+        # the defended crawl's own limits: ≈35% of simnet nodes refuse
+        # inbound, and a refused peer's third dial inside a quarter day
+        # trips its breaker CLOSED → OPEN, which must dump
         recorder = FlightRecorder(tmp_path / "flightrecord.json")
         world = SimWorld(
             WorldConfig(
@@ -207,9 +207,7 @@ class TestSimnetIntegration:
             config=NodeFinderConfig(
                 seed=1,
                 discovery_interval=200,
-                defenses=DefenseConfig(
-                    breaker_failure_threshold=1, breaker_cooldown=3600.0
-                ),
+                defended=True,
             ),
             recorder=recorder,
         )

@@ -90,7 +90,6 @@ def test_stale_addresses_pruned_with_injected_clock():
     target = ENode(b"\x42" * 64, "127.0.0.1", 30303, 30303)
     # the completed dial that put it on StaticNodes is its last success
     finder.core.dial_done(
-        0,
         target,
         DialResult(
             timestamp=fake_now[0],
@@ -102,8 +101,7 @@ def test_stale_addresses_pruned_with_injected_clock():
         ),
         fake_now[0],
     )
-    [shard] = finder._shards
-    assert target.node_id in finder.static_nodes and len(shard.breakers) == 1
+    assert target.node_id in finder.static_nodes and len(finder.core.gate) == 1
 
     fake_now[0] = 23 * 3600.0  # not yet stale
     finder.core.prune(finder.clock())
@@ -112,7 +110,7 @@ def test_stale_addresses_pruned_with_injected_clock():
     fake_now[0] = 25 * 3600.0  # a successful dial 25h ago: stale, drop it
     finder.core.prune(finder.clock())
     assert target.node_id not in finder.static_nodes
-    assert len(shard.breakers) == 0  # its breaker went with it
+    assert len(finder.core.gate) == 0  # its breaker went with it
 
 
 def dead_enode(seed=91):
@@ -221,23 +219,33 @@ def test_lookup_targets_are_random_bytes_from_the_injected_rng():
 
 
 def test_breaker_backs_off_repeatedly_failing_peer():
+    """The live gate's defaults: 3 refused dials open a peer's breaker, and
+    300 s on the crawler's clock later it admits one probe."""
+
     async def scenario():
+        now = [0.0]
         finder = LiveNodeFinder(
             config=LiveConfig(
                 dial_timeout=1.0,
                 retry=None,  # each _shard_dial is one attempt
-                breaker_threshold=2,
-                breaker_cooldown=600.0,
-            )
+            ),
+            clock=lambda: now[0],
         )
         target = dead_enode()
         [shard] = finder._shards
-        await finder._shard_dial(shard, target, "dynamic-dial")
-        await finder._shard_dial(shard, target, "dynamic-dial")
-        assert shard.breakers.state(target.node_id) is BreakerState.OPEN
+        for _ in range(3):
+            await finder._shard_dial(shard, target, "dynamic-dial")
+        assert finder.core.gate.state(target.node_id) is BreakerState.OPEN
+        now[0] = 299.0
         await finder._shard_dial(shard, target, "dynamic-dial")  # skipped
         assert finder.stats["breaker_skips"] == 1
-        assert finder.stats["dynamic_dials"] == 2
+        assert finder.stats["dynamic_dials"] == 3
+        now[0] = 300.0  # cooled down: one probe, refused, re-opens it
+        await finder._shard_dial(shard, target, "dynamic-dial")
+        assert finder.stats["dynamic_dials"] == 4
+        assert finder.core.gate.state(target.node_id) is BreakerState.OPEN
+        await finder._shard_dial(shard, target, "dynamic-dial")  # skipped
+        assert finder.stats["breaker_skips"] == 2
         # a refused dial never joins StaticNodes (§4 completed-dial rule)
         assert target.node_id not in finder.static_nodes
 

@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 from repro.analysis.ingest import replay_journals
 from repro.cli import main
 from repro.discovery.enode import ENode
-from repro.nodefinder.defense import DefenseConfig
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
 from repro.nodefinder.reshard import DynamicShardPlan
@@ -70,7 +69,7 @@ def _crawl(shards: int, telemetry_dir, defended: bool = False) -> tuple:
     config = NodeFinderConfig(seed=CRAWL_SEED, shards=shards)
     if defended:
         config.discovery_interval = 60.0
-        config.defenses = DefenseConfig()
+        config.defended = True
     fleet = run_fleet(
         world,
         instance_count=1,
