@@ -8,8 +8,6 @@ Commands:
   measurements (services, clients, networks, sanitisation);
 * ``casestudy`` — reproduce the §3 instrumented-client week (Table 1);
 * ``distance``  — reproduce the Figure 11 distance-metric comparison;
-* ``telemetry`` — summarise a crawl from its JSONL measurement journal
-  (``--journal crawl.jsonl``, as ``demo --journal`` writes it);
 * ``analyze``   — render the paper's tables/figures (Table 1, Table 3,
   Figure 9, Table 4, Figure 14, churn, and ``--sightings`` for the
   Figure 12 intervals) from either a measurement journal (``--journal``,
@@ -22,9 +20,10 @@ Commands:
   per-subsystem hot-path attribution table (deterministic virtual clock
   by default, so output is byte-stable per seed; ``--wall`` for real
   wall-clock attribution);
-* ``top``       — one-page view of a metrics snapshot (``demo --metrics``
-  or a fleet's ``metrics.json``): per-shard queue depths, loop lag, open
-  breakers and journal backlog, then stage latencies and counters.
+* ``top``       — the one-page health view of a crawl, folded from its
+  measurement journals (``--journal``, repeatable for every segment or
+  instance file): per-file rows, dial funnel, stage latencies, breakers,
+  supervisor and discovery health, plan history.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from repro.errors import ReproError
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    import json
-
     from repro.crypto.keys import PrivateKey
     from repro.fullnode import start_localhost_network
     from repro.nodefinder.wire import crawl_targets
@@ -74,17 +71,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         if journal is not None:
             journal.close()
             print(f"measurement journal: {args.journal} ({journal.events_written} events)")
-        if args.metrics:
-            with open(args.metrics, "w", encoding="utf-8") as stream:
-                json.dump(telemetry.registry.snapshot(), stream, indent=2)
-            print(f"metrics snapshot: {args.metrics}")
-
-
-def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from repro.telemetry import iter_events, summarize_journal
-
-    print(summarize_journal(iter_events(args.journal)))
-    return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -194,7 +180,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         if files is not None:
             files.close()  # idempotent: sealed segments are closed already
             journals = " ".join(f"--journal {path}" for path in sorted(files.paths))
-            print(f"measurement journals: replay with `nodefinder analyze {journals}`")
+            print(f"measurement journals: replay with `nodefinder analyze {journals}`, "
+                  f"health with `nodefinder top {journals}`")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -251,8 +238,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print()
     if args.telemetry_dir:
         journals = " ".join(f"--journal {path}" for path in fleet.journal_paths)
-        print(f"fleet telemetry: {fleet.metrics_path}; replay with "
-              f"`nodefinder analyze {journals}`")
+        print(f"fleet telemetry: {args.telemetry_dir}; replay with "
+              f"`nodefinder analyze {journals}`, health with `nodefinder top "
+              f"{journals}`")
     db, report = sanitize(fleet.merged_db, fleet.own_node_ids())
     print(
         f"crawled {report.total_nodes} node IDs over {args.days} sim-days; "
@@ -344,13 +332,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    import json
+    from repro.telemetry import iter_events, render_top
 
-    from repro.telemetry import render_top
-
-    with open(args.metrics, encoding="utf-8") as stream:
-        snapshot = json.load(stream)
-    print(render_top(snapshot))
+    print(render_top((path, iter_events(path)) for path in args.journal))
     return 0
 
 
@@ -408,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--blocks", type=int, default=16)
     demo.add_argument("--journal", metavar="PATH",
                       help="write a JSONL measurement journal of the crawl")
-    demo.add_argument("--metrics", metavar="PATH",
-                      help="write a metrics-registry snapshot (JSON)")
     demo.set_defaults(func=_cmd_demo)
 
     simulate = commands.add_parser("simulate", help="crawl a simulated ecosystem")
@@ -425,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "controller to split hot shards up to this "
                                "cap (> --shards enables it)")
     simulate.add_argument("--telemetry-dir", metavar="DIR",
-                          help="write per-instance journals + merged metrics here "
+                          help="write per-instance journals here "
                                "(one journal per shard when --shards > 1)")
     simulate.add_argument("--adversary", action="store_true",
                           help="launch an eclipse/Sybil campaign against the "
@@ -449,13 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     distance.add_argument("--fast", action="store_true",
                           help="sample hashes directly instead of hashing IDs")
     distance.set_defaults(func=_cmd_distance)
-
-    telemetry = commands.add_parser(
-        "telemetry", help="summarise a crawl from its measurement journal"
-    )
-    telemetry.add_argument("--journal", metavar="PATH", required=True,
-                           help="JSONL measurement journal written by a crawl")
-    telemetry.set_defaults(func=_cmd_telemetry)
 
     analyze = commands.add_parser(
         "analyze", help="render the paper's tables/figures from a crawl artifact"
@@ -518,11 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(func=_cmd_profile)
 
     top = commands.add_parser(
-        "top", help="one-page shard-health view of a metrics snapshot"
+        "top", help="one-page health view of a crawl's measurement journals"
     )
-    top.add_argument("--metrics", metavar="PATH", required=True,
-                     help="metrics-registry snapshot (JSON), e.g. the "
-                          "metrics.json a fleet run exports")
+    top.add_argument("--journal", metavar="PATH", action="append", required=True,
+                     help="measurement journal written by a crawl (repeat "
+                          "for every segment or instance file)")
     top.set_defaults(func=_cmd_top)
     return parser
 

@@ -14,7 +14,7 @@ the whole tree at once (it is a :class:`ProjectRule`):
    field annotations — including string annotations and classmethod
    constructors like ``NodeDB.load_jsonl(...)``;
 2. locals are typed the same way, including the alias idiom
-   ``registry_ = self.registry``; nested functions inherit the typed
+   ``db = self.db``; nested functions inherit the typed
    names of their enclosing scopes (closure semantics), and a name also
    bound to anything unresolvable is dropped rather than guessed;
 3. a call of a known mutator method on an expression whose type
@@ -43,7 +43,6 @@ from repro.devtools.source import ModuleSource
 WRITER_SETS = {
     "NodeDB": frozenset({"NodeDBWriter"}),
     "CrawlStats": frozenset({"NodeDBWriter"}),
-    "MetricsRegistry": frozenset({"Telemetry"}),
     # sealing a journal segment ends its lifetime — only the reshard
     # handoff, inside the class that places every record, may do it, or
     # a crash between the seal and the handoff could orphan a
@@ -57,7 +56,6 @@ MUTATORS_BY_TYPE = {
     "CrawlStats": frozenset(
         {"record_dial", "record_discovery", "watch_bootstrap", "merge"}
     ),
-    "MetricsRegistry": frozenset({"counter", "gauge", "histogram"}),
     "EventJournal": frozenset({"seal"}),
 }
 
@@ -200,9 +198,9 @@ class _ProjectTypes:
 class StateOwnership(ProjectRule):
     code = "OWNERSHIP"
     description = (
-        "NodeDB, CrawlStats, MetricsRegistry, and EventJournal are mutated "
+        "NodeDB, CrawlStats and EventJournal are mutated "
         "only inside their defining module or their declared writer classes "
-        "(NodeDBWriter, Telemetry, ReshardCoordinator — sealing a journal "
+        "(NodeDBWriter, ReshardCoordinator — sealing a journal "
         "segment is the reshard handoff's job); mutation sites are resolved "
         "by type across the whole tree, not by receiver name"
     )

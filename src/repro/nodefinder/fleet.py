@@ -5,14 +5,13 @@ with its own :class:`~repro.telemetry.Telemetry` on the shared world
 clock, writes its measurement journal through
 :class:`~repro.nodefinder.reshard.SegmentFiles` — ``<name>.jsonl``, or one
 file per shard segment (``<name>-shard<k>.g<gen>.jsonl``), replayable one
-by one or merged via :func:`repro.analysis.ingest.replay_journals` — and
-exports the fleet's merged metrics snapshot (``metrics.json``) — the multi-instance
-equivalent of the paper's combined measurement log.
+by one or merged via :func:`repro.analysis.ingest.replay_journals`, and
+rendered together by ``nodefinder top`` — the multi-instance equivalent
+of the paper's combined measurement log.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from repro.nodefinder.reshard import SegmentFiles
 from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
 from repro.simnet.adversary import AdversaryCampaign
 from repro.simnet.world import SimWorld
-from repro.telemetry import NULL_TELEMETRY, Telemetry, merge_snapshots
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.flightrecorder import FlightRecorder
 from repro.telemetry.profiler import Profiler
 
@@ -35,8 +34,6 @@ class Fleet:
     instances: list[NodeFinderInstance]
     #: per-instance journal paths, in instance order (``telemetry_dir`` runs)
     journal_paths: list[Path] = field(default_factory=list)
-    #: merged-metrics export path (``telemetry_dir`` runs)
-    metrics_path: Path | None = None
 
     @property
     def merged_db(self) -> NodeDB:
@@ -48,15 +45,6 @@ class Fleet:
 
     def own_node_ids(self) -> set[bytes]:
         return {instance.node_id for instance in self.instances}
-
-    def instance_snapshots(self) -> list[dict]:
-        return [
-            instance.telemetry.registry.snapshot() for instance in self.instances
-        ]
-
-    def merged_metrics(self) -> dict:
-        """Fleet totals: every instance's counters/histograms summed."""
-        return merge_snapshots(self.instance_snapshots())
 
 
 def run_fleet(
@@ -79,10 +67,9 @@ def run_fleet(
     reshard, one journal per shard *segment*
     (``<dir>/<name>-shard<k>.g<gen>.jsonl``), which
     ``repro.analysis.ingest.replay_journals`` merges back into a single
-    timeline — and the merged metrics snapshot is written to
-    ``<dir>/metrics.json`` when the run completes.  Reshards seal parent
-    segments mid-crawl and open generation-suffixed children, all of
-    which land in ``journal_paths``.
+    timeline and ``nodefinder top`` folds into one health page.  Reshards
+    seal parent segments mid-crawl and open generation-suffixed children,
+    all of which land in ``journal_paths``.
 
     With ``adversary`` the campaign is launched against the *first*
     instance's node ID after every instance has minted its identity but
@@ -143,8 +130,4 @@ def run_fleet(
         for opened in files:
             opened.close()
             fleet.journal_paths.extend(opened.paths)
-    if export_dir is not None:
-        fleet.metrics_path = export_dir / "metrics.json"
-        with open(fleet.metrics_path, "w", encoding="utf-8") as stream:
-            json.dump(fleet.merged_metrics(), stream, indent=2)
     return fleet

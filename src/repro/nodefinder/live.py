@@ -73,7 +73,7 @@ class LiveConfig:
     #: dynamic-dial targets a shard loop drains from its queue per pass
     shard_batch: int = 8
     #: elastic sharding: when set, a supervised reshard loop polls the
-    #: shard-health gauges and may split hot shards / merge cold siblings
+    #: shard queue depths and may split hot shards / merge cold siblings
     #: mid-crawl with a drain-seal-handoff protocol (see
     #: :mod:`repro.nodefinder.reshard`); None leaves the plan as it starts
     reshard: Optional[ReshardPolicy] = None
@@ -129,11 +129,22 @@ class LiveNodeFinder:
             self.private_key.public_key.to_bytes(),
             "live",
         )
-        #: the crawler is a measurement instrument, so it always carries a
-        #: *real* registry (``stats`` reads off it); pass your own Telemetry
-        #: to share a registry across components
         self.telemetry = self.coordinator.facade(
             telemetry if telemetry is not None else Telemetry()
+        )
+        #: the crawler's counters, incremented where each thing happens
+        self.stats: dict[str, int] = dict.fromkeys(
+            (
+                "lookups",
+                "dynamic_dials",
+                "static_dials",
+                "dial_failures",
+                "breaker_skips",
+                "loop_crashes",
+                "loop_restarts",
+                "loop_deaths",
+            ),
+            0,
         )
         #: every NodeDB/CrawlStats mutation goes through this single writer
         #: (OWNERSHIP pins the rule)
@@ -159,7 +170,7 @@ class LiveNodeFinder:
         return self.plan.shards
 
     def _make_shard_state(self, index: int, segment: str) -> ShardState:
-        """Build one shard under its segment's metric label."""
+        """Build one shard under its segment's label."""
         return ShardState(
             index, self.telemetry.for_shard(segment), self.config.max_active_dials, segment
         )
@@ -168,27 +179,6 @@ class LiveNodeFinder:
     def static_nodes(self) -> dict[bytes, float]:
         """The StaticNodes schedule: node id -> next static dial time."""
         return self.core.statics
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """The crawler's counters, read live off the telemetry registry."""
-        telemetry = self.telemetry
-        return {
-            "lookups": int(telemetry.lookups.value),
-            # shard workers emit under their own ``shard`` label; total()
-            # folds every worker's series into the crawl-wide count
-            "dynamic_dials": int(
-                telemetry.scheduled_dials.total(type="dynamic-dial")
-            ),
-            "static_dials": int(
-                telemetry.scheduled_dials.total(type="static-dial")
-            ),
-            "dial_failures": int(telemetry.dial_failures.total()),
-            "breaker_skips": int(telemetry.breaker_skips.total()),
-            "loop_crashes": int(telemetry.loop_crashes.value),
-            "loop_restarts": int(telemetry.loop_restarts.value),
-            "loop_deaths": int(telemetry.loop_deaths.value),
-        }
 
     async def start(self, bootstrap: list[ENode]) -> "LiveNodeFinder":
         self.discovery = DiscoveryService(
@@ -210,7 +200,6 @@ class LiveNodeFinder:
             self._spawn_loop("reshard", self._reshard_loop)
         for shard in self._shards:
             self._spawn_shard_loop(shard)
-        self.plan.publish(self.telemetry)
         return self
 
     def _spawn_loop(self, name: str, loop: Callable) -> asyncio.Task:
@@ -219,12 +208,8 @@ class LiveNodeFinder:
             loop,
             policy=self.config.supervisor_policy,
             rng=self.rng,
-            on_crash=lambda exc, name=name: self.telemetry.record_loop_crash(
-                name, repr(exc)
-            ),
-            on_restart=lambda name=name: self.telemetry.record_loop_restart(
-                name
-            ),
+            on_crash=lambda exc, name=name: self._loop_crashed(name, exc),
+            on_restart=lambda name=name: self._loop_restarted(name),
         )
         self._supervisors.append(supervisor)
         task = asyncio.ensure_future(supervisor.run())
@@ -239,6 +224,14 @@ class LiveNodeFinder:
             f"shard-{shard.segment}", lambda shard=shard: self._shard_loop(shard)
         )
 
+    def _loop_crashed(self, name: str, exc: BaseException) -> None:
+        self.stats["loop_crashes"] += 1
+        self.telemetry.record_loop_crash(name, repr(exc))
+
+    def _loop_restarted(self, name: str) -> None:
+        self.stats["loop_restarts"] += 1
+        self.telemetry.record_loop_restart(name)
+
     def _task_died(self, name: str, task: asyncio.Task) -> None:
         """A supervised loop ended for good — count it if it crashed.
 
@@ -247,6 +240,7 @@ class LiveNodeFinder:
         """
         if task.cancelled() or task.exception() is None:
             return
+        self.stats["loop_deaths"] += 1
         self.telemetry.record_loop_death(name, repr(task.exception()))
         logger.warning(
             "crawler %s loop died with %r", name, task.exception()
@@ -284,16 +278,14 @@ class LiveNodeFinder:
                 self.rng.randbytes(64) if self.rng is not None else os.urandom(64)
             )
             found = await self.discovery.lookup_all(target)
-            self.telemetry.lookups.inc()
+            self.stats["lookups"] += 1
             taken, _ = self.core.select(
                 found, self.discovery.node_id, self.clock()
             )
             # each target goes to the shard owning its keyspace slice; the
             # shard loop batches the draws
             for index, node in taken:
-                shard = self._shards[index]
-                shard.queue.put_nowait(node)
-                shard.telemetry.record_shard_health(queue_depth=shard.queue.qsize())
+                self._shards[index].queue.put_nowait(node)
             # §4's 24 h rule, crawl-wide, once per lookup round
             self.core.prune(self.clock())
             await asyncio.sleep(self.config.lookup_interval)
@@ -331,7 +323,6 @@ class LiveNodeFinder:
                     drawn += 1
             except (asyncio.TimeoutError, asyncio.QueueEmpty):
                 pass
-            shard.telemetry.record_shard_health(queue_depth=shard.queue.qsize())
             if jobs:
                 # exception-safe fan-out: one crashing dial must not cancel
                 # its siblings or kill the loop
@@ -346,6 +337,7 @@ class LiveNodeFinder:
                     if isinstance(outcome, asyncio.CancelledError):
                         raise outcome
                     if isinstance(outcome, BaseException):
+                        self.stats["dial_failures"] += 1
                         shard.telemetry.record_dial_crash(repr(outcome))
                         logger.warning(
                             "shard %d %s of %s crashed: %r",
@@ -354,29 +346,11 @@ class LiveNodeFinder:
                             enode.short_id(),
                             outcome,
                         )
-            self._refresh_health(shard, now)
-
-    def _refresh_health(self, shard: ShardState, pass_started: float) -> None:
-        """One loop pass done: publish how this worker is keeping up.
-
-        Lag is the pass's wall duration — how far the loop trails the
-        clock it schedules against; a healthy worker stays near its poll
-        interval, a drowning one grows with its dial backlog.
-        """
-        shard.telemetry.record_shard_health(
-            queue_depth=shard.queue.qsize(),
-            lag=self.clock() - pass_started,
-            journal_backlog=self.coordinator.backlog(shard.index),
-        )
-        gate = self.core.gate
-        if gate is not None:
-            # the gate is crawl-wide, so its gauge is too
-            self.telemetry.record_shard_health(open_breakers=gate.open_count)
 
     # -- elastic resharding ------------------------------------------------
 
     async def _reshard_loop(self) -> None:
-        """Poll the shard-health gauges and apply split/merge decisions.
+        """Poll the shard queue depths and apply split/merge decisions.
 
         Supervised like every other crawler loop; the controller applies
         hysteresis and cooldown, so a healthy crawl makes this a cheap
@@ -392,8 +366,6 @@ class LiveNodeFinder:
             ops = self.controller.observe(loads, now=self.clock())
             for action, index in ops:
                 await self._apply_reshard(action, index)
-            if ops:
-                self.plan.publish(self.telemetry)
 
     async def _apply_reshard(self, action: str, index: int) -> None:
         """One live handoff: drain the parent loops, seal, split/merge.
@@ -455,7 +427,7 @@ class LiveNodeFinder:
         self, shard: ShardState, target: ENode, connection_type: str
     ) -> None:
         if not self.core.admit(target):
-            shard.telemetry.record_breaker_skip()
+            self.stats["breaker_skips"] += 1
             return
         async with shard.semaphore:
             result = await self._harvest(
@@ -468,7 +440,9 @@ class LiveNodeFinder:
                 retry_rng=self.rng,
                 telemetry=shard.telemetry,
             )
-        shard.telemetry.record_scheduled_dial(connection_type)
+        self.stats[
+            "dynamic_dials" if connection_type == "dynamic-dial" else "static_dials"
+        ] += 1
         # the only shared-state touch on the shard hot path; a fold that
         # raises surfaces in the loop's gather as a crashed dial
         self.writer.submit(result)

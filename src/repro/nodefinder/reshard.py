@@ -13,9 +13,9 @@ keeping every determinism property the conformance suites pin:
   operation mints a fresh *generation* and each live range carries a
   stable **segment id** ``"<k>.g<gen>"`` (its positional index at birth
   plus the generation that created it) used for journal file names and
-  metric labels — positional indices shift as the tree changes, segment
-  ids never collide.
-* :class:`ReshardController` — turns the per-shard queue-depth gauge
+  flight-recorder rings — positional indices shift as the tree changes,
+  segment ids never collide.
+* :class:`ReshardController` — turns per-shard queue depths
   into split/merge decisions with hysteresis (a shard must look hot/cold
   for ``hysteresis`` consecutive observations) and a cooldown between
   operations so the plan doesn't flap.  A scripted
@@ -60,10 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ShardRange:
     """One live shard's contiguous prefix range ``[lo, hi)``.
 
-    ``segment`` is the stable identity used for journal files and metric
-    labels: ``"<positional index at birth>.g<generation>"``.  Generations
-    are minted by the plan — one per split/merge — so two ranges can never
-    share a segment id even after the positional indices shift.
+    ``segment`` is the stable identity used for journal files and
+    flight-recorder rings: ``"<positional index at birth>.g<generation>"``.
+    Generations are minted by the plan — one per split/merge — so two
+    ranges can never share a segment id even after the positional indices
+    shift.
     """
 
     lo: int
@@ -126,15 +127,6 @@ class DynamicShardPlan:
             )
         shard_range = self.ranges[shard]
         return shard_range.lo, shard_range.hi
-
-    def publish(self, telemetry: "Telemetry") -> None:
-        """Refresh the live-plan gauges (``nodefinder top`` renders them)."""
-        telemetry.record_shard_plan(
-            [
-                (shard_range.segment, shard_range.lo, shard_range.hi)
-                for shard_range in self.ranges
-            ]
-        )
 
     def can_split(self, index: int) -> bool:
         return 0 <= index < len(self.ranges) and self.ranges[index].width >= 2
@@ -208,7 +200,7 @@ class ReshardPolicy:
     """When the controller may change the plan, and by how much.
 
     ``schedule`` scripts deterministic operations (the conformance
-    harness); without one the decisions are automatic, gauge-driven.
+    harness); without one the decisions are automatic, queue-depth-driven.
     """
 
     max_shards: int = 8
@@ -221,7 +213,7 @@ class ReshardPolicy:
     hysteresis: int = 3
     #: seconds between plan changes (suppresses flapping)
     cooldown: float = 60.0
-    #: how often the live reshard loop polls the gauges
+    #: how often the live reshard loop polls the shard queue depths
     interval: float = 5.0
     schedule: Tuple[ReshardOp, ...] = ()
 
@@ -445,11 +437,6 @@ class ReshardCoordinator:
         index = 0 if node_id is None else self.plan.shard_of(node_id)
         self._segments[self.plan.ranges[index].lo].write_lines(text, records)
 
-    def backlog(self, shard: int) -> Optional[int]:
-        """Unflushed events in shard ``shard``'s segment (None: no segments)."""
-        journal = self._segments.get(self.plan.ranges[shard].lo)
-        return journal.backlog if journal is not None else None
-
     def handoff(self, action: str, index: int, *, step: int) -> Sequence[ShardRange]:
         """Apply one plan change and move the journal segments with it.
 
@@ -488,10 +475,6 @@ class ReshardCoordinator:
         for child in children:
             self._open(child)
         return children
-
-    def flush(self) -> None:
-        for journal in self._segments.values():
-            journal.flush()
 
     def close(self) -> None:
         """Close every still-open segment (crawl shutdown); sealed ones are

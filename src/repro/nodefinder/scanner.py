@@ -103,7 +103,7 @@ class NodeFinderConfig:
     #: behaviour.
     defended: bool = False
     #: elastic sharding: when set, the plan may split hot shards and merge
-    #: cold siblings mid-crawl (scripted schedule or gauge-driven with
+    #: cold siblings mid-crawl (scripted schedule or queue-depth-driven with
     #: hysteresis — see :mod:`repro.nodefinder.reshard`).  None leaves
     #: the plan as it starts.
     reshard: Optional[ReshardPolicy] = None
@@ -217,7 +217,7 @@ class NodeFinderInstance:
             MAX_DYNAMIC_DIALS_PER_TICK if self.config.defended else None,
         )
         #: per-shard facades, positional like ``plan.ranges``: the crawl's
-        #: telemetry under each segment's metric label
+        #: telemetry under each segment's label (its flight-recorder ring)
         self._shard_telemetry = [
             telemetry.for_shard(shard_range.segment) for shard_range in self.plan.ranges
         ]
@@ -279,7 +279,6 @@ class NodeFinderInstance:
         clock.schedule_every(
             SECONDS_PER_HOUR, self._prune_stale, label="scanner.prune_stale"
         )
-        self.plan.publish(self.telemetry)
 
     @property
     def day(self) -> int:
@@ -302,14 +301,12 @@ class NodeFinderInstance:
         # breaker trips on the K-th failure in dial order — dialing shard
         # by shard would make the defended crawl depend on the shard count.
         taken, dropped = self.core.select(results, self.node_id, now)
-        if dropped:
-            self.defense_stats.budget_dropped_dials += dropped
-            self.telemetry.record_budget_drop(dropped)
+        self.defense_stats.budget_dropped_dials += dropped
         for shard_index, address in taken:
             self._dial(address, "dynamic-dial", shard_index)
         if self.controller is not None:
-            # the tick's per-shard dial counts are the simnet's queue-depth
-            # gauge; every dial above has already folded, so an op decided
+            # the tick's per-shard dial counts are the simnet's queue
+            # depths; every dial above has already folded, so an op decided
             # here applies with zero in-flight work (the drain is implicit)
             loads = [0.0] * self.plan.shards
             for shard_index, _ in taken:
@@ -317,18 +314,6 @@ class NodeFinderInstance:
             ops = self.controller.observe(loads, now=now)
             for op_action, op_index in ops:
                 self._apply_reshard(op_action, op_index)
-            if ops:
-                self.plan.publish(self.telemetry)
-        self._refresh_shard_health()
-
-    def _refresh_shard_health(self) -> None:
-        """Push the per-shard health gauges (journal backlog) once a tick."""
-        for index, shard_telemetry in enumerate(self._shard_telemetry):
-            shard_telemetry.record_shard_health(
-                journal_backlog=self.coordinator.backlog(index)
-            )
-        if self.core.gate is not None:
-            self.telemetry.record_shard_health(open_breakers=self.core.gate.open_count)
 
     # -- elastic resharding ----------------------------------------------------
 
@@ -400,7 +385,6 @@ class NodeFinderInstance:
         core scores the outcome and decides whether it joins StaticNodes."""
         if not self.core.admit(address):
             self.defense_stats.breaker_skips += 1
-            self.telemetry.record_breaker_skip()
             return
         with self.telemetry.profiler.scope("scanner.dial"):
             result = self.world.dial(address, connection_type, self.location)
@@ -437,8 +421,7 @@ class NodeFinderInstance:
         # every fold goes through the single writer (OWNERSHIP invariant)
         self.writer.submit(result)
         # simulated dials have no spans (no real stages ran), but they
-        # share the funnel counters and journal schema with live crawls;
-        # each shard counts under its own label
+        # share the journal schema with live crawls
         self._shard_telemetry[shard_index].record_dial(
             result, attempt=result.attempts
         )

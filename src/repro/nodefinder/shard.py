@@ -75,8 +75,6 @@ class NodeDBWriter:
                 )
             entry = self.db.observe(result)
             self.folds += 1
-            if self.telemetry is not None:
-                self.telemetry.writer_folds.inc()
             return entry
 
     # -- stats passthroughs --------------------------------------------------
@@ -101,8 +99,8 @@ class ShardState:
     Everything here is owned by exactly one shard loop — the only shared
     object a shard touches is the :class:`NodeDBWriter`, which is why the
     hot path needs no locks.  ``telemetry`` is the crawl's facade under
-    this segment's ``shard`` metric label; which journal file a record
-    lands in is the crawl's journal's to decide, not the shard's.
+    this segment's ``shard`` label; which journal file a record lands in
+    is the crawl's journal's to decide, not the shard's.
     """
 
     def __init__(
@@ -116,7 +114,7 @@ class ShardState:
         self.telemetry = telemetry
         #: stable segment id (``<k>.g<gen>``); the positional ``index``
         #: shifts when the plan reshards, the segment never does, so
-        #: journal files and metric labels key on it
+        #: journal files and flight-recorder rings key on it
         self.segment = segment
         #: dynamic-dial targets routed here by the discovery loop
         self.queue: asyncio.Queue = asyncio.Queue()

@@ -1,203 +1,221 @@
-"""``nodefinder top``: one page of crawl health off a metrics snapshot.
+"""``nodefinder top``: one page of crawl health, folded from its journals.
 
-The per-shard gauges the dial workers publish (queue depth, loop lag,
-open breakers, journal backlog — see ``Telemetry.record_shard_health``)
-plus the funnel/loop counters and the per-stage dial latencies, folded
-into a single text page: which shard is drowning, which breakers are
-popping, which harvest stage is slow.  Input is a ``metrics.json``
-snapshot file (or a live ``MetricsRegistry.snapshot()``) — this is the
-one renderer of that shape — so it works on a finished sim run and on a
-live crawl's export alike.  Output is byte-stable for a given snapshot:
-rows sort by shard key, all numbers format fixed.
+The journal is the crawl's one record (§4's measurement log), so the
+health page is a fold over it: one row per journal file (dials, full
+harvests, HELLO and STATUS records, whether a ``reshard`` record sealed
+it), the dial funnel, exact per-stage latency quantiles, breaker
+transitions by scope, supervisor and discovery health, and the plan
+history a sharded crawl's ``reshard`` records tell.  A sharded or
+elastic crawl passes every segment file and gets one page for the whole
+crawl; a fleet passes every instance's files.  Output is byte-stable for
+given journals: rows sort by file name with numbers compared as numbers,
+every count prints fixed.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, Optional
+import re
+from collections import Counter, defaultdict
+from pathlib import Path
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.render import format_table
-from repro.telemetry.merge import _merge_series
-from repro.telemetry.metrics import quantile_from_buckets
-from repro.telemetry.summary import stage_latency_rows
+from repro.telemetry.journal import Event
 
-#: rendered for the unsharded ("" label) worker row
-WHOLE_CRAWL = "-"
+#: stage-latency columns: medians for the bulk, p95 for the tail, and the
+#: worst single observation (max exposes the one outlier percentiles hide)
+_QUANTILES = (0.5, 0.95, 1.0)
 
+#: §4 funnel order: the stages a dial passes through, worst first
+_OUTCOME_ORDER = (
+    "full-harvest",
+    "hello-then-disconnect",
+    "hello-no-status",
+    "disconnect-before-hello",
+    "rlpx-failed",
+    "refused",
+    "timeout",
+)
 
-def _families(snapshot: dict) -> Dict[str, dict]:
-    return {metric["name"]: metric for metric in snapshot.get("metrics", [])}
-
-
-def _per_shard(family: Optional[dict]) -> Dict[str, float]:
-    """Shard label → summed value across the family's other labels."""
-    totals: Dict[str, float] = {}
-    if family is None:
-        return totals
-    for series in family["series"]:
-        shard = series["labels"].get("shard", "")
-        totals[shard] = totals.get(shard, 0.0) + float(series.get("value", 0.0))
-    return totals
+#: harvest stages in the order a dial runs them
+_STAGE_ORDER = ("connect", "rlpx", "hello", "status", "dao")
 
 
-def _scalar(family: Optional[dict]) -> float:
-    return sum(
-        float(series.get("value", 0.0))
-        for series in (family["series"] if family is not None else ())
-    )
+def quantile(ordered: Sequence[float], q: float) -> float:
+    """The exact ``q``-quantile of ascending ``ordered``: the sample at rank
+    ``floor(q * n)``, clamped to the maximum; 0.0 with no samples."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile {q} outside [0, 1]")
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def _by_label(family: Optional[dict], label: str) -> Dict[str, float]:
-    totals: Dict[str, float] = {}
-    if family is None:
-        return totals
-    for series in family["series"]:
-        key = series["labels"].get(label, "")
-        totals[key] = totals.get(key, 0.0) + float(series.get("value", 0.0))
-    return totals
+def natural_key(name: str) -> List:
+    """Sort key comparing digit runs as numbers: ``shard2.g1`` before
+    ``shard2.g10`` before ``shard10.g0``."""
+    return [
+        int(part) if index % 2 else part
+        for index, part in enumerate(re.split(r"(\d+)", name))
+    ]
 
 
-def _stage_quantiles(family: Optional[dict]) -> Dict[str, Callable[[float], float]]:
-    """Stage → bucket-interpolated quantile function.
-
-    The family carries one series per (stage, shard); a stage's bucket
-    counts fold across shards rather than letting one shard's histogram
-    stand for the crawl.
-    """
-    folded: Dict[str, dict] = {}
-    for series in family["series"] if family is not None else ():
-        stage = series["labels"].get("stage", "?")
-        if stage in folded:
-            _merge_series(folded[stage], series, family["name"])
-        else:
-            folded[stage] = dict(series)
-    return {
-        stage: partial(
-            quantile_from_buckets,
-            [bound for bound, _ in histogram["buckets"]],
-            [count for _, count in histogram["buckets"]],
-            histogram["inf"],
-        )
-        for stage, histogram in folded.items()
-    }
+def _span(bounds: Sequence[int]) -> str:
+    lo, hi = bounds
+    return f"[{lo:#06x},{hi:#07x})"
 
 
-def _shard_sort_key(shard: str):
-    """Numeric-first ordering over plain indices and ``<k>.g<gen>`` ids.
-
-    Elastic crawls label shards by stable segment id; sorting the ``k``
-    and generation parts numerically keeps ``10.g2`` after ``2.g1``
-    instead of the lexicographic interleave.
-    """
-    if shard.isdigit():
-        return (0, int(shard), -1, shard)
-    head, sep, tail = shard.partition(".g")
-    if sep and head.isdigit() and tail.isdigit():
-        return (0, int(head), int(tail), shard)
-    return (1, 0, 0, shard)
+def _counts(counts: Counter) -> str:
+    return ", ".join(f"→{state} {count}" for state, count in sorted(counts.items()))
 
 
-def _counts_line(title: str, counts: Dict[str, float]) -> str:
-    if not counts:
-        return f"{title}: none"
-    parts = ", ".join(
-        f"{key or WHOLE_CRAWL}={int(value)}"
-        for key, value in sorted(counts.items())
-        if value
-    )
-    return f"{title}: {parts}" if parts else f"{title}: none"
+class JournalHealth:
+    """The fold behind the page: everything ``top`` prints, from events."""
 
+    def __init__(self) -> None:
+        #: per journal file: its name and its records counted by type
+        #: (``full`` counts full-harvest dials)
+        self.files: List[Tuple[str, Counter]] = []
+        self.funnel: Counter = Counter()
+        self.stages: Dict[str, List[float]] = defaultdict(list)
+        #: breaker transitions by scope, then by destination state
+        self.breakers: Dict[str, Counter] = {"peer": Counter(), "subnet": Counter()}
+        #: (crawler, peer) -> (ts, state) of the peer's latest breaker record
+        self.last_breaker: Dict[Tuple[str, str], Tuple[float, str]] = {}
+        self.supervisor: Counter = Counter()
+        self.bonds: Counter = Counter()
+        self.chaos: Counter = Counter()
+        #: (crawler name, crawler id, generation) -> the plan change; a
+        #: merge seals two parents, each with its own ``reshard`` record
+        self.reshards: Dict[Tuple[str, str, int], dict] = {}
 
-def render_top(snapshot: dict) -> str:
-    """The one-page health view of a crawl's metrics snapshot."""
-    families = _families(snapshot)
-    dials = _per_shard(families.get("nodefinder_dials_total"))
-    queue = _per_shard(families.get("crawler_shard_queue_depth"))
-    lag = _per_shard(families.get("crawler_shard_loop_lag_seconds"))
-    open_breakers = _per_shard(families.get("crawler_shard_open_breakers"))
-    backlog = _per_shard(families.get("crawler_journal_backlog"))
-    shards = sorted(
-        set(dials) | set(queue) | set(lag) | set(open_breakers) | set(backlog),
-        key=_shard_sort_key,
-    )
-    rows = [
-        [
-            shard or WHOLE_CRAWL,
-            int(dials.get(shard, 0)),
-            int(queue.get(shard, 0)),
-            f"{lag.get(shard, 0.0):.3f}",
-            int(open_breakers.get(shard, 0)),
-            int(backlog.get(shard, 0)),
+    def add(self, name: str, events: Iterable[Event]) -> None:
+        """Fold one journal file's events under the row ``name``."""
+        counts: Counter = Counter()
+        self.files.append((Path(name).name, counts))
+        crawler, crawler_name = "", "-"
+        for event in events:
+            kind, fields = event.type, event.fields
+            counts[kind] += 1
+            if kind == "dial":
+                outcome = fields.get("outcome", "?")
+                self.funnel[outcome] += 1
+                if outcome == "full-harvest":
+                    counts["full"] += 1
+                for stage, duration in (fields.get("stages") or {}).items():
+                    self.stages[stage].append(duration)
+            elif kind == "breaker":
+                new = fields.get("new", "?")
+                if fields.get("scope") == "subnet":
+                    self.breakers["subnet"][new] += 1
+                else:
+                    self.breakers["peer"][new] += 1
+                    key = (crawler, fields.get("node_id", ""))
+                    last = self.last_breaker.get(key)
+                    if last is None or event.ts >= last[0]:
+                        self.last_breaker[key] = (event.ts, new)
+            elif kind == "supervisor":
+                self.supervisor[fields.get("event", "?")] += 1
+            elif kind == "bond":
+                self.bonds["ok" if fields.get("ok") else "failed"] += 1
+            elif kind == "datagram_fault":
+                self.chaos[fields.get("fault", "?")] += 1
+            elif kind == "crawler":
+                crawler = fields.get("node_id", "")
+                crawler_name = fields.get("name", "-")
+            elif kind == "reshard":
+                change = self.reshards.setdefault(
+                    (crawler_name, crawler, fields.get("generation", 0)),
+                    {
+                        "action": fields.get("action", "?"),
+                        "step": fields.get("step"),
+                        "parents": [],
+                        "children": fields.get("children") or [],
+                    },
+                )
+                change["parents"].append(fields.get("parent") or [0, 0])
+
+    def render(self) -> str:
+        rows = [
+            [name]
+            + [counts[kind] for kind in ("dial", "full", "hello", "status")]
+            + ["yes" if counts["reshard"] else "no"]
+            for name, counts in sorted(self.files, key=lambda f: natural_key(f[0]))
         ]
-        for shard in shards
-    ]
-    if not rows:
-        rows = [[WHOLE_CRAWL, 0, 0, "0.000", 0, 0]]
-    lines = [
-        format_table(
-            "Shard health",
-            ["shard", "dials", "queue", "lag(s)", "open-brk", "backlog"],
-            rows,
-        ),
-        "",
-        format_table(
-            "Stage latency",
-            ["stage", "p50", "p95", "max"],
-            stage_latency_rows(
-                _stage_quantiles(families.get("nodefinder_dial_stage_seconds"))
+        records = sum((counts for _, counts in self.files), Counter())
+        dials = sum(self.funnel.values()) or 1
+        outcomes = [o for o in _OUTCOME_ORDER if o in self.funnel]
+        outcomes += sorted(set(self.funnel) - set(outcomes))
+        stages = [s for s in _STAGE_ORDER if s in self.stages]
+        stages += sorted(set(self.stages) - set(stages))
+        latency = []
+        for stage in stages:
+            ordered = sorted(self.stages[stage])
+            latency.append(
+                [stage]
+                + [f"{quantile(ordered, q) * 1000:.1f}ms" for q in _QUANTILES]
+            )
+        still_open = sum(
+            1 for _, state in self.last_breaker.values() if state == "open"
+        )
+        peer, subnet = self.breakers["peer"], self.breakers["subnet"]
+        supervisor = self.supervisor
+        sections = [
+            format_table(
+                "Journals",
+                ["journal", "dials", "full", "hello", "status", "sealed"],
+                rows,
             ),
-        ),
-        "",
-        f"writer: folds {int(_scalar(families.get('crawler_writer_folds_total')))}",
-        "loops: "
-        f"crashes {int(_scalar(families.get('crawler_loop_crashes_total')))}, "
-        f"restarts {int(_scalar(families.get('crawler_loop_restarts_total')))}, "
-        f"deaths {int(_scalar(families.get('crawler_loop_deaths_total')))}",
-        _counts_line(
-            "breaker transitions",
-            _by_label(families.get("nodefinder_breaker_transitions_total"), "to"),
-        ),
-        _counts_line(
-            "dial outcomes",
-            _by_label(families.get("nodefinder_dials_total"), "outcome"),
-        ),
-    ]
-    plan = _plan_line(families)
-    if plan is not None:
-        lines.append(plan)
-    return "\n".join(lines)
+            format_table(
+                "Dial funnel",
+                ["outcome", "dials", "share"],
+                [
+                    [o, self.funnel[o], f"{self.funnel[o] / dials:.1%}"]
+                    for o in outcomes
+                ],
+            ),
+            format_table("Stage latency", ["stage", "p50", "p95", "max"], latency),
+            "\n".join(
+                [
+                    f"peer breakers: {_counts(peer) or 'no transitions'}; "
+                    f"last reported open: {still_open}",
+                    f"subnet breakers: {_counts(subnet) or 'no transitions'}",
+                    f"supervisor: {supervisor['crash']} crashes, "
+                    f"{supervisor['restart']} restarts, "
+                    f"{supervisor['death']} loop deaths",
+                    f"retries: {records['retry']} backoff waits",
+                ]
+            ),
+            (
+                f"events: {records['hello']} hello, "
+                f"{records['status']} status, "
+                f"{records['disconnect']} disconnect, {records['dao']} "
+                f"dao-verdict; bonds {self.bonds['ok']} ok / "
+                f"{self.bonds['failed']} failed"
+            ),
+        ]
+        if self.chaos:
+            sections.append(
+                "chaos faults injected: "
+                + ", ".join(f"{f}={n}" for f, n in sorted(self.chaos.items()))
+            )
+        if self.reshards:
+            lines = [f"plan history: {len(self.reshards)} reshard(s)"]
+            for key in sorted(self.reshards, key=lambda k: (natural_key(k[0]), k[1:])):
+                change = self.reshards[key]
+                parents = " ".join(_span(p) for p in sorted(change["parents"]))
+                children = " ".join(_span(c) for c in change["children"])
+                lines.append(
+                    f"  {key[0]} g{key[2]} {change['action']} at step "
+                    f"{change['step']}: {parents} -> {children}"
+                )
+            sections.append("\n".join(lines))
+        return "\n\n".join(sections)
 
 
-def _plan_line(families: Dict[str, dict]) -> Optional[str]:
-    """The live shard plan, when the crawl publishes range gauges.
-
-    Elastic crawls publish ``crawler_shard_range_lo``/``_hi`` per segment
-    and flip ``crawler_shard_active`` to 0 when a reshard retires one;
-    static crawls publish none of these and the line is omitted entirely
-    (existing snapshots keep rendering byte-identically).
-    """
-    lo = _per_shard(families.get("crawler_shard_range_lo"))
-    hi = _per_shard(families.get("crawler_shard_range_hi"))
-    if not lo or not hi:
-        return None
-    active = _per_shard(families.get("crawler_shard_active"))
-    segments = [
-        segment
-        for segment in lo
-        if segment in hi and active.get(segment, 1.0) > 0
-    ]
-    # merged fleet snapshots sum gauges across instances, so a segment
-    # published by k instances carries k-fold lo/hi (and active == k);
-    # divide back down to the per-instance range before rendering
-    scale = {
-        segment: max(active.get(segment, 1.0), 1.0) for segment in segments
-    }
-    segments.sort(
-        key=lambda segment: (lo[segment] / scale[segment], _shard_sort_key(segment))
-    )
-    parts = " ".join(
-        f"{segment}=[{int(lo[segment] / scale[segment]):#06x}"
-        f",{int(hi[segment] / scale[segment]):#07x})"
-        for segment in segments
-    )
-    return f"plan: {len(segments)} live shards  {parts}"
+def render_top(journals: Iterable[Tuple[str, Iterable[Event]]]) -> str:
+    """The one-page health view of a crawl's ``(file name, events)`` journals."""
+    health = JournalHealth()
+    for name, events in journals:
+        health.add(name, events)
+    return health.render()

@@ -387,7 +387,6 @@ class EventJournal:
         self._stream = stream
         self._owns_stream = False
         self.events_written = 0
-        self._unflushed = 0
         self._sealed = False
         self._closed = False
 
@@ -417,7 +416,6 @@ class EventJournal:
             )
         self._stream.write(text)
         self.events_written += records
-        self._unflushed += records
 
     @property
     def sealed(self) -> bool:
@@ -435,14 +433,8 @@ class EventJournal:
         self._sealed = True
         self.close()
 
-    @property
-    def backlog(self) -> int:
-        """Events written since the last flush (the shard health gauge)."""
-        return self._unflushed
-
     def flush(self) -> None:
         self._stream.flush()
-        self._unflushed = 0
 
     def close(self) -> None:
         # idempotent: a sealed segment is already closed when the crawl's

@@ -2,8 +2,9 @@
 
 The §4 harvest is a fixed five-stage pipeline (connect → rlpx → hello →
 status → dao); a :class:`Span` times the whole dial and a child span
-times each stage, so per-stage latency histograms and the journal's
-``stages`` breakdown fall out of the same measurements.  Spans read time
+times each stage, so the journal's ``stages`` breakdown — and the
+health page's stage latencies folded from it — fall out of the same
+measurements.  Spans read time
 exclusively from the clock injected at construction (OBS-CLOCK bans a
 direct wall-clock call here), which a live run points at
 ``time.monotonic`` and a simulated run points at its sim clock.

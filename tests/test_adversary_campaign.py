@@ -21,6 +21,7 @@ Pins the PR's acceptance criteria:
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.adversary import AdversaryCampaign, AdversaryConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
+from repro.telemetry import iter_events, render_top
 
 pytestmark = pytest.mark.adversary
 
@@ -184,6 +186,29 @@ class TestDefendedCampaign:
         stats = fleet.instances[0].defense_snapshot()
         assert stats.budget_dropped_dials >= 0  # accounting present
         assert fleet.instances[0].core.budget == MAX_DYNAMIC_DIALS_PER_TICK > 0
+
+    def test_health_page_reports_breakers_by_scope(self, defended):
+        """`top` counts subnet-scope breaker records apart from peer ones:
+        its subnet →open count is the crawler's own trip counter, its
+        peer →open count the journal's peer-scope open records."""
+        fleet, _, _ = defended
+        peer_opens = sum(
+            1
+            for path in fleet.journal_paths
+            for event in iter_events(path)
+            if event.type == "breaker"
+            and event.fields.get("scope") != "subnet"
+            and event.fields["new"] == "open"
+        )
+        trips = fleet.instances[0].defense_snapshot().subnet_breaker_trips
+        assert peer_opens > 0 and trips > 0
+        page = render_top((path, iter_events(path)) for path in fleet.journal_paths)
+        opens = {
+            line.split()[0]: int(re.search(r"→open (\d+)", line).group(1))
+            for line in page.splitlines()
+            if line.startswith(("peer breakers:", "subnet breakers:"))
+        }
+        assert opens == {"peer": peer_opens, "subnet": trips}
 
 
 class TestEclipseForensics:

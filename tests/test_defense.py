@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.analysis.eclipse import detect_eclipse
 from repro.analysis.ingest import ReplayedCrawl, replay
 from repro.analysis.report import render_eclipse
@@ -24,7 +22,6 @@ from repro.discovery.enode import ENode
 from repro.discovery.routing import RoutingTable
 from repro.resilience.breaker import BreakerState, PeerScoreboard
 from repro.telemetry.journal import MIGRATIONS, SCHEMA_VERSION, Event
-from repro.telemetry.metrics import Counter
 
 
 def _enode(node_id: bytes, ip: str) -> ENode:
@@ -210,21 +207,6 @@ class TestSchemaV3:
         assert replayed.subnet_breaker_trips == {"66.66.66.0/24": 1}
         # forensic records never fabricate peer timelines
         assert not replayed.timelines
-
-
-class TestCounterTotal:
-    def test_total_sums_across_shards(self):
-        counter = Counter(
-            "dials_total", "dials", labelnames=("outcome", "shard")
-        )
-        counter.labels(outcome="ok", shard="0").inc(2)
-        counter.labels(outcome="ok", shard="1").inc(3)
-        counter.labels(outcome="bad", shard="1").inc(7)
-        assert counter.total() == 12
-        assert counter.total(outcome="ok") == 5
-        assert counter.total(shard="1") == 10
-        with pytest.raises(Exception):
-            counter.total(nope="x")
 
 
 class TestDetectEclipseEmptySafety:

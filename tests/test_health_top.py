@@ -1,258 +1,358 @@
-"""Shard health introspection: gauges, Prometheus export, `nodefinder top`."""
+"""`nodefinder top`: the one health page, folded from a crawl's journals."""
 
+import hashlib
 import io
-import json
+import os
+from pathlib import Path
 
 from repro.cli import main
 from repro.nodefinder.fleet import run_fleet
+from repro.nodefinder.reshard import ReshardOp, ReshardPolicy
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
-from repro.telemetry import EventJournal, Telemetry, render_top
+from repro.telemetry import Event, EventJournal, Telemetry, iter_events, render_top
+from repro.telemetry.health import natural_key
+from tests.test_journal_bytes import PINNED
+
+DATA = Path(__file__).parent / "data"
 
 
-def _value(snapshot, name, shard):
-    for metric in snapshot["metrics"]:
-        if metric["name"] == name:
-            for series in metric["series"]:
-                if series["labels"].get("shard") == shard:
-                    return series["value"]
-    raise AssertionError(f"no {name}{{shard={shard!r}}} in snapshot")
+def dial(ts, node, outcome="full-harvest", stages=None):
+    fields = {"node_id": node * 64, "outcome": outcome}
+    if stages is not None:
+        fields["stages"] = stages
+    return Event("dial", ts, fields)
 
 
-class TestShardHealthGauges:
-    def test_record_shard_health_sets_every_gauge(self):
-        telemetry = Telemetry(shard="3")
-        telemetry.record_shard_health(
-            queue_depth=7, lag=0.25, open_breakers=2, journal_backlog=41
-        )
-        snapshot = telemetry.registry.snapshot()
-        assert _value(snapshot, "crawler_shard_queue_depth", "3") == 7.0
-        assert _value(snapshot, "crawler_shard_loop_lag_seconds", "3") == 0.25
-        assert _value(snapshot, "crawler_shard_open_breakers", "3") == 2.0
-        assert _value(snapshot, "crawler_journal_backlog", "3") == 41.0
+def crawler(name="nodefinder-0", node="cc"):
+    return Event("crawler", 0.0, {"node_id": node * 64, "name": name})
 
-    def test_none_fields_leave_gauges_untouched(self):
-        telemetry = Telemetry(shard="0")
-        telemetry.record_shard_health(lag=0.5)
-        snapshot = telemetry.registry.snapshot()
-        assert _value(snapshot, "crawler_shard_loop_lag_seconds", "0") == 0.5
-        for metric in snapshot["metrics"]:
-            if metric["name"] == "crawler_shard_open_breakers":
-                assert metric["series"] == []
 
+def reshard(ts, generation, action, parent, children, step=0):
+    return Event(
+        "reshard",
+        ts,
+        {
+            "action": action,
+            "step": step,
+            "generation": generation,
+            "parent": list(parent),
+            "children": [list(child) for child in children],
+        },
+    )
+
+
+def sample_journals():
+    """Two segments of one crawl, given out of order: nine full harvests on
+    shard 0, four timeouts and two breaker trips on shard 1."""
+    shard0 = [crawler()]
+    for n in range(9):
+        shard0 += [
+            dial(1.0 + n, "0a"),
+            Event("hello", 1.0 + n, {"node_id": "0a" * 64}),
+            Event("status", 1.0 + n, {"node_id": "0a" * 64}),
+        ]
+    shard1 = [crawler()] + [dial(2.0 + n, "8b", "timeout") for n in range(4)]
+    shard1 += [
+        Event("breaker", 7.0, {"node_id": "8b" * 64, "old": "closed", "new": "open"}),
+        Event("breaker", 8.0, {"node_id": "8c" * 64, "old": "closed", "new": "open"}),
+    ]
+    return [("crawl-shard1.g0.jsonl", shard1), ("crawl-shard0.g0.jsonl", shard0)]
+
+
+def table_rows(text, title):
+    """The body rows of the table titled ``title``, split on whitespace."""
+    lines = text.splitlines()
+    start = lines.index(title) + 3
+    rows = []
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        rows.append(line.split())
+    return rows
+
+
+def check_golden(name, rendered):
+    path = DATA / name
+    if os.environ.get("UPDATE_GOLDENS"):
+        path.write_text(rendered + "\n", encoding="utf-8")
+    assert rendered + "\n" == path.read_text(encoding="utf-8")
+
+
+class TestShardFacade:
     def test_a_shard_facade_differs_in_the_label_only(self):
         # a crawler always builds one facade per segment, journals or not:
-        # the segment id is the row; "" is a harvest with no crawler
+        # the segment id is its flight-recorder ring; "" is a harvest with
+        # no crawler
         crawl = Telemetry(journal=EventJournal(io.StringIO()))
         facade = crawl.for_shard("2.g0")
-        assert facade is not crawl and facade.shard == "2.g0"
-        assert (facade.registry, facade.journal, facade.clock) == (
-            crawl.registry, crawl.journal, crawl.clock
+        assert facade is not crawl and facade.shard == "2.g0" and crawl.shard == ""
+        assert (facade.journal, facade.clock, facade.profiler, facade.recorder) == (
+            crawl.journal, crawl.clock, crawl.profiler, crawl.recorder
         )
-        facade.record_shard_health(lag=0.7)
-        crawl.record_shard_health(lag=0.1)
-        snapshot = crawl.registry.snapshot()
-        assert _value(snapshot, "crawler_shard_loop_lag_seconds", "2.g0") == 0.7
-        assert _value(snapshot, "crawler_shard_loop_lag_seconds", "") == 0.1
-
-
-def sample_snapshot():
-    telemetry = Telemetry(shard="0")
-    Telemetry(registry=telemetry.registry, shard="1").record_shard_health(
-        queue_depth=3, lag=0.02, open_breakers=1, journal_backlog=12
-    )
-    telemetry.record_shard_health(
-        queue_depth=0, lag=0.5, open_breakers=0, journal_backlog=2
-    )
-    telemetry.dials.labels(outcome="full-harvest", stage="", shard="0").inc(9)
-    telemetry.dials.labels(outcome="timeout", stage="connect", shard="1").inc(4)
-    telemetry.breaker_transitions.labels(to="open", shard="1").inc(2)
-    return telemetry.registry.snapshot()
 
 
 class TestRenderTop:
     def test_rows_per_shard_sorted_numerically(self):
-        lines = render_top(sample_snapshot()).splitlines()
-        shard_rows = [line.split() for line in lines[3:5]]
-        assert [row[0] for row in shard_rows] == ["0", "1"]
-        # shard 1: 4 dials, queue 3, lag 0.020, one open breaker, backlog 12
-        assert shard_rows[1] == ["1", "4", "3", "0.020", "1", "12"]
+        text = render_top(sample_journals())
+        rows = table_rows(text, "Journals")
+        assert [row[0] for row in rows] == [
+            "crawl-shard0.g0.jsonl",
+            "crawl-shard1.g0.jsonl",
+        ]
+        # journal, dials, full harvests, hello, status, sealed
+        assert rows[0] == ["crawl-shard0.g0.jsonl", "9", "9", "9", "9", "no"]
+        assert rows[1] == ["crawl-shard1.g0.jsonl", "4", "0", "0", "0", "no"]
 
     def test_counters_fold_into_the_footer(self):
-        text = render_top(sample_snapshot())
-        assert "breaker transitions: open=2" in text
-        assert "full-harvest=9" in text and "timeout=4" in text
+        text = render_top(sample_journals())
+        assert table_rows(text, "Dial funnel") == [
+            ["full-harvest", "9", "69.2%"],
+            ["timeout", "4", "30.8%"],
+        ]
+        assert "peer breakers: →open 2; last reported open: 2" in text
+        assert "subnet breakers: no transitions" in text
+        assert "events: 9 hello, 9 status" in text
 
     def test_stage_latency_table_folds_shards(self):
-        # one series per (stage, shard): three fast connects on shard 0 and
-        # one slow on shard 1 fold into one row — the last shard's
-        # histogram must not shadow the rest
-        telemetry = Telemetry(shard="0")
-        for _ in range(3):
-            telemetry.stage_seconds.labels(stage="connect", shard="0").observe(0.004)
-        telemetry.stage_seconds.labels(stage="connect", shard="1").observe(2.0)
-        telemetry.stage_seconds.labels(stage="hello", shard="1").observe(0.04)
-        lines = render_top(telemetry.registry.snapshot()).splitlines()
-        header = lines.index("Stage latency") + 2
-        assert lines[header].split() == ["stage", "p50", "p95", "max"]
-        connect, hello = (line.split() for line in lines[header + 1 : header + 3])
-        assert connect[0] == "connect" and hello[0] == "hello"
-        p50, _, worst = (float(cell.rstrip("ms")) for cell in connect[1:])
-        assert p50 <= 5.0 < 1000.0 <= worst
+        # three fast connects in one file and one slow in another fold
+        # into one row — one file's samples must not shadow the rest
+        fast = [dial(n, "01", stages={"connect": 0.004}) for n in range(3)]
+        slow = [dial(5, "81", stages={"connect": 2.0, "hello": 0.04})]
+        text = render_top([("a.jsonl", fast), ("b.jsonl", slow)])
+        connect, hello = table_rows(text, "Stage latency")
+        assert connect == ["connect", "4.0ms", "2000.0ms", "2000.0ms"]
+        assert hello == ["hello", "40.0ms", "40.0ms", "40.0ms"]
 
     def test_byte_stable_for_a_snapshot(self):
-        snapshot = sample_snapshot()
-        assert render_top(snapshot) == render_top(snapshot)
+        assert render_top(sample_journals()) == render_top(sample_journals())
 
     def test_empty_snapshot_renders_placeholder(self):
-        text = render_top({"metrics": []})
-        assert "Shard health" in text
-        assert "-" in text
-        assert "Stage latency" in text
-        assert "breaker transitions: none" in text
+        text = render_top([("empty.jsonl", [])])
+        assert table_rows(text, "Journals") == [
+            ["empty.jsonl", "0", "0", "0", "0", "no"]
+        ]
+        assert "Dial funnel" in text and "Stage latency" in text
+        assert "peer breakers: no transitions; last reported open: 0" in text
+        assert "plan history" not in text
+
+
+class TestBreakerScopes:
+    def test_last_reported_state_decides_open(self):
+        # a peer's last record decides, across files (a reshard moves its
+        # records to the child segment) and per crawler
+        events = [
+            crawler(),
+            Event("breaker", 1.0, {"node_id": "01" * 64, "old": "closed", "new": "open"}),
+            Event("breaker", 2.0, {"node_id": "02" * 64, "old": "closed", "new": "open"}),
+            Event("breaker", 3.0, {"node_id": "02" * 64, "old": "open", "new": "half-open"}),
+            Event(
+                "breaker",
+                4.0,
+                {"scope": "subnet", "subnet": "10.0.0.0/24", "old": "closed", "new": "open"},
+            ),
+        ]
+        later = [
+            crawler(),
+            Event("breaker", 5.0, {"node_id": "02" * 64, "old": "half-open", "new": "open"}),
+        ]
+        other = [
+            crawler("nodefinder-1", "dd"),
+            Event("breaker", 1.0, {"node_id": "01" * 64, "old": "closed", "new": "open"}),
+        ]
+        text = render_top([("b.jsonl", later), ("a.jsonl", events), ("c.jsonl", other)])
+        assert (
+            "peer breakers: →half-open 1, →open 4; last reported open: 3" in text
+        )
+        assert "subnet breakers: →open 1" in text
 
 
 class TestPlanLine:
-    """`top` shows the live (possibly resharded) plan — and only then."""
+    """`top` shows the plan history a crawl's ``reshard`` records tell —
+    and only when there is one."""
 
     def test_static_snapshot_has_no_plan_line(self):
-        assert "plan:" not in render_top(sample_snapshot())
+        assert "plan history" not in render_top(sample_journals())
 
     def test_plan_line_lists_live_segments_by_range(self):
-        telemetry = Telemetry()
-        telemetry.record_shard_plan(
-            [("0.g0", 0, 32768), ("1.g0", 32768, 65536)]
+        parent = [
+            crawler(),
+            dial(1.0, "01"),
+            reshard(2.0, 1, "split", (0, 32768), [(0, 16384), (16384, 32768)]),
+        ]
+        children = [("crawl-shard0.g1.jsonl", [crawler()]), ("crawl-shard1.g1.jsonl", [crawler()])]
+        text = render_top(
+            [("crawl-shard0.g0.jsonl", parent), ("crawl-shard1.g0.jsonl", [crawler()])]
+            + children
         )
-        # a split retires 0.g0 and replaces it with two children
-        telemetry.record_shard_plan(
-            [
-                ("0.g1", 0, 16384),
-                ("1.g1", 16384, 32768),
-                ("1.g0", 32768, 65536),
-            ]
+        sealed = {row[0]: row[-1] for row in table_rows(text, "Journals")}
+        assert sealed == {
+            "crawl-shard0.g0.jsonl": "yes",
+            "crawl-shard0.g1.jsonl": "no",
+            "crawl-shard1.g0.jsonl": "no",
+            "crawl-shard1.g1.jsonl": "no",
+        }
+        assert text.endswith(
+            "plan history: 1 reshard(s)\n"
+            "  nodefinder-0 g1 split at step 0: [0x0000,0x08000) -> "
+            "[0x0000,0x04000) [0x4000,0x08000)"
         )
-        text = render_top(telemetry.registry.snapshot())
-        [plan] = [line for line in text.splitlines() if line.startswith("plan:")]
-        assert plan == (
-            "plan: 3 live shards  "
-            "0.g1=[0x0000,0x04000) "
-            "1.g1=[0x4000,0x08000) "
-            "1.g0=[0x8000,0x10000)"
-        )
-        assert "0.g0=" not in plan  # retired segments drop off the plan
 
     def test_merged_fleet_snapshot_renders_per_instance_ranges(self):
-        """merge_snapshots sums gauges, so a 2-instance fleet doubles the
-        range gauges (and ``active`` counts the publishers); the renderer
-        must divide back down instead of printing 2x-wide ranges."""
-        from repro.telemetry import merge_snapshots
-
-        snapshots = []
-        for _ in range(2):
-            telemetry = Telemetry()
-            telemetry.record_shard_plan(
-                [("0.g0", 0, 32768), ("1.g0", 32768, 65536)]
+        """Two instances that made the same split are two plan changes,
+        each at its own ranges — never summed into one."""
+        journals = []
+        for index in range(2):
+            name = f"nodefinder-{index}"
+            journals.append(
+                (
+                    f"{name}-shard0.g0.jsonl",
+                    [
+                        crawler(name, f"{index:02x}"),
+                        reshard(1.0, 1, "split", (0, 65536), [(0, 32768), (32768, 65536)]),
+                    ],
+                )
             )
-            snapshots.append(telemetry.registry.snapshot())
-        text = render_top(merge_snapshots(snapshots))
-        [plan] = [line for line in text.splitlines() if line.startswith("plan:")]
-        assert plan == (
-            "plan: 2 live shards  "
-            "0.g0=[0x0000,0x08000) "
-            "1.g0=[0x8000,0x10000)"
-        )
+        lines = render_top(journals).splitlines()
+        assert lines[-3:] == [
+            "plan history: 2 reshard(s)",
+            "  nodefinder-0 g1 split at step 0: [0x0000,0x10000) -> "
+            "[0x0000,0x08000) [0x8000,0x10000)",
+            "  nodefinder-1 g1 split at step 0: [0x0000,0x10000) -> "
+            "[0x0000,0x08000) [0x8000,0x10000)",
+        ]
 
     def test_retired_segment_gauges_do_not_skew_fleet_plan(self):
-        """Retiring a segment zeroes its range gauges, not just active.
-        A fleet where one instance resharded while another still runs
-        the old plan sums gauges across instances on merge; a stale
-        lo/hi left behind by the resharded instance (which contributes 0
-        to ``active``) would widen the still-live publisher's range."""
-        from repro.telemetry import merge_snapshots
-
-        resharded = Telemetry()
-        resharded.record_shard_plan(
-            [("0.g0", 0, 32768), ("1.g0", 32768, 65536)]
-        )
-        resharded.record_shard_plan(
-            [
-                ("0.g1", 0, 16384),
-                ("1.g1", 16384, 32768),
-                ("1.g0", 32768, 65536),
-            ]
-        )
-        behind = Telemetry()
-        behind.record_shard_plan(
-            [("0.g0", 0, 32768), ("1.g0", 32768, 65536)]
-        )
-        text = render_top(
-            merge_snapshots(
-                [resharded.registry.snapshot(), behind.registry.snapshot()]
-            )
-        )
-        [plan] = [line for line in text.splitlines() if line.startswith("plan:")]
-        # 0.g0 renders behind's live [0x0000,0x08000) — not doubled by the
-        # resharded instance's stale gauges; 1.g0 (2 publishers) halves
-        assert plan == (
-            "plan: 4 live shards  "
-            "0.g0=[0x0000,0x08000) "
-            "0.g1=[0x0000,0x04000) "
-            "1.g1=[0x4000,0x08000) "
-            "1.g0=[0x8000,0x10000)"
-        )
+        """A merge seals two parents, each with its own ``reshard`` record:
+        one plan change naming both; and one instance's reshards leave an
+        instance that never resharded out of the history."""
+        resharded = [
+            (
+                "nodefinder-0-shard0.g1.jsonl",
+                [crawler(), reshard(5.0, 2, "merge", (0, 16384), [(0, 32768)], step=4)],
+            ),
+            (
+                "nodefinder-0-shard1.g1.jsonl",
+                [crawler(), reshard(5.0, 2, "merge", (16384, 32768), [(0, 32768)], step=4)],
+            ),
+        ]
+        behind = [("nodefinder-1-shard0.g0.jsonl", [crawler("nodefinder-1", "dd")])]
+        lines = render_top(resharded + behind).splitlines()
+        assert lines[-2:] == [
+            "plan history: 1 reshard(s)",
+            "  nodefinder-0 g2 merge at step 4: [0x0000,0x04000) [0x4000,0x08000) "
+            "-> [0x0000,0x08000)",
+        ]
 
     def test_segment_ids_sort_numerically(self):
-        from repro.telemetry.health import _shard_sort_key
-
         labels = ["10.g2", "2.g1", "2.g10", "2.g2", "3", "10", "-"]
-        ordered = sorted(labels, key=_shard_sort_key)
+        ordered = sorted(labels, key=natural_key)
         assert ordered == ["2.g1", "2.g2", "2.g10", "3", "10", "10.g2", "-"]
+
+
+def _world(nodes=300):
+    return SimWorld(
+        WorldConfig(
+            population=PopulationConfig(
+                total_nodes=nodes, seed=2018, measurement_days=1.0
+            ),
+            seed=7,
+        )
+    )
 
 
 class TestSimIntegration:
     def test_sharded_sim_crawl_publishes_health(self, tmp_path):
-        world = SimWorld(
-            WorldConfig(
-                population=PopulationConfig(
-                    total_nodes=150, seed=2018, measurement_days=1.0
-                ),
-                seed=7,
-            )
-        )
         fleet = run_fleet(
-            world,
+            _world(150),
             instance_count=1,
             days=0.25,
-            config=NodeFinderConfig(seed=1, discovery_interval=200),
+            config=NodeFinderConfig(seed=1, discovery_interval=200, shards=2),
             telemetry_dir=tmp_path,
         )
-        snapshot = json.loads((tmp_path / "metrics.json").read_text())
-        text = render_top(snapshot)
-        assert "Shard health" in text
-        assert "full-harvest" in text
-        assert fleet.merged_db  # the crawl itself still worked
-        backlog = next(
-            metric
-            for metric in snapshot["metrics"]
-            if metric["name"] == "crawler_journal_backlog"
+        text = render_top((path, iter_events(path)) for path in fleet.journal_paths)
+        rows = table_rows(text, "Journals")
+        assert [row[0] for row in rows] == [
+            "nodefinder-0-shard0.g0.jsonl",
+            "nodefinder-0-shard1.g0.jsonl",
+        ]
+        for row, path in zip(rows, fleet.journal_paths):
+            dials = sum(1 for event in iter_events(path) if event.type == "dial")
+            assert int(row[1]) == dials > 0
+        stats = fleet.merged_stats
+        assert sum(int(row[1]) for row in rows) == sum(
+            stats.total(kind)
+            for kind in (
+                "dynamic_dial_attempts",
+                "static_dial_attempts",
+                "incoming_connections",
+            )
         )
-        assert backlog["series"], "scanner never published journal backlog"
+        assert "full-harvest" in text
+
+    def test_scripted_split_shows_in_the_plan_history(self, tmp_path):
+        fleet = run_fleet(
+            _world(150),
+            instance_count=1,
+            days=0.1,
+            config=NodeFinderConfig(
+                seed=1,
+                discovery_interval=200,
+                reshard=ReshardPolicy(schedule=(ReshardOp(2, "split", 0),)),
+            ),
+            telemetry_dir=tmp_path,
+        )
+        text = render_top((path, iter_events(path)) for path in fleet.journal_paths)
+        assert "nodefinder-0-shard0.g0.jsonl" in text
+        assert text.splitlines()[-1] == (
+            "  nodefinder-0 g1 split at step 2: [0x0000,0x10000) -> "
+            "[0x0000,0x08000) [0x8000,0x10000)"
+        )
+
+    def test_golden_top_of_the_four_shard_smoke_crawl(self, tmp_path):
+        """The smoke crawl whose segment bytes ``test_journal_bytes`` pins."""
+        fleet = run_fleet(
+            _world(),
+            instance_count=1,
+            days=0.05,
+            config=NodeFinderConfig(seed=1, shards=4),
+            telemetry_dir=tmp_path,
+        )
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in fleet.journal_paths
+        } == PINNED[4]
+        check_golden(
+            "golden_top.txt",
+            render_top((path, iter_events(path)) for path in fleet.journal_paths),
+        )
 
 
 class TestTopCLI:
-    def test_top_renders_a_metrics_file(self, tmp_path, capsys):
-        path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(sample_snapshot()))
-        assert main(["top", "--metrics", str(path)]) == 0
+    def _write(self, tmp_path):
+        paths = []
+        for name, events in sample_journals():
+            path = tmp_path / name
+            with EventJournal.open(path) as journal:
+                for event in events:
+                    journal.emit(event)
+            paths.append(path)
+        return paths
+
+    def test_top_renders_journal_files(self, tmp_path, capsys):
+        argv = ["top"]
+        for path in self._write(tmp_path):
+            argv += ["--journal", str(path)]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "Shard health" in out
-        assert "dial outcomes" in out
+        assert out == render_top(sample_journals()) + "\n"
 
     def test_top_is_byte_stable(self, tmp_path, capsys):
-        path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(sample_snapshot()))
-        assert main(["top", "--metrics", str(path)]) == 0
+        argv = ["top"]
+        for path in self._write(tmp_path):
+            argv += ["--journal", str(path)]
+        assert main(argv) == 0
         first = capsys.readouterr().out
-        assert main(["top", "--metrics", str(path)]) == 0
+        assert main(argv) == 0
         assert capsys.readouterr().out == first

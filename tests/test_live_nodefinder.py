@@ -418,18 +418,14 @@ def test_raising_fold_is_a_crashed_dial_and_the_loop_keeps_dialing():
                 await asyncio.sleep(0.005)
             assert poisoned not in finder.db
             assert finder.stats["loop_crashes"] == 0
-            # one dials-by-shard family, labelled per segment: a crawler
-            # builds a facade per segment with or without journals
+            # a crawler builds a facade per segment with or without
+            # journals, labelled by the segment
             assert [shard.telemetry.shard for shard in finder._shards] == [
                 shard.segment for shard in finder._shards
             ]
-            dials = finder.telemetry.scheduled_dials
-            per_segment = [
-                dials.total(type="static-dial", shard=shard.segment)
-                for shard in finder._shards
-            ]
-            assert all(per_segment)
-            assert sum(per_segment) == finder.stats["static_dials"]
+            # every static dial either folded or crashed in its fold
+            assert finder.stats["dial_failures"] == 1
+            assert finder.stats["static_dials"] == finder.writer.folds + 1
         finally:
             await finder.stop()
 
@@ -538,10 +534,70 @@ def test_segment_journals_carry_what_the_one_shard_journal_does(
     # node-less records: the first live segment, nowhere else
     first_live = sorted(paths)[0 if policy is None else 1]
     assert records([first_live], "supervisor") == records(paths, "supervisor")
-    assert main(["telemetry", "--journal", str(first_live)]) == 0
-    assert "supervisor: 1 crashes, 1 restarts" in capsys.readouterr().out
+    argv = ["top"]
+    for path in paths:
+        argv += ["--journal", str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "supervisor: 1 crashes, 1 restarts" in out
+    assert "bonds 4 ok / 0 failed" in out
+    assert "chaos faults injected: drop=1" in out
     # every file opens with the crawler's own identity
     for path in paths + [single]:
         first = read_events(path)[0]
         assert (first.type, first.fields["node_id"]) == ("crawler", crawler_id.hex())
     assert replay_journals(paths).crawler_ids == {crawler_id}
+
+
+def test_top_renders_a_row_per_segment_of_a_live_sharded_crawl(tmp_path, capsys):
+    """``nodefinder top`` over a live 2-shard crawl's segment files: one row
+    per segment, each counting the ``dial`` records in its own file."""
+
+    async def record_harvest(target, key, connection_type="dynamic-dial", **kwargs):
+        # the journal side of ``wire.harvest``: the result goes on record
+        result = DialResult(
+            timestamp=kwargs["clock"](),
+            node_id=target.node_id,
+            ip=target.ip,
+            tcp_port=target.tcp_port,
+            connection_type=connection_type,
+            outcome=DialOutcome.CONNECTION_REFUSED,
+        )
+        kwargs["telemetry"].record_dial(result)
+        return result
+
+    async def scenario():
+        files = SegmentFiles(tmp_path, "crawl", 2, None)
+        finder = LiveNodeFinder(
+            config=LiveConfig(shards=2, static_dial_interval=3600.0, retry=None),
+            harvester=record_harvest,
+            journal_opener=files,
+        )
+        targets = [dead_enode(seed) for seed in range(300, 316)]
+        await finder.start(bootstrap=[])
+        try:
+            started = time.monotonic()
+            for target in targets:
+                plant_static(finder, target, 0.0)
+            while len(finder.db) < len(targets):
+                assert time.monotonic() - started < 5.0, "sweep never finished"
+                await asyncio.sleep(0.005)
+        finally:
+            await asyncio.wait_for(finder.stop(), timeout=10.0)
+        return files.paths
+
+    paths = asyncio.run(scenario())
+    argv = ["top"]
+    for path in paths:
+        argv += ["--journal", str(path)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("Journals") + 2
+    rows = {line.split()[0]: line.split()[1:] for line in lines[header + 1 : header + 3]}
+    assert sorted(rows) == ["crawl-shard0.g0.jsonl", "crawl-shard1.g0.jsonl"]
+    assert lines[header + 3] == ""
+    for path in paths:
+        dials = sum(1 for event in read_events(path) if event.type == "dial")
+        assert dials > 0
+        assert rows[path.name] == [str(dials), "0", "0", "0", "no"]
+    assert sum(int(row[0]) for row in rows.values()) == 16

@@ -1,5 +1,5 @@
-"""Unit coverage for ``repro.telemetry``: metrics math, journal
-round-trip, spans, and the facade's event mapping."""
+"""Unit coverage for ``repro.telemetry``: journal round-trip, spans, the
+facade's event mapping, and the health page's fold and quantile math."""
 
 import io
 import itertools
@@ -15,21 +15,17 @@ from repro.devp2p.messages import DisconnectReason
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.nodefinder.records import DialOutcome, DialResult
 from repro.telemetry import (
-    DEFAULT_BUCKETS,
     Event,
     EventJournal,
     JournalError,
-    MetricError,
-    MetricsRegistry,
-    NullRegistry,
     SCHEMA_VERSION,
     Span,
     Telemetry,
     iter_events,
-    quantile_from_buckets,
     read_events,
-    summarize_journal,
+    render_top,
 )
+from repro.telemetry.health import quantile
 from repro.telemetry.journal import (
     _ENCODE,
     dao_line,
@@ -51,108 +47,31 @@ class FakeClock:
         self.now += seconds
 
 
-# -- metrics ----------------------------------------------------------------
-
-
-class TestMetrics:
-    def test_counter_counts_and_rejects_decrease(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        counter = registry.counter("c_total", "help")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(MetricError):
-            counter.inc(-1)
-
-    def test_labeled_children_are_independent(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        dials = registry.counter("dials_total", "", ("outcome", "stage"))
-        dials.labels(outcome="full-harvest", stage="").inc()
-        dials.labels(outcome="timeout", stage="connect").inc(2)
-        assert dials.labels(outcome="full-harvest", stage="").value == 1
-        assert dials.labels(outcome="timeout", stage="connect").value == 2
-
-    def test_label_mismatch_raises(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        dials = registry.counter("dials_total", "", ("outcome",))
-        with pytest.raises(MetricError):
-            dials.labels(stage="connect")
-        with pytest.raises(MetricError):
-            dials.inc()  # labeled family has no default child
-
-    def test_reregistration_same_shape_returns_same_family(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        first = registry.counter("c_total", "", ("a",))
-        again = registry.counter("c_total", "", ("a",))
-        assert first is again
-
-    def test_reregistration_different_kind_or_labels_raises(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        registry.counter("c_total", "", ("a",))
-        with pytest.raises(MetricError):
-            registry.gauge("c_total")
-        with pytest.raises(MetricError):
-            registry.counter("c_total", "", ("b",))
-
-    def test_invalid_names_rejected(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        with pytest.raises(MetricError):
-            registry.counter("0bad")
-        with pytest.raises(MetricError):
-            registry.counter("ok_total", "", ("bad-label",))
-
-    def test_gauge_set_inc_dec(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        gauge = registry.gauge("table_size")
-        gauge.set(16)
-        gauge.inc()
-        gauge.dec(3)
-        assert gauge.value == 14
-
-
-class TestHistogramBuckets:
-    def test_buckets_are_upper_inclusive(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        hist = registry.histogram("h", buckets=(0.1, 1.0))
-        child = hist.labels()
-        child.observe(0.1)   # le=0.1 takes exactly 0.1
-        child.observe(0.10000001)
-        child.observe(1.0)   # le=1.0 takes exactly 1.0
-        child.observe(2.0)   # +Inf
-        assert child.bucket_counts == [1, 2]
-        assert child.inf_count == 1
-        assert child.count == 4
-        assert child.sum == pytest.approx(3.2, abs=1e-6)
-
-    def test_duplicate_bounds_rejected(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        with pytest.raises(MetricError):
-            registry.histogram("h", buckets=(0.1, 0.1))
-
-    def test_default_buckets_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+# -- stage-latency quantiles ------------------------------------------------
 
 
 class TestQuantileMath:
-    def test_interpolates_inside_winning_bucket(self):
-        # 4 observations: 1 in (0, 0.1], 3 in (0.1, 1.0]
-        # p50 → rank 2 → second bucket, 1/3 through it
-        value = quantile_from_buckets([0.1, 1.0], [1, 3], 0, 0.5)
-        assert value == pytest.approx(0.1 + (1.0 - 0.1) * (2 - 1) / 3)
-
-    def test_inf_bucket_clamps_to_highest_bound(self):
-        assert quantile_from_buckets([0.1, 1.0], [1, 0], 9, 0.99) == 1.0
+    """The health page's stage latencies are exact quantiles of the
+    journal's per-stage durations: the sample at rank ``floor(q * n)``."""
 
     def test_empty_histogram_is_zero(self):
-        assert quantile_from_buckets([0.1], [0], 0, 0.5) == 0.0
+        assert quantile([], 0.5) == 0.0
 
     def test_quantile_bounds_checked(self):
-        with pytest.raises(MetricError):
-            quantile_from_buckets([0.1], [1], 0, 1.5)
+        with pytest.raises(ValueError):
+            quantile([0.1], 1.5)
+        with pytest.raises(ValueError):
+            quantile([0.1], -0.1)
 
     def test_exact_boundary_rank(self):
-        # all mass in the first bucket: p100 interpolates to its top edge
-        assert quantile_from_buckets([0.2, 1.0], [4, 0], 0, 1.0) == pytest.approx(0.2)
+        samples = [n / 10 for n in range(1, 11)]
+        assert quantile(samples, 0.0) == 0.1
+        # rank 5 of 10: the upper-middle sample
+        assert quantile(samples, 0.5) == 0.6
+        assert quantile(samples, 0.95) == 1.0
+        # p100 is the worst single observation
+        assert quantile(samples, 1.0) == 1.0
+        assert quantile([0.2], 1.0) == 0.2
 
 
 # -- journal ----------------------------------------------------------------
@@ -249,7 +168,6 @@ class TestJournal:
         with pytest.raises(JournalError, match="closed"):
             journal.write_lines(Event(type="dial", ts=2.0).to_json() + "\n")
         assert journal.events_written == 1
-        assert journal.backlog == 0
         assert len(read_events(tmp_path / "crawl.jsonl")) == 1
 
 
@@ -564,22 +482,6 @@ class TestSpans:
         assert span.outcome == "ok"
 
 
-# -- null objects -----------------------------------------------------------
-
-
-class TestNullRegistry:
-    def test_everything_noops_and_reads_zero(self):
-        registry = NullRegistry()
-        counter = registry.counter("c_total", "", ("a",))
-        counter.inc()
-        counter.labels(a="x").inc(5)
-        hist = registry.histogram("h")
-        hist.observe(1.0)
-        assert counter.value == 0.0
-        assert hist.quantile(0.5) == 0.0
-        assert registry.snapshot() == {"metrics": []}
-
-
 # -- facade -----------------------------------------------------------------
 
 
@@ -728,7 +630,7 @@ class TestTelemetryFacade:
         assert events["disconnect"].fields["reason"] == 8
 
     def test_funnel_counter_carries_outcome_and_stage(self):
-        telemetry, _, _ = self.make()
+        telemetry, stream, _ = self.make()
         telemetry.record_dial(
             full_result(
                 outcome=DialOutcome.TIMEOUT,
@@ -739,26 +641,29 @@ class TestTelemetryFacade:
                 failure_detail="stalled",
             )
         )
-        assert (
-            telemetry.dials.labels(outcome="timeout", stage="connect", shard="").value
-            == 1
-        )
-        assert telemetry.dial_seconds.labels(shard="").count == 1
+        [event] = read_events(stream.getvalue().splitlines())
+        assert (event.type, event.fields["outcome"]) == ("dial", "timeout")
+        assert event.fields["failure_stage"] == "connect"
+        assert event.fields["duration"] == 0.5
+        funnel = render_top([("crawl.jsonl", [event])])
+        assert "timeout  1      100.0%" in funnel
 
     def test_stage_histograms_fed_from_span_children(self):
-        telemetry, _, clock = self.make()
+        telemetry, stream, clock = self.make()
         span = telemetry.start_span("dial")
         child = span.child("connect")
         clock.advance(0.03)
         child.finish()
         span.finish()
         telemetry.record_dial(full_result(), span=span)
-        assert telemetry.stage_seconds.labels(stage="connect", shard="").count == 1
-        assert telemetry.stage_seconds.labels(
-            stage="connect", shard=""
-        ).sum == pytest.approx(
-            0.03
-        )
+        events = read_events(stream.getvalue().splitlines())
+        assert events[0].fields["stages"] == {"connect": pytest.approx(0.03)}
+        [row] = [
+            line.split()
+            for line in render_top([("crawl.jsonl", events)]).splitlines()
+            if line.startswith("connect")
+        ]
+        assert row == ["connect", "30.0ms", "30.0ms", "30.0ms"]
 
     def test_breaker_hook_records_transition(self):
         telemetry, stream, _ = self.make()
@@ -784,7 +689,6 @@ class TestTelemetryFacade:
             ("open", "half-open"),
             ("half-open", "closed"),
         ]
-        assert telemetry.breaker_transitions.labels(to="open", shard="").value == 1
 
     def test_supervisor_and_retry_records(self):
         telemetry, stream, _ = self.make()
@@ -804,8 +708,6 @@ class TestTelemetryFacade:
             "restart",
             "death",
         ]
-        assert telemetry.loop_crashes.value == 1
-        assert telemetry.retries.total() == 1
 
     @settings(max_examples=150, deadline=None)
     @given(result=_DIAL_RESULTS, with_span=st.booleans(), attempt=st.integers(1, 5))
@@ -835,11 +737,15 @@ class TestTelemetryFacade:
 
         NULL_TELEMETRY.record_dial(full_result())
         NULL_TELEMETRY.record_retry(None, 1, 0.1)
-        assert NULL_TELEMETRY.registry.snapshot() == {"metrics": []}
         assert NULL_TELEMETRY.journal is None
+        assert NULL_TELEMETRY.recorder is None
 
 
-# -- summaries --------------------------------------------------------------
+# -- the health page ---------------------------------------------------------
+
+
+def render_top_of(events):
+    return render_top([("crawl.jsonl", events)])
 
 
 class TestSummaries:
@@ -864,7 +770,7 @@ class TestSummaries:
                 failure_stage="connect",
             )
         )
-        text = summarize_journal(read_events(stream.getvalue().splitlines()))
+        text = render_top_of(read_events(stream.getvalue().splitlines()))
         assert "full-harvest" in text and "3" in text
         assert "timeout" in text
         assert "75.0%" in text
@@ -882,7 +788,7 @@ class TestSummaries:
             telemetry.record_dial(
                 full_result(duration=span.finish("full-harvest")), span=span
             )
-        text = summarize_journal(read_events(stream.getvalue().splitlines()))
+        text = render_top_of(read_events(stream.getvalue().splitlines()))
         header = next(
             line
             for line in text.splitlines()
@@ -906,9 +812,12 @@ class TestSummaries:
                 full_result(duration=span.finish("full-harvest")), span=span
             )
         lines = stream.getvalue().splitlines()
-        first = summarize_journal(read_events(lines))
-        second = summarize_journal(read_events(lines))
+        first = render_top_of(read_events(lines))
+        second = render_top_of(read_events(lines))
         assert first == second
 
     def test_empty_inputs_render(self):
-        assert "no transitions" in summarize_journal([])
+        text = render_top_of([])
+        assert "peer breakers: no transitions" in text
+        assert "subnet breakers: no transitions" in text
+        assert "supervisor: 0 crashes, 0 restarts, 0 loop deaths" in text

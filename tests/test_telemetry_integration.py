@@ -1,7 +1,7 @@
 """Acceptance test for the telemetry tentpole: a real localhost crawl with
 the full ``Telemetry`` facade attached, then cross-checking the three views
 of the same run — the folded DialResults in the NodeDB, the JSONL journal,
-and the metrics registry — against each other."""
+and the health page folded from it — against each other."""
 
 import asyncio
 import io
@@ -11,12 +11,7 @@ import pytest
 from repro.crypto.keys import PrivateKey
 from repro.fullnode import start_localhost_network
 from repro.nodefinder.wire import crawl_targets
-from repro.telemetry import (
-    EventJournal,
-    Telemetry,
-    read_events,
-    summarize_journal,
-)
+from repro.telemetry import EventJournal, Telemetry, read_events, render_top
 
 
 def run(coroutine):
@@ -109,27 +104,27 @@ class TestCrawlWithTelemetry:
             assert covered >= 0.5 * duration
 
     def test_funnel_counters_match_scoreboard(self):
-        db, events, telemetry, _ = self.crawl()
+        db, events, _, _ = self.crawl()
         # fold the scoreboard out of the NodeDB: who answered, who refused
         harvested = len(db.nodes_with_status())
         refused = len(db) - harvested
         assert (harvested, refused) == (2, 1)
-        assert (
-            telemetry.dials.labels(outcome="full-harvest", stage="", shard="").value
-            == harvested
+        dials = [e for e in events if e.type == "dial"]
+        outcomes = sorted(
+            (e.fields["outcome"], e.fields.get("failure_stage")) for e in dials
         )
-        assert (
-            telemetry.dials.labels(outcome="refused", stage="connect", shard="").value
-            == refused
-        )
-        # journal and registry agree on the total
-        assert telemetry.dial_seconds.labels(shard="").count == len(
-            [e for e in events if e.type == "dial"]
-        )
-        # per-stage histograms saw each full harvest exactly once
+        assert outcomes == [("full-harvest", None)] * harvested + [
+            ("refused", "connect")
+        ] * refused
+        # the page's funnel counts the same dials
+        page = render_top([("crawl.jsonl", events)])
+        assert f"full-harvest  {harvested}" in page
+        assert f"refused       {refused}" in page
+        # each full harvest timed every stage once; every dial timed connect
+        timed = [stage for e in dials for stage in e.fields["stages"]]
         for stage in FULL_HARVEST_STAGES - {"connect"}:
-            assert telemetry.stage_seconds.labels(stage=stage, shard="").count == harvested
-        assert telemetry.stage_seconds.labels(stage="connect", shard="").count == len(db)
+            assert timed.count(stage) == harvested
+        assert timed.count("connect") == len(db)
 
     def test_replay_reconstructs_live_nodedb(self):
         # tentpole round-trip: the journal alone rebuilds the NodeDB the
@@ -152,6 +147,6 @@ class TestCrawlWithTelemetry:
 
     def test_summary_renders_the_run(self):
         _, events, _, _ = self.crawl()
-        summary = summarize_journal(events)
+        summary = render_top([("crawl.jsonl", events)])
         assert "full-harvest" in summary
         assert "refused" in summary
