@@ -1,9 +1,12 @@
-"""Unrolled Keccak-f[1600] permutation on periodic lanes.
+"""Keccak-f[1600] permutation on periodic lanes, generated a block at a time.
 
 The readable round-loop implementation lives in :mod:`repro.crypto.keccak`
-(``keccak_f1600_reference``); this module generates one fully unrolled
-permutation function at import time, with the lanes held in locals and all
-five steps inlined per round.
+(``keccak_f1600_reference``); this module generates the permutation
+function at import time, with the lanes held in locals and all five steps
+inlined per round.  The source unrolls one block of ``ROUNDS_PER_REFRESH``
+rounds, looped over the first seven blocks' round constants, and a peeled
+final block that ends in ``& M``: 390 lines, where unrolling all 24 rounds
+takes 1 469 whose compile alone peaks at ≈8.5 MB, paid at every start.
 
 Each 64-bit lane ``v`` is carried as ``COPIES`` back-to-back copies of
 itself (``v * _REPLICATE``), so a rotation is a single right shift:
@@ -17,13 +20,13 @@ exact copy after ``ROUNDS_PER_REFRESH`` rounds, and ``(a & M) * _REPLICATE``
 rebuilds the copies; the output is ``a & M``.  That is ≈173 big-int
 operations a round against 242 for two-shift rotations with a mask each.
 
-The mask ``M``, the χ complement mask ``F`` and the 24 round constants are
-arguments, so the same function permutes two independent states at once:
-the second state's lanes sit at bit offset ``PAIR_SHIFT`` (``64 *
-COPIES``) of the first's.  CPython's cost of a bitwise op is nearly flat
-up to ≈1 000 bits, so ``keccak_f1600(lanes, *PAIR)`` costs about what one
-state does.  Tests assert both forms against the reference on random and
-edge states.
+The mask ``M``, the χ complement mask ``F`` and the 24 round constants
+(grouped by block) are arguments, so the same function permutes two
+independent states at once: the second state's lanes sit at bit offset
+``PAIR_SHIFT`` (``64 * COPIES``) of the first's.  CPython's cost of a
+bitwise op is nearly flat up to ≈1 000 bits, so ``keccak_f1600(lanes,
+*PAIR)`` costs about what one state does.  Tests assert both forms
+against the reference on random and edge states.
 """
 
 from __future__ import annotations
@@ -57,52 +60,65 @@ _MASK = (1 << 64) - 1
 _REPLICATE = sum(1 << 64 * k for k in range(COPIES))
 _PAIRED = _REPLICATE | _REPLICATE << PAIR_SHIFT
 
-#: (mask, χ complement mask, round constants) for one state — the defaults
-SINGLE = (
-    _MASK,
-    (1 << _WIDTH) - 1,
-    tuple(rc * _REPLICATE for rc in _ROUND_CONSTANTS),
-)
+
+def _blocks(replicate: int) -> tuple:
+    """The round constants scaled by ``replicate``, one tuple per block."""
+    rcs = [rc * replicate for rc in _ROUND_CONSTANTS]
+    return tuple(
+        tuple(rcs[i : i + ROUNDS_PER_REFRESH]) for i in range(0, len(rcs), ROUNDS_PER_REFRESH)
+    )
+
+
+#: (mask, χ complement mask, round constants by block) for one state — the
+#: defaults
+SINGLE = (_MASK, (1 << _WIDTH) - 1, _blocks(_REPLICATE))
 #: the same for two states: lane ``i`` is ``first[i] | second[i] << PAIR_SHIFT``
-PAIR = (
-    _MASK | _MASK << PAIR_SHIFT,
-    (1 << (PAIR_SHIFT + _WIDTH)) - 1,
-    tuple(rc * _PAIRED for rc in _ROUND_CONSTANTS),
-)
+PAIR = (_MASK | _MASK << PAIR_SHIFT, (1 << (PAIR_SHIFT + _WIDTH)) - 1, _blocks(_PAIRED))
 
 
-def _generate_source() -> str:
-    lanes = ", ".join(f"a{i}" for i in range(25))
-    lines = [
-        "def keccak_f1600(state, M=SINGLE[0], F=SINGLE[1], RC=SINGLE[2]):",
-        "    (" + ", ".join(f"r{n}" for n in range(24)) + ") = RC",
-        f"    ({lanes}) = state",
-    ]
-    lines += [f"    a{i} *= {_REPLICATE:#x}" for i in range(25)]
-    for n in range(24):
+def _block(rcs: tuple, last: bool) -> list[str]:
+    """``ROUNDS_PER_REFRESH`` rounds whose constants are the locals ``rcs``,
+    unindented; the block ends by refreshing the copies, or in ``& M`` if
+    ``last``."""
+    lines = []
+    for n, rc in enumerate(rcs):
         # theta; its a ^= d is folded into rho + pi below
         for x in range(5):
-            lines.append(f"    c{x} = " + " ^ ".join(f"a{x + 5 * y}" for y in range(5)))
+            lines.append(f"c{x} = " + " ^ ".join(f"a{x + 5 * y}" for y in range(5)))
         for x in range(5):
-            lines.append(f"    d{x} = c{(x - 1) % 5} ^ (c{(x + 1) % 5} << 1)")
+            lines.append(f"d{x} = c{(x - 1) % 5} ^ (c{(x + 1) % 5} << 1)")
         # rho + pi: b[dst] = rotl(a[src], rot[src]) where src = x+3y mod 5 + 5x
         for y in range(5):
             for x in range(5):
                 src = (x + 3 * y) % 5 + 5 * x
                 shift = 64 - _ROTATIONS[src]
-                lines.append(f"    b{x + 5 * y} = (a{src} ^ d{src % 5}) >> {shift}")
-        # chi (iota folded into lane 0); refresh the copies every few rounds
+                lines.append(f"b{x + 5 * y} = (a{src} ^ d{src % 5}) >> {shift}")
+        # chi (iota folded into lane 0); the block's last round refreshes
         for y in range(5):
             for x in range(5):
                 i = x + 5 * y
                 lane = f"b{i} ^ ((b{(x + 1) % 5 + 5 * y} ^ F) & b{(x + 2) % 5 + 5 * y})"
                 if i == 0:
-                    lane += f" ^ r{n}"
-                if n == 23:
-                    lane = f"({lane}) & M"
-                elif n % ROUNDS_PER_REFRESH == ROUNDS_PER_REFRESH - 1:
-                    lane = f"(({lane}) & M) * {_REPLICATE:#x}"
-                lines.append(f"    a{i} = {lane}")
+                    lane += f" ^ {rc}"
+                if n == ROUNDS_PER_REFRESH - 1:
+                    lane = f"({lane}) & M" if last else f"(({lane}) & M) * {_REPLICATE:#x}"
+                lines.append(f"a{i} = {lane}")
+    return lines
+
+
+def _generate_source() -> str:
+    lanes = ", ".join(f"a{i}" for i in range(25))
+    rcs = tuple(f"r{n}" for n in range(ROUNDS_PER_REFRESH))
+    blocks = len(SINGLE[2])
+    lines = [
+        "def keccak_f1600(state, M=SINGLE[0], F=SINGLE[1], RC=SINGLE[2]):",
+        f"    ({lanes}) = state",
+    ]
+    lines += [f"    a{i} *= {_REPLICATE:#x}" for i in range(25)]
+    lines.append(f"    for {', '.join(rcs)} in RC[:{blocks - 1}]:")
+    lines += ["        " + line for line in _block(rcs, last=False)]
+    lines.append(f"    {', '.join(rcs)} = RC[{blocks - 1}]")
+    lines += ["    " + line for line in _block(rcs, last=True)]
     lines.append(f"    return [{lanes}]")
     return "\n".join(lines)
 
@@ -114,16 +130,6 @@ keccak_f1600 = _namespace["keccak_f1600"]
 
 # -- batched permutation (numpy) ---------------------------------------------
 
-# after the generated function compiles: importing numpy before it raises
-# a live process's peak RSS by ~4 MB
-import numpy as _np  # noqa: E402
-
-
-def _rol_batch(lanes, shift: int):
-    if shift == 0:
-        return lanes
-    return (lanes << _np.uint64(shift)) | (lanes >> _np.uint64(64 - shift))
-
 
 def keccak_f1600_batch(state):
     """The permutation over N states at once: 25 uint64 arrays of shape (N,).
@@ -133,20 +139,28 @@ def keccak_f1600_batch(state):
     the synthetic-chain hash cache) ~50x cheaper than hashing one by one.
     Lane order and step structure follow the spec steps; tests assert that
     ``keccak256_batch`` equals scalar ``keccak256`` digest for digest.
+    numpy is imported here, on the first batch, not with the module.
     """
+    import numpy as np
+
+    def rol(lanes, shift: int):
+        if shift == 0:
+            return lanes
+        return (lanes << np.uint64(shift)) | (lanes >> np.uint64(64 - shift))
+
     a = list(state)
     for rc in _ROUND_CONSTANTS:
         c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rol_batch(c[(x + 1) % 5], 1) for x in range(5)]
+        d = [c[(x - 1) % 5] ^ rol(c[(x + 1) % 5], 1) for x in range(5)]
         a = [a[i] ^ d[i % 5] for i in range(25)]
         b = [None] * 25
         for y in range(5):
             for x in range(5):
                 src = (x + 3 * y) % 5 + 5 * x
-                b[x + 5 * y] = _rol_batch(a[src], _ROTATIONS[src])
+                b[x + 5 * y] = rol(a[src], _ROTATIONS[src])
         for y in range(5):
             for x in range(5):
                 i = x + 5 * y
                 a[i] = b[i] ^ (~b[(x + 1) % 5 + 5 * y] & b[(x + 2) % 5 + 5 * y])
-        a[0] = a[0] ^ _np.uint64(rc)
+        a[0] = a[0] ^ np.uint64(rc)
     return a

@@ -265,13 +265,6 @@ class PeerScoreboard:
         return existing.state if existing is not None else BreakerState.CLOSED
 
     @property
-    def open_count(self) -> int:
-        """Peers currently backed off (OPEN), for stats surfacing."""
-        return sum(
-            1 for b in self._breakers.values() if b.state is BreakerState.OPEN
-        )
-
-    @property
     def open_subnets(self) -> Tuple[str, ...]:
         """Prefixes currently backed off wholesale, sorted for stats."""
         return tuple(

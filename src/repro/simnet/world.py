@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Optional, Protocol
 
-import numpy as _np
-
 from repro.chain.forks import BYZANTIUM_BLOCK
 from repro.chain.synthetic import (
     MAINNET_HEIGHT_APRIL_2018,
@@ -109,14 +107,16 @@ class _OnlineIndex:
         self._nodes: list[SimNode] = []
 
     def _rebuild(self, node_map: dict) -> None:
+        import numpy as np
+
         nodes = list(node_map.values())
         self._nodes = nodes
         specs = [node.spec for node in nodes]
-        self._arrival = _np.array([s.arrival_day for s in specs])
-        self._departure = _np.array([s.departure_day for s in specs])
-        self._uptime = _np.array([s.uptime_fraction for s in specs])
-        self._period = _np.array([s.session_period_hours for s in specs]) / 24.0
-        self._phase = _np.array([s.phase for s in specs])
+        self._arrival = np.array([s.arrival_day for s in specs])
+        self._departure = np.array([s.departure_day for s in specs])
+        self._uptime = np.array([s.uptime_fraction for s in specs])
+        self._period = np.array([s.session_period_hours for s in specs]) / 24.0
+        self._phase = np.array([s.phase for s in specs])
         self._stable = self._uptime >= 0.999
         self._size = len(nodes)
 

@@ -174,7 +174,11 @@ class JournalHealth:
                     for o in outcomes
                 ],
             ),
-            format_table("Stage latency", ["stage", "p50", "p95", "max"], latency),
+            (
+                format_table("Stage latency", ["stage", "p50", "p95", "max"], latency)
+                if latency
+                else "stage latency: no stage timings in these journals"
+            ),
             "\n".join(
                 [
                     f"peer breakers: {_counts(peer) or 'no transitions'}; "

@@ -133,7 +133,8 @@ class TestRenderTop:
         assert table_rows(text, "Journals") == [
             ["empty.jsonl", "0", "0", "0", "0", "no"]
         ]
-        assert "Dial funnel" in text and "Stage latency" in text
+        assert "Dial funnel" in text
+        assert "stage latency: no stage timings in these journals" in text
         assert "peer breakers: no transitions; last reported open: 0" in text
         assert "plan history" not in text
 

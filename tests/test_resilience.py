@@ -248,9 +248,9 @@ class TestCircuitBreaker:
         assert board.state(good) is BreakerState.CLOSED
         assert not board.allow(bad)
         assert board.allow(good)
-        assert board.open_count == 1
+        assert board.state(bad) is BreakerState.OPEN
         board.forget(bad)
-        assert board.open_count == 0
+        assert board.state(bad) is BreakerState.CLOSED
         assert board.allow(bad)  # fresh breaker after forget
 
     def test_unknown_peer_is_closed(self):
