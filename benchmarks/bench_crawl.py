@@ -132,10 +132,6 @@ def run_scales(labels: tuple = ()) -> dict:
         "benchmark": "simnet-crawl-throughput",
         "python": platform.python_version(),
         "platform": platform.platform(),
-        # the workload crawls with no ReshardPolicy: the elastic-sharding
-        # machinery is present but its scheduler is idle, so this pin also
-        # guards the zero-reshard overhead of the dynamic plan
-        "reshard_scheduler": "idle",
         "scales": {},
     }
     for label, total_nodes, days in SCALES:

@@ -125,11 +125,6 @@ class ReplayedCrawl:
     rejected_subnets: Counter = field(default_factory=Counter)
     #: subnet-scope breaker OPEN transitions by prefix (v3)
     subnet_breaker_trips: Counter = field(default_factory=Counter)
-    #: shard handoffs found in sealed segments (v4 ``reshard`` records),
-    #: deduplicated by generation and sorted by (ts, generation); each is
-    #: ``{"action", "step", "generation", "parent", "children", "ts"}``
-    reshards: List[dict] = field(default_factory=list)
-    reshard_generations: set = field(default_factory=set)
 
     def timeline(self, node_id: bytes) -> Optional[PeerTimeline]:
         return self.timelines.get(node_id)
@@ -144,7 +139,9 @@ class ReplayedCrawl:
 #: companion records that attach to a peer's open dial observation
 _COMPANIONS = frozenset({"hello", "status", "dao", "disconnect"})
 
-#: record types that may be crawl-scope (v3/v4): about the crawl, not a peer
+#: record types that may be crawl-scope (v3/v4): about the crawl, not a
+#: peer.  Only older crawls wrote ``reshard`` (a plan change mid-crawl);
+#: replay counts it and folds nothing from it.
 _CRAWL_SCOPE = frozenset({"crawler", "table_admission", "breaker", "reshard"})
 
 _OUTCOMES = {outcome.value: outcome for outcome in DialOutcome}
@@ -251,28 +248,6 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
                     out.rejected_subnets[subnet] += 1
                 continue
             if kind == "reshard":
-                # (v4) a sealed segment's handoff marker.  A merge seals two
-                # parent segments with the same generation's record — dedupe
-                # on generation so the plan history reads one row per op.
-                generation = fields.get("generation")
-                if (
-                    isinstance(generation, int)
-                    and generation not in out.reshard_generations
-                ):
-                    out.reshard_generations.add(generation)
-                    out.reshards.append(
-                        {
-                            "action": fields.get("action"),
-                            "step": fields.get("step"),
-                            "generation": generation,
-                            "parent": fields.get("parent"),
-                            "children": fields.get("children"),
-                            "ts": ts,
-                        }
-                    )
-                    out.reshards.sort(
-                        key=lambda op: (op["ts"], op["generation"])
-                    )
                 continue
             if fields.get("scope") == "subnet":  # a breaker over a /24
                 if fields.get("new") == "open":
@@ -436,20 +411,14 @@ def replay_journals(
     share one injected clock, so this reconstructs the crawl's
     interleaved timeline while keeping each dial's companion records
     (written at the same instant) contiguous.  Sharded crawls journal one
-    file per shard (``<name>-shard<k>.g0.jsonl``); because the keyspace
+    file per shard (``<name>-shard<k>.jsonl``); because the keyspace
     partition gives every node exactly one owning shard, no two shard
     files carry the same node at the same timestamp, and the merged
-    replay reconstructs the same NodeDB the live sharded crawl folded
+    replay reconstructs the same NodeDB the sharded crawl folded
     through its ``NodeDBWriter`` (the shard-conformance suite pins this).
-
-    Elastic crawls add later-generation segments
-    (``<name>-shard<k>.g<gen>.jsonl``): a reshard seals the parent
-    segment with a ``reshard`` record and the children continue in fresh
-    files.  The same timestamp merge reassembles them — a node's dials
-    stay in order because its owning range hands off at a single instant,
-    so the sealed parent's records all precede its children's.  The
-    reshard-conformance suite pins entry-for-entry reconstruction across
-    generations.
+    Journals from older crawls whose plan changed mid-crawl, with
+    generation-suffixed files (``<name>-shard<k>.g<gen>.jsonl``), merge
+    the same way.
 
     **Memory.**  A journal a crawl wrote is non-decreasing in ``ts``, and
     while every source is, the sources are streamed through a k-way merge

@@ -14,16 +14,16 @@ Commands:
   repeatable for a fleet's per-instance or per-shard files) or a node
   database dump (``--db``); both paths produce byte-identical reports
   for the same crawl;
-* ``crawl``     — run a live (optionally sharded, ``--shards N``) crawl
-  against real bootstrap enodes, journaling per shard;
+* ``crawl``     — run a live crawl against real bootstrap enodes,
+  journaling to one file;
 * ``profile``   — run an instrumented simulated crawl and print the
   per-subsystem hot-path attribution table (deterministic virtual clock
   by default, so output is byte-stable per seed; ``--wall`` for real
   wall-clock attribution);
 * ``top``       — the one-page health view of a crawl, folded from its
-  measurement journals (``--journal``, repeatable for every segment or
+  measurement journals (``--journal``, repeatable for every shard or
   instance file): per-file rows, dial funnel, stage latencies, breakers,
-  supervisor and discovery health, plan history.
+  supervisor and discovery health.
 """
 
 from __future__ import annotations
@@ -127,29 +127,20 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     from repro.discovery.enode import parse_enode_url
     from repro.errors import DiscoveryError
     from repro.nodefinder.live import LiveConfig, LiveNodeFinder
-    from repro.nodefinder.reshard import ReshardPolicy, SegmentFiles
+    from repro.nodefinder.shard import SegmentFiles
 
     try:
         bootstrap = [parse_enode_url(uri) for uri in args.enode]
     except DiscoveryError as exc:
         print(f"crawl: bad --enode: {exc}", file=sys.stderr)
         return 2
-    policy = None
-    if args.max_shards > args.shards:
-        # elastic: the reshard loop may split hot shards up to the cap
-        # (and merge cold siblings back down, never below the start count)
-        policy = ReshardPolicy(max_shards=args.max_shards, min_shards=args.shards)
     config = LiveConfig(
-        shards=args.shards,
         lookup_interval=args.lookup_interval,
         static_dial_interval=args.static_dial_interval,
-        reshard=policy,
     )
-    # reshards seal parent segments and open generation-suffixed children
-    # through this opener; a plain one-shard crawl has the one crawl.jsonl
     files = None
     if args.journal_dir:
-        files = SegmentFiles(args.journal_dir, "crawl", config.shards, policy)
+        files = SegmentFiles(args.journal_dir, "crawl", 1)
 
     async def run() -> int:
         finder = LiveNodeFinder(
@@ -164,7 +155,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             await finder.stop()
         stats = finder.stats
         print(
-            f"crawled for {args.seconds:.0f}s with {finder.shard_count} shard(s): "
+            f"crawled for {args.seconds:.0f}s: "
             f"{len(finder.db)} node IDs, {stats['dynamic_dials']} dynamic + "
             f"{stats['static_dials']} static dials, "
             f"{finder.writer.folds} writer folds"
@@ -178,7 +169,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         return asyncio.run(run())
     finally:
         if files is not None:
-            files.close()  # idempotent: sealed segments are closed already
+            files.close()
             journals = " ".join(f"--journal {path}" for path in sorted(files.paths))
             print(f"measurement journals: replay with `nodefinder analyze {journals}`, "
                   f"health with `nodefinder top {journals}`")
@@ -212,11 +203,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro.telemetry import Profiler, TickClock
 
         profiler = Profiler(clock=TickClock())
-    reshard = None
-    if args.max_shards > args.shards:
-        from repro.nodefinder.reshard import ReshardPolicy
-
-        reshard = ReshardPolicy(max_shards=args.max_shards, min_shards=args.shards)
     fleet = run_fleet(
         world,
         instance_count=args.instances,
@@ -224,7 +210,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config=NodeFinderConfig(
             discovery_interval=args.discovery_interval,
             shards=args.shards,
-            reshard=reshard,
             defended=args.defenses,
         ),
         telemetry_dir=args.telemetry_dir,
@@ -401,11 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=2018)
     simulate.add_argument("--discovery-interval", type=float, default=60.0)
     simulate.add_argument("--shards", type=int, default=1,
-                          help="worker shards partitioning the enode keyspace")
-    simulate.add_argument("--max-shards", type=int, default=0,
-                          help="elastic sharding: allow the reshard "
-                               "controller to split hot shards up to this "
-                               "cap (> --shards enables it)")
+                          help="journal shards partitioning the enode keyspace")
     simulate.add_argument("--telemetry-dir", metavar="DIR",
                           help="write per-instance journals here "
                                "(one journal per shard when --shards > 1)")
@@ -452,24 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=_cmd_analyze)
 
     crawl = commands.add_parser(
-        "crawl", help="run a live sharded crawl against real enodes"
+        "crawl", help="run a live crawl against real enodes"
     )
     crawl.add_argument("--enode", metavar="URL", action="append", default=[],
                        required=True,
                        help="bootstrap enode:// URL (repeatable)")
-    crawl.add_argument("--shards", type=int, default=1,
-                       help="worker shards partitioning the enode keyspace")
-    crawl.add_argument("--max-shards", type=int, default=0,
-                       help="elastic sharding: allow the reshard controller "
-                            "to split hot shards up to this cap "
-                            "(> --shards enables it)")
     crawl.add_argument("--seconds", type=float, default=60.0,
                        help="crawl duration")
     crawl.add_argument("--lookup-interval", type=float, default=4.0)
     crawl.add_argument("--static-dial-interval", type=float, default=30 * 60.0)
     crawl.add_argument("--journal-dir", metavar="DIR",
-                       help="write measurement journals here "
-                            "(one per shard when --shards > 1)")
+                       help="write the measurement journal here")
     crawl.add_argument("--db", metavar="PATH",
                        help="dump the node database here when done")
     crawl.set_defaults(func=_cmd_crawl)
@@ -483,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--instances", type=int, default=1)
     profile.add_argument("--discovery-interval", type=float, default=60.0)
     profile.add_argument("--shards", type=int, default=1,
-                         help="worker shards partitioning the enode keyspace")
+                         help="journal shards partitioning the enode keyspace")
     profile.add_argument("--wall", action="store_true",
                          help="time with the real wall clock instead of the "
                               "deterministic virtual clock")
@@ -497,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--journal", metavar="PATH", action="append", required=True,
                      help="measurement journal written by a crawl (repeat "
-                          "for every segment or instance file)")
+                          "for every shard or instance file)")
     top.set_defaults(func=_cmd_top)
     return parser
 

@@ -43,11 +43,6 @@ from repro.devtools.source import ModuleSource
 WRITER_SETS = {
     "NodeDB": frozenset({"NodeDBWriter"}),
     "CrawlStats": frozenset({"NodeDBWriter"}),
-    # sealing a journal segment ends its lifetime — only the reshard
-    # handoff, inside the class that places every record, may do it, or
-    # a crash between the seal and the handoff could orphan a
-    # half-written generation
-    "EventJournal": frozenset({"ReshardCoordinator"}),
 }
 
 #: the methods that mutate each tracked type
@@ -56,7 +51,6 @@ MUTATORS_BY_TYPE = {
     "CrawlStats": frozenset(
         {"record_dial", "record_discovery", "watch_bootstrap", "merge"}
     ),
-    "EventJournal": frozenset({"seal"}),
 }
 
 
@@ -198,11 +192,10 @@ class _ProjectTypes:
 class StateOwnership(ProjectRule):
     code = "OWNERSHIP"
     description = (
-        "NodeDB, CrawlStats and EventJournal are mutated "
-        "only inside their defining module or their declared writer classes "
-        "(NodeDBWriter, ReshardCoordinator — sealing a journal "
-        "segment is the reshard handoff's job); mutation sites are resolved "
-        "by type across the whole tree, not by receiver name"
+        "NodeDB and CrawlStats are mutated only inside their defining "
+        "module or their declared writer class (NodeDBWriter); mutation "
+        "sites are resolved by type across the whole tree, not by receiver "
+        "name"
     )
     scope = None
 

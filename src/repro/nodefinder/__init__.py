@@ -20,12 +20,11 @@ benchmarks), and :mod:`repro.nodefinder.live` schedules
 real asyncio RLPx stack against live TCP nodes (integration tests and
 examples).
 
-Both crawlers shard the same way: one
-:class:`~repro.nodefinder.reshard.DynamicShardPlan` partitions the enode
-keyspace by node-ID prefix into N >= 1 ranges (an unsharded crawl is the
-1-shard plan; a plan nobody reshards just stays at generation 0), every
-dial result folds into the one ``NodeDB`` through
-:class:`~repro.nodefinder.shard.NodeDBWriter`, and a mid-crawl
-split/merge goes through
-:meth:`~repro.nodefinder.reshard.ReshardCoordinator.handoff`.
+Both crawlers fold every dial result into the one ``NodeDB`` through
+:class:`~repro.nodefinder.shard.NodeDBWriter`.  The live crawler runs one
+dial loop and journals to one file; the simulated one may spread its
+journal over N files by node-ID prefix, one
+:class:`~repro.nodefinder.shard.ShardPlan` fixed for the crawl (an
+unsharded crawl is the 1-shard plan).  The paper scaled out with more
+instances (§4), which is :mod:`repro.nodefinder.fleet`.
 """

@@ -33,7 +33,6 @@ from repro.units import SECONDS_PER_DAY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nodefinder.records import DialResult
-    from repro.nodefinder.reshard import DynamicShardPlan
     from repro.resilience.breaker import PeerScoreboard
 
 
@@ -56,27 +55,21 @@ class CrawlerCore(Generic[T]):
 
     ``gate`` is the crawl's one breaker scoreboard (``None`` = dials go
     ungated) and ``budget`` caps the dynamic dials one lookup round may
-    take (``None`` = unbounded).  Both are crawl-wide: a scoreboard keyed
-    by node ID answers every shard as N per-shard ones would, since each
-    node ID is owned by one shard, and a split or merge leaves it whole.
-    The ``shard`` in a returned ``(shard, target)`` pair is a positional
-    index into ``plan.ranges``.
+    take (``None`` = unbounded).  The core knows no shard: which journal
+    file a dial lands in is the journal router's to decide.
     """
 
     def __init__(
         self,
-        plan: "DynamicShardPlan",
         static_dial_interval: float,
         history_window: float,
         gate: Optional["PeerScoreboard"] = None,
         budget: Optional[int] = None,
     ) -> None:
-        self.plan = plan
         self.static_dial_interval = static_dial_interval
         self.history_window = history_window
         #: StaticNodes: node id -> next re-dial time, in the order the nodes
-        #: joined; which shard dials one is ``plan.shard_of``, looked up
-        #: when asked, so no plan change moves anything here
+        #: joined
         self.statics: dict[bytes, float] = {}
         self.gate = gate
         self.budget = budget
@@ -90,23 +83,22 @@ class CrawlerCore(Generic[T]):
 
     def select(
         self, found: Iterable[T], own_id: bytes, now: float
-    ) -> tuple[list[tuple[int, T]], int]:
-        """Lookup results -> the dynamic dials to make, as ``(shard,
-        target)`` in lookup order, plus how many the budget shed.
+    ) -> tuple[list[T], int]:
+        """Lookup results -> the dynamic dials to make, in lookup order,
+        plus how many the budget shed.
 
         A result is dialed unless it is ourselves, already on StaticNodes,
         or was taken inside the history window — Geth keeps dialing what
         discovery returns, including nodes that never answered.  Overflow
         beyond :attr:`budget` is shed *before* it enters the history, so a
         target dropped this round is dialable next round, not blocked for
-        a window.  The order is the lookup's, not the plan's: a subnet
-        breaker trips on the K-th failure in dial order, so a driver that
-        dials this list front to back behaves the same under any plan.
+        a window.  A subnet breaker trips on the K-th failure in dial
+        order, so the drivers dial this list front to back.
         """
         horizon = now - self.history_window
-        shard_of, statics, history = self.plan.shard_of, self.statics, self.dial_history
+        statics, history = self.statics, self.dial_history
         budget = self.budget
-        taken: list[tuple[int, T]] = []
+        taken: list[T] = []
         shed = 0
         for target in found:
             node_id = target.node_id
@@ -121,30 +113,24 @@ class CrawlerCore(Generic[T]):
                 shed += 1
                 continue
             history[node_id] = now
-            taken.append((shard_of(node_id), target))
+            taken.append(target)
         return taken, shed
 
-    def due_statics(self, now: float, shard: Optional[int] = None) -> list[tuple[int, T]]:
-        """``(shard, target)`` for every static whose time has come, in
-        the order they joined StaticNodes (one shard's only when ``shard``
-        is given) — like :meth:`select`'s, an order the plan does not
-        enter, so dialing it front to back trips the same breakers under
-        any shard count.  Each is rescheduled one interval out *before* it
-        is returned — the caller's dial cannot be raced into a second
-        dial — and an entry with no known address is dropped instead.
+    def due_statics(self, now: float) -> list[T]:
+        """Every static whose time has come, in the order they joined
+        StaticNodes.  Each is rescheduled one interval out *before* it is
+        returned — the caller's dial cannot be raced into a second dial —
+        and an entry with no known address is dropped instead.
         """
-        statics, shard_of = self.statics, self.plan.shard_of
-        due: list[tuple[int, T]] = []
+        statics = self.statics
+        due: list[T] = []
         for node_id in [n for n, next_dial in statics.items() if next_dial <= now]:
-            index = shard_of(node_id)
-            if shard is not None and index != shard:
-                continue
             target = self.addresses.get(node_id)
             if target is None:
                 del statics[node_id]
                 continue
             statics[node_id] = now + self.static_dial_interval
-            due.append((index, target))
+            due.append(target)
         return due
 
     def admit(self, target: T) -> bool:

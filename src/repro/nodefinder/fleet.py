@@ -3,9 +3,9 @@
 With ``telemetry_dir`` set, :func:`run_fleet` instruments every instance
 with its own :class:`~repro.telemetry.Telemetry` on the shared world
 clock, writes its measurement journal through
-:class:`~repro.nodefinder.reshard.SegmentFiles` — ``<name>.jsonl``, or one
-file per shard segment (``<name>-shard<k>.g<gen>.jsonl``), replayable one
-by one or merged via :func:`repro.analysis.ingest.replay_journals`, and
+:class:`~repro.nodefinder.shard.SegmentFiles` — ``<name>.jsonl``, or one
+file per shard (``<name>-shard<k>.jsonl``), replayable one by one or
+merged via :func:`repro.analysis.ingest.replay_journals`, and
 rendered together by ``nodefinder top`` — the multi-instance equivalent
 of the paper's combined measurement log.
 """
@@ -17,8 +17,8 @@ from pathlib import Path
 
 from repro.nodefinder.database import NodeDB
 from repro.nodefinder.records import CrawlStats
-from repro.nodefinder.reshard import SegmentFiles
 from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
+from repro.nodefinder.shard import SegmentFiles
 from repro.simnet.adversary import AdversaryCampaign
 from repro.simnet.world import SimWorld
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -63,13 +63,11 @@ def run_fleet(
     All instances start simultaneously, as in the paper's deployment.  With
     ``watch_bootstrap`` every instance tracks dials to the first bootstrap
     node (the Figure 8 experiment).  With ``telemetry_dir`` each instance
-    journals to ``<dir>/<name>.jsonl`` — or, when it is sharded or may
-    reshard, one journal per shard *segment*
-    (``<dir>/<name>-shard<k>.g<gen>.jsonl``), which
+    journals to ``<dir>/<name>.jsonl`` — or, when it is sharded, one
+    journal per shard (``<dir>/<name>-shard<k>.jsonl``), which
     ``repro.analysis.ingest.replay_journals`` merges back into a single
-    timeline and ``nodefinder top`` folds into one health page.  Reshards
-    seal parent segments mid-crawl and open generation-suffixed children,
-    all of which land in ``journal_paths``.
+    timeline and ``nodefinder top`` folds into one health page; every
+    file lands in ``journal_paths``.
 
     With ``adversary`` the campaign is launched against the *first*
     instance's node ID after every instance has minted its identity but
@@ -103,9 +101,7 @@ def run_fleet(
             )
         journal_opener = None
         if export_dir is not None:
-            journal_opener = SegmentFiles(
-                export_dir, name, instance_config.shards, instance_config.reshard
-            )
+            journal_opener = SegmentFiles(export_dir, name, instance_config.shards)
             files.append(journal_opener)
         instance = NodeFinderInstance(
             world,
@@ -125,8 +121,6 @@ def run_fleet(
     try:
         world.run_days(days)
     finally:
-        # segments sealed mid-crawl are already closed; the still-live
-        # ones close here
         for opened in files:
             opened.close()
             fleet.journal_paths.extend(opened.paths)

@@ -7,15 +7,15 @@ addresses fall off after 24 hours; all results land in the same
 :class:`~repro.nodefinder.database.NodeDB` the analyses consume.  Those
 rules are :class:`~repro.nodefinder.core.CrawlerCore`'s, shared with the
 simnet scanner; this module is the asyncio around them — the discv4
-service, per-shard queues and dial loops, semaphores, supervisors and
-the drain/spawn half of a reshard.
+service, one dial queue drained by one dial loop under one
+``max_active_dials`` semaphore, and the loop supervisors.
 
 The crawler is supervised for month-long runs: each loop restarts under a
 backoff policy if it crashes (crash/restart counts land in ``stats``),
 repeatedly-failing enodes are backed off behind a per-peer circuit
 breaker — one scoreboard for the whole crawl, held by the core at
-:class:`~repro.resilience.PeerScoreboard`'s defaults (3 failures, 300 s),
-so a reshard handoff keeps every peer's failure history — and transient
+:class:`~repro.resilience.PeerScoreboard`'s defaults (3 failures,
+300 s) — and transient
 dial failures can be retried in place under a deterministic
 :class:`~repro.resilience.RetryPolicy`.
 
@@ -39,18 +39,15 @@ from repro.discovery.enode import ENode
 from repro.discovery.protocol import DiscoveryService
 from repro.nodefinder.core import CrawlerCore
 from repro.nodefinder.database import NodeDB
-from repro.nodefinder.reshard import (
-    DynamicShardPlan,
-    ReshardController,
-    ReshardCoordinator,
-    ReshardPolicy,
-)
-from repro.nodefinder.shard import NodeDBWriter, ShardState
+from repro.nodefinder.shard import JournalRouter, NodeDBWriter, ShardPlan
 from repro.nodefinder.wire import harvest
 from repro.resilience import LoopSupervisor, PeerScoreboard, RetryPolicy
 from repro.telemetry import EventJournal, Telemetry
 
 logger = logging.getLogger(__name__)
+
+#: dynamic-dial targets the dial loop drains from its queue per pass
+DIAL_BATCH = 8
 
 
 @dataclass
@@ -67,16 +64,6 @@ class LiveConfig:
     )
     #: restart budget for crashed crawler loops; None → package default
     supervisor_policy: Optional[RetryPolicy] = None
-    #: worker shards partitioning the enode keyspace by node-ID prefix:
-    #: one dial loop per shard, all folding through one NodeDBWriter
-    shards: int = 1
-    #: dynamic-dial targets a shard loop drains from its queue per pass
-    shard_batch: int = 8
-    #: elastic sharding: when set, a supervised reshard loop polls the
-    #: shard queue depths and may split hot shards / merge cold siblings
-    #: mid-crawl with a drain-seal-handoff protocol (see
-    #: :mod:`repro.nodefinder.reshard`); None leaves the plan as it starts
-    reshard: Optional[ReshardPolicy] = None
 
 
 class LiveNodeFinder:
@@ -112,24 +99,17 @@ class LiveNodeFinder:
         #: injectable dial function (harvest-compatible); benchmarks and
         #: tests swap in a stub to exercise the scheduler without sockets
         self._harvest = harvester if harvester is not None else harvest
-        # -- sharding -------------------------------------------------------
-        self.plan = DynamicShardPlan(max(1, int(self.config.shards)))
-        policy = self.config.reshard
-        self.controller: Optional[ReshardController] = (
-            ReshardController(policy, self.plan) if policy is not None else None
-        )
         #: the crawl's journal: with a ``journal_opener`` every facade of
-        #: this crawl — the shards', the one discovery and the harvests
-        #: hold — writes through it and it places each record in a
-        #: segment file, which opens with the ``crawler`` record
-        self.coordinator = ReshardCoordinator(
-            self.plan,
+        #: this crawl — the one discovery and the harvests hold — writes
+        #: through it into one file, which opens with the ``crawler`` record
+        self.journals = JournalRouter(
+            ShardPlan(1),
             journal_opener,
             self.clock,
             self.private_key.public_key.to_bytes(),
             "live",
         )
-        self.telemetry = self.coordinator.facade(
+        self.telemetry = self.journals.facade(
             telemetry if telemetry is not None else Telemetry()
         )
         #: the crawler's counters, incremented where each thing happens
@@ -149,30 +129,16 @@ class LiveNodeFinder:
         #: every NodeDB/CrawlStats mutation goes through this single writer
         #: (OWNERSHIP pins the rule)
         self.writer = NodeDBWriter(self.db, telemetry=self.telemetry)
-        #: one dial worker per live range, positional like ``plan.ranges``
-        #: and labeled by stable segment id (the controller may split even
-        #: a single shard)
-        self._shards: list[ShardState] = [
-            self._make_shard_state(index, shard_range.segment)
-            for index, shard_range in enumerate(self.plan.ranges)
-        ]
+        #: dynamic-dial targets the discovery loop hands the dial loop
+        self._queue: asyncio.Queue = asyncio.Queue()
+        #: the crawl's dial slots
+        self._semaphore = asyncio.Semaphore(self.config.max_active_dials)
         #: the §4 policy: StaticNodes, dial history (one re-dial interval
         #: long), the crawl's one breaker gate — all on the injected clock
         self.core: CrawlerCore[ENode] = CrawlerCore(
-            self.plan,
             self.config.static_dial_interval,
             self.config.static_dial_interval,
             PeerScoreboard(clock=self.clock, on_transition=self.telemetry.record_breaker),
-        )
-
-    @property
-    def shard_count(self) -> int:
-        return self.plan.shards
-
-    def _make_shard_state(self, index: int, segment: str) -> ShardState:
-        """Build one shard under its segment's label."""
-        return ShardState(
-            index, self.telemetry.for_shard(segment), self.config.max_active_dials, segment
         )
 
     @property
@@ -196,13 +162,10 @@ class LiveNodeFinder:
             self.core.addresses[node.node_id] = node
             self.core.add_static(node.node_id, self.clock())
         self._spawn_loop("discovery", self._discovery_loop)
-        if self.controller is not None:
-            self._spawn_loop("reshard", self._reshard_loop)
-        for shard in self._shards:
-            self._spawn_shard_loop(shard)
+        self._spawn_loop("dial", self._dial_loop)
         return self
 
-    def _spawn_loop(self, name: str, loop: Callable) -> asyncio.Task:
+    def _spawn_loop(self, name: str, loop: Callable) -> None:
         supervisor = LoopSupervisor(
             name,
             loop,
@@ -217,12 +180,6 @@ class LiveNodeFinder:
             lambda task, name=name: self._task_died(name, task)
         )
         self._tasks.append(task)
-        return task
-
-    def _spawn_shard_loop(self, shard: ShardState) -> None:
-        shard.task = self._spawn_loop(
-            f"shard-{shard.segment}", lambda shard=shard: self._shard_loop(shard)
-        )
 
     def _loop_crashed(self, name: str, exc: BaseException) -> None:
         self.stats["loop_crashes"] += 1
@@ -263,9 +220,8 @@ class LiveNodeFinder:
         await asyncio.sleep(0)
         if self.discovery is not None:
             self.discovery.close()
-        # segments sealed mid-crawl are already closed; the still-live
-        # generation's journals close here, after the last emitter
-        self.coordinator.close()
+        # the journal closes after the last emitter
+        self.journals.close()
 
     # -- loops -------------------------------------------------------------
 
@@ -282,44 +238,33 @@ class LiveNodeFinder:
             taken, _ = self.core.select(
                 found, self.discovery.node_id, self.clock()
             )
-            # each target goes to the shard owning its keyspace slice; the
-            # shard loop batches the draws
-            for index, node in taken:
-                self._shards[index].queue.put_nowait(node)
+            # the dial loop batches the draws
+            for node in taken:
+                self._queue.put_nowait(node)
             # §4's 24 h rule, crawl-wide, once per lookup round
             self.core.prune(self.clock())
             await asyncio.sleep(self.config.lookup_interval)
 
-    async def _shard_loop(self, shard: ShardState) -> None:
-        """One shard's dial loop: due statics plus a batched queue draw.
-
-        The shard touches only its own :class:`ShardState` and the shared
-        :class:`NodeDBWriter` — no cross-shard state, no locks.
-        """
+    async def _dial_loop(self) -> None:
+        """The crawl's dial loop: due statics plus a batched queue draw."""
         poll = min(1.0, self.config.static_dial_interval / 10)
-        # a reshard handoff retires the loop: it finishes the pass in
-        # flight (draining its dials) and returns cleanly, which the
-        # supervisor treats as a normal exit
-        while not (self._stopping or shard.retired):
-            now = self.clock()
+        queue = self._queue
+        while not self._stopping:
             jobs: list[tuple[ENode, str]] = [
-                (enode, "static-dial")
-                for _, enode in self.core.due_statics(now, shard.index)
+                (enode, "static-dial") for enode in self.core.due_statics(self.clock())
             ]
             try:
                 drawn = 0
                 if not jobs:
                     # idle: block up to one poll interval for the first
                     # queued target (this is also the loop's pacing sleep)
-                    node = await asyncio.wait_for(
-                        shard.queue.get(), timeout=poll
-                    )
+                    node = await asyncio.wait_for(queue.get(), timeout=poll)
                     jobs.append((node, "dynamic-dial"))
                     drawn = 1
                 # with work in hand, only drain what is already queued,
                 # up to the batch size — never park on an empty queue
-                while drawn < self.config.shard_batch:
-                    jobs.append((shard.queue.get_nowait(), "dynamic-dial"))
+                while drawn < DIAL_BATCH:
+                    jobs.append((queue.get_nowait(), "dynamic-dial"))
                     drawn += 1
             except (asyncio.TimeoutError, asyncio.QueueEmpty):
                 pass
@@ -327,10 +272,7 @@ class LiveNodeFinder:
                 # exception-safe fan-out: one crashing dial must not cancel
                 # its siblings or kill the loop
                 outcomes = await asyncio.gather(
-                    *(
-                        self._shard_dial(shard, enode, kind)
-                        for enode, kind in jobs
-                    ),
+                    *(self._dial(enode, kind) for enode, kind in jobs),
                     return_exceptions=True,
                 )
                 for (enode, kind), outcome in zip(jobs, outcomes):
@@ -338,98 +280,18 @@ class LiveNodeFinder:
                         raise outcome
                     if isinstance(outcome, BaseException):
                         self.stats["dial_failures"] += 1
-                        shard.telemetry.record_dial_crash(repr(outcome))
+                        self.telemetry.record_dial_crash(repr(outcome))
                         logger.warning(
-                            "shard %d %s of %s crashed: %r",
-                            shard.index,
-                            kind,
-                            enode.short_id(),
-                            outcome,
+                            "%s of %s crashed: %r", kind, enode.short_id(), outcome
                         )
-
-    # -- elastic resharding ------------------------------------------------
-
-    async def _reshard_loop(self) -> None:
-        """Poll the shard queue depths and apply split/merge decisions.
-
-        Supervised like every other crawler loop; the controller applies
-        hysteresis and cooldown, so a healthy crawl makes this a cheap
-        periodic no-op.
-        """
-        assert self.controller is not None
-        interval = self.controller.policy.interval
-        while not self._stopping:
-            await asyncio.sleep(interval)
-            if self._stopping:
-                return
-            loads = [float(shard.queue.qsize()) for shard in self._shards]
-            ops = self.controller.observe(loads, now=self.clock())
-            for action, index in ops:
-                await self._apply_reshard(action, index)
-
-    async def _apply_reshard(self, action: str, index: int) -> None:
-        """One live handoff: drain the parent loops, seal, split/merge.
-
-        Protocol order matters:
-
-        1. flag the parent shard(s) ``retired`` and await their loop
-           tasks — the loops finish the pass in flight (every dial
-           folded) and return cleanly;
-        2. with the parents quiescent, the coordinator mutates the plan,
-           seals their journal segments with the ``reshard`` record and
-           opens the children's (no awaits from here to step 4, so no
-           loop observes a half-built plan);
-        3. hand off: queued targets transfer to the child owning their
-           prefix (StaticNodes and the breaker gate are crawl-wide and the
-           plan is in neither — nothing to move, and every peer's failure
-           history survives the handoff);
-        4. splice the children into the shard list, renumber positional
-           indices, and spawn their supervised loops.
-        """
-        assert self.controller is not None
-        count = 1 if action == "split" else 2
-        drains = []
-        for shard in self._shards[index : index + count]:
-            shard.retired = True
-            if shard.task is not None:
-                drains.append(shard.task)
-        if drains:
-            await asyncio.gather(*drains, return_exceptions=True)
-        if self._stopping:
-            return
-        # ---- synchronous from here until the new loops spawn ----
-        parents = self._shards[index : index + count]
-        handed = self.coordinator.handoff(
-            action,
-            index,
-            step=self.controller.step - 1,  # the observation that decided this
-        )
-        children = [
-            self._make_shard_state(index + offset, child.segment)
-            for offset, child in enumerate(handed)
-        ]
-        self._shards[index : index + count] = children
-        for position, shard in enumerate(self._shards):
-            shard.index = position
-        for parent in parents:
-            while True:
-                try:
-                    node = parent.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                self._shards[self.plan.shard_of(node.node_id)].queue.put_nowait(node)
-        for shard in children:
-            self._spawn_shard_loop(shard)
 
     # -- dialing ---------------------------------------------------------------
 
-    async def _shard_dial(
-        self, shard: ShardState, target: ENode, connection_type: str
-    ) -> None:
+    async def _dial(self, target: ENode, connection_type: str) -> None:
         if not self.core.admit(target):
             self.stats["breaker_skips"] += 1
             return
-        async with shard.semaphore:
+        async with self._semaphore:
             result = await self._harvest(
                 target,
                 self.private_key,
@@ -438,13 +300,12 @@ class LiveNodeFinder:
                 clock=self.clock,
                 retry=self.config.retry,
                 retry_rng=self.rng,
-                telemetry=shard.telemetry,
+                telemetry=self.telemetry,
             )
         self.stats[
             "dynamic_dials" if connection_type == "dynamic-dial" else "static_dials"
         ] += 1
-        # the only shared-state touch on the shard hot path; a fold that
-        # raises surfaces in the loop's gather as a crashed dial
+        # a fold that raises surfaces in the loop's gather as a crashed dial
         self.writer.submit(result)
         self.core.dial_done(target, result, self.clock())
 

@@ -17,7 +17,7 @@ The policy in that list — which results are dialed, what joins
 StaticNodes, what is due, gated or pruned — is
 :class:`~repro.nodefinder.core.CrawlerCore`'s; this module is the IO
 around it: lookups against the world, ``world.dial``, the clock ticks,
-profiler scopes, per-shard journals and the reshard handoff.
+profiler scopes and the per-shard journals.
 """
 
 from __future__ import annotations
@@ -45,13 +45,7 @@ from repro.nodefinder.defense import (
     DefenseStats,
 )
 from repro.nodefinder.records import CrawlStats, DialResult
-from repro.nodefinder.reshard import (
-    DynamicShardPlan,
-    ReshardController,
-    ReshardCoordinator,
-    ReshardPolicy,
-)
-from repro.nodefinder.shard import NodeDBWriter
+from repro.nodefinder.shard import JournalRouter, NodeDBWriter, ShardPlan
 from repro.resilience.breaker import BreakerState, PeerScoreboard
 from repro.simnet.geo import Location
 from repro.simnet.node import NodeAddress
@@ -91,22 +85,17 @@ class NodeFinderConfig:
     discovery_interval: float = 12.0
     static_dial_interval: float = 30 * 60.0
     seed: int = 0
-    #: worker shards partitioning the enode keyspace by node-ID prefix;
-    #: dials go out in the same order under any N, each routed to the
-    #: shard owning the target and folded through one NodeDBWriter, so any
-    #: N produces the same NodeDB, stats and defence counters as shards=1
-    #: (the shard-conformance suite pins this, defended crawl included)
+    #: journal files partitioning the enode keyspace by node-ID prefix;
+    #: dials go out in the same order under any N and each is journaled
+    #: in the file of the shard owning the target, so any N produces the
+    #: same NodeDB, stats and defence counters as shards=1 (the
+    #: shard-conformance suite pins this, defended crawl included)
     shards: int = 1
     #: hostile-load hardening (table admission, subnet breakers, dial
     #: budget, at the limits of :mod:`repro.nodefinder.defense`).  False
     #: keeps the crawler byte-for-byte on its historical undefended
     #: behaviour.
     defended: bool = False
-    #: elastic sharding: when set, the plan may split hot shards and merge
-    #: cold siblings mid-crawl (scripted schedule or queue-depth-driven with
-    #: hysteresis — see :mod:`repro.nodefinder.reshard`).  None leaves
-    #: the plan as it starts.
-    reshard: Optional[ReshardPolicy] = None
 
 
 class TickPlan:
@@ -192,34 +181,29 @@ class NodeFinderInstance:
         self.table = RoutingTable.for_node_id(self.node_id, admission=admission)
         self._started = False
         # -- sharding: partition by node-ID prefix, fold via one writer ------
-        self.plan = DynamicShardPlan(max(1, int(self.config.shards)))
-        policy = self.config.reshard
-        self.controller: Optional[ReshardController] = (
-            ReshardController(policy, self.plan) if policy is not None else None
-        )
+        self.plan = ShardPlan(max(1, int(self.config.shards)))
         #: the crawl's journal: with a ``journal_opener`` every facade of
         #: this crawl writes through it and it places each record in a
-        #: segment file; without one the crawl journals wherever
+        #: shard's file; without one the crawl journals wherever
         #: ``telemetry`` does, or not at all
-        self.coordinator = ReshardCoordinator(
+        self.journals = JournalRouter(
             self.plan, journal_opener, self._world_now, self.node_id, name
         )
-        self.telemetry = telemetry = self.coordinator.facade(telemetry)
+        self.telemetry = telemetry = self.journals.facade(telemetry)
         self.writer = NodeDBWriter(self.db, stats=self.stats, telemetry=telemetry)
         #: the §4 policy: StaticNodes, dial history, the breaker gate and
         #: dial budget (crawl-wide; both off when not defended) and the
         #: address book — the discovery pool lookups fill and dials draw on
         self.core: CrawlerCore[NodeAddress] = CrawlerCore(
-            self.plan,
             self.config.static_dial_interval,
             DIAL_HISTORY_EXPIRATION,
             gate,
             MAX_DYNAMIC_DIALS_PER_TICK if self.config.defended else None,
         )
-        #: per-shard facades, positional like ``plan.ranges``: the crawl's
-        #: telemetry under each segment's label (its flight-recorder ring)
+        #: per-shard facades: the crawl's telemetry under each shard's
+        #: label (its flight-recorder ring)
         self._shard_telemetry = [
-            telemetry.for_shard(shard_range.segment) for shard_range in self.plan.ranges
+            telemetry.for_shard(str(index)) for index in range(self.plan.shards)
         ]
 
     # -- defence plumbing -------------------------------------------------------
@@ -297,47 +281,12 @@ class NodeFinderInstance:
         # the core filters every candidate first (its filters depend only
         # on state this tick's dials cannot change: each node id appears
         # once per lookup) and sheds what is over its budget; the dials
-        # then go out in lookup order whatever the plan, because a /24's
-        # breaker trips on the K-th failure in dial order — dialing shard
-        # by shard would make the defended crawl depend on the shard count.
+        # then go out in lookup order, because a /24's breaker trips on
+        # the K-th failure in dial order.
         taken, dropped = self.core.select(results, self.node_id, now)
         self.defense_stats.budget_dropped_dials += dropped
-        for shard_index, address in taken:
-            self._dial(address, "dynamic-dial", shard_index)
-        if self.controller is not None:
-            # the tick's per-shard dial counts are the simnet's queue
-            # depths; every dial above has already folded, so an op decided
-            # here applies with zero in-flight work (the drain is implicit)
-            loads = [0.0] * self.plan.shards
-            for shard_index, _ in taken:
-                loads[shard_index] += 1
-            ops = self.controller.observe(loads, now=now)
-            for op_action, op_index in ops:
-                self._apply_reshard(op_action, op_index)
-
-    # -- elastic resharding ----------------------------------------------------
-
-    def _apply_reshard(self, action: str, index: int) -> None:
-        """Apply one plan change between ticks (the simnet handoff).
-
-        The scanner is synchronous, so "drain in-flight dials" is free:
-        every dial of the triggering tick has already folded through the
-        writer.  The coordinator mutates the plan, seals the parent
-        segment(s) and opens the children's.  StaticNodes and the breaker
-        gate are untouched — the plan is in neither — so the due set of
-        every future tick (and therefore the dial set) is unchanged: the
-        conformance equivalence argument.
-        """
-        assert self.controller is not None
-        count = 1 if action == "split" else 2
-        children = self.coordinator.handoff(
-            action,
-            index,
-            step=self.controller.step - 1,  # the observation that decided this
-        )
-        self._shard_telemetry[index : index + count] = [
-            self.telemetry.for_shard(child.segment) for child in children
-        ]
+        for address in taken:
+            self._dial(address, "dynamic-dial")
 
     def _lookup(self, target_hash: bytes) -> list[NodeAddress]:
         """Iterative FIND_NODE toward the target whose keccak-256 is
@@ -380,7 +329,7 @@ class NodeFinderInstance:
 
     # -- dialing -------------------------------------------------------------------
 
-    def _dial(self, address: NodeAddress, connection_type: str, shard_index: int) -> None:
+    def _dial(self, address: NodeAddress, connection_type: str) -> None:
         """One outbound dial, if the core's breaker gate admits it; the
         core scores the outcome and decides whether it joins StaticNodes."""
         if not self.core.admit(address):
@@ -388,15 +337,14 @@ class NodeFinderInstance:
             return
         with self.telemetry.profiler.scope("scanner.dial"):
             result = self.world.dial(address, connection_type, self.location)
-        self._record(result, shard_index)
+        self._record(result)
         self.core.dial_done(address, result, self.world.now)
 
     def _static_tick(self) -> None:
         """Re-dial every static node whose re-dial time has come, in the
-        order they joined StaticNodes — like a discovery tick's dials, the
-        same sequence under any shard count."""
-        for shard_index, address in self.core.due_statics(self.world.now):
-            self._dial(address, "static-dial", shard_index)
+        order they joined StaticNodes."""
+        for address in self.core.due_statics(self.world.now):
+            self._dial(address, "static-dial")
 
     def _prune_stale(self) -> None:
         """Drop addresses with no successful TCP connection for >24h (§4)."""
@@ -406,8 +354,7 @@ class NodeFinderInstance:
 
     def handle_incoming(self, result: DialResult) -> None:
         """World-delivered inbound connection (Listener protocol)."""
-        shard_index = self.plan.shard_of(result.node_id)
-        self._record(result, shard_index)
+        self._record(result)
         # Inbound peers become static-dial targets too — how NodeFinder
         # keeps tabs on otherwise-unreachable nodes while they last.
         if self.core.inbound(result, self.world.now):
@@ -417,12 +364,13 @@ class NodeFinderInstance:
 
     # -- bookkeeping ------------------------------------------------------------------
 
-    def _record(self, result: DialResult, shard_index: int = 0) -> None:
+    def _record(self, result: DialResult) -> None:
         # every fold goes through the single writer (OWNERSHIP invariant)
         self.writer.submit(result)
         # simulated dials have no spans (no real stages ran), but they
-        # share the journal schema with live crawls
-        self._shard_telemetry[shard_index].record_dial(
+        # share the journal schema with live crawls; the flight-recorder
+        # ring is the owning shard's
+        self._shard_telemetry[self.plan.shard_of(result.node_id)].record_dial(
             result, attempt=result.attempts
         )
 

@@ -2,14 +2,12 @@
 
 The journal is the crawl's one record (§4's measurement log), so the
 health page is a fold over it: one row per journal file (dials, full
-harvests, HELLO and STATUS records, whether a ``reshard`` record sealed
-it), the dial funnel, exact per-stage latency quantiles, breaker
-transitions by scope, supervisor and discovery health, and the plan
-history a sharded crawl's ``reshard`` records tell.  A sharded or
-elastic crawl passes every segment file and gets one page for the whole
-crawl; a fleet passes every instance's files.  Output is byte-stable for
-given journals: rows sort by file name with numbers compared as numbers,
-every count prints fixed.
+harvests, HELLO and STATUS records), the dial funnel, exact per-stage
+latency quantiles, breaker transitions by scope, and supervisor and
+discovery health.  A sharded crawl passes every shard's file and gets
+one page for the whole crawl; a fleet passes every instance's files.
+Output is byte-stable for given journals: rows sort by file name with
+numbers compared as numbers, every count prints fixed.
 """
 
 from __future__ import annotations
@@ -52,17 +50,12 @@ def quantile(ordered: Sequence[float], q: float) -> float:
 
 
 def natural_key(name: str) -> List:
-    """Sort key comparing digit runs as numbers: ``shard2.g1`` before
-    ``shard2.g10`` before ``shard10.g0``."""
+    """Sort key comparing digit runs as numbers: ``shard2`` before
+    ``shard10``."""
     return [
         int(part) if index % 2 else part
         for index, part in enumerate(re.split(r"(\d+)", name))
     ]
-
-
-def _span(bounds: Sequence[int]) -> str:
-    lo, hi = bounds
-    return f"[{lo:#06x},{hi:#07x})"
 
 
 def _counts(counts: Counter) -> str:
@@ -85,15 +78,12 @@ class JournalHealth:
         self.supervisor: Counter = Counter()
         self.bonds: Counter = Counter()
         self.chaos: Counter = Counter()
-        #: (crawler name, crawler id, generation) -> the plan change; a
-        #: merge seals two parents, each with its own ``reshard`` record
-        self.reshards: Dict[Tuple[str, str, int], dict] = {}
 
     def add(self, name: str, events: Iterable[Event]) -> None:
         """Fold one journal file's events under the row ``name``."""
         counts: Counter = Counter()
         self.files.append((Path(name).name, counts))
-        crawler, crawler_name = "", "-"
+        crawler = ""
         for event in events:
             kind, fields = event.type, event.fields
             counts[kind] += 1
@@ -122,24 +112,11 @@ class JournalHealth:
                 self.chaos[fields.get("fault", "?")] += 1
             elif kind == "crawler":
                 crawler = fields.get("node_id", "")
-                crawler_name = fields.get("name", "-")
-            elif kind == "reshard":
-                change = self.reshards.setdefault(
-                    (crawler_name, crawler, fields.get("generation", 0)),
-                    {
-                        "action": fields.get("action", "?"),
-                        "step": fields.get("step"),
-                        "parents": [],
-                        "children": fields.get("children") or [],
-                    },
-                )
-                change["parents"].append(fields.get("parent") or [0, 0])
 
     def render(self) -> str:
         rows = [
             [name]
             + [counts[kind] for kind in ("dial", "full", "hello", "status")]
-            + ["yes" if counts["reshard"] else "no"]
             for name, counts in sorted(self.files, key=lambda f: natural_key(f[0]))
         ]
         records = sum((counts for _, counts in self.files), Counter())
@@ -163,7 +140,7 @@ class JournalHealth:
         sections = [
             format_table(
                 "Journals",
-                ["journal", "dials", "full", "hello", "status", "sealed"],
+                ["journal", "dials", "full", "hello", "status"],
                 rows,
             ),
             format_table(
@@ -203,17 +180,6 @@ class JournalHealth:
                 "chaos faults injected: "
                 + ", ".join(f"{f}={n}" for f, n in sorted(self.chaos.items()))
             )
-        if self.reshards:
-            lines = [f"plan history: {len(self.reshards)} reshard(s)"]
-            for key in sorted(self.reshards, key=lambda k: (natural_key(k[0]), k[1:])):
-                change = self.reshards[key]
-                parents = " ".join(_span(p) for p in sorted(change["parents"]))
-                children = " ".join(_span(c) for c in change["children"])
-                lines.append(
-                    f"  {key[0]} g{key[2]} {change['action']} at step "
-                    f"{change['step']}: {parents} -> {children}"
-                )
-            sections.append("\n".join(lines))
         return "\n\n".join(sections)
 
 

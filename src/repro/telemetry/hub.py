@@ -43,8 +43,8 @@ def _hex(node_id: Optional[bytes]) -> Optional[str]:
 
 class JournalSink(Protocol):
     """What the facade asks of its journal: one :class:`EventJournal`, or a
-    crawl's :class:`~repro.nodefinder.reshard.ReshardCoordinator` placing
-    each write in one of its segment files by the node it is about."""
+    crawl's :class:`~repro.nodefinder.shard.JournalRouter` placing each
+    write in one of its shard files by the node it is about."""
 
     def write_lines(
         self, text: str, records: int = 1, node_id: Optional[bytes] = None
@@ -91,14 +91,14 @@ class Telemetry:
         self, journal: JournalSink, clock: Callable[[], float]
     ) -> "Telemetry":
         """This facade, journaling to ``journal`` on ``clock`` — what a
-        crawler given a segment opener makes of the facade it was handed."""
+        crawler given a journal opener makes of the facade it was handed."""
         return self._sharing(journal, clock, self.shard)
 
     def for_shard(self, shard: str) -> "Telemetry":
-        """The facade one shard segment instruments through: everything
-        shared with this one — journal, clock, profiler, flight recorder —
-        under the ``shard`` label, so each segment keeps its own flight
-        recorder ring."""
+        """The facade one shard instruments through: everything shared
+        with this one — journal, clock, profiler, flight recorder — under
+        the ``shard`` label, so each shard keeps its own flight recorder
+        ring."""
         return self._sharing(self.journal, self.clock, shard)
 
     # -- primitives ---------------------------------------------------------

@@ -30,9 +30,10 @@ full field tables):
 ``crawler``         (v3) the crawler's own enode identity + name
 ``table_admission`` (v3) a routing-table admission guard refused a
                     candidate: node_id, ip, subnet, reason
-``reshard``         (v4) a shard handoff sealed this journal segment:
-                    action (split|merge), step, generation, the parent
-                    prefix range and the child ranges it became
+``reshard``         (v4) written only by older crawls, whose shard plan
+                    could split and merge mid-crawl: the last record of
+                    a segment file, naming the plan change; replay
+                    counts it and reads nothing from it
 ==================  ====================================================
 """
 
@@ -55,10 +56,9 @@ from repro.errors import ReproError
 #: v3 (adversary PR) added the ``crawler`` and ``table_admission``
 #: event types and the optional ``breaker.scope``/``breaker.subnet``
 #: fields for subnet-dimension breaker trips.
-#: v4 (elastic-sharding PR) added the ``reshard`` event type: the final
-#: record of a sealed journal segment, carrying the split/merge action,
-#: the controller step, the minted generation, and the old/new prefix
-#: ranges so replay can stitch generation-suffixed segments together.
+#: v4 added the ``reshard`` event type, which only older crawls wrote: the
+#: final record of a segment file whose shard range was split or merged
+#: mid-crawl (action, controller step, generation, old/new prefix ranges).
 SCHEMA_VERSION = 4
 
 #: keys every record carries outside its event-specific fields
@@ -278,8 +278,8 @@ def _upgrade_v2(record: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _upgrade_v3(record: Dict[str, Any]) -> Dict[str, Any]:
-    """v3 → v4: purely additive — a v3 journal simply predates elastic
-    sharding and contains no ``reshard`` records; nothing to rewrite."""
+    """v3 → v4: purely additive — a v3 journal has no ``reshard``
+    records; nothing to rewrite."""
     return record
 
 
@@ -387,7 +387,6 @@ class EventJournal:
         self._stream = stream
         self._owns_stream = False
         self.events_written = 0
-        self._sealed = False
         self._closed = False
 
     @classmethod
@@ -405,40 +404,19 @@ class EventJournal:
         """Append ``records`` encoded lines, ``text``, in one write.
 
         ``node_id`` is the node the lines are about; a single file has no
-        choice to make with it (the crawl's coordinator places on it).  A
-        sealed or closed journal refuses the write and counts nothing.
+        choice to make with it (the crawl's journal router places on it).
+        A closed journal refuses the write and counts nothing.
         """
         if self._closed:
-            raise JournalError(
-                "journal segment is sealed; no further events"
-                if self._sealed
-                else "journal is closed; no further events"
-            )
+            raise JournalError("journal is closed; no further events")
         self._stream.write(text)
         self.events_written += records
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
-    def seal(self) -> None:
-        """Permanently finish this segment: flush, close, refuse emits.
-
-        A reshard handoff seals the parent shard's segment right after
-        the ``reshard`` record is written, so the file on disk is a
-        complete, immutable account of that range's lifetime.  Only the
-        reshard coordinator may call this — the OWNERSHIP lint family
-        enforces it.
-        """
-        self._sealed = True
-        self.close()
 
     def flush(self) -> None:
         self._stream.flush()
 
     def close(self) -> None:
-        # idempotent: a sealed segment is already closed when the crawl's
-        # shutdown path sweeps every journal it knows about
+        # idempotent: a crawl's shutdown may sweep a journal twice
         if self._closed:
             return
         self._closed = True

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,8 @@ from repro.simnet.population import PopulationConfig
 from repro.nodefinder.records import DialOutcome
 from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import Event, JournalError, read_events
+
+DATA = Path(__file__).parent / "data"
 
 # dial-derived DayCounters attributes (discovery_attempts is scheduler
 # bookkeeping with no journal record; everything else folds from dials)
@@ -293,15 +296,101 @@ class TestUnusableFieldTypes:
             f"event 1: dial with unknown outcome {outcome!r}"
         ]
 
-    @pytest.mark.parametrize("generation", [[1], {}, "1", None])
-    def test_reshard_generation_that_is_not_an_integer_is_ignored(self, generation):
-        # it is a set member and a sort key: [1] was a TypeError out of replay
-        replayed = replay([
-            Event("reshard", 1.0, {"action": "split", "generation": 1}),
-            Event("reshard", 1.0, {"action": "split", "generation": generation}),
-        ])
-        assert [op["generation"] for op in replayed.reshards] == [1]
-        assert replayed.event_counts["reshard"] == 2
+
+ELASTIC_PATHS = sorted((DATA / "elastic_journal").glob("*.jsonl"))
+
+
+@pytest.fixture(scope="module")
+def elastic_lines():
+    """The older elastic crawl's files as line lists, and their replay."""
+    lines = [path.read_text(encoding="utf-8").splitlines() for path in ELASTIC_PATHS]
+    return lines, replay_journals(lines)
+
+
+class TestOlderJournals:
+    """Journals an older crawler wrote still replay.
+
+    ``data/elastic_journal`` is a crawl whose shard plan split at its
+    third discovery tick and merged back at its ninth: four files, the
+    ``.g1`` children among them, and three ``reshard`` records (a merge
+    ends both parents).  Today's crawl of the same world with one shard
+    folds the same NodeDB, entry for entry.
+    """
+
+    def test_an_elastic_crawl_replays_to_todays_nodedb(self):
+        paths = ELASTIC_PATHS
+        assert [path.name for path in paths] == [
+            "nodefinder-0-shard0.g0.jsonl",
+            "nodefinder-0-shard0.g1.jsonl",
+            "nodefinder-0-shard0.g2.jsonl",
+            "nodefinder-0-shard1.g1.jsonl",
+        ]
+        replayed = replay_journals(paths)
+        assert not replayed.skipped
+        assert replayed.event_counts["reshard"] == 3
+        world = SimWorld(
+            WorldConfig(
+                population=PopulationConfig(
+                    total_nodes=100, measurement_days=0.04, seed=41
+                )
+            )
+        )
+        fleet = run_fleet(
+            world,
+            instance_count=1,
+            days=0.04,
+            config=NodeFinderConfig(seed=7, discovery_interval=200),
+        )
+        [instance] = fleet.instances
+        assert len(replayed.db) == len(instance.db) > 100
+        for entry in instance.db:
+            assert replayed.db.get(entry.node_id) == entry, entry.node_id.hex()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_shuffled_generation_order_reconstructs_same_nodedb(self, elastic_lines, seed):
+        lines, baseline = elastic_lines
+        shuffled = list(lines)
+        random.Random(seed).shuffle(shuffled)
+        replayed = replay_journals(shuffled)
+        assert not replayed.skipped
+        assert len(replayed.db) == len(baseline.db)
+        for entry in baseline.db:
+            assert replayed.db.get(entry.node_id) == entry, entry.node_id.hex()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        cut=st.integers(min_value=1, max_value=120),
+    )
+    def test_duplicated_and_torn_generation_files_never_raise(
+        self, elastic_lines, seed, cut
+    ):
+        lines, baseline = elastic_lines
+        rng = random.Random(seed)
+        copies = [list(segment) for segment in lines]
+        duplicate = list(rng.choice(copies))
+        duplicate[-1] = duplicate[-1][: max(0, len(duplicate[-1]) - cut)]
+        copies.append(duplicate)
+        rng.shuffle(copies)
+        replayed = replay_journals(copies)  # must not raise
+        assert {entry.node_id for entry in replayed.db} == {
+            entry.node_id for entry in baseline.db
+        }
+
+    @settings(max_examples=20, deadline=None)
+    @given(cut=st.integers(min_value=1, max_value=200))
+    def test_torn_tail_inside_sealed_parent_segment(self, elastic_lines, cut):
+        """A crash could tear a parent file's last line, the ``reshard``
+        record itself: every dial still replays."""
+        lines, baseline = elastic_lines
+        torn = [list(segment) for segment in lines]
+        parent = torn[0]  # shard0.g0, split at step 3
+        parent[-1] = parent[-1][: max(0, len(parent[-1]) - cut)]
+        replayed = replay_journals(torn)  # must not raise
+        assert len(replayed.db) == len(baseline.db)
+        for entry in baseline.db:
+            assert replayed.db.get(entry.node_id) == entry, entry.node_id.hex()
 
 
 # -- streamed merge == fold of the sorted union -----------------------------------
@@ -385,7 +474,6 @@ def _products(crawl):
         "days": dict(crawl.stats.days),
         "timelines": crawl.timelines,
         "skipped": crawl.skipped,
-        "reshards": crawl.reshards,
         "event_counts": crawl.event_counts,
         "events_replayed": crawl.events_replayed,
         "dials_replayed": crawl.dials_replayed,
@@ -473,17 +561,17 @@ class TestStreamedMergeIsTheSortedFold:
 
     def test_corrupt_file_is_named(self, tmp_path):
         good = Event("dial", 1.0, {"node_id": "aa" * 32, "outcome": "timeout"})
-        clean = tmp_path / "nodefinder-0-shard0.g0.jsonl"
+        clean = tmp_path / "nodefinder-0-shard0.jsonl"
         clean.write_text(good.to_json() + "\n", encoding="utf-8")
-        corrupt = tmp_path / "nodefinder-0-shard1.g0.jsonl"
+        corrupt = tmp_path / "nodefinder-0-shard1.jsonl"
         corrupt.write_text(
             "\n".join([good.to_json(), "{nope", good.to_json()]), encoding="utf-8"
         )
         with pytest.raises(
-            JournalError, match=r"^nodefinder-0-shard1\.g0\.jsonl line 2: not valid JSON"
+            JournalError, match=r"^nodefinder-0-shard1\.jsonl line 2: not valid JSON"
         ):
             replay_journals([clean, corrupt])
-        with pytest.raises(JournalError, match=r"^nodefinder-0-shard1\.g0\.jsonl line 2"):
+        with pytest.raises(JournalError, match=r"^nodefinder-0-shard1\.jsonl line 2"):
             replay_journal(str(corrupt))
         with pytest.raises(JournalError, match=r"^line 2: not valid JSON"):
             replay_journals([corrupt.read_text(encoding="utf-8").splitlines()])

@@ -50,7 +50,7 @@ class TestParser:
         """A renamed or dropped option cannot leave the docs behind."""
         parser = build_parser()
         commands = list(documented_commands())
-        assert len(commands) >= 23  # README.md alone quotes 23
+        assert len(commands) >= 20  # README.md alone quotes 20
         broken = []
         for document, line in commands:
             try:
@@ -135,24 +135,20 @@ class TestCommands:
         assert "nodefinder top" in out
         assert (telemetry_dir / "nodefinder-0.jsonl").exists()
 
-    def test_simulate_elastic_writes_generation_suffixed_journals(
-        self, capsys, tmp_path
-    ):
-        telemetry_dir = tmp_path / "elastic"
+    def test_simulate_sharded_writes_one_journal_per_shard(self, capsys, tmp_path):
+        telemetry_dir = tmp_path / "sharded"
         assert main([
             "simulate", "--nodes", "120", "--days", "1",
             "--instances", "1", "--discovery-interval", "300",
-            "--shards", "2", "--max-shards", "4",
+            "--shards", "2",
             "--telemetry-dir", str(telemetry_dir),
         ]) == 0
         out = capsys.readouterr().out
         assert "fleet telemetry" in out
-        # elastic runs journal per segment — generation 0 files always
-        # exist, and every journal name carries a .g<gen> suffix
-        journals = sorted(p.name for p in telemetry_dir.glob("*.jsonl"))
-        assert "nodefinder-0-shard0.g0.jsonl" in journals
-        assert "nodefinder-0-shard1.g0.jsonl" in journals
-        assert all(".g" in name for name in journals)
+        assert sorted(p.name for p in telemetry_dir.glob("*.jsonl")) == [
+            "nodefinder-0-shard0.jsonl",
+            "nodefinder-0-shard1.jsonl",
+        ]
         argv = ["analyze"]
         for path in sorted(telemetry_dir.glob("*.jsonl")):
             argv += ["--journal", str(path)]

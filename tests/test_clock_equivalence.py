@@ -4,7 +4,7 @@ The event-core rework swaps the simulation's single binary heap for a
 hierarchical calendar wheel.  The acceptance criterion is not speed but
 *provable equivalence*: the wheel must be observationally identical to
 the reference heap, because every golden in the repo — analyze reports,
-shard/reshard conformance, eclipse forensics — is downstream of event
+shard conformance, eclipse forensics — is downstream of event
 order.  This harness drives both implementations through identical
 schedules and demands
 
@@ -17,10 +17,8 @@ schedules and demands
   ``max_events`` drain-on-last-event case), and
 * for the integrated proof: a seeded 1k-node crawl run once on each
   clock produces entry-for-entry equal NodeDBs, day-for-day equal
-  CrawlStats, byte-identical journals, byte-identical ``nodefinder
-  analyze`` reports — and the same again through a mid-crawl reshard
-  handoff (split + merge), the event pattern most sensitive to
-  scheduling order.
+  CrawlStats, byte-identical journals and byte-identical ``nodefinder
+  analyze`` reports.
 
 A companion Hypothesis suite in ``tests/test_simnet_clock.py`` fuzzes
 arbitrary operation interleavings against the same oracle.
@@ -35,7 +33,6 @@ import pytest
 from repro.cli import main
 from repro.errors import SimulationError
 from repro.nodefinder.fleet import run_fleet
-from repro.nodefinder.reshard import ReshardOp, ReshardPolicy
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.clock import ReferenceClock, SimClock, WheelClock
 from repro.simnet.population import PopulationConfig
@@ -236,18 +233,7 @@ class TestContractEdges:
         assert clock.pending == 1
 
 
-def _crawl(clock_cls, telemetry_dir, reshard=False):
-    policy = None
-    shards = 1
-    if reshard:
-        shards = 2
-        policy = ReshardPolicy(
-            schedule=(
-                ReshardOp(step=3, action="split", index=0),
-                ReshardOp(step=6, action="merge", index=0),
-            ),
-            max_shards=4,
-        )
+def _crawl(clock_cls, telemetry_dir):
     world = SimWorld(
         WorldConfig(
             population=PopulationConfig(
@@ -263,9 +249,7 @@ def _crawl(clock_cls, telemetry_dir, reshard=False):
         days=DAYS,
         config=NodeFinderConfig(
             seed=CRAWL_SEED,
-            shards=shards,
             discovery_interval=200,
-            reshard=policy,
         ),
         telemetry_dir=telemetry_dir,
     )
@@ -279,16 +263,6 @@ def crawls(tmp_path_factory):
     for clock_cls in (WheelClock, ReferenceClock):
         telemetry_dir = tmp_path_factory.mktemp(f"eq-{clock_cls.__name__}")
         out[clock_cls.__name__] = _crawl(clock_cls, telemetry_dir)
-    return out
-
-
-@pytest.fixture(scope="module")
-def reshard_crawls(tmp_path_factory):
-    """The same crawl through a split + merge handoff, per clock."""
-    out = {}
-    for clock_cls in (WheelClock, ReferenceClock):
-        telemetry_dir = tmp_path_factory.mktemp(f"eqr-{clock_cls.__name__}")
-        out[clock_cls.__name__] = _crawl(clock_cls, telemetry_dir, reshard=True)
     return out
 
 
@@ -341,35 +315,6 @@ class TestCrawlEquivalence:
             reports[name] = capsys.readouterr().out
         assert reports["WheelClock"] == reports["ReferenceClock"]
         assert "Table 1" in reports["WheelClock"]
-
-
-class TestReshardCrawlEquivalence:
-    """Reshard handoffs reschedule shard loops mid-crawl — the event
-    pattern most sensitive to scheduler ordering — and must still be
-    clock-implementation-invariant."""
-
-    def test_segments_match(self, reshard_crawls):
-        wheel_paths = reshard_crawls["WheelClock"][2]
-        reference_paths = reshard_crawls["ReferenceClock"][2]
-        names = [p.name for p in wheel_paths]
-        assert names == [p.name for p in reference_paths]
-        # the handoff actually happened: generation-suffixed segments
-        assert any(".g1." in name for name in names)
-
-    def test_journals_byte_identical(self, reshard_crawls):
-        for wheel_path, reference_path in zip(
-            reshard_crawls["WheelClock"][2], reshard_crawls["ReferenceClock"][2]
-        ):
-            assert wheel_path.read_bytes() == reference_path.read_bytes(), (
-                wheel_path.name
-            )
-
-    def test_nodedb_equal_entry_for_entry(self, reshard_crawls):
-        [wheel] = reshard_crawls["WheelClock"][1].instances
-        [reference] = reshard_crawls["ReferenceClock"][1].instances
-        assert len(wheel.db) == len(reference.db)
-        for entry in reference.db:
-            assert wheel.db.get(entry.node_id) == entry, entry.node_id.hex()
 
 
 def test_simclock_is_the_wheel():

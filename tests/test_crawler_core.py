@@ -6,15 +6,13 @@
   ``NodeFinderInstance`` (a scripted world on a real ``WheelClock``) and
   through ``LiveNodeFinder`` (fake clock, stub harvester, patched
   ``discovery.lookup_all``).  The journals cannot be byte-equal — the simnet
-  sweeps StaticNodes on a 30-minute tick, a live shard loop polls — so the
+  sweeps StaticNodes on a 30-minute tick, the live dial loop polls — so the
   test asserts what the policy determines and the cadence does not;
   Both drivers run on a NodeDB that raises on every read: the policy
   decides from the core alone, and the NodeDB is only written;
 * §4's 24 h rule over two simulated days, checked after every hourly
   prune against the NodeDB the rule used to be read from;
-* a live split, which moves nothing: StaticNodes and the breaker gate
-  are crawl-wide, so the children keep both;
-* a Hypothesis model of the bare ``CrawlerCore`` against one unsharded dict.
+* a Hypothesis model of the bare ``CrawlerCore`` against one dict.
 """
 
 import asyncio
@@ -25,7 +23,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.discovery.enode import ENode
 from repro.nodefinder import live as live_module
@@ -34,7 +32,6 @@ from repro.nodefinder.core import CrawlerCore
 from repro.nodefinder.database import NodeDB
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
-from repro.nodefinder.reshard import DynamicShardPlan, ReshardOp, ReshardPolicy
 from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
 from repro.resilience import PeerScoreboard
 from repro.simnet.clock import WheelClock
@@ -46,7 +43,7 @@ from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import EventJournal, read_events
 from repro.units import SECONDS_PER_DAY
 
-from tests.helpers import plant_static, plant_success
+from tests.helpers import plant_success
 
 # -- the scripted peer set ---------------------------------------------------
 
@@ -169,25 +166,24 @@ class ScriptedWorld:
 
 
 class Journals:
-    """In-memory per-segment journals (a ``journal_opener``)."""
+    """In-memory per-shard journals (a ``journal_opener``)."""
 
     def __init__(self) -> None:
         self.streams: dict[str, io.StringIO] = {}
 
-    def __call__(self, segment: str) -> EventJournal:
-        self.streams[segment] = io.StringIO()
-        return EventJournal(self.streams[segment])
+    def __call__(self, shard: str) -> EventJournal:
+        self.streams[shard] = io.StringIO()
+        return EventJournal(self.streams[shard])
 
     def dials(self):
         """``(shard index, node id, connection type, outcome, dialed at)``
-        for every dial event, in journal order per segment."""
-        for segment, stream in self.streams.items():
-            index = int(segment.split(".")[0])  # generation 0: "<k>.g0"
+        for every dial event, in journal order per shard."""
+        for shard, stream in self.streams.items():
             for event in read_events(stream.getvalue().splitlines()):
                 if event.type == "dial":
                     fields = event.fields
                     yield (
-                        index,
+                        int(shard),
                         bytes.fromhex(fields["node_id"]),
                         fields["connection_type"],
                         fields["outcome"],
@@ -213,7 +209,7 @@ LIVE_INTERVAL = 1 / 16
 LIVE_STEP = LIVE_INTERVAL / 4
 
 
-async def run_live(peers, shards: int, intervals: int):
+async def run_live(peers, intervals: int):
     """Drive a live crawl whose fake clock advances one step per lookup —
     and only once every dial the policy has already decided on has been
     made, so a dial's timestamp is the ``now`` the core decided it at."""
@@ -234,7 +230,6 @@ async def run_live(peers, shards: int, intervals: int):
             static_dial_interval=LIVE_INTERVAL,
             max_active_dials=64,
             retry=None,
-            shards=shards,
         ),
         clock=lambda: now[0],
         harvester=harvester,
@@ -320,7 +315,7 @@ def test_refused_dial_never_joins_static_nodes_and_is_redialed():
 def test_sim_and_live_drivers_apply_one_policy(shards, write_only_db):
     intervals = 8
     sim, sim_journals = run_sim(PEERS, shards, intervals * 1800.0 + 60)
-    live, live_journals = asyncio.run(run_live(PEERS, shards, intervals))
+    live, live_journals = asyncio.run(run_live(PEERS, intervals))
     sim_dials, live_dials = sequences(sim_journals), sequences(live_journals)
 
     for node_id, kind in KIND_OF.items():
@@ -349,11 +344,12 @@ def test_sim_and_live_drivers_apply_one_policy(shards, write_only_db):
             assert_spacing(dials[node_id], "dynamic-dial", window)
             assert_spacing(dials[node_id], "static-dial", interval)
 
-    # every dial was made by the shard that owns the target
-    for finder, journals in ((sim, sim_journals), (live, live_journals)):
-        assert finder.plan.shards == shards
-        for shard, node_id, _, _, _ in journals.dials():
-            assert finder.plan.shard_of(node_id) == shard
+    # every sim dial is journaled in the file of the shard owning the
+    # target; the live crawl journals to one file
+    assert sim.plan.shards == shards
+    for shard, node_id, _, _, _ in sim_journals.dials():
+        assert sim.plan.shard_of(node_id) == shard
+    assert {shard for shard, *_ in live_journals.dials()} == {0}
 
 
 def test_sim_crawl_prunes_by_the_24h_rule_alone(write_only_db, monkeypatch):
@@ -400,110 +396,13 @@ def test_sim_crawl_prunes_by_the_24h_rule_alone(write_only_db, monkeypatch):
     }
 
 
-def test_live_split_leaves_statics_in_place_and_the_children_keep_the_policy():
-    """A live handoff moves no StaticNodes entry — order and next-dial
-    times stand, each child's due set is the entries its range owns — and
-    a dial completed by a child joins StaticNodes."""
-
-    async def scenario():
-        dialer = Dialer()
-
-        async def harvester(target, key, connection_type="dynamic-dial", **kwargs):
-            return dialer.result(target, connection_type, kwargs["clock"]())
-
-        finder = LiveNodeFinder(
-            config=LiveConfig(
-                static_dial_interval=3600.0,
-                lookup_interval=3600.0,
-                retry=None,
-                reshard=ReshardPolicy(
-                    interval=0.01, schedule=(ReshardOp(step=0, action="split", index=0),)
-                ),
-            ),
-            clock=lambda: 0.0,
-            harvester=harvester,
-        )
-        good = [address for address, kind in PEERS.items() if kind == "good"]
-        late_joiner, planted = ENode(*good[0]), [ENode(*address) for address in good[1:]]
-        for offset, enode in enumerate(planted):
-            plant_static(finder, enode, 1000.0 + offset)  # not due during the test
-        await finder.start(bootstrap=[])
-        try:
-            for _ in range(500):
-                if finder.plan.shards == 2:
-                    break
-                await asyncio.sleep(0.01)
-            assert finder.plan.shards == 2
-            assert list(finder.static_nodes.items()) == [
-                (enode.node_id, 1000.0 + offset) for offset, enode in enumerate(planted)
-            ]
-            shard = finder._shards[finder.plan.shard_of(late_joiner.node_id)]
-            await finder._shard_dial(shard, late_joiner, "dynamic-dial")
-            assert list(finder.static_nodes)[-1] == late_joiner.node_id
-            halves = [finder.core.due_statics(5000.0, index) for index in (0, 1)]
-            assert all(halves), "the peer set spans both halves"
-            for index, due in enumerate(halves):
-                assert all(owner == index for owner, _ in due)
-            assert sorted(t.node_id for due in halves for _, t in due) == sorted(
-                finder.static_nodes
-            )
-        finally:
-            await asyncio.wait_for(finder.stop(), timeout=10.0)
-
-    asyncio.run(scenario())
-
-
-def test_live_split_keeps_an_open_breaker():
-    """The crawl's one breaker gate outlives a handoff: a peer whose breaker
-    opened before a split is still refused after it, by whichever child
-    owns the peer now."""
-
-    async def scenario():
-        async def harvester(target, key, connection_type="dynamic-dial", **kwargs):
-            return _result(target, DialOutcome.CONNECTION_REFUSED, kwargs["clock"]())
-
-        finder = LiveNodeFinder(
-            config=LiveConfig(
-                static_dial_interval=3600.0,
-                lookup_interval=3600.0,
-                retry=None,
-                reshard=ReshardPolicy(
-                    interval=0.01, schedule=(ReshardOp(step=0, action="split", index=0),)
-                ),
-            ),
-            clock=lambda: 0.0,  # the 300 s cooldown never runs out
-            harvester=harvester,
-        )
-        peer = ENode(*_peer(1))
-        [shard] = finder._shards
-        for _ in range(3):  # PeerScoreboard's default threshold
-            await finder._shard_dial(shard, peer, "dynamic-dial")
-        assert finder.stats["breaker_skips"] == 0
-        await finder.start(bootstrap=[])
-        try:
-            for _ in range(500):
-                if finder.plan.shards == 2:
-                    break
-                await asyncio.sleep(0.01)
-            assert finder.plan.shards == 2
-            child = finder._shards[finder.plan.shard_of(peer.node_id)]
-            await finder._shard_dial(child, peer, "dynamic-dial")
-            assert finder.stats["breaker_skips"] == 1
-            assert finder.stats["dynamic_dials"] == 3
-            assert not finder.core.admit(peer)
-        finally:
-            await asyncio.wait_for(finder.stop(), timeout=10.0)
-
-    asyncio.run(scenario())
-
-
 # -- the bare core -------------------------------------------------------------
 
 
 def test_breaker_gate_scores_failures_and_prune_forgets():
     now = [0.0]
     board = PeerScoreboard(failure_threshold=2, cooldown=600.0, clock=lambda: now[0])
-    core = CrawlerCore(DynamicShardPlan(1), 1800.0, 1800.0, board)
+    core = CrawlerCore(1800.0, 1800.0, board)
     peer = _peer(3)
     for _ in range(2):
         assert core.admit(peer)
@@ -522,7 +421,7 @@ def test_breaker_gate_scores_failures_and_prune_forgets():
 
 
 def test_prune_keeps_statics_that_never_connected_or_connected_within_a_day():
-    core = CrawlerCore(DynamicShardPlan(1), 1800.0, 1800.0)
+    core = CrawlerCore(1800.0, 1800.0)
     silent, fresh, inbound, stale = (_peer(index) for index in range(4))
     core.add_static(silent.node_id, 0.0)  # a bootstrap node that never answered
     core.dial_done(fresh, _result(fresh, DialOutcome.FULL_HARVEST, 0.0), 0.0)
@@ -558,12 +457,11 @@ OUTCOMES = st.sampled_from(list(DialOutcome))
 
 
 class CrawlerCoreModel(RuleBasedStateMachine):
-    """``CrawlerCore`` under any plan against one dict with no shards."""
+    """``CrawlerCore`` against one dict."""
 
     def __init__(self):
         super().__init__()
-        self.plan = DynamicShardPlan(2)
-        self.core = CrawlerCore(self.plan, INTERVAL, WINDOW)
+        self.core = CrawlerCore(INTERVAL, WINDOW)
         self.now = 0.0
         self.statics: dict[bytes, float] = {}
         self.history: dict[bytes, float] = {}
@@ -600,17 +498,16 @@ class CrawlerCoreModel(RuleBasedStateMachine):
         self.core.budget = budget
         selected, shed = self.core.select(found, OWN_ID, self.now)
         assert shed == len(eligible) - len(taken)
-        # lookup order kept across shards, each routed to its owning shard
-        assert selected == [(self.plan.shard_of(t.node_id), t) for t in taken]
+        # lookup order kept
+        assert selected == taken
         for target in taken:
             self.history[target.node_id] = self.now
         # a shed target stayed out of the history
         assert self.core.dial_history == self.history
 
-    @rule(shard_by_shard=st.booleans())
-    def due_statics(self, shard_by_shard):
-        # the model's one dict is the unsharded crawl: its order is the
-        # order nodes joined, which no split or merge may disturb
+    @rule()
+    def due_statics(self):
+        # the model's order is the order nodes joined
         due = [n for n, next_dial in self.statics.items() if next_dial <= self.now]
         expected = []
         for node_id in due:
@@ -619,18 +516,8 @@ class CrawlerCoreModel(RuleBasedStateMachine):
                 expected.append(node_id)
             else:
                 del self.statics[node_id]
-        if shard_by_shard:  # a live shard loop's view: its own slice
-            returned = [
-                pair
-                for shard in range(self.plan.shards)
-                for pair in self.core.due_statics(self.now, shard)
-            ]
-            expected.sort(key=self.plan.shard_of)  # stable: join order within a shard
-        else:  # the simnet's static tick: every shard at once
-            returned = self.core.due_statics(self.now)
-        assert [target.node_id for _, target in returned] == expected
-        for shard, target in returned:
-            assert self.plan.shard_of(target.node_id) == shard
+        returned = self.core.due_statics(self.now)
+        assert [target.node_id for target in returned] == expected
 
     @rule(peer=targets, outcome=OUTCOMES)
     def dial_done(self, peer, outcome):
@@ -660,18 +547,6 @@ class CrawlerCoreModel(RuleBasedStateMachine):
             last = self.last_success.get(node_id)
             if last is not None and self.now - last > SECONDS_PER_DAY:
                 del self.statics[node_id]
-
-    @precondition(lambda self: self.plan.shards < 8)
-    @rule(data=st.data())
-    def split(self, data):
-        index = data.draw(st.integers(0, self.plan.shards - 1))
-        self.plan.split(index)
-
-    @precondition(lambda self: self.plan.shards > 1)
-    @rule(data=st.data())
-    def merge(self, data):
-        index = data.draw(st.integers(0, self.plan.shards - 2))
-        self.plan.merge(index)
 
     @invariant()
     def statics_are_the_model_in_join_order_with_next_dial_times_kept(self):

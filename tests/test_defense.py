@@ -163,7 +163,7 @@ class TestSchemaV3:
         version = 1
         while version in MIGRATIONS:
             version += 1
-        assert version == SCHEMA_VERSION == 4  # v4: reshard handoff events
+        assert version == SCHEMA_VERSION == 4  # v4: the reshard record of older crawls
 
     def test_v1_and_v2_lines_still_parse(self):
         for version in (1, 2):

@@ -76,7 +76,6 @@ FIRING = {
     "task_life/bad_orphan.py": {"TASK-LIFE-ORPHAN": 3},
     "task_life/bad_gather.py": {"TASK-LIFE-GATHER": 1},
     "ownership/bad_mutation.py": {"OWNERSHIP": 3},
-    "ownership/bad_seal.py": {"OWNERSHIP": 3},
 }
 
 CLEAN = [
@@ -93,7 +92,6 @@ CLEAN = [
     "race/clean_locked.py",
     "task_life/clean_supervised.py",
     "ownership/clean_writer.py",
-    "ownership/clean_seal.py",
 ]
 
 
@@ -305,8 +303,8 @@ def test_cli_module_entrypoint(tmp_path):
 LIVE_MUTANTS = {
     "ASYNC-BLOCK": [  # a blocking sleep before the harvest of a dial
         (
-            "        async with shard.semaphore:\n            result = await self._harvest(",
-            "        async with shard.semaphore:\n            time.sleep(0.01)\n"
+            "        async with self._semaphore:\n            result = await self._harvest(",
+            "        async with self._semaphore:\n            time.sleep(0.01)\n"
             "            result = await self._harvest(",
         )
     ],
@@ -325,7 +323,7 @@ LIVE_MUTANTS = {
             "        self._stopping = False\n        self._lock = threading.Lock()\n",
         ),
         (
-            "        async with shard.semaphore:\n            result = await self._harvest(",
+            "        async with self._semaphore:\n            result = await self._harvest(",
             "        with self._lock:\n            result = await self._harvest(",
         ),
     ],

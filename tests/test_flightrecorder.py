@@ -245,9 +245,8 @@ class TestLiveDialCrash:
             target = ENode(
                 PrivateKey(91).public_key.to_bytes(), "127.0.0.1", 1, 1
             )
-            [shard] = finder._shards
             plant_static(finder, target, 0.0)
-            task = asyncio.create_task(finder._shard_loop(shard))
+            task = asyncio.create_task(finder._dial_loop())
             try:
                 for _ in range(200):
                     if recorder.dumps:

@@ -8,7 +8,7 @@ TASK-LIFE / OWNERSHIP families:
   (RACE-RMW);
 * ``DiscoveryService`` retains its fire-and-forget protocol chores so
   crashes surface and ``close()`` cancels them (TASK-LIFE-ORPHAN);
-* the live shard loop re-derives its due set from live state on every
+* the live dial loop re-derives its due set from live state on every
   pass instead of acting on a snapshot taken before a dial's await
   (RACE-RMW);
 * journal replay folds dials through :class:`NodeDBWriter`, the same
@@ -162,7 +162,7 @@ def static_enode(seed: int) -> ENode:
 
 
 def recording_finder(fake_now, dialed, on_dial=None):
-    """A one-shard finder on a fake clock whose harvester records targets."""
+    """A live finder on a fake clock whose harvester records targets."""
 
     async def harvester(target, key, connection_type="dynamic-dial", **kwargs):
         dialed.append(target.node_id)
@@ -186,11 +186,10 @@ def recording_finder(fake_now, dialed, on_dial=None):
     )
 
 
-async def run_shard_loop(finder, drive):
-    [shard] = finder._shards
-    loop_task = asyncio.create_task(finder._shard_loop(shard))
+async def run_dial_loop(finder, drive):
+    loop_task = asyncio.create_task(finder._dial_loop())
     try:
-        await drive(shard)
+        await drive()
     finally:
         finder._stopping = True
         loop_task.cancel()
@@ -204,7 +203,7 @@ def test_shard_loop_reads_due_statics_from_live_state():
         finder = recording_finder(fake_now, dialed)
         first, second, third = static_enode(31), static_enode(32), static_enode(33)
 
-        async def drive(shard):
+        async def drive():
             plant_static(finder, first, 1500.0)
             await asyncio.sleep(0.1)
             assert dialed == []  # nothing is due yet
@@ -218,7 +217,7 @@ def test_shard_loop_reads_due_statics_from_live_state():
             await asyncio.sleep(0.1)
             assert dialed == [second.node_id]
 
-        await run_shard_loop(finder, drive)
+        await run_dial_loop(finder, drive)
 
     asyncio.run(scenario())
 
@@ -226,7 +225,7 @@ def test_shard_loop_reads_due_statics_from_live_state():
 def test_shard_loop_honours_mutations_made_during_a_dial():
     """A static pruned while another dial is in flight is never dialed.
 
-    The shard loop re-derives its due set at the top of every pass, so
+    The dial loop re-derives its due set at the top of every pass, so
     an entry removed mid-flight is not dialed from a stale batch.
     """
 
@@ -247,12 +246,12 @@ def test_shard_loop_honours_mutations_made_during_a_dial():
 
         finder = recording_finder(fake_now, dialed, on_dial)
 
-        async def drive(shard):
+        async def drive():
             plant_static(finder, first, 1000.0)
             plant_static(finder, second, 1000.1)
             await asyncio.sleep(0.1)
 
-        await run_shard_loop(finder, drive)
+        await run_dial_loop(finder, drive)
         assert dialed == [first.node_id]
         assert rescheduled == [pytest.approx(1000.3)]
 

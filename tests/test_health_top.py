@@ -7,7 +7,6 @@ from pathlib import Path
 
 from repro.cli import main
 from repro.nodefinder.fleet import run_fleet
-from repro.nodefinder.reshard import ReshardOp, ReshardPolicy
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
@@ -29,20 +28,6 @@ def crawler(name="nodefinder-0", node="cc"):
     return Event("crawler", 0.0, {"node_id": node * 64, "name": name})
 
 
-def reshard(ts, generation, action, parent, children, step=0):
-    return Event(
-        "reshard",
-        ts,
-        {
-            "action": action,
-            "step": step,
-            "generation": generation,
-            "parent": list(parent),
-            "children": [list(child) for child in children],
-        },
-    )
-
-
 def sample_journals():
     """Two segments of one crawl, given out of order: nine full harvests on
     shard 0, four timeouts and two breaker trips on shard 1."""
@@ -58,7 +43,7 @@ def sample_journals():
         Event("breaker", 7.0, {"node_id": "8b" * 64, "old": "closed", "new": "open"}),
         Event("breaker", 8.0, {"node_id": "8c" * 64, "old": "closed", "new": "open"}),
     ]
-    return [("crawl-shard1.g0.jsonl", shard1), ("crawl-shard0.g0.jsonl", shard0)]
+    return [("crawl-shard1.jsonl", shard1), ("crawl-shard0.jsonl", shard0)]
 
 
 def table_rows(text, title):
@@ -82,12 +67,12 @@ def check_golden(name, rendered):
 
 class TestShardFacade:
     def test_a_shard_facade_differs_in_the_label_only(self):
-        # a crawler always builds one facade per segment, journals or not:
-        # the segment id is its flight-recorder ring; "" is a harvest with
-        # no crawler
+        # a sim crawler always builds one facade per shard, journals or
+        # not: the shard id is its flight-recorder ring; "" is a harvest
+        # with no shard
         crawl = Telemetry(journal=EventJournal(io.StringIO()))
-        facade = crawl.for_shard("2.g0")
-        assert facade is not crawl and facade.shard == "2.g0" and crawl.shard == ""
+        facade = crawl.for_shard("2")
+        assert facade is not crawl and facade.shard == "2" and crawl.shard == ""
         assert (facade.journal, facade.clock, facade.profiler, facade.recorder) == (
             crawl.journal, crawl.clock, crawl.profiler, crawl.recorder
         )
@@ -98,12 +83,12 @@ class TestRenderTop:
         text = render_top(sample_journals())
         rows = table_rows(text, "Journals")
         assert [row[0] for row in rows] == [
-            "crawl-shard0.g0.jsonl",
-            "crawl-shard1.g0.jsonl",
+            "crawl-shard0.jsonl",
+            "crawl-shard1.jsonl",
         ]
-        # journal, dials, full harvests, hello, status, sealed
-        assert rows[0] == ["crawl-shard0.g0.jsonl", "9", "9", "9", "9", "no"]
-        assert rows[1] == ["crawl-shard1.g0.jsonl", "4", "0", "0", "0", "no"]
+        # journal, dials, full harvests, hello, status
+        assert rows[0] == ["crawl-shard0.jsonl", "9", "9", "9", "9"]
+        assert rows[1] == ["crawl-shard1.jsonl", "4", "0", "0", "0"]
 
     def test_counters_fold_into_the_footer(self):
         text = render_top(sample_journals())
@@ -125,24 +110,27 @@ class TestRenderTop:
         assert connect == ["connect", "4.0ms", "2000.0ms", "2000.0ms"]
         assert hello == ["hello", "40.0ms", "40.0ms", "40.0ms"]
 
+    def test_segment_ids_sort_numerically(self):
+        labels = ["10.g2", "2.g1", "2.g10", "2.g2", "3", "10", "-"]
+        ordered = sorted(labels, key=natural_key)
+        assert ordered == ["2.g1", "2.g2", "2.g10", "3", "10", "10.g2", "-"]
+
     def test_byte_stable_for_a_snapshot(self):
         assert render_top(sample_journals()) == render_top(sample_journals())
 
     def test_empty_snapshot_renders_placeholder(self):
         text = render_top([("empty.jsonl", [])])
         assert table_rows(text, "Journals") == [
-            ["empty.jsonl", "0", "0", "0", "0", "no"]
+            ["empty.jsonl", "0", "0", "0", "0"]
         ]
         assert "Dial funnel" in text
         assert "stage latency: no stage timings in these journals" in text
         assert "peer breakers: no transitions; last reported open: 0" in text
-        assert "plan history" not in text
 
 
 class TestBreakerScopes:
     def test_last_reported_state_decides_open(self):
-        # a peer's last record decides, across files (a reshard moves its
-        # records to the child segment) and per crawler
+        # a peer's last record decides, across files and per crawler
         events = [
             crawler(),
             Event("breaker", 1.0, {"node_id": "01" * 64, "old": "closed", "new": "open"}),
@@ -169,89 +157,6 @@ class TestBreakerScopes:
         assert "subnet breakers: →open 1" in text
 
 
-class TestPlanLine:
-    """`top` shows the plan history a crawl's ``reshard`` records tell —
-    and only when there is one."""
-
-    def test_static_snapshot_has_no_plan_line(self):
-        assert "plan history" not in render_top(sample_journals())
-
-    def test_plan_line_lists_live_segments_by_range(self):
-        parent = [
-            crawler(),
-            dial(1.0, "01"),
-            reshard(2.0, 1, "split", (0, 32768), [(0, 16384), (16384, 32768)]),
-        ]
-        children = [("crawl-shard0.g1.jsonl", [crawler()]), ("crawl-shard1.g1.jsonl", [crawler()])]
-        text = render_top(
-            [("crawl-shard0.g0.jsonl", parent), ("crawl-shard1.g0.jsonl", [crawler()])]
-            + children
-        )
-        sealed = {row[0]: row[-1] for row in table_rows(text, "Journals")}
-        assert sealed == {
-            "crawl-shard0.g0.jsonl": "yes",
-            "crawl-shard0.g1.jsonl": "no",
-            "crawl-shard1.g0.jsonl": "no",
-            "crawl-shard1.g1.jsonl": "no",
-        }
-        assert text.endswith(
-            "plan history: 1 reshard(s)\n"
-            "  nodefinder-0 g1 split at step 0: [0x0000,0x08000) -> "
-            "[0x0000,0x04000) [0x4000,0x08000)"
-        )
-
-    def test_merged_fleet_snapshot_renders_per_instance_ranges(self):
-        """Two instances that made the same split are two plan changes,
-        each at its own ranges — never summed into one."""
-        journals = []
-        for index in range(2):
-            name = f"nodefinder-{index}"
-            journals.append(
-                (
-                    f"{name}-shard0.g0.jsonl",
-                    [
-                        crawler(name, f"{index:02x}"),
-                        reshard(1.0, 1, "split", (0, 65536), [(0, 32768), (32768, 65536)]),
-                    ],
-                )
-            )
-        lines = render_top(journals).splitlines()
-        assert lines[-3:] == [
-            "plan history: 2 reshard(s)",
-            "  nodefinder-0 g1 split at step 0: [0x0000,0x10000) -> "
-            "[0x0000,0x08000) [0x8000,0x10000)",
-            "  nodefinder-1 g1 split at step 0: [0x0000,0x10000) -> "
-            "[0x0000,0x08000) [0x8000,0x10000)",
-        ]
-
-    def test_retired_segment_gauges_do_not_skew_fleet_plan(self):
-        """A merge seals two parents, each with its own ``reshard`` record:
-        one plan change naming both; and one instance's reshards leave an
-        instance that never resharded out of the history."""
-        resharded = [
-            (
-                "nodefinder-0-shard0.g1.jsonl",
-                [crawler(), reshard(5.0, 2, "merge", (0, 16384), [(0, 32768)], step=4)],
-            ),
-            (
-                "nodefinder-0-shard1.g1.jsonl",
-                [crawler(), reshard(5.0, 2, "merge", (16384, 32768), [(0, 32768)], step=4)],
-            ),
-        ]
-        behind = [("nodefinder-1-shard0.g0.jsonl", [crawler("nodefinder-1", "dd")])]
-        lines = render_top(resharded + behind).splitlines()
-        assert lines[-2:] == [
-            "plan history: 1 reshard(s)",
-            "  nodefinder-0 g2 merge at step 4: [0x0000,0x04000) [0x4000,0x08000) "
-            "-> [0x0000,0x08000)",
-        ]
-
-    def test_segment_ids_sort_numerically(self):
-        labels = ["10.g2", "2.g1", "2.g10", "2.g2", "3", "10", "-"]
-        ordered = sorted(labels, key=natural_key)
-        assert ordered == ["2.g1", "2.g2", "2.g10", "3", "10", "10.g2", "-"]
-
-
 def _world(nodes=300):
     return SimWorld(
         WorldConfig(
@@ -275,8 +180,8 @@ class TestSimIntegration:
         text = render_top((path, iter_events(path)) for path in fleet.journal_paths)
         rows = table_rows(text, "Journals")
         assert [row[0] for row in rows] == [
-            "nodefinder-0-shard0.g0.jsonl",
-            "nodefinder-0-shard1.g0.jsonl",
+            "nodefinder-0-shard0.jsonl",
+            "nodefinder-0-shard1.jsonl",
         ]
         for row, path in zip(rows, fleet.journal_paths):
             dials = sum(1 for event in iter_events(path) if event.type == "dial")
@@ -291,25 +196,6 @@ class TestSimIntegration:
             )
         )
         assert "full-harvest" in text
-
-    def test_scripted_split_shows_in_the_plan_history(self, tmp_path):
-        fleet = run_fleet(
-            _world(150),
-            instance_count=1,
-            days=0.1,
-            config=NodeFinderConfig(
-                seed=1,
-                discovery_interval=200,
-                reshard=ReshardPolicy(schedule=(ReshardOp(2, "split", 0),)),
-            ),
-            telemetry_dir=tmp_path,
-        )
-        text = render_top((path, iter_events(path)) for path in fleet.journal_paths)
-        assert "nodefinder-0-shard0.g0.jsonl" in text
-        assert text.splitlines()[-1] == (
-            "  nodefinder-0 g1 split at step 2: [0x0000,0x10000) -> "
-            "[0x0000,0x08000) [0x8000,0x10000)"
-        )
 
     def test_golden_top_of_the_four_shard_smoke_crawl(self, tmp_path):
         """The smoke crawl whose segment bytes ``test_journal_bytes`` pins."""

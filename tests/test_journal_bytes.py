@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from repro.nodefinder import reshard
+from repro.nodefinder import shard
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
@@ -27,13 +27,13 @@ PINNED = {
             "7273ee5ed75263fade627eba675e7fd12e3d93fb00ed43f0d6716a9b6e615eb5",
     },
     4: {
-        "nodefinder-0-shard0.g0.jsonl":
+        "nodefinder-0-shard0.jsonl":
             "55f517f62c87f9f7e1908a352cfc602e0514f24690f39a2e94eac4cb33c38057",
-        "nodefinder-0-shard1.g0.jsonl":
+        "nodefinder-0-shard1.jsonl":
             "397d02fd745e83cd933d63da6d493b943e379ef450785e6f12216555f1076977",
-        "nodefinder-0-shard2.g0.jsonl":
+        "nodefinder-0-shard2.jsonl":
             "719ecca0ddb437e2020039c869d8099a21926d31b6f04e716308c0d8964d3e4f",
-        "nodefinder-0-shard3.g0.jsonl":
+        "nodefinder-0-shard3.jsonl":
             "626c3f30cd0eb628e9864c3574c85ccdff6cf1eec94f00468d9588ae54ea479b",
     },
 }
@@ -74,7 +74,7 @@ def counted_segments(monkeypatch):
             opened[path.name] = counter
             return journal
 
-    monkeypatch.setattr(reshard, "EventJournal", CountingJournal)
+    monkeypatch.setattr(shard, "EventJournal", CountingJournal)
     return opened
 
 

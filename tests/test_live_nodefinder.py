@@ -3,8 +3,6 @@
 import asyncio
 import time
 
-import pytest
-
 from repro.analysis.ingest import replay_journals
 from repro.cli import main
 from repro.crypto.keys import PrivateKey
@@ -14,12 +12,7 @@ from repro.discovery.protocol import DiscoveryService
 from repro.fullnode import start_localhost_network
 from repro.nodefinder.live import LiveConfig, LiveNodeFinder
 from repro.nodefinder.records import DialOutcome, DialResult
-from repro.nodefinder.reshard import (
-    DynamicShardPlan,
-    ReshardOp,
-    ReshardPolicy,
-    SegmentFiles,
-)
+from repro.nodefinder.shard import SegmentFiles
 from repro.resilience import BreakerState, RetryPolicy
 from repro.telemetry import read_events
 
@@ -132,7 +125,7 @@ def test_stop_returns_promptly_with_inflight_retrying_dial():
             )
         )
         await finder.start(bootstrap=[])
-        # plant a due static entry at a closed port: the shard loop dials
+        # plant a due static entry at a closed port: the dial loop dials
         # it, the dial is refused instantly, and the retry policy parks it
         # in a 5-second backoff sleep
         target = dead_enode()
@@ -227,24 +220,23 @@ def test_breaker_backs_off_repeatedly_failing_peer():
         finder = LiveNodeFinder(
             config=LiveConfig(
                 dial_timeout=1.0,
-                retry=None,  # each _shard_dial is one attempt
+                retry=None,  # each _dial is one attempt
             ),
             clock=lambda: now[0],
         )
         target = dead_enode()
-        [shard] = finder._shards
         for _ in range(3):
-            await finder._shard_dial(shard, target, "dynamic-dial")
+            await finder._dial(target, "dynamic-dial")
         assert finder.core.gate.state(target.node_id) is BreakerState.OPEN
         now[0] = 299.0
-        await finder._shard_dial(shard, target, "dynamic-dial")  # skipped
+        await finder._dial(target, "dynamic-dial")  # skipped
         assert finder.stats["breaker_skips"] == 1
         assert finder.stats["dynamic_dials"] == 3
         now[0] = 300.0  # cooled down: one probe, refused, re-opens it
-        await finder._shard_dial(shard, target, "dynamic-dial")
+        await finder._dial(target, "dynamic-dial")
         assert finder.stats["dynamic_dials"] == 4
         assert finder.core.gate.state(target.node_id) is BreakerState.OPEN
-        await finder._shard_dial(shard, target, "dynamic-dial")  # skipped
+        await finder._dial(target, "dynamic-dial")  # skipped
         assert finder.stats["breaker_skips"] == 2
         # a refused dial never joins StaticNodes (§4 completed-dial rule)
         assert target.node_id not in finder.static_nodes
@@ -352,7 +344,7 @@ def test_every_answered_record_is_dialed_not_only_the_sixteen_closest():
 
 
 def test_one_shard_redials_its_due_statics_concurrently():
-    """``shards=1`` runs the same shard loop as ``shards=N``: 16 due
+    """The one dial loop redials its due statics concurrently: 16 due
     statics at 50 ms each finish one sweep in about one dial time, not
     sixteen (regression: the unsharded static loop awaited them one by
     one, ~0.8 s)."""
@@ -392,7 +384,7 @@ def test_raising_fold_is_a_crashed_dial_and_the_loop_keeps_dialing():
             0.0, lambda attempt: DialOutcome.FULL_HARVEST
         )
         finder = LiveNodeFinder(
-            config=LiveConfig(shards=2, static_dial_interval=3600.0, retry=None),
+            config=LiveConfig(static_dial_interval=3600.0, retry=None),
             harvester=harvester,
         )
         targets = [dead_enode(seed) for seed in range(200, 212)]
@@ -418,11 +410,6 @@ def test_raising_fold_is_a_crashed_dial_and_the_loop_keeps_dialing():
                 await asyncio.sleep(0.005)
             assert poisoned not in finder.db
             assert finder.stats["loop_crashes"] == 0
-            # a crawler builds a facade per segment with or without
-            # journals, labelled by the segment
-            assert [shard.telemetry.shard for shard in finder._shards] == [
-                shard.segment for shard in finder._shards
-            ]
             # every static dial either folded or crashed in its fold
             assert finder.stats["dial_failures"] == 1
             assert finder.stats["static_dials"] == finder.writer.folds + 1
@@ -432,23 +419,20 @@ def test_raising_fold_is_a_crashed_dial_and_the_loop_keeps_dialing():
     asyncio.run(scenario())
 
 
-# -- one journal for the whole crawl, whatever the shard count ----------------
+# -- one journal for the whole crawl ------------------------------------------
 
 
-async def _journaled_crawl(directory, shards, policy):
-    """Bond four discovery peers, then — with the final plan in place —
-    crash and restart the discovery loop once and inject one datagram
-    fault; returns ``(crawler node id, peer ids, journal paths)``."""
-    # node IDs d8.., d7.., 02.., 6d..: two in each half of the keyspace
+async def _journaled_crawl(directory):
+    """Bond four discovery peers, then crash and restart the discovery loop
+    once and inject one datagram fault; returns ``(crawler node id, peer
+    ids, journal paths)``."""
     peers = [await DiscoveryService(PrivateKey(30_000 + i)).listen() for i in (0, 2, 4, 5)]
-    files = SegmentFiles(directory, "crawl", shards, policy)
+    files = SegmentFiles(directory, "crawl", 1)
     finder = LiveNodeFinder(
         PrivateKey(77),
         config=LiveConfig(
             lookup_interval=0.01,
             static_dial_interval=600.0,
-            shards=shards,
-            reshard=policy,
             supervisor_policy=RetryPolicy(max_attempts=5, base_delay=0.01),
         ),
         harvester=stub_harvester(0.0, lambda nth: DialOutcome.CONNECTION_REFUSED)[0],
@@ -466,10 +450,7 @@ async def _journaled_crawl(directory, shards, policy):
         await finder.start(bootstrap=[peer.local_enode for peer in peers])
         finder.discovery.lookup_all = lookup
         started = time.monotonic()
-        while policy is not None and finder.plan.shards < 2:
-            assert time.monotonic() - started < 5.0, "the scripted split never ran"
-            await asyncio.sleep(0.005)
-        # the facade discovery holds is the crawl's: same journal, same rule
+        # the facade discovery holds is the crawl's: same journal
         finder.discovery.telemetry.record_datagram_fault("drop")
         crash["armed"] = True
         lookups = None
@@ -485,119 +466,32 @@ async def _journaled_crawl(directory, shards, policy):
     return finder.discovery.node_id, [peer.node_id for peer in peers], files.paths
 
 
-SPLIT_AT_ONCE = ReshardPolicy(
-    interval=0.01, schedule=(ReshardOp(step=0, action="split", index=0),)
-)
-
-
-@pytest.mark.parametrize(
-    "shards, policy", [(2, None), (1, SPLIT_AT_ONCE)], ids=["two-shards", "elastic"]
-)
-def test_segment_journals_carry_what_the_one_shard_journal_does(
-    tmp_path, capsys, shards, policy
-):
+def test_the_journal_carries_every_record_of_the_crawl(tmp_path, capsys):
     """``supervisor``, ``bond`` and ``datagram_fault`` records reach the
-    segment files of a sharded or elastic crawl (they used to go through
-    the crawl-wide facade, which then had no journal), and every file
-    names the crawler — so ``analyze --eclipse`` leaves it out."""
-    _, peer_ids, [single] = asyncio.run(_journaled_crawl(tmp_path / "one", 1, None))
-    assert single.name == "crawl.jsonl"
-    crawler_id, _, paths = asyncio.run(
-        _journaled_crawl(tmp_path / "many", shards, policy)
-    )
-    assert sorted(path.name for path in paths) == (
-        ["crawl-shard0.g0.jsonl", "crawl-shard1.g0.jsonl"]
-        if policy is None
-        else ["crawl-shard0.g0.jsonl", "crawl-shard0.g1.jsonl", "crawl-shard1.g1.jsonl"]
-    )
+    crawl's one journal file (they used to go through the crawl-wide
+    facade, which then had no journal), and the file names the crawler —
+    so ``analyze --eclipse`` leaves it out."""
+    crawler_id, peer_ids, [path] = asyncio.run(_journaled_crawl(tmp_path))
+    assert path.name == "crawl.jsonl"
 
-    def records(paths, kind):
+    def records(kind):
         return sorted(
             sorted(event.fields.items())
-            for path in paths
             for event in read_events(path)
             if event.type == kind
         )
 
-    bonds = records(paths, "bond")
-    assert bonds == records([single], "bond")
-    assert bonds == sorted(
+    assert records("bond") == sorted(
         [("node_id", node_id.hex()), ("ok", True)] for node_id in peer_ids
     )
-    if policy is None:  # a record about a node: the file holding its dials
-        for index, path in enumerate(sorted(paths)):
-            owned = [bytes.fromhex(dict(bond)["node_id"]) for bond in records([path], "bond")]
-            assert len(owned) == 2
-            assert all(DynamicShardPlan(2).shard_of(node_id) == index for node_id in owned)
     for kind in ("supervisor", "datagram_fault"):
-        assert records(paths, kind) == records([single], kind) != []
-    # node-less records: the first live segment, nowhere else
-    first_live = sorted(paths)[0 if policy is None else 1]
-    assert records([first_live], "supervisor") == records(paths, "supervisor")
-    argv = ["top"]
-    for path in paths:
-        argv += ["--journal", str(path)]
-    assert main(argv) == 0
+        assert records(kind) != []
+    assert main(["top", "--journal", str(path)]) == 0
     out = capsys.readouterr().out
     assert "supervisor: 1 crashes, 1 restarts" in out
     assert "bonds 4 ok / 0 failed" in out
     assert "chaos faults injected: drop=1" in out
-    # every file opens with the crawler's own identity
-    for path in paths + [single]:
-        first = read_events(path)[0]
-        assert (first.type, first.fields["node_id"]) == ("crawler", crawler_id.hex())
-    assert replay_journals(paths).crawler_ids == {crawler_id}
-
-
-def test_top_renders_a_row_per_segment_of_a_live_sharded_crawl(tmp_path, capsys):
-    """``nodefinder top`` over a live 2-shard crawl's segment files: one row
-    per segment, each counting the ``dial`` records in its own file."""
-
-    async def record_harvest(target, key, connection_type="dynamic-dial", **kwargs):
-        # the journal side of ``wire.harvest``: the result goes on record
-        result = DialResult(
-            timestamp=kwargs["clock"](),
-            node_id=target.node_id,
-            ip=target.ip,
-            tcp_port=target.tcp_port,
-            connection_type=connection_type,
-            outcome=DialOutcome.CONNECTION_REFUSED,
-        )
-        kwargs["telemetry"].record_dial(result)
-        return result
-
-    async def scenario():
-        files = SegmentFiles(tmp_path, "crawl", 2, None)
-        finder = LiveNodeFinder(
-            config=LiveConfig(shards=2, static_dial_interval=3600.0, retry=None),
-            harvester=record_harvest,
-            journal_opener=files,
-        )
-        targets = [dead_enode(seed) for seed in range(300, 316)]
-        await finder.start(bootstrap=[])
-        try:
-            started = time.monotonic()
-            for target in targets:
-                plant_static(finder, target, 0.0)
-            while len(finder.db) < len(targets):
-                assert time.monotonic() - started < 5.0, "sweep never finished"
-                await asyncio.sleep(0.005)
-        finally:
-            await asyncio.wait_for(finder.stop(), timeout=10.0)
-        return files.paths
-
-    paths = asyncio.run(scenario())
-    argv = ["top"]
-    for path in paths:
-        argv += ["--journal", str(path)]
-    assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    header = lines.index("Journals") + 2
-    rows = {line.split()[0]: line.split()[1:] for line in lines[header + 1 : header + 3]}
-    assert sorted(rows) == ["crawl-shard0.g0.jsonl", "crawl-shard1.g0.jsonl"]
-    assert lines[header + 3] == ""
-    for path in paths:
-        dials = sum(1 for event in read_events(path) if event.type == "dial")
-        assert dials > 0
-        assert rows[path.name] == [str(dials), "0", "0", "0", "no"]
-    assert sum(int(row[0]) for row in rows.values()) == 16
+    # the file opens with the crawler's own identity
+    first = read_events(path)[0]
+    assert (first.type, first.fields["node_id"]) == ("crawler", crawler_id.hex())
+    assert replay_journals([path]).crawler_ids == {crawler_id}

@@ -79,7 +79,7 @@ def test_every_import_in_src_points_down_the_layer_table():
 @pytest.mark.parametrize(
     "rel, line",
     [(f"nodefinder/{name}.py", "from repro.simnet.clock import SimClock")
-     for name in "records database core shard reshard wire live defense sanitize".split()]
+     for name in "records database core shard wire live defense sanitize".split()]
     + [(f"analysis/{name}.py", "from repro.simnet.world import SimWorld")
        for name in ("ingest", "churn", "comparison")]
     + [

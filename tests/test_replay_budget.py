@@ -27,7 +27,7 @@ def _write_crawl(directory, dials):
     the timelines are complete after the first round, the log keeps
     growing.
     """
-    paths = [directory / f"crawl-{dials}-shard{k}.g0.jsonl" for k in (0, 1)]
+    paths = [directory / f"crawl-{dials}-shard{k}.jsonl" for k in (0, 1)]
     journals = [EventJournal.open(path) for path in paths]
     for index in range(dials):
         peer = index % PEERS

@@ -16,16 +16,11 @@ The same holds for a defended crawl under attack (``--adversary
 K-th failure in dial order: one NodeDB, one CrawlStats, one DefenseStats,
 and segment journals carrying every crawl-scope record the unsharded
 journal has.
-
-A separate ``benchmark``-marked test pins the point of sharding: on a
-stub dial workload, 4 shard loops finish > 1.5x faster than one.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -35,18 +30,15 @@ from hypothesis import strategies as st
 
 from repro.analysis.ingest import replay_journals
 from repro.cli import main
-from repro.discovery.enode import ENode
 from repro.nodefinder.fleet import run_fleet
-from repro.nodefinder.live import LiveConfig, LiveNodeFinder
-from repro.nodefinder.reshard import DynamicShardPlan
 from repro.nodefinder.scanner import NodeFinderConfig
-from repro.nodefinder.records import DialOutcome, DialResult
+from repro.nodefinder.shard import PREFIX_SPACE, ShardPlan
 from repro.simnet.adversary import AdversaryCampaign, AdversaryConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import read_events
 
-from tests.helpers import assert_every_record_is_placed, plant_static
+from tests.helpers import assert_every_record_is_placed
 
 SHARD_COUNTS = (1, 2, 4)
 WORLD_SEED = 41
@@ -102,6 +94,17 @@ def defended_crawls(tmp_path_factory):
     return _crawl_at_every_shard_count(tmp_path_factory, defended=True)
 
 
+class TestShardPlan:
+    @given(
+        shards=st.integers(min_value=1, max_value=64),
+        node_id=st.binary(min_size=64, max_size=64),
+    )
+    def test_shard_of_is_the_closed_form(self, shards, node_id):
+        # the even ceil-division partition of the first two ID bytes
+        prefix = int.from_bytes(node_id[:2], "big")
+        assert ShardPlan(shards).shard_of(node_id) == prefix * shards // PREFIX_SPACE
+
+
 class TestShardConformance:
     def test_crawl_is_nontrivial(self, crawls):
         fleet, journal_paths = crawls[1]
@@ -142,10 +145,9 @@ class TestShardConformance:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_no_target_dialed_by_two_shards(self, crawls, shards):
         _, journal_paths = crawls[shards]
-        plan = DynamicShardPlan(shards)
+        plan = ShardPlan(shards)
         dialed_by_shard = []
         for index, path in enumerate(sorted(journal_paths)):
-            lo, hi = plan.prefix_range(index)
             dialed = {
                 bytes.fromhex(event.fields["node_id"])
                 for event in read_events(path)
@@ -153,10 +155,8 @@ class TestShardConformance:
             }
             # every dial stays inside the shard's keyspace slice...
             for node_id in dialed:
-                prefix = int.from_bytes(node_id[:2], "big")
-                assert lo <= prefix < hi, (
-                    f"shard {index} dialed prefix {prefix:#06x} "
-                    f"outside [{lo:#06x}, {hi:#06x})"
+                assert plan.shard_of(node_id) == index, (
+                    f"shard {index} dialed prefix {node_id[:2].hex()}"
                 )
             dialed_by_shard.append(dialed)
         # ...so no node id appears in two shard journals
@@ -280,87 +280,3 @@ class TestMultiShardReplayProperties:
         assert {entry.node_id for entry in replayed.db} == {
             entry.node_id for entry in baseline.db
         }
-
-
-# -- live scheduler speedup ---------------------------------------------------
-
-
-def _stub_harvester(dial_seconds: float):
-    """A harvest-compatible stub: fixed-latency full harvest, no sockets."""
-
-    async def stub(target, key, connection_type="dynamic-dial", **kwargs):
-        await asyncio.sleep(dial_seconds)
-        clock = kwargs.get("clock") or time.monotonic
-        return DialResult(
-            timestamp=clock(),
-            node_id=target.node_id,
-            ip=target.ip,
-            tcp_port=target.tcp_port,
-            connection_type=connection_type,
-            outcome=DialOutcome.FULL_HARVEST,
-            client_id="Geth/v1.8.11-stable/linux-amd64/go1.10.2",
-            network_id=1,
-        )
-
-    return stub
-
-
-def _targets(count: int) -> list[ENode]:
-    rng = random.Random(1234)
-    return [
-        ENode(rng.randbytes(64), "127.0.0.1", 30303, 30303)
-        for _ in range(count)
-    ]
-
-
-async def _drain_until(db, count: int, deadline: float) -> float:
-    started = time.monotonic()
-    while len(db) < count:
-        if time.monotonic() - started > deadline:
-            raise AssertionError(
-                f"only {len(db)}/{count} targets dialed before the deadline"
-            )
-        await asyncio.sleep(0.005)
-    return time.monotonic() - started
-
-
-@pytest.mark.benchmark
-class TestShardSpeedup:
-    """N=4 shard loops beat the single shard loop by > 1.5x wall-clock."""
-
-    TARGETS = 120
-    DIAL_SECONDS = 0.005
-
-    async def _sweep(self, shards: int) -> float:
-        """Seconds for ``shards`` shard loops to dial every due static."""
-        finder = LiveNodeFinder(
-            config=LiveConfig(
-                shards=shards,
-                max_active_dials=1,
-                static_dial_interval=3600.0,
-                retry=None,
-            ),
-            harvester=_stub_harvester(self.DIAL_SECONDS),
-        )
-        for enode in _targets(self.TARGETS):
-            plant_static(finder, enode, 0.0)
-        tasks = [
-            asyncio.ensure_future(finder._shard_loop(shard))
-            for shard in finder._shards
-        ]
-        try:
-            return await _drain_until(finder.db, self.TARGETS, 30.0)
-        finally:
-            finder._stopping = True
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-    def test_four_shards_beat_unsharded(self):
-        baseline = asyncio.run(self._sweep(1))
-        sharded = asyncio.run(self._sweep(4))
-        speedup = baseline / sharded
-        assert speedup > 1.5, (
-            f"4 shards only {speedup:.2f}x faster "
-            f"({baseline:.3f}s vs {sharded:.3f}s)"
-        )

@@ -190,12 +190,12 @@ class TestJournal:
 
     def test_error_names_the_file_when_the_source_is_a_path(self, tmp_path):
         good = Event(type="dial", ts=0.0).to_json()
-        path = tmp_path / "nodefinder-0-shard2.g0.jsonl"
+        path = tmp_path / "nodefinder-0-shard2.jsonl"
         path.write_text(f"{good}\n{good[:10]}\n{good}\n", encoding="utf-8")
         with pytest.raises(JournalError) as caught:
             read_events(str(path))
         assert str(caught.value).startswith(
-            "nodefinder-0-shard2.g0.jsonl line 2: not valid JSON"
+            "nodefinder-0-shard2.jsonl line 2: not valid JSON"
         )
         assert caught.value.torn
         with open(path, encoding="utf-8") as stream:  # a stream has no name to give
