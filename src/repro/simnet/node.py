@@ -44,6 +44,10 @@ class SimNode:
         "occupancy",
         "status_reliability",
         "neighbors",
+        # _rng is None until the first connection past handle_connection's
+        # liveness gate builds it; from then on it is always the stream
+        # Random(_seed) gives after the occupancy draw
+        "_seed",
         "_rng",
     )
 
@@ -60,16 +64,17 @@ class SimNode:
         # cached_id_hash/cached_id_hash_int call on this ID hits too
         self.id_hash = cached_id_hash(spec.node_id)
         self.id_hash_int = int.from_bytes(self.id_hash, "big")
-        self._rng = random.Random(rng.getrandbits(64))
-        self.occupancy = self._draw_occupancy()
+        self._seed = rng.getrandbits(64)
+        self._rng: Optional[random.Random] = None
+        self.occupancy = self._draw_occupancy(random.Random(self._seed))
         #: P(STATUS exchange succeeds | HELLO succeeded) — paper: 323,584
         #: STATUS out of 335,036 eth HELLOs ≈ 0.97 per *node*, lower per dial
         self.status_reliability = 0.93 if spec.service == "eth" else 0.0
         self.neighbors: list["SimNode"] = []
 
-    def _draw_occupancy(self) -> float:
+    def _draw_occupancy(self, rng: random.Random) -> float:
         """Probability that a given dial finds every peer slot taken."""
-        spec, rng = self.spec, self._rng
+        spec = self.spec
         if spec.runs_nodefinder:
             return 0.0  # scanners accept everything (§4)
         if spec.service == "eth" and spec.network_name in ("mainnet", "classic"):
@@ -87,8 +92,6 @@ class SimNode:
         spec = self.spec
         if spec.freshness == "stuck-byzantium":
             return BYZANTIUM_BLOCK + 1
-        if spec.freshness == "stale":
-            return max(0, world_height - spec.lag_blocks)
         return max(0, world_height - spec.lag_blocks)
 
     def dao_answer(self, world_height: int) -> str:
@@ -142,7 +145,6 @@ class SimNode:
         outcomes are driven by this node's state (paper §4 design).
         """
         spec = self.spec
-        rng = self._rng
         day = now / SECONDS_PER_DAY
         node_id = spec.node_id
         ip = spec.ip
@@ -159,6 +161,10 @@ class SimNode:
                 latency=rtt,
                 duration=15.0,  # defaultDialTimeout
             )
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+            self._draw_occupancy(rng)  # skip the build's draw; occupancy stays
         if rng.random() < 0.004:
             return DialResult(
                 timestamp=now,

@@ -1,5 +1,6 @@
 """World behaviour tests: geography, dialing, discovery, factories."""
 
+import copy
 import random
 
 import pytest
@@ -15,7 +16,10 @@ from repro.simnet.geo import (
     COUNTRY_DISTRIBUTION,
     GeoModel,
 )
+from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.records import DialOutcome
+from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
+from repro.simnet.adversary import AdversaryCampaign, AdversaryConfig, AttackerNode
 from repro.simnet.population import PopulationBuilder, PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig, _OnlineIndex
 
@@ -329,3 +333,98 @@ class TestBuildTimeHashing:
             chain, other = scalar.chain_for(node.spec), built.chain_for(twin.spec)
             assert chain._seed == other._seed
             assert chain.block_hash(1000) == other.block_hash(1000)
+
+
+class TestLazyNodeStream:
+    """A node's generator is built on the first dial that reaches it.
+
+    Until then the node holds only its seed; once built, the stream is the
+    one an eager ``Random(seed)`` advanced by the occupancy draw would
+    hold, so every dial outcome is the same as if it had always existed.
+    """
+
+    POPULATION = PopulationConfig(total_nodes=300, seed=2018, measurement_days=1.0)
+
+    @pytest.fixture
+    def fresh(self):
+        return SimWorld(WorldConfig(population=self.POPULATION, seed=7))
+
+    def test_a_built_world_holds_no_generator(self, fresh):
+        assert all(node._rng is None for node in fresh.nodes.values())
+
+    def test_a_dial_stopped_at_the_liveness_gate_builds_none(self, fresh):
+        offline = next(
+            n for n in fresh.nodes.values() if not n.spec.is_online(fresh.day)
+        )
+        unreachable = next(
+            n for n in fresh.nodes.values()
+            if not n.spec.reachable and n.spec.is_online(fresh.day)
+        )
+        for node, kind in ((offline, "incoming"), (unreachable, "dynamic-dial")):
+            result = node.handle_connection(
+                now=fresh.now,
+                connection_type=kind,
+                chain=fresh.chain_for(node.spec),
+                world_height=fresh.mainnet_height,
+                rtt=0.05,
+            )
+            assert result.outcome is DialOutcome.TIMEOUT
+            assert node._rng is None
+
+    def test_each_occupancy_kind_dials_as_an_eager_stream_would(self, fresh):
+        scanner = NodeFinderInstance(fresh, config=NodeFinderConfig(seed=1))
+        AdversaryCampaign(AdversaryConfig(sybil_count=4, phantom_pool=4)).launch(
+            fresh, victim_node_id=scanner.node_id
+        )
+        scanner.start()
+
+        def online(predicate):
+            # outbound dials to an unreachable one stop at the gate, inbound
+            # ones draw: the sequence below mixes both
+            return next(
+                n for n in fresh.nodes.values()
+                if n.spec.is_online(fresh.day) and predicate(n)
+            )
+
+        kinds = {
+            "geth mainnet": online(
+                lambda n: n.spec.client_family == "geth"
+                and n.spec.network_name == "mainnet"
+            ),
+            "other eth": online(
+                lambda n: n.spec.service == "eth"
+                and n.spec.network_name not in ("mainnet", "classic")
+            ),
+            "non-eth": online(lambda n: n.spec.service != "eth"),
+            "scanner": fresh.nodes[scanner.node_id],
+            "attacker": online(lambda n: isinstance(n, AttackerNode)),
+        }
+        for kind, node in kinds.items():
+            assert node._rng is None, kind
+            reference = copy.copy(node)  # same occupancy, overrides included
+            reference._rng = random.Random(node._seed)
+            drawn = reference._draw_occupancy(reference._rng)
+            if kind in ("geth mainnet", "other eth", "non-eth"):
+                assert drawn == node.occupancy, kind
+            for step in range(60):
+                kwargs = dict(
+                    now=fresh.now + step * 60.0,
+                    connection_type=("dynamic-dial", "static-dial", "incoming")[step % 3],
+                    chain=fresh.chain_for(node.spec),
+                    world_height=fresh.mainnet_height,
+                    rtt=0.05,
+                )
+                assert node.handle_connection(**kwargs) == (
+                    reference.handle_connection(**kwargs)
+                ), (kind, step)
+            assert node._rng.getstate() == reference._rng.getstate(), kind
+
+    def test_smoke_crawl_builds_thirty_generators_of_305(self, fresh):
+        run_fleet(
+            fresh,
+            instance_count=1,
+            days=0.05,
+            config=NodeFinderConfig(seed=1, shards=1),
+        )
+        built = sum(node._rng is not None for node in fresh.nodes.values())
+        assert (built, len(fresh.nodes)) == (30, 305)
