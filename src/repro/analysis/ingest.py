@@ -44,8 +44,10 @@ event stream, so replaying a journal is reproducible byte-for-byte.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from math import isfinite
 from operator import attrgetter
 from pathlib import Path
@@ -59,7 +61,7 @@ from repro.telemetry.journal import Event, iter_events
 from repro.units import SECONDS_PER_DAY
 
 
-@dataclass
+@dataclass(slots=True)
 class PeerTimeline:
     """Longitudinal view of one peer, derived purely from its events."""
 
@@ -79,7 +81,7 @@ class PeerTimeline:
     breaker_opens: int = 0
     #: seconds between consecutive live sightings — the freshness
     #: intervals behind the §7.3 churn/staleness readings
-    sighting_gaps: List[float] = field(default_factory=list)
+    sighting_gaps: array = field(default_factory=partial(array, "d"))
 
     @property
     def sightings(self) -> int:
@@ -194,13 +196,18 @@ def _hex_field(fields: dict, key: str) -> Optional[bytes]:
         return None
 
 
-def _capabilities(raw) -> Optional[list]:
+def _capabilities(raw, interned: Dict[tuple, list]) -> Optional[list]:
+    """The ``(name, version)`` pairs of a HELLO; a well-typed list is the
+    one ``interned`` already holds for the same pairs, if any."""
     if not isinstance(raw, list):
         return None
     caps = []
     for item in raw:
         if isinstance(item, (list, tuple)) and len(item) == 2:
             caps.append((item[0], item[1]))
+    # exact types only: ("eth", 1) must not become another peer's ("eth", True)
+    if all(type(name) is str and type(version) is int for name, version in caps):
+        return interned.setdefault(tuple(caps), caps)
     return caps
 
 
@@ -221,6 +228,10 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
     pending: Dict[bytes, DialResult] = {}
     timelines = out.timelines
     skipped = out.skipped
+    #: one object per distinct client string and capability list, so
+    #: peers announcing the same client share it, as on the live path
+    clients: Dict[str, str] = {}
+    capability_lists: Dict[tuple, list] = {}
     counts: Dict[str, int] = {}
     lineno = 0
 
@@ -310,7 +321,11 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
                 timeline._sight(result.timestamp)
         elif kind == "hello":
             client_id = fields.get("client_id")
-            capabilities = _capabilities(fields.get("capabilities"))
+            if isinstance(client_id, str):
+                client_id = clients.setdefault(client_id, client_id)
+            capabilities = _capabilities(
+                fields.get("capabilities"), capability_lists
+            )
             open_dial = pending.get(node_id)
             if open_dial is not None:
                 open_dial.client_id = client_id

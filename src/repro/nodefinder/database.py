@@ -10,16 +10,32 @@ Entries are keyed by node ID; a node seen at several IPs keeps them all.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from repro.nodefinder.records import DialOutcome, DialResult
-from repro.units import SECONDS_PER_DAY
+
+#: every distinct connection-type set, held once: entries with the same
+#: set share the one frozenset (three types make at most seven sets)
+_CONNECTION_TYPES: dict[frozenset, frozenset] = {}
 
 
-@dataclass
+def _connection_types(types: Iterable[str]) -> frozenset:
+    key = frozenset(types)
+    return _CONNECTION_TYPES.setdefault(key, key)
+
+
+@dataclass(slots=True)
 class NodeEntry:
-    """Accumulated knowledge about one node ID."""
+    """Accumulated knowledge about one node ID.
+
+    Values are shared, never copied: ``connection_types`` is one of the
+    interned frozensets, and ``client_id`` / ``capabilities`` are the
+    objects the ``DialResult`` carried, which other entries may hold
+    too — so a fold replaces them and never mutates them.
+    """
 
     node_id: bytes
     ips: set = field(default_factory=set)
@@ -32,7 +48,7 @@ class NodeEntry:
     last_attempt: float = 0.0
     last_success: float = -1.0   # last successful TCP connection
     sessions: int = 0            # connections that yielded any message
-    connection_types: set = field(default_factory=set)
+    connection_types: frozenset = frozenset()
     client_id: Optional[str] = None
     capabilities: Optional[list] = None
     network_id: Optional[int] = None
@@ -44,8 +60,8 @@ class NodeEntry:
     dao_side: Optional[str] = None
     #: ever connected via our own outbound dial (reachability, Table 2)
     outbound_success: bool = False
-    latencies: list = field(default_factory=list)
-    status_days: set = field(default_factory=set)
+    #: the first 32 latency samples, in dial order
+    latencies: array = field(default_factory=partial(array, "d"))
     #: remote Disconnect reason label -> count (Table 1 input)
     disconnects: dict = field(default_factory=dict)
 
@@ -72,7 +88,6 @@ class NodeEntry:
             self.network_id == 1
             and self.genesis_hash == MAINNET_GENESIS_HASH
             and self.dao_side in ("supports", "empty", None)
-            and self.dao_side != "opposes"
         )
 
     @property
@@ -91,6 +106,44 @@ class NodeEntry:
             if preferred in names:
                 return preferred
         return names[0]
+
+
+def _combined(mine: NodeEntry, other: NodeEntry) -> NodeEntry:
+    """A new entry folding ``other`` into ``mine``; neither is written to."""
+    hello = (
+        other
+        if other.got_hello and (not mine.got_hello or other.last_seen >= mine.last_seen)
+        else mine
+    )
+    status = other if other.got_status else mine
+    disconnects = dict(mine.disconnects)
+    for label, count in other.disconnects.items():
+        disconnects[label] = disconnects.get(label, 0) + count
+    return NodeEntry(
+        node_id=mine.node_id,
+        ips=mine.ips | other.ips,
+        tcp_port=mine.tcp_port,
+        first_seen=min(mine.first_seen, other.first_seen),
+        last_seen=max(mine.last_seen, other.last_seen),
+        last_attempt=mine.last_attempt,
+        last_success=max(mine.last_success, other.last_success),
+        sessions=mine.sessions + other.sessions,
+        connection_types=_connection_types(
+            mine.connection_types | other.connection_types
+        ),
+        client_id=hello.client_id,
+        capabilities=hello.capabilities,
+        network_id=status.network_id,
+        genesis_hash=status.genesis_hash,
+        best_hash=status.best_hash,
+        best_block=status.best_block,
+        head_at_status=status.head_at_status,
+        total_difficulty=status.total_difficulty,
+        dao_side=mine.dao_side if other.dao_side is None else other.dao_side,
+        outbound_success=mine.outbound_success or other.outbound_success,
+        latencies=(mine.latencies + other.latencies)[:32],
+        disconnects=disconnects,
+    )
 
 
 class NodeDB:
@@ -124,7 +177,10 @@ class NodeDB:
         entry.last_attempt = max(entry.last_attempt, result.timestamp)
         entry.ips.add(result.ip)
         entry.tcp_port = result.tcp_port
-        entry.connection_types.add(result.connection_type)
+        if result.connection_type not in entry.connection_types:
+            entry.connection_types = _connection_types(
+                entry.connection_types | {result.connection_type}
+            )
         # a refused connection is not a live observation: nothing answered
         if result.outcome.connected:
             entry.last_success = max(entry.last_success, result.timestamp)
@@ -147,7 +203,6 @@ class NodeDB:
             entry.best_block = result.best_block
             entry.head_at_status = result.head_height
             entry.total_difficulty = result.total_difficulty
-            entry.status_days.add(int(result.timestamp // SECONDS_PER_DAY))
         if result.dao_side is not None:
             entry.dao_side = result.dao_side
         if result.disconnect_reason is not None:
@@ -196,36 +251,17 @@ class NodeDB:
         return merged
 
     def merge_entry(self, entry: NodeEntry) -> None:
-        """Fold a single entry into this database."""
+        """Fold a single entry into this database.
+
+        The first entry for an ID is held as it is, not copied, so a
+        merge of one database shares its entries (a merged view is read,
+        not observed into).  A second entry for the ID makes a new one: a
+        merge never writes to its inputs.
+        """
         mine = self._entries.get(entry.node_id)
-        if mine is None:
-            self._entries[entry.node_id] = entry
-        else:
-            mine.first_seen = min(mine.first_seen, entry.first_seen)
-            mine.last_seen = max(mine.last_seen, entry.last_seen)
-            mine.last_success = max(mine.last_success, entry.last_success)
-            mine.sessions += entry.sessions
-            mine.ips |= entry.ips
-            mine.connection_types |= entry.connection_types
-            mine.status_days |= entry.status_days
-            mine.outbound_success = mine.outbound_success or entry.outbound_success
-            if entry.got_hello and (
-                not mine.got_hello or entry.last_seen >= mine.last_seen
-            ):
-                mine.client_id = entry.client_id
-                mine.capabilities = entry.capabilities
-            if entry.got_status:
-                mine.network_id = entry.network_id
-                mine.genesis_hash = entry.genesis_hash
-                mine.best_hash = entry.best_hash
-                mine.best_block = entry.best_block
-                mine.head_at_status = entry.head_at_status
-                mine.total_difficulty = entry.total_difficulty
-            if entry.dao_side is not None:
-                mine.dao_side = entry.dao_side
-            for label, count in entry.disconnects.items():
-                mine.disconnects[label] = mine.disconnects.get(label, 0) + count
-            mine.latencies = (mine.latencies + entry.latencies)[:32]
+        self._entries[entry.node_id] = (
+            entry if mine is None else _combined(mine, entry)
+        )
 
     # -- persistence ---------------------------------------------------------------
 
@@ -233,8 +269,8 @@ class NodeDB:
         """Write entries as JSON lines; returns the count written.
 
         The dump is full-fidelity: :meth:`load_jsonl` reconstructs every
-        analysis input (including ``head_at_status``, latencies, and
-        sighting days), so the database path and the journal-replay path
+        analysis input (including ``head_at_status``, latencies and
+        disconnect tallies), so the database path and the journal-replay path
         of ``nodefinder analyze`` render identical reports.
         """
         count = 0
@@ -262,8 +298,7 @@ class NodeDB:
                     "total_difficulty": entry.total_difficulty,
                     "dao_side": entry.dao_side,
                     "outbound_success": entry.outbound_success,
-                    "latencies": entry.latencies,
-                    "status_days": sorted(entry.status_days),
+                    "latencies": list(entry.latencies),
                     "disconnects": {
                         label: entry.disconnects[label]
                         for label in sorted(entry.disconnects)
@@ -288,7 +323,9 @@ class NodeDB:
                     last_attempt=record.get("last_attempt", 0.0),
                     last_success=record["last_success"],
                     sessions=record["sessions"],
-                    connection_types=set(record.get("connection_types", [])),
+                    connection_types=_connection_types(
+                        record.get("connection_types", ())
+                    ),
                     client_id=record["client_id"],
                     capabilities=[tuple(cap) for cap in record["capabilities"]]
                     if record["capabilities"]
@@ -305,8 +342,7 @@ class NodeDB:
                     total_difficulty=record.get("total_difficulty"),
                     dao_side=record["dao_side"],
                     outbound_success=record.get("outbound_success", False),
-                    latencies=list(record.get("latencies", [])),
-                    status_days=set(record.get("status_days", [])),
+                    latencies=array("d", record.get("latencies", ())),
                     disconnects=dict(record.get("disconnects", {})),
                 )
                 db._entries[entry.node_id] = entry

@@ -202,7 +202,7 @@ class SimNode:
                 disconnect_reason=DisconnectReason.TOO_MANY_PEERS,
             )
         client_id = self.builder.client_string_at(spec, day)
-        capabilities = list(spec.capabilities)
+        capabilities = spec.capabilities  # shared, never mutated
         if spec.service != "eth":
             # no shared eth capability: session dies as Useless peer
             return DialResult(

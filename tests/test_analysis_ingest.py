@@ -287,6 +287,29 @@ class TestUnusableFieldTypes:
         assert not replayed.skipped
         assert replayed.db.get(bytes.fromhex("aa" * 32)).tcp_port == 30303
 
+    def test_hello_values_are_shared_only_between_equal_types(self):
+        """Peers announcing one client share its string and capability
+        list; a capability that merely compares equal keeps its own type,
+        and one that cannot be hashed does not stop the replay."""
+        announced = {"aa": ["eth", 1], "bb": ["eth", 1], "cc": ["eth", True], "dd": ["eth", {}]}
+        lines = []
+        for peer, capability in announced.items():
+            node_id = peer * 32
+            lines.append(Event("dial", 5.0, {
+                "node_id": node_id, "outcome": "hello-no-status",
+            }).to_json())
+            lines.append(Event("hello", 5.0, {
+                "node_id": node_id, "client_id": "Geth/v1.8.0",
+                "capabilities": [capability],
+            }).to_json())
+        replayed = replay_journal(lines)
+        a, b, c, d = (replayed.db.get(bytes.fromhex(peer * 32)) for peer in announced)
+        assert not replayed.skipped
+        assert a.client_id is b.client_id is c.client_id
+        assert a.capabilities is b.capabilities
+        assert c.capabilities[0][1] is True
+        assert d.capabilities == [("eth", {})]
+
     @pytest.mark.parametrize("outcome", [["timeout"], {}, 7, None])
     def test_outcome_that_is_not_a_string_is_an_unknown_outcome(self, outcome):
         replayed = replay(

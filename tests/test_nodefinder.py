@@ -1,5 +1,6 @@
 """NodeFinder crawler tests: scheduling, database, stats, sanitisation."""
 
+import copy
 import random
 import zlib
 
@@ -8,7 +9,7 @@ import pytest
 from repro.crypto import keccak
 from repro.crypto.keccak import keccak256
 from repro.nodefinder import scanner
-from repro.nodefinder.database import NodeDB, NodeEntry
+from repro.nodefinder.database import NodeDB
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.records import CrawlStats
 from repro.nodefinder.sanitize import (
@@ -129,6 +130,31 @@ class TestNodeDB:
         assert entry.primary_service() == "bzz"
         entry = db.observe(make_result(node_id=b"\x03" * 64, capabilities=[("shh", 6), ("eth", 63)]))
         assert entry.primary_service() == "eth"
+
+    def test_a_merge_of_one_database_shares_its_entries(self):
+        db = NodeDB()
+        entry = db.observe(make_result())
+        assert NodeDB.merged([db]).get(entry.node_id) is entry
+
+
+class TestMergedDatabase:
+    """``NodeDB.merged`` reads the instance databases and writes to none."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        population = PopulationConfig(total_nodes=300, seed=2018, measurement_days=1.0)
+        world = SimWorld(WorldConfig(population=population, seed=7))
+        return run_fleet(world, instance_count=2, days=0.1)
+
+    def test_two_merges_are_equal_and_leave_every_instance_unchanged(self, fleet):
+        before = [copy.deepcopy(list(instance.db)) for instance in fleet.instances]
+        first, second = fleet.merged_db, fleet.merged_db
+        assert len(first) == len(second)
+        assert all(second.get(entry.node_id) == entry for entry in first)
+        assert sum(entry.sessions for entry in first) == sum(
+            entry.sessions for entries in before for entry in entries
+        )
+        assert [list(instance.db) for instance in fleet.instances] == before
 
 
 class TestCrawlStats:
