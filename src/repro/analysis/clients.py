@@ -145,26 +145,3 @@ def pre_byzantium_fraction(entries: Iterable[NodeEntry]) -> float:
         if info.version < (1, 7, 1):
             old += 1
     return old / max(total, 1)
-
-
-def older_than_n_releases_fraction(
-    entries: Iterable[NodeEntry], family: str, release_order: list[str], n: int = 2
-) -> float:
-    """§6.2: fraction of a family running versions older than the n-th
-    most recent release in ``release_order`` (newest last)."""
-    if len(release_order) <= n:
-        return 0.0
-    cutoff = release_order[-(n + 1)]
-    cutoff_version = parse_client_id(f"{family}/{cutoff}").version
-    old = 0
-    total = 0
-    for entry in entries:
-        if not entry.client_id:
-            continue
-        info = parse_client_id(entry.client_id)
-        if info.family != family or info.version is None:
-            continue
-        total += 1
-        if info.version <= cutoff_version:
-            old += 1
-    return old / max(total, 1)

@@ -42,13 +42,6 @@ class DistanceDistribution:
     def parity_mode(self) -> int:
         return max(self.parity, key=self.parity.get)
 
-    def series(self, which: str) -> list[tuple[int, float]]:
-        histogram = self.geth if which == "geth" else self.parity
-        return [
-            (distance, histogram[distance] / self.trials)
-            for distance in sorted(histogram)
-        ]
-
 
 def simulate_distance_distribution(
     trials: int = 20_000, seed: int = 11, hash_ids: bool = True

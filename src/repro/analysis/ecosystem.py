@@ -5,10 +5,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.chain.genesis import MAINNET_GENESIS_HASH
-from repro.nodefinder.database import NodeDB, NodeEntry
+from repro.nodefinder.database import NodeDB
 
 
 def service_table(db: NodeDB) -> list[tuple[str, int, float]]:
@@ -101,14 +100,3 @@ def useless_fraction(db: NodeDB) -> float:
         elif entry.dao_side == "opposes":
             useless += 1
     return useless / max(total, 1)
-
-
-def capability_counts(entries: Iterable[NodeEntry]) -> Counter:
-    """Raw capability frequencies (diagnostics / extended Table 3)."""
-    counts: Counter = Counter()
-    for entry in entries:
-        if not entry.capabilities:
-            continue
-        for name, version in entry.capabilities:
-            counts[f"{name}/{version}"] += 1
-    return counts

@@ -58,7 +58,6 @@ from repro.nodefinder.database import NodeDB
 from repro.nodefinder.records import CrawlStats, DialOutcome, DialResult
 from repro.nodefinder.shard import NodeDBWriter
 from repro.telemetry.journal import Event, iter_events
-from repro.units import SECONDS_PER_DAY
 
 
 @dataclass(slots=True)
@@ -82,14 +81,6 @@ class PeerTimeline:
     #: seconds between consecutive live sightings — the freshness
     #: intervals behind the §7.3 churn/staleness readings
     sighting_gaps: array = field(default_factory=partial(array, "d"))
-
-    @property
-    def sightings(self) -> int:
-        return len(self.sighting_gaps) + (1 if self.first_seen is not None else 0)
-
-    @property
-    def longest_gap(self) -> float:
-        return max(self.sighting_gaps, default=0.0)
 
     def _touch(self, ts: float) -> None:
         if ts < self.first_event:
@@ -127,15 +118,6 @@ class ReplayedCrawl:
     rejected_subnets: Counter = field(default_factory=Counter)
     #: subnet-scope breaker OPEN transitions by prefix (v3)
     subnet_breaker_trips: Counter = field(default_factory=Counter)
-
-    def timeline(self, node_id: bytes) -> Optional[PeerTimeline]:
-        return self.timelines.get(node_id)
-
-    @property
-    def total_days(self) -> float:
-        """Span of the replayed crawl in days (for churn analyses)."""
-        stamps = [t.last_event for t in self.timelines.values()]
-        return (max(stamps) / SECONDS_PER_DAY) if stamps else 0.0
 
 
 #: companion records that attach to a peer's open dial observation
@@ -471,7 +453,3 @@ def replay_journals(
         merged.sort(key=_TS)
         return replay(merged)
 
-
-def load_nodedb(source: Source) -> NodeDB:
-    """Shortcut: journal → the NodeDB view the analyses consume."""
-    return replay_journal(source).db

@@ -34,7 +34,7 @@ class HeaderChain:
         self.validate = validate
         self._headers: list[BlockHeader] = [genesis]
         self._by_hash: dict[bytes, int] = {genesis.hash(): 0}
-        self._total_difficulty: list[int] = [genesis.difficulty]
+        self.total_difficulty = genesis.difficulty
 
     # -- inspection -----------------------------------------------------------
 
@@ -58,29 +58,10 @@ class HeaderChain:
     def height(self) -> int:
         return self.head.number
 
-    @property
-    def total_difficulty(self) -> int:
-        return self._total_difficulty[-1]
-
-    def __len__(self) -> int:
-        return len(self._headers)
-
-    def __contains__(self, block_hash: bytes) -> bool:
-        return block_hash in self._by_hash
-
     def header_at(self, number: int) -> Optional[BlockHeader]:
         if 0 <= number < len(self._headers):
             return self._headers[number]
         return None
-
-    def header_by_hash(self, block_hash: bytes) -> Optional[BlockHeader]:
-        index = self._by_hash.get(block_hash)
-        return self._headers[index] if index is not None else None
-
-    def total_difficulty_at(self, number: int) -> int:
-        if not 0 <= number < len(self._headers):
-            raise ChainError(f"no block at height {number}")
-        return self._total_difficulty[number]
 
     # -- growth ---------------------------------------------------------------
 
@@ -92,7 +73,7 @@ class HeaderChain:
             raise InvalidHeader("header does not extend the chain head")
         self._headers.append(header)
         self._by_hash[header.hash()] = header.number
-        self._total_difficulty.append(self.total_difficulty + header.difficulty)
+        self.total_difficulty += header.difficulty
 
     def mine_block(
         self,

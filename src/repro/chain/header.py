@@ -70,9 +70,6 @@ class BlockHeader(Serializable):
             )
         return self._hash_cache
 
-    def hex_hash(self) -> str:
-        return self.hash().hex()
-
     def validate_as_child_of(self, parent: "BlockHeader") -> None:
         """Header validation per Yellow Paper §4.3.4 (paper §2.3).
 

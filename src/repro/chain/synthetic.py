@@ -38,10 +38,10 @@ MAINNET_LAUNCH_TIMESTAMP = 1_438_269_988
 #: hard bound on the hash memo; a multi-week 100k run cannot grow it unboundedly
 _HASH_MEMO_MAX = 1 << 20
 
-# ``(chain seed, height) -> H(height)``.  Module-level so `at_height` views
-# (which share the chain seed) reuse one memo instead of re-hashing per
-# clone; every STATUS exchange asks for the best hash, making this the
-# hottest keccak call site.
+# ``(chain seed, height) -> H(height)``.  Module-level so every chain with
+# the same seed reuses one memo instead of re-hashing per object; every
+# STATUS exchange asks for the best hash, making this the hottest keccak
+# call site.
 _HASH_MEMO = KeccakMemo(
     _HASH_MEMO_MAX, lambda key: key[0] + key[1].to_bytes(8, "big")
 )
@@ -120,10 +120,6 @@ class SyntheticChain:
     def best_hash(self) -> bytes:
         return self.block_hash(self.height)
 
-    def warm_heights(self, numbers: Iterable[int]) -> int:
-        """Pre-hash block ``numbers`` into the shared memo in one batch."""
-        return warm_synthetic_hashes(self._seed, numbers)
-
     def total_difficulty_at(self, number: int) -> int:
         """Closed-form cumulative difficulty (linear calibration)."""
         return (number + 1) * self.td_per_block
@@ -135,19 +131,6 @@ class SyntheticChain:
     def advance(self, blocks: int = 1) -> None:
         """Grow the chain head (the simulator's clock-tick hook)."""
         self.height += blocks
-
-    def at_height(self, height: int) -> "SyntheticChain":
-        """A view of the same chain truncated to ``height`` (stale nodes)."""
-        clone = SyntheticChain(
-            name=self.name,
-            genesis_hash=self.genesis_hash,
-            height=height,
-            supports_dao_fork=self.supports_dao_fork,
-            network_id=self.network_id,
-            td_per_block=self.td_per_block,
-            start_timestamp=self.start_timestamp,
-        )
-        return clone
 
     # -- headers ---------------------------------------------------------------
 

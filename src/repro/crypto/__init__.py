@@ -16,13 +16,12 @@ implemented here in pure Python:
 """
 
 from repro.crypto.keccak import Keccak256, keccak256
-from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, Signature
+from repro.crypto.keys import PrivateKey, PublicKey, Signature
 from repro.crypto.ecies import ecies_decrypt, ecies_encrypt
 
 __all__ = [
     "Keccak256",
     "keccak256",
-    "KeyPair",
     "PrivateKey",
     "PublicKey",
     "Signature",

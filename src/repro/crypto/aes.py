@@ -10,9 +10,8 @@ This is a table-driven implementation of FIPS 197.  It is deliberately
 simple rather than constant-time: the threat model of a measurement
 reproduction is correctness, not side channels, and tests validate it
 against the FIPS 197 / NIST SP 800-38A vectors.  Both constructions only
-ever *encrypt* blocks, so encryption is the fast path -- four 256-entry
-32-bit T-tables over a state of four column words -- and decryption keeps
-the byte-wise round functions of the specification.
+ever *encrypt* blocks, so there is no decryption: encryption is four
+256-entry 32-bit T-tables over a state of four column words.
 """
 
 from __future__ import annotations
@@ -30,12 +29,6 @@ _SBOX = bytes.fromhex(
     "e1f8981169d98e949b1e87e9ce5528df8ca1890dbfe6426841992d0fb054bb16"
 )
 
-_INV_SBOX = bytes(256)
-_inv = bytearray(256)
-for _i, _v in enumerate(_SBOX):
-    _inv[_v] = _i
-_INV_SBOX = bytes(_inv)
-
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D)
 
 
@@ -46,31 +39,16 @@ def _xtime(value: int) -> int:
     return value & 0xFF
 
 
-# Precompute GF(2^8) multiplication tables for MixColumns coefficients.
-_MUL = {}
-for _coef in (1, 2, 3, 9, 11, 13, 14):
-    table = bytearray(256)
-    for _x in range(256):
-        result, a, b = 0, _x, _coef
-        while b:
-            if b & 1:
-                result ^= a
-            a = _xtime(a)
-            b >>= 1
-        table[_x] = result
-    _MUL[_coef] = bytes(table)
-
-
 def _ror8(word: int) -> int:
     return (word >> 8) | ((word & 0xFF) << 24)
 
 
 # Encryption T-tables: SubBytes, ShiftRows and MixColumns of one round fold
 # into four lookups and four XORs per 32-bit column.  ``_TE0[a]`` is the
-# MixColumns column (2, 1, 1, 3) * S[a] as a big-endian word; the other three
-# are its byte rotations.
+# MixColumns column (2, 1, 1, 3) * S[a] as a big-endian word (3 * s is
+# 2 * s XOR s in GF(2^8)); the other three are its byte rotations.
 _TE0 = tuple(
-    (_MUL[2][_s] << 24) | (_s << 16) | (_s << 8) | _MUL[3][_s] for _s in _SBOX
+    (_xtime(_s) << 24) | (_s << 16) | (_s << 8) | (_xtime(_s) ^ _s) for _s in _SBOX
 )
 _TE1 = tuple(_ror8(_w) for _w in _TE0)
 _TE2 = tuple(_ror8(_w) for _w in _TE1)
@@ -101,36 +79,6 @@ class AES:
                 temp = bytes(_SBOX[b] for b in temp)
             words.append(bytes(a ^ b for a, b in zip(words[i - nk], temp)))
         return tuple(int.from_bytes(word, "big") for word in words)
-
-    @staticmethod
-    def _add_round_key(state: bytearray, round_key: bytes) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
-
-    @staticmethod
-    def _sub_bytes(state: bytearray, box: bytes) -> None:
-        for i in range(16):
-            state[i] = box[state[i]]
-
-    @staticmethod
-    def _inv_shift_rows(state: bytearray) -> None:
-        # state is column-major: byte (row, col) at index 4*col + row.
-        for row in range(1, 4):
-            column = [state[4 * col + row] for col in range(4)]
-            column = column[-row:] + column[:-row]
-            for col in range(4):
-                state[4 * col + row] = column[col]
-
-    @staticmethod
-    def _inv_mix_columns(state: bytearray) -> None:
-        m9, m11, m13, m14 = _MUL[9], _MUL[11], _MUL[13], _MUL[14]
-        for col in range(4):
-            i = 4 * col
-            a0, a1, a2, a3 = state[i : i + 4]
-            state[i] = m14[a0] ^ m11[a1] ^ m13[a2] ^ m9[a3]
-            state[i + 1] = m9[a0] ^ m14[a1] ^ m11[a2] ^ m13[a3]
-            state[i + 2] = m13[a0] ^ m9[a1] ^ m14[a2] ^ m11[a3]
-            state[i + 3] = m11[a0] ^ m13[a1] ^ m9[a2] ^ m14[a3]
 
     def _encrypt_int(self, block: int) -> int:
         """Encrypt one block held as a 128-bit big-endian integer."""
@@ -168,25 +116,6 @@ class AES:
         if len(block) != 16:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
         return self._encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
-        # Off every hot path, so the byte form of the schedule is made here
-        # rather than kept beside the words on every cipher object.
-        schedule = b"".join(word.to_bytes(4, "big") for word in self._round_words)
-        round_keys = [schedule[16 * r : 16 * r + 16] for r in range(self.rounds + 1)]
-        state = bytearray(block)
-        self._add_round_key(state, round_keys[self.rounds])
-        for rnd in range(self.rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._sub_bytes(state, _INV_SBOX)
-            self._add_round_key(state, round_keys[rnd])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._sub_bytes(state, _INV_SBOX)
-        self._add_round_key(state, round_keys[0])
-        return bytes(state)
 
 
 class AESCTR:

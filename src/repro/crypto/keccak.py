@@ -14,7 +14,6 @@ RLPx depends on Keccak-256 in four places: the discovery distance metric
 
 from __future__ import annotations
 
-import copy
 import struct
 from typing import Callable, Iterable
 
@@ -93,14 +92,12 @@ class KeccakSponge:
     """Streaming Keccak sponge with configurable rate and padding.
 
     The RLPx frame MAC (:mod:`repro.rlpx.frame`) uses this directly as a
-    never-finalised running hash, updating and snapshotting digests, so the
-    sponge supports both incremental absorption and copy().
+    never-finalised running hash, updating and snapshotting digests.
 
-    :meth:`digest` is memoised until the next non-empty :meth:`update`, and
-    :meth:`copy` carries the memo: the frame MAC digests most states twice
-    (the MAC update re-digests the state the body MAC seed was just taken
-    from, and each header re-digests the previous frame's final state), and
-    a digest is a permutation or more.
+    :meth:`digest` is memoised until the next non-empty :meth:`update`: the
+    frame MAC digests most states twice (the MAC update re-digests the state
+    the body MAC seed was just taken from, and each header re-digests the
+    previous frame's final state), and a digest is a permutation or more.
     """
 
     def __init__(self, rate_bytes: int, output_bytes: int, pad_byte: int = 0x01):
@@ -113,11 +110,6 @@ class KeccakSponge:
         self._state = [0] * 25
         self._buffer = b""
         self._digest: bytes | None = None
-
-    def copy(self) -> "KeccakSponge":
-        clone = copy.copy(self)  # shares the immutable buffer and memo
-        clone._state = list(self._state)
-        return clone
 
     def update(self, data: bytes) -> "KeccakSponge":
         if not data:
@@ -163,9 +155,6 @@ class KeccakSponge:
             if len(out) < self.output_bytes:
                 state = keccak_f1600(state)
         return bytes(out[: self.output_bytes])
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
 
 
 class Keccak256(KeccakSponge):
@@ -326,8 +315,3 @@ class KeccakMemo(dict):
         payload = self._payload
         self.update(zip(missing, keccak256_batch([payload(key) for key in missing])))
         return len(missing)
-
-
-def keccak512(data: bytes) -> bytes:
-    """One-shot Keccak-512 digest (rate 72); used by some DHT variants."""
-    return KeccakSponge(rate_bytes=72, output_bytes=64).update(data).digest()

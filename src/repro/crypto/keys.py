@@ -10,7 +10,6 @@ from __future__ import annotations
 import secrets
 
 from repro.crypto import secp256k1
-from repro.crypto.keccak import keccak256
 from repro.errors import InvalidPrivateKey, InvalidPublicKey
 
 
@@ -57,14 +56,6 @@ class Signature:
         )
         return expected if point is expected.point else PublicKey(point)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Signature):
-            return NotImplemented
-        return self._raw == other._raw
-
-    def __hash__(self) -> int:
-        return hash(self._raw)
-
     def __repr__(self) -> str:
         return f"Signature({self.to_bytes().hex()[:16]}...)"
 
@@ -100,16 +91,9 @@ class PublicKey:
         """The 64-byte node-ID encoding (X || Y, no prefix)."""
         return self._point.x.to_bytes(32, "big") + self._point.y.to_bytes(32, "big")
 
-    def to_compressed_bytes(self) -> bytes:
-        return secp256k1.encode_point(self._point, compressed=True)
-
     def to_sec1_bytes(self) -> bytes:
         """65-byte uncompressed SEC 1 encoding (0x04 prefix), as ECIES uses."""
         return secp256k1.encode_point(self._point, compressed=False)
-
-    def keccak(self) -> bytes:
-        """Keccak-256 of the node ID — the value RLPx measures distance on."""
-        return keccak256(self.to_bytes())
 
     def verify(self, digest: bytes, signature: Signature) -> bool:
         return secp256k1.verify_digest(
@@ -162,9 +146,6 @@ class PrivateKey:
     def secret(self) -> int:
         return self._secret
 
-    def to_bytes(self) -> bytes:
-        return self._secret.to_bytes(32, "big")
-
     @property
     def public_key(self) -> PublicKey:
         if self._public is None:
@@ -181,25 +162,3 @@ class PrivateKey:
 
     def __repr__(self) -> str:
         return "PrivateKey(<redacted>)"
-
-
-class KeyPair:
-    """Convenience bundle of a node's private key and derived identity."""
-
-    __slots__ = ("private_key",)
-
-    def __init__(self, private_key: PrivateKey) -> None:
-        self.private_key = private_key
-
-    @classmethod
-    def generate(cls) -> "KeyPair":
-        return cls(PrivateKey.generate())
-
-    @property
-    def public_key(self) -> PublicKey:
-        return self.private_key.public_key
-
-    @property
-    def node_id(self) -> bytes:
-        """The 64-byte RLPx node ID."""
-        return self.public_key.to_bytes()

@@ -115,10 +115,6 @@ class HelloMessage(Serializable):
         ("node_id", binary),
     ]
 
-    def capability_strings(self) -> list[str]:
-        """Capabilities as ``name/version`` strings, e.g. ``eth/63``."""
-        return [f"{cap.name}/{cap.version}" for cap in self.capabilities]
-
     def supports(self, name: str, version: int | None = None) -> bool:
         return any(
             cap.name == name and (version is None or cap.version == version)

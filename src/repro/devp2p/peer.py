@@ -113,10 +113,6 @@ class DevP2PPeer:
                 raise ProtocolError(f"message code {code:#x} outside negotiated ranges")
             return entry.capability.name, code - entry.offset, payload
 
-    async def ping(self) -> None:
-        """Send a DEVp2p keepalive PING."""
-        await self.session.send_message(PING_CODE, codec.encode([]))
-
     async def disconnect(self, reason: DisconnectReason) -> None:
         """Send DISCONNECT and close the transport."""
         if self._closed:

@@ -146,10 +146,6 @@ class CFGNode:
         if other is not self and other not in self.succ:
             self.succ.append(other)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = " await" if self.awaits else ""
-        return f"<CFGNode {self.index} {self.kind} L{self.line}{flag}>"
-
 
 class CFG:
     """The control-flow graph of one function body."""
@@ -372,10 +368,3 @@ class _Builder:
 def build_cfg(func: ast.FunctionDef | ast.AsyncFunctionDef) -> CFG:
     """Build the CFG of one function's body (nested defs excluded)."""
     return _Builder(func).build()
-
-
-def functions(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function definition in a module, nested ones included."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

@@ -61,11 +61,8 @@ class ProjectRule(Rule):
 
     The runner parses every file first, then hands the full module list
     to ``check_project``; ``applies_to``/suppressions still apply per
-    finding.  ``check`` is unused for project rules.
+    finding.  ``check`` is never called on a project rule.
     """
-
-    def check(self, module: "ModuleSource") -> Iterator[Finding]:
-        return iter(())
 
     def check_project(
         self, modules: Sequence["ModuleSource"]

@@ -69,9 +69,6 @@ class TableAdmission:
         #: total refusals by reason, for stats surfacing
         self.rejections: Dict[str, int] = {}
 
-    def __len__(self) -> int:
-        return len(self._members)
-
     def _reject(self, node: ENode, reason: str, subnet: Optional[str]) -> str:
         self.rejections[reason] = self.rejections.get(reason, 0) + 1
         if self.on_reject is not None:
@@ -120,7 +117,3 @@ class TableAdmission:
             counts[key] = left
         else:
             counts.pop(key, None)
-
-    @property
-    def total_rejections(self) -> int:
-        return sum(self.rejections.values())

@@ -25,8 +25,6 @@ Geth never expects, degrading discovery between the two client populations
 
 from __future__ import annotations
 
-from repro.crypto.keccak import keccak256
-
 #: Number of distinct Geth log-distance values (0..256).
 NUM_DISTANCES = 257
 
@@ -61,33 +59,12 @@ def parity_log_distance(hash_a: bytes, hash_b: bytes) -> int:
     table lookup per byte (the byte loop is kept as the reference in
     tests/test_discovery_distance.py).
     """
-    xor_bytes = xor_distance(hash_a, hash_b).to_bytes(32, "big")
-    return sum(xor_bytes.translate(_BYTE_BIT_LENGTHS))
+    return parity_log_distance_of_xor(xor_distance(hash_a, hash_b))
 
 
-def geth_log_distance_ids(node_id_a: bytes, node_id_b: bytes) -> int:
-    """Geth log distance straight from 64-byte node IDs (hashes them)."""
-    return geth_log_distance(keccak256(node_id_a), keccak256(node_id_b))
-
-
-def parity_log_distance_ids(node_id_a: bytes, node_id_b: bytes) -> int:
-    """Parity log distance straight from 64-byte node IDs (hashes them)."""
-    return parity_log_distance(keccak256(node_id_a), keccak256(node_id_b))
-
-
-def bucket_index(own_hash: bytes, other_hash: bytes, num_buckets: int = NUM_DISTANCES) -> int:
-    """Map a peer to a routing-table bucket by Geth log distance.
-
-    Distance 0 (self) is excluded by callers; bucket i holds peers at
-    distance i.  ``num_buckets`` can shrink the table (Geth in practice
-    collapses the near-empty low buckets); distances below the cutoff share
-    bucket 0.
-    """
-    distance = geth_log_distance(own_hash, other_hash)
-    if num_buckets >= NUM_DISTANCES:
-        return distance
-    cutoff = NUM_DISTANCES - num_buckets
-    return max(0, distance - cutoff)
+def parity_log_distance_of_xor(xor_value: int) -> int:
+    """Parity's log distance of a raw 256-bit XOR value."""
+    return sum(xor_value.to_bytes(32, "big").translate(_BYTE_BIT_LENGTHS))
 
 
 def _check_hash(value: bytes) -> None:

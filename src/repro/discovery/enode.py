@@ -72,9 +72,6 @@ class ENode:
             url += f"?discport={self.udp_port}"
         return url
 
-    def __str__(self) -> str:
-        return self.to_url()
-
     def short_id(self) -> str:
         """First 8 hex chars of the node ID, for logs."""
         return self.node_id.hex()[:8]

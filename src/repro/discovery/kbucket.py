@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.discovery.enode import ENode
 
@@ -27,7 +27,6 @@ class BucketEntry:
     node: ENode
     added_at: float
     last_seen: float
-    fails: int = 0
 
 
 class KBucket:
@@ -47,9 +46,6 @@ class KBucket:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __iter__(self) -> Iterator[ENode]:
-        return iter(entry.node for entry in self._entries)
 
     def __contains__(self, node: ENode) -> bool:
         return any(entry.node.node_id == node.node_id for entry in self._entries)
@@ -118,7 +114,6 @@ class KBucket:
         if entry is None:
             return
         entry.last_seen = self._clock()
-        entry.fails = 0
         self._entries.remove(entry)
         self._entries.append(entry)
 
@@ -141,30 +136,3 @@ class KBucket:
             )
             return replacement
         return None
-
-    def remove(self, node_id: bytes) -> bool:
-        """Remove a node outright (e.g. endpoint proof expired)."""
-        entry = self.entry_for(node_id)
-        if entry is None:
-            return False
-        self._entries.remove(entry)
-        return True
-
-    def least_recently_seen(self) -> Optional[ENode]:
-        if not self._entries:
-            return None
-        return self._entries[0].node
-
-    def note_failure(self, node_id: bytes, max_fails: int = 5) -> bool:
-        """Count a dial/ping failure; drop the node after ``max_fails``.
-
-        Returns True if the node was removed.
-        """
-        entry = self.entry_for(node_id)
-        if entry is None:
-            return False
-        entry.fails += 1
-        if entry.fails >= max_fails:
-            self._entries.remove(entry)
-            return True
-        return False

@@ -24,7 +24,6 @@ from repro.rlp.sedes import (
     BigEndianInt,
     Binary,
     CountableList,
-    ListSedes,
     Serializable,
     big_endian_int,
     binary,

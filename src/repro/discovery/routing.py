@@ -10,7 +10,7 @@ come from the wrong region of the ID space.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.crypto.keccak import keccak256
 from repro.discovery import distance as dist
@@ -60,9 +60,6 @@ class RoutingTable:
     def __len__(self) -> int:
         return len(self._nodes_by_id)
 
-    def __contains__(self, node: ENode) -> bool:
-        return node.node_id in self._nodes_by_id
-
     def __iter__(self) -> Iterator[ENode]:
         return iter(list(self._nodes_by_id.values()))
 
@@ -77,11 +74,6 @@ class RoutingTable:
 
     def bucket_index_of(self, node: ENode) -> int:
         return self.metric(self.own_id_hash, node.id_hash)
-
-    @property
-    def buckets(self) -> dict[int, KBucket]:
-        """Live buckets keyed by log distance (sparse)."""
-        return dict(self._buckets)
 
     def add(self, node: ENode) -> Optional[ENode]:
         """Insert or refresh ``node``.
@@ -126,21 +118,6 @@ class RoutingTable:
                 )
             self._nodes_by_id[replacement.node_id] = replacement
         return replacement
-
-    def remove(self, node: ENode) -> bool:
-        removed = self.bucket_for(node.id_hash).remove(node.node_id)
-        self._nodes_by_id.pop(node.node_id, None)
-        if removed and self.admission is not None:
-            self.admission.note_remove(node.node_id)
-        return removed
-
-    def note_failure(self, node: ENode, max_fails: int = 5) -> bool:
-        dropped = self.bucket_for(node.id_hash).note_failure(node.node_id, max_fails)
-        if dropped:
-            self._nodes_by_id.pop(node.node_id, None)
-            if self.admission is not None:
-                self.admission.note_remove(node.node_id)
-        return dropped
 
     def get(self, node_id: bytes) -> Optional[ENode]:
         return self._nodes_by_id.get(node_id)
@@ -198,13 +175,6 @@ class RoutingTable:
             found.sort(key=lambda node: cached_id_hash_int(node.node_id) ^ target)
         return found[:count]
 
-    def random_nodes(self, count: int, rng) -> list[ENode]:
-        """``count`` random table nodes (used when seeding dials)."""
-        nodes = list(self._nodes_by_id.values())
-        if len(nodes) <= count:
-            return nodes
-        return rng.sample(nodes, count)
-
     def bucket_fill_histogram(self) -> dict[int, int]:
         """Occupancy per log distance — the Figure 11 view of a live table."""
         return {
@@ -212,7 +182,3 @@ class RoutingTable:
             for index, bucket in sorted(self._buckets.items())
             if len(bucket)
         }
-
-    def extend(self, nodes: Iterable[ENode]) -> None:
-        for node in nodes:
-            self.add(node)

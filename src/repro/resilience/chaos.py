@@ -252,7 +252,7 @@ class ChaosStreamReader:
             raise ConnectionResetError("chaos: injected reset")
         if fault is FaultType.TRUNCATE:
             raise asyncio.IncompleteReadError(partial=b"", expected=size)
-        # GARBAGE is handled by the read methods (they substitute bytes)
+        # GARBAGE is handled by readexactly (it substitutes bytes)
 
     async def readexactly(self, size: int) -> bytes:
         await self._fault_gate(size)
@@ -262,18 +262,6 @@ class ChaosStreamReader:
             junk = self.config.garbage_bytes()
             return (junk * (size // len(junk) + 1))[:size]
         return data
-
-    async def read(self, size: int = -1) -> bytes:
-        await self._fault_gate(max(size, 1))
-        data = await self._inner.read(size)
-        self._passed += len(data)
-        if self.config.fault is FaultType.GARBAGE and self._passed > self.config.after_bytes:
-            junk = self.config.garbage_bytes()
-            return (junk * (len(data) // len(junk) + 1))[: len(data)]
-        return data
-
-    def at_eof(self) -> bool:
-        return self._inner.at_eof()
 
 
 class DatagramFault(enum.Enum):
@@ -384,11 +372,3 @@ class ChaosDatagramTransport:
         # rather than never
         self._flush_held()
         self._inner.close()
-
-    def abort(self) -> None:
-        self._held = None
-        self._inner.abort()
-
-    def __getattr__(self, name: str):
-        # everything else (get_extra_info, is_closing, ...) passes through
-        return getattr(self._inner, name)

@@ -40,11 +40,6 @@ class StageBudgets:
             connect=timeout, rlpx=timeout, hello=timeout, status=timeout, dao=timeout
         )
 
-    @property
-    def total(self) -> float:
-        """Worst-case wall clock for one full harvest attempt."""
-        return self.connect + self.rlpx + self.hello + self.status + self.dao
-
 
 class StageTimeout(ReproError):
     """One harvest stage exceeded its budget; ``stage`` names it."""

@@ -18,7 +18,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Iterator, Optional, TypeVar
+from typing import Awaitable, Callable, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -61,11 +61,6 @@ class RetryPolicy:
         if self.jitter and rng is not None:
             raw *= 1.0 - self.jitter + 2.0 * self.jitter * rng.random()
         return raw
-
-    def delays(self, rng: Optional[random.Random] = None) -> Iterator[float]:
-        """The full backoff schedule (``max_attempts - 1`` waits)."""
-        for attempt in range(1, self.max_attempts):
-            yield self.delay(attempt, rng)
 
     async def run(
         self,

@@ -10,16 +10,13 @@ from repro.rlp.codec import decode, decode_lazy, encode, encode_length
 from repro.rlp.sedes import (
     BigEndianInt,
     Binary,
-    Boolean,
     CountableList,
-    ListSedes,
     RawSedes,
     Serializable,
     Text,
     address,
     big_endian_int,
     binary,
-    boolean,
     hash32,
     raw,
     text,
@@ -37,16 +34,13 @@ __all__ = [
     "encode_length",
     "BigEndianInt",
     "Binary",
-    "Boolean",
     "CountableList",
-    "ListSedes",
     "RawSedes",
     "Serializable",
     "Text",
     "address",
     "big_endian_int",
     "binary",
-    "boolean",
     "hash32",
     "raw",
     "text",

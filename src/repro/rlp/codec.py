@@ -17,7 +17,7 @@ form where short form would fit, and no trailing bytes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 from repro.errors import DecodingError, EncodingError
 
@@ -154,27 +154,3 @@ def decode_lazy(data: bytes) -> tuple[RLPItem, int]:
     if not data:
         raise DecodingError("cannot decode empty byte string")
     return _decode_item(bytes(data), 0)
-
-
-def iter_encode(items: Iterable[object]) -> bytes:
-    """Encode ``items`` as an RLP list without materialising the list twice."""
-    payload = b"".join(_encode_item(item) for item in items)
-    return encode_length(len(payload), SHORT_LIST) + payload
-
-
-def encoded_as_list(data: bytes) -> bool:
-    """Return True if ``data`` starts with a list prefix."""
-    if not data:
-        raise DecodingError("cannot inspect empty byte string")
-    return data[0] >= SHORT_LIST
-
-
-def flatten_lengths(items: Sequence[RLPItem]) -> int:
-    """Total number of leaf byte strings in a decoded structure (diagnostics)."""
-    total = 0
-    for item in items:
-        if isinstance(item, list):
-            total += flatten_lengths(item)
-        else:
-            total += 1
-    return total

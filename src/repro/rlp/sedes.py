@@ -24,14 +24,6 @@ class Sedes:
     def deserialize(self, serial: Any) -> Any:
         raise NotImplementedError
 
-    def encode(self, obj: Any) -> bytes:
-        """Serialize and RLP-encode in one step."""
-        return codec.encode(self.serialize(obj))
-
-    def decode(self, data: bytes) -> Any:
-        """RLP-decode and deserialize in one step."""
-        return self.deserialize(codec.decode(data))
-
 
 class BigEndianInt(Sedes):
     """Non-negative integer as minimal big-endian bytes.
@@ -126,49 +118,6 @@ class Text(Sedes):
             raise DeserializationError(f"invalid UTF-8: {exc}") from exc
 
 
-class Boolean(Sedes):
-    """Boolean encoded as empty string / 0x01, Geth-style."""
-
-    def serialize(self, obj: Any) -> bytes:
-        if not isinstance(obj, bool):
-            raise DeserializationError(f"expected bool, got {type(obj).__name__}")
-        return b"\x01" if obj else b""
-
-    def deserialize(self, serial: Any) -> bool:
-        if serial == b"":
-            return False
-        if serial == b"\x01":
-            return True
-        raise DeserializationError(f"invalid boolean encoding: {serial!r}")
-
-
-class ListSedes(Sedes):
-    """Fixed-shape heterogeneous list of sedes."""
-
-    def __init__(self, elements: Sequence[Sedes]) -> None:
-        self.elements = list(elements)
-
-    def serialize(self, obj: Any) -> list:
-        if not isinstance(obj, (list, tuple)):
-            raise DeserializationError("expected list or tuple")
-        if len(obj) != len(self.elements):
-            raise DeserializationError(
-                f"expected {len(self.elements)} elements, got {len(obj)}"
-            )
-        return [sedes.serialize(item) for sedes, item in zip(self.elements, obj)]
-
-    def deserialize(self, serial: Any) -> tuple:
-        if not isinstance(serial, list):
-            raise DeserializationError("expected RLP list")
-        if len(serial) != len(self.elements):
-            raise DeserializationError(
-                f"expected {len(self.elements)} elements, got {len(serial)}"
-            )
-        return tuple(
-            sedes.deserialize(item) for sedes, item in zip(self.elements, serial)
-        )
-
-
 class CountableList(Sedes):
     """Homogeneous list of any length."""
 
@@ -260,12 +209,6 @@ class Serializable:
             for name, _ in self.fields
         )
 
-    def __hash__(self) -> int:
-        return hash(
-            (type(self).__name__,)
-            + tuple(_hashable(getattr(self, name)) for name, _ in self.fields)
-        )
-
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{name}={getattr(self, name)!r}" for name, _ in self.fields
@@ -328,7 +271,6 @@ uint64 = BigEndianInt(8)
 uint256 = BigEndianInt(32)
 binary = Binary()
 text = Text()
-boolean = Boolean()
 raw = RawSedes()
 address = Binary.fixed_length(20)
 hash32 = Binary.fixed_length(32)

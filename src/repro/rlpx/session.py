@@ -59,10 +59,6 @@ class RLPxSession:
     def remote_node_id(self) -> bytes:
         return self.handshake.remote_node_id
 
-    @property
-    def is_initiator(self) -> bool:
-        return self.handshake.is_initiator
-
     def smoothed_rtt(self) -> Optional[float]:
         """The kernel's smoothed RTT for the socket, in seconds.
 
@@ -103,12 +99,6 @@ class RLPxSession:
 
     def close(self) -> None:
         self._writer.close()
-
-    async def wait_closed(self) -> None:
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 async def open_session(

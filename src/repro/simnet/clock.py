@@ -48,7 +48,8 @@ import itertools
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
+# benchmarks/perf imports SECONDS_PER_DAY from here
+from repro.units import SECONDS_PER_DAY  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.profiler import Profiler
@@ -186,17 +187,6 @@ class EventClock:
 
     def run_for(self, duration: float, max_events: int | None = None) -> None:
         self.run_until(self.now + duration, max_events)
-
-    # -- time helpers -----------------------------------------------------------
-
-    @property
-    def day(self) -> int:
-        """Whole simulation days elapsed."""
-        return int(self.now // SECONDS_PER_DAY)
-
-    @property
-    def hour_of_day(self) -> float:
-        return (self.now % SECONDS_PER_DAY) / SECONDS_PER_HOUR
 
 
 class ReferenceClock(EventClock):

@@ -211,18 +211,3 @@ class GeoModel:
                 last_mile += 0.010 + rand() * 0.030
             append(base + last_mile + lognorm(-4.0, 0.8))
         return out
-
-    def country_histogram(self, locations: list[Location]) -> dict[str, float]:
-        """Fraction of nodes per country (the Figure 12 view)."""
-        counts: dict[str, int] = {}
-        for location in locations:
-            counts[location.country] = counts.get(location.country, 0) + 1
-        total = max(len(locations), 1)
-        return {country: count / total for country, count in counts.items()}
-
-    def as_histogram(self, locations: list[Location]) -> dict[str, float]:
-        counts: dict[str, int] = {}
-        for location in locations:
-            counts[location.asn] = counts.get(location.asn, 0) + 1
-        total = max(len(locations), 1)
-        return {asn: count / total for asn, count in counts.items()}

@@ -9,7 +9,6 @@ its FIND_NODE behaviour under its client's distance metric.
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import NamedTuple, Optional
 
@@ -17,7 +16,7 @@ from repro.chain.forks import BYZANTIUM_BLOCK, DAO_FORK_BLOCK
 from repro.chain.synthetic import SyntheticChain
 from repro.devp2p.messages import DisconnectReason
 from repro.discovery.enode import cached_id_hash
-from repro.discovery.distance import parity_log_distance
+from repro.discovery.distance import parity_log_distance_of_xor
 from repro.nodefinder.records import DialOutcome, DialResult
 from repro.simnet.population import NodeSpec, PopulationBuilder
 from repro.units import SECONDS_PER_DAY
@@ -110,23 +109,15 @@ class SimNode:
         buckets make their answers nearly useless for a Geth-style lookup
         (§6.3) — ties are broken arbitrarily, not by real closeness.
         """
-        if not self.neighbors:
-            return []
-        if self.spec.metric == "parity":
-            target = target_hash
-            return heapq.nsmallest(
-                count,
-                self.neighbors,
-                key=lambda node: (
-                    parity_log_distance(node.id_hash, target),
-                    node.id_hash_int & 0xFFFF,  # arbitrary tiebreak
-                ),
-            )
         target_int = int.from_bytes(target_hash, "big")
-        # nsmallest is documented as sorted(...)[:count] — same stable order
-        return heapq.nsmallest(
-            count, self.neighbors, key=lambda node: node.id_hash_int ^ target_int
-        )
+        if self.spec.metric == "parity":
+            ranked = sorted(self.neighbors, key=lambda node: (
+                parity_log_distance_of_xor(node.id_hash_int ^ target_int),
+                node.id_hash_int & 0xFFFF,  # arbitrary tiebreak
+            ))
+        else:
+            ranked = sorted(self.neighbors, key=lambda node: node.id_hash_int ^ target_int)
+        return ranked[:count]
 
     # -- dialing ---------------------------------------------------------------
 

@@ -135,12 +135,6 @@ class VersionAdoptionModel:
                 latest = release
         return latest
 
-    def is_stable(self, version: str) -> bool:
-        for release in self.releases:
-            if release.version == version:
-                return release.stable
-        return True  # legacy versions were stable releases in their day
-
 
 def default_geth_model() -> VersionAdoptionModel:
     return VersionAdoptionModel(

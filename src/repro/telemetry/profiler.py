@@ -180,18 +180,6 @@ class Profiler:
         """Scope entries seen (timed or not)."""
         return self._entries
 
-    def snapshot(self) -> dict:
-        """A JSON-able dump: name → calls / self / total / max seconds."""
-        return {
-            name: {
-                "calls": stat.calls,
-                "self_seconds": stat.self_time,
-                "total_seconds": stat.total,
-                "max_seconds": stat.max,
-            }
-            for name, stat in sorted(self.stats.items())
-        }
-
 
 class NullProfiler(Profiler):
     """The no-op default: counts nothing, times nothing."""
@@ -203,9 +191,6 @@ class NullProfiler(Profiler):
 
     def scope(self, name: str) -> _NullScope:  # type: ignore[override]
         return _NULL_SCOPE
-
-    def snapshot(self) -> dict:
-        return {}
 
 
 #: shared no-op default — one instance for every uninstrumented call site

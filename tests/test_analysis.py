@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.clients import (
     client_share_table,
-    older_than_n_releases_fraction,
     parse_client_id,
     pre_byzantium_fraction,
     stable_fraction,
@@ -16,7 +15,6 @@ from repro.analysis.distance import (
     simulate_lookup_convergence,
 )
 from repro.analysis.ecosystem import (
-    capability_counts,
     network_stats,
     service_table,
     useless_fraction,
@@ -126,13 +124,6 @@ class TestClientTables:
         fraction = pre_byzantium_fraction(self.make_db().mainnet_nodes())
         assert fraction == pytest.approx(4 / 74, abs=0.001)
 
-    def test_older_than_n_releases(self):
-        order = ["v1.6.5", "v1.8.8", "v1.8.9", "v1.8.10"]
-        fraction = older_than_n_releases_fraction(
-            self.make_db().mainnet_nodes(), "geth", order, n=2
-        )
-        assert fraction == 1.0  # everything <= v1.8.8
-
 
 class TestEcosystem:
     def make_db(self):
@@ -172,11 +163,6 @@ class TestEcosystem:
         # 4 bzz + 6 ubiq + 3 classic = 13 useless of 103
         fraction = useless_fraction(self.make_db())
         assert fraction == pytest.approx(13 / 103, abs=0.01)
-
-    def test_capability_counts(self):
-        counts = capability_counts(self.make_db())
-        assert counts["eth/63"] == 99
-        assert counts["bzz/0"] == 4
 
 
 class TestFreshness:

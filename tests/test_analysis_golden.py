@@ -71,7 +71,8 @@ class TestGoldenSnapshots:
 
     def test_full_report_contains_all_sections(self, replayed):
         report = render_crawl_report(
-            replayed.db, head_height=0, total_days=replayed.total_days
+            replayed.db, head_height=0,
+            total_days=max(t.last_event for t in replayed.timelines.values()) / 86400,
         )
         for heading in (
             "Table 1", "Table 3", "Figure 9", "Table 4", "Figure 14", "Churn",
@@ -101,14 +102,15 @@ class TestFixtureSemantics:
         assert fake.network_id == 99 and not fake.is_mainnet
 
     def test_breaker_and_retry_on_refusing_peer(self, replayed):
-        timeline = replayed.timeline(bytes.fromhex("09" * 32))
+        timeline = replayed.timelines.get(bytes.fromhex("09" * 32))
         assert timeline.outcomes["refused"] == 2
         assert timeline.retries == 1
         assert timeline.breaker_opens == 1
         assert timeline.bonds_failed == 1
 
     def test_churn_window_spans_two_days(self, replayed):
-        assert replayed.total_days >= 2.0
-        survivor = replayed.timeline(bytes.fromhex("01" * 32))
-        assert survivor.sightings == 2
-        assert survivor.longest_gap >= 2 * 86400 - 3600
+        last = max(timeline.last_event for timeline in replayed.timelines.values())
+        assert last >= 2 * 86400
+        survivor = replayed.timelines.get(bytes.fromhex("01" * 32))
+        assert survivor.first_seen is not None and len(survivor.sighting_gaps) == 1
+        assert max(survivor.sighting_gaps) >= 2 * 86400 - 3600

@@ -18,7 +18,7 @@ from repro.chain.genesis import (
     mainnet_genesis,
 )
 from repro.chain.header import BlockHeader
-from repro.chain.synthetic import SyntheticChain
+from repro.chain.synthetic import SyntheticChain, warm_synthetic_hashes
 from repro.errors import ChainError, InvalidHeader
 
 
@@ -26,7 +26,7 @@ class TestGenesis:
     def test_mainnet_genesis_hash_is_real(self):
         """Our RLP + Keccak reproduce the actual d4e567... genesis hash."""
         assert mainnet_genesis().hash() == MAINNET_GENESIS_HASH
-        assert mainnet_genesis().hex_hash() == (
+        assert mainnet_genesis().hash().hex() == (
             "d4e56740f876aef8c010b86a40d5f56745a118d0906a34e69aec8c0db1cb8fa3"
         )
 
@@ -115,13 +115,6 @@ class TestHeaderChain:
         chain.mine(5)
         expected = sum(chain.header_at(i).difficulty for i in range(6))
         assert chain.total_difficulty == expected
-
-    def test_header_lookup_by_hash(self):
-        chain = HeaderChain(mainnet_genesis())
-        chain.mine(3)
-        header = chain.header_at(2)
-        assert chain.header_by_hash(header.hash()) == header
-        assert chain.header_by_hash(b"\x00" * 32) is None
 
     def test_append_rejects_tampered_header(self):
         chain = HeaderChain(mainnet_genesis())
@@ -247,18 +240,18 @@ class TestSyntheticChain:
 
         chain = SyntheticChain("mainnet", height=5_000_000)
         lazy = {n: chain.block_hash(n) for n in (17, 4_999_913, 4_999_999)}
-        # drop the memo entries so warm_heights recomputes them in batch
+        # drop the memo entries so the warm recomputes them in batch
         for n in lazy:
             _HASH_MEMO.pop((chain._seed, n), None)
-        warmed = chain.warm_heights([17, 4_999_913, 4_999_999, 0, -5])
+        warmed = warm_synthetic_hashes(chain._seed, [17, 4_999_913, 4_999_999, 0, -5])
         assert warmed == 3  # genesis/negative heights never hash
         for n, expected in lazy.items():
             assert chain.block_hash(n) == expected
 
     def test_warm_heights_skips_cached(self):
         chain = SyntheticChain("mainnet", height=1000)
-        assert chain.warm_heights([500, 501]) == 2
-        assert chain.warm_heights([500, 501]) == 0
+        assert warm_synthetic_hashes(chain._seed, [500, 501]) == 2
+        assert warm_synthetic_hashes(chain._seed, [500, 501]) == 0
 
     def test_warm_honours_the_memo_bound(self, monkeypatch):
         # the bulk path used to ignore the bound, leaving the next scalar
@@ -269,19 +262,13 @@ class TestSyntheticChain:
         monkeypatch.setattr(_HASH_MEMO, "limit", 64)
         _HASH_MEMO.clear()
         chain = SyntheticChain("mainnet", height=10_000)
-        chain.warm_heights(range(1, 61))
+        warm_synthetic_hashes(chain._seed, range(1, 61))
         fresh = range(5000, 5020)
-        assert chain.warm_heights(fresh) == 20  # 60 + 20 > 64: evict first
+        assert warm_synthetic_hashes(chain._seed, fresh) == 20  # 60 + 20 > 64: evict first
         assert len(_HASH_MEMO) <= 64
         assert all((chain._seed, n) in _HASH_MEMO for n in fresh)
         chain.block_hash(9_999)  # a scalar miss right after keeps them
         assert all((chain._seed, n) in _HASH_MEMO for n in fresh)
-
-    def test_at_height_view(self):
-        chain = SyntheticChain("mainnet", height=1000)
-        stale = chain.at_height(400)
-        assert stale.best_hash == chain.block_hash(400)
-        assert stale.genesis_hash == chain.genesis_hash
 
     def test_get_block_headers_semantics(self):
         chain = SyntheticChain("mainnet", height=100)

@@ -98,7 +98,7 @@ class TestTableAdmission:
         table.add(_enode(refused, "9.9.9.9"))
         members = {node.node_id for node in table}
         assert accepted in members and refused not in members
-        assert guard.total_rejections == 1
+        assert sum(guard.rejections.values()) == 1
 
 
 class TestSubnetBreakerDimension:

@@ -17,6 +17,7 @@ from repro.devp2p.messages import (
     DisconnectMessage,
     DisconnectReason,
     HelloMessage,
+    PING_CODE,
     PingMessage,
     PongMessage,
 )
@@ -42,9 +43,6 @@ class TestHelloMessage:
     def test_roundtrip(self):
         hello = make_hello()
         assert HelloMessage.decode(hello.encode()) == hello
-
-    def test_capability_strings(self):
-        assert make_hello().capability_strings() == ["eth/62", "eth/63"]
 
     def test_supports(self):
         hello = make_hello(caps=[Capability("eth", 63), Capability("bzz", 0)])
@@ -195,7 +193,7 @@ class TestPeerStateMachine:
         async def scenario():
             server_peer, client_peer, server = await connected_peers()
             await asyncio.gather(server_peer.handshake(), client_peer.handshake())
-            await client_peer.ping()
+            await client_peer.session.send_message(PING_CODE, codec.encode([]))
             await client_peer.send_subprotocol("eth", 0x02, codec.encode([]))
             # server sees only the subprotocol message; the PING was answered
             name, code, _ = await server_peer.read_subprotocol()

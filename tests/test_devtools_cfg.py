@@ -12,8 +12,14 @@ import textwrap
 
 import pytest
 
-from repro.devtools.cfg import build_cfg, functions, lock_name, node_awaits
+from repro.devtools.cfg import build_cfg, lock_name, node_awaits
 from repro.devtools.dataflow import SymbolModel, module_globals, stale_writes
+
+
+def functions(tree):
+    """Every function definition in a module, nested ones included."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
 def cfg_of(source, name=None):

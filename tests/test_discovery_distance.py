@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.keccak import keccak256
 from repro.discovery.distance import (
     NUM_DISTANCES,
-    bucket_index,
     geth_log_distance,
-    geth_log_distance_ids,
     log_distance_of_xor,
     parity_log_distance,
-    parity_log_distance_ids,
     xor_distance,
 )
 
@@ -136,7 +133,7 @@ class TestDistributions:
 
         rng = random.Random(11)
         distances = [
-            geth_log_distance_ids(rng.randbytes(64), rng.randbytes(64))
+            geth_log_distance(keccak256(rng.randbytes(64)), keccak256(rng.randbytes(64)))
             for _ in range(300)
         ]
         # P(d=256) = 1/2, P(d>=254) = 7/8
@@ -148,27 +145,10 @@ class TestDistributions:
 
         rng = random.Random(13)
         distances = [
-            parity_log_distance_ids(rng.randbytes(64), rng.randbytes(64))
+            parity_log_distance(keccak256(rng.randbytes(64)), keccak256(rng.randbytes(64)))
             for _ in range(300)
         ]
         mean = sum(distances) / len(distances)
         # E[bit length of a random byte] = 1793/256 ≈ 7.004 → mean ≈ 224
         assert 218 < mean < 230
         assert max(distances) < 256 or distances.count(256) <= 1
-
-
-class TestBucketIndex:
-    def test_full_table(self):
-        a, b = keccak256(b"a"), keccak256(b"b")
-        assert bucket_index(a, b) == geth_log_distance(a, b)
-
-    def test_collapsed_table(self):
-        a, b = keccak256(b"a"), keccak256(b"b")
-        # Geth in practice uses 17 buckets; distances <= 239 share bucket 0.
-        index = bucket_index(a, b, num_buckets=17)
-        assert 0 <= index <= 16
-        assert index == max(0, geth_log_distance(a, b) - 240)
-
-    @given(hashes, hashes)
-    def test_collapsed_index_in_range(self, a, b):
-        assert 0 <= bucket_index(a, b, num_buckets=17) <= 16

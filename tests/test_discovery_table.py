@@ -137,7 +137,6 @@ class TestKBucket:
             bucket.touch(node)
         bucket.touch(a)
         assert bucket.nodes == [b, c, a]
-        assert bucket.least_recently_seen() == b
 
     def test_touch_updates_endpoint(self):
         bucket = KBucket(size=3)
@@ -154,22 +153,6 @@ class TestKBucket:
         for node in extras:
             bucket.touch(node)
         assert bucket.replacement_cache == extras[-2:]
-
-    def test_note_failure_drops_after_max(self):
-        bucket = KBucket(size=2)
-        node = make_node()
-        bucket.touch(node)
-        for _ in range(4):
-            assert not bucket.note_failure(node.node_id, max_fails=5)
-        assert bucket.note_failure(node.node_id, max_fails=5)
-        assert node not in bucket
-
-    def test_remove(self):
-        bucket = KBucket(size=2)
-        node = make_node()
-        bucket.touch(node)
-        assert bucket.remove(node.node_id)
-        assert not bucket.remove(node.node_id)
 
 
 class TestRoutingTable:
@@ -278,29 +261,9 @@ class TestRoutingTable:
         assert max(geth_hist, key=geth_hist.get) >= 254
         assert max(parity_hist, key=parity_hist.get) < 245
 
-    def test_random_nodes_sampling(self):
-        table = self.make_table()
-        for _ in range(30):
-            table.add(make_node())
-        sample = table.random_nodes(10, random.Random(3))
-        assert len(sample) == 10
-        assert len({n.node_id for n in sample}) == 10
-
-    def test_note_failure_removal(self):
-        table = self.make_table()
-        node = make_node()
-        table.add(node)
-        assert table.note_failure(node, max_fails=1)
-        assert table.get(node.node_id) is None
-
-    def test_extend(self):
-        table = self.make_table()
-        table.extend(make_node() for _ in range(5))
-        assert len(table) == 5
-
     def test_iter(self):
         table = self.make_table()
-        nodes = {make_node().node_id for _ in range(0)}
         added = [make_node() for _ in range(5)]
-        table.extend(added)
+        for node in added:
+            table.add(node)
         assert {n.node_id for n in table} == {n.node_id for n in added}

@@ -114,9 +114,6 @@ class TestDaoForkCheck:
             chain._headers.extend([None] * (number - len(chain._headers) + 1))  # type: ignore[arg-type]
             chain._headers[number] = header
             chain._by_hash[header.hash()] = number
-            chain._total_difficulty.extend(
-                [chain._total_difficulty[-1]] * (number - len(chain._total_difficulty) + 2)
-            )
             parent = header
         return chain
 

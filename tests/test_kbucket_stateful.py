@@ -1,8 +1,7 @@
 """Stateful property test: KBucket invariants under arbitrary operations.
 
 Kademlia's guarantees only hold if the bucket keeps its books straight
-under any interleaving of touches, keeps, evictions, removals, and failure
-notes.  Hypothesis drives random operation sequences and checks the
+under any interleaving of touches, keeps and evictions.  Hypothesis drives random operation sequences and checks the
 invariants after every step.
 """
 
@@ -15,7 +14,6 @@ from hypothesis.stateful import (
     invariant,
     rule,
 )
-from hypothesis import strategies as st
 
 from repro.discovery.enode import ENode
 from repro.discovery.kbucket import KBucket
@@ -58,14 +56,6 @@ class KBucketMachine(RuleBasedStateMachine):
     def evict(self, node):
         self.bucket.evict(node.node_id)
 
-    @rule(node=nodes)
-    def remove(self, node):
-        self.bucket.remove(node.node_id)
-
-    @rule(node=nodes, max_fails=st.integers(min_value=1, max_value=3))
-    def note_failure(self, node, max_fails):
-        self.bucket.note_failure(node.node_id, max_fails=max_fails)
-
     @invariant()
     def size_bounded(self):
         assert len(self.bucket) <= self.bucket.size
@@ -84,14 +74,6 @@ class KBucketMachine(RuleBasedStateMachine):
         bucket_ids = {node.node_id for node in self.bucket.nodes}
         for cached in self.bucket.replacement_cache:
             assert cached.node_id not in bucket_ids
-
-    @invariant()
-    def least_recently_seen_is_head(self):
-        head = self.bucket.least_recently_seen()
-        if self.bucket.nodes:
-            assert head == self.bucket.nodes[0]
-        else:
-            assert head is None
 
 
 KBucketMachine.TestCase.settings = settings(

@@ -102,26 +102,10 @@ class TestProfiler:
         with pytest.raises(ValueError):
             Profiler(sample_every=0)
 
-    def test_snapshot_is_sorted_and_json_shaped(self):
-        profiler = Profiler(clock=TickClock())
-        with profiler.scope("b"):
-            pass
-        with profiler.scope("a"):
-            pass
-        snapshot = profiler.snapshot()
-        assert list(snapshot) == ["a", "b"]
-        assert set(snapshot["a"]) == {
-            "calls",
-            "self_seconds",
-            "total_seconds",
-            "max_seconds",
-        }
-
     def test_null_profiler_records_nothing(self):
         with NULL_PROFILER.scope("dial"):
             pass
         assert NULL_PROFILER.stats == {}
-        assert NULL_PROFILER.snapshot() == {}
         assert NULL_PROFILER.enabled is False
 
     def test_telemetry_defaults_to_the_null_profiler(self):

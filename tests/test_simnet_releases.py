@@ -69,12 +69,6 @@ class TestAdoptionModel:
         assert 0.15 < pinned < 0.30
         assert updater > 0.6
 
-    def test_is_stable_lookup(self):
-        model = default_geth_model()
-        assert model.is_stable("v1.8.11")
-        assert not model.is_stable("v1.8.9")
-        assert model.is_stable("v1.6.7")  # legacy but was a stable release
-
     def test_beta_follower_sees_betas(self):
         model = default_parity_model()
         behaviour = {"kind": "updater", "lag_days": 0.5, "beta": True}

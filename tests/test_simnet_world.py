@@ -2,12 +2,14 @@
 
 import copy
 import random
+from collections import Counter
 
 import pytest
 
 from repro.chain.genesis import custom_genesis
 from repro.chain.synthetic import _HASH_MEMO, _SEED_MEMO
 from repro.crypto.keccak import keccak256
+from repro.discovery.distance import parity_log_distance, xor_distance
 from repro.discovery.enode import _ID_HASH_MEMO, cached_id_hash
 from repro.errors import SimulationError
 from repro.units import SECONDS_PER_DAY
@@ -38,15 +40,15 @@ class TestGeoModel:
     def test_country_marginals(self):
         geo = GeoModel(random.Random(1))
         locations = [geo.assign() for _ in range(4000)]
-        histogram = geo.country_histogram(locations)
-        assert 0.38 < histogram["US"] < 0.48   # paper: 43.2%
-        assert 0.09 < histogram["CN"] < 0.17   # paper: 12.9%
+        countries = Counter(location.country for location in locations)
+        assert 0.38 < countries["US"] / len(locations) < 0.48   # paper: 43.2%
+        assert 0.09 < countries["CN"] / len(locations) < 0.17   # paper: 12.9%
 
     def test_top8_as_concentration(self):
         geo = GeoModel(random.Random(2))
         locations = [geo.assign() for _ in range(4000)]
-        shares = sorted(geo.as_histogram(locations).values(), reverse=True)
-        top8 = sum(shares[:8])
+        counts = Counter(location.asn for location in locations)
+        top8 = sum(count for _, count in counts.most_common(8)) / len(locations)
         assert 0.38 < top8 < 0.52  # paper: 44.8%
 
     def test_unique_ips(self):
@@ -194,6 +196,34 @@ class TestDiscoveryPlumbing:
         assert world.find_node_query(address, keccak256(target)) == (
             world.find_node_query(address, target)
         )
+
+    @pytest.mark.parametrize("metric", ["geth", "parity"])
+    def test_find_node_equals_a_full_sort(self, world, metric):
+        # the reference ranks every neighbour from its bytes-level hash:
+        # XOR distance for Geth; Parity's summed-byte distance, then the
+        # low 16 bits of the ID hash as the tie-break
+        def reference_key(peer, target):
+            if metric == "geth":
+                return xor_distance(peer.id_hash, target)
+            return (parity_log_distance(peer.id_hash, target),
+                    int.from_bytes(peer.id_hash[-2:], "big"))
+
+        rng = random.Random(11)
+        nodes = [n for n in world.nodes.values()
+                 if n.spec.metric == metric and len(n.neighbors) > 16]
+        ties = 0
+        for node in nodes[:25]:
+            for _ in range(40):
+                target = rng.randbytes(32)
+                reference = sorted(node.neighbors,
+                                   key=lambda peer: reference_key(peer, target))
+                assert node.find_node(target) == reference[:16]
+                assert node.find_node(target, count=5) == reference[:5]
+                firsts = [reference_key(peer, target) for peer in reference[:17]]
+                if metric == "parity":
+                    ties += len({d for d, _ in firsts}) < len(firsts)
+        if metric == "parity":
+            assert ties > 0  # the 16-bit tie-break decided some answers
 
     @pytest.mark.parametrize("size", [0, 31, 33, 63, 65])
     def test_find_node_query_rejects_other_target_lengths(self, world, size):

@@ -139,9 +139,9 @@ class TestCrawlWithTelemetry:
             mirror = replayed.db.get(entry.node_id)
             assert mirror == entry, entry.node_id.hex()
         # the timelines know who connected and who refused
-        assert replayed.timeline(dead.node_id).outcomes["refused"] == 1
+        assert replayed.timelines.get(dead.node_id).outcomes["refused"] == 1
         for entry in db.nodes_with_status():
-            timeline = replayed.timeline(entry.node_id)
+            timeline = replayed.timelines.get(entry.node_id)
             assert timeline.outcomes["full-harvest"] == 1
             assert timeline.first_seen == entry.first_seen
 
