@@ -41,7 +41,7 @@ def crawl(world, **config_kwargs):
     return run_fleet(world, instance_count=1, days=DAYS, config=config)
 
 
-def test_ablation_static_redial_interval(benchmark):
+def test_ablation_static_redial_interval():
     """Without 30-min static dials, per-node observation density collapses."""
 
     def run_pair():
@@ -49,7 +49,7 @@ def test_ablation_static_redial_interval(benchmark):
         without_static = crawl(small_world(31), static_dial_interval=10 * 86400.0)
         return with_static, without_static
 
-    with_static, without_static = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    with_static, without_static = run_pair()
 
     def observations(fleet):
         sessions = [entry.sessions for entry in fleet.merged_db if entry.sessions]
@@ -69,7 +69,7 @@ def test_ablation_static_redial_interval(benchmark):
     assert observations(with_static) > 2 * observations(without_static)
 
 
-def test_ablation_fleet_size(benchmark):
+def test_ablation_fleet_size():
     """More instances find the network faster and see more of it (§5.2)."""
 
     def run_pair():
@@ -81,7 +81,7 @@ def test_ablation_fleet_size(benchmark):
                          config=NodeFinderConfig(discovery_interval=90.0))
         return solo, trio
 
-    solo, trio = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    solo, trio = run_pair()
 
     def hellos_by_first_half_day(fleet) -> int:
         return sum(
@@ -111,7 +111,7 @@ def test_ablation_fleet_size(benchmark):
     )
 
 
-def test_ablation_disconnect_after_harvest(benchmark):
+def test_ablation_disconnect_after_harvest():
     """Slot-time accounting: harvest-and-disconnect vs holding connections.
 
     NodeFinder holds a slot for the harvest duration (<1s typically); a
@@ -130,7 +130,7 @@ def test_ablation_disconnect_after_harvest(benchmark):
         harvested = [e for e in db if e.sessions]
         return fleet, harvested
 
-    fleet, harvested = benchmark.pedantic(measure, rounds=1, iterations=1)
+    fleet, harvested = measure()
     total_sessions = sum(entry.sessions for entry in harvested)
     harvest_seconds = 0.5  # measured upper bound per harvest on our stack
     hold_seconds = 3600.0  # a client holding each peer for an hour (low!)
@@ -149,7 +149,7 @@ def test_ablation_disconnect_after_harvest(benchmark):
     assert slot_time_hold > 1000 * slot_time_harvest
 
 
-def test_ablation_honor_peer_limit(benchmark):
+def test_ablation_honor_peer_limit():
     """A crawler that honours a 25-peer limit monitors a fixed sliver.
 
     Model: with the limit, the crawler keeps only the first 25 responsive
@@ -159,7 +159,7 @@ def test_ablation_honor_peer_limit(benchmark):
     def run_once():
         return crawl(small_world(43))
 
-    fleet = benchmark.pedantic(run_once, rounds=1, iterations=1)
+    fleet = run_once()
     responsive = [entry for entry in fleet.merged_db if entry.got_hello]
     unlimited_coverage = len(responsive)
     limited_coverage = min(25, unlimited_coverage)

@@ -13,8 +13,8 @@ from repro.analysis.eclipse import takeover_comparison
 from repro.render import format_table
 
 
-def test_appendix_churn(benchmark, paper_crawl):
-    report = benchmark(churn_report, paper_crawl.db, paper_crawl.days)
+def test_appendix_churn(paper_crawl):
+    report = churn_report(paper_crawl.db, paper_crawl.days)
     rows = [(f"day {day}", f"{rate:.2f}") for day, rate in report.daily_churn_rates]
     cdf_rows = [
         (f"{hours:.0f}h", f"{value:.2f}")
@@ -36,13 +36,8 @@ def test_appendix_churn(benchmark, paper_crawl):
     assert 0.0 < report.mean_daily_churn < 0.6
 
 
-def test_appendix_eclipse(benchmark):
-    flushed, established = benchmark.pedantic(
-        takeover_comparison,
-        kwargs={"honest_nodes": 300, "attacker_ids": 2000, "lookups": 100},
-        rounds=1,
-        iterations=1,
-    )
+def test_appendix_eclipse():
+    flushed, established = takeover_comparison(honest_nodes=300, attacker_ids=2000, lookups=100)
     rows = [
         ("post-reboot flood (Marcus et al.)", f"{flushed.table_share:.0%}",
          f"{flushed.lookup_share:.0%}", f"{flushed.eclipsed_lookups:.0%}"),

@@ -9,13 +9,9 @@ Parity because it broadcasts to all peers while Parity relays to √n
 from conftest import emit
 
 from repro.render import format_table
-from repro.simnet.casestudy import GETH_PROFILE, run_case_study
 
 
-def test_fig02_03_message_mix(benchmark, case_study_geth, case_study_parity):
-    benchmark.pedantic(
-        run_case_study, args=(GETH_PROFILE,), kwargs={"days": 1.0}, rounds=1, iterations=1
-    )
+def test_fig02_03_message_mix(case_study_geth, case_study_parity):
     geth, parity = case_study_geth, case_study_parity
     keys = sorted(
         set(geth.messages_received) | set(geth.messages_sent),

@@ -11,7 +11,7 @@ from repro.render import format_series, side_by_side
 from repro.datasets import reference
 
 
-def test_fig04_peer_convergence(benchmark, case_study_geth, case_study_parity):
+def test_fig04_peer_convergence(case_study_geth, case_study_parity):
     def summarize():
         return {
             "geth": (case_study_geth.minutes_to_max, case_study_geth.time_at_max_fraction),
@@ -21,7 +21,7 @@ def test_fig04_peer_convergence(benchmark, case_study_geth, case_study_parity):
             ),
         }
 
-    summary = benchmark(summarize)
+    summary = summarize()
     lines = [
         format_series(
             "Figure 4 — Geth connected peers (first 2h, then hourly; truncated)",

@@ -14,8 +14,8 @@ from repro.analysis.validation import build_validation_report
 from repro.datasets import reference
 
 
-def test_fig05_discovery_and_dial_rates(benchmark, paper_crawl):
-    report = benchmark(build_validation_report, paper_crawl.stats)
+def test_fig05_discovery_and_dial_rates(paper_crawl):
+    report = build_validation_report(paper_crawl.stats)
     _, days, instances, interval = bench_profile()
     per_hour_per_instance = report.discovery_daily_average / instances / 24
     expected_per_hour = 3600 / interval

@@ -12,8 +12,8 @@ from repro.analysis.validation import build_validation_report
 from repro.datasets import reference
 
 
-def test_fig06_07_unique_dial_targets(benchmark, paper_crawl):
-    report = benchmark(build_validation_report, paper_crawl.stats)
+def test_fig06_07_unique_dial_targets(paper_crawl):
+    report = build_validation_report(paper_crawl.stats)
     nodes, days, instances, _ = bench_profile()
     # scale: unique nodes per day relative to network size
     ours_dialed_share = report.dialed_daily_average / nodes

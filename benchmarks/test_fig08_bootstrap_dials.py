@@ -13,10 +13,10 @@ from repro.analysis.validation import build_validation_report
 from repro.datasets import reference
 
 
-def test_fig08_bootstrap_dials(benchmark, paper_crawl):
+def test_fig08_bootstrap_dials(paper_crawl):
     # per-instance view (the paper plots a single instance)
     instance = paper_crawl.fleet.instances[0]
-    report = benchmark(build_validation_report, instance.stats)
+    report = build_validation_report(instance.stats)
     rows = [(day, dynamic, static) for day, dynamic, static in report.bootstrap_series]
     lines = [
         format_table(

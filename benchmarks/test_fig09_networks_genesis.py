@@ -14,8 +14,8 @@ from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 
-def test_fig09_networks_and_genesis(benchmark, paper_crawl):
-    stats = benchmark(network_stats, paper_crawl.db)
+def test_fig09_networks_and_genesis(paper_crawl):
+    stats = network_stats(paper_crawl.db)
     scale = reference.NODES_WITH_ETH_STATUS / max(stats.status_nodes, 1)
     rows = [
         ("STATUS nodes", stats.status_nodes, reference.NODES_WITH_ETH_STATUS),

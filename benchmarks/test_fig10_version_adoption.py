@@ -42,11 +42,9 @@ def version_series(world, days: float, step: float = 1.0):
     return series
 
 
-def test_fig10_version_adoption(benchmark, paper_crawl):
+def test_fig10_version_adoption(paper_crawl):
     _, days, _, _ = bench_profile()
-    series = benchmark.pedantic(
-        version_series, args=(paper_crawl.world, days), rounds=1, iterations=1
-    )
+    series = version_series(paper_crawl.world, days)
     versions = sorted(
         {version for counts in series.values() for version in counts},
         key=lambda v: tuple(int(x) for x in v.lstrip("v").split(".")),

@@ -15,13 +15,8 @@ from repro.datasets import reference
 TRIALS = 100_000  # the paper's count; direct hash sampling keeps it fast
 
 
-def test_fig11_distance_distribution(benchmark):
-    dist = benchmark.pedantic(
-        simulate_distance_distribution,
-        kwargs={"trials": TRIALS, "hash_ids": False},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig11_distance_distribution():
+    dist = simulate_distance_distribution(trials=TRIALS, hash_ids=False)
     rows = []
     for distance in range(200, 257, 4):
         rows.append(
@@ -54,13 +49,8 @@ def test_fig11_distance_distribution(benchmark):
     assert len([d for d, c in dist.parity.items() if c > TRIALS * 0.001]) > 25
 
 
-def test_fig11_with_real_id_hashing(benchmark):
+def test_fig11_with_real_id_hashing():
     """The same distribution with 64-byte IDs hashed through our Keccak."""
-    dist = benchmark.pedantic(
-        simulate_distance_distribution,
-        kwargs={"trials": 4000, "hash_ids": True},
-        rounds=1,
-        iterations=1,
-    )
+    dist = simulate_distance_distribution(trials=4000, hash_ids=True)
     assert dist.geth_mode() == 256
     assert 212 <= dist.parity_mode() <= 234

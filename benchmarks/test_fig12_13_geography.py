@@ -13,9 +13,9 @@ from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 
-def test_fig12_geography(benchmark, paper_crawl):
+def test_fig12_geography(paper_crawl):
     mainnet = paper_crawl.db.mainnet_nodes()
-    report = benchmark(geolocate, paper_crawl.world, mainnet)
+    report = geolocate(paper_crawl.world, mainnet)
     country_rows = [(c, f"{s:.3f}") for c, s in report.country_shares[:12]]
     as_rows = [(a, f"{s:.3f}") for a, s in report.as_shares[:8]]
     lines = [
@@ -40,8 +40,8 @@ def test_fig12_geography(benchmark, paper_crawl):
     assert report.cloud_fraction > 0.4
 
 
-def test_fig13_latency_cdf(benchmark, paper_crawl):
-    report = benchmark(latency_report, paper_crawl.db)
+def test_fig13_latency_cdf(paper_crawl):
+    report = latency_report(paper_crawl.db)
     rows = [
         (f"{x * 1000:.0f}ms", f"{eth:.2f}", f"{gnutella:.2f}", f"{bitcoin:.2f}")
         for x, eth, gnutella, bitcoin in report.rows()

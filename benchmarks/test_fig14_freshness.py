@@ -12,9 +12,9 @@ from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 
-def test_fig14_freshness(benchmark, paper_crawl):
+def test_fig14_freshness(paper_crawl):
     head = paper_crawl.world.mainnet_height
-    report = benchmark(freshness_cdf, paper_crawl.db, head)
+    report = freshness_cdf(paper_crawl.db, head)
     rows = [(f"{lag:,} blocks behind", f"{cdf:.3f}") for lag, cdf in report.cdf_points]
     lines = [
         format_table(f"Figure 14 — freshness CDF (head={head:,})",

@@ -66,7 +66,7 @@ async def _run(served: HeaderChain, mode: SyncMode):
         await node.stop()
 
 
-def test_sec23_sync_modes(benchmark):
+def test_sec23_sync_modes():
     served = HeaderChain(mainnet_genesis())
     served.mine(CHAIN_LENGTH)
 
@@ -75,7 +75,7 @@ def test_sec23_sync_modes(benchmark):
     def fast_run():
         return asyncio.run(_run(served, SyncMode.FAST))
 
-    fast_local, fast_progress = benchmark.pedantic(fast_run, rounds=1, iterations=1)
+    fast_local, fast_progress = fast_run()
 
     rows = [
         (

@@ -14,10 +14,10 @@ from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 
-def test_sec54_sanitization(benchmark, paper_crawl):
+def test_sec54_sanitization(paper_crawl):
     from repro.nodefinder.sanitize import find_abusive
 
-    report = benchmark(find_abusive, paper_crawl.raw_db)
+    report = find_abusive(paper_crawl.raw_db)
     world = paper_crawl.world
     true_factory_ips = {factory.spec.ip for factory in world.factories}
     flagged = report.abusive_ips

@@ -13,13 +13,8 @@ from repro.analysis.distance import simulate_friction, simulate_lookup_convergen
 from repro.render import format_table
 
 
-def test_sec63_one_hop_friction(benchmark):
-    report = benchmark.pedantic(
-        simulate_friction,
-        kwargs={"table_size": 400, "lookups": 200},
-        rounds=1,
-        iterations=1,
-    )
+def test_sec63_one_hop_friction():
+    report = simulate_friction(table_size=400, lookups=200)
     emit(
         "sec63_one_hop_friction",
         format_table(
@@ -37,13 +32,8 @@ def test_sec63_one_hop_friction(benchmark):
     assert report.geth_useful_fraction >= report.parity_useful_fraction
 
 
-def test_sec63_lookup_convergence(benchmark):
-    report = benchmark.pedantic(
-        simulate_lookup_convergence,
-        kwargs={"population": 600, "lookups": 120, "neighbors_per_node": 100},
-        rounds=1,
-        iterations=1,
-    )
+def test_sec63_lookup_convergence():
+    report = simulate_lookup_convergence(population=600, lookups=120, neighbors_per_node=100)
     rows = [
         (composition,
          f"{report.exact_hit[composition]:.0%}",

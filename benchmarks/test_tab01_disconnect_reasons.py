@@ -22,8 +22,8 @@ def _rows(result, paper_table):
     return rows
 
 
-def test_tab01_disconnect_reasons(benchmark, case_study_geth, case_study_parity):
-    geth_rows = benchmark(_rows, case_study_geth, reference.TABLE1_GETH)
+def test_tab01_disconnect_reasons(case_study_geth, case_study_parity):
+    geth_rows = _rows(case_study_geth, reference.TABLE1_GETH)
     parity_rows = _rows(case_study_parity, reference.TABLE1_PARITY)
     headers = ["reason", "recv", "paper recv", "sent", "paper sent"]
     emit(

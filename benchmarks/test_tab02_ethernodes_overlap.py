@@ -14,9 +14,8 @@ from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 
-def test_tab02_ethernodes_overlap(benchmark, paper_crawl, ethernodes_snapshot):
-    table = benchmark(
-        build_table2,
+def test_tab02_ethernodes_overlap(paper_crawl, ethernodes_snapshot):
+    table = build_table2(
         paper_crawl.db,
         ethernodes_snapshot,
         paper_crawl.snapshot_start,

@@ -13,8 +13,8 @@ from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 
-def test_tab03_devp2p_services(benchmark, paper_crawl):
-    rows = benchmark(service_table, paper_crawl.db)
+def test_tab03_devp2p_services(paper_crawl):
+    rows = service_table(paper_crawl.db)
     paper = reference.TABLE3_SERVICES
     table_rows = [
         (service, count, f"{share:.4f}", f"{paper.get(service, (0, 0.0))[1]:.4f}")

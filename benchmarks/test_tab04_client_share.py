@@ -11,9 +11,9 @@ from repro.render import format_table
 from repro.datasets import reference
 
 
-def test_tab04_client_share(benchmark, paper_crawl):
+def test_tab04_client_share(paper_crawl):
     mainnet = paper_crawl.db.mainnet_nodes()
-    rows = benchmark(client_share_table, mainnet)
+    rows = client_share_table(mainnet)
     paper = dict(reference.CLIENT_SHARES)
     table_rows = [
         (family, count, f"{share:.3f}", f"{paper.get(family, 0.0):.3f}")

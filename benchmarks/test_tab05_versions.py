@@ -17,9 +17,9 @@ from repro.render import format_table, side_by_side
 from repro.datasets import reference
 
 
-def test_tab05_versions(benchmark, paper_crawl):
+def test_tab05_versions(paper_crawl):
     mainnet = paper_crawl.db.mainnet_nodes()
-    geth_rows = benchmark(version_table, mainnet, "geth", 10)
+    geth_rows = version_table(mainnet, 'geth', 10)
     parity_rows = version_table(mainnet, "parity", 10)
     geth_stable = stable_fraction(mainnet, "geth")
     parity_stable = stable_fraction(mainnet, "parity")

@@ -13,9 +13,8 @@ from repro.datasets import reference
 from repro.datasets.p2p_history import NETWORK_SIZES
 
 
-def test_tab06_network_sizes(benchmark, paper_crawl, ethernodes_snapshot):
-    reachable, unreachable = benchmark(
-        mainnet_snapshot_ids,
+def test_tab06_network_sizes(paper_crawl, ethernodes_snapshot):
+    reachable, unreachable = mainnet_snapshot_ids(
         paper_crawl.db,
         paper_crawl.snapshot_start,
         paper_crawl.snapshot_end,

@@ -91,7 +91,6 @@ def _random_enode(rng: random.Random) -> ENode:
 def simulate_friction(
     table_size: int = 400,
     lookups: int = 200,
-    bucket_size: int = 16,
     seed: int = 5,
 ) -> FrictionReport:
     """Measure FIND_NODE answer quality from each client's table layout.
@@ -104,12 +103,8 @@ def simulate_friction(
     """
     rng = random.Random(seed)
     owner = rng.randbytes(64)
-    geth_table = RoutingTable.for_node_id(
-        owner, bucket_size=bucket_size, metric=geth_log_distance
-    )
-    parity_table = RoutingTable.for_node_id(
-        owner, bucket_size=bucket_size, metric=parity_log_distance
-    )
+    geth_table = RoutingTable.for_node_id(owner, metric=geth_log_distance)
+    parity_table = RoutingTable.for_node_id(owner, metric=parity_log_distance)
     population = [_random_enode(rng) for _ in range(table_size)]
     for node in population:
         geth_table.add(node)
@@ -162,13 +157,17 @@ class ConvergenceReport:
     exact_hit: dict = field(default_factory=dict)
 
 
+#: the client mixes a convergence run simulates, in order
+COMPOSITIONS = ("geth", "parity", "mixed")
+#: a convergence lookup's round cap: twice the crawlers'
+CONVERGENCE_ROUNDS = 2 * LOOKUP_ROUNDS
+
+
 def simulate_lookup_convergence(
     population: int = 600,
     lookups: int = 120,
     neighbors_per_node: int = 30,
-    rounds: int = 2 * LOOKUP_ROUNDS,
     seed: int = 9,
-    compositions: tuple = ("geth", "parity", "mixed"),
 ) -> ConvergenceReport:
     """Run full iterative lookups through networks of differing client mix.
 
@@ -201,7 +200,7 @@ def simulate_lookup_convergence(
         target_int = int.from_bytes(target_hash, "big")
         return sorted(neighbors, key=lambda n: hash_ints[n] ^ target_int)[:K_NEIGHBORS]
 
-    for composition in compositions:
+    for composition in COMPOSITIONS:
         if composition == "geth":
             metric_of = {peer: "geth" for peer in peers}
         elif composition == "parity":
@@ -218,7 +217,9 @@ def simulate_lookup_convergence(
             target_int = int.from_bytes(target_hash, "big")
             true_nearest = min(peers, key=lambda n: hash_ints[n] ^ target_int)
             # the asker is outside the network: no own ID to drop
-            lookup = Lookup(target_hash, None, comp_rng.sample(peers, ALPHA), rounds)
+            lookup = Lookup(
+                target_hash, None, comp_rng.sample(peers, ALPHA), CONVERGENCE_ROUNDS
+            )
             while candidates := lookup.next_round():
                 for peer in candidates:
                     lookup.feed(answer(peer, metric_of[peer], target_hash))

@@ -34,7 +34,7 @@ from repro.crypto.keccak import keccak256
 from repro.discovery import distance as dist
 from repro.discovery.enode import ENode, cached_id_hash
 from repro.discovery.routing import RoutingTable
-from repro.resilience.breaker import subnet_of
+from repro.resilience.breaker import SUBNET_PREFIX_BITS, subnet_of
 
 
 @dataclass
@@ -58,16 +58,19 @@ def _node(rng: random.Random, ip: str | None = None) -> ENode:
     )
 
 
+#: the hosts an attacker's identities are spread over
+ATTACKER_IPS = 2
+
+
 def simulate_table_takeover(
     honest_nodes: int = 300,
     attacker_ids: int = 2000,
     flushed_table: bool = True,
-    attacker_ips: int = 2,
     lookups: int = 100,
-    bucket_size: int = 16,
     seed: int = 21,
 ) -> EclipseReport:
-    """Flood a victim's table with attacker identities.
+    """Flood a victim's table (Geth's 16-entry buckets) with attacker
+    identities.
 
     ``flushed_table=False`` models a long-running victim: honest entries
     arrive first and, per Kademlia's eviction policy, keep their slots when
@@ -76,9 +79,9 @@ def simulate_table_takeover(
     """
     rng = random.Random(seed)
     victim_id = rng.randbytes(64)
-    table = RoutingTable.for_node_id(victim_id, bucket_size=bucket_size)
+    table = RoutingTable.for_node_id(victim_id)
     honest = [_node(rng) for _ in range(honest_nodes)]
-    attacker_ip_pool = [f"66.6.{i}.6" for i in range(max(attacker_ips, 1))]
+    attacker_ip_pool = [f"66.6.{i}.6" for i in range(ATTACKER_IPS)]
     attackers = [
         _node(rng, ip=rng.choice(attacker_ip_pool)) for _ in range(attacker_ids)
     ]
@@ -129,6 +132,17 @@ def takeover_comparison(**kwargs) -> tuple[EclipseReport, EclipseReport]:
 
 # -- forensic detection over a replayed journal ------------------------------
 
+#: alarm when one prefix holds this share of the observed nodes
+SUBNET_SHARE_ALARM = 0.15
+#: alarm when the near buckets hold this multiple of their natural density
+BUCKET_SKEW_ALARM = 3.0
+#: the victim's near buckets: Geth log distance <= this
+NEAR_BUCKET_THRESHOLD = 252
+#: densest prefixes and most-rejected subnets kept in the detection
+TOP = 5
+#: the statistical triggers' population floor
+MIN_POPULATION = 8
+
 
 @dataclass
 class EclipseDetection:
@@ -143,7 +157,7 @@ class EclipseDetection:
     #: the share of the crawl's attention the campaign captured
     hostile_dial_share: float = 0.0
     #: occupancy of the victim's near buckets (log distance <= threshold)
-    near_bucket_threshold: int = 252
+    near_bucket_threshold: int = NEAR_BUCKET_THRESHOLD
     near_bucket_share: float = 0.0
     #: natural near-bucket probability: sum of 2^(d-257) for d <= threshold
     expected_near_share: float = 0.0
@@ -163,15 +177,7 @@ class EclipseDetection:
         return sum(self.admission_rejections.values())
 
 
-def detect_eclipse(
-    replayed,
-    subnet_share_alarm: float = 0.15,
-    bucket_skew_alarm: float = 3.0,
-    near_bucket_threshold: int = 252,
-    prefix_bits: int = 24,
-    top: int = 5,
-    min_population: int = 8,
-) -> EclipseDetection:
+def detect_eclipse(replayed) -> EclipseDetection:
     """Score eclipse fingerprints in a replayed crawl (journal forensics).
 
     ``replayed`` is a :class:`~repro.analysis.ingest.ReplayedCrawl`.  The
@@ -183,7 +189,7 @@ def detect_eclipse(
       observed population (honest populations spread across thousands of
       prefixes, cf. the paper's Table 5 geography);
     * **near-bucket skew** — the fraction of observed IDs whose Geth log
-      distance from the crawler's own identity is <= ``threshold``
+      distance from the crawler's own identity is <= ``NEAR_BUCKET_THRESHOLD``
       against the natural ``2^(d-257)`` density: ground IDs aimed at a
       victim's near buckets multiply that share (needs the v3 ``crawler``
       journal record to know the victim identity);
@@ -194,11 +200,11 @@ def detect_eclipse(
       subnet-breaker trips are direct coordination proof.
 
     The statistical triggers (concentration, skew) only fire over at
-    least ``min_population`` observed peers — a failed-dials-only
+    least ``MIN_POPULATION`` observed peers — a failed-dials-only
     journal with one phantom peer is "100% concentrated" but means
     nothing; defence-evidence triggers have no floor.
     """
-    detection = EclipseDetection(near_bucket_threshold=near_bucket_threshold)
+    detection = EclipseDetection()
     crawler_ids = set(replayed.crawler_ids)
 
     # prefix concentration over the replayed node database
@@ -209,7 +215,7 @@ def detect_eclipse(
             continue
         observed.append(entry.node_id)
         for ip in entry.ips:
-            subnet = subnet_of(ip, prefix_bits)
+            subnet = subnet_of(ip)
             if subnet is not None:
                 subnet_nodes.setdefault(subnet, set()).add(entry.node_id)
     detection.observed_nodes = len(observed)
@@ -219,7 +225,7 @@ def detect_eclipse(
     if observed and ranked:
         detection.top_subnets = tuple(
             (subnet, len(ids), len(ids) / len(observed))
-            for subnet, ids in ranked[:top]
+            for subnet, ids in ranked[:TOP]
         )
         detection.top_subnet_share = detection.top_subnets[0][2]
 
@@ -234,7 +240,7 @@ def detect_eclipse(
 
     # near-bucket occupancy vs the 2^(d-257) law, worst crawler identity
     detection.expected_near_share = sum(
-        2.0 ** (d - 257) for d in range(0, near_bucket_threshold + 1)
+        2.0 ** (d - 257) for d in range(0, NEAR_BUCKET_THRESHOLD + 1)
     )
     if observed and crawler_ids:
         for crawler_id in sorted(crawler_ids):
@@ -243,7 +249,7 @@ def detect_eclipse(
                 1
                 for node_id in observed
                 if dist.geth_log_distance(own_hash, cached_id_hash(node_id))
-                <= near_bucket_threshold
+                <= NEAR_BUCKET_THRESHOLD
             )
             share = near / len(observed)
             if share > detection.near_bucket_share:
@@ -260,24 +266,24 @@ def detect_eclipse(
         sorted(
             replayed.rejected_subnets.items(),
             key=lambda item: (-item[1], item[0]),
-        )[:top]
+        )[:TOP]
     )
     detection.subnet_breaker_trips = sum(replayed.subnet_breaker_trips.values())
 
     # concentration ratios over a handful of peers are noise (one node in
     # one /24 is "100% concentration"); the statistical triggers need a
     # minimum population, while defence evidence stays direct proof
-    population_scored = detection.observed_nodes >= min_population
+    population_scored = detection.observed_nodes >= MIN_POPULATION
     triggers = []
-    if population_scored and detection.top_subnet_share >= subnet_share_alarm:
+    if population_scored and detection.top_subnet_share >= SUBNET_SHARE_ALARM:
         triggers.append(
             f"prefix-concentration: {detection.top_subnet_share:.1%} of "
-            f"observed nodes in one /{prefix_bits}"
+            f"observed nodes in one /{SUBNET_PREFIX_BITS}"
         )
-    if population_scored and detection.bucket_skew >= bucket_skew_alarm:
+    if population_scored and detection.bucket_skew >= BUCKET_SKEW_ALARM:
         triggers.append(
             f"near-bucket skew: {detection.bucket_skew:.1f}x natural density "
-            f"at distance <= {near_bucket_threshold}"
+            f"at distance <= {NEAR_BUCKET_THRESHOLD}"
         )
     if detection.total_admission_rejections > 0:
         triggers.append(

@@ -34,11 +34,7 @@ class FreshnessReport:
         return self.stale / max(self.total, 1)
 
 
-def freshness_cdf(
-    db: NodeDB,
-    head_height: int,
-    stale_lag: int = STALE_LAG_BLOCKS,
-) -> FreshnessReport:
+def freshness_cdf(db: NodeDB, head_height: int) -> FreshnessReport:
     """Compute the freshness CDF for Mainnet nodes against ``head_height``."""
     report = FreshnessReport()
     for entry in db.mainnet_nodes():
@@ -50,7 +46,7 @@ def freshness_cdf(
         reference_head = entry.head_at_status or head_height
         lag = max(0, reference_head - entry.best_block)
         report.lags.append(lag)
-        if lag > stale_lag:
+        if lag > STALE_LAG_BLOCKS:
             report.stale += 1
         if entry.best_block == BYZANTIUM_BLOCK + 1:
             report.stuck_at_byzantium += 1

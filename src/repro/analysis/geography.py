@@ -92,11 +92,10 @@ DEFAULT_LATENCY_POINTS = [
 ]
 
 
-def latency_report(
-    db: NodeDB, points: list[float] | None = None
-) -> LatencyReport:
-    """CDF of median per-node smoothed RTTs, vs the cited networks."""
-    points = points or DEFAULT_LATENCY_POINTS
+def latency_report(db: NodeDB) -> LatencyReport:
+    """CDF of median per-node smoothed RTTs, vs the cited networks, at
+    ``DEFAULT_LATENCY_POINTS``."""
+    points = DEFAULT_LATENCY_POINTS
     samples = [
         entry.median_latency
         for entry in db.mainnet_nodes()

@@ -376,12 +376,10 @@ Source = Union[str, Path, TextIO, Iterable[str]]
 _TS = attrgetter("ts")
 
 
-def replay_journal(
-    source: Source,
-    tolerate_torn_tail: bool = True,
-) -> ReplayedCrawl:
-    """Read one journal (path, stream, or lines) and replay it, in file order."""
-    return replay(iter_events(source, tolerate_torn_tail=tolerate_torn_tail))
+def replay_journal(source: Source) -> ReplayedCrawl:
+    """Read one journal (path, stream, or lines) and replay it, in file
+    order; a torn last line (a crash mid-write) is dropped."""
+    return replay(iter_events(source))
 
 
 class _StepsBackwards(Exception):
@@ -397,10 +395,7 @@ def _ascending(events: Iterable[Event]) -> Iterator[Event]:
         yield event
 
 
-def replay_journals(
-    sources: Iterable[Source],
-    tolerate_torn_tail: bool = True,
-) -> ReplayedCrawl:
+def replay_journals(sources: Iterable[Source]) -> ReplayedCrawl:
     """Replay several journals (per-instance or per-shard files) as one crawl.
 
     Events are folded in timestamp order, ties going to the earlier
@@ -439,10 +434,7 @@ def replay_journals(
     ]
 
     def streams() -> List[Iterator[Event]]:
-        return [
-            iter_events(source, tolerate_torn_tail=tolerate_torn_tail)
-            for source in held
-        ]
+        return [iter_events(source) for source in held]
 
     try:
         return replay(heapq.merge(*map(_ascending, streams()), key=_TS))

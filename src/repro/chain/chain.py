@@ -75,19 +75,13 @@ class HeaderChain:
         self._by_hash[header.hash()] = header.number
         self.total_difficulty += header.difficulty
 
-    def mine_block(
-        self,
-        timestamp: Optional[int] = None,
-        extra_data: bytes = b"",
-        coinbase: Optional[bytes] = None,
-    ) -> BlockHeader:
-        """Deterministically mine and append the next block."""
+    def mine_block(self) -> BlockHeader:
+        """Deterministically mine and append the next block, one
+        ``BLOCK_INTERVAL`` after its parent."""
         parent = self.head
         number = parent.number + 1
-        if timestamp is None:
-            timestamp = parent.timestamp + BLOCK_INTERVAL
-        if number == DAO_FORK_BLOCK and not extra_data:
-            extra_data = DAO_FORK_EXTRA_DATA
+        timestamp = parent.timestamp + BLOCK_INTERVAL
+        extra_data = DAO_FORK_EXTRA_DATA if number == DAO_FORK_BLOCK else b""
         difficulty = calc_difficulty(
             parent_difficulty=parent.difficulty,
             parent_timestamp=parent.timestamp,
@@ -95,12 +89,10 @@ class HeaderChain:
             block_number=number,
             parent_has_uncles=parent.uncles_hash != EMPTY_UNCLES_HASH,
         )
-        if coinbase is None:
-            coinbase = keccak256(b"miner" + number.to_bytes(8, "big"))[:20]
         header = BlockHeader(
             parent_hash=parent.hash(),
             uncles_hash=EMPTY_UNCLES_HASH,
-            coinbase=coinbase,
+            coinbase=keccak256(b"miner" + number.to_bytes(8, "big"))[:20],
             state_root=keccak256(parent.state_root + number.to_bytes(8, "big")),
             tx_root=EMPTY_TRIE_ROOT,
             receipt_root=EMPTY_TRIE_ROOT,

@@ -58,14 +58,12 @@ def mainnet_genesis() -> BlockHeader:
     )
 
 
-def custom_genesis(
-    chain_name: str,
-    difficulty: int = 0x20000,
-    gas_limit: int = 5000,
-    timestamp: int = 0,
-    *,
-    seed: bytes | None = None,
-) -> BlockHeader:
+#: a custom network's genesis difficulty and gas limit
+CUSTOM_GENESIS_DIFFICULTY = 0x20000
+CUSTOM_GENESIS_GAS_LIMIT = 5000
+
+
+def custom_genesis(chain_name: str, *, seed: bytes | None = None) -> BlockHeader:
     """A deterministic genesis for a named alternative network.
 
     The chain name is folded into ``extra_data`` and the state root, so
@@ -84,11 +82,11 @@ def custom_genesis(
         tx_root=_EMPTY_TRIE_ROOT,
         receipt_root=_EMPTY_TRIE_ROOT,
         bloom=b"\x00" * 256,
-        difficulty=difficulty,
+        difficulty=CUSTOM_GENESIS_DIFFICULTY,
         number=0,
-        gas_limit=gas_limit,
+        gas_limit=CUSTOM_GENESIS_GAS_LIMIT,
         gas_used=0,
-        timestamp=timestamp,
+        timestamp=0,
         extra_data=chain_name.encode("utf-8")[:32],
         mix_hash=b"\x00" * 32,
         nonce=b"\x00" * 8,

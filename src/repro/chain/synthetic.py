@@ -34,6 +34,9 @@ MAINNET_TD_APRIL_2018 = 3_907_000_000_000_000_000_000
 #: Mainnet launch, 2015-07-30, unix time.
 MAINNET_LAUNCH_TIMESTAMP = 1_438_269_988
 
+#: every synthetic block's difficulty: the closed-form TD's slope
+TD_PER_BLOCK = max(MAINNET_TD_APRIL_2018 // max(MAINNET_HEIGHT_APRIL_2018, 1), 1)
+
 
 #: hard bound on the hash memo; a multi-week 100k run cannot grow it unboundedly
 _HASH_MEMO_MAX = 1 << 20
@@ -84,14 +87,11 @@ class SyntheticChain:
         height: int = MAINNET_HEIGHT_APRIL_2018,
         supports_dao_fork: bool = True,
         network_id: int = 1,
-        td_per_block: int | None = None,
-        start_timestamp: int = MAINNET_LAUNCH_TIMESTAMP,
     ) -> None:
         self.name = name
         self.network_id = network_id
         self.height = height
         self.supports_dao_fork = supports_dao_fork
-        self.start_timestamp = start_timestamp
         if genesis_hash is None:
             genesis_hash = (
                 MAINNET_GENESIS_HASH
@@ -100,11 +100,6 @@ class SyntheticChain:
             )
         self.genesis_hash = genesis_hash
         self._seed = _SEED_MEMO[name, genesis_hash]
-        if td_per_block is None:
-            td_per_block = max(
-                MAINNET_TD_APRIL_2018 // max(MAINNET_HEIGHT_APRIL_2018, 1), 1
-            )
-        self.td_per_block = td_per_block
 
     # -- identity ------------------------------------------------------------
 
@@ -122,7 +117,7 @@ class SyntheticChain:
 
     def total_difficulty_at(self, number: int) -> int:
         """Closed-form cumulative difficulty (linear calibration)."""
-        return (number + 1) * self.td_per_block
+        return (number + 1) * TD_PER_BLOCK
 
     @property
     def total_difficulty(self) -> int:
@@ -155,11 +150,11 @@ class SyntheticChain:
             tx_root=EMPTY_TRIE_ROOT,
             receipt_root=EMPTY_TRIE_ROOT,
             bloom=b"\x00" * 256,
-            difficulty=self.td_per_block,
+            difficulty=TD_PER_BLOCK,
             number=number,
             gas_limit=8_000_000,
             gas_used=0,
-            timestamp=self.start_timestamp + number * BLOCK_INTERVAL,
+            timestamp=MAINNET_LAUNCH_TIMESTAMP + number * BLOCK_INTERVAL,
             extra_data=self.extra_data_for(number),
             mix_hash=b"\x00" * 32,
             nonce=number.to_bytes(8, "big"),

@@ -182,7 +182,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.nodefinder.sanitize import sanitize
     from repro.nodefinder.scanner import NodeFinderConfig
     from repro.render import format_table
-    from repro.simnet.adversary import AdversaryCampaign, AdversaryConfig
+    from repro.simnet.adversary import SUBNET, AdversaryCampaign, AdversaryConfig
     from repro.simnet.population import PopulationConfig
     from repro.simnet.world import SimWorld, WorldConfig
 
@@ -250,7 +250,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print()
         print(
             f"adversary: {len(adversary.attackers)} sybils in "
-            f"{adversary.config.subnet} + {len(adversary.phantoms)} phantoms, "
+            f"{SUBNET} + {len(adversary.phantoms)} phantoms, "
             f"{adversary.answers_served} poisoned NEIGHBORS served"
         )
         print(

@@ -43,23 +43,18 @@ class EthernodesSnapshot:
         }
 
 
+# calibrated to Table 2: EN∩NFR / NFR ≈ 0.44, EN∩NFU / NFU ≈ 0.11
+REACHABLE_CAPTURE = 0.44
+UNREACHABLE_CAPTURE = 0.11
+LIGHT_CLIENT_CAPTURE = 0.8
+
+
 class EthernodesCrawler:
     """The independent comparator crawler."""
 
-    def __init__(
-        self,
-        world: SimWorld,
-        seed: int = 99,
-        # calibrated to Table 2: EN∩NFR / NFR ≈ 0.44, EN∩NFU / NFU ≈ 0.11
-        reachable_capture: float = 0.44,
-        unreachable_capture: float = 0.11,
-        light_client_capture: float = 0.8,
-    ) -> None:
+    def __init__(self, world: SimWorld, seed: int = 99) -> None:
         self.world = world
         self.rng = random.Random(seed)
-        self.reachable_capture = reachable_capture
-        self.unreachable_capture = unreachable_capture
-        self.light_client_capture = light_client_capture
 
     def snapshot(self, start_day: float, end_day: float) -> EthernodesSnapshot:
         """Scrape the Mainnet page for nodes seen in [start_day, end_day)."""
@@ -78,9 +73,7 @@ class EthernodesCrawler:
                     continue
                 if spec.genesis_hash == MAINNET_GENESIS_HASH:
                     capture = (
-                        self.reachable_capture
-                        if spec.reachable
-                        else self.unreachable_capture
+                        REACHABLE_CAPTURE if spec.reachable else UNREACHABLE_CAPTURE
                     )
                 else:
                     # default-network-id private chains flood the page: they
@@ -94,7 +87,7 @@ class EthernodesCrawler:
                     )
             elif spec.service in ("les", "pip"):
                 # light clients NodeFinder cannot speak to (§5.3: 61 nodes)
-                if self.rng.random() < self.light_client_capture:
+                if self.rng.random() < LIGHT_CLIENT_CAPTURE:
                     snapshot.listed[spec.node_id] = (1, MAINNET_GENESIS_HASH)
         # a sliver of abusive factory identities also reach the page
         for factory in self.world.factories:

@@ -53,13 +53,11 @@ class TableAdmission:
         ips_per_subnet: int = DEFAULT_IPS_PER_SUBNET,
         ips_per_bucket: int = DEFAULT_IPS_PER_BUCKET,
         ids_per_ip: int = DEFAULT_IDS_PER_IP,
-        prefix_bits: int = 24,
         on_reject: Optional[Callable[[ENode, str, Optional[str]], None]] = None,
     ) -> None:
         self.ips_per_subnet = ips_per_subnet
         self.ips_per_bucket = ips_per_bucket
         self.ids_per_ip = ids_per_ip
-        self.prefix_bits = prefix_bits
         self.on_reject = on_reject
         #: node_id -> (ip, subnet, bucket index) for everything admitted
         self._members: Dict[bytes, Tuple[str, Optional[str], int]] = {}
@@ -79,7 +77,7 @@ class TableAdmission:
         """Why ``node`` may not join ``bucket_index`` — or None if it may."""
         if node.node_id in self._members:
             return None
-        subnet = subnet_of(node.ip, self.prefix_bits)
+        subnet = subnet_of(node.ip)
         if subnet is not None:
             if self._per_subnet.get(subnet, 0) >= self.ips_per_subnet:
                 return self._reject(node, REASON_SUBNET_TABLE, subnet)
@@ -92,7 +90,7 @@ class TableAdmission:
     def note_add(self, node: ENode, bucket_index: int) -> None:
         if node.node_id in self._members:
             return
-        subnet = subnet_of(node.ip, self.prefix_bits)
+        subnet = subnet_of(node.ip)
         self._members[node.node_id] = (node.ip, subnet, bucket_index)
         if subnet is not None:
             self._per_subnet[subnet] = self._per_subnet.get(subnet, 0) + 1

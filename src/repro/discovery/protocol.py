@@ -116,7 +116,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
         host: str = "127.0.0.1",
         port: int = 0,
         bootstrap_nodes: Iterable[ENode] = (),
-        bucket_size: int = 16,
         reply_timeout: float = REPLY_TIMEOUT,
         retry_policy: Optional[RetryPolicy] = None,
         telemetry: Telemetry = NULL_TELEMETRY,
@@ -131,7 +130,7 @@ class DiscoveryService(asyncio.DatagramProtocol):
         #: once their TCP server is bound (defaults to the UDP port).
         self.tcp_port: int | None = None
         self.bootstrap_nodes = list(bootstrap_nodes)
-        self.table = RoutingTable.for_node_id(self.node_id, bucket_size=bucket_size)
+        self.table = RoutingTable.for_node_id(self.node_id)
         self.reply_timeout = reply_timeout
         #: retries PING during bonding — one lost datagram should not cost
         #: a whole bond (UDP gives no delivery guarantee); None = one shot
@@ -391,18 +390,16 @@ class DiscoveryService(asyncio.DatagramProtocol):
         """PING ``node``; True if it answered in time."""
         return await self.ping_addr(node.udp_address, node.node_id) is not None
 
-    async def bond(
-        self, node: ENode, retry: Optional[RetryPolicy] = None
-    ) -> bool:
+    async def bond(self, node: ENode) -> bool:
         """Establish an endpoint proof with ``node`` (PING until PONG).
 
-        UDP drops datagrams; under a :class:`RetryPolicy` (the argument,
-        falling back to the service-wide ``retry_policy``) a missed PONG is
-        re-PINGed with backoff instead of failing the bond outright.
+        UDP drops datagrams; under the service-wide ``retry_policy`` a
+        missed PONG is re-PINGed with backoff instead of failing the bond
+        outright.
         """
         if self.is_bonded(node.node_id):
             return True
-        policy = retry if retry is not None else self.retry_policy
+        policy = self.retry_policy
         if policy is None:
             bonded = await self.ping(node)
         else:

@@ -75,12 +75,10 @@ class HeaderSynchronizer:
         chain: HeaderChain,
         mode: SyncMode = SyncMode.FULL,
         batch_size: int = HEADER_BATCH,
-        pivot_distance: int = PIVOT_DISTANCE,
     ) -> None:
         self.chain = chain
         self.mode = mode
         self.batch_size = batch_size
-        self.pivot_distance = pivot_distance
         # one sync run at a time: the height read below and the appends
         # that follow straddle network awaits, so a second concurrent
         # sync() against the same chain would duplicate or skip headers
@@ -145,7 +143,7 @@ class HeaderSynchronizer:
             )
             if self.mode is SyncMode.FAST:
                 progress.pivot = max(
-                    self.chain.height, target_height - self.pivot_distance
+                    self.chain.height, target_height - PIVOT_DISTANCE
                 )
             next_number = self.chain.height + 1
             pending_receipt_hashes: list[bytes] = []

@@ -34,22 +34,21 @@ from repro.errors import HandshakeError, PeerDisconnected, ProtocolError, ReproE
 from repro.ethproto import messages as eth
 from repro.resilience.chaos import ChaosConfig, ChaosStreamReader
 from repro.rlpx.session import accept_session
-from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 logger = logging.getLogger(__name__)
+
+#: the eth protocol version a node announces in STATUS
+PROTOCOL_VERSION = 63
 
 
 @dataclass
 class FullNodeConfig:
-    """Behaviour knobs for one live node."""
+    """Behaviour knobs for one live node.  At ``max_peers`` a node sends
+    DISCONNECT(Too many peers), like real clients."""
 
     client_id: str = "Geth/v1.7.3-stable-repro/linux-amd64/go1.9.2"
     network_id: int = 1
-    protocol_version: int = 63
     max_peers: int = 25
-    serve_headers: bool = True
-    #: send DISCONNECT(Too many peers) when at capacity, like real clients
-    enforce_peer_limit: bool = True
 
 
 class FullNode:
@@ -62,7 +61,6 @@ class FullNode:
         config: FullNodeConfig | None = None,
         host: str = "127.0.0.1",
         chaos: ChaosConfig | None = None,
-        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self.private_key = private_key or PrivateKey.generate()
         self.chain = chain if chain is not None else HeaderChain(mainnet_genesis())
@@ -72,7 +70,6 @@ class FullNode:
         #: test network can make this node misbehave (stall, reset, send
         #: garbage) toward whoever dials it
         self.chaos = chaos
-        self.telemetry = telemetry
         self.discovery: Optional[DiscoveryService] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self.tcp_port = 0
@@ -93,7 +90,6 @@ class FullNode:
             self.private_key,
             host=self.host,
             bootstrap_nodes=list(bootstrap),
-            telemetry=self.telemetry,
         )
         await self.discovery.listen()
         self._server = await asyncio.start_server(
@@ -148,7 +144,7 @@ class FullNode:
 
     def our_status(self) -> eth.StatusMessage:
         return eth.StatusMessage(
-            protocol_version=self.config.protocol_version,
+            protocol_version=PROTOCOL_VERSION,
             network_id=self.config.network_id,
             total_difficulty=self.chain.total_difficulty,
             best_hash=self.chain.best_hash,
@@ -161,7 +157,6 @@ class FullNode:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.stats["inbound_connections"] += 1
-        self.telemetry.emit("inbound", phase="accepted")
         if self.chaos is not None:
             reader = ChaosStreamReader(reader, self.chaos)  # type: ignore[assignment]
         try:
@@ -172,15 +167,7 @@ class FullNode:
         try:
             await peer.handshake()
             self.stats["hellos"] += 1
-            self.telemetry.emit(
-                "inbound",
-                phase="hello",
-                node_id=peer.remote_node_id or None,
-            )
-            if (
-                self.config.enforce_peer_limit
-                and len(self.peers) >= self.config.max_peers
-            ):
+            if len(self.peers) >= self.config.max_peers:
                 self.stats["too_many_peers_sent"] += 1
                 await self._disconnect_lingering(peer, DisconnectReason.TOO_MANY_PEERS)
                 return
@@ -231,7 +218,7 @@ class FullNode:
                 if not remote.same_chain_as(self.our_status()):
                     await peer.disconnect(DisconnectReason.USELESS_PEER)
                     return
-            elif code == eth.GET_BLOCK_HEADERS and self.config.serve_headers:
+            elif code == eth.GET_BLOCK_HEADERS:
                 request = eth.GetBlockHeadersMessage.decode(payload)
                 headers = self.chain.get_block_headers(
                     request.origin,
@@ -265,27 +252,14 @@ async def start_localhost_network(
     count: int,
     blocks: int = 32,
     config: FullNodeConfig | None = None,
-    chaos: ChaosConfig | None = None,
-    telemetry: Telemetry = NULL_TELEMETRY,
 ) -> list[FullNode]:
     """Start ``count`` nodes sharing one mined chain, discovery-bonded in a
-    star around the first node (the bootstrap).
-
-    With ``chaos``, every node's inbound read path runs under the same
-    fault-injection config — a whole misbehaving network in one call.
-    ``telemetry`` (one shared facade) makes the served side observable too.
-    """
+    star around the first node (the bootstrap)."""
     chain = HeaderChain(mainnet_genesis())
     chain.mine(blocks)
     nodes = []
     for index in range(count):
-        node = FullNode(
-            PrivateKey(10_000 + index),
-            chain=chain,
-            config=config,
-            chaos=chaos,
-            telemetry=telemetry,
-        )
+        node = FullNode(PrivateKey(10_000 + index), chain=chain, config=config)
         await node.start()
         nodes.append(node)
     bootstrap = nodes[0].enode

@@ -22,7 +22,6 @@ from repro.nodefinder.shard import SegmentFiles
 from repro.simnet.adversary import AdversaryCampaign
 from repro.simnet.world import SimWorld
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.flightrecorder import FlightRecorder
 from repro.telemetry.profiler import Profiler
 
 
@@ -56,7 +55,6 @@ def run_fleet(
     telemetry_dir: str | Path | None = None,
     adversary: AdversaryCampaign | None = None,
     profiler: Profiler | None = None,
-    recorder: FlightRecorder | None = None,
 ) -> Fleet:
     """Start ``instance_count`` crawlers and run the world for ``days``.
 
@@ -78,9 +76,7 @@ def run_fleet(
 
     With ``profiler`` every instance's telemetry shares one hot-path
     profiler and the world clock runs its labelled callbacks under
-    profiler scopes; with ``recorder`` every instance tees its journal
-    events and spans into one crash flight recorder.  Neither changes
-    the crawl itself.
+    profiler scopes, which does not change the crawl itself.
     """
     export_dir = Path(telemetry_dir) if telemetry_dir is not None else None
     bootstrap = world.bootstrap_addresses()
@@ -92,13 +88,11 @@ def run_fleet(
         name = f"nodefinder-{index}"
         instance_config = config or NodeFinderConfig(seed=index)
         telemetry = NULL_TELEMETRY
-        if export_dir is not None or profiler is not None or recorder is not None:
-            # a journaled, profiled or recorded run needs a real facade
-            # (NULL_TELEMETRY would drop all three); the instance journals
+        if export_dir is not None or profiler is not None:
+            # a journaled or profiled run needs a real facade
+            # (NULL_TELEMETRY would drop both); the instance journals
             # through the opener, never through a file of the facade's own
-            telemetry = Telemetry(
-                clock=lambda: world.now, profiler=profiler, recorder=recorder
-            )
+            telemetry = Telemetry(clock=lambda: world.now, profiler=profiler)
         journal_opener = None
         if export_dir is not None:
             journal_opener = SegmentFiles(export_dir, name, instance_config.shards)

@@ -76,7 +76,6 @@ class LiveNodeFinder:
         host: str = "127.0.0.1",
         clock: Callable[[], float] | None = None,
         rng: Optional[random.Random] = None,
-        telemetry: Optional[Telemetry] = None,
         harvester: Optional[Callable] = None,
         journal_opener: Optional[Callable[[str], EventJournal]] = None,
     ) -> None:
@@ -109,9 +108,7 @@ class LiveNodeFinder:
             self.private_key.public_key.to_bytes(),
             "live",
         )
-        self.telemetry = self.journals.facade(
-            telemetry if telemetry is not None else Telemetry()
-        )
+        self.telemetry = self.journals.facade(Telemetry())
         #: the crawler's counters, incremented where each thing happens
         self.stats: dict[str, int] = dict.fromkeys(
             (
@@ -280,7 +277,6 @@ class LiveNodeFinder:
                         raise outcome
                     if isinstance(outcome, BaseException):
                         self.stats["dial_failures"] += 1
-                        self.telemetry.record_dial_crash(repr(outcome))
                         logger.warning(
                             "%s of %s crashed: %r", kind, enode.short_id(), outcome
                         )

@@ -200,11 +200,6 @@ class NodeFinderInstance:
             gate,
             MAX_DYNAMIC_DIALS_PER_TICK if self.config.defended else None,
         )
-        #: per-shard facades: the crawl's telemetry under each shard's
-        #: label (its flight-recorder ring)
-        self._shard_telemetry = [
-            telemetry.for_shard(str(index)) for index in range(self.plan.shards)
-        ]
 
     # -- defence plumbing -------------------------------------------------------
 
@@ -368,11 +363,9 @@ class NodeFinderInstance:
         # every fold goes through the single writer (OWNERSHIP invariant)
         self.writer.submit(result)
         # simulated dials have no spans (no real stages ran), but they
-        # share the journal schema with live crawls; the flight-recorder
-        # ring is the owning shard's
-        self._shard_telemetry[self.plan.shard_of(result.node_id)].record_dial(
-            result, attempt=result.attempts
-        )
+        # share the journal schema with live crawls; the journal router
+        # places each in its owning shard's file
+        self.telemetry.record_dial(result, attempt=result.attempts)
 
     def watch_bootstrap(self, node_id: bytes) -> None:
         # stats mutations route through the writer (OWNERSHIP invariant)

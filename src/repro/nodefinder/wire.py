@@ -38,7 +38,6 @@ from repro.nodefinder.database import NodeDB
 from repro.nodefinder.records import DialOutcome, DialResult
 from repro.nodefinder.shard import NodeDBWriter
 from repro.resilience import (
-    PeerScoreboard,
     RetryPolicy,
     StageBudgets,
     StageTimeout,
@@ -69,17 +68,8 @@ def nodefinder_hello(key: PrivateKey, listen_port: int = 30303) -> HelloMessage:
     )
 
 
-def nodefinder_status(reference: eth.StatusMessage | None = None) -> eth.StatusMessage:
-    """A Mainnet STATUS for the crawler (mirrors the peer's chain tip when
-    a reference is supplied, as a harvester legitimately may)."""
-    if reference is not None:
-        return eth.StatusMessage(
-            protocol_version=63,
-            network_id=reference.network_id,
-            total_difficulty=reference.total_difficulty,
-            best_hash=reference.best_hash,
-            genesis_hash=reference.genesis_hash,
-        )
+def nodefinder_status() -> eth.StatusMessage:
+    """A Mainnet STATUS for the crawler: genesis as its head."""
     return eth.StatusMessage(
         protocol_version=63,
         network_id=1,
@@ -307,16 +297,13 @@ async def crawl_targets(
     key: PrivateKey | None = None,
     concurrency: int = 16,
     dial_timeout: float = 5.0,
-    budgets: StageBudgets | None = None,
-    retry: RetryPolicy | None = None,
-    breaker: PeerScoreboard | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> NodeDB:
-    """Harvest many live targets concurrently (maxActiveDialTasks=16, §4).
+    """Harvest many live targets concurrently (maxActiveDialTasks=16, §4),
+    each once, with no retry.
 
     The fan-out is exception-safe: a dial that raises is logged and
-    dropped, never cancelling its siblings.  An optional ``breaker``
-    scoreboard skips peers whose circuit is open and feeds outcomes back.
+    dropped, never cancelling its siblings.
     """
     key = key or PrivateKey.generate()
     db = NodeDB()
@@ -324,22 +311,10 @@ async def crawl_targets(
     semaphore = asyncio.Semaphore(concurrency)
 
     async def one(target: ENode) -> None:
-        if breaker is not None and not breaker.allow(target.node_id):
-            return
         async with semaphore:
             result = await harvest(
-                target,
-                key,
-                dial_timeout=dial_timeout,
-                budgets=budgets,
-                retry=retry,
-                telemetry=telemetry,
+                target, key, dial_timeout=dial_timeout, telemetry=telemetry
             )
-        if breaker is not None:
-            if result.outcome.completed:
-                breaker.record_success(target.node_id)
-            else:
-                breaker.record_failure(target.node_id)
         writer.submit(result)
 
     target_list = list(targets)

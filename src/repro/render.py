@@ -6,15 +6,12 @@ from typing import Iterable, Sequence
 
 
 def format_table(
-    title: str,
-    headers: Sequence[str],
-    rows: Iterable[Sequence],
-    float_format: str = "{:.3f}",
+    title: str, headers: Sequence[str], rows: Iterable[Sequence]
 ) -> str:
-    """Render an aligned text table."""
+    """Render an aligned text table; floats print with three decimals."""
     materialised = [
         [
-            float_format.format(cell) if isinstance(cell, float) else str(cell)
+            f"{cell:.3f}" if isinstance(cell, float) else str(cell)
             for cell in row
         ]
         for row in rows
@@ -30,9 +27,7 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    title: str, series: Iterable[tuple], x_label: str = "day", y_label: str = "value"
-) -> str:
+def format_series(title: str, series: Iterable[tuple], x_label: str = "day") -> str:
     """Render a (x, y) series as a small text sparkline table."""
     rows = list(series)
     if not rows:

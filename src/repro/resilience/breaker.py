@@ -127,8 +127,12 @@ class CircuitBreaker:
         self._sync_state()
 
 
-def subnet_of(ip: Optional[str], prefix_bits: int = 24) -> Optional[str]:
-    """The ``a.b.c.0/24``-style prefix an address belongs to.
+#: the prefix length one subnet spans: a /24, Geth's ``tableIPLimit`` unit
+SUBNET_PREFIX_BITS = 24
+
+
+def subnet_of(ip: Optional[str]) -> Optional[str]:
+    """The ``a.b.c.0/24`` prefix an address belongs to.
 
     Returns ``None`` for missing or unparseable addresses so callers can
     skip the subnet dimension for them.
@@ -136,7 +140,7 @@ def subnet_of(ip: Optional[str], prefix_bits: int = 24) -> Optional[str]:
     if not ip:
         return None
     try:
-        return str(ipaddress.ip_network(f"{ip}/{prefix_bits}", strict=False))
+        return str(ipaddress.ip_network(f"{ip}/{SUBNET_PREFIX_BITS}", strict=False))
     except ValueError:
         return None
 
@@ -149,8 +153,8 @@ class PeerScoreboard:
 
     A second, optional *subnet* dimension guards against coordinated
     failure: when ``subnet_failure_threshold`` is set, every dial outcome
-    also scores a breaker keyed by the peer's ``/subnet_prefix_bits``
-    prefix, and :meth:`allow` refuses a peer whose whole prefix has
+    also scores a breaker keyed by the peer's /24 prefix, and
+    :meth:`allow` refuses a peer whose whole prefix has
     tripped — a Sybil swarm minted from one /24 burns one breaker, not
     one breaker per phantom enode.  Callers opt in per call by passing
     the peer's ``ip``; probe slots are only consumed once both
@@ -168,7 +172,6 @@ class PeerScoreboard:
         ] = None,
         subnet_failure_threshold: Optional[int] = None,
         subnet_cooldown: Optional[float] = None,
-        subnet_prefix_bits: int = 24,
         on_subnet_transition: Optional[
             Callable[[str, BreakerState, BreakerState], None]
         ] = None,
@@ -182,7 +185,6 @@ class PeerScoreboard:
         self.subnet_cooldown = (
             subnet_cooldown if subnet_cooldown is not None else cooldown
         )
-        self.subnet_prefix_bits = subnet_prefix_bits
         self._on_subnet_transition = on_subnet_transition
         self._subnet_breakers: Dict[str, CircuitBreaker] = {}
 
@@ -208,7 +210,7 @@ class PeerScoreboard:
     def _subnet_breaker(self, ip: Optional[str]) -> Optional[CircuitBreaker]:
         if self.subnet_failure_threshold is None:
             return None
-        subnet = subnet_of(ip, self.subnet_prefix_bits)
+        subnet = subnet_of(ip)
         if subnet is None:
             return None
         existing = self._subnet_breakers.get(subnet)
@@ -258,7 +260,7 @@ class PeerScoreboard:
         return existing.state if existing is not None else BreakerState.CLOSED
 
     def subnet_state(self, ip: Optional[str]) -> BreakerState:
-        subnet = subnet_of(ip, self.subnet_prefix_bits)
+        subnet = subnet_of(ip)
         existing = (
             self._subnet_breakers.get(subnet) if subnet is not None else None
         )

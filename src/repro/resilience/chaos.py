@@ -66,7 +66,7 @@ class FaultType(enum.Enum):
     """What the chaos layer does to the byte stream."""
 
     LATENCY = "latency"    # delay every chunk, deliver intact
-    TRUNCATE = "truncate"  # forward ``after_bytes`` then close cleanly (FIN)
+    TRUNCATE = "truncate"  # close cleanly (FIN) at the fault point
     GARBAGE = "garbage"    # substitute undecryptable bytes, then close
     RESET = "reset"        # hard TCP reset (RST) at the fault point
     STALL = "stall"        # deliver nothing past the fault point, stay open
@@ -79,18 +79,13 @@ class ChaosConfig:
     fault: FaultType
     #: injected delay per delivered chunk (LATENCY)
     latency: float = 0.02
-    #: clean bytes delivered before the fault fires (TRUNCATE/GARBAGE/RESET/STALL)
-    after_bytes: int = 0
-    #: bytes substituted by GARBAGE; None uses a deterministic RLPx-shaped
-    #: junk message (valid 2-byte size prefix, undecryptable body)
-    garbage: Optional[bytes] = None
     #: fault only the first N connections, then behave cleanly (0 = always);
     #: lets tests drive "fails twice, succeeds on the third retry"
     fail_first: int = 0
 
     def garbage_bytes(self) -> bytes:
-        if self.garbage is not None:
-            return self.garbage
+        """What GARBAGE substitutes: a deterministic RLPx-shaped junk
+        message (valid 2-byte size prefix, undecryptable body)."""
         body = bytes((index * 37 + 11) % 251 for index in range(194))
         return len(body).to_bytes(2, "big") + body
 
@@ -176,10 +171,10 @@ class ChaosProxy:
     async def _pump_faulted(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Forward upstream→client bytes through the configured fault."""
+        """Forward upstream→client bytes through the configured fault, which
+        fires on the first byte (nothing clean is delivered before it)."""
         config = self.config
         fault = config.fault
-        passed = 0
         stalled = False
         try:
             while True:
@@ -195,14 +190,6 @@ class ChaosProxy:
                     writer.write(data)
                     await writer.drain()
                     continue
-                clean_budget = config.after_bytes - passed
-                if clean_budget > 0:
-                    head = data[:clean_budget]
-                    writer.write(head)
-                    await writer.drain()
-                    passed += len(head)
-                    if passed < config.after_bytes:
-                        continue
                 self.faults_injected += 1
                 if fault is FaultType.TRUNCATE:
                     writer.close()  # clean FIN mid-message
@@ -234,16 +221,14 @@ class ChaosStreamReader:
     def __init__(self, inner: asyncio.StreamReader, config: ChaosConfig) -> None:
         self._inner = inner
         self.config = config
-        self._passed = 0
 
     async def _fault_gate(self, size: int) -> None:
-        """Apply the configured fault before delivering ``size`` bytes."""
+        """Apply the configured fault before delivering ``size`` bytes
+        (every read is past the fault point: it fires on the first)."""
         config = self.config
         fault = config.fault
         if fault is FaultType.LATENCY:
             await asyncio.sleep(config.latency)
-            return
-        if self._passed + size <= config.after_bytes:
             return
         if fault is FaultType.STALL:
             # never deliver: park until the connection handler is cancelled
@@ -257,8 +242,7 @@ class ChaosStreamReader:
     async def readexactly(self, size: int) -> bytes:
         await self._fault_gate(size)
         data = await self._inner.readexactly(size)
-        self._passed += len(data)
-        if self.config.fault is FaultType.GARBAGE and self._passed > self.config.after_bytes:
+        if self.config.fault is FaultType.GARBAGE:
             junk = self.config.garbage_bytes()
             return (junk * (size // len(junk) + 1))[:size]
         return data

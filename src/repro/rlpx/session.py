@@ -43,15 +43,11 @@ class RLPxSession:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         handshake: HandshakeResult,
-        read_timeout: float = FRAME_READ_TIMEOUT,
-        write_timeout: float = FRAME_WRITE_TIMEOUT,
     ) -> None:
         self._reader = reader
         self._writer = writer
         self.handshake = handshake
         self.codec = FrameCodec(handshake.secrets)
-        self.read_timeout = read_timeout
-        self.write_timeout = write_timeout
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -82,17 +78,17 @@ class RLPxSession:
         frame = self.codec.encode_frame(code, payload)
         self._writer.write(frame)
         self.bytes_sent += len(frame)
-        await asyncio.wait_for(self._writer.drain(), self.write_timeout)
+        await asyncio.wait_for(self._writer.drain(), FRAME_WRITE_TIMEOUT)
 
     async def read_message(self) -> tuple[int, bytes]:
         """Read one message → (code, payload). Raises on MAC/size errors."""
         header = await asyncio.wait_for(
-            self._reader.readexactly(HEADER_LEN + MAC_LEN), self.read_timeout
+            self._reader.readexactly(HEADER_LEN + MAC_LEN), FRAME_READ_TIMEOUT
         )
         body_size = self.codec.decode_header(header)
         body = await asyncio.wait_for(
             self._reader.readexactly(self.codec.padded_body_len(body_size)),
-            self.read_timeout,
+            FRAME_READ_TIMEOUT,
         )
         self.bytes_received += len(header) + len(body)
         return self.codec.decode_body(body, body_size)

@@ -8,8 +8,8 @@ retry machinery face a hostile population on the same deterministic
 world clock as everything else:
 
 * **Sybil swarm** — ``sybil_count`` attacker identities minted from a
-  single /24 (``subnet``), spread over a configurable set of ASes, all
-  always-online, always-reachable, masquerading as synced Mainnet Geth
+  single /24 (``SUBNET``) in one AS, all always-online,
+  always-reachable, masquerading as synced Mainnet Geth
   nodes that accept every connection (so a victim keeps them on its
   StaticNodes schedule and re-dials them forever);
 * **node-ID grinding** — a quota of Sybil IDs is ground (drawn until
@@ -36,7 +36,7 @@ from __future__ import annotations
 import ipaddress
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.crypto.keccak import keccak256
 from repro.discovery.distance import geth_log_distance
@@ -46,38 +46,38 @@ from repro.simnet.population import NodeSpec
 from repro.simnet.world import SimWorld
 
 
+#: the /24 the swarm (and its phantoms) is minted from
+SUBNET = "66.66.66.0/24"
+#: the AS the swarm claims (simnet.geo view)
+ASN = "AS-eclipse"
+#: victim buckets targeted by ID grinding (Geth log distances; a
+#: random ID lands at distance d with P = 2^(d-257), so bucket 248 is
+#: a 1-in-512 draw — the swarm over-represents the victim's near
+#: buckets ~4x against the 2^(d-257) natural density)
+GRIND_BUCKETS = (248, 249, 250, 251, 252)
+GRIND_PER_BUCKET = 2
+#: draw cap for the grinder (the quota needs ~2k draws)
+GRIND_ATTEMPT_LIMIT = 50_000
+#: phantoms mixed into each poisoned NEIGHBORS answer
+PHANTOMS_PER_ANSWER = 8
+#: fraction of honest neighbour tables seeded with attackers at launch
+INFILTRATE_FRACTION = 0.25
+INFILTRATE_PER_TABLE = 3
+#: the swarm never churns; keep it alive past any measurement window
+DEPARTURE_DAY = 10_000.0
+CLIENT_STRING = "Geth/v1.8.7-stable-0cd5e0db/linux-amd64/go1.10"
+
+
 @dataclass
 class AdversaryConfig:
     """One eclipse/Sybil campaign's knobs."""
 
     #: Sybil identities registered as live world nodes
     sybil_count: int = 48
-    #: the /24 the swarm (and its phantoms) is minted from
-    subnet: str = "66.66.66.0/24"
-    #: ASes the swarm claims, cycled over the identities (simnet.geo view)
-    asns: Tuple[str, ...] = ("AS-eclipse",)
-    #: victim buckets targeted by ID grinding (Geth log distances; a
-    #: random ID lands at distance d with P = 2^(d-257), so bucket 248 is
-    #: a 1-in-512 draw — the swarm over-represents the victim's near
-    #: buckets ~4x against the 2^(d-257) natural density)
-    grind_buckets: Tuple[int, ...] = (248, 249, 250, 251, 252)
-    grind_per_bucket: int = 2
-    #: draw cap for the grinder (the default quota needs ~2k draws)
-    grind_attempt_limit: int = 50_000
-    #: answer FIND_NODE with confederates only
-    false_friends: bool = True
     #: phantom identity pool backing the amplification padding
     phantom_pool: int = 192
-    #: phantoms mixed into each poisoned NEIGHBORS answer
-    phantoms_per_answer: int = 8
-    #: fraction of honest neighbour tables seeded with attackers at launch
-    infiltrate_fraction: float = 0.25
-    infiltrate_per_table: int = 3
     #: campaign RNG seed (independent of the world seed)
     seed: int = 666
-    #: the swarm never churns; keep it alive past any measurement window
-    departure_day: float = 10_000.0
-    client_string: str = "Geth/v1.8.7-stable-0cd5e0db/linux-amd64/go1.10"
 
 
 class _Phantom:
@@ -110,8 +110,7 @@ class AttackerNode(SimNode):
         self.status_reliability = 1.0
 
     def find_node(self, target_hash: bytes, count: int = 16) -> List:
-        if not self.campaign.config.false_friends:
-            return super().find_node(target_hash, count)
+        # a false friend: FIND_NODE is answered with confederates only
         return self.campaign.poisoned_answer(target_hash, count)
 
 
@@ -136,28 +135,15 @@ class AdversaryCampaign:
     # -- minting ------------------------------------------------------------
 
     def _subnet_ips(self) -> List[str]:
-        network = ipaddress.ip_network(self.config.subnet)
+        network = ipaddress.ip_network(SUBNET)
         return [str(host) for host in network.hosts()]
-
-    def _location(self, ip: str, index: int) -> Location:
-        asns = self.config.asns or ("AS-eclipse",)
-        return Location(
-            country="XX",
-            region="eu-west",
-            asn=asns[index % len(asns)],
-            is_cloud=True,
-            ip=ip,
-        )
 
     def _grind(self, victim_hash: bytes) -> List[bytes]:
         """Draw node IDs until the per-bucket quotas are filled."""
-        wanted = {
-            bucket: self.config.grind_per_bucket
-            for bucket in self.config.grind_buckets
-        }
+        wanted = {bucket: GRIND_PER_BUCKET for bucket in GRIND_BUCKETS}
         remaining = sum(wanted.values())
         ground: List[bytes] = []
-        for _ in range(self.config.grind_attempt_limit):
+        for _ in range(GRIND_ATTEMPT_LIMIT):
             if remaining == 0:
                 break
             candidate = self._rng.randbytes(64)
@@ -169,16 +155,18 @@ class AdversaryCampaign:
                 self.ground_ids.setdefault(bucket, []).append(candidate)
         return ground
 
-    def _attacker_spec(self, node_id: bytes, ip: str, index: int, world: SimWorld) -> NodeSpec:
+    def _attacker_spec(self, node_id: bytes, ip: str, world: SimWorld) -> NodeSpec:
         return NodeSpec(
             node_id=node_id,
-            location=self._location(ip, index),
+            location=Location(
+                country="XX", region="eu-west", asn=ASN, is_cloud=True, ip=ip
+            ),
             tcp_port=30303,
             udp_port=30303,
             service="eth",
             capabilities=[("eth", 62), ("eth", 63)],
             client_family="geth",
-            client_string=self.config.client_string,
+            client_string=CLIENT_STRING,
             version_behaviour=None,
             peer_limit=10_000,
             metric="geth",
@@ -188,7 +176,7 @@ class AdversaryCampaign:
             supports_dao=True,
             reachable=True,
             arrival_day=0.0,
-            departure_day=self.config.departure_day,
+            departure_day=DEPARTURE_DAY,
             uptime_fraction=1.0,
         )
 
@@ -215,24 +203,16 @@ class AdversaryCampaign:
         node_ids = node_ids[: config.sybil_count]
 
         for index, node_id in enumerate(node_ids):
-            spec = self._attacker_spec(
-                node_id, ips[index % len(ips)], index, world
-            )
+            spec = self._attacker_spec(node_id, ips[index % len(ips)], world)
             attacker = AttackerNode(spec, world.builder, self._rng, self)
             self.attackers.append(attacker)
             self.attacker_ids.add(node_id)
             world.nodes[node_id] = attacker
-        # confederate tables: even the non-poisoning fallback answers from
-        # the swarm, so every road through an attacker leads to attackers
-        for attacker in self.attackers:
-            attacker.neighbors = [
-                other for other in self.attackers if other is not attacker
-            ]
 
         for index in range(config.phantom_pool):
             node_id = self._rng.randbytes(64)
             spec = self._attacker_spec(
-                node_id, ips[(config.sybil_count + index) % len(ips)], index, world
+                node_id, ips[(config.sybil_count + index) % len(ips)], world
             )
             self.phantoms.append(_Phantom(spec))
             self.phantom_ids.add(node_id)
@@ -253,8 +233,8 @@ class AdversaryCampaign:
         ]
         if not honest or not self.attackers:
             return
-        count = int(len(honest) * self.config.infiltrate_fraction)
-        per_table = min(self.config.infiltrate_per_table, len(self.attackers))
+        count = int(len(honest) * INFILTRATE_FRACTION)
+        per_table = min(INFILTRATE_PER_TABLE, len(self.attackers))
         for node in self._rng.sample(honest, min(count, len(honest))):
             node.neighbors.extend(self._rng.sample(self.attackers, per_table))
             self.infiltrated_tables += 1
@@ -273,7 +253,7 @@ class AdversaryCampaign:
         confederates = sorted(
             self.attackers, key=lambda node: node.id_hash_int ^ target_int
         )
-        phantom_slots = min(self.config.phantoms_per_answer, count)
+        phantom_slots = min(PHANTOMS_PER_ANSWER, count)
         answer: List = confederates[: max(0, count - phantom_slots)]
         if self.phantoms:
             for _ in range(min(phantom_slots, count - len(answer))):

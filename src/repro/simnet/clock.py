@@ -106,14 +106,9 @@ class EventClock:
             raise SimulationError(f"cannot schedule {delay}s in the past")
         self._push((self.now + delay, next(self._sequence), callback, label))
 
-    def schedule_at(
-        self,
-        when: float,
-        callback: Callable[[], None],
-        label: Optional[str] = None,
-    ) -> None:
+    def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute time ``when``."""
-        self.schedule(when - self.now, callback, label)
+        self.schedule(when - self.now, callback)
 
     def schedule_every(
         self,
@@ -185,8 +180,8 @@ class EventClock:
         if deadline > self.now:
             self.now = deadline
 
-    def run_for(self, duration: float, max_events: int | None = None) -> None:
-        self.run_until(self.now + duration, max_events)
+    def run_for(self, duration: float) -> None:
+        self.run_until(self.now + duration)
 
 
 class ReferenceClock(EventClock):

@@ -128,12 +128,12 @@ class SimNode:
         chain: SyntheticChain,
         world_height: int,
         rtt: float,
-        crawler_wants_dao_check: bool = True,
     ) -> DialResult:
         """Simulate one connection from a NodeFinder-style scanner.
 
-        The scanner side never disconnects first and accepts everything;
-        outcomes are driven by this node's state (paper §4 design).
+        The scanner side never disconnects first, accepts everything and
+        asks every Mainnet-genesis peer the DAO question; outcomes are
+        driven by this node's state (paper §4 design).
         """
         spec = self.spec
         day = now / SECONDS_PER_DAY
@@ -227,7 +227,7 @@ class SimNode:
             )
         best = self.best_block(world_height)
         dao_side: Optional[str] = None
-        if crawler_wants_dao_check and spec.claims_mainnet_genesis:
+        if spec.claims_mainnet_genesis:
             dao_side = self.dao_answer(world_height)
         return DialResult(
             timestamp=now,

@@ -180,6 +180,21 @@ class AbusiveIPSpec:
     departure_day: float = MEASUREMENT_DAYS
 
 
+#: share of Mainnet nodes accepting inbound TCP (Table 2: 5,951/16,831)
+REACHABLE_FRACTION = 0.35
+#: share of Mainnet snapshot nodes that are stale (Figure 14)
+STALE_FRACTION = 0.327
+#: share stuck exactly at the first post-Byzantium block (141/15,454)
+STUCK_BYZANTIUM_FRACTION = 0.009
+#: long-lived "core" nodes present the whole window
+CORE_FRACTION = 0.45
+#: abusive factories (paper: 1,256 IPs; flagship at 149.129.129.190)
+ABUSIVE_IP_COUNT = 8
+ABUSIVE_SPAWN_INTERVAL_MINUTES = 25.0
+#: nodes running NodeFinder-like scanners to exclude (242 in paper)
+FOREIGN_SCANNER_COUNT = 4
+
+
 @dataclass
 class PopulationConfig:
     """Knobs for the generator; defaults are ~1/60 of the paper's scale."""
@@ -187,19 +202,6 @@ class PopulationConfig:
     total_nodes: int = 6000
     seed: int = 2018
     measurement_days: float = MEASUREMENT_DAYS
-    #: share of Mainnet nodes accepting inbound TCP (Table 2: 5,951/16,831)
-    reachable_fraction: float = 0.35
-    #: share of Mainnet snapshot nodes that are stale (Figure 14)
-    stale_fraction: float = 0.327
-    #: share stuck exactly at the first post-Byzantium block (141/15,454)
-    stuck_byzantium_fraction: float = 0.009
-    #: long-lived "core" nodes present the whole window
-    core_fraction: float = 0.45
-    #: abusive factories (paper: 1,256 IPs; flagship at 149.129.129.190)
-    abusive_ip_count: int = 8
-    abusive_spawn_interval_minutes: float = 25.0
-    #: nodes running NodeFinder-like scanners to exclude (242 in paper)
-    foreign_scanner_count: int = 4
 
 
 def _total_weight(table: list[tuple]) -> float:
@@ -248,9 +250,9 @@ class PopulationBuilder:
 
     def _lifecycle(self) -> dict:
         """Arrival/departure/uptime for one node."""
-        config, rng = self.config, self.rng
-        days = config.measurement_days
-        if rng.random() < config.core_fraction:
+        rng = self.rng
+        days = self.config.measurement_days
+        if rng.random() < CORE_FRACTION:
             arrival, departure = 0.0, days
         else:
             arrival = rng.uniform(0, days * 0.95)
@@ -337,10 +339,9 @@ class PopulationBuilder:
             )
         # freshness applies to the node's own chain view
         roll = rng.random()
-        config = self.config
-        if name == "mainnet" and roll < config.stuck_byzantium_fraction:
+        if name == "mainnet" and roll < STUCK_BYZANTIUM_FRACTION:
             fields.update(freshness="stuck-byzantium", lag_blocks=0)
-        elif roll < config.stuck_byzantium_fraction + config.stale_fraction:
+        elif roll < STUCK_BYZANTIUM_FRACTION + STALE_FRACTION:
             # log-uniform lag from ~30 blocks to ~3M blocks behind
             lag = int(10 ** rng.uniform(1.5, 6.5))
             fields.update(freshness="stale", lag_blocks=lag)
@@ -447,7 +448,7 @@ class PopulationBuilder:
             udp_port=udp_port,
             service=service,
             capabilities=capabilities,
-            reachable=rng.random() < self.config.reachable_fraction,
+            reachable=rng.random() < REACHABLE_FRACTION,
             **client,
             **self._lifecycle(),
         )
@@ -466,11 +467,11 @@ class PopulationBuilder:
         """
         factories = []
         days = self.config.measurement_days
-        for index in range(self.config.abusive_ip_count):
+        for index in range(ABUSIVE_IP_COUNT):
             location = self.geo.assign()
             if index == 0:
                 client = "ethereumjs-devp2p/v1.0.0/linux-x64/nodejs"
-                interval = self.config.abusive_spawn_interval_minutes
+                interval = ABUSIVE_SPAWN_INTERVAL_MINUTES
                 arrival, departure = 0.0, days
             else:
                 client = self.rng.choice(
@@ -507,7 +508,7 @@ def generate_population(
     """
     builder = PopulationBuilder(config)
     nodes = [builder.build_node() for _ in range(config.total_nodes)]
-    for index in range(config.foreign_scanner_count):
+    for index in range(FOREIGN_SCANNER_COUNT):
         scanner = builder.build_node()
         scanner.service = "eth"
         scanner.runs_nodefinder = True

@@ -48,6 +48,16 @@ from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 #: Blocks mined per second on the simulated Mainnet (15s interval).
 BLOCKS_PER_SECOND = 1.0 / 15.0
+#: neighbour-table size per node (discovery answers come from these)
+NEIGHBOR_COUNT = 30
+#: how often a slice of neighbour tables is refreshed, hours
+NEIGHBOR_REFRESH_HOURS = 6.0
+#: Mainnet head height at sim day 0 (2018-04-18)
+MAINNET_START_HEIGHT = MAINNET_HEIGHT_APRIL_2018 - 5 * 5760
+#: per-online-node rate of dialing each registered listener, per day
+INCOMING_RATE_PER_DAY = 2.5
+#: how many hardcoded bootnodes a crawler starts from
+BOOTSTRAP_COUNT = 6
 
 
 class Listener(Protocol):
@@ -65,14 +75,6 @@ class WorldConfig:
 
     population: PopulationConfig = field(default_factory=PopulationConfig)
     seed: int = 7
-    #: neighbour-table size per node (discovery answers come from these)
-    neighbor_count: int = 30
-    #: how often a slice of neighbour tables is refreshed, hours
-    neighbor_refresh_hours: float = 6.0
-    #: Mainnet head height at sim day 0 (2018-04-18)
-    mainnet_start_height: int = MAINNET_HEIGHT_APRIL_2018 - 5 * 5760
-    #: per-online-node rate of dialing each registered listener, per day
-    incoming_rate_per_day: float = 2.5
 
 
 class _OnlineIndex:
@@ -209,9 +211,7 @@ class SimWorld:
         }
         self.factories = [AbusiveFactory(spec, self.rng) for spec in abusive_specs]
         self._chains: dict[bytes, SyntheticChain] = {}
-        self.mainnet = SyntheticChain(
-            "mainnet", height=self.config.mainnet_start_height
-        )
+        self.mainnet = SyntheticChain("mainnet", height=MAINNET_START_HEIGHT)
         self._chains[self.mainnet.genesis_hash] = self.mainnet
         self.listeners: list[Listener] = []
         self._online_cache: tuple[float, list[SimNode]] = (-1.0, [])
@@ -321,7 +321,7 @@ class SimWorld:
             self._warm_advertised([self.mainnet])
 
         self.clock.schedule_every(SECONDS_PER_HOUR, grow_chain, label="world.grow_chain")
-        refresh_interval = self.config.neighbor_refresh_hours * SECONDS_PER_HOUR
+        refresh_interval = NEIGHBOR_REFRESH_HOURS * SECONDS_PER_HOUR
 
         def refresh_neighbors() -> None:
             self._assign_neighbors(initial=False)
@@ -340,7 +340,7 @@ class SimWorld:
         population = list(self.nodes.values())
         if not population:
             return
-        count = self.config.neighbor_count
+        count = NEIGHBOR_COUNT
         targets = (
             population
             if initial
@@ -364,7 +364,7 @@ class SimWorld:
     def node_address(self, node: SimNode) -> NodeAddress:
         return node.address
 
-    def bootstrap_addresses(self, count: int = 6) -> list[NodeAddress]:
+    def bootstrap_addresses(self) -> list[NodeAddress]:
         """Stable, reachable, long-lived nodes — the hardcoded bootnodes."""
         candidates = [
             node
@@ -375,7 +375,7 @@ class SimWorld:
             and node.spec.service == "eth"
         ]
         candidates.sort(key=lambda node: node.id_hash)
-        return [self.node_address(node) for node in candidates[:count]]
+        return [self.node_address(node) for node in candidates[:BOOTSTRAP_COUNT]]
 
     # -- crawler plumbing ----------------------------------------------------------
 
@@ -509,7 +509,7 @@ class SimWorld:
         def deliver() -> None:
             online = self.online_nodes()
             if online:
-                rate = len(online) * self.config.incoming_rate_per_day / 144.0
+                rate = len(online) * INCOMING_RATE_PER_DAY / 144.0
                 count = self._poisson(rate)
                 batch = self._sample(online, count)
                 # one batched pass over the world RNG: same draws in the
@@ -568,7 +568,7 @@ class SimWorld:
         population = list(self.nodes.values())
         if population:
             node.neighbors = self.rng.sample(
-                population, min(self.config.neighbor_count, len(population))
+                population, min(NEIGHBOR_COUNT, len(population))
             )
             # a crawler pings the whole network within hours, so it lands
             # in a big slice of everyone's k-buckets almost immediately
@@ -602,26 +602,23 @@ class SimWorld:
             interval, deliver_abusive, label="world.deliver_abusive"
         )
 
-    def enable_gc_hygiene(
-        self, interval: float = SECONDS_PER_HOUR, freeze: bool = True
-    ) -> None:
+    def enable_gc_hygiene(self) -> None:
         """Take cyclic-GC pauses out of the crawl's measured path.
 
         A 100k-node world pins tens of millions of long-lived objects;
         the ambient generational collector rescans them on its own
         thresholds, stalling mid-tick.  Freeze the fully-built world into
         the permanent generation and run explicit collections on the sim
-        clock instead (the bitcoin-simulator ``improve_performance``
+        clock instead, hourly (the bitcoin-simulator ``improve_performance``
         pattern).  GC timing has no effect on Python semantics, so this
         is observably free: the extra clock events never reorder
         neighbouring events (they get fresh sequence numbers) and draw no
         RNG.
         """
-        if freeze:
-            gc.collect()
-            gc.freeze()
+        gc.collect()
+        gc.freeze()
         self.clock.schedule_every(
-            interval, lambda: gc.collect(), label="world.gc_hygiene"
+            SECONDS_PER_HOUR, lambda: gc.collect(), label="world.gc_hygiene"
         )
 
     def _poisson(self, rate: float) -> int:

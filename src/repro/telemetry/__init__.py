@@ -11,13 +11,11 @@ and zero ambient state:
   the structured JSONL measurement journal (versioned schema, exact
   round-trip; the reader is a generator, ``read_events`` its list);
 * :class:`Telemetry` — the facade instrumented code receives, bundling
-  journal + the one injected clock + profiler + flight recorder
+  journal + the one injected clock + profiler
   (``NULL_TELEMETRY`` is the shared do-nothing default);
 * :class:`Profiler` / :func:`render_profile` — hot-path self-time
   attribution via scoped timers (:class:`TickClock` for deterministic,
   byte-stable tables; ``NULL_PROFILER`` is the free default);
-* :class:`FlightRecorder` — per-shard ring buffers of recent events and
-  open spans, crash-dumped to ``flightrecord.json``;
 * :func:`render_top` — the one-page health view folded from a crawl's
   journals: per-file rows, dial funnel, stage latencies, breakers,
   supervisor and discovery health, plan history.
@@ -26,7 +24,6 @@ Everything here reads time only through the injected clock; the
 OBS-CLOCK reprolint family fails the build on a direct wall-clock call.
 """
 
-from repro.telemetry.flightrecorder import FlightRecorder, read_flightrecord
 from repro.telemetry.health import render_top
 from repro.telemetry.hub import NULL_TELEMETRY, Telemetry
 from repro.telemetry.journal import (
@@ -49,7 +46,6 @@ from repro.telemetry.spans import Span
 __all__ = [
     "Event",
     "EventJournal",
-    "FlightRecorder",
     "JournalError",
     "NULL_PROFILER",
     "NULL_TELEMETRY",
@@ -61,7 +57,6 @@ __all__ = [
     "TickClock",
     "iter_events",
     "read_events",
-    "read_flightrecord",
     "render_profile",
     "render_top",
 ]

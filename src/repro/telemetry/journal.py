@@ -262,37 +262,6 @@ def _unknown_version(lineno: int, version: Any) -> JournalError:
     )
 
 
-def _upgrade_v1(record: Dict[str, Any]) -> Dict[str, Any]:
-    """v1 → v2: the new keys (``dial.started``/``tcp_port``,
-    ``status.best_block``/``head_height``) are optional, so a v1 record
-    is a valid v2 record without them; replay falls back to the record's
-    ``ts`` / field defaults."""
-    return record
-
-
-def _upgrade_v2(record: Dict[str, Any]) -> Dict[str, Any]:
-    """v2 → v3: purely additive — the new event types (``crawler``,
-    ``table_admission``) and the ``breaker.scope``/``subnet`` fields are
-    optional; a ``breaker`` record without ``scope`` is peer-scope."""
-    return record
-
-
-def _upgrade_v3(record: Dict[str, Any]) -> Dict[str, Any]:
-    """v3 → v4: purely additive — a v3 journal has no ``reshard``
-    records; nothing to rewrite."""
-    return record
-
-
-#: migration shim: maps an old schema version to the one-step upgrade
-#: toward ``version + 1``; chained until :data:`SCHEMA_VERSION` so old
-#: journals keep replaying
-MIGRATIONS: Dict[int, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-    1: _upgrade_v1,
-    2: _upgrade_v2,
-    3: _upgrade_v3,
-}
-
-
 @dataclass(slots=True)
 class Event:
     """One journal record."""
@@ -348,14 +317,11 @@ class Event:
         if not isinstance(record, dict):
             raise JournalError(_at(lineno, "record is not an object"), torn=True)
         version = record.pop("v", None)
-        if type(version) is not int:  # bool is not a version either
+        # every schema step so far only added optional fields and record
+        # types, so an older record reads as a current one unchanged
+        # (bool is not a version either)
+        if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
             raise _unknown_version(lineno, version)
-        if version != SCHEMA_VERSION:
-            while version in MIGRATIONS:
-                record = MIGRATIONS[version](record)
-                version += 1
-            if version != SCHEMA_VERSION:
-                raise _unknown_version(lineno, version)
         try:
             event_type = record.pop("type")
             ts = record.pop("ts")

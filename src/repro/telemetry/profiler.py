@@ -201,9 +201,7 @@ def _ms(seconds: float) -> str:
     return f"{seconds * 1000:.3f}ms"
 
 
-def render_profile(
-    profiler: Profiler, title: str = "Hot-path profile"
-) -> str:
+def render_profile(profiler: Profiler) -> str:
     """The per-subsystem attribution table, byte-stable for equal stats.
 
     Rows are sorted by self time (descending) with lexicographic name
@@ -226,7 +224,9 @@ def render_profile(
         for stat in stats
     ]
     table = format_table(
-        title, ["subsystem", "calls", "self", "total", "max", "share"], rows
+        "Hot-path profile",
+        ["subsystem", "calls", "self", "total", "max", "share"],
+        rows,
     )
     footer = (
         f"{profiler.entries} scope entries; "

@@ -48,10 +48,6 @@ class Span:
             self.outcome = outcome
         return self.duration
 
-    @property
-    def finished(self) -> bool:
-        return self.duration is not None
-
     def stage_durations(self) -> Dict[str, float]:
         """Child name → duration for every finished child, in start order."""
         return {

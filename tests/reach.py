@@ -134,7 +134,7 @@ def _lint() -> None:
 def _paper_suite() -> None:
     import pytest
 
-    status = pytest.main(["-q", "-p", "no:cacheprovider", "--benchmark-disable",
+    status = pytest.main(["-q", "-p", "no:cacheprovider",
                           str(ROOT / "benchmarks"),
                           f"--ignore={ROOT / 'benchmarks' / 'perf'}"])
     if status != 0:

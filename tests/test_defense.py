@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.analysis.eclipse import detect_eclipse
 from repro.analysis.ingest import ReplayedCrawl, replay
 from repro.analysis.report import render_eclipse
@@ -21,7 +23,7 @@ from repro.discovery.admission import (
 from repro.discovery.enode import ENode
 from repro.discovery.routing import RoutingTable
 from repro.resilience.breaker import BreakerState, PeerScoreboard
-from repro.telemetry.journal import MIGRATIONS, SCHEMA_VERSION, Event
+from repro.telemetry.journal import SCHEMA_VERSION, Event, JournalError
 
 
 def _enode(node_id: bytes, ip: str) -> ENode:
@@ -160,10 +162,17 @@ class TestSubnetBreakerDimension:
 
 class TestSchemaV3:
     def test_migration_chain_reaches_current_version(self):
-        version = 1
-        while version in MIGRATIONS:
-            version += 1
-        assert version == SCHEMA_VERSION == 4  # v4: the reshard record of older crawls
+        # v4: the reshard record of older crawls; every older version
+        # reads unchanged, and no other version reads at all
+        assert SCHEMA_VERSION == 4
+        line = '{"v": %d, "type": "bond", "ts": 1.0, "ok": true}'
+        for version in range(1, SCHEMA_VERSION + 1):
+            assert Event.from_json(line % version) == Event(
+                "bond", 1.0, {"ok": True}, SCHEMA_VERSION
+            )
+        for version in (0, -1, SCHEMA_VERSION + 1):
+            with pytest.raises(JournalError, match="speaks 1..4"):
+                Event.from_json(line % version)
 
     def test_v1_and_v2_lines_still_parse(self):
         for version in (1, 2):

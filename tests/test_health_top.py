@@ -1,7 +1,6 @@
 """`nodefinder top`: the one health page, folded from a crawl's journals."""
 
 import hashlib
-import io
 import os
 from pathlib import Path
 
@@ -10,7 +9,7 @@ from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
-from repro.telemetry import Event, EventJournal, Telemetry, iter_events, render_top
+from repro.telemetry import Event, EventJournal, iter_events, render_top
 from repro.telemetry.health import natural_key
 from tests.test_journal_bytes import PINNED
 
@@ -63,19 +62,6 @@ def check_golden(name, rendered):
     if os.environ.get("UPDATE_GOLDENS"):
         path.write_text(rendered + "\n", encoding="utf-8")
     assert rendered + "\n" == path.read_text(encoding="utf-8")
-
-
-class TestShardFacade:
-    def test_a_shard_facade_differs_in_the_label_only(self):
-        # a sim crawler always builds one facade per shard, journals or
-        # not: the shard id is its flight-recorder ring; "" is a harvest
-        # with no shard
-        crawl = Telemetry(journal=EventJournal(io.StringIO()))
-        facade = crawl.for_shard("2")
-        assert facade is not crawl and facade.shard == "2" and crawl.shard == ""
-        assert (facade.journal, facade.clock, facade.profiler, facade.recorder) == (
-            crawl.journal, crawl.clock, crawl.profiler, crawl.recorder
-        )
 
 
 class TestRenderTop:

@@ -8,6 +8,7 @@ import pytest
 from repro.chain.genesis import MAINNET_GENESIS_HASH
 from repro.simnet.geo import GeoModel
 from repro.simnet.population import (
+    FOREIGN_SCANNER_COUNT,
     NodeSpec,
     PopulationConfig,
     generate_population,
@@ -240,6 +241,6 @@ class TestAbusiveFactories:
     def test_scanner_nodes_flagged(self, population):
         nodes, _, _ = population
         scanners = [n for n in nodes if n.runs_nodefinder]
-        assert len(scanners) == PopulationConfig().foreign_scanner_count
+        assert len(scanners) == FOREIGN_SCANNER_COUNT
         for scanner in scanners:
             assert "nodefinder" in scanner.client_string

@@ -738,7 +738,6 @@ class TestTelemetryFacade:
         NULL_TELEMETRY.record_dial(full_result())
         NULL_TELEMETRY.record_retry(None, 1, 0.1)
         assert NULL_TELEMETRY.journal is None
-        assert NULL_TELEMETRY.recorder is None
 
 
 # -- the health page ---------------------------------------------------------
