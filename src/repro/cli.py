@@ -279,10 +279,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # the default virtual clock makes "duration" count instrumented
     # operations — exactly reproducible per seed; --wall swaps in real
     # time (by reference) for machine-local hot-path hunting
-    profiler = Profiler(
-        clock=time.perf_counter if args.wall else TickClock(),
-        sample_every=args.sample_every,
-    )
+    profiler = Profiler(clock=time.perf_counter if args.wall else TickClock())
     world = SimWorld(
         WorldConfig(
             population=PopulationConfig(
@@ -461,9 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--wall", action="store_true",
                          help="time with the real wall clock instead of the "
                               "deterministic virtual clock")
-    profile.add_argument("--sample-every", type=int, default=1,
-                         help="time 1 in N scope entries (all entries are "
-                              "still counted)")
     profile.set_defaults(func=_cmd_profile)
 
     top = commands.add_parser(

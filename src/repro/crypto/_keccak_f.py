@@ -1,7 +1,7 @@
 """Keccak-f[1600] permutation on periodic lanes, generated a block at a time.
 
-The readable round-loop implementation lives in :mod:`repro.crypto.keccak`
-(``keccak_f1600_reference``); this module generates the permutation
+The readable round-loop implementation, the tests' oracle, lives in
+``tests/support/keccak.py``; this module generates the permutation
 function at import time, with the lanes held in locals and all five steps
 inlined per round.  The source unrolls one block of ``ROUNDS_PER_REFRESH``
 rounds, looped over the first seven blocks' round constants, and a peeled

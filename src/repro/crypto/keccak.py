@@ -3,13 +3,13 @@
 Ethereum uses the original Keccak submission with multi-rate padding byte
 ``0x01``, *not* FIPS-202 SHA3-256 (padding ``0x06``) — the two differ on
 every input, which is why ``hashlib.sha3_256`` cannot be used.  This module
-holds the reference Keccak-f[1600] permutation (the oracle of the generated
-one in :mod:`repro.crypto._keccak_f`), a streaming sponge, and one-shot
-hashing of one message, two messages in lockstep, or a batch.
+holds a streaming Keccak-256 and one-shot hashing of one message, two
+messages in lockstep, or a batch, over the permutation generated in
+:mod:`repro.crypto._keccak_f`.
 
 RLPx depends on Keccak-256 in four places: the discovery distance metric
 (hash of the 512-bit node ID), discv4 packet hashes, the RLPx frame MAC
-(a raw Keccak sponge used as a running MAC), and block/genesis hashes.
+(a Keccak-256 sponge used as a running MAC), and block/genesis hashes.
 """
 
 from __future__ import annotations
@@ -17,154 +17,9 @@ from __future__ import annotations
 import struct
 from typing import Callable, Iterable
 
+from repro.crypto._keccak_f import PAIR, PAIR_SHIFT, keccak_f1600, keccak_f1600_batch
+
 _MASK = (1 << 64) - 1
-
-_ROUND_CONSTANTS = (
-    0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
-    0x8000000080008000, 0x000000000000808B, 0x0000000080000001,
-    0x8000000080008081, 0x8000000000008009, 0x000000000000008A,
-    0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
-    0x000000008000808B, 0x800000000000008B, 0x8000000000008089,
-    0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
-    0x000000000000800A, 0x800000008000000A, 0x8000000080008081,
-    0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-)
-
-# Rotation offsets for the rho step, indexed x + 5*y.
-_ROTATIONS = (
-    0, 1, 62, 28, 27,
-    36, 44, 6, 55, 20,
-    3, 10, 43, 25, 39,
-    41, 45, 15, 21, 8,
-    18, 2, 61, 56, 14,
-)
-
-# pi step destination: lane (x, y) moves to (y, 2x + 3y).  Precompute the
-# source index for each destination index.
-_PI_SOURCES = tuple(
-    (x + 3 * y) % 5 + 5 * x for y in range(5) for x in range(5)
-)
-
-
-def _rol(value: int, shift: int) -> int:
-    if shift == 0:
-        return value
-    return ((value << shift) | (value >> (64 - shift))) & _MASK
-
-
-def keccak_f1600_reference(state: list[int]) -> list[int]:
-    """Apply the 24-round Keccak-f[1600] permutation to 25 64-bit lanes.
-
-    Readable spec-shaped implementation, kept as the oracle; production code
-    routes through :func:`keccak_f1600`, generated in
-    :mod:`repro.crypto._keccak_f`, which also permutes two states at once.
-    """
-    a = state
-    for rc in _ROUND_CONSTANTS:
-        # theta
-        c = [
-            a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20]
-            for x in range(5)
-        ]
-        d = [c[(x - 1) % 5] ^ _rol(c[(x + 1) % 5], 1) for x in range(5)]
-        a = [a[i] ^ d[i % 5] for i in range(25)]
-        # rho and pi combined
-        b = [0] * 25
-        for i in range(25):
-            src = _PI_SOURCES[i]
-            b[i] = _rol(a[src], _ROTATIONS[src])
-        # chi
-        a = [
-            b[i] ^ ((~b[(i % 5 + 1) % 5 + 5 * (i // 5)]) & _MASK
-                    & b[(i % 5 + 2) % 5 + 5 * (i // 5)])
-            for i in range(25)
-        ]
-        # iota
-        a[0] ^= rc
-    return a
-
-
-from repro.crypto._keccak_f import PAIR, PAIR_SHIFT  # noqa: E402
-from repro.crypto._keccak_f import keccak_f1600, keccak_f1600_batch  # noqa: E402
-
-
-class KeccakSponge:
-    """Streaming Keccak sponge with configurable rate and padding.
-
-    The RLPx frame MAC (:mod:`repro.rlpx.frame`) uses this directly as a
-    never-finalised running hash, updating and snapshotting digests.
-
-    :meth:`digest` is memoised until the next non-empty :meth:`update`: the
-    frame MAC digests most states twice (the MAC update re-digests the state
-    the body MAC seed was just taken from, and each header re-digests the
-    previous frame's final state), and a digest is a permutation or more.
-    """
-
-    def __init__(self, rate_bytes: int, output_bytes: int, pad_byte: int = 0x01):
-        if rate_bytes % 8 != 0 or not 0 < rate_bytes < 200:
-            raise ValueError(f"invalid sponge rate: {rate_bytes}")
-        self.rate = rate_bytes
-        self.output_bytes = output_bytes
-        self.pad_byte = pad_byte
-        self._lane_fmt = f"<{rate_bytes // 8}Q"
-        self._state = [0] * 25
-        self._buffer = b""
-        self._digest: bytes | None = None
-
-    def update(self, data: bytes) -> "KeccakSponge":
-        if not data:
-            return self
-        self._digest = None
-        self._buffer += bytes(data)
-        while len(self._buffer) >= self.rate:
-            block, self._buffer = self._buffer[: self.rate], self._buffer[self.rate :]
-            self._absorb(block)
-        return self
-
-    def _absorb(self, block: bytes) -> None:
-        state = self._state
-        for i, lane in enumerate(struct.unpack(self._lane_fmt, block)):
-            state[i] ^= lane
-        self._state = keccak_f1600(state)
-
-    def digest(self) -> bytes:
-        """Return the digest of everything absorbed so far (non-destructive)."""
-        if self._digest is None:
-            self._digest = self._compute_digest()
-        return self._digest
-
-    def _compute_digest(self) -> bytes:
-        pad_len = self.rate - len(self._buffer) % self.rate
-        if pad_len == 1:
-            padding = bytes([self.pad_byte ^ 0x80])
-        else:
-            padding = bytes([self.pad_byte]) + b"\x00" * (pad_len - 2) + b"\x80"
-        pending = self._buffer + padding
-        state = list(self._state)
-        lane_fmt = self._lane_fmt
-        lanes_per_block = self.rate // 8
-        for offset in range(0, len(pending), self.rate):
-            for i, lane in enumerate(
-                struct.unpack_from(lane_fmt, pending, offset)
-            ):
-                state[i] ^= lane
-            state = keccak_f1600(state)
-        out = bytearray()
-        while len(out) < self.output_bytes:
-            out += struct.pack(lane_fmt, *state[:lanes_per_block])
-            if len(out) < self.output_bytes:
-                state = keccak_f1600(state)
-        return bytes(out[: self.output_bytes])
-
-
-class Keccak256(KeccakSponge):
-    """Keccak-256: rate 136 bytes, 32-byte output, padding ``0x01``."""
-
-    def __init__(self, data: bytes = b"") -> None:
-        super().__init__(rate_bytes=136, output_bytes=32, pad_byte=0x01)
-        if data:
-            self.update(data)
-
 
 # Padding suffix for every single-block input length (rate 136, pad 0x01):
 # append 0x01, zero-fill to the rate, XOR 0x80 into the final byte.  At
@@ -188,6 +43,48 @@ def _absorb(state: list[int], padded: bytes, start: int) -> list[int]:
 
 def _digest(state: list[int]) -> bytes:
     return struct.pack("<4Q", state[0], state[1], state[2], state[3])
+
+
+class Keccak256:
+    """Streaming Keccak-256.
+
+    The RLPx frame MAC (:mod:`repro.rlpx.frame`) uses this as a
+    never-finalised running hash, updating and snapshotting digests.
+
+    :meth:`digest` is memoised until the next non-empty :meth:`update`: the
+    frame MAC digests most states twice (the MAC update re-digests the state
+    the body MAC seed was just taken from, and each header re-digests the
+    previous frame's final state), and a digest is a permutation.
+    """
+
+    def __init__(self, data: bytes = b"") -> None:
+        self._state = _ZERO_STATE
+        self._buffer = b""
+        self._digest: bytes | None = None
+        if data:
+            self.update(data)
+
+    def update(self, data: bytes) -> "Keccak256":
+        if not data:
+            return self
+        self._digest = None
+        buffer = self._buffer + bytes(data)
+        full = len(buffer) - len(buffer) % 136
+        if full:
+            self._state = _absorb(self._state, buffer[:full], 0)
+            buffer = buffer[full:]
+        self._buffer = buffer
+        return self
+
+    def digest(self) -> bytes:
+        """Return the digest of everything absorbed so far (non-destructive)."""
+        if self._digest is None:
+            state = self._state
+            words = _RATE_LANES(self._buffer + _PAD_136[len(self._buffer)])
+            self._digest = _digest(
+                keccak_f1600([lane ^ word for lane, word in zip(state, words)] + state[17:])
+            )
+        return self._digest
 
 
 def keccak256(data: bytes) -> bytes:

@@ -72,8 +72,8 @@ class PublicKey:
         self._table: secp256k1.PointTable | None = None
 
     def _point_table(self) -> secp256k1.PointTable:
-        """This key's odd-multiple tables, built on the first verify or
-        hinted recovery that needs them and kept with the key."""
+        """This key's odd-multiple tables, built on the first hinted
+        recovery that needs them and kept with the key."""
         if self._table is None:
             self._table = secp256k1.point_table(self._point)
         return self._table
@@ -94,11 +94,6 @@ class PublicKey:
     def to_sec1_bytes(self) -> bytes:
         """65-byte uncompressed SEC 1 encoding (0x04 prefix), as ECIES uses."""
         return secp256k1.encode_point(self._point, compressed=False)
-
-    def verify(self, digest: bytes, signature: Signature) -> bool:
-        return secp256k1.verify_digest(
-            digest, signature._raw, self._point, self._point_table()
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PublicKey):

@@ -11,7 +11,7 @@ deterministic nonce construction of RFC 6979 (HMAC-SHA256), as Geth does.
 Scalar multiplication is table-driven: a fixed-base comb for ``k*G``; for
 ``k*P`` the GLV endomorphism splits ``k`` into two half-length scalars walked
 as one joint width-5 wNAF (about 130 doublings instead of 256), so ``P``
-must be on the curve; and for the ``a*G + b*Q`` of verify and recover, one
+must be on the curve; and for the ``a*G + b*Q`` of recovery, one
 joint wNAF chain over the GLV halves of both scalars -- width 7 over ``G``'s
 fixed odd multiples, width 5 over ``Q``'s (:func:`point_table`, which a
 caller holding the same key for many calls keeps, as
@@ -26,8 +26,8 @@ tests validate it against published vectors, a naive double-and-add oracle
 and the ``cryptography`` package.  The comb table for ``G`` (64 windows x 15
 affine points, about 0.2 MB) is built on first use, not at import; that
 costs roughly 17 ms once per process, paid by the first sign or key
-derivation, and ``G``'s 32 odd multiples likewise by the first verify or
-recover.
+derivation, and ``G``'s 32 odd multiples likewise by the first
+recovery.
 """
 
 from __future__ import annotations
@@ -173,9 +173,9 @@ def _j_add_affine(p: _Jacobian, q: _Affine) -> _Jacobian:
 # ``k*P`` for a point only known at call time splits ``k = k1 + k2*LAMBDA``
 # and recodes both halves in width-5 wNAF over the eight affine odd
 # multiples P, 3P, ..., 15P and their images under phi.  ``a*G + b*Q`` --
-# what verify and recover need -- splits both scalars and walks all four
-# halves in one doubling chain: ``a``'s in width 7 over G's 32 fixed odd
-# multiples, ``b``'s in width 5 over Q's.
+# what recovery and its hinted signer check need -- splits both scalars
+# and walks all four halves in one doubling chain: ``a``'s in width 7 over
+# G's 32 fixed odd multiples, ``b``'s in width 5 over Q's.
 
 
 def _batch_to_affine(points: list[_Jacobian]) -> list[_Affine]:
@@ -318,7 +318,7 @@ def _digit_tables(point: _Jacobian, count: int) -> PointTable:
 
 def point_table(point: AffinePoint) -> PointTable:
     """The width-5 tables of a finite point ``Q`` on the curve: what
-    :func:`verify_digest` and :func:`recover_digest` take to skip
+    :func:`recover_digest` takes to skip
     rebuilding them when one key checks many signatures."""
     return _digit_tables(_to_jacobian(point), 8)
 
@@ -326,7 +326,7 @@ def point_table(point: AffinePoint) -> PointTable:
 @functools.cache
 def _generator_digit_tables() -> PointTable:
     """``G``'s width-7 tables (32 odd multiples and their images), built
-    on the first verify or recover, never at import."""
+    on the first recovery, never at import."""
     return _digit_tables(_to_jacobian(GENERATOR), 32)
 
 
@@ -378,11 +378,6 @@ def _j_double_multiply(a: int, b: int, table: PointTable) -> _Jacobian:
     )
 
 
-def point_add(p: AffinePoint, q: AffinePoint) -> AffinePoint:
-    """Affine point addition."""
-    return _from_jacobian(_j_add(_to_jacobian(p), _to_jacobian(q)))
-
-
 def point_multiply(point: AffinePoint, scalar: int) -> AffinePoint:
     """Affine scalar multiplication ``scalar * point``.
 
@@ -392,12 +387,6 @@ def point_multiply(point: AffinePoint, scalar: int) -> AffinePoint:
     if not is_on_curve(point):
         raise InvalidPublicKey("cannot multiply a point off the curve")
     return _from_jacobian(_j_multiply(point, scalar))
-
-
-def point_negate(point: AffinePoint) -> AffinePoint:
-    if point.is_infinity:
-        return point
-    return AffinePoint(point.x, (-point.y) % P)
 
 
 def generator_multiply(scalar: int) -> AffinePoint:
@@ -524,31 +513,6 @@ def sign_digest(digest: bytes, private_key: int) -> RawSignature:
             s = N - s
             v ^= 1
         return RawSignature(r, s, v)
-
-
-def verify_digest(
-    digest: bytes,
-    signature: RawSignature,
-    public_key: AffinePoint,
-    table: PointTable | None = None,
-) -> bool:
-    """Verify ``signature`` over a 32-byte ``digest`` against ``public_key``
-    (``table``: its :func:`point_table`, if the caller keeps one)."""
-    if len(digest) != 32:
-        return False
-    r, s = signature.r, signature.s
-    if not (1 <= r < N and 1 <= s < N):
-        return False
-    if public_key.is_infinity or not is_on_curve(public_key):
-        return False
-    if table is None:
-        table = point_table(public_key)
-    z = int.from_bytes(digest, "big")
-    w = pow(s, -1, N)
-    point = _from_jacobian(_j_double_multiply(z * w % N, r * w % N, table))
-    if point.is_infinity:
-        return False
-    return point.x % N == r
 
 
 def recover_digest(

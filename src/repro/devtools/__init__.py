@@ -2,7 +2,7 @@
 
 The reproduction's credibility rests on invariants no general-purpose
 linter knows about: the simulated world must be deterministic under a
-seeded RNG and a :class:`~repro.simnet.clock.SimClock`, the live crawler
+seeded RNG and a :class:`~repro.simnet.clock.WheelClock`, the live crawler
 must never block its event loop or swallow task cancellation, and the
 wire-format layers must never mix ``str`` and ``bytes``.  ``reprolint``
 encodes those invariants as AST checks so they are enforced by tier-1

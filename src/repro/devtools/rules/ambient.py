@@ -1,7 +1,7 @@
 """SIM-DET / OBS-CLOCK / INGEST-PURE / SHARD-SAFE: no call into ambient state.
 
 Four packages promise that what they produce is a function of what was
-injected into them: the simulated world of its seed and ``SimClock``,
+injected into them: the simulated world of its seed and ``WheelClock``,
 telemetry of its one injected clock, analysis of the crawl artifact, the
 crawler of its per-shard rng and crawl clock.  That is one invariant —
 *no call* that resolves to the global RNG, a wall clock, the calendar,
@@ -72,7 +72,7 @@ AMBIENT_RULES = (
         "SIM-DET",
         ("simnet", "chain"),
         ("global-RNG", "wall-clock", "calendar", "OS-entropy", "heap-scheduling"),
-        "thread a seeded random.Random and schedule through the SimClock, so "
+        "thread a seeded random.Random and schedule through the WheelClock, so "
         "runs reproduce and the scheduler-equivalence harness sees every "
         "event (only repro/simnet/clock.py owns a heap)",
     ),

@@ -47,7 +47,6 @@ from repro.discovery.packets import (
 from repro.discovery.lookup import Lookup
 from repro.discovery.routing import K_NEIGHBORS, RoutingTable
 from repro.errors import BadPacket, DiscoveryError
-from repro.resilience.chaos import ChaosDatagramTransport, DatagramChaosConfig
 from repro.resilience.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -119,7 +118,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
         reply_timeout: float = REPLY_TIMEOUT,
         retry_policy: Optional[RetryPolicy] = None,
         telemetry: Telemetry = NULL_TELEMETRY,
-        chaos: Optional[DatagramChaosConfig] = None,
     ) -> None:
         self.private_key = private_key
         self.node_id = private_key.public_key.to_bytes()
@@ -136,8 +134,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
         #: a whole bond (UDP gives no delivery guarantee); None = one shot
         self.retry_policy = retry_policy
         self.telemetry = telemetry
-        #: outbound-datagram fault injection (tests); None = clean socket
-        self.chaos = chaos
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._bonds: dict[bytes, float] = {}
         #: (address, PING hash) -> waiters for its PONG
@@ -172,12 +168,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
             lambda: self, local_addr=(self.host, self.port)
         )
         self.port = transport.get_extra_info("sockname")[1]
-        if self.chaos is not None:
-            transport = ChaosDatagramTransport(
-                transport,
-                self.chaos,
-                on_fault=self.telemetry.record_datagram_fault,
-            )
         self._transport = transport
         return self
 

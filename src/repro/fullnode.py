@@ -32,7 +32,6 @@ from repro.discovery.enode import ENode
 from repro.discovery.protocol import DiscoveryService
 from repro.errors import HandshakeError, PeerDisconnected, ProtocolError, ReproError
 from repro.ethproto import messages as eth
-from repro.resilience.chaos import ChaosConfig, ChaosStreamReader
 from repro.rlpx.session import accept_session
 
 logger = logging.getLogger(__name__)
@@ -60,16 +59,11 @@ class FullNode:
         chain: HeaderChain | None = None,
         config: FullNodeConfig | None = None,
         host: str = "127.0.0.1",
-        chaos: ChaosConfig | None = None,
     ) -> None:
         self.private_key = private_key or PrivateKey.generate()
         self.chain = chain if chain is not None else HeaderChain(mainnet_genesis())
         self.config = config or FullNodeConfig()
         self.host = host
-        #: fault injection on the node's *inbound* read path — a simnet or
-        #: test network can make this node misbehave (stall, reset, send
-        #: garbage) toward whoever dials it
-        self.chaos = chaos
         self.discovery: Optional[DiscoveryService] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self.tcp_port = 0
@@ -157,8 +151,6 @@ class FullNode:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.stats["inbound_connections"] += 1
-        if self.chaos is not None:
-            reader = ChaosStreamReader(reader, self.chaos)  # type: ignore[assignment]
         try:
             session = await accept_session(reader, writer, self.private_key)
         except HandshakeError:

@@ -275,10 +275,3 @@ class AdversaryCampaign:
             return 0.0
         hostile = sum(1 for node in entries if self.is_attacker(node.node_id))
         return hostile / len(entries)
-
-    def observed_share(self, node_ids) -> float:
-        """Attacker fraction of an arbitrary observed-node-ID collection."""
-        ids = list(node_ids)
-        if not ids:
-            return 0.0
-        return sum(1 for node_id in ids if self.is_attacker(node_id)) / len(ids)

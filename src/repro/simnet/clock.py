@@ -4,24 +4,19 @@ A single ordered event queue drives the whole world: NodeFinder instances,
 chain growth, churn ticks, and release-calendar events all schedule
 callbacks here.  Time is float seconds since the simulation epoch.
 
-Two interchangeable scheduler implementations share one contract
-(:class:`EventClock`):
+:class:`WheelClock` is the scheduler: a hierarchical calendar wheel (a
+near wheel of per-tick buckets plus an overflow heap for events beyond
+the wheel horizon).  Pushes into the near wheel are O(1) appends; the
+cursor only ever moves forward, so a whole simulation amortises to
+O(events + elapsed ticks).  This is the cycle-driven layout of the
+bitcoin-simulator lineage, adapted to float timestamps.
 
-* :class:`WheelClock` — the production scheduler: a hierarchical calendar
-  wheel (a near wheel of per-tick buckets plus an overflow heap for
-  events beyond the wheel horizon).  Pushes into the near wheel are O(1)
-  appends; the cursor only ever moves forward, so a whole simulation
-  amortises to O(events + elapsed ticks).  This is the cycle-driven
-  layout of the bitcoin-simulator lineage, adapted to float timestamps.
-* :class:`ReferenceClock` — the original single binary heap, kept as the
-  executable specification.  ``tests/test_clock_equivalence.py`` drives
-  both through identical schedules and asserts identical callback order,
-  ``now`` trajectories, and byte-identical crawl output.
+The scheduler-equivalence harness (``tests/test_clock_equivalence.py``)
+runs every schedule on it and on a single-binary-heap subclass that
+replaces only the queue primitives, and asserts identical callback
+order, ``now`` trajectories and byte-identical crawl output.
 
-``SimClock`` is an alias for :class:`WheelClock` — existing call sites
-keep working and silently get the wheel.
-
-The ordering contract both implementations honour exactly:
+The ordering contract the scheduler honours exactly:
 
 * events execute in ``(when, sequence)`` order — timestamp first, FIFO
   among events scheduled for the same instant;
@@ -62,36 +57,55 @@ UNLABELLED = "clock.unlabelled"
 _Entry = "tuple[float, int, Callable[[], None], Optional[str]]"
 
 
-class EventClock:
-    """The scheduling contract; subclasses provide the priority queue.
+class WheelClock:
+    """Hierarchical calendar-wheel scheduler: near wheel + overflow heap.
 
-    Subclasses implement ``_push(entry)``, ``_pop() -> entry | None``,
-    ``_peek_when() -> float | None``, and ``pending``; everything else —
-    the ordering semantics, periodic loops, deadline handling — lives
-    here so the two implementations cannot drift apart.
+    The near wheel covers ``slots`` ticks of ``tick`` seconds from the
+    cursor; events inside the window land in per-tick buckets (plain list
+    appends), events beyond it go to an overflow heap and migrate into
+    the wheel as the cursor advances.  Within a bucket, entries are
+    lazily sorted by ``(when, sequence)`` — float timestamps inside one
+    tick keep exact global ordering because ``floor`` is monotone, and
+    the FIFO tie-break rides on the globally unique sequence number.
+
+    Late arrivals (an event scheduled for a time at or before the
+    cursor's tick, e.g. a zero-delay reschedule after the cursor skipped
+    ahead to a far-future event) clamp into the cursor bucket, where the
+    within-bucket sort restores their correct position: nothing earlier
+    can still be queued, so the clamp never reorders execution.
+
+    The queue primitives are ``_push(entry)``, ``_pop() -> entry | None``,
+    ``_peek_when() -> float | None`` and ``pending``; everything else —
+    the ordering semantics, periodic loops, deadline handling — is built
+    on them alone, so a test subclass that replaces only those four
+    shares every other line with production.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
+    def __init__(
+        self,
+        start: float = 0.0,
+        *,
+        tick: float = 1.0,
+        slots: int = 8192,
+    ) -> None:
         self.now = start
         self._sequence = itertools.count()
         self._processed = 0
         #: attach a Profiler to attribute event time per callback label
         self.profiler: Optional["Profiler"] = None
-
-    # -- queue primitives (implementation-specific) -----------------------------
-
-    def _push(self, entry) -> None:
-        raise NotImplementedError
-
-    def _pop(self):
-        raise NotImplementedError
-
-    def _peek_when(self) -> Optional[float]:
-        raise NotImplementedError
-
-    @property
-    def pending(self) -> int:
-        raise NotImplementedError
+        if tick <= 0:
+            raise SimulationError("wheel tick must be positive")
+        if slots < 2:
+            raise SimulationError("wheel needs at least 2 slots")
+        self._inv_tick = 1.0 / tick
+        self._slots = slots
+        self._buckets: list[list] = [[] for _ in range(slots)]
+        self._dirty = bytearray(slots)
+        #: cursor: the lowest not-yet-drained tick index; window is
+        #: [_base, _base + _slots)
+        self._base = int(start * self._inv_tick)
+        self._near = 0
+        self._overflow: list = []
 
     # -- scheduling -------------------------------------------------------------
 
@@ -183,79 +197,6 @@ class EventClock:
     def run_for(self, duration: float) -> None:
         self.run_until(self.now + duration)
 
-
-class ReferenceClock(EventClock):
-    """The original single-binary-heap scheduler (executable spec).
-
-    Kept verbatim as the ordering oracle: the equivalence harness runs
-    every schedule against both this and :class:`WheelClock` and demands
-    identical behaviour, so any future wheel optimisation has a ground
-    truth to be checked against.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        super().__init__(start)
-        self._queue: list = []
-
-    def _push(self, entry) -> None:
-        heapq.heappush(self._queue, entry)
-
-    def _pop(self):
-        if not self._queue:
-            return None
-        return heapq.heappop(self._queue)
-
-    def _peek_when(self) -> Optional[float]:
-        if not self._queue:
-            return None
-        return self._queue[0][0]
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-
-class WheelClock(EventClock):
-    """Hierarchical calendar-wheel scheduler: near wheel + overflow heap.
-
-    The near wheel covers ``slots`` ticks of ``tick`` seconds from the
-    cursor; events inside the window land in per-tick buckets (plain list
-    appends), events beyond it go to an overflow heap and migrate into
-    the wheel as the cursor advances.  Within a bucket, entries are
-    lazily sorted by ``(when, sequence)`` — float timestamps inside one
-    tick keep exact global ordering because ``floor`` is monotone, and
-    the FIFO tie-break rides on the globally unique sequence number.
-
-    Late arrivals (an event scheduled for a time at or before the
-    cursor's tick, e.g. a zero-delay reschedule after the cursor skipped
-    ahead to a far-future event) clamp into the cursor bucket, where the
-    within-bucket sort restores their correct position: nothing earlier
-    can still be queued, so the clamp never reorders execution.
-    """
-
-    def __init__(
-        self,
-        start: float = 0.0,
-        *,
-        tick: float = 1.0,
-        slots: int = 8192,
-    ) -> None:
-        super().__init__(start)
-        if tick <= 0:
-            raise SimulationError("wheel tick must be positive")
-        if slots < 2:
-            raise SimulationError("wheel needs at least 2 slots")
-        self._tick = tick
-        self._inv_tick = 1.0 / tick
-        self._slots = slots
-        self._buckets: list[list] = [[] for _ in range(slots)]
-        self._dirty = bytearray(slots)
-        #: cursor: the lowest not-yet-drained tick index; window is
-        #: [_base, _base + _slots)
-        self._base = int(start * self._inv_tick)
-        self._near = 0
-        self._overflow: list = []
-
     # -- placement --------------------------------------------------------------
 
     def _place(self, entry, t: int) -> None:
@@ -334,6 +275,3 @@ class WheelClock(EventClock):
     def pending(self) -> int:
         return self._near + len(self._overflow)
 
-
-#: the production scheduler — existing call sites get the wheel
-SimClock = WheelClock

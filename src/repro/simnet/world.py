@@ -34,7 +34,7 @@ from repro.chain.synthetic import (
 from repro.discovery.enode import cached_id_hash, warm_id_hashes
 from repro.errors import SimulationError
 from repro.nodefinder.records import DialOutcome, DialResult
-from repro.simnet.clock import EventClock, SimClock
+from repro.simnet.clock import WheelClock
 from repro.simnet.geo import GeoModel, Location
 from repro.simnet.node import NodeAddress, SimNode
 from repro.simnet.population import (
@@ -192,12 +192,13 @@ class SimWorld:
     def __init__(
         self,
         config: WorldConfig | None = None,
-        clock: EventClock | None = None,
+        clock: WheelClock | None = None,
     ) -> None:
         self.config = config or WorldConfig()
         # injectable so the equivalence harness can run the same world on
-        # WheelClock and ReferenceClock; everything else takes the default
-        self.clock = clock if clock is not None else SimClock()
+        # the wheel and on its binary-heap reference; everything else takes
+        # the default
+        self.clock = clock if clock is not None else WheelClock()
         self.rng = random.Random(self.config.seed)
         self._dial_rng_instance = random.Random(0)  # re-seeded per dial
         specs, abusive_specs, builder = generate_population(self.config.population)

@@ -229,9 +229,6 @@ class Telemetry:
     def record_bond(self, node_id: bytes, ok: bool) -> None:
         self.emit("bond", node_id=node_id, ok=ok)
 
-    def record_datagram_fault(self, fault: str) -> None:
-        self.emit("datagram_fault", fault=fault)
-
 
 #: shared no-op default — no journal, nothing recorded
 NULL_TELEMETRY = Telemetry()

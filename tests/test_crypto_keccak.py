@@ -12,13 +12,12 @@ from repro.crypto._keccak_f import PAIR, PAIR_SHIFT
 from repro.crypto.keccak import (
     Keccak256,
     KeccakMemo,
-    KeccakSponge,
     keccak256,
     keccak256_batch,
     keccak256_pair,
     keccak_f1600,
-    keccak_f1600_reference,
 )
+from tests.support.keccak import keccak_f1600_reference
 
 # Official Keccak (pre-NIST padding) vectors.
 VECTORS = [
@@ -87,13 +86,6 @@ def test_input_crossing_rate_boundary():
         for offset in range(0, size, 7):
             hasher.update(data[offset : offset + 7])
         assert hasher.digest() == whole
-
-
-def test_invalid_sponge_rate():
-    with pytest.raises(ValueError):
-        KeccakSponge(rate_bytes=7, output_bytes=32)
-    with pytest.raises(ValueError):
-        KeccakSponge(rate_bytes=0, output_bytes=32)
 
 
 _LANE_MASK = (1 << 64) - 1

@@ -451,7 +451,7 @@ async def _journaled_crawl(directory):
         finder.discovery.lookup_all = lookup
         started = time.monotonic()
         # the facade discovery holds is the crawl's: same journal
-        finder.discovery.telemetry.record_datagram_fault("drop")
+        finder.discovery.telemetry.emit("datagram_fault", fault="drop")
         crash["armed"] = True
         lookups = None
         while lookups is None or finder.stats["lookups"] <= lookups:

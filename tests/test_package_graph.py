@@ -1,7 +1,9 @@
 """The package graph of ``src/repro`` runs one way (DESIGN §2's layer table).
 
 One AST walk: every ``repro.*`` import, function-level ones included, is
-an edge from the importing top-level package to the imported one.
+an edge from the importing top-level package to the imported one.  No file
+under ``src/repro`` imports ``tests`` or ``tests.*``: the fault injectors
+and reference oracles in ``tests/support`` are not part of the product.
 """
 
 import ast
@@ -53,6 +55,9 @@ def violations(rel: str, source: str) -> list[str]:
             continue
         for module in modules:
             parts = module.split(".")
+            if parts[0] == "tests":
+                found.append(f"{rel}:{node.lineno} imports {module}")
+                continue
             if parts[0] != "repro" or len(parts) < 2 or parts[1] == package:
                 continue
             edge = (package, parts[1])
@@ -78,7 +83,7 @@ def test_every_import_in_src_points_down_the_layer_table():
 
 @pytest.mark.parametrize(
     "rel, line",
-    [(f"nodefinder/{name}.py", "from repro.simnet.clock import SimClock")
+    [(f"nodefinder/{name}.py", "from repro.simnet.clock import WheelClock")
      for name in "records database core shard wire live defense sanitize".split()]
     + [(f"analysis/{name}.py", "from repro.simnet.world import SimWorld")
        for name in ("ingest", "churn", "comparison")]
@@ -89,6 +94,9 @@ def test_every_import_in_src_points_down_the_layer_table():
         ("chain/chain.py", "from repro.ethproto.forks import dao_fork_side"),
         ("simnet/world.py", "from repro.nodefinder.database import NodeDB"),
         ("nodefinder/core.py", "if TYPE_CHECKING:\n    from repro.simnet.world import NodeAddress"),
+        ("fullnode.py", "from tests.support.chaos import ChaosConfig"),
+        ("simnet/world.py", "def f():\n    import tests.support.clock"),
+        ("crypto/keccak.py", "from tests import support"),
     ],
 )
 def test_a_reintroduced_edge_is_caught(rel, line):

@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
-from repro.simnet.clock import SimClock
+from repro.simnet.clock import WheelClock
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 from repro.telemetry import (
@@ -87,21 +87,6 @@ class TestProfiler:
                 raise RuntimeError("boom")
         assert profiler.stats["dial"].calls == 1
 
-    def test_sampling_counts_every_entry_but_times_a_subset(self):
-        profiler = Profiler(clock=TickClock(), sample_every=3)
-        for _ in range(9):
-            with profiler.scope("dial"):
-                pass
-        stat = profiler.stats["dial"]
-        assert stat.calls == 9
-        assert profiler.entries == 9
-        # entries 3, 6, 9 were timed; each costs one quantum
-        assert stat.total == pytest.approx(3e-6)
-
-    def test_sample_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Profiler(sample_every=0)
-
     def test_null_profiler_records_nothing(self):
         with NULL_PROFILER.scope("dial"):
             pass
@@ -130,7 +115,7 @@ class TestRenderProfile:
 
 class TestClockProfiling:
     def test_labelled_callbacks_attribute_to_their_label(self):
-        clock = SimClock()
+        clock = WheelClock()
         profiler = Profiler(clock=TickClock())
         clock.profiler = profiler
         clock.schedule(1.0, lambda: None, label="world.tick")
@@ -140,7 +125,7 @@ class TestClockProfiling:
         assert profiler.stats["clock.unlabelled"].calls == 1
 
     def test_unprofiled_clock_pays_no_scopes(self):
-        clock = SimClock()
+        clock = WheelClock()
         clock.schedule(1.0, lambda: None, label="world.tick")
         clock.run_for(5.0)  # profiler is None: plain call path
 

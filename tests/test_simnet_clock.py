@@ -1,11 +1,11 @@
-"""SimClock tests: ordering, scheduling, periodic events.
+"""Scheduler tests: ordering, scheduling, periodic events.
 
-Every behavioural test runs against both scheduler implementations
-(:class:`WheelClock`, the production calendar wheel, and
-:class:`ReferenceClock`, the binary-heap executable spec), and a
-Hypothesis suite drives arbitrary interleavings of the public API
-through both at once, asserting identical firing traces — the
-property-based wing of ``tests/test_clock_equivalence.py``.
+Every behavioural test runs against both schedulers (:class:`WheelClock`,
+the production calendar wheel, and ``tests/support/clock.py``'s
+``ReferenceClock``, the binary-heap executable spec), and a Hypothesis
+suite drives arbitrary interleavings of the public API through both at
+once, asserting identical firing traces — the property-based wing of
+``tests/test_clock_equivalence.py``.
 """
 
 import random
@@ -15,11 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.simnet.clock import (
-    ReferenceClock,
-    SimClock,
-    WheelClock,
-)
+from repro.simnet.clock import WheelClock
+from tests.support.clock import ReferenceClock
 
 CLOCKS = (WheelClock, ReferenceClock)
 
@@ -165,9 +162,6 @@ class TestWheelSpecifics:
     def test_bad_slots_rejected(self):
         with pytest.raises(SimulationError):
             WheelClock(slots=1)
-
-    def test_alias_is_wheel(self):
-        assert SimClock is WheelClock
 
 
 # -- property-based equivalence ----------------------------------------------

@@ -58,14 +58,13 @@ def time_null_pipeline(iterations: int) -> float:
 
 
 def time_profiled_pipeline(iterations: int) -> float:
-    """Seconds per dial with a live wall-clock profiler at default sampling.
+    """Seconds per dial with a live wall-clock profiler.
 
-    This is the profiler-on price: a metrics-only Telemetry (real
-    registry, no journal) with ``Profiler(sample_every=1)`` timing a
-    scope around every record, the way ``run_fleet(profiler=...)``
-    wraps each dial."""
+    This is the profiler-on price: a journal-less Telemetry with a
+    ``Profiler()`` timing a scope around every record, the way
+    ``run_fleet(profiler=...)`` wraps each dial."""
     result = synthetic_result()
-    profiler = Profiler()  # wall clock by reference, every entry timed
+    profiler = Profiler()  # wall clock by reference
     telemetry = Telemetry(profiler=profiler)
     started = time.perf_counter()
     for _ in range(iterations):
