@@ -128,39 +128,44 @@ exec(_generate_source(), _namespace)  # noqa: S102 - code generated from constan
 keccak_f1600 = _namespace["keccak_f1600"]
 
 
-# -- batched permutation (numpy) ---------------------------------------------
+# -- batched permutation (packed big ints) ------------------------------------
+
+_PI_SOURCES = tuple((x + 3 * y) % 5 + 5 * x for y in range(5) for x in range(5))
+#: the two χ neighbours, (x + 1, y) and (x + 2, y), of lane x + 5y
+_CHI = tuple((i - i % 5 + (i + 1) % 5, i - i % 5 + (i + 2) % 5) for i in range(25))
 
 
-def keccak_f1600_batch(state):
-    """The permutation over N states at once: 25 uint64 arrays of shape (N,).
+def keccak_f1600_batch(lanes: list[int], n: int) -> list[int]:
+    """The permutation over ``n`` states at once, packed into 25 ints.
 
-    One python-level round loop regardless of N — the per-message cost is
-    a handful of vector ops, which is what makes bulk memo warm-ups (e.g.
-    the synthetic-chain hash cache) ~50x cheaper than hashing one by one.
-    Lane order and step structure follow the spec steps; tests assert that
-    ``keccak256_batch`` equals scalar ``keccak256`` digest for digest.
-    numpy is imported here, on the first batch, not with the module.
+    Lane ``i`` of every state sits side by side in ``lanes[i]``: state
+    ``j``'s word at bits ``64 * j`` up.  Every step is a bitwise op on the
+    whole row, so one Python-level round loop serves all ``n`` states.
+    Periodic lanes cannot work here — a neighbouring state would bleed in —
+    so ``rotl(v, r)`` is ``((v << r) & HI) | ((v >> (64 - r)) & LO)``, with
+    the word masks built once per call for the rotations in use.  χ's
+    ``~b1 & b2`` is ``(b1 | b2) ^ b1``, which needs no mask, and ι XORs the
+    round constant repeated in every word.  Tests assert the result against
+    the reference permutation of each state alone.
     """
-    import numpy as np
-
-    def rol(lanes, shift: int):
-        if shift == 0:
-            return lanes
-        return (lanes << np.uint64(shift)) | (lanes >> np.uint64(64 - shift))
-
-    a = list(state)
+    rep = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * n, "little")
+    full = _MASK * rep
+    low = {r: ((1 << r) - 1) * rep for r in _ROTATIONS if r}
+    # per destination lane but the first (rotation 0): source lane, θ
+    # column, shifts and masks
+    rho = []
+    for src in _PI_SOURCES[1:]:
+        r = _ROTATIONS[src]
+        rho.append((src, src % 5, r, 64 - r, full ^ low[r], low[r]))
+    high1, low1 = full ^ low[1], low[1]
+    a = lanes
     for rc in _ROUND_CONSTANTS:
         c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
-        d = [c[(x - 1) % 5] ^ rol(c[(x + 1) % 5], 1) for x in range(5)]
-        a = [a[i] ^ d[i % 5] for i in range(25)]
-        b = [None] * 25
-        for y in range(5):
-            for x in range(5):
-                src = (x + 3 * y) % 5 + 5 * x
-                b[x + 5 * y] = rol(a[src], _ROTATIONS[src])
-        for y in range(5):
-            for x in range(5):
-                i = x + 5 * y
-                a[i] = b[i] ^ (~b[(x + 1) % 5 + 5 * y] & b[(x + 2) % 5 + 5 * y])
-        a[0] = a[0] ^ np.uint64(rc)
+        d = [c[x - 1] ^ ((c[x - 4] << 1) & high1) ^ ((c[x - 4] >> 63) & low1) for x in range(5)]
+        b = [a[0] ^ d[0]]
+        for src, column, r, back, high, low_r in rho:
+            v = a[src] ^ d[column]
+            b.append(((v << r) & high) | ((v >> back) & low_r))
+        a = [b[i] ^ ((b[j] | b[k]) ^ b[j]) for i, (j, k) in enumerate(_CHI)]
+        a[0] ^= rc * rep
     return a

@@ -15,6 +15,7 @@ RLPx depends on Keccak-256 in four places: the discovery distance metric
 from __future__ import annotations
 
 import struct
+from array import array
 from typing import Callable, Iterable
 
 from repro.crypto._keccak_f import PAIR, PAIR_SHIFT, keccak_f1600, keccak_f1600_batch
@@ -126,23 +127,25 @@ def keccak256_pair(first: bytes, second: bytes) -> tuple[bytes, bytes]:
     return _digest(first_state), _digest(second_state)
 
 
-#: Below this many same-block-count messages the vectorised pass loses to
-#: scalar hashing: numpy's cost per permutation call is flat (4.75 ms for
-#: 16, 24 or 32 one-block messages) against 199 us per scalar hash, so the
-#: two meet at 4.75 / 0.199 = 24.  Measured, and a property of the two code
-#: paths rather than of any workload — hence a constant, not an option.
-_BATCH_CROSSOVER = 24
+#: Below this many same-block-count messages the packed pass loses to
+#: scalar hashing: for small groups its cost is nearly flat in N (0.4–0.9 ms
+#: for 1 to 24 one-block messages on a noisy 2-core host) against 0.16–0.27
+#: ms per scalar hash, so the two meet at 3 to 4.  Measured, and a property
+#: of the two code paths rather than of any workload — hence a constant,
+#: not an option.
+_BATCH_CROSSOVER = 4
 
 
 def keccak256_batch(payloads: list[bytes]) -> list[bytes]:
-    """Keccak-256 over many messages in a few vectorised permutations.
+    """Keccak-256 over many messages in a few packed permutations.
 
     Messages are grouped by rate-block count and each group is absorbed
-    block by block through the numpy-backed :func:`keccak_f1600_batch`,
-    amortising the pure-python round loop across the group — the bulk
-    path for world builds and memo warm-ups (node IDs, genesis headers,
-    synthetic-chain hashes).  Groups smaller than the crossover go through
-    per-message :func:`keccak256`; results are byte-identical either way.
+    block by block through :func:`keccak_f1600_batch`, which permutes the
+    whole group's states packed side by side in 25 ints, amortising the
+    pure-python round loop across the group — the bulk path for world
+    builds and memo warm-ups (node IDs, genesis headers, synthetic-chain
+    hashes).  Groups smaller than the crossover go through per-message
+    :func:`keccak256`; results are byte-identical either way.
     """
     payloads = list(payloads)
     digests: list = [None] * len(payloads)
@@ -162,21 +165,22 @@ def keccak256_batch(payloads: list[bytes]) -> list[bytes]:
 
 def _absorb_batch(payloads: list[bytes], blocks: int) -> list[bytes]:
     """Digests of ``payloads``, every one exactly ``blocks`` rate blocks."""
-    import numpy as np
-
     count = len(payloads)
-    padded = b"".join(p + _PAD_136[len(p) % 136] for p in payloads)
-    # one contiguous row per input lane: lane i of block b is row 17*b + i
-    lanes = np.ascontiguousarray(
-        np.frombuffer(padded, dtype="<u8").reshape(count, 17 * blocks).T
-    )
-    state = list(lanes[:17]) + [np.zeros(count, dtype=np.uint64)] * 8
-    state = keccak_f1600_batch(state)
-    for block in range(1, blocks):
-        rows = lanes[17 * block : 17 * block + 17]
-        state[:17] = [lane ^ row for lane, row in zip(state, rows)]
-        state = keccak_f1600_batch(state)
-    raw = np.stack(state[:4], axis=1).astype("<u8", copy=False).tobytes()
+    # "Q" items are the padded input's raw 8-byte words, so reading a
+    # strided slice back as little-endian bytes packs one lane of every
+    # message into one int, on any host byte order
+    words = array("Q", b"".join(p + _PAD_136[len(p) % 136] for p in payloads))
+    stride = 17 * blocks
+    state = _ZERO_STATE
+    for block in range(0, stride, 17):
+        rows = [int.from_bytes(words[block + i :: stride].tobytes(), "little") for i in range(17)]
+        state = keccak_f1600_batch(
+            [lane ^ row for lane, row in zip(state, rows)] + state[17:], count
+        )
+    digests = array("Q", bytes(32 * count))
+    for i in range(4):
+        digests[i::4] = array("Q", state[i].to_bytes(8 * count, "little"))
+    raw = digests.tobytes()
     return [raw[i : i + 32] for i in range(0, 32 * count, 32)]
 
 

@@ -54,11 +54,11 @@ from repro.telemetry import NULL_TELEMETRY, EventJournal, Telemetry
 from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 #: discovery ticks pre-drawn, and their targets hashed, per block.  One
-#: ``keccak256_batch`` pass is nearly flat in its size — 4.9 ms for 64
-#: targets, 5.7 ms for 256, 7.7 ms for 1 024, against 199 us per scalar
-#: hash — so 256 hashes a target for 22 us, 89% of the saving an endless
-#: block would give, while a crawl that stops after a few ticks wastes at
-#: most one block.  A property of the two hash paths: a constant.
+#: packed ``keccak256_batch`` pass takes 0.9 ms for 64 targets, 2.3 ms
+#: for 256 and 6.4 ms for 1 024, against ≈0.2 ms per scalar hash — so 256
+#: hashes a target for ≈9 us, 99% of the saving a longer block would give,
+#: while a crawl that stops after a few ticks wastes at most one block.
+#: A property of the two hash paths: a constant.
 TICK_PLAN_BLOCK = 256
 
 #: how long a dynamic dial keeps its target out of the next lookups'

@@ -21,7 +21,6 @@ import gc
 import random
 import zlib
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Optional, Protocol
 
 from repro.chain.forks import BYZANTIUM_BLOCK
@@ -75,60 +74,6 @@ class WorldConfig:
 
     population: PopulationConfig = field(default_factory=PopulationConfig)
     seed: int = 7
-
-
-class _OnlineIndex:
-    """Array-backed evaluator of the online-node mask.
-
-    Holds the immutable lifecycle fields of every node in parallel flat
-    arrays (the bitcoin-simulator layout) so the 10-sim-minute online
-    recomputation is a handful of vector ops instead of a Python-level
-    ``is_online`` call per node.  The mask reproduces
-    :meth:`NodeSpec.is_online` bit for bit — same IEEE ops in the same
-    order — and the result list preserves node-map insertion order, so
-    swapping this in does not move a single RNG draw.
-
-    Arrays are rebuilt whenever the node map changes size (listener
-    presences, adversary injections); lifecycle fields themselves are
-    static after construction.
-    """
-
-    __slots__ = (
-        "_size",
-        "_nodes",
-        "_arrival",
-        "_departure",
-        "_uptime",
-        "_period",
-        "_phase",
-        "_stable",
-    )
-
-    def __init__(self) -> None:
-        self._size = -1
-        self._nodes: list[SimNode] = []
-
-    def _rebuild(self, node_map: dict) -> None:
-        import numpy as np
-
-        nodes = list(node_map.values())
-        self._nodes = nodes
-        specs = [node.spec for node in nodes]
-        self._arrival = np.array([s.arrival_day for s in specs])
-        self._departure = np.array([s.departure_day for s in specs])
-        self._uptime = np.array([s.uptime_fraction for s in specs])
-        self._period = np.array([s.session_period_hours for s in specs]) / 24.0
-        self._phase = np.array([s.phase for s in specs])
-        self._stable = self._uptime >= 0.999
-        self._size = len(nodes)
-
-    def online_at(self, node_map: dict, day: float) -> list:
-        if len(node_map) != self._size:
-            self._rebuild(node_map)
-        alive = (self._arrival <= day) & (day < self._departure)
-        position = ((day + self._phase) % self._period) / self._period
-        mask = alive & (self._stable | (position < self._uptime))
-        return list(compress(self._nodes, mask.tolist()))
 
 
 class AbusiveFactory:
@@ -216,7 +161,6 @@ class SimWorld:
         self._chains[self.mainnet.genesis_hash] = self.mainnet
         self.listeners: list[Listener] = []
         self._online_cache: tuple[float, list[SimNode]] = (-1.0, [])
-        self._online_index = _OnlineIndex()
         # every best-hash a node can advertise is `chain head - lag` for a
         # lag fixed at build time, so the hash set is knowable in advance:
         # group the lags per effective genesis, then open every follower
@@ -358,7 +302,8 @@ class SimWorld:
         cached_at, cached = self._online_cache
         if self.now - cached_at < 600.0:
             return cached
-        online = self._online_index.online_at(self.nodes, self.day)
+        day = self.day
+        online = [node for node in self.nodes.values() if node.spec.is_online(day)]
         self._online_cache = (self.now, online)
         return online
 

@@ -23,7 +23,7 @@ from repro.nodefinder.records import DialOutcome
 from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
 from repro.simnet.adversary import AdversaryCampaign, AdversaryConfig, AttackerNode
 from repro.simnet.population import PopulationBuilder, PopulationConfig
-from repro.simnet.world import SimWorld, WorldConfig, _OnlineIndex
+from repro.simnet.world import SimWorld, WorldConfig
 
 
 @pytest.fixture(scope="module")
@@ -282,16 +282,6 @@ class TestWorldDynamics:
         assert result.network_id == 1
         assert result.client_id == factory.spec.client_string
         assert result.connection_type == "incoming"
-
-    def test_online_mask_is_the_per_node_rule(self, world):
-        # the vectorised mask against its reference, NodeSpec.is_online,
-        # node for node and in node-map order, across a day and a half
-        index = _OnlineIndex()
-        for step in range(37):
-            day = step / 24.0
-            assert index.online_at(world.nodes, day) == [
-                node for node in world.nodes.values() if node.spec.is_online(day)
-            ]
 
     def test_ground_truth_mainnet(self, world):
         truth = world.ground_truth_mainnet(world.day)
