@@ -38,7 +38,9 @@ MAINNET_LAUNCH_TIMESTAMP = 1_438_269_988
 TD_PER_BLOCK = max(MAINNET_TD_APRIL_2018 // max(MAINNET_HEIGHT_APRIL_2018, 1), 1)
 
 
-#: hard bound on the hash memo; a multi-week 100k run cannot grow it unboundedly
+#: a backstop, not the working bound: a simulated world forgets each Mainnet
+#: generation at the next growth tick, so its memo holds the build's warm set
+#: plus one generation; this cap is for a caller that never forgets
 _HASH_MEMO_MAX = 1 << 20
 
 # ``(chain seed, height) -> H(height)``.  Module-level so every chain with
@@ -70,6 +72,11 @@ def warm_synthetic_pairs(pairs: Iterable[tuple[bytes, int]]) -> int:
     byte-for-byte.  Heights <= 0 are skipped (genesis hashes are pinned).
     """
     return _HASH_MEMO.warm(pair for pair in pairs if pair[1] > 0)
+
+
+#: ``forget_synthetic_pairs((seed, height), ...)`` — drop memo entries that
+#: will not be asked for again (a miss would only recompute them)
+forget_synthetic_pairs = _HASH_MEMO.forget
 
 
 def warm_synthetic_hashes(seed: bytes, numbers: Iterable[int]) -> int:

@@ -135,6 +135,14 @@ def keccak256_pair(first: bytes, second: bytes) -> tuple[bytes, bytes]:
 #: not an option.
 _BATCH_CROSSOVER = 4
 
+#: The packed pass's cost per hash grows with the number of states it packs
+#: (the rows are N·64-bit ints, so every shift and mask walks all of them):
+#: ≈11 µs at 1 000 one-block messages, ≈13 at 10 000, ≈15 at 40 000.  Bigger
+#: groups go through in chunks of this many: a 5 004-message batch went from
+#: 38 to 30 ms, a 10 000-height synthetic warm from 8.0 to 6.7 µs a hash.
+#: A property of the code path, not an option.
+_BATCH_CHUNK = 1024
+
 
 def keccak256_batch(payloads: list[bytes]) -> list[bytes]:
     """Keccak-256 over many messages in a few packed permutations.
@@ -144,22 +152,25 @@ def keccak256_batch(payloads: list[bytes]) -> list[bytes]:
     whole group's states packed side by side in 25 ints, amortising the
     pure-python round loop across the group — the bulk path for world
     builds and memo warm-ups (node IDs, genesis headers, synthetic-chain
-    hashes).  Groups smaller than the crossover go through per-message
-    :func:`keccak256`; results are byte-identical either way.
+    hashes).  A group is permuted ``_BATCH_CHUNK`` states at a time, and a
+    group or last chunk smaller than the crossover goes through
+    per-message :func:`keccak256`; results are byte-identical either way.
     """
     payloads = list(payloads)
     digests: list = [None] * len(payloads)
     groups: dict[int, list[int]] = {}
     for index, payload in enumerate(payloads):
         groups.setdefault(len(payload) // 136 + 1, []).append(index)
-    for blocks, indices in groups.items():
-        if len(indices) < _BATCH_CROSSOVER:
-            for index in indices:
-                digests[index] = keccak256(payloads[index])
-            continue
-        group = _absorb_batch([payloads[index] for index in indices], blocks)
-        for index, digest in zip(indices, group):
-            digests[index] = digest
+    for blocks, group in groups.items():
+        for start in range(0, len(group), _BATCH_CHUNK):
+            indices = group[start : start + _BATCH_CHUNK]
+            if len(indices) < _BATCH_CROSSOVER:
+                for index in indices:
+                    digests[index] = keccak256(payloads[index])
+                continue
+            chunk = _absorb_batch([payloads[index] for index in indices], blocks)
+            for index, digest in zip(indices, chunk):
+                digests[index] = digest
     return digests
 
 
@@ -206,6 +217,12 @@ class KeccakMemo(dict):
             self.clear()
         digest = self[key] = keccak256(self._payload(key))
         return digest
+
+    def forget(self, keys: Iterable) -> None:
+        """Drop every cached key of ``keys``; the others are ignored."""
+        pop = self.pop
+        for key in keys:
+            pop(key, None)
 
     def warm(self, keys: Iterable) -> int:
         """Hash every not-yet-cached key in one batch; returns how many."""

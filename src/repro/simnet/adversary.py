@@ -100,9 +100,10 @@ class AttackerNode(SimNode):
         spec: NodeSpec,
         builder,
         rng: random.Random,
+        stream: random.Random,
         campaign: "AdversaryCampaign",
     ) -> None:
-        super().__init__(spec, builder, rng)
+        super().__init__(spec, builder, rng, stream)
         self.campaign = campaign
         # accept every dial: the victim keeps the Sybil on its StaticNodes
         # schedule and burns a re-dial on it every cycle
@@ -204,7 +205,9 @@ class AdversaryCampaign:
 
         for index, node_id in enumerate(node_ids):
             spec = self._attacker_spec(node_id, ips[index % len(ips)], world)
-            attacker = AttackerNode(spec, world.builder, self._rng, self)
+            attacker = AttackerNode(
+                spec, world.builder, self._rng, world._dial_rng_instance, self
+            )
             self.attackers.append(attacker)
             self.attacker_ids.add(node_id)
             world.nodes[node_id] = attacker

@@ -99,7 +99,9 @@ class WheelClock:
             raise SimulationError("wheel needs at least 2 slots")
         self._inv_tick = 1.0 / tick
         self._slots = slots
-        self._buckets: list[list] = [[] for _ in range(slots)]
+        #: a bucket is a list only while events are in it, None otherwise:
+        #: the wheel holds occupied ticks, not ``slots`` empty lists
+        self._buckets: list[Optional[list]] = [None] * slots
         self._dirty = bytearray(slots)
         #: cursor: the lowest not-yet-drained tick index; window is
         #: [_base, _base + _slots)
@@ -208,8 +210,10 @@ class WheelClock:
             t = base
         index = t % self._slots
         bucket = self._buckets[index]
-        bucket.append(entry)
-        if len(bucket) > 1:
+        if bucket is None:
+            self._buckets[index] = [entry]
+        else:
+            bucket.append(entry)
             self._dirty[index] = 1
         self._near += 1
 
@@ -263,7 +267,11 @@ class WheelClock:
         if index is None:
             return None
         self._near -= 1
-        return self._sorted_bucket(index).pop()
+        bucket = self._sorted_bucket(index)
+        entry = bucket.pop()
+        if not bucket:
+            self._buckets[index] = None
+        return entry
 
     def _peek_when(self) -> Optional[float]:
         index = self._current_index()

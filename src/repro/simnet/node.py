@@ -10,6 +10,7 @@ its FIND_NODE behaviour under its client's distance metric.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import NamedTuple, Optional
 
 from repro.chain.forks import BYZANTIUM_BLOCK, DAO_FORK_BLOCK
@@ -20,6 +21,12 @@ from repro.discovery.distance import parity_log_distance_of_xor
 from repro.nodefinder.records import DialOutcome, DialResult
 from repro.simnet.population import NodeSpec, PopulationBuilder
 from repro.units import SECONDS_PER_DAY
+
+#: the first read-ahead block, in ``random()`` draws; later blocks grow with
+#: the draws a node has used, so a node dialled often refills rarely
+_READ_AHEAD_FIRST = 8
+#: one Mersenne Twister block (624 32-bit words) is 312 ``random()`` draws
+_READ_AHEAD_MAX = 312
 
 
 class NodeAddress(NamedTuple):
@@ -43,15 +50,22 @@ class SimNode:
         "occupancy",
         "status_reliability",
         "neighbors",
-        # _rng is None until the first connection past handle_connection's
-        # liveness gate builds it; from then on it is always the stream
-        # Random(_seed) gives after the occupancy draw
+        # the node's outcome stream is Random(_seed) held as a position:
+        # _drawn counts the random() draws used so far (the occupancy draw
+        # included) and _ahead holds the next few, last draw first; _ahead is
+        # None until the first connection past handle_connection's liveness
+        # gate
         "_seed",
-        "_rng",
+        "_drawn",
+        "_ahead",
     )
 
     def __init__(
-        self, spec: NodeSpec, builder: PopulationBuilder, rng: random.Random
+        self,
+        spec: NodeSpec,
+        builder: PopulationBuilder,
+        rng: random.Random,
+        stream: random.Random,
     ) -> None:
         self.spec = spec
         #: the one record every FIND_NODE answer naming this node carries —
@@ -64,26 +78,53 @@ class SimNode:
         self.id_hash = cached_id_hash(spec.node_id)
         self.id_hash_int = int.from_bytes(self.id_hash, "big")
         self._seed = rng.getrandbits(64)
-        self._rng: Optional[random.Random] = None
-        self.occupancy = self._draw_occupancy(random.Random(self._seed))
+        stream.seed(self._seed)
+        self.occupancy, self._drawn = self._draw_occupancy(stream)
+        self._ahead: Optional[array] = None
         #: P(STATUS exchange succeeds | HELLO succeeded) — paper: 323,584
         #: STATUS out of 335,036 eth HELLOs ≈ 0.97 per *node*, lower per dial
         self.status_reliability = 0.93 if spec.service == "eth" else 0.0
         self.neighbors: list["SimNode"] = []
 
-    def _draw_occupancy(self, rng: random.Random) -> float:
-        """Probability that a given dial finds every peer slot taken."""
+    def _draw_occupancy(self, rng: random.Random) -> tuple[float, int]:
+        """Probability that a given dial finds every peer slot taken, and
+        how many ``random()`` draws ``rng`` spent on it."""
         spec = self.spec
         if spec.runs_nodefinder:
-            return 0.0  # scanners accept everything (§4)
+            return 0.0, 0  # scanners accept everything (§4)
         if spec.service == "eth" and spec.network_name in ("mainnet", "classic"):
             # case study: Geth full 99.1%, Parity 91.5% of the time; dialing
             # later retries catches the brief windows, so per-dial slightly lower
             base = 0.97 if spec.client_family == "geth" else 0.90
-            return min(0.99, max(0.5, rng.gauss(base, 0.04)))
+            return min(0.99, max(0.5, rng.gauss(base, 0.04))), 2  # Box-Muller
         if spec.service == "eth":
-            return rng.uniform(0.05, 0.6)  # small networks rarely fill up
-        return rng.uniform(0.1, 0.7)
+            return rng.uniform(0.05, 0.6), 1  # small networks rarely fill up
+        return rng.uniform(0.1, 0.7), 1
+
+    def _random(self, stream: random.Random) -> float:
+        """The next ``random()`` of this node's stream."""
+        ahead = self._ahead
+        if not ahead:
+            ahead = self._ahead = self._refill(stream)
+        self._drawn += 1
+        return ahead.pop()
+
+    def _refill(self, stream: random.Random) -> array:
+        """Read the stream's next block by re-seeding ``stream``.
+
+        ``stream`` is any generator the caller lets this node re-seed.  Each
+        ``random()`` takes two 32-bit words, so one ``getrandbits`` skips
+        the draws already used.
+        """
+        drawn = self._drawn
+        stream.seed(self._seed)
+        if drawn:
+            stream.getrandbits(64 * drawn)
+        size = min(_READ_AHEAD_MAX, max(_READ_AHEAD_FIRST, drawn))
+        draw = stream.random
+        ahead = array("d", [draw() for _ in range(size)])
+        ahead.reverse()  # popped from the end
+        return ahead
 
     # -- chain view -------------------------------------------------------------
 
@@ -128,12 +169,14 @@ class SimNode:
         chain: SyntheticChain,
         world_height: int,
         rtt: float,
+        stream: random.Random,
     ) -> DialResult:
         """Simulate one connection from a NodeFinder-style scanner.
 
         The scanner side never disconnects first, accepts everything and
         asks every Mainnet-genesis peer the DAO question; outcomes are
-        driven by this node's state (paper §4 design).
+        driven by this node's state (paper §4 design).  ``stream`` is a
+        generator this call may re-seed to read the node's own stream.
         """
         spec = self.spec
         day = now / SECONDS_PER_DAY
@@ -152,11 +195,7 @@ class SimNode:
                 latency=rtt,
                 duration=15.0,  # defaultDialTimeout
             )
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = random.Random(self._seed)
-            self._draw_occupancy(rng)  # skip the build's draw; occupancy stays
-        if rng.random() < 0.004:
+        if self._random(stream) < 0.004:
             return DialResult(
                 timestamp=now,
                 node_id=node_id,
@@ -167,7 +206,7 @@ class SimNode:
                 latency=rtt,
                 duration=rtt,
             )
-        if rng.random() < 0.003:  # paper: 357,710 RLPx vs 356,492 HELLO
+        if self._random(stream) < 0.003:  # paper: 357,710 RLPx vs 356,492 HELLO
             return DialResult(
                 timestamp=now,
                 node_id=node_id,
@@ -179,7 +218,7 @@ class SimNode:
                 duration=2 * rtt,
                 disconnect_reason=DisconnectReason.TCP_ERROR,
             )
-        if not incoming and rng.random() < self.occupancy:
+        if not incoming and self._random(stream) < self.occupancy:
             # full node: DISCONNECT(Too many peers) instead of a session
             return DialResult(
                 timestamp=now,
@@ -210,7 +249,7 @@ class SimNode:
                 listen_port=tcp_port,
                 disconnect_reason=DisconnectReason.USELESS_PEER,
             )
-        if rng.random() > self.status_reliability:
+        if self._random(stream) > self.status_reliability:
             return DialResult(
                 timestamp=now,
                 node_id=node_id,
@@ -237,7 +276,8 @@ class SimNode:
             connection_type=connection_type,
             outcome=DialOutcome.FULL_HARVEST,
             latency=rtt,
-            duration=4 * rtt + rng.uniform(0.005, 0.1),
+            # Random.uniform(a, b) is a + (b - a) * random()
+            duration=4 * rtt + (0.005 + (0.1 - 0.005) * self._random(stream)),
             client_id=client_id,
             capabilities=capabilities,
             listen_port=tcp_port,

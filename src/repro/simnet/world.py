@@ -27,6 +27,7 @@ from repro.chain.forks import BYZANTIUM_BLOCK
 from repro.chain.synthetic import (
     MAINNET_HEIGHT_APRIL_2018,
     SyntheticChain,
+    forget_synthetic_pairs,
     warm_chain_seeds,
     warm_synthetic_pairs,
 )
@@ -145,7 +146,9 @@ class SimWorld:
         # the default
         self.clock = clock if clock is not None else WheelClock()
         self.rng = random.Random(self.config.seed)
-        self._dial_rng_instance = random.Random(0)  # re-seeded per dial
+        # re-seeded per dial for its RTT, then by the dialled node to read
+        # its own outcome stream, and by each node's build for its occupancy
+        self._dial_rng_instance = random.Random(0)
         specs, abusive_specs, builder = generate_population(self.config.population)
         self.builder: PopulationBuilder = builder
         self.geo: GeoModel = builder.geo
@@ -153,7 +156,8 @@ class SimWorld:
         # id_hash below is then a memo hit
         warm_id_hashes(spec.node_id for spec in specs)
         self.nodes: dict[bytes, SimNode] = {
-            spec.node_id: SimNode(spec, builder, self.rng) for spec in specs
+            spec.node_id: SimNode(spec, builder, self.rng, self._dial_rng_instance)
+            for spec in specs
         }
         self.factories = [AbusiveFactory(spec, self.rng) for spec in abusive_specs]
         self._chains: dict[bytes, SyntheticChain] = {}
@@ -233,24 +237,26 @@ class SimWorld:
             )
         return [self._chains[genesis] for genesis in founders]
 
+    def _advertised(self, chain: SyntheticChain) -> list[tuple[bytes, int]]:
+        """The ``(chain seed, height)`` key of every best-hash the followers
+        of ``chain`` can advertise right now, from the lag sets fixed at
+        build time."""
+        genesis, seed, head = chain.genesis_hash, chain._seed, chain.height
+        pairs = [(seed, head - lag) for lag in self._lags_by_genesis.get(genesis, {0})]
+        if genesis in self._stuck_genesis:
+            pairs.append((seed, BYZANTIUM_BLOCK + 1))
+        return pairs
+
     def _warm_advertised(self, chains: list[SyntheticChain]) -> None:
         """Bulk-hash every best-hash the followers of ``chains`` can
-        advertise right now, from the lag sets fixed at build time.
+        advertise right now.
 
         One vectorised keccak pass however many chains (the build's whole
         set, one lazily opened chain, Mainnet at each hourly growth tick).
         Pure pre-computation: no RNG, values identical to the lazy
         per-miss path.
         """
-        pairs = []
-        for chain in chains:
-            genesis, seed, head = chain.genesis_hash, chain._seed, chain.height
-            pairs += [
-                (seed, head - lag) for lag in self._lags_by_genesis.get(genesis, {0})
-            ]
-            if genesis in self._stuck_genesis:
-                pairs.append((seed, BYZANTIUM_BLOCK + 1))
-        warm_synthetic_pairs(pairs)
+        warm_synthetic_pairs(pair for chain in chains for pair in self._advertised(chain))
 
     def _height_for(self, node: SimNode) -> int:
         """The head height of the network this node follows."""
@@ -262,8 +268,14 @@ class SimWorld:
 
     def _schedule_background(self) -> None:
         def grow_chain() -> None:
+            # only the current generation is ever asked for: the memo drops
+            # the previous one's heights, so it holds what is live, not one
+            # generation per simulated hour
+            previous = self._advertised(self.mainnet)
             self.mainnet.advance(int(SECONDS_PER_HOUR * BLOCKS_PER_SECOND))
-            self._warm_advertised([self.mainnet])
+            current = self._advertised(self.mainnet)
+            forget_synthetic_pairs(set(previous).difference(current))
+            warm_synthetic_pairs(current)
 
         self.clock.schedule_every(SECONDS_PER_HOUR, grow_chain, label="world.grow_chain")
         refresh_interval = NEIGHBOR_REFRESH_HOURS * SECONDS_PER_HOUR
@@ -437,6 +449,7 @@ class SimWorld:
             chain=self.chain_for(node.spec),
             world_height=self._height_for(node),
             rtt=rtt,
+            stream=self._dial_rng_instance,
         )
 
     # -- listeners (incoming connections) ---------------------------------------
@@ -473,6 +486,7 @@ class SimWorld:
                         chain=self.chain_for(node.spec),
                         world_height=self._height_for(node),
                         rtt=rtt,
+                        stream=self._dial_rng_instance,
                     )
                     if result.outcome is not DialOutcome.TIMEOUT:
                         listener.handle_incoming(result)
@@ -509,7 +523,7 @@ class SimWorld:
             uptime_fraction=1.0,
             runs_nodefinder=True,
         )
-        node = SimNode(spec, self.builder, self.rng)
+        node = SimNode(spec, self.builder, self.rng, self._dial_rng_instance)
         node.occupancy = 0.0  # scanners never report Too many peers (§4)
         population = list(self.nodes.values())
         if population:

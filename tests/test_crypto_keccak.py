@@ -239,7 +239,35 @@ def test_batch_vectorises_multiblock_groups():
     assert [call.args[1] for call in absorb.call_args_list] == [4]
 
 
+@pytest.fixture(scope="module")
+def many_one_block():
+    rng = random.Random(1024)
+    payloads = [rng.randbytes(rng.randrange(136)) for _ in range(5004)]
+    return payloads, [keccak256(p) for p in payloads]
+
+
+@pytest.mark.parametrize("count", [1023, 1024, 1025, 2049, 5004])
+def test_batch_equals_scalar_across_chunks(many_one_block, count):
+    payloads, digests = many_one_block
+    assert keccak_mod._BATCH_CHUNK == 1024
+    with mock.patch.object(
+        keccak_mod, "_absorb_batch", wraps=keccak_mod._absorb_batch
+    ) as absorb:
+        assert keccak256_batch(payloads[:count]) == digests[:count]
+    # whole chunks packed; a tail under the crossover goes scalar
+    sizes = [len(call.args[0]) for call in absorb.call_args_list]
+    full, tail = divmod(count, 1024)
+    assert sizes == [1024] * full + ([tail] if tail >= keccak_mod._BATCH_CROSSOVER else [])
+
+
 class TestKeccakMemo:
+    def test_forget_drops_only_cached_keys(self):
+        memo = KeccakMemo(limit=8)
+        memo.warm([b"a", b"b", b"c"])
+        memo.forget([b"a", b"c", b"never"])
+        assert dict(memo) == {b"b": keccak256(b"b")}
+        assert memo[b"a"] == keccak256(b"a")  # a forgotten key recomputes
+
     def test_miss_hashes_and_hit_is_cached(self):
         memo = KeccakMemo(limit=8)
         assert memo[b"abc"] == keccak256(b"abc")

@@ -22,6 +22,7 @@ from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.records import DialOutcome
 from repro.nodefinder.scanner import NodeFinderConfig, NodeFinderInstance
 from repro.simnet.adversary import AdversaryCampaign, AdversaryConfig, AttackerNode
+from repro.simnet.node import SimNode
 from repro.simnet.population import PopulationBuilder, PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
 
@@ -105,6 +106,7 @@ class TestDialing:
                 chain=world.chain_for(node.spec),
                 world_height=world.mainnet_height,
                 rtt=0.05,
+                stream=random.Random(0),
             )
             outcomes.add(result.outcome)
         assert DialOutcome.TIMEOUT not in outcomes
@@ -355,12 +357,28 @@ class TestBuildTimeHashing:
             assert chain.block_hash(1000) == other.block_hash(1000)
 
 
-class TestLazyNodeStream:
-    """A node's generator is built on the first dial that reaches it.
+class _EagerStream(random.Random):
+    """``Random(seed)`` read straight through: the re-seed and the skip a
+    node's refill asks for are ignored, so the node reads this generator's
+    next draws, as a node that kept its own generator would."""
 
-    Until then the node holds only its seed; once built, the stream is the
-    one an eager ``Random(seed)`` advanced by the occupancy draw would
-    hold, so every dial outcome is the same as if it had always existed.
+    def seed(self, *args, **kwargs):
+        if not hasattr(self, "_seeded"):
+            super().seed(*args, **kwargs)
+            self._seeded = True
+
+    def getrandbits(self, k):
+        return 0
+
+
+class TestLazyNodeStream:
+    """A node holds its outcome stream as a position, not a generator.
+
+    ``Random(_seed)`` is the stream; the node keeps how many ``random()``
+    draws it has used (the occupancy draw included) and a short read-ahead
+    that a refill takes from a re-seeded scratch generator.  Every dial
+    outcome is the one an eager ``Random(_seed)`` advanced by the occupancy
+    draw would give.
     """
 
     POPULATION = PopulationConfig(total_nodes=300, seed=2018, measurement_days=1.0)
@@ -369,8 +387,18 @@ class TestLazyNodeStream:
     def fresh(self):
         return SimWorld(WorldConfig(population=self.POPULATION, seed=7))
 
+    @staticmethod
+    def _held(node):
+        return [
+            getattr(node, slot, None)
+            for cls in type(node).__mro__
+            for slot in getattr(cls, "__slots__", ())
+        ]
+
     def test_a_built_world_holds_no_generator(self, fresh):
-        assert all(node._rng is None for node in fresh.nodes.values())
+        for node in fresh.nodes.values():
+            assert node._ahead is None
+            assert not any(isinstance(held, random.Random) for held in self._held(node))
 
     def test_a_dial_stopped_at_the_liveness_gate_builds_none(self, fresh):
         offline = next(
@@ -381,17 +409,25 @@ class TestLazyNodeStream:
             if not n.spec.reachable and n.spec.is_online(fresh.day)
         )
         for node, kind in ((offline, "incoming"), (unreachable, "dynamic-dial")):
+            drawn = node._drawn
+            stream = random.Random(5)
+            before = stream.getstate()
             result = node.handle_connection(
                 now=fresh.now,
                 connection_type=kind,
                 chain=fresh.chain_for(node.spec),
                 world_height=fresh.mainnet_height,
                 rtt=0.05,
+                stream=stream,
             )
             assert result.outcome is DialOutcome.TIMEOUT
-            assert node._rng is None
+            assert node._ahead is None
+            assert node._drawn == drawn
+            assert stream.getstate() == before
 
-    def test_each_occupancy_kind_dials_as_an_eager_stream_would(self, fresh):
+    def test_each_occupancy_kind_dials_as_an_eager_stream_would(
+        self, fresh, monkeypatch
+    ):
         scanner = NodeFinderInstance(fresh, config=NodeFinderConfig(seed=1))
         AdversaryCampaign(AdversaryConfig(sybil_count=4, phantom_pool=4)).launch(
             fresh, victim_node_id=scanner.node_id
@@ -419,32 +455,53 @@ class TestLazyNodeStream:
             "scanner": fresh.nodes[scanner.node_id],
             "attacker": online(lambda n: isinstance(n, AttackerNode)),
         }
+        stream = random.Random(0)  # what the world lends a dialled node
+        refills = Counter()
+        refill = SimNode._refill
+
+        def counted(node, lent):
+            refills[node.spec.node_id, lent is stream] += 1
+            return refill(node, lent)
+
+        monkeypatch.setattr(SimNode, "_refill", counted)
         for kind, node in kinds.items():
-            assert node._rng is None, kind
+            assert node._ahead is None, kind
             reference = copy.copy(node)  # same occupancy, overrides included
-            reference._rng = random.Random(node._seed)
-            drawn = reference._draw_occupancy(reference._rng)
+            eager = _EagerStream(node._seed)
+            occupancy, drawn = reference._draw_occupancy(eager)
+            assert drawn == node._drawn, kind
             if kind in ("geth mainnet", "other eth", "non-eth"):
-                assert drawn == node.occupancy, kind
-            for step in range(60):
+                assert occupancy == node.occupancy, kind
+            for step in range(720):
                 kwargs = dict(
-                    now=fresh.now + step * 60.0,
+                    now=fresh.now + step,  # one second apart: the node stays online
                     connection_type=("dynamic-dial", "static-dial", "incoming")[step % 3],
                     chain=fresh.chain_for(node.spec),
                     world_height=fresh.mainnet_height,
                     rtt=0.05,
                 )
-                assert node.handle_connection(**kwargs) == (
-                    reference.handle_connection(**kwargs)
+                assert node.handle_connection(**kwargs, stream=stream) == (
+                    reference.handle_connection(**kwargs, stream=eager)
                 ), (kind, step)
-            assert node._rng.getstate() == reference._rng.getstate(), kind
+            # past the Twister's 312-draw block, over several refills
+            assert node._drawn == reference._drawn > 312, kind
+            assert refills[node.spec.node_id, True] >= 2, kind
+            assert not any(isinstance(held, random.Random) for held in self._held(node))
+            # the next draw is the next of Random(seed) read one by one
+            one_by_one = random.Random(node._seed)
+            for _ in range(node._drawn):
+                one_by_one.random()
+            assert node._random(stream) == one_by_one.random(), kind
 
-    def test_smoke_crawl_builds_thirty_generators_of_305(self, fresh):
+    def test_smoke_crawl_reads_ahead_for_thirty_of_305(self, fresh):
         run_fleet(
             fresh,
             instance_count=1,
             days=0.05,
             config=NodeFinderConfig(seed=1, shards=1),
         )
-        built = sum(node._rng is not None for node in fresh.nodes.values())
-        assert (built, len(fresh.nodes)) == (30, 305)
+        reading = sum(node._ahead is not None for node in fresh.nodes.values())
+        assert (reading, len(fresh.nodes)) == (30, 305)
+        assert all(
+            node._drawn > 0 for node in fresh.nodes.values() if node._ahead is not None
+        )
