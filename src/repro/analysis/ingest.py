@@ -17,7 +17,7 @@ Semantics
 ---------
 A ``dial`` record opens one observation for its ``node_id``; the
 ``hello`` / ``status`` / ``dao`` / ``disconnect`` records that follow
-(the journal writer emits them contiguously per attempt) attach to it.
+(the journal writer emits them contiguously per dial) attach to it.
 The completed observation is folded through ``NodeDB.observe`` — the
 same code path a live crawl uses — so a replayed view matches the live
 database entry for entry.
@@ -30,11 +30,12 @@ all (missing ``node_id``, unknown outcome) are counted in
 ``ReplayedCrawl.skipped`` and dropped.  Torn final lines are handled one
 layer down by :func:`~repro.telemetry.journal.iter_events`.
 
-Replay folds **every** dial attempt on record.  A live crawl under a
-``RetryPolicy`` journals each attempt but folds only the final
-``DialResult`` into its database, so a replayed view of such a run can
-carry strictly more observations — the journal, like the paper's log, is
-the more complete artifact.
+Replay folds **every** dial on record.  A crawl journals each dial once
+and folds that same ``DialResult`` into its database, so a crawl's
+journal replays into exactly its own NodeDB.  Journals written while live
+dials were still retried in place carry one ``dial`` record per attempt
+plus a ``retry`` record per backoff wait; replay folds each attempt as a
+dial of its own and tallies the waits in ``PeerTimeline.retries``.
 
 This module performs no I/O of its own and never reads a clock (the
 INGEST-PURE lint family enforces both): timelines come entirely from the
@@ -139,7 +140,8 @@ def _finite(value) -> float:
 
 
 #: the ``dial`` fields replay converts, each with the conversion that
-#: makes it the type a live ``DialResult`` carries
+#: makes it the type a live ``DialResult`` carries (``attempt``, which
+#: every dial writes as 1, is only checked)
 _DIAL_NUMBERS = (
     ("started", _finite),
     ("tcp_port", int),
@@ -284,8 +286,8 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
                     duration=float(fields.get("duration", 0.0)),
                     failure_stage=fields.get("failure_stage"),
                     failure_detail=fields.get("failure_detail"),
-                    attempts=int(fields.get("attempt", 1)),
                 )
+                int(fields.get("attempt", 1))  # checked only: a dial is one attempt
             except _NOT_A_NUMBER:
                 unusable = next(
                     key

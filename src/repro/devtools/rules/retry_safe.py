@@ -51,9 +51,9 @@ class RetrySafe(Rule):
     description = (
         "in repro.nodefinder / repro.rlpx, never await a network primitive "
         "(open_connection, readexactly/readuntil/readline, drain, sendall, "
-        "read_message/send_message) directly: wrap it in asyncio.wait_for, "
-        "run it inside `async with asyncio.timeout(...)`, or route it "
-        "through a RetryPolicy/StageBudgets deadline"
+        "read_message/send_message) directly: put it under a deadline — "
+        "a harvest stage's bounded(...), asyncio.wait_for, or "
+        "`async with asyncio.timeout(...)`"
     )
     scope = ("nodefinder", "rlpx")
 
@@ -76,7 +76,7 @@ class RetrySafe(Rule):
                     f"raw network await {label}() inside async def "
                     f"{func.name} has no deadline; a silent peer parks this "
                     "forever — wrap it in asyncio.wait_for / asyncio.timeout "
-                    "or run it under a stage budget",
+                    "or run it under a harvest stage's bounded(...)",
                 )
 
     def _deadlined_awaits(

@@ -47,7 +47,6 @@ from repro.discovery.packets import (
 from repro.discovery.lookup import Lookup
 from repro.discovery.routing import K_NEIGHBORS, RoutingTable
 from repro.errors import BadPacket, DiscoveryError
-from repro.resilience.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 logger = logging.getLogger(__name__)
@@ -116,7 +115,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
         port: int = 0,
         bootstrap_nodes: Iterable[ENode] = (),
         reply_timeout: float = REPLY_TIMEOUT,
-        retry_policy: Optional[RetryPolicy] = None,
         telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self.private_key = private_key
@@ -130,9 +128,6 @@ class DiscoveryService(asyncio.DatagramProtocol):
         self.bootstrap_nodes = list(bootstrap_nodes)
         self.table = RoutingTable.for_node_id(self.node_id)
         self.reply_timeout = reply_timeout
-        #: retries PING during bonding — one lost datagram should not cost
-        #: a whole bond (UDP gives no delivery guarantee); None = one shot
-        self.retry_policy = retry_policy
         self.telemetry = telemetry
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._bonds: dict[bytes, float] = {}
@@ -381,22 +376,15 @@ class DiscoveryService(asyncio.DatagramProtocol):
         return await self.ping_addr(node.udp_address, node.node_id) is not None
 
     async def bond(self, node: ENode) -> bool:
-        """Establish an endpoint proof with ``node`` (PING until PONG).
+        """Establish an endpoint proof with ``node``: one PING, bonded if
+        its PONG comes back in time.
 
-        UDP drops datagrams; under the service-wide ``retry_policy`` a
-        missed PONG is re-PINGed with backoff instead of failing the bond
-        outright.
+        UDP drops datagrams; a lost PING or PONG fails this bond, and the
+        next ``bond`` (the crawler's next lookup round) PINGs again.
         """
         if self.is_bonded(node.node_id):
             return True
-        policy = self.retry_policy
-        if policy is None:
-            bonded = await self.ping(node)
-        else:
-            bonded = await policy.run(
-                lambda attempt: self.ping(node),
-                should_retry=lambda answered: not answered,
-            )
+        bonded = await self.ping(node)
         self.telemetry.record_bond(node.node_id, bonded)
         return bonded
 

@@ -11,13 +11,13 @@ service, one dial queue drained by one dial loop under one
 ``max_active_dials`` semaphore, and the loop supervisors.
 
 The crawler is supervised for month-long runs: each loop restarts under a
-backoff policy if it crashes (crash/restart counts land in ``stats``),
+backoff policy if it crashes (crash/restart counts land in ``stats``), and
 repeatedly-failing enodes are backed off behind a per-peer circuit
 breaker — one scoreboard for the whole crawl, held by the core at
 :class:`~repro.resilience.PeerScoreboard`'s defaults (3 failures,
-300 s) — and transient
-dial failures can be retried in place under a deterministic
-:class:`~repro.resilience.RetryPolicy`.
+300 s).  A dial is one attempt, as in the paper: a failed peer waits for
+its next static or dynamic dial, so each ``_dial`` journals one ``dial``
+record and a crawl's journal replays into exactly its own NodeDB.
 
 Intervals are parameters (the paper's values are 4s lookups and 30-minute
 re-dials); tests and examples shrink them to seconds so a localhost crawl
@@ -31,7 +31,7 @@ import logging
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.crypto.keys import PrivateKey
@@ -58,10 +58,6 @@ class LiveConfig:
     static_dial_interval: float = 30 * 60.0
     max_active_dials: int = 16   # Geth's maxActiveDialTasks
     dial_timeout: float = 5.0
-    #: in-place retry for transport-level dial failures; None disables
-    retry: Optional[RetryPolicy] = field(
-        default_factory=lambda: RetryPolicy(max_attempts=2, base_delay=0.2)
-    )
     #: restart budget for crashed crawler loops; None → package default
     supervisor_policy: Optional[RetryPolicy] = None
 
@@ -87,8 +83,7 @@ class LiveNodeFinder:
         #: time without sleeping; monotonic by default (wall-clock jumps must
         #: not expire or re-schedule dials)
         self.clock = clock if clock is not None else time.monotonic
-        #: draws lookup targets and retry jitter; injectable for
-        #: reproducible targets and backoff schedules
+        #: draws lookup targets; injectable for reproducible targets
         self.rng = rng
         self.db = NodeDB()
         self.discovery: Optional[DiscoveryService] = None
@@ -167,7 +162,6 @@ class LiveNodeFinder:
             name,
             loop,
             policy=self.config.supervisor_policy,
-            rng=self.rng,
             on_crash=lambda exc, name=name: self._loop_crashed(name, exc),
             on_restart=lambda name=name: self._loop_restarted(name),
         )
@@ -294,8 +288,6 @@ class LiveNodeFinder:
                 connection_type=connection_type,
                 dial_timeout=self.config.dial_timeout,
                 clock=self.clock,
-                retry=self.config.retry,
-                retry_rng=self.rng,
                 telemetry=self.telemetry,
             )
         self.stats[

@@ -89,8 +89,6 @@ class DialResult:
     #: how it failed: refused | stalled | reset | truncated | unreachable |
     #: protocol — the fine-grained taxonomy a flat timeout conflates
     failure_detail: Optional[str] = None
-    #: connection attempts this result covers (> 1 under a RetryPolicy)
-    attempts: int = 1
 
     @property
     def got_hello(self) -> bool:

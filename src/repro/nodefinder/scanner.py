@@ -365,7 +365,7 @@ class NodeFinderInstance:
         # simulated dials have no spans (no real stages ran), but they
         # share the journal schema with live crawls; the journal router
         # places each in its owning shard's file
-        self.telemetry.record_dial(result, attempt=result.attempts)
+        self.telemetry.record_dial(result)
 
     def watch_bootstrap(self, node_id: bytes) -> None:
         # stats mutations route through the writer (OWNERSHIP invariant)

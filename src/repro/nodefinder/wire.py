@@ -9,13 +9,13 @@ the simulator produces, so every analysis runs unchanged on live data.
 
 Robustness (the parts the paper's months-long deployment needed):
 
+* a dial is one attempt, as in the paper: a peer that fails waits for its
+  next dial, never for an in-place retry;
 * every stage (TCP connect, RLPx auth/ack, HELLO, STATUS, DAO check) runs
-  under its own :class:`~repro.resilience.StageBudgets` deadline;
+  under its own ``dial_timeout`` deadline (:func:`~repro.resilience.bounded`);
 * failures are classified — ``DialResult.failure_stage`` says *where* a
   dial died and ``failure_detail`` says *how* (refused vs. reset vs.
   stalled vs. truncated vs. garbage), instead of one catch-all timeout;
-* transport-level failures can be retried under a deterministic
-  :class:`~repro.resilience.RetryPolicy`;
 * one crashing dial can never take down a ``crawl_targets`` batch.
 """
 
@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import random
 import time
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.devp2p.messages import Capability, DisconnectReason, HelloMessage
@@ -37,24 +36,12 @@ from repro.ethproto.handshake import harvest_dao_check, run_eth_handshake
 from repro.nodefinder.database import NodeDB
 from repro.nodefinder.records import DialOutcome, DialResult
 from repro.nodefinder.shard import NodeDBWriter
-from repro.resilience import (
-    RetryPolicy,
-    StageBudgets,
-    StageTimeout,
-    bounded,
-)
+from repro.resilience import StageTimeout, bounded
 from repro.rlpx.session import open_session
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.spans import Span
 
 logger = logging.getLogger(__name__)
-
-#: outcomes worth a second attempt: the transport failed before the peer
-#: said anything, so a retry may still harvest (a completed-but-rejected
-#: dial — Too many peers, useless peer — is the peer's answer, not noise)
-RETRYABLE_OUTCOMES = frozenset(
-    {DialOutcome.TIMEOUT, DialOutcome.CONNECTION_REFUSED, DialOutcome.RLPX_FAILED}
-)
 
 
 def nodefinder_hello(key: PrivateKey, listen_port: int = 30303) -> HelloMessage:
@@ -106,64 +93,25 @@ async def harvest(
     connection_type: str = "dynamic-dial",
     dial_timeout: float = 5.0,
     clock: Callable[[], float] | None = None,
-    budgets: StageBudgets | None = None,
-    retry: RetryPolicy | None = None,
-    retry_rng: Optional[random.Random] = None,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> DialResult:
-    """Run the full §4 harvest against one live peer.
+    """Run the full §4 harvest against one live peer, once.
 
     ``clock`` stamps the result record; callers running a scheduled crawl
     (``LiveNodeFinder``) pass their own so database timestamps share the
     scheduler's timeline.  Defaults to wall-clock epoch seconds, the
     paper's measurement-log convention.
 
-    ``budgets`` gives every stage its own deadline (defaults to the flat
-    ``dial_timeout`` per stage).  With ``retry``, transport failures
-    (refused / reset / stalled — never a peer's actual answer) are
-    re-attempted under the policy; the returned result carries the total
-    ``attempts`` count and always reflects the final attempt.
-
-    ``telemetry`` receives one ``record_dial`` per attempt (with a span
-    whose children time each stage) and a ``record_retry`` per backoff.
+    Every stage runs under its own ``dial_timeout`` deadline.
+    ``telemetry`` receives one ``record_dial``, with a span whose children
+    time each stage; the result's duration comes off that span.
     """
-    stage_budgets = budgets if budgets is not None else StageBudgets.flat(dial_timeout)
-    if retry is None:
-        return await _harvest_once(
-            target, key, connection_type, stage_budgets, clock, telemetry
-        )
-
-    async def attempt(number: int) -> DialResult:
-        return await _harvest_once(
-            target, key, connection_type, stage_budgets, clock, telemetry, number
-        )
-
-    def on_retry(attempt_number: int, delay: float) -> None:
-        telemetry.record_retry(target.node_id, attempt_number, delay)
-
-    return await retry.run(
-        attempt,
-        should_retry=lambda result: result.outcome in RETRYABLE_OUTCOMES,
-        rng=retry_rng,
-        on_retry=on_retry,
-    )
-
-
-async def _harvest_once(
-    target: ENode,
-    key: PrivateKey,
-    connection_type: str,
-    budgets: StageBudgets,
-    clock: Callable[[], float] | None,
-    telemetry: Telemetry = NULL_TELEMETRY,
-    attempt: int = 1,
-) -> DialResult:
-    """One dial attempt under a fresh span; duration comes off the span."""
     span = telemetry.start_span("dial")
-    result = await _harvest_attempt(target, key, connection_type, budgets, clock, span)
+    result = await _harvest_attempt(
+        target, key, connection_type, dial_timeout, clock, span
+    )
     result.duration = span.finish(result.outcome.value)
-    result.attempts = attempt
-    telemetry.record_dial(result, span=span, attempt=attempt)
+    telemetry.record_dial(result, span=span)
     return result
 
 
@@ -171,7 +119,7 @@ async def _harvest_attempt(
     target: ENode,
     key: PrivateKey,
     connection_type: str,
-    budgets: StageBudgets,
+    dial_timeout: float,
     clock: Callable[[], float] | None,
     span: Span,
 ) -> DialResult:
@@ -189,8 +137,8 @@ async def _harvest_attempt(
             target.tcp_port,
             key,
             PublicKey.from_bytes(target.node_id),
-            dial_timeout=budgets.connect,
-            handshake_timeout=budgets.rlpx,
+            dial_timeout=dial_timeout,
+            handshake_timeout=dial_timeout,
             trace=span,
         )
     except HandshakeError as exc:
@@ -206,7 +154,7 @@ async def _harvest_attempt(
     stage = "hello"
     stage_span = span.child("hello")
     try:
-        remote_hello = await bounded(peer.handshake(), budgets.hello, "hello")
+        remote_hello = await bounded(peer.handshake(), dial_timeout, "hello")
         stage_span.finish()
         hello_fields = dict(
             client_id=remote_hello.client_id,
@@ -226,7 +174,7 @@ async def _harvest_attempt(
         stage = "status"
         stage_span = span.child("status")
         info = await bounded(
-            run_eth_handshake(peer, nodefinder_status()), budgets.status, "status"
+            run_eth_handshake(peer, nodefinder_status()), dial_timeout, "status"
         )
         stage_span.finish()
         status = info.remote_status
@@ -235,7 +183,7 @@ async def _harvest_attempt(
             stage = "dao"
             stage_span = span.child("dao")
             side, header = await bounded(
-                harvest_dao_check(peer), budgets.dao, "dao"
+                harvest_dao_check(peer), dial_timeout, "dao"
             )
             stage_span.finish()
             dao_side = {"supports": "supports", "opposes": "opposes"}.get(
@@ -300,7 +248,7 @@ async def crawl_targets(
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> NodeDB:
     """Harvest many live targets concurrently (maxActiveDialTasks=16, §4),
-    each once, with no retry.
+    each once.
 
     The fan-out is exception-safe: a dial that raises is logged and
     dropped, never cancelling its siblings.

@@ -2,16 +2,21 @@
 
 The paper's crawler ran for months against the open Internet; this
 package holds everything that lets the reproduction degrade gracefully
-the same way: deterministic retry/backoff (:class:`RetryPolicy`),
-per-stage harvest deadlines (:class:`StageBudgets`), per-peer circuit
-breakers (:class:`CircuitBreaker` / :class:`PeerScoreboard`) and crash
-supervision for crawler loops (:class:`LoopSupervisor`).
+the same way: one deadline per harvest stage (:func:`bounded`, whose
+overrun names the stage), per-peer circuit breakers
+(:class:`CircuitBreaker` / :class:`PeerScoreboard`) and crash
+supervision for crawler loops (:class:`LoopSupervisor`, restarting on a
+:class:`RetryPolicy` schedule).  A dial itself is never retried in
+place: as in the paper, a failed peer waits for its next dial.
 """
 
 from repro.resilience.breaker import BreakerState, CircuitBreaker, PeerScoreboard
-from repro.resilience.deadline import StageBudgets, StageTimeout, bounded
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.supervisor import DEFAULT_SUPERVISOR_POLICY, LoopSupervisor
+from repro.resilience.deadline import StageTimeout, bounded
+from repro.resilience.supervisor import (
+    DEFAULT_SUPERVISOR_POLICY,
+    LoopSupervisor,
+    RetryPolicy,
+)
 
 __all__ = [
     "BreakerState",
@@ -20,7 +25,6 @@ __all__ = [
     "LoopSupervisor",
     "PeerScoreboard",
     "RetryPolicy",
-    "StageBudgets",
     "StageTimeout",
     "bounded",
 ]

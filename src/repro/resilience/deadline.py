@@ -2,43 +2,22 @@
 
 NodeFinder's harvest is at most three message exchanges, but each one
 waits on a different resource: the TCP connect, the RLPx auth/ack, the
-DEVp2p HELLO, the eth STATUS, and the DAO-fork header answer.  A single
-flat timeout lets one slow stage eat the whole budget (a peer that
-accepts instantly but stalls inside STATUS holds a dial slot for the
-full dial timeout) and makes the failure log useless — "timed out"
-without saying *where*.  :class:`StageBudgets` gives every stage its own
-budget and :func:`bounded` converts an overrun into a
-:class:`StageTimeout` carrying the stage name, so
-``DialResult.failure_stage`` can say exactly which exchange stalled.
+DEVp2p HELLO, the eth STATUS, and the DAO-fork header answer.  One
+timeout around the whole dial makes the failure log useless — "timed
+out" without saying *where*.  :func:`bounded` runs one stage under the
+dial timeout and converts an overrun into a :class:`StageTimeout`
+carrying the stage name, so ``DialResult.failure_stage`` can say exactly
+which exchange stalled.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import Awaitable, TypeVar
 
 from repro.errors import ReproError
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class StageBudgets:
-    """Seconds allowed per harvest stage (defaults suit a WAN crawl)."""
-
-    connect: float = 5.0
-    rlpx: float = 5.0
-    hello: float = 5.0
-    status: float = 5.0
-    dao: float = 5.0
-
-    @classmethod
-    def flat(cls, timeout: float) -> "StageBudgets":
-        """Every stage gets the same budget (the legacy flat dial timeout)."""
-        return cls(
-            connect=timeout, rlpx=timeout, hello=timeout, status=timeout, dao=timeout
-        )
 
 
 class StageTimeout(ReproError):

@@ -4,7 +4,7 @@
 PAPERS.md) showed the discovery stack this repo reimplements is
 vulnerable to coordinated table poisoning.  This module puts those
 attackers *inside* the simnet so the crawler, its breakers, and its
-retry machinery face a hostile population on the same deterministic
+re-dial schedule face a hostile population on the same deterministic
 world clock as everything else:
 
 * **Sybil swarm** — ``sybil_count`` attacker identities minted from a

@@ -77,7 +77,6 @@ class JournalHealth:
         self.last_breaker: Dict[Tuple[str, str], Tuple[float, str]] = {}
         self.supervisor: Counter = Counter()
         self.bonds: Counter = Counter()
-        self.chaos: Counter = Counter()
 
     def add(self, name: str, events: Iterable[Event]) -> None:
         """Fold one journal file's events under the row ``name``."""
@@ -108,8 +107,6 @@ class JournalHealth:
                 self.supervisor[fields.get("event", "?")] += 1
             elif kind == "bond":
                 self.bonds["ok" if fields.get("ok") else "failed"] += 1
-            elif kind == "datagram_fault":
-                self.chaos[fields.get("fault", "?")] += 1
             elif kind == "crawler":
                 crawler = fields.get("node_id", "")
 
@@ -175,11 +172,6 @@ class JournalHealth:
                 f"{self.bonds['failed']} failed"
             ),
         ]
-        if self.chaos:
-            sections.append(
-                "chaos faults injected: "
-                + ", ".join(f"{f}={n}" for f, n in sorted(self.chaos.items()))
-            )
         return "\n\n".join(sections)
 
 

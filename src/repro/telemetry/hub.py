@@ -95,10 +95,8 @@ class Telemetry:
 
     # -- harvest ------------------------------------------------------------
 
-    def record_dial(
-        self, result: "DialResult", span: Optional[Span] = None, attempt: int = 1
-    ) -> None:
-        """One completed harvest attempt: the journal's dial / hello /
+    def record_dial(self, result: "DialResult", span: Optional[Span] = None) -> None:
+        """One completed harvest: the journal's dial / hello /
         status / dao / disconnect records — the dial's carrying the span's
         stage durations — encoded straight from the result's values and
         handed to the journal in one write."""
@@ -119,7 +117,7 @@ class Telemetry:
                 connection_type=result.connection_type,
                 duration=result.duration,
                 latency=result.latency or None,
-                attempt=attempt,
+                attempt=1,  # a dial is one attempt; the field keeps old bytes
                 stages=stages or None,
                 failure_stage=result.failure_stage,
                 failure_detail=result.failure_detail,
@@ -176,11 +174,6 @@ class Telemetry:
             self.journal.write_lines(
                 "\n".join(lines) + "\n", len(lines), result.node_id
             )
-
-    def record_retry(
-        self, node_id: Optional[bytes], attempt: int, delay: float
-    ) -> None:
-        self.emit("retry", node_id=node_id, attempt=attempt, delay=delay)
 
     def record_breaker(
         self, node_id: bytes, old: "BreakerState", new: "BreakerState"

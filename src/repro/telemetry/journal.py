@@ -14,7 +14,7 @@ Event types emitted by the instrumented stack (see DESIGN.md §7 for the
 full field tables):
 
 ==================  ====================================================
-``dial``            one per harvest attempt: outcome, stages, duration
+``dial``            one per harvest: outcome, stages, duration
 ``hello``           peer's HELLO: client_id, capabilities, listen_port
 ``status``          peer's STATUS: network_id, genesis/best hash, td
 ``disconnect``      reason code + name, which side sent it
@@ -23,9 +23,9 @@ full field tables):
 ``breaker``         circuit-breaker state transition; v3 adds the
                     optional ``scope`` (``peer`` default | ``subnet``)
                     and, for subnet scope, the ``subnet`` prefix
-``retry``           one backoff wait before a re-attempt
+``retry``           (old journals only) one backoff wait before an
+                    in-place re-dial
 ``supervisor``      crawler-loop crash / restart / death
-``datagram_fault``  chaos fault injected into the UDP discovery socket
 ``inbound``         served-side milestones on a FullNode
 ``crawler``         (v3) the crawler's own enode identity + name
 ``table_admission`` (v3) a routing-table admission guard refused a
@@ -89,7 +89,7 @@ def _value(value: Any) -> str:
 
 # -- the dial-family line encoders --------------------------------------------
 #
-# One straight-line encoder per record type a harvest attempt writes, and the
+# One straight-line encoder per record type a harvest writes, and the
 # only producer of those lines: ``Telemetry.record_dial`` calls them with a
 # ``DialResult``'s values, ``Event.to_json`` with an event's fields.  Each
 # returns exactly ``_ENCODE({"v", "type", "ts", **fields})`` with the ``None``

@@ -7,9 +7,7 @@ the exact :class:`~repro.nodefinder.records.DialOutcome` each one maps to:
 
 * :class:`ChaosProxy` — a localhost TCP proxy between the crawler and a
   real node.  Client→upstream bytes pass verbatim; upstream→client bytes
-  go through one configured :class:`FaultType`.  ``fail_first`` limits
-  the fault to the first N connections so retry paths can be exercised
-  (fail, fail, then succeed).
+  go through one configured :class:`FaultType`.
 * :class:`ChaosDatagramTransport` — wraps the transport of a bound
   :class:`~repro.discovery.protocol.DiscoveryService` (assign it to
   ``service._transport`` after ``listen()``) and faults its outbound
@@ -79,9 +77,6 @@ class ChaosConfig:
     fault: FaultType
     #: injected delay per delivered chunk (LATENCY)
     latency: float = 0.02
-    #: fault only the first N connections, then behave cleanly (0 = always);
-    #: lets tests drive "fails twice, succeeds on the third retry"
-    fail_first: int = 0
 
     def garbage_bytes(self) -> bytes:
         """What GARBAGE substitutes: a deterministic RLPx-shaped junk
@@ -101,7 +96,6 @@ class ChaosProxy:
         self.config = config
         self.host = "127.0.0.1"
         self.port = 0
-        self.connections = 0
         self.faults_injected = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set[asyncio.Task] = set()
@@ -124,11 +118,6 @@ class ChaosProxy:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.connections += 1
-        faulted = (
-            self.config.fail_first == 0
-            or self.connections <= self.config.fail_first
-        )
         try:
             up_reader, up_writer = await asyncio.open_connection(
                 self.upstream_host, self.upstream_port
@@ -137,14 +126,7 @@ class ChaosProxy:
             writer.close()
             return
         upstream_pump = asyncio.ensure_future(self._pump_clean(reader, up_writer))
-        if faulted:
-            downstream_pump = asyncio.ensure_future(
-                self._pump_faulted(up_reader, writer)
-            )
-        else:
-            downstream_pump = asyncio.ensure_future(
-                self._pump_clean(up_reader, writer)
-            )
+        downstream_pump = asyncio.ensure_future(self._pump_faulted(up_reader, writer))
         for task in (upstream_pump, downstream_pump):
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)

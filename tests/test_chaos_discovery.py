@@ -18,7 +18,6 @@ from repro.crypto.keccak import keccak256
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
 from repro.discovery.protocol import DiscoveryService
-from repro.resilience import RetryPolicy
 from repro.telemetry import EventJournal, Telemetry, read_events
 from tests.support.chaos import (
     ChaosDatagramTransport,
@@ -41,11 +40,11 @@ def make_telemetry():
     return Telemetry(journal=EventJournal(stream)), stream
 
 
-async def pair(chaos=None, telemetry=None, retry=None):
+async def pair(chaos=None, telemetry=None):
     """Two bound discovery services; ``a`` optionally faulted outbound, each
     fault journalled as a ``datagram_fault`` record."""
     telemetry = telemetry if telemetry is not None else Telemetry()
-    a = DiscoveryService(PrivateKey(5001), telemetry=telemetry, retry_policy=retry)
+    a = DiscoveryService(PrivateKey(5001), telemetry=telemetry)
     b = DiscoveryService(PrivateKey(5002))
     await a.listen()
     await b.listen()
@@ -171,21 +170,29 @@ class TestDiscoveryFaults:
         run(scenario())
 
     def test_drop_first_recovers_under_bond_retry(self):
+        """A bond is one PING: a dropped PING fails that bond, and the next
+        ``bond()`` — the crawler's next lookup round — is the retry."""
+
         async def scenario():
             telemetry, stream = make_telemetry()
             a, b = await pair(
                 chaos=DatagramChaosConfig(DatagramFault.DROP, first=1),
                 telemetry=telemetry,
-                retry=RetryPolicy(max_attempts=3, base_delay=0.05),
             )
             a.reply_timeout = 0.2
             target = ENode(
                 node_id=b.node_id, ip=b.host, udp_port=b.port, tcp_port=b.port
             )
             try:
-                assert await a.bond(target)  # first PING dropped, retry lands
+                assert not await a.bond(target)  # the one PING was dropped
+                assert not a.is_bonded(b.node_id)
+                assert await a.bond(target)  # the next bond's PING lands
+                assert a.is_bonded(b.node_id)
                 assert fault_count(stream, "drop") == 1
-                assert [e.fields["ok"] for e in records(stream, "bond")] == [True]
+                assert [e.fields["ok"] for e in records(stream, "bond")] == [
+                    False,
+                    True,
+                ]
             finally:
                 a.close()
                 b.close()

@@ -17,20 +17,19 @@ from repro.discovery.enode import ENode
 from repro.fullnode import FullNode
 from repro.nodefinder.wire import harvest
 from repro.nodefinder.records import DialOutcome
-from repro.resilience import RetryPolicy, StageBudgets
 from tests.support.chaos import ChaosConfig, ChaosProxy, FaultType
 
 pytestmark = pytest.mark.chaos
 
-#: tight per-stage deadlines so stall faults resolve in well under a second
-FAST = StageBudgets(connect=2.0, rlpx=0.6, hello=0.6, status=0.6, dao=0.6)
+#: a tight per-stage deadline so stall faults resolve in well under a second
+FAST = 0.6
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-async def harvest_through_fault(config, budgets=FAST, retry=None):
+async def harvest_through_fault(config, dial_timeout=FAST):
     """Start a node, put a chaos proxy in front of it, harvest through it."""
     node = FullNode(PrivateKey(4242))
     await node.start()
@@ -42,9 +41,7 @@ async def harvest_through_fault(config, budgets=FAST, retry=None):
         tcp_port=proxy.port,
     )
     try:
-        return await harvest(
-            target, PrivateKey(4243), budgets=budgets, retry=retry
-        ), proxy
+        return await harvest(target, PrivateKey(4243), dial_timeout=dial_timeout), proxy
     finally:
         await proxy.stop()
         await node.stop()
@@ -54,9 +51,7 @@ class TestProxyFaults:
     def test_latency_still_harvests(self):
         async def scenario():
             config = ChaosConfig(fault=FaultType.LATENCY, latency=0.01)
-            result, _ = await harvest_through_fault(
-                config, budgets=StageBudgets.flat(5.0)
-            )
+            result, _ = await harvest_through_fault(config, dial_timeout=5.0)
             assert result.outcome is DialOutcome.FULL_HARVEST
             assert result.got_hello and result.got_status
             assert result.failure_stage is None
@@ -111,7 +106,7 @@ class TestProxyFaults:
                 node_id=PrivateKey(4244).public_key.to_bytes(),
                 ip="127.0.0.1", udp_port=1, tcp_port=1,
             )
-            result = await harvest(target, PrivateKey(4245), budgets=FAST)
+            result = await harvest(target, PrivateKey(4245), dial_timeout=FAST)
             assert result.outcome is DialOutcome.CONNECTION_REFUSED
             assert result.failure_stage == "connect"
             assert result.failure_detail == "refused"
@@ -126,30 +121,3 @@ class TestProxyFaults:
             DialOutcome.RLPX_FAILED,
         ):
             assert not outcome.completed
-
-
-class TestRetryThroughFaults:
-    def test_retry_recovers_after_transient_resets(self):
-        async def scenario():
-            # the first two connections are reset, the third runs clean:
-            # a 3-attempt policy must come back with the full harvest
-            config = ChaosConfig(fault=FaultType.RESET, fail_first=2)
-            retry = RetryPolicy(max_attempts=3, base_delay=0.01)
-            result, proxy = await harvest_through_fault(config, retry=retry)
-            assert proxy.connections == 3
-            assert result.outcome is DialOutcome.FULL_HARVEST
-            assert result.attempts == 3
-
-        run(scenario())
-
-    def test_retry_exhaustion_keeps_the_failure(self):
-        async def scenario():
-            config = ChaosConfig(fault=FaultType.RESET)  # every connection
-            retry = RetryPolicy(max_attempts=2, base_delay=0.01)
-            result, proxy = await harvest_through_fault(config, retry=retry)
-            assert proxy.connections == 2
-            assert result.outcome is DialOutcome.RLPX_FAILED
-            assert result.attempts == 2
-
-        run(scenario())
-

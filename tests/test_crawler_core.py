@@ -229,7 +229,6 @@ async def run_live(peers, intervals: int):
             lookup_interval=0.004,
             static_dial_interval=LIVE_INTERVAL,
             max_active_dials=64,
-            retry=None,
         ),
         clock=lambda: now[0],
         harvester=harvester,

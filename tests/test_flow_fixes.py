@@ -180,7 +180,7 @@ def recording_finder(fake_now, dialed, on_dial=None):
 
     return LiveNodeFinder(
         # a 0.3 s interval keeps an idle pass of the loop at 30 ms
-        config=LiveConfig(static_dial_interval=0.3, retry=None),
+        config=LiveConfig(static_dial_interval=0.3),
         clock=lambda: fake_now[0],
         harvester=harvester,
     )

@@ -1,9 +1,8 @@
-"""Unit coverage for repro.resilience: retry schedules, stage deadlines,
-circuit breakers, and loop supervision — all under injected clocks/RNGs,
-so not a single test sleeps for real."""
+"""Unit coverage for repro.resilience: restart schedules, stage deadlines,
+circuit breakers, and loop supervision — all under injected clocks, so not
+a single test sleeps for real."""
 
 import asyncio
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,6 @@ from repro.resilience import (
     LoopSupervisor,
     PeerScoreboard,
     RetryPolicy,
-    StageBudgets,
     StageTimeout,
     bounded,
 )
@@ -35,127 +33,17 @@ class TestRetryPolicy:
         )
         assert [policy.delay(attempt) for attempt in range(1, 5)] == [0.2, 0.4, 0.8, 1.0]
 
-    def test_jitter_is_deterministic_under_a_seeded_rng(self):
-        policy = RetryPolicy(max_attempts=4, base_delay=1.0, jitter=0.5)
-        first, second = (
-            [policy.delay(attempt, rng) for attempt in range(1, 4)]
-            for rng in (random.Random(7), random.Random(7))
-        )
-        assert first == second
-        for attempt, delay in enumerate(first, start=1):
-            nominal = min(policy.max_delay, 1.0 * 2.0 ** (attempt - 1))
-            assert nominal * 0.5 <= delay <= nominal * 1.5
-
-    def test_no_rng_means_no_jitter(self):
-        policy = RetryPolicy(base_delay=1.0, jitter=0.5)
-        assert policy.delay(1) == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-
-    def test_run_retries_until_success(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.2)
-        slept = []
-
-        async def fake_sleep(delay):
-            slept.append(delay)
-
-        async def attempt(number):
-            return "ok" if number == 3 else "fail"
-
-        result = run(
-            policy.run(
-                attempt,
-                should_retry=lambda outcome: outcome == "fail",
-                sleep=fake_sleep,
-            )
-        )
-        assert result == "ok"
-        assert slept == [0.2, 0.4]
-
-    def test_run_returns_last_result_on_exhaustion(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=0.1)
-        attempts = []
-
-        async def fake_sleep(delay):
-            pass
-
-        async def attempt(number):
-            attempts.append(number)
-            return "fail"
-
-        result = run(
-            policy.run(
-                attempt, should_retry=lambda _: True, sleep=fake_sleep
-            )
-        )
-        assert result == "fail"
-        assert attempts == [1, 2, 3]
-
-    def test_run_respects_the_deadline(self):
-        # 10 attempts allowed, but the deadline cuts the schedule short:
-        # a fake clock advanced by the fake sleep meters the budget
-        policy = RetryPolicy(
-            max_attempts=10, base_delay=1.0, multiplier=1.0, deadline=2.5
-        )
-        now = [0.0]
-
-        async def fake_sleep(delay):
-            now[0] += delay
-
-        attempts = []
-
-        async def attempt(number):
-            attempts.append(number)
-            return "fail"
-
-        result = run(
-            policy.run(
-                attempt,
-                should_retry=lambda _: True,
-                clock=lambda: now[0],
-                sleep=fake_sleep,
-            )
-        )
-        assert result == "fail"
-        # waits of 1.0 + 1.0 fit in 2.5; a third wait would exceed it
-        assert attempts == [1, 2, 3]
-
-    def test_run_single_attempt_when_should_retry_is_none(self):
-        policy = RetryPolicy(max_attempts=5)
-        calls = []
-
-        async def attempt(number):
-            calls.append(number)
-            return 42
-
-        assert run(policy.run(attempt)) == 42
-        assert calls == [1]
-
-    def test_exceptions_propagate_uncounted(self):
-        policy = RetryPolicy(max_attempts=5)
-
-        async def attempt(number):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            run(policy.run(attempt, should_retry=lambda _: True))
 
 
-# -- StageBudgets / bounded -------------------------------------------------
+# -- bounded ----------------------------------------------------------------
 
 
 class TestStageDeadlines:
-    def test_flat_budgets(self):
-        budgets = StageBudgets.flat(2.0)
-        assert budgets.connect == budgets.rlpx == budgets.hello == 2.0
-        assert budgets.status == budgets.dao == 2.0
-
     def test_bounded_passes_results_through(self):
         async def value():
             return "payload"

@@ -521,7 +521,7 @@ def _hexed(raw):
     return raw.hex() if raw is not None else None
 
 
-def _reference_dial_lines(result, ts, stages, attempt):
+def _reference_dial_lines(result, ts, stages):
     """What ``record_dial`` journals for ``result``, built the plain way:
     one ``None``-filtered field dict per record through ``_ENCODE``."""
     node_id = result.node_id.hex()
@@ -535,7 +535,7 @@ def _reference_dial_lines(result, ts, stages, attempt):
             connection_type=result.connection_type,
             duration=result.duration,
             latency=result.latency or None,
-            attempt=attempt,
+            attempt=1,
             stages=stages or None,
             failure_stage=result.failure_stage,
             failure_detail=result.failure_detail,
@@ -690,29 +690,23 @@ class TestTelemetryFacade:
             ("half-open", "closed"),
         ]
 
-    def test_supervisor_and_retry_records(self):
+    def test_supervisor_records(self):
         telemetry, stream, _ = self.make()
         telemetry.record_loop_crash("discovery", "boom")
         telemetry.record_loop_restart("discovery")
         telemetry.record_loop_death("discovery", "boom")
-        telemetry.record_retry(b"\x01" * 64, attempt=1, delay=0.2)
         events = read_events(stream.getvalue().splitlines())
-        assert [e.type for e in events] == [
-            "supervisor",
-            "supervisor",
-            "supervisor",
-            "retry",
-        ]
-        assert [e.fields.get("event") for e in events[:3]] == [
+        assert [e.type for e in events] == ["supervisor"] * 3
+        assert [e.fields.get("event") for e in events] == [
             "crash",
             "restart",
             "death",
         ]
 
     @settings(max_examples=150, deadline=None)
-    @given(result=_DIAL_RESULTS, with_span=st.booleans(), attempt=st.integers(1, 5))
+    @given(result=_DIAL_RESULTS, with_span=st.booleans())
     def test_record_dial_writes_the_reference_lines_in_one_write(
-        self, result, with_span, attempt
+        self, result, with_span
     ):
         clock = FakeClock()
         stream = _CountingStream()
@@ -724,11 +718,9 @@ class TestTelemetryFacade:
             clock.advance(0.125)
             stage.finish()
             span.finish()
-        telemetry.record_dial(result, span=span, attempt=attempt)
+        telemetry.record_dial(result, span=span)
         stages = span.stage_durations() if span is not None else {}
-        assert stream.getvalue() == _reference_dial_lines(
-            result, clock.now, stages, attempt
-        )
+        assert stream.getvalue() == _reference_dial_lines(result, clock.now, stages)
         assert stream.writes == 1
         assert telemetry.journal.events_written == stream.getvalue().count("\n")
 
@@ -736,7 +728,6 @@ class TestTelemetryFacade:
         from repro.telemetry import NULL_TELEMETRY
 
         NULL_TELEMETRY.record_dial(full_result())
-        NULL_TELEMETRY.record_retry(None, 1, 0.1)
         assert NULL_TELEMETRY.journal is None
 
 
