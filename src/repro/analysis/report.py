@@ -2,8 +2,8 @@
 
 One rendering path shared by ``nodefinder analyze`` and the golden-file
 regression tests, so the same :class:`~repro.nodefinder.database.NodeDB`
-— whether filled by a live crawl, loaded from a database dump, or
-replayed from a measurement journal — produces byte-identical output.
+— whether filled by a crawl or replayed from its measurement journal —
+produces byte-identical output.
 Ties in every ranked table are broken lexicographically, so the
 rendering is independent of entry iteration order.
 """
@@ -169,7 +169,7 @@ def render_freshness(db: NodeDB, head_height: int = 0) -> str:
     """Figure 14: freshness CDF of Mainnet nodes against the chain head.
 
     ``head_height`` is the fallback reference for entries whose STATUS
-    did not record the contemporary head (pre-v2 journals, old dumps).
+    did not record the contemporary head (pre-v2 journals).
     """
     report = freshness_cdf(db, head_height)
     lines = [

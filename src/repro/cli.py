@@ -3,17 +3,17 @@
 Commands:
 
 * ``demo``      — start a localhost network of live nodes and crawl it with
-  the real RLPx/DEVp2p/eth stack;
+  the live NodeFinder (the real discv4/RLPx/DEVp2p/eth stack) for
+  ``DEMO_CRAWL_SECONDS``;
 * ``simulate``  — crawl a simulated ecosystem and print the headline
   measurements (services, clients, networks, sanitisation);
 * ``casestudy`` — reproduce the §3 instrumented-client week (Table 1);
 * ``distance``  — reproduce the Figure 11 distance-metric comparison;
 * ``analyze``   — render the paper's tables/figures (Table 1, Table 3,
   Figure 9, Table 4, Figure 14, churn, and ``--sightings`` for the
-  Figure 12 intervals) from either a measurement journal (``--journal``,
-  repeatable for a fleet's per-instance or per-shard files) or a node
-  database dump (``--db``); both paths produce byte-identical reports
-  for the same crawl;
+  Figure 12 intervals) from a crawl's measurement journals (``--journal``,
+  repeatable for a fleet's per-instance or per-shard files) — a live
+  crawl's journal replays into exactly its own node database;
 * ``crawl``     — run a live crawl against real bootstrap enodes,
   journaling to one file;
 * ``profile``   — run an instrumented simulated crawl and print the
@@ -34,35 +34,38 @@ import sys
 
 from repro.errors import ReproError
 
+#: how long ``demo`` crawls its localhost network: every node is a
+#: bootstrap static, dialed at once, so a few seconds harvest them all
+DEMO_CRAWL_SECONDS = 2.0
+
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.crypto.keys import PrivateKey
     from repro.fullnode import start_localhost_network
-    from repro.nodefinder.wire import crawl_targets
-    from repro.telemetry import EventJournal, Telemetry
+    from repro.nodefinder.live import LiveNodeFinder
+    from repro.telemetry import EventJournal
 
     journal = EventJournal.open(args.journal) if args.journal else None
-    telemetry = Telemetry(journal=journal)
 
     async def run() -> int:
         nodes = await start_localhost_network(args.nodes, blocks=args.blocks)
         print(f"started {len(nodes)} live nodes on 127.0.0.1")
+        finder = LiveNodeFinder(
+            journal_opener=(lambda shard: journal) if journal is not None else None
+        )
         try:
-            db = await crawl_targets(
-                [node.enode for node in nodes],
-                PrivateKey.generate(),
-                telemetry=telemetry,
-            )
-            for entry in db:
-                print(
-                    f"  {entry.node_id.hex()[:8]}  {entry.client_id}  "
-                    f"network={entry.network_id}  dao={entry.dao_side}  "
-                    f"rtt={entry.median_latency or 0:.4f}s"
-                )
-            print(f"harvested {len(db.nodes_with_status())} STATUS messages")
+            await finder.start([node.enode for node in nodes])
+            db = await finder.crawl_for(DEMO_CRAWL_SECONDS)
         finally:
+            await finder.stop()
             for node in nodes:
                 await node.stop()
+        for entry in db:
+            print(
+                f"  {entry.node_id.hex()[:8]}  {entry.client_id}  "
+                f"network={entry.network_id}  dao={entry.dao_side}  "
+                f"rtt={entry.median_latency or 0:.4f}s"
+            )
+        print(f"harvested {len(db.nodes_with_status())} STATUS messages")
         return 0
 
     try:
@@ -76,44 +79,29 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.ingest import replay_journals
     from repro.analysis.report import render_crawl_report, render_sightings
-    from repro.nodefinder.database import NodeDB
     from repro.units import SECONDS_PER_DAY
 
-    if bool(args.journal) == bool(args.db):
-        print("analyze: pass --journal crawl.jsonl (repeatable) or --db nodes.jsonl",
-              file=sys.stderr)
+    if not args.journal:
+        print("analyze: pass --journal crawl.jsonl (repeatable)", file=sys.stderr)
         return 2
-    if args.sightings and not args.journal:
-        print("analyze: --sightings needs --journal (timelines are "
-              "journal-derived)", file=sys.stderr)
-        return 2
-    if args.eclipse and not args.journal:
-        print("analyze: --eclipse needs --journal (detection reads crawler "
-              "identities and defence events)", file=sys.stderr)
-        return 2
-    replayed = None
-    if args.journal:
-        replayed = replay_journals(args.journal)
-        db = replayed.db
-        print(
-            f"replayed {replayed.events_replayed} events "
-            f"({replayed.dials_replayed} dials, {len(db)} peers) from "
-            f"{len(args.journal)} journal(s); skipped {len(replayed.skipped)}",
-            file=sys.stderr,
-        )
-    else:
-        db = NodeDB.load_jsonl(args.db)
+    replayed = replay_journals(args.journal)
+    db = replayed.db
+    print(
+        f"replayed {replayed.events_replayed} events "
+        f"({replayed.dials_replayed} dials, {len(db)} peers) from "
+        f"{len(args.journal)} journal(s); skipped {len(replayed.skipped)}",
+        file=sys.stderr,
+    )
     total_days = args.days
     if total_days is None:
-        # derived identically for both input paths, so the reports match
         last = max((entry.last_attempt for entry in db), default=0.0)
         total_days = last / SECONDS_PER_DAY
     print(render_crawl_report(db, head_height=args.head_height,
                               total_days=total_days))
-    if args.sightings and replayed is not None:
+    if args.sightings:
         print()
         print(render_sightings(replayed.timelines.values()))
-    if args.eclipse and replayed is not None:
+    if args.eclipse:
         from repro.analysis.eclipse import detect_eclipse
         from repro.analysis.report import render_eclipse
 
@@ -160,9 +148,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             f"{stats['static_dials']} static dials, "
             f"{finder.writer.folds} writer folds"
         )
-        if args.db:
-            count = finder.db.dump_jsonl(args.db)
-            print(f"node database: {args.db} ({count} entries)")
         return 0
 
     try:
@@ -411,22 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
     distance.set_defaults(func=_cmd_distance)
 
     analyze = commands.add_parser(
-        "analyze", help="render the paper's tables/figures from a crawl artifact"
+        "analyze", help="render the paper's tables/figures from a crawl's journals"
     )
     analyze.add_argument("--journal", metavar="PATH", action="append", default=[],
                          help="measurement journal to replay (repeat for a fleet)")
-    analyze.add_argument("--db", metavar="PATH",
-                         help="node-database dump written by NodeDB.dump_jsonl")
     analyze.add_argument("--head-height", type=int, default=0,
                          help="fallback chain head for the freshness CDF")
     analyze.add_argument("--days", type=float, default=None,
                          help="crawl window in days for churn (default: derived)")
     analyze.add_argument("--sightings", action="store_true",
-                         help="append the Figure 12 sighting-interval section "
-                              "(journal input only)")
+                         help="append the Figure 12 sighting-interval section")
     analyze.add_argument("--eclipse", action="store_true",
-                         help="append the eclipse-detection section "
-                              "(journal input only)")
+                         help="append the eclipse-detection section")
     analyze.set_defaults(func=_cmd_analyze)
 
     crawl = commands.add_parser(
@@ -441,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument("--static-dial-interval", type=float, default=30 * 60.0)
     crawl.add_argument("--journal-dir", metavar="DIR",
                        help="write the measurement journal here")
-    crawl.add_argument("--db", metavar="PATH",
-                       help="dump the node database here when done")
     crawl.set_defaults(func=_cmd_crawl)
 
     profile = commands.add_parser(

@@ -12,7 +12,7 @@ the whole tree at once (it is a :class:`ProjectRule`):
    (``self.db = NodeDB()``), annotated parameters flowing into
    attributes (``def __init__(self, db: "NodeDB")``), and dataclass
    field annotations — including string annotations and classmethod
-   constructors like ``NodeDB.load_jsonl(...)``;
+   constructors like ``NodeDB.merged(...)``;
 2. locals are typed the same way, including the alias idiom
    ``db = self.db``; nested functions inherit the typed
    names of their enclosing scopes (closure semantics), and a name also
@@ -108,7 +108,7 @@ class _ProjectTypes:
         """The class a constructor-ish call produces.
 
         ``NodeDB()``, ``database.NodeDB()``, and classmethod factories
-        (``NodeDB.load_jsonl(...)``) all resolve: any dotted component
+        (``NodeDB.merged(...)``) all resolve: any dotted component
         that is a known class names the result type.
         """
         name = dotted_name(call.func)

@@ -22,9 +22,10 @@ examples).
 
 Both crawlers fold every dial result into the one ``NodeDB`` through
 :class:`~repro.nodefinder.shard.NodeDBWriter`.  The live crawler runs one
-dial loop and journals to one file; the simulated one may spread its
-journal over N files by node-ID prefix, one
-:class:`~repro.nodefinder.shard.ShardPlan` fixed for the crawl (an
-unsharded crawl is the 1-shard plan).  The paper scaled out with more
+dial loop and journals to one file, its one record: replayed
+(``nodefinder analyze``), it folds back into exactly that ``NodeDB``.
+The simulated crawler may spread its journal over N files by node-ID
+prefix, one :class:`~repro.nodefinder.shard.ShardPlan` fixed for the
+crawl (an unsharded crawl is the 1-shard plan).  The paper scaled out with more
 instances (§4), which is :mod:`repro.nodefinder.fleet`.
 """

@@ -9,7 +9,6 @@ Entries are keyed by node ID; a node seen at several IPs keeps them all.
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -262,88 +261,3 @@ class NodeDB:
         self._entries[entry.node_id] = (
             entry if mine is None else _combined(mine, entry)
         )
-
-    # -- persistence ---------------------------------------------------------------
-
-    def dump_jsonl(self, path: str) -> int:
-        """Write entries as JSON lines; returns the count written.
-
-        The dump is full-fidelity: :meth:`load_jsonl` reconstructs every
-        analysis input (including ``head_at_status``, latencies and
-        disconnect tallies), so the database path and the journal-replay path
-        of ``nodefinder analyze`` render identical reports.
-        """
-        count = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for entry in self:
-                record = {
-                    "node_id": entry.node_id.hex(),
-                    "ips": sorted(entry.ips),
-                    "tcp_port": entry.tcp_port,
-                    "first_seen": entry.first_seen,
-                    "last_seen": entry.last_seen,
-                    "last_attempt": entry.last_attempt,
-                    "last_success": entry.last_success,
-                    "sessions": entry.sessions,
-                    "connection_types": sorted(entry.connection_types),
-                    "client_id": entry.client_id,
-                    "capabilities": entry.capabilities,
-                    "network_id": entry.network_id,
-                    "genesis_hash": entry.genesis_hash.hex()
-                    if entry.genesis_hash
-                    else None,
-                    "best_hash": entry.best_hash.hex() if entry.best_hash else None,
-                    "best_block": entry.best_block,
-                    "head_at_status": entry.head_at_status,
-                    "total_difficulty": entry.total_difficulty,
-                    "dao_side": entry.dao_side,
-                    "outbound_success": entry.outbound_success,
-                    "latencies": list(entry.latencies),
-                    "disconnects": {
-                        label: entry.disconnects[label]
-                        for label in sorted(entry.disconnects)
-                    },
-                }
-                handle.write(json.dumps(record) + "\n")
-                count += 1
-        return count
-
-    @classmethod
-    def load_jsonl(cls, path: str) -> "NodeDB":
-        db = cls()
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                record = json.loads(line)
-                entry = NodeEntry(
-                    node_id=bytes.fromhex(record["node_id"]),
-                    ips=set(record["ips"]),
-                    tcp_port=record["tcp_port"],
-                    first_seen=record["first_seen"],
-                    last_seen=record["last_seen"],
-                    last_attempt=record.get("last_attempt", 0.0),
-                    last_success=record["last_success"],
-                    sessions=record["sessions"],
-                    connection_types=_connection_types(
-                        record.get("connection_types", ())
-                    ),
-                    client_id=record["client_id"],
-                    capabilities=[tuple(cap) for cap in record["capabilities"]]
-                    if record["capabilities"]
-                    else None,
-                    network_id=record["network_id"],
-                    genesis_hash=bytes.fromhex(record["genesis_hash"])
-                    if record["genesis_hash"]
-                    else None,
-                    best_hash=bytes.fromhex(record["best_hash"])
-                    if record.get("best_hash")
-                    else None,
-                    best_block=record["best_block"],
-                    head_at_status=record.get("head_at_status"),
-                    total_difficulty=record.get("total_difficulty"),
-                    dao_side=record["dao_side"],
-                    outbound_success=record.get("outbound_success", False),
-                    latencies=array("d", record.get("latencies", ())),
-                    disconnects=dict(record.get("disconnects", {})),
-                )
-                db._entries[entry.node_id] = entry
-        return db

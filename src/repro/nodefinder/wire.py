@@ -3,9 +3,10 @@
 ``harvest`` performs exactly the §4 sequence against one peer: RLPx
 handshake → DEVp2p HELLO → eth STATUS → GET_BLOCK_HEADERS for the DAO fork
 block → DISCONNECT — at most three message exchanges, holding the peer slot
-for well under a second on a LAN.  ``crawl_targets`` drives a list of
-enodes and fills the same :class:`DialResult`/:class:`NodeDB` structures
-the simulator produces, so every analysis runs unchanged on live data.
+for well under a second on a LAN.  It returns the same :class:`DialResult`
+the simulator produces; :class:`~repro.nodefinder.live.LiveNodeFinder`
+schedules it and folds each result into its ``NodeDB``, so every analysis
+runs unchanged on live data.
 
 Robustness (the parts the paper's months-long deployment needed):
 
@@ -16,15 +17,15 @@ Robustness (the parts the paper's months-long deployment needed):
 * failures are classified — ``DialResult.failure_stage`` says *where* a
   dial died and ``failure_detail`` says *how* (refused vs. reset vs.
   stalled vs. truncated vs. garbage), instead of one catch-all timeout;
-* one crashing dial can never take down a ``crawl_targets`` batch.
+* a dial that fails comes back as a classified ``DialResult``; one that
+  raises crashes only itself in ``LiveNodeFinder``'s dial loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
 import time
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.devp2p.messages import Capability, DisconnectReason, HelloMessage
@@ -33,15 +34,11 @@ from repro.discovery.enode import ENode
 from repro.errors import HandshakeError, PeerDisconnected, ProtocolError, ReproError
 from repro.ethproto import messages as eth
 from repro.ethproto.handshake import harvest_dao_check, run_eth_handshake
-from repro.nodefinder.database import NodeDB
 from repro.nodefinder.records import DialOutcome, DialResult
-from repro.nodefinder.shard import NodeDBWriter
 from repro.resilience import StageTimeout, bounded
 from repro.rlpx.session import open_session
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.spans import Span
-
-logger = logging.getLogger(__name__)
 
 
 def nodefinder_hello(key: PrivateKey, listen_port: int = 30303) -> HelloMessage:
@@ -239,41 +236,3 @@ async def _harvest_attempt(
     finally:
         peer.abort()
 
-
-async def crawl_targets(
-    targets: Iterable[ENode],
-    key: PrivateKey | None = None,
-    concurrency: int = 16,
-    dial_timeout: float = 5.0,
-    telemetry: Telemetry = NULL_TELEMETRY,
-) -> NodeDB:
-    """Harvest many live targets concurrently (maxActiveDialTasks=16, §4),
-    each once.
-
-    The fan-out is exception-safe: a dial that raises is logged and
-    dropped, never cancelling its siblings.
-    """
-    key = key or PrivateKey.generate()
-    db = NodeDB()
-    writer = NodeDBWriter(db, telemetry=telemetry)
-    semaphore = asyncio.Semaphore(concurrency)
-
-    async def one(target: ENode) -> None:
-        async with semaphore:
-            result = await harvest(
-                target, key, dial_timeout=dial_timeout, telemetry=telemetry
-            )
-        writer.submit(result)
-
-    target_list = list(targets)
-    results = await asyncio.gather(
-        *(one(target) for target in target_list), return_exceptions=True
-    )
-    for target, outcome in zip(target_list, results):
-        if isinstance(outcome, asyncio.CancelledError):
-            raise outcome
-        if isinstance(outcome, BaseException):
-            logger.warning(
-                "dial of %s crashed: %r", target.short_id(), outcome
-            )
-    return db

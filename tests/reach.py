@@ -120,6 +120,15 @@ def _cli(*argv: str) -> None:
         raise SystemExit(f"nodefinder {' '.join(argv)} exited {status}")
 
 
+def _cli_fails(*argv: str) -> None:
+    from repro.cli import main
+
+    with contextlib.redirect_stderr(io.StringIO()):
+        status = main(list(argv))
+    if status != 2:
+        raise SystemExit(f"nodefinder {' '.join(argv)} exited {status}, not 2")
+
+
 def _example(name: str) -> None:
     runpy.run_path(str(ROOT / "examples" / name), run_name="__main__")
 
@@ -181,15 +190,25 @@ def product_runs(tmp: pathlib.Path):
     sim = tmp / "sim"
     sim_journals = [f"{sim}/nodefinder-{i}-shard{k}.jsonl" for i in (0, 1) for k in (0, 1)]
     live = tmp / "live"
-    live_db = tmp / "live-db.jsonl"
     demo = tmp / "demo.jsonl"
+    foreign = tmp / "foreign.jsonl"
 
     def crawl() -> None:
         with _localhost_network(6) as enodes:
             argv = [f"--enode={url}" for url in enodes]
             _cli("crawl", *argv, "--seconds", "6", "--lookup-interval", "0.5",
-                 "--static-dial-interval", "2", "--journal-dir", str(live),
-                 "--db", str(live_db))
+                 "--static-dial-interval", "2", "--journal-dir", str(live))
+
+    def analyze_foreign() -> None:
+        # a dial whose port is not a number (skipped), then a line of a
+        # schema version this reader does not speak (the error names it)
+        foreign.write_text(
+            '{"v":3,"type":"dial","ts":1.0,"node_id":"%s","ip":"10.0.0.1",'
+            '"tcp_port":"x","outcome":"refused"}\n'
+            '{"v":99,"type":"dial","ts":2.0}\n' % ("ab" * 64),
+            encoding="utf-8",
+        )
+        _cli_fails("analyze", f"--journal={foreign}")
 
     return [
         ("simulate --adversary --defenses --instances 2 --shards 2",
@@ -213,8 +232,9 @@ def product_runs(tmp: pathlib.Path):
         ("demo --journal", lambda: _cli("demo", "--nodes", "4", "--blocks", "8",
                                         "--journal", str(demo))),
         ("crawl (6-node localhost network)", crawl),
-        ("analyze --db --days 3 (live crawl)",
-         lambda: _cli("analyze", "--db", str(live_db), "--days", "3")),
+        ("analyze --days 3 (live journal)",
+         lambda: _cli("analyze", f"--journal={live}/crawl.jsonl", "--days", "3")),
+        ("analyze (foreign journal, exits 2)", analyze_foreign),
         ("top (live journals)",
          lambda: _cli("top", f"--journal={live}/crawl.jsonl", f"--journal={demo}")),
         ("examples/quickstart.py", lambda: _example("quickstart.py")),

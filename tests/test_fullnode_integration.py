@@ -10,7 +10,8 @@ from repro.crypto.keys import PrivateKey
 from repro.devp2p.messages import DisconnectReason
 from repro.chain.forks import DAO_FORK_BLOCK
 from repro.fullnode import FullNode, FullNodeConfig, start_localhost_network
-from repro.nodefinder.wire import crawl_targets, harvest
+from repro.nodefinder.database import NodeDB
+from repro.nodefinder.wire import harvest
 from repro.nodefinder.records import DialOutcome
 
 
@@ -36,7 +37,9 @@ class TestLocalhostNetwork:
         async def scenario():
             nodes = await start_localhost_network(4, blocks=8)
             try:
-                db = await crawl_targets([n.enode for n in nodes], PrivateKey(42))
+                db = NodeDB()
+                for node in nodes:
+                    db.observe(await harvest(node.enode, PrivateKey(42)))
                 assert len(db.nodes_with_status()) == 4
                 for entry in db:
                     assert entry.network_id == 1

@@ -4,6 +4,7 @@ import asyncio
 import time
 
 from repro.analysis.ingest import replay_journals
+from repro.analysis.report import render_crawl_report
 from repro.cli import main
 from repro.crypto.keys import PrivateKey
 from repro.discovery.enode import ENode
@@ -15,6 +16,7 @@ from repro.nodefinder.records import DialOutcome, DialResult
 from repro.nodefinder.shard import SegmentFiles
 from repro.resilience import BreakerState, RetryPolicy
 from repro.telemetry import read_events
+from repro.units import SECONDS_PER_DAY
 
 from tests.helpers import plant_static
 
@@ -257,10 +259,11 @@ def test_breaker_backs_off_repeatedly_failing_peer():
     asyncio.run(scenario())
 
 
-def test_a_default_live_dial_is_one_attempt_and_replays_into_its_db(tmp_path):
+def test_a_default_live_dial_is_one_attempt_and_replays_into_its_db(tmp_path, capsys):
     """Under the default config a live dial is one attempt, as in the paper:
     the refused static journals exactly one ``dial`` record per ``_dial``,
-    so the crawl's journal replays into exactly its own NodeDB."""
+    so the crawl's journal replays into exactly its own NodeDB, and
+    ``analyze`` of that journal prints the report of the crawl's NodeDB."""
 
     async def scenario():
         files = SegmentFiles(tmp_path, "crawl", 1)
@@ -283,6 +286,12 @@ def test_a_default_live_dial_is_one_attempt_and_replays_into_its_db(tmp_path):
     replayed = replay_journals(paths).db
     assert len(replayed) == len(finder.db) == 1
     assert all(replayed.get(entry.node_id) == entry for entry in finder.db)
+    [path] = paths
+    assert main(["analyze", "--journal", str(path)]) == 0
+    last = max(entry.last_attempt for entry in finder.db)
+    assert capsys.readouterr().out == render_crawl_report(
+        finder.db, total_days=last / SECONDS_PER_DAY
+    ) + "\n"
 
 
 def stub_harvester(dial_seconds, outcome_for):

@@ -11,18 +11,15 @@ one client string and one capability list — the shape of a peer a long
 crawl keeps finding.  Each replay runs in a fresh interpreter.
 
 The same file checks what the compact layout must keep: the live and the
-replayed entries of one crawl are equal, a dump loads back equal, and an
-older dump (which carried ``status_days``) still loads.
+replayed entries of one crawl are equal.
 """
 
-import json
 import os
 import subprocess
 import sys
 from array import array
 
 from repro.analysis.ingest import replay_journals
-from repro.nodefinder.database import NodeDB
 from repro.nodefinder.fleet import run_fleet
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
@@ -114,35 +111,3 @@ def test_live_and_replayed_entries_are_equal_and_packed(tmp_path):
         assert any(len(entry.latencies) > 1 for entry in db)
     assert all(type(t.sighting_gaps) is array for t in replayed.timelines.values())
 
-
-def test_a_dump_loads_back_equal(tmp_path):
-    db = _smoke_crawl(tmp_path).merged_db
-    path = tmp_path / "nodes.jsonl"
-    assert db.dump_jsonl(str(path)) == len(db)
-    loaded = NodeDB.load_jsonl(str(path))
-    assert len(loaded) == len(db)
-    for entry in db:
-        assert loaded.get(entry.node_id) == entry
-    assert "status_days" not in path.read_text(encoding="utf-8")
-
-
-def test_an_older_dump_with_status_days_loads(tmp_path):
-    record = {
-        "node_id": "ab" * 64, "ips": ["10.0.0.1"], "tcp_port": 30303,
-        "first_seen": 100.0, "last_seen": 100.0, "last_attempt": 100.0,
-        "last_success": 100.0, "sessions": 1,
-        "connection_types": ["dynamic-dial"], "client_id": "Geth/v1.8.2",
-        "capabilities": [["eth", 63]], "network_id": 1,
-        "genesis_hash": "d4" * 32, "best_hash": "dd" * 32, "best_block": 5,
-        "head_at_status": 5, "total_difficulty": 7, "dao_side": "supports",
-        "outbound_success": True, "latencies": [0.05, 0.07],
-        "status_days": [0], "disconnects": {"Too many peers": 1},
-    }
-    path = tmp_path / "older.jsonl"
-    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    entry = NodeDB.load_jsonl(str(path)).get(bytes.fromhex("ab" * 64))
-    assert entry.connection_types == {"dynamic-dial"}
-    assert entry.latencies == array("d", [0.05, 0.07])
-    assert entry.median_latency == 0.07
-    assert entry.capabilities == [("eth", 63)]
-    assert entry.disconnects == {"Too many peers": 1}

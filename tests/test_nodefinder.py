@@ -112,18 +112,6 @@ class TestNodeDB:
         assert entry.sessions == 2
         assert "Parity" in entry.client_id  # newer sighting wins
 
-    def test_jsonl_roundtrip(self, tmp_path):
-        db = NodeDB()
-        db.observe(make_result())
-        db.observe(make_result(node_id=b"\x02" * 64, network_id=3, dao_side=None))
-        path = str(tmp_path / "nodes.jsonl")
-        assert db.dump_jsonl(path) == 2
-        loaded = NodeDB.load_jsonl(path)
-        assert len(loaded) == 2
-        entry = loaded.get(b"\x01" * 64)
-        assert entry.network_id == 1
-        assert entry.is_mainnet
-
     def test_primary_service(self):
         db = NodeDB()
         entry = db.observe(make_result(capabilities=[("bzz", 0)]))

@@ -10,7 +10,8 @@ import pytest
 
 from repro.crypto.keys import PrivateKey
 from repro.fullnode import start_localhost_network
-from repro.nodefinder.wire import crawl_targets
+from repro.nodefinder.database import NodeDB
+from repro.nodefinder.wire import harvest
 from repro.telemetry import EventJournal, Telemetry, read_events, render_top
 
 
@@ -24,7 +25,8 @@ FULL_HARVEST_STAGES = {"connect", "rlpx", "hello", "status", "dao"}
 
 class TestCrawlWithTelemetry:
     def crawl(self):
-        """Crawl 2 live nodes plus one dead (refused) target."""
+        """Harvest 2 live nodes plus one dead (refused) target, folding
+        each result into a NodeDB."""
 
         async def scenario():
             nodes = await start_localhost_network(3, blocks=8)
@@ -34,9 +36,11 @@ class TestCrawlWithTelemetry:
             try:
                 targets = [n.enode for n in nodes]
                 await nodes[-1].stop()  # its port now refuses: one failure
-                db = await crawl_targets(
-                    targets, PrivateKey(51), dial_timeout=1.5, telemetry=telemetry
-                )
+                db = NodeDB()
+                for target in targets:
+                    db.observe(await harvest(
+                        target, PrivateKey(51), dial_timeout=1.5, telemetry=telemetry
+                    ))
             finally:
                 for node in nodes[:-1]:
                     await node.stop()

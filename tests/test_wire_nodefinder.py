@@ -1,6 +1,7 @@
 """Wire-level NodeFinder tests: the §4 harvest over real sockets."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -8,12 +9,8 @@ from repro.crypto.keys import PrivateKey
 from repro.devp2p.messages import Capability, HelloMessage
 from repro.discovery.enode import ENode
 from repro.fullnode import FullNode, FullNodeConfig
-from repro.nodefinder.wire import (
-    crawl_targets,
-    harvest,
-    nodefinder_hello,
-    nodefinder_status,
-)
+from repro.nodefinder.live import LiveConfig, LiveNodeFinder
+from repro.nodefinder.wire import harvest, nodefinder_hello, nodefinder_status
 from repro.nodefinder.records import DialOutcome
 
 
@@ -54,7 +51,8 @@ class TestHarvestRecords:
         run(scenario())
 
     def test_crawl_concurrency_limit(self):
-        """maxActiveDialTasks=16: more targets than slots still completes."""
+        """maxActiveDialTasks: more targets than dial slots all complete,
+        and no more harvests than slots are ever in flight."""
 
         async def scenario():
             nodes = []
@@ -62,16 +60,36 @@ class TestHarvestRecords:
                 node = FullNode(PrivateKey(900 + index))
                 await node.start()
                 nodes.append(node)
+            in_flight = peak = 0
+
+            async def counted_harvest(*args, **kwargs):
+                nonlocal in_flight, peak
+                in_flight += 1
+                peak = max(peak, in_flight)
+                try:
+                    return await harvest(*args, **kwargs)
+                finally:
+                    in_flight -= 1
+
+            finder = LiveNodeFinder(
+                PrivateKey(72),
+                config=LiveConfig(max_active_dials=2),
+                harvester=counted_harvest,
+            )
             try:
-                db = await crawl_targets(
-                    [n.enode for n in nodes], PrivateKey(72), concurrency=2
-                )
-                assert len(db.nodes_with_status()) == 6
-                for entry in db:
-                    assert entry.outbound_success
+                await finder.start([n.enode for n in nodes])
+                started = time.monotonic()
+                while len(finder.db.nodes_with_status()) < len(nodes):
+                    assert time.monotonic() - started < 20.0, "crawl never finished"
+                    await asyncio.sleep(0.01)
             finally:
+                await finder.stop()
                 for node in nodes:
                     await node.stop()
+            assert len(finder.db.nodes_with_status()) == 6
+            for entry in finder.db:
+                assert entry.outbound_success
+            assert peak == 2
 
         run(scenario())
 
