@@ -9,24 +9,28 @@ a :class:`~repro.nodefinder.database.NodeDB` plus
 live crawl produces — so every analysis in :mod:`repro.analysis`
 (``ecosystem``, ``clients``, ``freshness``, ``churn``, ``geography``)
 runs unchanged from either a live database or a replayed journal.  It
-also derives per-peer :class:`PeerTimeline` views (first/last sighting,
-dial-outcome tallies, inter-sighting freshness gaps) that only the
-longitudinal journal can provide.
+also derives a per-peer :class:`PeerTimeline` for every dialed peer (its
+dial count, its latest sighting and the inter-sighting freshness gaps)
+that only the longitudinal journal can provide; whatever else a peer's
+history holds is in its ``NodeEntry``.
 
 Semantics
 ---------
 A ``dial`` record opens one observation for its ``node_id``; the
-``hello`` / ``status`` / ``dao`` / ``disconnect`` records that follow
-(the journal writer emits them contiguously per dial) attach to it.
-The completed observation is folded through ``NodeDB.observe`` — the
-same code path a live crawl uses — so a replayed view matches the live
-database entry for entry.
+``hello`` / ``status`` / ``dao`` / ``disconnect`` records of the same
+node that follow it attach to it (the journal writer emits each dial's
+records in one write, at one ``ts``, and the merge of several journals
+keeps them contiguous).  The first record that is not such a companion
+closes the observation, which is folded through ``NodeDB.observe`` —
+the same code path a live crawl uses — so a replayed view matches the
+live database entry for entry, and the fold holds one open observation,
+never one per peer.
 
-Replay is *total*: malformed streams degrade instead of raising.
-Out-of-order companion records attach to the peer's open observation or,
-lacking one, write their facts onto the entry directly; duplicated
-records re-apply idempotent facts; records that cannot be interpreted at
-all (missing ``node_id``, unknown outcome) are counted in
+Replay is *total*: malformed streams degrade instead of raising.  A
+companion record outside its dial's group (shuffled or truncated
+streams) writes its facts onto the entry directly; duplicated records
+re-apply idempotent facts; records that cannot be interpreted at all
+(missing ``node_id``, unknown outcome) are counted in
 ``ReplayedCrawl.skipped`` and dropped.  Torn final lines are handled one
 layer down by :func:`~repro.telemetry.journal.iter_events`.
 
@@ -35,7 +39,8 @@ and folds that same ``DialResult`` into its database, so a crawl's
 journal replays into exactly its own NodeDB.  Journals written while live
 dials were still retried in place carry one ``dial`` record per attempt
 plus a ``retry`` record per backoff wait; replay folds each attempt as a
-dial of its own and tallies the waits in ``PeerTimeline.retries``.
+dial of its own and only counts the waits in ``event_counts``, as it
+does ``bond`` records and a peer's ``breaker`` transitions.
 
 This module performs no I/O of its own and never reads a clock (the
 INGEST-PURE lint family enforces both): timelines come entirely from the
@@ -48,7 +53,6 @@ import heapq
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from math import isfinite
 from operator import attrgetter
 from pathlib import Path
@@ -63,39 +67,29 @@ from repro.telemetry.journal import Event, iter_events
 
 @dataclass(slots=True)
 class PeerTimeline:
-    """Longitudinal view of one peer, derived purely from its events."""
+    """Longitudinal view of one dialed peer, derived purely from its dials."""
 
+    #: the ``DialResult`` of every dial of this peer carries these bytes
     node_id: bytes
-    #: first/last journal record mentioning the peer (any type)
-    first_event: float = 0.0
-    last_event: float = 0.0
-    #: first/last *live* observation (a dial that reached a listener)
-    first_seen: Optional[float] = None
-    last_seen: Optional[float] = None
-    #: dial tallies by outcome value, e.g. ``{"full-harvest": 3}``
-    outcomes: Counter = field(default_factory=Counter)
     dials: int = 0
-    retries: int = 0
-    bonds_ok: int = 0
-    bonds_failed: int = 0
-    breaker_opens: int = 0
+    #: the latest live observation (a dial that reached a listener)
+    last_seen: Optional[float] = None
     #: seconds between consecutive live sightings — the freshness
-    #: intervals behind the §7.3 churn/staleness readings
-    sighting_gaps: array = field(default_factory=partial(array, "d"))
-
-    def _touch(self, ts: float) -> None:
-        if ts < self.first_event:
-            self.first_event = ts
-        if ts > self.last_event:
-            self.last_event = ts
+    #: intervals behind the §7.3 churn/staleness readings; ``None`` until
+    #: the second sighting
+    sighting_gaps: Optional[array] = None
 
     def _sight(self, ts: float) -> None:
-        if self.last_seen is not None:
-            self.sighting_gaps.append(max(0.0, ts - self.last_seen))
-            self.first_seen = min(self.first_seen, ts)
-            self.last_seen = max(self.last_seen, ts)
+        last = self.last_seen
+        if last is None:
+            self.last_seen = ts
+            return
+        gap = max(0.0, ts - last)
+        if self.sighting_gaps is None:
+            self.sighting_gaps = array("d", (gap,))
         else:
-            self.first_seen = self.last_seen = ts
+            self.sighting_gaps.append(gap)
+        self.last_seen = max(last, ts)
 
 
 @dataclass
@@ -114,6 +108,9 @@ class ReplayedCrawl:
     #: eclipse detection anchors bucket skew on these
     crawler_ids: set = field(default_factory=set)
     crawler_names: Dict[bytes, str] = field(default_factory=dict)
+    #: ``ts`` of the earliest ``crawler`` record, 0.0 without one: where
+    #: the crawl window starts (a live clock does not start at 0)
+    started: float = 0.0
     #: table-admission refusals by reason / by refused /24 (v3)
     admission_rejections: Counter = field(default_factory=Counter)
     rejected_subnets: Counter = field(default_factory=Counter)
@@ -121,13 +118,13 @@ class ReplayedCrawl:
     subnet_breaker_trips: Counter = field(default_factory=Counter)
 
 
-#: companion records that attach to a peer's open dial observation
+#: companion records that attach to the open dial observation of their node
 _COMPANIONS = frozenset({"hello", "status", "dao", "disconnect"})
 
-#: record types that may be crawl-scope (v3/v4): about the crawl, not a
-#: peer.  Only older crawls wrote ``reshard`` (a plan change mid-crawl);
-#: replay counts it and folds nothing from it.
-_CRAWL_SCOPE = frozenset({"crawler", "table_admission", "breaker", "reshard"})
+#: the records replay folds into a peer's entry; every other type is
+#: counted and, if crawl-scope (``crawler``, ``table_admission``, a
+#: subnet ``breaker``), read into the crawl's own tallies
+_PEER_RECORDS = _COMPANIONS | {"dial"}
 
 _OUTCOMES = {outcome.value: outcome for outcome in DialOutcome}
 
@@ -202,14 +199,16 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
     in ``skipped`` and dropped, so shuffled, duplicated, or truncated
     journals still yield the best view their events support.  ``events``
     is consumed once, one event at a time — what the fold holds is the
-    crawl products and the observation still open for each peer.
+    crawl products and the one observation still open.
     """
     out = ReplayedCrawl()
     # replayed dials fold through the same single-writer path a live crawl
     # uses (direct mode), so the OWNERSHIP invariant holds here too
     writer = NodeDBWriter(out.db, stats=out.stats)
-    #: the observation a peer's ``dial`` opened; its companions fill it in
-    pending: Dict[bytes, DialResult] = {}
+    #: the observation the last ``dial`` opened; its companions fill it
+    #: in, and any other record closes it
+    open_dial: Optional[DialResult] = None
+    started: Optional[float] = None
     timelines = out.timelines
     skipped = out.skipped
     #: one object per distinct client string and capability list, so
@@ -224,45 +223,41 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
         counts[kind] = counts.get(kind, 0) + 1
         fields = event.fields
         ts = event.ts
-        # crawl-scope records (v3): they carry node_ids that are *not*
-        # peers (the crawler's own identity, refused candidates) or no
-        # node_id at all — handle them before the timeline bookkeeping
-        if kind in _CRAWL_SCOPE:
+        node_id = _node_id(event) if kind in _PEER_RECORDS else None
+        if open_dial is not None and (
+            kind not in _COMPANIONS or node_id != open_dial.node_id
+        ):
+            writer.submit(open_dial)
+            open_dial = None
+        if kind not in _PEER_RECORDS:
+            # crawl-scope records (v3) carry node_ids that are *not* peers
+            # (the crawler's own identity, refused candidates) or none
             if kind == "crawler":
+                if started is None or ts < started:
+                    started = ts
                 crawler_id = _node_id(event)
                 if crawler_id is not None:
                     out.crawler_ids.add(crawler_id)
                     name = fields.get("name")
                     if isinstance(name, str):
                         out.crawler_names[crawler_id] = name
-                continue
-            if kind == "table_admission":
+            elif kind == "table_admission":
                 out.admission_rejections[str(fields.get("reason"))] += 1
                 subnet = fields.get("subnet")
                 if isinstance(subnet, str):
                     out.rejected_subnets[subnet] += 1
-                continue
-            if kind == "reshard":
-                continue
-            if fields.get("scope") == "subnet":  # a breaker over a /24
-                if fields.get("new") == "open":
-                    out.subnet_breaker_trips[str(fields.get("subnet"))] += 1
-                continue
-            # ...a peer-scope breaker is a per-peer record like any other
-        node_id = _node_id(event)
-        if node_id is not None:
-            timeline = timelines.get(node_id)
-            if timeline is None:
-                timeline = timelines[node_id] = PeerTimeline(
-                    node_id=node_id, first_event=ts, last_event=ts
-                )
-            else:
-                timeline._touch(ts)
-        elif kind in _COMPANIONS or kind == "dial":
+            elif (
+                kind == "breaker"  # a breaker over a /24 tripping
+                and fields.get("scope") == "subnet"
+                and fields.get("new") == "open"
+            ):
+                out.subnet_breaker_trips[str(fields.get("subnet"))] += 1
+            # retry / bond / peer breaker / reshard / supervisor /
+            # datagram_fault / unknown types: counted, nothing to fold
+            continue
+        if node_id is None:
             skipped.append(f"event {lineno}: {kind} without a usable node_id")
             continue
-        else:
-            continue  # supervisor / datagram_fault / unknown broadcast types
 
         if kind == "dial":
             value = fields.get("outcome")
@@ -272,10 +267,12 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
                     f"event {lineno}: dial with unknown outcome {value!r}"
                 )
                 continue
+            timeline = timelines.get(node_id)
             try:
                 result = DialResult(
                     timestamp=_finite(fields.get("started", ts)),
-                    node_id=node_id,
+                    # one bytes object per peer: the timeline's, if any
+                    node_id=node_id if timeline is None else timeline.node_id,
                     ip=str(fields.get("ip", "")),
                     tcp_port=int(fields.get("tcp_port", 0)),
                     connection_type=str(
@@ -296,13 +293,12 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
                 )
                 skipped.append(f"event {lineno}: dial with unusable {unusable}")
                 continue
-            if node_id in pending:
-                writer.submit(pending.pop(node_id))
-            pending[node_id] = result
+            if timeline is None:
+                timeline = timelines[node_id] = PeerTimeline(node_id)
             timeline.dials += 1
-            timeline.outcomes[outcome.value] += 1
             if outcome.connected:
                 timeline._sight(result.timestamp)
+            open_dial = result
         elif kind == "hello":
             client_id = fields.get("client_id")
             if isinstance(client_id, str):
@@ -310,7 +306,6 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
             capabilities = _capabilities(
                 fields.get("capabilities"), capability_lists
             )
-            open_dial = pending.get(node_id)
             if open_dial is not None:
                 open_dial.client_id = client_id
                 open_dial.capabilities = capabilities
@@ -322,7 +317,6 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
                     entry.capabilities = capabilities
         elif kind == "status":
             network_id = fields.get("network_id")
-            open_dial = pending.get(node_id)
             if open_dial is not None:
                 open_dial.network_id = network_id
                 open_dial.genesis_hash = _hex_field(fields, "genesis_hash")
@@ -340,33 +334,20 @@ def replay(events: Iterable[Event]) -> ReplayedCrawl:
                 entry.total_difficulty = fields.get("total_difficulty")
         elif kind == "dao":
             verdict = fields.get("verdict")
-            open_dial = pending.get(node_id)
             if open_dial is not None:
                 open_dial.dao_side = verdict
             elif verdict is not None:
                 out.db.entry(node_id, ts).dao_side = verdict
-        elif kind == "disconnect":
-            open_dial = pending.get(node_id)
-            if open_dial is not None and fields.get("sent_by") == "remote":
-                try:
-                    reason = DisconnectReason(fields.get("reason"))
-                except ValueError:
-                    reason = None
-                open_dial.disconnect_reason = reason
-        elif kind == "retry":
-            timeline.retries += 1
-        elif kind == "bond":
-            if fields.get("ok"):
-                timeline.bonds_ok += 1
-            else:
-                timeline.bonds_failed += 1
-        elif kind == "breaker":
-            if fields.get("new") == "open":
-                timeline.breaker_opens += 1
-        # any other per-node event type: timeline already touched above
+        elif open_dial is not None and fields.get("sent_by") == "remote":
+            try:  # a disconnect the peer sent
+                reason = DisconnectReason(fields.get("reason"))
+            except ValueError:
+                reason = None
+            open_dial.disconnect_reason = reason
 
-    for open_dial in pending.values():
+    if open_dial is not None:
         writer.submit(open_dial)
+    out.started = 0.0 if started is None else started
     out.events_replayed = lineno
     out.dials_replayed = writer.folds
     out.event_counts.update(counts)

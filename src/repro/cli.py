@@ -94,8 +94,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     total_days = args.days
     if total_days is None:
-        last = max((entry.last_attempt for entry in db), default=0.0)
-        total_days = last / SECONDS_PER_DAY
+        # the window opens at the crawl's first record: a live clock is
+        # the host's, and does not start at 0 as the simnet's does
+        started = replayed.started
+        last = max((entry.last_attempt for entry in db), default=started)
+        total_days = (last - started) / SECONDS_PER_DAY
     print(render_crawl_report(db, head_height=args.head_height,
                               total_days=total_days))
     if args.sightings:

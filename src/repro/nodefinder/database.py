@@ -4,7 +4,8 @@ Mirrors the paper's central database of scanned targets (§4-5): a fold
 of the crawl's dial stream, whose accumulated HELLO/STATUS/DAO fields feed
 every ecosystem analysis.  The crawl policy reads none of it — its own
 state is :class:`~repro.nodefinder.core.CrawlerCore`.
-Entries are keyed by node ID; a node seen at several IPs keeps them all.
+Entries are keyed by node ID; a node seen at several IPs keeps them all,
+sorted, so what reads them does not depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class NodeEntry:
     """
 
     node_id: bytes
-    ips: set = field(default_factory=set)
+    #: every IP the node was dialed at, sorted and each once
+    ips: tuple = ()
     tcp_port: int = 0
     #: first/last time the node actually responded (not mere dial attempts —
     #: §5.4's "active" span is about observed liveliness)
@@ -120,7 +122,7 @@ def _combined(mine: NodeEntry, other: NodeEntry) -> NodeEntry:
         disconnects[label] = disconnects.get(label, 0) + count
     return NodeEntry(
         node_id=mine.node_id,
-        ips=mine.ips | other.ips,
+        ips=tuple(sorted({*mine.ips, *other.ips})),
         tcp_port=mine.tcp_port,
         first_seen=min(mine.first_seen, other.first_seen),
         last_seen=max(mine.last_seen, other.last_seen),
@@ -174,7 +176,8 @@ class NodeDB:
         """Fold one connection outcome into the database."""
         entry = self.entry(result.node_id, result.timestamp)
         entry.last_attempt = max(entry.last_attempt, result.timestamp)
-        entry.ips.add(result.ip)
+        if result.ip not in entry.ips:
+            entry.ips = tuple(sorted((*entry.ips, result.ip)))
         entry.tcp_port = result.tcp_port
         if result.connection_type not in entry.connection_types:
             entry.connection_types = _connection_types(

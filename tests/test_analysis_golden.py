@@ -72,7 +72,7 @@ class TestGoldenSnapshots:
     def test_full_report_contains_all_sections(self, replayed):
         report = render_crawl_report(
             replayed.db, head_height=0,
-            total_days=max(t.last_event for t in replayed.timelines.values()) / 86400,
+            total_days=max(entry.last_attempt for entry in replayed.db) / 86400,
         )
         for heading in (
             "Table 1", "Table 3", "Figure 9", "Table 4", "Figure 14", "Churn",
@@ -102,15 +102,26 @@ class TestFixtureSemantics:
         assert fake.network_id == 99 and not fake.is_mainnet
 
     def test_breaker_and_retry_on_refusing_peer(self, replayed):
-        timeline = replayed.timelines.get(bytes.fromhex("09" * 32))
-        assert timeline.outcomes["refused"] == 2
-        assert timeline.retries == 1
-        assert timeline.breaker_opens == 1
-        assert timeline.bonds_failed == 1
+        peer = bytes.fromhex("09" * 32)
+        entry = replayed.db.get(peer)
+        # two refused dials: attempted, never answered
+        assert replayed.timelines.get(peer).dials == 2
+        assert replayed.timelines.get(peer).last_seen is None
+        assert entry.last_attempt == 4200.0
+        assert entry.last_success == -1.0 and entry.sessions == 0
+        assert not entry.outbound_success and entry.client_id is None
+        # the retry wait, the failed bond and the breaker trip are counted
+        # records with nothing to fold
+        assert replayed.event_counts["retry"] == 1
+        assert replayed.event_counts["bond"] == 2
+        assert replayed.event_counts["breaker"] == 1
 
     def test_churn_window_spans_two_days(self, replayed):
-        last = max(timeline.last_event for timeline in replayed.timelines.values())
+        assert replayed.started == 0.0  # the fixture has no crawler record
+        last = max(entry.last_attempt for entry in replayed.db)
         assert last >= 2 * 86400
-        survivor = replayed.timelines.get(bytes.fromhex("01" * 32))
-        assert survivor.first_seen is not None and len(survivor.sighting_gaps) == 1
+        peer = bytes.fromhex("01" * 32)
+        survivor = replayed.timelines.get(peer)
+        assert survivor.last_seen == replayed.db.get(peer).last_seen
+        assert len(survivor.sighting_gaps) == 1
         assert max(survivor.sighting_gaps) >= 2 * 86400 - 3600

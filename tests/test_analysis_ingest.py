@@ -101,16 +101,22 @@ class TestSimnetRoundTrip:
         fleet, journal_path = crawl
         [instance] = fleet.instances
         replayed = replay_journal(journal_path)
+        assert len(replayed.timelines) == len(instance.db)
         for entry in instance.db:
             timeline = replayed.timelines.get(entry.node_id)
             assert timeline is not None
             assert timeline.dials >= 1
             if entry.last_success >= 0:
-                assert timeline.first_seen is not None
-                assert timeline.first_seen <= timeline.last_seen
-                for gap in timeline.sighting_gaps:
-                    assert gap >= 0.0
-        assert max(timeline.last_event for timeline in replayed.timelines.values()) > 0
+                # a timeline keeps only what the entry does not
+                assert timeline.last_seen == entry.last_seen
+            else:
+                assert timeline.last_seen is None
+            if timeline.sighting_gaps is not None:
+                assert len(timeline.sighting_gaps) >= 1
+                assert min(timeline.sighting_gaps) >= 0.0
+        assert any(t.sighting_gaps is not None for t in replayed.timelines.values())
+        # a simulated crawl's clock starts at 0, so its window does too
+        assert replayed.started == 0.0
 
     def test_replay_journals_merges_sorted(self, crawl):
         _, journal_path = crawl
@@ -196,9 +202,70 @@ class TestAdversarialOrderings:
         assert entry.client_id == "Geth/v1.8.0"
         assert entry.network_id == 1
         assert entry.dao_side == "supports"
-        timeline = replayed.timelines.get(bytes.fromhex("bb" * 32))
-        assert timeline.retries == 1
-        assert timeline.breaker_opens == 1
+        refused = replayed.db.get(bytes.fromhex("bb" * 32))
+        assert refused.last_attempt == 20.9 and refused.last_success == -1.0
+        assert refused.ips == ("10.0.0.2",) and refused.client_id is None
+        # retry, bond and breaker records are counted; they fold nothing
+        assert replayed.event_counts["retry"] == 1
+        assert replayed.event_counts["breaker"] == 1
+        assert replayed.event_counts["bond"] == 1
+
+    def test_a_companion_after_another_nodes_record_is_an_orphan(self):
+        """A dial's group ends at the first record of another node: a
+        companion after it writes its facts onto its own entry and never
+        onto the dial that is open."""
+        peer_a, peer_b = "aa" * 32, "bb" * 32
+        replayed = replay([
+            Event("dial", 10.0, {"node_id": peer_a, "outcome": "hello-no-status"}),
+            Event("dial", 11.0, {"node_id": peer_b, "outcome": "hello-no-status"}),
+            Event("hello", 11.0, {
+                "node_id": peer_a, "client_id": "Geth/v1.8.0",
+                "capabilities": [["eth", 63]], "listen_port": 30303,
+            }),
+            Event("status", 11.0, {"node_id": peer_a, "network_id": 1}),
+            Event("dao", 11.0, {"node_id": peer_a, "verdict": "supports"}),
+        ])
+        assert not replayed.skipped and replayed.dials_replayed == 2
+        orphan = replayed.db.get(bytes.fromhex(peer_a))
+        assert orphan.client_id == "Geth/v1.8.0"
+        assert orphan.capabilities == [("eth", 63)]
+        assert orphan.network_id == 1 and orphan.dao_side == "supports"
+        # ...but they are no part of a dial: the crawl's tallies count no
+        # HELLO or STATUS for it
+        day = replayed.stats.days[0]
+        assert (day.hellos, day.statuses) == (0, 0)
+        still_open = replayed.db.get(bytes.fromhex(peer_b))
+        assert still_open.client_id is None and still_open.network_id is None
+        assert still_open.dao_side is None
+
+    def test_the_window_opens_at_the_first_crawler_record(self, tmp_path, capsys):
+        """A live journal is stamped with the host's monotonic clock: a
+        crawl of a few minutes on a host up three days spans minutes."""
+        day = SECONDS_PER_DAY
+        journal = tmp_path / "live.jsonl"
+        journal.write_text("".join(
+            event.to_json() + "\n"
+            for event in (
+                Event("crawler", 3 * day, {"node_id": "ab" * 64, "name": "nf-0"}),
+                Event("dial", 3 * day + 60.0, {
+                    "node_id": "aa" * 32, "ip": "10.0.0.1",
+                    "outcome": "refused", "started": 3 * day + 60.0,
+                }),
+                Event("dial", 3 * day + 600.0, {
+                    "node_id": "bb" * 32, "ip": "10.0.0.2",
+                    "outcome": "timeout", "started": 3 * day + 600.0,
+                }),
+            )
+        ))
+        replayed = replay_journal(journal)
+        assert replayed.started == 3 * day
+        assert main(["analyze", "--journal", str(journal)]) == 0
+        report = capsys.readouterr().out
+        # a 600-second window renders no churn section (it needs two days)
+        assert report == render_crawl_report(
+            replayed.db, total_days=600.0 / day
+        ) + "\n"
+        assert "Churn" not in report
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -259,15 +259,13 @@ def test_breaker_backs_off_repeatedly_failing_peer():
     asyncio.run(scenario())
 
 
-def test_a_default_live_dial_is_one_attempt_and_replays_into_its_db(tmp_path, capsys):
-    """Under the default config a live dial is one attempt, as in the paper:
-    the refused static journals exactly one ``dial`` record per ``_dial``,
-    so the crawl's journal replays into exactly its own NodeDB, and
-    ``analyze`` of that journal prints the report of the crawl's NodeDB."""
+def _crawl_a_refused_static(directory, clock=None):
+    """Run the default live crawl until it has dialed one refused static;
+    return the finder and its journal paths."""
 
     async def scenario():
-        files = SegmentFiles(tmp_path, "crawl", 1)
-        finder = LiveNodeFinder(PrivateKey(78), journal_opener=files)
+        files = SegmentFiles(directory, "crawl", 1)
+        finder = LiveNodeFinder(PrivateKey(78), clock=clock, journal_opener=files)
         plant_static(finder, dead_enode(), 0.0)
         try:
             await finder.start(bootstrap=[])
@@ -279,7 +277,21 @@ def test_a_default_live_dial_is_one_attempt_and_replays_into_its_db(tmp_path, ca
             await finder.stop()
         return finder, files.paths
 
-    finder, paths = asyncio.run(scenario())
+    return asyncio.run(scenario())
+
+
+def _crawler_record_ts(paths):
+    return min(
+        event.ts for path in paths for event in read_events(path) if event.type == "crawler"
+    )
+
+
+def test_a_default_live_dial_is_one_attempt_and_replays_into_its_db(tmp_path, capsys):
+    """Under the default config a live dial is one attempt, as in the paper:
+    the refused static journals exactly one ``dial`` record per ``_dial``,
+    so the crawl's journal replays into exactly its own NodeDB, and
+    ``analyze`` of that journal prints the report of the crawl's NodeDB."""
+    finder, paths = _crawl_a_refused_static(tmp_path)
     dials = [event for path in paths for event in read_events(path) if event.type == "dial"]
     assert [event.fields["outcome"] for event in dials] == ["refused"]
     assert len(dials) == finder.stats["static_dials"] + finder.stats["dynamic_dials"]
@@ -288,9 +300,30 @@ def test_a_default_live_dial_is_one_attempt_and_replays_into_its_db(tmp_path, ca
     assert all(replayed.get(entry.node_id) == entry for entry in finder.db)
     [path] = paths
     assert main(["analyze", "--journal", str(path)]) == 0
+    # the window runs from the crawl's first record to its last dial
     last = max(entry.last_attempt for entry in finder.db)
     assert capsys.readouterr().out == render_crawl_report(
-        finder.db, total_days=last / SECONDS_PER_DAY
+        finder.db, total_days=(last - _crawler_record_ts(paths)) / SECONDS_PER_DAY
+    ) + "\n"
+
+
+def test_a_live_crawl_window_starts_at_its_first_record(tmp_path, capsys):
+    """A live journal is stamped with the finder's clock, which need not
+    start at 0 (by default it is the host's monotonic clock): a crawl of a
+    few seconds whose clock reads 10 000 s replays to a window of seconds."""
+    origin = time.monotonic()
+    finder, paths = _crawl_a_refused_static(
+        tmp_path, clock=lambda: 10_000.0 + time.monotonic() - origin
+    )
+    replayed = replay_journals(paths)
+    started = _crawler_record_ts(paths)
+    assert replayed.started == started >= 10_000.0
+    last = max(entry.last_attempt for entry in finder.db)
+    assert 0.0 <= last - started < 60.0
+    [path] = paths
+    assert main(["analyze", "--journal", str(path)]) == 0
+    assert capsys.readouterr().out == render_crawl_report(
+        finder.db, total_days=(last - started) / SECONDS_PER_DAY
     ) + "\n"
 
 

@@ -18,12 +18,15 @@ import os
 import subprocess
 import sys
 from array import array
+from collections import Counter
 
 from repro.analysis.ingest import replay_journals
 from repro.nodefinder.fleet import run_fleet
+from repro.nodefinder.records import DialOutcome
 from repro.nodefinder.scanner import NodeFinderConfig
 from repro.simnet.population import PopulationConfig
 from repro.simnet.world import SimWorld, WorldConfig
+from repro.telemetry import read_events
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -63,10 +66,11 @@ assert not replayed.skipped and len(replayed.db) == len(replayed.timelines) == p
 print(retained)
 """
 
-#: a slotted entry with packed latencies and an interned connection-type
-#: set, a slotted timeline with packed gaps, the three dict slots that key
-#: them — no per-peer copy of a client string or a capability list
-BUDGET_BYTES_PER_PEER = 2304
+#: a slotted entry with packed latencies, an interned connection-type set
+#: and its one IP in a tuple; a four-slot timeline with packed gaps; the
+#: two dict slots that key them by one shared node-ID bytes object — no
+#: per-peer copy of a client string or a capability list
+BUDGET_BYTES_PER_PEER = 1536
 
 
 def _retained_bytes(peers: int, directory) -> int:
@@ -81,7 +85,7 @@ def _retained_bytes(peers: int, directory) -> int:
     )
 
 
-def test_a_replayed_peer_costs_under_2_304_bytes(tmp_path):
+def test_a_replayed_peer_costs_under_1_536_bytes(tmp_path):
     per_peer = (_retained_bytes(1000, tmp_path) - _retained_bytes(500, tmp_path)) / 500
     assert 0 < per_peer < BUDGET_BYTES_PER_PEER
 
@@ -109,5 +113,22 @@ def test_live_and_replayed_entries_are_equal_and_packed(tmp_path):
     for db in (live, replayed.db):
         assert all(type(entry.latencies) is array for entry in db)
         assert any(len(entry.latencies) > 1 for entry in db)
-    assert all(type(t.sighting_gaps) is array for t in replayed.timelines.values())
+    # a peer sighted twice or more holds its gaps packed; one sighted
+    # once or never holds none
+    sightings = Counter(
+        event.fields["node_id"]
+        for path in fleet.journal_paths
+        for event in read_events(path)
+        if event.type == "dial" and DialOutcome(event.fields["outcome"]).connected
+    )
+    assert len(replayed.timelines) == len(live)
+    assert any(count > 1 for count in sightings.values())
+    assert any(count == 1 for count in sightings.values())
+    for node_id, timeline in replayed.timelines.items():
+        gaps = timeline.sighting_gaps
+        if sightings[node_id.hex()] > 1:
+            assert type(gaps) is array and gaps.typecode == "d"
+            assert len(gaps) == sightings[node_id.hex()] - 1
+        else:
+            assert gaps is None
 

@@ -100,7 +100,7 @@ class TestNodeDB:
         db = NodeDB()
         db.observe(make_result(ip="10.0.0.1"))
         db.observe(make_result(ip="10.0.0.2", timestamp=200.0))
-        assert db.get(b"\x01" * 64).ips == {"10.0.0.1", "10.0.0.2"}
+        assert db.get(b"\x01" * 64).ips == ("10.0.0.1", "10.0.0.2")
 
     def test_merge_unions_info(self):
         a, b = NodeDB(), NodeDB()
@@ -108,7 +108,7 @@ class TestNodeDB:
         b.observe(make_result(timestamp=500.0, ip="10.0.0.2", client_id="Parity/v1.10.6-stable/x86_64-linux-gnu/rustc1.26.0"))
         a.merge(b)
         entry = a.get(b"\x01" * 64)
-        assert entry.ips == {"10.0.0.1", "10.0.0.2"}
+        assert entry.ips == ("10.0.0.1", "10.0.0.2")
         assert entry.sessions == 2
         assert "Parity" in entry.client_id  # newer sighting wins
 

@@ -2,10 +2,13 @@
 
 ``replay_journals`` streams time-ordered shard files through a k-way
 merge straight into the fold, so what it holds at any moment is the
-crawl products plus one decoded event per file.  ``tracemalloc`` turns
+crawl products, one decoded event per file and one open observation —
+the dial whose record group has not ended yet.  ``tracemalloc`` turns
 that into numbers: a change that goes back to materialising the log (a
 list of events, a sort of the union) fails here as a peak that grows with
-the journal — before it shows up as ``peak_rss_mb`` in the benchmark.
+the journal, and one that holds an observation open per peer fails as a
+peak above what the answer retains — before either shows up as
+``peak_rss_mb`` in the benchmark.
 """
 
 import tracemalloc
@@ -14,7 +17,8 @@ from repro.analysis.ingest import replay_journals
 from repro.telemetry import Event, EventJournal
 
 PEERS = 200
-#: decoder scratch, two look-ahead events, the line buffers of two files
+#: decoder scratch, two look-ahead events, the line buffers of two files,
+#: the one open observation
 SLACK_BYTES = 64 * 1024
 
 
@@ -72,12 +76,12 @@ def _traced_replay(paths):
 def test_replay_peak_is_set_by_the_answer_not_the_log(tmp_path):
     events, retained, peak = _traced_replay(_write_crawl(tmp_path, 2_000))
     assert events == 2_000 + 2 * PEERS
-    assert peak <= 2 * retained + SLACK_BYTES, (retained, peak)
+    assert peak <= retained + SLACK_BYTES, (retained, peak)
 
     more_events, more_retained, more_peak = _traced_replay(
         _write_crawl(tmp_path, 8_000)
     )
     assert more_events == 8_000 + 2 * PEERS
-    assert more_peak <= 2 * more_retained + SLACK_BYTES, (more_retained, more_peak)
+    assert more_peak <= more_retained + SLACK_BYTES, (more_retained, more_peak)
     # four times the log, the same 200 peers: the peak does not follow it
     assert more_peak < 1.10 * peak, (peak, more_peak)

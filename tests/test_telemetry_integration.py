@@ -143,11 +143,14 @@ class TestCrawlWithTelemetry:
             mirror = replayed.db.get(entry.node_id)
             assert mirror == entry, entry.node_id.hex()
         # the timelines know who connected and who refused
-        assert replayed.timelines.get(dead.node_id).outcomes["refused"] == 1
+        refused = replayed.timelines.get(dead.node_id)
+        assert refused.dials == 1 and refused.last_seen is None
+        assert db.get(dead.node_id).last_success == -1.0
         for entry in db.nodes_with_status():
             timeline = replayed.timelines.get(entry.node_id)
-            assert timeline.outcomes["full-harvest"] == 1
-            assert timeline.first_seen == entry.first_seen
+            assert timeline.dials == entry.sessions == 1
+            assert timeline.last_seen == entry.last_seen == entry.first_seen
+            assert timeline.sighting_gaps is None
 
     def test_summary_renders_the_run(self):
         _, events, _, _ = self.crawl()
