@@ -21,7 +21,7 @@ observable fingerprints a Sybil/eclipse campaign leaves behind — IP-
 prefix concentration, near-bucket occupancy skew, dial-traffic share of
 the dominant prefix, and the defences' own admission/breaker evidence —
 and raises a deterministic alarm.  Pure computation over the replayed
-view (the INGEST-PURE lint family applies).
+view.
 """
 
 from __future__ import annotations

@@ -42,9 +42,9 @@ plus a ``retry`` record per backoff wait; replay folds each attempt as a
 dial of its own and only counts the waits in ``event_counts``, as it
 does ``bond`` records and a peer's ``breaker`` transitions.
 
-This module performs no I/O of its own and never reads a clock (the
-INGEST-PURE lint family enforces both): timelines come entirely from the
-event stream, so replaying a journal is reproducible byte-for-byte.
+This module performs no I/O of its own and never reads a clock:
+timelines come entirely from the event stream, so replaying a journal is
+reproducible byte-for-byte (the analysis goldens pin that).
 """
 
 from __future__ import annotations

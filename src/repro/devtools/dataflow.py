@@ -1,8 +1,8 @@
-"""Dataflow over :mod:`repro.devtools.cfg`: who reads what across awaits.
+"""Who reads what across awaits: the flow analysis under the RACE family.
 
-The RACE family needs one question answered flow-sensitively: *does a
-value read from shared state survive an await and then feed a write back
-into that same state?*  This module provides the pieces:
+An ``await`` is the only point where another task can run, so the RACE
+rules need to know what is evaluated before and after one.  This module
+provides:
 
 * a symbol model — ``self.X`` attributes and module-level globals are
   the shared state a concurrently-scheduled task could mutate; locals
@@ -11,12 +11,14 @@ into that same state?*  This module provides the pieces:
   (subscripts, accessor methods, membership tests, call arguments) from
   opaque method calls, and *writes* (assignments plus known container
   mutators) from reads;
-* a taint lattice tracking, per local variable, which shared symbols its
-  value was derived from, whether an await has happened since the read,
-  and which locks were held at the read;
-* a worklist fixpoint driver propagating taint around loops — the
-  iteration-k read that races the iteration-k+1 write is exactly what a
-  single linear scan misses.
+* :func:`stale_writes`, a walk of one function's statements in source
+  order that tracks, per local variable, which shared symbols its value
+  was derived from, whether an await has happened since the read, and
+  which locks were held at the read.  A loop body is walked until the
+  state at its head stops growing, so the iteration-k read that races
+  the iteration-k+1 write is seen; a ``try`` body's states reach its
+  handlers and its ``finally``, and ``return``/``raise`` reach the
+  enclosing ``finally``.
 
 Everything here is lint-grade: one level of pointer indirection, no
 interprocedural flow (a method call is an opaque value), unions at joins.
@@ -26,19 +28,89 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from repro.devtools.cfg import CFG, CFGNode
+#: context-manager expressions treated as locks: a dotted name whose final
+#: component mentions one of these (``self._lock``, ``registry.mutex``, …)
+_LOCKISH = ("lock", "mutex", "sem")
 
-__all__ = [
-    "Symbol",
-    "StmtEffects",
-    "Taint",
-    "effects",
-    "module_globals",
-    "stale_writes",
-    "StaleWrite",
-]
+
+def lock_name(ctx_expr: ast.AST) -> Optional[str]:
+    """The lock symbol a ``with`` context expression acquires, if any.
+
+    Returns the dotted name (``self._lock``) for lock-like names, or for
+    direct constructions like ``threading.Lock()``.  Non-lock context
+    managers (files, spans, sessions) return None.
+    """
+    target = ctx_expr
+    if isinstance(target, ast.Call):
+        target = target.func
+    parts: list[str] = []
+    while isinstance(target, ast.Attribute):
+        parts.append(target.attr)
+        target = target.value
+    if isinstance(target, ast.Name):
+        parts.append(target.id)
+    if not parts:
+        return None
+    dotted = ".".join(reversed(parts))
+    last = parts[0].lower()
+    if any(token in last for token in _LOCKISH):
+        return dotted
+    return None
+
+
+def _own_expressions(stmt: ast.stmt) -> list[ast.AST]:
+    """The expressions a statement evaluates itself (not its nested bodies)."""
+    if isinstance(stmt, (ast.If, ast.While)):
+        return [stmt.test]
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return [stmt.iter, stmt.target]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items] + [
+            item.optional_vars for item in stmt.items if item.optional_vars
+        ]
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        # decorators evaluate here; the body is another scope
+        return list(stmt.decorator_list)
+    if isinstance(stmt, ast.Try):
+        return []
+    return [stmt]
+
+
+def node_awaits(stmt: ast.stmt) -> bool:
+    """Does evaluating this statement's own expressions cross an await?"""
+    if isinstance(stmt, (ast.AsyncFor, ast.AsyncWith)):
+        return True  # __anext__ / __aenter__ / __aexit__ await
+    for expr in _own_expressions(stmt):
+        for node in ast.walk(expr):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                break
+            # awaits inside a nested lambda/def body do not count
+            if isinstance(node, ast.Await) and not _under_nested_function(
+                expr, node
+            ):
+                return True
+    return False
+
+
+def _under_nested_function(root: ast.AST, target: ast.AST) -> bool:
+    """Is ``target`` inside a nested function/lambda under ``root``?"""
+
+    def visit(node: ast.AST, inside: bool) -> Optional[bool]:
+        if node is target:
+            return inside
+        nested = inside or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        )
+        for child in ast.iter_child_nodes(node):
+            found = visit(child, nested)
+            if found is not None:
+                return found
+        return None
+
+    return bool(visit(root, False))
+
 
 #: container/queue methods that mutate their receiver in place
 MUTATORS = {
@@ -97,14 +169,14 @@ class Taint:
 
 @dataclass
 class StmtEffects:
-    """What one CFG node does to the symbol model."""
+    """What one statement does to the symbol model."""
 
     reads: set  # set[Symbol] — value reads of shared state
     writes: set  # set[Symbol] — assignments / container mutations
-    #: locals whose value this node (re)defines, with the symbols (and
+    #: locals whose value the statement (re)defines, with the symbols (and
     #: tainted locals) their new value derives from
     defines: dict  # local name -> (set[Symbol], set[local names])
-    #: locals whose current value the node uses (call args, rhs, targets)
+    #: locals whose current value the statement uses (call args, rhs, targets)
     uses: set  # set[local names]
 
 
@@ -203,16 +275,20 @@ class SymbolModel:
         return self.symbol_of(node)
 
 
-def effects(node: CFGNode, model: SymbolModel) -> StmtEffects:
-    """Reads/writes/defines/uses of one CFG node's own expressions."""
-    from repro.devtools.cfg import _own_expressions  # shared decomposition
+def effects(stmt: ast.stmt, kind: str, model: SymbolModel) -> StmtEffects:
+    """Reads/writes/defines/uses of one statement's own expressions.
 
+    ``kind`` says which part of a compound statement evaluates: ``"iter"``
+    a ``for``'s iterable (which defines its target), ``"enter"`` a
+    ``with``'s context managers (which define its ``as`` names); any
+    other kind scans the statement's own expressions.
+    """
     reads: set = set()
     writes: set = set()
     defines: dict = {}
     uses: set = set()
 
-    exprs = _own_expressions(node.stmt)
+    exprs = _own_expressions(stmt)
 
     def scan_value(expr: ast.AST, into_reads: set, into_uses: set) -> None:
         """Collect value reads of tracked symbols + uses of locals."""
@@ -264,7 +340,6 @@ def effects(node: CFGNode, model: SymbolModel) -> StmtEffects:
                     elif sub.id in model.globals:
                         reads.add(Symbol("global", sub.id))
 
-    stmt = node.stmt
     if isinstance(stmt, ast.Assign):
         value_reads: set = set()
         value_uses: set = set()
@@ -301,7 +376,7 @@ def effects(node: CFGNode, model: SymbolModel) -> StmtEffects:
             existing = defines.setdefault(stmt.target.id, (set(), set()))
             existing[0].update(value_reads)
             existing[1].update(value_uses | {stmt.target.id})
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)) and node.kind == "iter":
+    elif isinstance(stmt, (ast.For, ast.AsyncFor)) and kind == "iter":
         value_reads, value_uses = set(), set()
         scan_value(stmt.iter, value_reads, value_uses)
         reads |= value_reads
@@ -309,7 +384,7 @@ def effects(node: CFGNode, model: SymbolModel) -> StmtEffects:
         for sub in ast.walk(stmt.target):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
                 defines[sub.id] = (set(value_reads), set(value_uses))
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)) and node.kind == "enter":
+    elif isinstance(stmt, (ast.With, ast.AsyncWith)) and kind == "enter":
         for item in stmt.items:
             value_reads, value_uses = set(), set()
             scan_value(item.context_expr, value_reads, value_uses)
@@ -361,103 +436,169 @@ class StaleWrite:
     via: str
 
 
-def _join(a: dict, b: dict) -> dict:
-    if not a:
-        return {k: set(v) for k, v in b.items()}
-    out = {k: set(v) for k, v in a.items()}
-    for key, taints in b.items():
-        out.setdefault(key, set()).update(taints)
+def _absorb(sink: dict, state: dict) -> None:
+    """Union ``state``'s taints into ``sink`` in place."""
+    for key, taints in state.items():
+        sink.setdefault(key, set()).update(taints)
+
+
+def _join(*states: dict) -> dict:
+    out: dict = {}
+    for state in states:
+        _absorb(out, state)
     return out
 
 
-def _same(a: dict, b: dict) -> bool:
-    return a.keys() == b.keys() and all(a[k] == b[k] for k in a)
+class _Walk:
+    """One function body in source order; a state maps a local name to the
+    set of :class:`Taint` its value carries.  An await ages every taint; a
+    (re)definition replaces a local's taints with its new derivation; a
+    write of symbol ``V`` that *uses* a local carrying an aged taint of
+    ``V`` — with no lock common to the read and the write — is reported."""
 
+    def __init__(self, model: SymbolModel) -> None:
+        self.model = model
+        self.found: dict[tuple, StaleWrite] = {}
+        #: lock names held by the statements being walked
+        self.locks: frozenset = frozenset()
+        #: per enclosing ``try``: the states its handlers and its
+        #: ``finally`` start from (the first is ``None`` once the handlers
+        #: are walked, the second when there is no ``finally``)
+        self.tries: list[list] = []
+        #: per enclosing ``try`` with a ``finally``, up to the end of its
+        #: ``else``: the states ``return``/``raise`` carry into it
+        self.finallies: list[dict] = []
+        #: per enclosing loop: the states ``break`` / ``continue`` leave with
+        self.loops: list[tuple[list, list]] = []
 
-def stale_writes(cfg: CFG, model: SymbolModel) -> list[StaleWrite]:
-    """All writes of a tracked symbol fed by an awaited-over read of it.
-
-    Runs a worklist fixpoint over the CFG.  State: local name -> set of
-    :class:`Taint`.  An await ages every taint; a (re)definition replaces
-    a local's taints with its new derivation; a write of symbol ``V``
-    that *uses* a local carrying an aged taint of ``V`` — with no lock
-    common to the read and the write — is reported.
-    """
-    node_effects = {node.index: effects(node, model) for node in cfg.statement_nodes()}
-    in_states: dict[int, dict] = {node.index: {} for node in cfg.nodes}
-    findings: dict[tuple, StaleWrite] = {}
-
-    def transfer(node: CFGNode, state: dict) -> dict:
-        eff = node_effects.get(node.index)
-        if eff is None:
-            return state
+    def step(self, stmt: ast.stmt, kind: str, state: dict) -> dict:
+        """The state after ``stmt`` (its ``kind`` part) runs from ``state``."""
+        locks = self.locks
+        eff = effects(stmt, kind, self.model)
+        awaits = node_awaits(stmt)
+        line = stmt.lineno
         out = {k: set(v) for k, v in state.items()}
-        if node.awaits:
+        if awaits:
             out = {k: {t.aged() for t in v} for k, v in out.items()}
-        awaited_here = node.awaits
-        # report: writes fed by a stale (awaited-over) read of the same symbol
         for symbol in eff.writes:
             found: Optional[tuple] = None
             for used in sorted(eff.uses):
                 for taint in state.get(used, ()):
                     if taint.symbol != symbol:
                         continue
-                    if not (taint.awaited or awaited_here):
+                    if not (taint.awaited or awaits):
                         continue
-                    if taint.locks & node.locks:
+                    if taint.locks & locks:
                         continue  # same lock held at read and at write
                     found = (taint, "local")
                     break
                 if found is not None:
                     break
-            if (
-                found is None
-                and awaited_here
-                and symbol in eff.reads
-                and not node.locks
-            ):
+            if found is None and awaits and symbol in eff.reads and not locks:
                 # one statement that reads V, awaits, then stores into V
-                found = (Taint(symbol, node.line, True, frozenset()), "direct")
+                found = (Taint(symbol, line, True, frozenset()), "direct")
             if found is not None:
                 taint, via = found
-                key = (symbol, node.line)
-                findings.setdefault(
-                    key,
-                    StaleWrite(
-                        symbol=symbol,
-                        write_line=node.line,
-                        write_col=getattr(node.stmt, "col_offset", 0),
-                        read_line=taint.line,
-                        via=via,
-                    ),
+                self.found.setdefault(
+                    (symbol, line),
+                    StaleWrite(symbol, line, stmt.col_offset, taint.line, via),
                 )
-        # gen: definitions derive taints from value reads + used locals
         for local, (symbols, used_locals) in eff.defines.items():
-            new: set = {
-                Taint(symbol, node.line, awaited_here, node.locks)
-                for symbol in symbols
-            }
+            new: set = {Taint(symbol, line, awaits, locks) for symbol in symbols}
             for used in used_locals:
                 for taint in state.get(used, ()):
-                    new.add(taint.aged() if awaited_here else taint)
+                    new.add(taint.aged() if awaits else taint)
             out[local] = new
+        # a statement inside a try body can raise into its handlers, and
+        # one inside its body or handlers leaves through its finally
+        for sinks in self.tries:
+            for sink in sinks:
+                if sink is not None:
+                    _absorb(sink, out)
         return out
 
-    # standard forward may-analysis worklist; every node seeds the list so
-    # unreachable-from-changes nodes are still processed at least once
-    worklist: list[CFGNode] = list(cfg.nodes)
-    safety = 50 * (len(cfg.nodes) + 1) ** 2
-    steps = 0
-    while worklist and steps < safety:
-        steps += 1
-        node = worklist.pop(0)
-        out = transfer(node, in_states[node.index])
-        for succ in node.succ:
-            merged = _join(in_states[succ.index], out)
-            if not _same(merged, in_states[succ.index]):
-                in_states[succ.index] = merged
-                if succ not in worklist:
-                    worklist.append(succ)
+    def body(self, stmts: list, state: dict) -> dict:
+        for stmt in stmts:
+            state = self.statement(stmt, state)
+        return state
+
+    def statement(self, stmt: ast.stmt, state: dict) -> dict:
+        if isinstance(stmt, ast.If):
+            test = self.step(stmt, "test", state)
+            return _join(self.body(stmt.body, test), self.body(stmt.orelse, test))
+        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
+            return self._loop(stmt, state)
+        if isinstance(stmt, ast.Try):
+            return self._try(stmt, state)
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            enter = self.step(stmt, "enter", state)
+            held = self.locks
+            self.locks = held | {
+                name
+                for item in stmt.items
+                if (name := lock_name(item.context_expr)) is not None
+            }
+            inside = self.body(stmt.body, enter)
+            # the exit runs with the lock still held (release happens in it)
+            out = self.step(stmt, "exit", inside)
+            self.locks = held
+            return out
+        out = self.step(stmt, "stmt", state)
+        if isinstance(stmt, (ast.Return, ast.Raise)):
+            if self.finallies:
+                _absorb(self.finallies[-1], out)
+            return {}
+        if isinstance(stmt, (ast.Break, ast.Continue)):
+            if self.loops:
+                breaks, continues = self.loops[-1]
+                (breaks if isinstance(stmt, ast.Break) else continues).append(out)
+            return {}
+        return out
+
+    def _loop(self, stmt, state: dict) -> dict:
+        kind = "test" if isinstance(stmt, ast.While) else "iter"
+        breaks: list = []
+        continues: list = []
+        head_in = state
+        while True:
+            head = self.step(stmt, kind, head_in)
+            self.loops.append((breaks, continues))
+            tail = self.body(stmt.body, head)
+            self.loops.pop()
+            again = _join(state, tail, *continues)
+            if again == head_in:
+                break
+            head_in = again
+        endless = (
+            isinstance(stmt, ast.While)
+            and isinstance(stmt.test, ast.Constant)
+            and bool(stmt.test.value)
+        )
+        exits = {} if endless else head
+        return _join(self.body(stmt.orelse, exits), *breaks)
+
+    def _try(self, stmt: ast.Try, state: dict) -> dict:
+        sinks: list = [{}, {} if stmt.finalbody else None]
+        self.tries.append(sinks)
+        if stmt.finalbody:
+            self.finallies.append(sinks[1])
+        out = self.body(stmt.body, state)
+        raised, sinks[0] = sinks[0], None
+        handled = [self.body(handler.body, raised) for handler in stmt.handlers]
+        self.tries.pop()
+        out = _join(self.body(stmt.orelse, out), *handled)
+        if not stmt.finalbody:
+            return out
+        self.finallies.pop()
+        return self.body(stmt.finalbody, _join(out, sinks[1]))
+
+
+def stale_writes(
+    func: ast.AsyncFunctionDef, model: SymbolModel
+) -> list[StaleWrite]:
+    """All writes of a tracked symbol fed by an awaited-over read of it."""
+    walk = _Walk(model)
+    walk.body(func.body, {})
     return sorted(
-        findings.values(), key=lambda sw: (sw.write_line, str(sw.symbol))
+        walk.found.values(), key=lambda sw: (sw.write_line, str(sw.symbol))
     )

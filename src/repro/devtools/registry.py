@@ -4,23 +4,19 @@ A rule is a class with a ``code`` (the family identifier used in reports
 and in ``# reprolint: disable=CODE`` comments), an optional path
 ``scope`` restricting which packages it runs over, and a ``check``
 method yielding :class:`~repro.devtools.findings.Finding` objects for
-one parsed module.  Decorating the class with :func:`register` makes the
-runner and the CLI pick it up.
+one parsed module; its docstring states what the code enforces.
+Decorating the class with :func:`register` makes the runner pick it up.
 
 :class:`ProjectRule` is the whole-tree variant: its ``check_project``
 receives *every* parsed module of the run at once, so it can resolve
 facts no single file contains (which class owns which shared object,
 who mutates it from where).  The OWNERSHIP family is built on it.
-
-Selectors (``--select`` / ``--ignore``) match either an exact code or a
-family prefix: ``RACE`` selects ``RACE-RMW``, ``RACE-STALE`` and
-``RACE-LOCK`` alike, because ``RACE-RMW`` starts with ``RACE-``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Type
+from typing import TYPE_CHECKING, Iterator, Sequence, Type
 
 from repro.devtools.findings import Finding
 
@@ -31,10 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Rule:
     """Base class for one lint rule family."""
 
-    #: family identifier, e.g. ``SIM-DET``; used in output and suppressions
+    #: family identifier, e.g. ``RACE-RMW``; used in output and suppressions
     code: str = ""
-    #: one-paragraph rationale shown by ``--list-rules``
-    description: str = ""
     #: directory names the rule is restricted to (any match in the path);
     #: ``None`` means the rule applies to every file
     scope: tuple[str, ...] | None = None
@@ -88,55 +82,3 @@ def all_rules() -> list[Rule]:
     import repro.devtools.rules  # noqa: F401  (imports register the rules)
 
     return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
-
-
-def known_codes() -> set[str]:
-    import repro.devtools.rules  # noqa: F401
-
-    return set(_REGISTRY)
-
-
-def selector_matches(code: str, selector: str) -> bool:
-    """Does a --select/--ignore selector cover a rule code?
-
-    Exact match, or family prefix: ``RACE`` covers ``RACE-RMW`` because
-    the code continues with a ``-`` (so ``RACE`` never covers a
-    hypothetical ``RACEY`` family by accident).
-    """
-    return code == selector or code.startswith(selector + "-")
-
-
-def unknown_selectors(selectors: Iterable[str]) -> set[str]:
-    """The selectors matching no registered rule (usage errors)."""
-    codes = known_codes()
-    return {
-        selector
-        for selector in selectors
-        if not any(selector_matches(code, selector) for code in codes)
-    }
-
-
-def select_rules(
-    select: Iterable[str] | None = None, ignore: Iterable[str] | None = None
-) -> list[Rule]:
-    """The registered rules filtered by ``--select`` / ``--ignore``.
-
-    Both accept exact codes and family prefixes (``RACE`` for every
-    ``RACE-*`` rule).
-    """
-    rules = all_rules()
-    if select is not None:
-        wanted = list(select)
-        rules = [
-            rule
-            for rule in rules
-            if any(selector_matches(rule.code, sel) for sel in wanted)
-        ]
-    if ignore is not None:
-        dropped = list(ignore)
-        rules = [
-            rule
-            for rule in rules
-            if not any(selector_matches(rule.code, sel) for sel in dropped)
-        ]
-    return rules

@@ -1,8 +1,7 @@
 """Rule implementations; importing this package registers every rule.
 
-``python -m repro.devtools.lint --list-rules`` prints what each code
-enforces (the rules' own ``description``); DESIGN.md §5 has the rationale
-and each family's measured record.
+Each rule's docstring states what its code enforces; DESIGN.md §5
+has each code's contract, scope and the product mutant that pins it.
 """
 
 from repro.devtools.rules import (  # noqa: F401

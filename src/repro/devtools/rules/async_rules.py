@@ -77,13 +77,11 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 
 @register
 class AsyncBlocking(Rule):
+    """Async functions must not call blocking primitives (time.sleep,
+    blocking socket/subprocess/urllib calls) or spin in unbounded
+    await-free loops; every iteration must yield to the event loop."""
+
     code = "ASYNC-BLOCK"
-    description = (
-        "async functions must not call blocking primitives (time.sleep, "
-        "blocking socket/subprocess/urllib calls) or spin in unbounded "
-        "await-free loops; every iteration must yield to the event loop"
-    )
-    scope = None
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         aliases = import_aliases(module.tree)
@@ -128,13 +126,11 @@ class AsyncBlocking(Rule):
 
 @register
 class AsyncCancellation(Rule):
+    """Never swallow asyncio.CancelledError: any handler that catches it
+    (explicitly, or via bare except / except BaseException around
+    awaited code) must re-raise."""
+
     code = "ASYNC-CANCEL"
-    description = (
-        "never swallow asyncio.CancelledError: any handler that catches it "
-        "(explicitly, or via bare except / except BaseException around "
-        "awaited code) must re-raise"
-    )
-    scope = None
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for parent in ast.walk(module.tree):

@@ -33,13 +33,11 @@ def _is_silencer_body(body: list[ast.stmt]) -> bool:
 
 @register
 class SilentExcept(Rule):
+    """Bare `except:` is always an error; `except Exception:` (or
+    BaseException) whose body is only pass/... silently destroys the
+    evidence of the failure."""
+
     code = "EXC-SILENT"
-    description = (
-        "bare `except:` is always an error; `except Exception:` (or "
-        "BaseException) whose body is only pass/... silently destroys the "
-        "evidence of the failure"
-    )
-    scope = None
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

@@ -2,8 +2,8 @@
 
 The single-writer contract from PR 5 — every shard's ``DialResult``
 reaches the one shared :class:`NodeDB` through one ``NodeDBWriter`` —
-was previously policed by SHARD-SAFE's *name* heuristic ("a receiver
-called ``db`` calling ``.observe``").  That misses ``out.db.observe``
+cannot be policed by a *name* heuristic ("a receiver called ``db``
+calling ``.observe``"): that misses ``out.db.observe``
 behind any other name and false-positives on unrelated objects that
 happen to be called ``db``.  This pass resolves *types* instead, across
 the whole tree at once (it is a :class:`ProjectRule`):
@@ -190,14 +190,11 @@ class _ProjectTypes:
 
 @register
 class StateOwnership(ProjectRule):
+    """NodeDB and CrawlStats are mutated only inside their defining
+    module or their declared writer class (NodeDBWriter); mutation sites
+    are resolved by type across the whole tree, not by receiver name."""
+
     code = "OWNERSHIP"
-    description = (
-        "NodeDB and CrawlStats are mutated only inside their defining "
-        "module or their declared writer class (NodeDBWriter); mutation "
-        "sites are resolved by type across the whole tree, not by receiver "
-        "name"
-    )
-    scope = None
 
     def check_project(
         self, modules: Sequence[ModuleSource]

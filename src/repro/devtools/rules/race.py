@@ -16,7 +16,7 @@ so the window is a lint error, not a review note.  Three shapes:
     A write of ``self.*`` / module-global state fed by a value that was
     read *before* an await (directly, through a chain of locals, or
     loop-carried from the previous iteration).  Detected with the
-    CFG/taint machinery in :mod:`repro.devtools.dataflow`; holding the
+    taint walk in :mod:`repro.devtools.dataflow`; holding the
     same asyncio lock at the read and the write suppresses it.
 
 ``RACE-STALE``
@@ -34,7 +34,8 @@ so the window is a lint error, not a review note.  Three shapes:
 
 Classes whose name contains ``Writer`` are exempt from RACE-RMW and
 RACE-STALE: they *are* the single-writer serialization point the
-invariant funnels everything through (same exemption SHARD-SAFE uses).
+invariant funnels everything through (OWNERSHIP exempts
+``NodeDBWriter`` for the same reason).
 """
 
 from __future__ import annotations
@@ -43,8 +44,14 @@ from typing import Iterator, Optional
 
 import ast
 
-from repro.devtools.cfg import build_cfg, lock_name, node_awaits
-from repro.devtools.dataflow import SymbolModel, module_globals, stale_writes
+from repro.devtools.dataflow import (
+    SymbolModel,
+    effects,
+    lock_name,
+    module_globals,
+    node_awaits,
+    stale_writes,
+)
 from repro.devtools.findings import Finding
 from repro.devtools.registry import Rule, register
 from repro.devtools.source import ModuleSource
@@ -76,23 +83,20 @@ def _is_writer_class(cls: Optional[ast.ClassDef]) -> bool:
 
 @register
 class AwaitBoundaryRaces(Rule):
+    """No read-modify-write of self.*/module state across an await
+    outside a *Writer class: a value read before an await is stale by
+    the time it is written back unless the same asyncio lock guards both
+    sides."""
+
     code = "RACE-RMW"
-    description = (
-        "no read-modify-write of self.*/module state across an await "
-        "outside a *Writer class: a value read before an await is stale "
-        "by the time it is written back unless the same asyncio lock "
-        "guards both sides"
-    )
-    scope = None
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         globals_ = module_globals(module.tree)
         for func, cls in _async_functions_with_context(module.tree):
             if _is_writer_class(cls):
                 continue
-            cfg = build_cfg(func)
             model = SymbolModel(func, globals_)
-            for stale in stale_writes(cfg, model):
+            for stale in stale_writes(func, model):
                 where = f"{cls.name}.{func.name}" if cls else func.name
                 origin = (
                     "read on the same line"
@@ -113,13 +117,11 @@ class AwaitBoundaryRaces(Rule):
 
 @register
 class DoubleCheckedStale(Rule):
+    """A branch that tests self.*/module state, awaits, then writes the
+    same state acts on a stale check — two tasks can both pass the test;
+    re-check under an asyncio lock before writing."""
+
     code = "RACE-STALE"
-    description = (
-        "a branch that tests self.*/module state, awaits, then writes the "
-        "same state acts on a stale check — two tasks can both pass the "
-        "test; re-check under an asyncio lock before writing"
-    )
-    scope = None
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         globals_ = module.tree and module_globals(module.tree)
@@ -168,9 +170,6 @@ class DoubleCheckedStale(Rule):
     ) -> Iterator[Finding]:
         """Walk an if-body in order: an await followed by a write of a
         tested symbol (outside any lock) is the stale-check pattern."""
-        from repro.devtools.cfg import CFGNode
-        from repro.devtools.dataflow import effects
-
         for stmt in stmts:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -184,8 +183,7 @@ class DoubleCheckedStale(Rule):
                 ]
                 acquired = acquired + tuple(names)
             # writes of a tested symbol on this statement itself
-            pseudo = CFGNode(index=0, stmt=stmt, kind=_kind_of(stmt))
-            eff = effects(pseudo, model)
+            eff = effects(stmt, _kind_of(stmt), model)
             written = eff.writes & tested
             straddles = awaited or stmt_awaits
             if written and straddles and not acquired:
@@ -234,7 +232,7 @@ class DoubleCheckedStale(Rule):
 
 
 def _kind_of(stmt: ast.stmt) -> str:
-    """The CFG node kind a statement's own expressions evaluate under."""
+    """Which part of a compound statement evaluates its own expressions."""
     if isinstance(stmt, (ast.If, ast.While)):
         return "test"
     if isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -269,14 +267,12 @@ def _flat(stmts) -> Iterator[ast.stmt]:
 
 @register
 class SyncLockAcrossAwait(Rule):
+    """A synchronous `with <lock>:` must not contain an await: the lock
+    stays held while the event loop schedules other tasks (deadlock with
+    any task wanting the same lock, and a threading lock blocks the loop
+    outright); use `async with asyncio.Lock()` instead."""
+
     code = "RACE-LOCK"
-    description = (
-        "a synchronous `with <lock>:` must not contain an await: the lock "
-        "stays held while the event loop schedules other tasks (deadlock "
-        "with any task wanting the same lock, and a threading lock blocks "
-        "the loop outright); use `async with asyncio.Lock()` instead"
-    )
-    scope = None
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

@@ -47,14 +47,13 @@ _TIMEOUT_CONTEXTS = {"asyncio.timeout", "asyncio.timeout_at"}
 
 @register
 class RetrySafe(Rule):
+    """In repro.nodefinder / repro.rlpx, never await a network primitive
+    (open_connection, readexactly/readuntil/readline, drain, sendall,
+    read_message/send_message) directly: put it under a deadline — a
+    harvest stage's bounded(...), asyncio.wait_for, or `async with
+    asyncio.timeout(...)`."""
+
     code = "RETRY-SAFE"
-    description = (
-        "in repro.nodefinder / repro.rlpx, never await a network primitive "
-        "(open_connection, readexactly/readuntil/readline, drain, sendall, "
-        "read_message/send_message) directly: put it under a deadline — "
-        "a harvest stage's bounded(...), asyncio.wait_for, or "
-        "`async with asyncio.timeout(...)`"
-    )
     scope = ("nodefinder", "rlpx")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:

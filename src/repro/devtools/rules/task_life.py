@@ -85,14 +85,11 @@ def _name_is_read(func: ast.AST, name: str) -> bool:
 
 @register
 class OrphanTask(Rule):
+    """The handle returned by asyncio.create_task/ensure_future must be
+    retained (stored, awaited, gathered, passed on, or given a
+    done-callback); a discarded handle is a task whose exceptions vanish."""
+
     code = "TASK-LIFE-ORPHAN"
-    description = (
-        "the handle returned by asyncio.create_task/ensure_future must be "
-        "retained (stored, awaited, gathered, passed on, or given a "
-        "done-callback); a discarded handle is a task whose exceptions "
-        "vanish"
-    )
-    scope = None
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         aliases = import_aliases(module.tree)
@@ -154,13 +151,11 @@ class OrphanTask(Rule):
 
 @register
 class GatherSupervision(Rule):
+    """asyncio.gather in a supervision loop needs return_exceptions=True:
+    without it the first child failure aborts the whole round and the
+    remaining results are lost."""
+
     code = "TASK-LIFE-GATHER"
-    description = (
-        "asyncio.gather in a supervision loop needs return_exceptions=True: "
-        "without it the first child failure aborts the whole round and the "
-        "remaining results are lost"
-    )
-    scope = None
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         aliases = import_aliases(module.tree)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.devtools.findings import Finding
-from repro.devtools.registry import ProjectRule, select_rules
+from repro.devtools.registry import ProjectRule, all_rules
 from repro.devtools.source import ModuleSource
 
 #: directories never descended into
@@ -64,13 +64,9 @@ def _parse(path: Path) -> tuple[Optional[ModuleSource], Optional[Finding]]:
         )
 
 
-def run_paths(
-    paths: Iterable[Path | str],
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> LintRun:
+def run_paths(paths: Iterable[Path | str]) -> LintRun:
     """Lint files/directories and return the full run record."""
-    rules = select_rules(select=select, ignore=ignore)
+    rules = all_rules()
     module_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     run = LintRun(checked_files=iter_python_files(paths))
@@ -108,10 +104,6 @@ def run_paths(
     return run
 
 
-def lint_paths(
-    paths: Iterable[Path | str],
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> list[Finding]:
+def lint_paths(paths: Iterable[Path | str]) -> list[Finding]:
     """Lint files/directories; the programmatic entry point used by tests."""
-    return run_paths(paths, select=select, ignore=ignore).findings
+    return run_paths(paths).findings

@@ -4,7 +4,8 @@ or named, with its reason, in ``tests/data/reach_ledger.txt``.
 Run:  python tests/reach.py   (from the repository root, ≈5 min; Python ≥ 3.11)
 
 It runs a fixed list of product runs in this one process — every CLI
-subcommand, the four ``examples/``, the linter over ``src`` and the paper
+subcommand, the four ``examples/``, the linter over ``src`` and over a
+copy of ``live.py`` with one slip, and the paper
 suite — under ``sys.setprofile`` / ``threading.setprofile``, then lists the
 ``src/repro`` functions (code objects with ``CO_NEWLOCALS``: defs and
 methods, keyed by module path and ``co_qualname``; an interface stub whose
@@ -140,6 +141,30 @@ def _lint() -> None:
         raise SystemExit("repro.devtools.lint src found something")
 
 
+def _lint_fails(tmp: pathlib.Path) -> None:
+    """Lint a copy of live.py whose lookup count is read before the lookup's
+    await and written after it (a RACE-RMW slip): the run must exit 1."""
+    from repro.devtools.lint import main
+
+    text = (SRC / "repro" / "nodefinder" / "live.py").read_text(encoding="utf-8")
+    slip = text.replace(
+        "            found = await self.discovery.lookup_all(target)\n"
+        '            self.stats["lookups"] += 1\n',
+        '            lookups = self.stats["lookups"]\n'
+        "            found = await self.discovery.lookup_all(target)\n"
+        '            self.stats["lookups"] = lookups + 1\n',
+    )
+    if slip == text:
+        raise SystemExit("reach: live.py no longer has the lookup count to slip")
+    target = tmp / "repro" / "nodefinder" / "live.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(slip, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = main([str(target)])
+    if status != 1:
+        raise SystemExit(f"repro.devtools.lint on a RACE-RMW slip exited {status}, not 1")
+
+
 def _paper_suite() -> None:
     import pytest
 
@@ -242,6 +267,8 @@ def product_runs(tmp: pathlib.Path):
         ("examples/ecosystem_survey.py", lambda: _example("ecosystem_survey.py")),
         ("examples/live_crawl.py", lambda: _example("live_crawl.py")),
         ("repro.devtools.lint src", _lint),
+        ("repro.devtools.lint (a slip in live.py, exits 1)",
+         lambda: _lint_fails(tmp / "lint")),
         ("paper suite", _paper_suite),
     ]
 
