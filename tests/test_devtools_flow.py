@@ -4,8 +4,9 @@ The RACE rules are only as good as the walk under them, so the second
 half pins the shapes that defeat straight-line scanners: escapes routed
 through ``finally``, a raise reaching its handler, loop-carried state,
 unreachable code after an endless loop, async iteration/context awaits,
-nested functions and lambdas that must NOT count as awaits, and lock
-contexts held on the right statements.
+nested functions and lambdas that must NOT count as awaits, lock
+contexts held on the right statements, one statement that reads,
+awaits and writes, and which names are shared state at all.
 """
 
 import ast
@@ -239,6 +240,150 @@ def test_code_after_an_endless_loop_is_unreachable():
     ) == []
 
 
+def test_an_async_for_step_awaits_between_iterations():
+    # the iteration step is an await, so iteration k's read is stale at
+    # iteration k+1's write; the same body under a plain ``for`` is clean
+    source = """
+        async def f(self, stream):
+            snapshot = 0
+            {loop} item in stream:
+                self.total = snapshot + 1
+                snapshot = self.total
+        """
+    assert source_stale_writes(source.format(loop="async for")) == [
+        ("self.total", 4)
+    ]
+    assert source_stale_writes(source.format(loop="for")) == []
+
+
+def test_a_break_after_an_earlier_iterations_await_carries_the_aged_read():
+    # the first pass breaks before any await; a later pass breaks after
+    # one, and the state the break leaves with is the union of both
+    assert source_stale_writes(
+        """
+        async def f(self):
+            snapshot = self.count
+            while True:
+                if self.done:
+                    break
+                await self.tick()
+            self.count = snapshot + 1
+        """
+    ) == [("self.count", 7)]
+
+
+def test_continue_carries_its_state_to_the_next_iteration():
+    # the only path on which the aged read reaches the loop head is the
+    # ``continue``; the fall-through path resets the local
+    assert source_stale_writes(
+        """
+        async def f(self, batches):
+            snapshot = 0
+            for batch in batches:
+                self.total = snapshot + 1
+                snapshot = self.total
+                if batch:
+                    await self.flush()
+                    continue
+                snapshot = 0
+        """
+    ) == [("self.total", 4)]
+
+
+def test_raise_without_a_handler_leaves_through_finally():
+    assert source_stale_writes(
+        """
+        async def f(self):
+            snapshot = self.count
+            try:
+                await self.flush()
+                raise ValueError
+            finally:
+                self.count = snapshot + 1
+        """
+    ) == [("self.count", 7)]
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # __aenter__ awaits: a read before the block is stale inside it
+        (
+            """
+            async def f(self, session):
+                snapshot = self.count
+                async with session:
+                    self.count = snapshot + 1
+            """,
+            [("self.count", 4)],
+        ),
+        # __aexit__ awaits: a read inside the block is stale after it
+        (
+            """
+            async def f(self, session):
+                async with session:
+                    snapshot = self.count
+                self.count = snapshot + 1
+            """,
+            [("self.count", 4)],
+        ),
+        # a plain ``with`` awaits neither on enter nor on exit
+        (
+            """
+            async def f(self, session):
+                with session:
+                    snapshot = self.count
+                self.count = snapshot + 1
+            """,
+            [],
+        ),
+    ],
+    ids=["enter", "exit", "sync"],
+)
+def test_async_with_awaits_on_enter_and_exit(source, expected):
+    assert source_stale_writes(source) == expected
+
+
+def test_a_sync_lock_on_both_sides_suppresses():
+    assert source_stale_writes(
+        """
+        async def f(self):
+            with self._lock:
+                snapshot = self.count
+                await self.flush()
+                self.count = snapshot + 1
+        """
+    ) == []
+
+
+def test_a_lock_taken_only_at_the_write_does_not_guard_it():
+    assert source_stale_writes(
+        """
+        async def f(self):
+            snapshot = self.count
+            await self.flush()
+            async with self._lock:
+                self.count = snapshot + 1
+        """
+    ) == [("self.count", 5)]
+
+
+def test_nested_locks_accumulate_and_one_in_common_suppresses():
+    source = """
+        async def f(self):
+            async with self._db_lock:
+                async with self._stats_mutex:
+                    snapshot = self.count
+            await self.flush()
+            async with self.{lock}:
+                self.count = snapshot + 1
+        """
+    assert source_stale_writes(source.format(lock="_stats_mutex")) == []
+    assert source_stale_writes(source.format(lock="_other_lock")) == [
+        ("self.count", 7)
+    ]
+
+
 def test_dataflow_lock_on_both_sides_suppresses():
     assert source_stale_writes(
         """
@@ -302,3 +447,84 @@ def test_dataflow_comprehension_variable_does_not_alias_loop_variable():
                 self.peers = fresh
         """
     ) == []
+
+
+def test_an_async_comprehension_in_a_nested_def_does_not_age_the_outer_read():
+    assert source_stale_writes(
+        """
+        async def f(self):
+            snapshot = self.count
+            def helper():
+                return [x async for x in self.stream()]
+            self.count = snapshot + 1
+        """
+    ) == []
+
+
+def test_one_statement_that_reads_awaits_and_writes_is_a_direct_race():
+    assert source_stale_writes(
+        """
+        async def f(self):
+            self.count = self.count + await self.delta()
+        """
+    ) == [("self.count", 2)]
+    assert source_stale_writes(
+        """
+        async def f(self):
+            self.count += await self.delta()
+        """
+    ) == [("self.count", 2)]
+
+
+def test_a_locked_direct_read_modify_write_is_clean():
+    assert source_stale_writes(
+        """
+        async def f(self):
+            async with self._lock:
+                self.count += await self.delta()
+        """
+    ) == []
+
+
+def test_a_declared_module_global_is_shared_state():
+    assert source_stale_writes(
+        """
+        COUNT = 0
+
+        async def f():
+            global COUNT
+            snapshot = COUNT
+            await flush()
+            COUNT = snapshot + 1
+        """
+    ) == [("COUNT", 7)]
+
+
+def test_a_local_that_shadows_a_global_is_private():
+    assert source_stale_writes(
+        """
+        COUNT = 0
+
+        async def f(self):
+            COUNT = self.base
+            snapshot = COUNT
+            await self.flush()
+            COUNT = snapshot + 1
+            return COUNT
+        """
+    ) == []
+
+
+def test_an_accessor_read_feeds_a_mutator_write():
+    # ``copy`` reads the container's state and ``extend`` mutates it; an
+    # opaque method call (``summary``) reads nothing the walk can track
+    source = """
+        async def f(self):
+            pending = self.queue.{method}()
+            await self.flush()
+            self.queue.extend(pending)
+        """
+    assert source_stale_writes(source.format(method="copy")) == [
+        ("self.queue", 4)
+    ]
+    assert source_stale_writes(source.format(method="summary")) == []
