@@ -84,8 +84,6 @@ def node_awaits(stmt: ast.stmt) -> bool:
         return True  # __anext__ / __aenter__ / __aexit__ await
     for expr in _own_expressions(stmt):
         for node in ast.walk(expr):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
             # awaits inside a nested lambda/def body do not count
             if isinstance(node, ast.Await) and not _under_nested_function(
                 expr, node

@@ -10,7 +10,7 @@ state — but that contract dies silently the first time somebody writes
     await self.flush()
     self.count = count + 1      # another task's increment just vanished
 
-so the window is a lint error, not a review note.  Three shapes:
+so the window is a lint error, not a review note.  Two shapes:
 
 ``RACE-RMW``
     A write of ``self.*`` / module-global state fed by a value that was
@@ -25,12 +25,6 @@ so the window is a lint error, not a review note.  Three shapes:
     ``if self.session is None: self.session = await connect()`` where
     two tasks both pass the check and both connect.  A write under a
     lock is exempt (the lock-then-recheck idiom).
-
-``RACE-LOCK``
-    A *synchronous* lock held across an await (``with self._lock:``
-    containing ``await``): the lock is held while the event loop runs
-    other tasks, so any of them touching the same lock deadlocks the
-    loop — and a threading lock never yields at all.
 
 Classes whose name contains ``Writer`` are exempt from RACE-RMW and
 RACE-STALE: they *are* the single-writer serialization point the
@@ -263,35 +257,3 @@ def _flat(stmts) -> Iterator[ast.stmt]:
             continue
         for body in _sub_bodies(stmt):
             yield from _flat(body)
-
-
-@register
-class SyncLockAcrossAwait(Rule):
-    """A synchronous `with <lock>:` must not contain an await: the lock
-    stays held while the event loop schedules other tasks (deadlock with
-    any task wanting the same lock, and a threading lock blocks the loop
-    outright); use `async with asyncio.Lock()` instead."""
-
-    code = "RACE-LOCK"
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.With):
-                continue
-            names = [
-                name
-                for item in node.items
-                if (name := lock_name(item.context_expr)) is not None
-            ]
-            if not names:
-                continue
-            if any(node_awaits(inner) for inner in _flat(node.body)):
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    node.col_offset,
-                    f"synchronous lock {names[0]} held across an await; the "
-                    "event loop keeps running other tasks while the lock is "
-                    "held — acquire an asyncio.Lock with `async with` "
-                    "instead",
-                )

@@ -17,4 +17,4 @@ def suppressed_by_guard_line():
 
 
 def still_fires():
-    return time.time()  # reprolint: disable=EXC-SILENT
+    return time.time()  # reprolint: disable=SIM-DET

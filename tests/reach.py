@@ -142,23 +142,12 @@ def _lint() -> None:
 
 
 def _lint_fails(tmp: pathlib.Path) -> None:
-    """Lint a copy of live.py whose lookup count is read before the lookup's
-    await and written after it (a RACE-RMW slip): the run must exit 1."""
+    """Lint the RACE-RMW mutant of live.py (``tests.support.mutants``): the
+    run must exit 1."""
     from repro.devtools.lint import main
+    from tests.support.mutants import PRODUCT_MUTANTS, write_mutant
 
-    text = (SRC / "repro" / "nodefinder" / "live.py").read_text(encoding="utf-8")
-    slip = text.replace(
-        "            found = await self.discovery.lookup_all(target)\n"
-        '            self.stats["lookups"] += 1\n',
-        '            lookups = self.stats["lookups"]\n'
-        "            found = await self.discovery.lookup_all(target)\n"
-        '            self.stats["lookups"] = lookups + 1\n',
-    )
-    if slip == text:
-        raise SystemExit("reach: live.py no longer has the lookup count to slip")
-    target = tmp / "repro" / "nodefinder" / "live.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(slip, encoding="utf-8")
+    target = write_mutant(SRC, *PRODUCT_MUTANTS["RACE-RMW"], tmp)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         status = main([str(target)])
     if status != 1:
@@ -277,7 +266,7 @@ def main() -> int:
     if sys.version_info < (3, 11):
         print("reach: needs Python >= 3.11 (co_qualname)", file=sys.stderr)
         return 2
-    sys.path.insert(0, str(SRC))
+    sys.path[:0] = [str(SRC), str(ROOT)]
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         for label, run in product_runs(pathlib.Path(tmp)):

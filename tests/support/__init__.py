@@ -10,4 +10,6 @@ The product under ``src/repro`` never imports this package
   against;
 * :mod:`tests.support.keccak` — the spec-shaped Keccak-f[1600]
   permutation the generated one is checked against.
+* :mod:`tests.support.mutants` — one plausible slip per lint code in a
+  real product file, for the linter's tests and the reach ledger.
 """

@@ -32,13 +32,13 @@ FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 
 def test_suppressed_counts_surface_in_text(capsys):
-    fixture = str(FIXTURES / "telemetry" / "suppressed.py")
+    fixture = str(FIXTURES / "simnet" / "suppressed.py")
     rc = main([fixture])
     captured = capsys.readouterr()
     assert rc == 1
     assert "2 suppressed" in captured.err
     assert [line.split(" ")[1] for line in captured.out.splitlines()] == [
-        "OBS-CLOCK"
+        "SIM-DET"
     ]
 
 

@@ -18,13 +18,15 @@ import pytest
 import repro
 from repro.devtools import all_rules, lint_paths
 from repro.devtools.lint import main
-from repro.devtools.rules.ambient import BANNED
+from repro.devtools.rules.ambient import AMBIENT_RULES
 from repro.devtools.runner import PARSE_ERROR, iter_python_files
+from tests.support.mutants import PRODUCT_MUTANTS, write_mutant
 
 SRC = Path(repro.__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 RULE_CODES = {
+    "SIM-DET",
     "ASYNC-BLOCK",
     "ASYNC-CANCEL",
     "EXC-SILENT",
@@ -32,7 +34,6 @@ RULE_CODES = {
     "OBS-CLOCK",
     "RACE-RMW",
     "RACE-STALE",
-    "RACE-LOCK",
     "TASK-LIFE-ORPHAN",
     "TASK-LIFE-GATHER",
     "OWNERSHIP",
@@ -54,6 +55,10 @@ def test_registry_has_all_families():
 # -- firing fixtures --------------------------------------------------------
 
 FIRING = {
+    "simnet/bad_wallclock.py": {"SIM-DET": 3},
+    "simnet/bad_random.py": {"SIM-DET": 4},
+    "simnet/bad_heapq_scheduling.py": {"SIM-DET": 4},
+    "chain/bad_datetime.py": {"SIM-DET": 2},
     "async_block/bad_blocking.py": {"ASYNC-BLOCK": 3},
     "async_cancel/bad_swallow.py": {"ASYNC-CANCEL": 3},
     "exc_silent/bad_silent.py": {"EXC-SILENT": 2},
@@ -62,13 +67,14 @@ FIRING = {
     "telemetry/bad_profiler_wallclock.py": {"OBS-CLOCK": 3},
     "race/bad_rmw.py": {"RACE-RMW": 3},
     "race/bad_stale.py": {"RACE-STALE": 2},
-    "race/bad_lock.py": {"RACE-LOCK": 1},
     "task_life/bad_orphan.py": {"TASK-LIFE-ORPHAN": 3},
     "task_life/bad_gather.py": {"TASK-LIFE-GATHER": 1},
     "ownership/bad_mutation.py": {"OWNERSHIP": 3},
 }
 
 CLEAN = [
+    "simnet/clean_seeded.py",
+    "simnet/clean_heap_queries.py",
     "async_block/clean_async.py",
     "async_cancel/clean_reraise.py",
     "exc_silent/clean_narrow.py",
@@ -99,27 +105,30 @@ def test_clean_fixture_stays_clean(relative):
 # -- suppression comments ---------------------------------------------------
 
 
-def test_suppression_comments():
-    relative = "telemetry/suppressed.py"
+@pytest.mark.parametrize(
+    "relative, code",
+    [("simnet/suppressed.py", "SIM-DET"), ("telemetry/suppressed.py", "OBS-CLOCK")],
+)
+def test_suppression_comments(relative, code):
     findings = lint_paths([FIXTURES / relative])
     # two of the three violations are suppressed; the third carries a
     # disable for a different family and must still fire
     assert len(findings) == 1
-    assert findings[0].code == "OBS-CLOCK"
+    assert findings[0].code == code
     source_lines = (FIXTURES / relative).read_text().splitlines()
     assert "still_fires" in source_lines[findings[0].line - 2]
 
 
 def test_disable_file_comment(tmp_path):
-    bad = (FIXTURES / "telemetry" / "bad_wallclock.py").read_text()
-    target = tmp_path / "telemetry" / "wallclock.py"
+    bad = (FIXTURES / "simnet" / "bad_wallclock.py").read_text()
+    target = tmp_path / "simnet" / "wallclock.py"
     target.parent.mkdir()
-    target.write_text("# reprolint: disable-file=OBS-CLOCK\n" + bad)
+    target.write_text("# reprolint: disable-file=SIM-DET\n" + bad)
     assert lint_paths([target]) == []
 
 
 def test_disable_all_suppresses_every_family(tmp_path):
-    target = tmp_path / "telemetry" / "module.py"
+    target = tmp_path / "simnet" / "module.py"
     target.parent.mkdir()
     target.write_text(
         "import time\n\n\ndef f():\n"
@@ -131,32 +140,56 @@ def test_disable_all_suppresses_every_family(tmp_path):
 # -- scoping ----------------------------------------------------------------
 
 
-#: what each OBS-CLOCK fixture calls, by ban class; ``clean_injected.py``
+#: what each ambient fixture calls, by ban class; ``clean_injected.py``
 #: only *references* ``time.monotonic`` and must never fire anywhere
-CLOCK_SOURCES = {
-    "telemetry/bad_wallclock.py": {"wall-clock": 2, "calendar": 1},
-    "telemetry/bad_profiler_wallclock.py": {"wall-clock": 3},
+AMBIENT_SOURCES = {
+    "simnet/bad_wallclock.py": {"wall-clock": 2, "calendar": 1},
+    "simnet/bad_random.py": {"global-RNG": 3, "OS-entropy": 1},
+    "simnet/bad_heapq_scheduling.py": {"heap-scheduling": 4},
     "telemetry/clean_injected.py": {},
 }
 
+#: the ban classes each row carries, pinned so a row cannot quietly drop one
+AMBIENT_BANS = {
+    "SIM-DET": {
+        "global-RNG", "wall-clock", "calendar", "OS-entropy", "heap-scheduling"
+    },
+    "OBS-CLOCK": {"wall-clock", "calendar"},
+}
 
-def test_obs_clock_fires_only_inside_telemetry(tmp_path):
-    """Every banned class fires inside ``telemetry``, nothing outside it."""
-    assert set(BANNED) == {"wall-clock", "calendar"}
 
-    def findings_by_class(package):
+@pytest.mark.parametrize(
+    "code, scope, banned, remedy",
+    AMBIENT_RULES,
+    ids=[row[0] for row in AMBIENT_RULES],
+)
+def test_ambient_row(tmp_path, code, scope, banned, remedy):
+    """Each row fires on its banned classes inside its scope, only there."""
+    assert set(banned) == AMBIENT_BANS[code]
+
+    def findings_by_class(package, filename=None):
         counts = Counter()
-        for relative in CLOCK_SOURCES:
-            target = tmp_path / package / relative.replace("/", "_")
+        for relative in AMBIENT_SOURCES:
+            target = tmp_path / package / (filename or relative.replace("/", "_"))
             target.parent.mkdir(exist_ok=True)
             shutil.copy(FIXTURES / relative, target)
             for finding in lint_paths([target]):
-                assert finding.code == "OBS-CLOCK"
+                assert finding.code == code and remedy in finding.message
                 counts[finding.message.split(" call ")[0]] += 1
         return dict(counts)
 
-    assert findings_by_class("telemetry") == {"wall-clock": 5, "calendar": 1}
-    # the same sources outside telemetry are not its business
+    expected = Counter()
+    for calls in AMBIENT_SOURCES.values():
+        expected.update({k: n for k, n in calls.items() if k in banned})
+    for package in scope:
+        assert findings_by_class(package) == dict(expected)
+        # the one exemption: the scheduler itself (simnet/clock.py) may own
+        # a heap — and only under simnet/, a chain-side clock.py may not
+        in_clock = dict(expected)
+        if package == "simnet":
+            del in_clock["heap-scheduling"]
+        assert findings_by_class(package, "clock.py") == in_clock
+    # the same sources outside the row's scope are not its business
     # (fullnode code may legitimately read the clock)
     assert findings_by_class("fullnode") == {}
 
@@ -175,7 +208,7 @@ def test_syntax_error_is_reported_not_crashed(tmp_path):
 
 
 def test_cli_clean_exit_zero(capsys):
-    rc = main([str(FIXTURES / "exc_silent" / "clean_narrow.py")])
+    rc = main([str(FIXTURES / "simnet" / "clean_seeded.py")])
     assert rc == 0
     assert "clean" in capsys.readouterr().err
 
@@ -216,7 +249,7 @@ def test_cli_module_entrypoint(tmp_path):
             sys.executable,
             "-m",
             "repro.devtools.lint",
-            str(FIXTURES / "exc_silent" / "bad_silent.py"),
+            str(FIXTURES / "simnet" / "bad_random.py"),
         ],
         capture_output=True,
         text=True,
@@ -224,158 +257,29 @@ def test_cli_module_entrypoint(tmp_path):
     )
     assert result.returncode == 1
     assert [line.split(" ")[1] for line in result.stdout.splitlines()] == [
-        "EXC-SILENT"
-    ] * 2
+        "SIM-DET"
+    ] * 4
 
 
 # -- mutants of the product tree -------------------------------------------
-
-#: one plausible slip per code in a product file its scope covers, as
-#: ``(path under repro/, [(old, new), ...])`` replacements, each anchor
-#: present once; tier-1 without the linter's own tests passes on every one
-#: but RACE-LOCK's (CHANGES.md has the run per code), so the code is what
-#: catches it
-_HARVEST = "        async with self._semaphore:\n            result = await self._harvest("
-_DIAL_EXCEPT = "            except (asyncio.TimeoutError, asyncio.QueueEmpty):\n"
-PRODUCT_MUTANTS = {
-    "ASYNC-BLOCK": (  # a blocking sleep before the harvest of a dial
-        "nodefinder/live.py",
-        [
-            (
-                _HARVEST,
-                "        async with self._semaphore:\n            time.sleep(0.01)\n"
-                "            result = await self._harvest(",
-            )
-        ],
-    ),
-    "ASYNC-CANCEL": (  # the dial loop's queue wait eats a cancellation
-        "nodefinder/live.py",
-        [
-            (
-                _DIAL_EXCEPT,
-                "            except (asyncio.TimeoutError, asyncio.QueueEmpty,"
-                " asyncio.CancelledError):\n",
-            )
-        ],
-    ),
-    "EXC-SILENT": (  # the dial loop's queue wait eats every failure
-        "nodefinder/live.py",
-        [(_DIAL_EXCEPT, "            except Exception:\n")],
-    ),
-    "RACE-RMW": (  # the lookup count read before the lookup, written after
-        "nodefinder/live.py",
-        [
-            (
-                "            found = await self.discovery.lookup_all(target)\n"
-                '            self.stats["lookups"] += 1\n',
-                '            lookups = self.stats["lookups"]\n'
-                "            found = await self.discovery.lookup_all(target)\n"
-                '            self.stats["lookups"] = lookups + 1\n',
-            )
-        ],
-    ),
-    "RACE-STALE": (  # open the discovery service lazily, re-checking nothing
-        "nodefinder/live.py",
-        [
-            (
-                "        assert self.discovery is not None\n        while not self._stopping:",
-                "        if self.discovery is None:\n"
-                "            self.discovery = await self._open_discovery()\n"
-                "        while not self._stopping:",
-            )
-        ],
-    ),
-    "RACE-LOCK": (  # a threading lock held over the awaited harvest
-        "nodefinder/live.py",
-        [
-            ("import time\n", "import threading\nimport time\n"),
-            (
-                "        self._stopping = False\n",
-                "        self._stopping = False\n        self._lock = threading.Lock()\n",
-            ),
-            (_HARVEST, "        with self._lock:\n            result = await self._harvest("),
-        ],
-    ),
-    "TASK-LIFE-GATHER": (  # a lookup round's fan-out loses its exception safety
-        "discovery/protocol.py",
-        [
-            (
-                "                *(self.find_node(node, target) for node in candidates),\n"
-                "                return_exceptions=True,\n",
-                "                *(self.find_node(node, target) for node in candidates),\n",
-            )
-        ],
-    ),
-    "TASK-LIFE-ORPHAN": (  # the ping-back detaches without _spawn's handle
-        "discovery/protocol.py",
-        [
-            (
-                "            self._spawn(self.ping_addr(addr, sender_id))\n",
-                "            asyncio.ensure_future(self.ping_addr(addr, sender_id))\n",
-            )
-        ],
-    ),
-    "OWNERSHIP": (  # a bootstrap watch armed on CrawlStats, past the writer
-        "nodefinder/scanner.py",
-        [
-            (
-                "        self.writer.watch_bootstrap(node_id)\n",
-                "        self.stats.watch_bootstrap(node_id)\n",
-            )
-        ],
-    ),
-    "OBS-CLOCK": (  # an emitted event stamped off the wall clock
-        "telemetry/hub.py",
-        [
-            (
-                "        event = Event(type=event_type, ts=self.clock(), fields=clean)\n",
-                "        event = Event(type=event_type, ts=time.time(), fields=clean)\n",
-            )
-        ],
-    ),
-    "RETRY-SAFE": (  # a frame header read loses its own deadline
-        "rlpx/session.py",
-        [
-            (
-                "        header = await asyncio.wait_for(\n"
-                "            self._reader.readexactly(HEADER_LEN + MAC_LEN), FRAME_READ_TIMEOUT\n"
-                "        )\n",
-                "        header = await self._reader.readexactly(HEADER_LEN + MAC_LEN)\n",
-            )
-        ],
-    ),
-}
 
 
 def test_every_code_has_a_product_mutant():
     assert set(PRODUCT_MUTANTS) == RULE_CODES
 
 
-def write_mutant(tmp_path, path, edits):
-    """A copy of ``src/repro/<path>`` with ``edits`` applied, under the same
-    package path (so the same scopes apply)."""
-    text = (SRC / "repro" / path).read_text()
-    for old, new in edits:
-        assert text.count(old) == 1, old
-        text = text.replace(old, new)
-    target = tmp_path / "repro" / path
-    target.parent.mkdir(parents=True)
-    target.write_text(text)
-    return target
-
-
 @pytest.mark.parametrize(
     "path", sorted({path for path, _ in PRODUCT_MUTANTS.values()})
 )
 def test_unmutated_product_copy_is_clean(tmp_path, path):
-    assert lint_paths([write_mutant(tmp_path, path, [])]) == []
+    assert lint_paths([write_mutant(SRC, path, [], tmp_path)]) == []
 
 
 @pytest.mark.parametrize("code", sorted(PRODUCT_MUTANTS))
 def test_rule_catches_its_mutant_of_the_product_tree(tmp_path, code):
     """Each rule fires exactly once on its mutant of a real product file."""
     path, edits = PRODUCT_MUTANTS[code]
-    findings = lint_paths([write_mutant(tmp_path, path, edits)])
+    findings = lint_paths([write_mutant(SRC, path, edits, tmp_path)])
     assert [finding.code for finding in findings] == [code]
 
 
